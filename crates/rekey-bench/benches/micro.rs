@@ -94,7 +94,7 @@ fn bench_tables(c: &mut Criterion) {
             || table.clone(),
             |mut t| {
                 t.insert(NeighborRecord {
-                    member: extra.clone(),
+                    member: extra,
                     rtt: 1,
                 });
                 t.remove(&extra.id);

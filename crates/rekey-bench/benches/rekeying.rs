@@ -20,7 +20,7 @@ fn unique_ids(spec: &IdSpec, n: usize, r: &mut impl Rng) -> Vec<UserId> {
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
         let id = UserId::from_index(spec, r.gen_range(0..spec.id_space()));
-        if seen.insert(id.clone()) {
+        if seen.insert(id) {
             out.push(id);
         }
     }
@@ -89,7 +89,7 @@ fn build_mesh(users: usize, r: &mut impl Rng) -> (MatrixNetwork, TmeshGroup, Vec
         .iter()
         .enumerate()
         .map(|(i, id)| Member {
-            id: id.clone(),
+            id: *id,
             host: HostId(i % (users / 2)),
             joined_at: i as u64,
         })
@@ -146,7 +146,7 @@ fn bench_keyring_absorb(c: &mut Criterion) {
     let mut tree = ModifiedKeyTree::new(&spec);
     let mut arena = RekeyArena::new();
     tree.batch_rekey(&ids, &[], &mut r, &mut arena).unwrap();
-    let ring = KeyRing::new(ids[0].clone(), tree.user_path_keys(&ids[0]));
+    let ring = KeyRing::new(ids[0], tree.user_path_keys(&ids[0]));
     let out = tree
         .batch_rekey(&[], &ids[256..], &mut r, &mut arena)
         .unwrap();

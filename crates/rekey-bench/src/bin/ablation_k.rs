@@ -40,7 +40,7 @@ fn main() {
             .collect();
         let failed_ids: std::collections::HashSet<_> = failed
             .iter()
-            .map(|&i| build.group.members()[i].id.clone())
+            .map(|&i| build.group.members()[i].id)
             .collect();
 
         let mut records = 0usize;

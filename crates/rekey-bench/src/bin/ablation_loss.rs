@@ -30,7 +30,7 @@ fn main() {
         0x1055,
     );
     let mut rng = seeded_rng(0x1056);
-    let ids: Vec<_> = build.group.members().iter().map(|m| m.id.clone()).collect();
+    let ids: Vec<_> = build.group.members().iter().map(|m| m.id).collect();
     let mut tree = ModifiedKeyTree::new(&spec);
     let mut arena = RekeyArena::new();
     tree.batch_rekey(&ids, &[], &mut rng, &mut arena).unwrap();

@@ -35,7 +35,7 @@ fn main() {
         0x9acc,
     );
     let mut rng = seeded_rng(0x9acd);
-    let ids: Vec<_> = build.group.members().iter().map(|m| m.id.clone()).collect();
+    let ids: Vec<_> = build.group.members().iter().map(|m| m.id).collect();
     let mut tree = ModifiedKeyTree::new(&spec);
     let mut arena = RekeyArena::new();
     tree.batch_rekey(&ids, &[], &mut rng, &mut arena).unwrap();

@@ -35,7 +35,7 @@ fn main() {
         0xC0C1,
     );
     let mut rng = seeded_rng(0xC0C2);
-    let ids: Vec<_> = build.group.members().iter().map(|m| m.id.clone()).collect();
+    let ids: Vec<_> = build.group.members().iter().map(|m| m.id).collect();
     let mut tree = ModifiedKeyTree::new(&spec);
     let mut arena = RekeyArena::new();
     tree.batch_rekey(&ids, &[], &mut rng, &mut arena).unwrap();
@@ -55,7 +55,7 @@ fn main() {
     let out = tree
         .batch_rekey(&joins, &leaves, &mut rng, &mut arena)
         .unwrap();
-    let enc_ids: Vec<IdPrefix> = out.encryptions().iter().map(|e| e.id().clone()).collect();
+    let enc_ids: Vec<IdPrefix> = out.encryptions().iter().map(|e| *e.id()).collect();
     let mesh = build.group.tmesh();
     eprintln!(
         "concurrent_transport: rekey message = {} encryptions",

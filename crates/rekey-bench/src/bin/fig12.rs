@@ -45,10 +45,10 @@ fn main() {
             seed,
         );
         let mut rng = seeded_rng(seed ^ 0xfee1);
-        let base_ids: Vec<UserId> = build.group.members().iter().map(|m| m.id.clone()).collect();
+        let base_ids: Vec<UserId> = build.group.members().iter().map(|m| m.id).collect();
         let mut order: Vec<usize> = (0..base_ids.len()).collect();
         order.sort_by_key(|&i| build.group.members()[i].joined_at);
-        let ordered: Vec<UserId> = order.iter().map(|&i| base_ids[i].clone()).collect();
+        let ordered: Vec<UserId> = order.iter().map(|&i| base_ids[i]).collect();
 
         // Server-side trees over the initial membership.
         let mut arena = RekeyArena::new();

@@ -361,7 +361,7 @@ pub fn rekey_message_for_churn(
     let mut leave_ids = Vec::with_capacity(plan.leaves);
     for _ in 0..plan.leaves {
         let pick = rng.gen_range(0..group.len());
-        let id = group.members()[pick].id.clone();
+        let id = group.members()[pick].id;
         group.leave(&id, net).expect("member exists");
         leave_ids.push(id);
     }
@@ -409,7 +409,7 @@ pub fn transport_fixture(
     let mut ids: Vec<UserId> = Vec::with_capacity(users);
     while ids.len() < users {
         let id = UserId::from_index(&spec, rng.gen_range(0..spec.id_space()));
-        if seen.insert(id.clone()) {
+        if seen.insert(id) {
             ids.push(id);
         }
     }
@@ -417,7 +417,7 @@ pub fn transport_fixture(
         .iter()
         .enumerate()
         .map(|(i, id)| Member {
-            id: id.clone(),
+            id: *id,
             host: HostId(i % member_hosts),
             joined_at: i as u64,
         })

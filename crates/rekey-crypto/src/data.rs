@@ -73,7 +73,7 @@ impl SealedData {
         let mut ciphertext = plaintext.to_vec();
         chacha::xor_stream(key.material().as_bytes(), 1, &nonce, &mut ciphertext);
         let mut sealed = SealedData {
-            key_id: key.id().clone(),
+            key_id: *key.id(),
             key_version: key.version(),
             nonce,
             ciphertext,
@@ -105,8 +105,8 @@ impl SealedData {
     pub fn open(&self, key: &Key) -> Result<Vec<u8>, OpenError> {
         if key.id() != &self.key_id {
             return Err(OpenError::WrongKeyId {
-                expected: self.key_id.clone(),
-                actual: key.id().clone(),
+                expected: self.key_id,
+                actual: *key.id(),
             });
         }
         if key.version() != self.key_version {

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use rand::Rng;
-use rekey_id::IdPrefix;
+use rekey_id::{IdPrefix, MAX_DEPTH};
 
 use crate::chacha::{self, NONCE_LEN};
 use crate::key::{Key, KeyMaterial};
@@ -44,7 +44,7 @@ impl std::error::Error for UnwrapError {}
 
 /// A single encryption `{k'}_k`: the material of a new key `k'` wrapped
 /// (ChaCha20 + SipHash-2-4, encrypt-then-MAC) under an encrypting key `k`.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Encryption {
     encrypting_id: IdPrefix,
     encrypting_version: u64,
@@ -55,36 +55,20 @@ pub struct Encryption {
     tag: [u8; TAG_LEN],
 }
 
-/// Hand-written so [`Clone::clone_from`] reuses the destination's ID digit
-/// buffers (see [`IdPrefix`]'s `Clone`) when copying into reused slots.
-impl Clone for Encryption {
-    fn clone(&self) -> Encryption {
-        Encryption {
-            encrypting_id: self.encrypting_id.clone(),
-            encrypting_version: self.encrypting_version,
-            encrypted_id: self.encrypted_id.clone(),
-            encrypted_version: self.encrypted_version,
-            nonce: self.nonce,
-            ciphertext: self.ciphertext,
-            tag: self.tag,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Encryption) {
-        self.encrypting_id.clone_from(&source.encrypting_id);
-        self.encrypting_version = source.encrypting_version;
-        self.encrypted_id.clone_from(&source.encrypted_id);
-        self.encrypted_version = source.encrypted_version;
-        self.nonce = source.nonce;
-        self.ciphertext = source.ciphertext;
-        self.tag = source.tag;
-    }
+/// Length of the MAC input of a key wrap between two IDs of the given
+/// lengths: per ID a length byte and 2 bytes/digit, then the two versions,
+/// the nonce and the ciphertext.
+const fn mac_len(encrypting_digits: usize, encrypted_digits: usize) -> usize {
+    2 + 2 * (encrypting_digits + encrypted_digits) + 16 + NONCE_LEN + chacha::KEY_LEN
 }
 
-/// Stack capacity for the MAC input of a key wrap. Covers IDs up to 120
-/// digits combined (2 length bytes + 2 bytes/digit + 16 version bytes +
-/// nonce + ciphertext ≤ 512); deeper trees fall back to the heap.
-const MAC_STACK_LEN: usize = 512;
+/// Stack capacity for the MAC input of a key wrap.
+const MAC_STACK_LEN: usize = 128;
+
+const _: () = assert!(
+    mac_len(MAX_DEPTH, MAX_DEPTH) <= MAC_STACK_LEN,
+    "the largest MAC input must fit the stack buffer"
+);
 
 impl Encryption {
     /// Wraps `new_key` under `encrypting_key` with a fresh random nonce.
@@ -117,14 +101,13 @@ impl Encryption {
     /// Wraps `new_key` under `encrypting_key` directly into `self`, with a
     /// caller-supplied nonce (see [`crate::NonceSeq`]).
     ///
-    /// All fields are overwritten in place via `clone_from`, so once this
-    /// slot's ID digit buffers have grown to the working depth, re-sealing
+    /// Every field is an inline value overwritten in place, so sealing
     /// performs **zero heap allocations**. Safe to call concurrently on
     /// distinct slots — it only reads the two keys.
     pub fn seal_into(&mut self, encrypting_key: &Key, new_key: &Key, nonce: [u8; NONCE_LEN]) {
-        self.encrypting_id.clone_from(encrypting_key.id());
+        self.encrypting_id = *encrypting_key.id();
         self.encrypting_version = encrypting_key.version();
-        self.encrypted_id.clone_from(new_key.id());
+        self.encrypted_id = *new_key.id();
         self.encrypted_version = new_key.version();
         self.nonce = nonce;
         self.ciphertext = *new_key.material().as_bytes();
@@ -139,7 +122,7 @@ impl Encryption {
 
     /// Serialises the MAC-bound identity (IDs, versions, nonce, ciphertext)
     /// into `buf` so replays across nodes/versions are detected; returns the
-    /// number of bytes written. `buf` must be at least [`Self::mac_len`].
+    /// number of bytes written.
     fn write_mac_input(&self, buf: &mut [u8]) -> usize {
         let mut at = 0;
         let mut push = |bytes: &[u8]| {
@@ -161,27 +144,14 @@ impl Encryption {
         at
     }
 
-    /// Exact MAC-input length for this encryption.
-    fn mac_len(&self) -> usize {
-        2 + 2 * (self.encrypting_id.len() + self.encrypted_id.len())
-            + 16
-            + NONCE_LEN
-            + chacha::KEY_LEN
-    }
-
     fn compute_tag(&self, wrap_key: &KeyMaterial) -> [u8; TAG_LEN] {
-        let subkey = wrap_key.mac_subkey();
-        let len = self.mac_len();
-        if len <= MAC_STACK_LEN {
-            let mut buf = [0u8; MAC_STACK_LEN];
-            let written = self.write_mac_input(&mut buf);
-            debug_assert_eq!(written, len);
-            siphash24(&subkey, &buf[..written])
-        } else {
-            let mut buf = vec![0u8; len];
-            self.write_mac_input(&mut buf);
-            siphash24(&subkey, &buf)
-        }
+        let mut buf = [0u8; MAC_STACK_LEN];
+        let written = self.write_mac_input(&mut buf);
+        debug_assert_eq!(
+            written,
+            mac_len(self.encrypting_id.len(), self.encrypted_id.len())
+        );
+        siphash24(&wrap_key.mac_subkey(), &buf[..written])
     }
 
     /// Unwraps the encryption with `key`, returning the encrypted new key.
@@ -195,8 +165,8 @@ impl Encryption {
     pub fn open(&self, key: &Key) -> Result<Key, UnwrapError> {
         if key.id() != &self.encrypting_id {
             return Err(UnwrapError::WrongKeyId {
-                expected: self.encrypting_id.clone(),
-                actual: key.id().clone(),
+                expected: self.encrypting_id,
+                actual: *key.id(),
             });
         }
         if self.compute_tag(key.material()) != self.tag {
@@ -205,7 +175,7 @@ impl Encryption {
         let mut plaintext = self.ciphertext;
         chacha::xor_stream(key.material().as_bytes(), 0, &self.nonce, &mut plaintext);
         Ok(Key::new(
-            self.encrypted_id.clone(),
+            self.encrypted_id,
             self.encrypted_version,
             KeyMaterial::from_bytes(plaintext),
         ))
@@ -351,20 +321,6 @@ mod tests {
         assert_eq!(slot.id(), group.id());
         assert_eq!(slot.encrypted_id(), new_aux.id());
         assert_eq!(slot.open(&group).unwrap(), new_aux);
-    }
-
-    #[test]
-    fn deep_ids_use_heap_mac_fallback() {
-        // IdSpec depth is unbounded; combined ID depth beyond the stack
-        // buffer must still produce a valid (openable) wrap.
-        let mut rng = StdRng::seed_from_u64(11);
-        let spec = IdSpec::new(300, 4).unwrap();
-        let deep = IdPrefix::new(&spec, vec![1; 260]).unwrap();
-        let deep_key = Key::random(deep, &mut rng);
-        let group = Key::random(IdPrefix::root(), &mut rng);
-        let enc = Encryption::seal(&deep_key, &group.next_version(&mut rng), &mut rng);
-        assert!(enc.wire_size() > MAC_STACK_LEN);
-        assert_eq!(enc.open(&deep_key).unwrap().id(), group.id());
     }
 
     #[test]

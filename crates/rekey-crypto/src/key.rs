@@ -66,30 +66,11 @@ impl fmt::Debug for KeyMaterial {
 ///
 /// `version` counts how many times the key at this node has been changed by
 /// rekeying; a `(id, version)` pair uniquely names one concrete key value.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Key {
     id: IdPrefix,
     version: u64,
     material: KeyMaterial,
-}
-
-/// Hand-written so [`Clone::clone_from`] propagates to the ID's digit
-/// buffer (see [`IdPrefix`]'s `Clone`), keeping key overwrites in reused
-/// arena slots allocation-free.
-impl Clone for Key {
-    fn clone(&self) -> Key {
-        Key {
-            id: self.id.clone(),
-            version: self.version,
-            material: self.material,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Key) {
-        self.id.clone_from(&source.id);
-        self.version = source.version;
-        self.material = source.material;
-    }
 }
 
 impl Key {
@@ -129,7 +110,7 @@ impl Key {
     /// Produces the next version of this key with fresh material.
     pub fn next_version<R: Rng + ?Sized>(&self, rng: &mut R) -> Key {
         Key {
-            id: self.id.clone(),
+            id: self.id,
             version: self.version + 1,
             material: KeyMaterial::random(rng),
         }

@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-use rekey_id::{IdError, IdPrefix, IdSpec};
+use rekey_id::{IdError, IdPrefix, IdSpec, MAX_DEPTH};
 
 use crate::chacha::{KEY_LEN, NONCE_LEN};
 use crate::data::SealedData;
@@ -184,11 +184,15 @@ fn put_prefix(out: &mut Vec<u8>, p: &IdPrefix) {
 
 fn get_prefix(r: &mut Reader<'_>, spec: &IdSpec) -> Result<IdPrefix, DecodeError> {
     let len = usize::from(r.u8()?);
-    let mut digits = Vec::with_capacity(len);
-    for _ in 0..len {
-        digits.push(r.u16()?);
+    let mut digits = [0u16; MAX_DEPTH];
+    let slots = digits.get_mut(..len).ok_or(IdError::PrefixTooLong {
+        max: spec.depth(),
+        actual: len,
+    })?;
+    for d in slots {
+        *d = r.u16()?;
     }
-    Ok(IdPrefix::new(spec, digits)?)
+    Ok(IdPrefix::from_digits(spec, &digits[..len])?)
 }
 
 fn expect_tag(r: &mut Reader<'_>, expected: u8) -> Result<(), DecodeError> {

@@ -1,46 +1,19 @@
-//! The steady-state seal loop allocates nothing: once an arena's slots
-//! have been sealed into once, re-sealing them (the per-interval hot loop
-//! of `ModifiedKeyTree::batch_rekey`) must not touch the heap. A counting
-//! global allocator makes any regression — a `Vec` sneaking back into the
-//! MAC input assembly, a derived `Clone` dropping the buffer-reusing
-//! `clone_from` — an immediate test failure.
+//! The steady-state seal loop allocates nothing: sealing into an arena
+//! slot (the per-interval hot loop of `ModifiedKeyTree::batch_rekey`) must
+//! not touch the heap. A counting global allocator makes any regression — a
+//! `Vec` sneaking back into the MAC input assembly or into the IDs an
+//! `Encryption` carries — an immediate test failure.
 //!
 //! Kept as a single `#[test]` so no sibling test can allocate concurrently
 //! and pollute the counter.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::SeedableRng;
 use rekey_crypto::{Encryption, Key, NonceSeq};
 use rekey_id::{IdPrefix, IdSpec};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 #[test]
 fn steady_state_seal_loop_is_allocation_free() {

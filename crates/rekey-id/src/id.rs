@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{IdPrefix, IdSpec};
+use crate::{IdPrefix, IdSpec, MAX_DEPTH};
 
 /// Errors produced when constructing IDs or prefixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,10 +78,11 @@ impl std::error::Error for IdError {}
 /// assert_eq!(u.prefix(2).digits(), &[2, 0]);
 /// # Ok::<(), rekey_id::IdError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct UserId {
-    digits: Vec<u16>,
-}
+///
+/// A `UserId` is its full-length [`IdPrefix`] under another type: the same
+/// 16-byte inline `Copy` value, with the same derived order and hash.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct UserId(IdPrefix);
 
 impl UserId {
     /// Creates a user ID from its digits.
@@ -91,22 +92,22 @@ impl UserId {
     /// Returns [`IdError::WrongLength`] if `digits.len() != spec.depth()`, or
     /// [`IdError::DigitOutOfRange`] if any digit is `>= spec.base()`.
     pub fn new(spec: &IdSpec, digits: Vec<u16>) -> Result<UserId, IdError> {
+        UserId::from_digits(spec, &digits)
+    }
+
+    /// [`UserId::new`] over a borrowed digit string.
+    ///
+    /// # Errors
+    ///
+    /// As [`UserId::new`].
+    pub fn from_digits(spec: &IdSpec, digits: &[u16]) -> Result<UserId, IdError> {
         if digits.len() != spec.depth() {
             return Err(IdError::WrongLength {
                 expected: spec.depth(),
                 actual: digits.len(),
             });
         }
-        for (index, &digit) in digits.iter().enumerate() {
-            if digit >= spec.base() {
-                return Err(IdError::DigitOutOfRange {
-                    index,
-                    digit,
-                    base: spec.base(),
-                });
-            }
-        }
-        Ok(UserId { digits })
+        IdPrefix::from_digits(spec, digits).map(UserId)
     }
 
     /// Builds the `index`-th ID in lexicographic order, i.e. interprets
@@ -118,18 +119,18 @@ impl UserId {
     /// Panics if `index >= spec.id_space()`.
     pub fn from_index(spec: &IdSpec, index: u64) -> UserId {
         assert!(index < spec.id_space(), "index {index} out of ID space");
-        let mut digits = vec![0u16; spec.depth()];
+        let mut digits = [0u16; MAX_DEPTH];
         let mut rest = index;
-        for slot in digits.iter_mut().rev() {
+        for slot in digits[..spec.depth()].iter_mut().rev() {
             *slot = (rest % u64::from(spec.base())) as u16;
             rest /= u64::from(spec.base());
         }
-        UserId { digits }
+        UserId::from_digits(spec, &digits[..spec.depth()]).expect("digits are remainders mod base")
     }
 
     /// The digits of this ID, leftmost (0th) first.
     pub fn digits(&self) -> &[u16] {
-        &self.digits
+        self.0.digits()
     }
 
     /// The `i`-th digit (the paper's `u.ID[i]`).
@@ -138,12 +139,12 @@ impl UserId {
     ///
     /// Panics if `i >= D`.
     pub fn digit(&self, i: usize) -> u16 {
-        self.digits[i]
+        self.digits()[i]
     }
 
     /// Number of digits `D`.
     pub fn depth(&self) -> usize {
-        self.digits.len()
+        self.0.len()
     }
 
     /// The first `len` digits as a prefix — the paper's `u.ID[0 : len-1]`.
@@ -153,17 +154,14 @@ impl UserId {
     ///
     /// Panics if `len > D`.
     pub fn prefix(&self, len: usize) -> IdPrefix {
-        assert!(
-            len <= self.digits.len(),
-            "prefix length {len} exceeds ID depth"
-        );
-        IdPrefix::from_digits_unchecked(self.digits[..len].to_vec())
+        assert!(len <= self.depth(), "prefix length {len} exceeds ID depth");
+        self.0.truncate(len)
     }
 
     /// The full ID viewed as a (maximal) prefix — the leaf node of the ID
     /// tree whose ID equals this user ID.
     pub fn as_prefix(&self) -> IdPrefix {
-        IdPrefix::from_digits_unchecked(self.digits.clone())
+        self.0
     }
 
     /// Length of the longest common prefix with `other`, in digits.
@@ -177,24 +175,25 @@ impl UserId {
     /// # Ok::<(), rekey_id::IdError>(())
     /// ```
     pub fn common_prefix_len(&self, other: &UserId) -> usize {
-        self.digits
+        self.digits()
             .iter()
-            .zip(other.digits.iter())
+            .zip(other.digits())
             .take_while(|(a, b)| a == b)
             .count()
     }
 }
 
+impl fmt::Debug for UserId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UserId")
+            .field("digits", &self.digits())
+            .finish()
+    }
+}
+
 impl fmt::Display for UserId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, d) in self.digits.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{d}")?;
-        }
-        write!(f, "]")
+        self.0.fmt(f)
     }
 }
 

@@ -47,6 +47,11 @@ pub use id::{IdError, UserId};
 pub use prefix::{subtree_cmp, IdPrefix};
 pub use tree::{IdTree, IdTreeNode};
 
+/// The largest supported `D`. IDs and prefixes store their digits inline
+/// in this many `u16` slots (see [`IdPrefix`]), which is what makes them
+/// 16-byte `Copy` values; the paper's `D = 5` leaves two to spare.
+pub const MAX_DEPTH: usize = 7;
+
 /// The shape of the ID space: `depth` digits (the paper's `D`) of base
 /// `base` (the paper's `B`).
 ///
@@ -75,9 +80,10 @@ impl IdSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`IdError::InvalidSpec`] if `depth == 0` or `base < 2`.
+    /// Returns [`IdError::InvalidSpec`] if `depth == 0`,
+    /// `depth > MAX_DEPTH` or `base < 2`.
     pub fn new(depth: usize, base: u16) -> Result<IdSpec, IdError> {
-        if depth == 0 || base < 2 {
+        if depth == 0 || depth > MAX_DEPTH || base < 2 {
             return Err(IdError::InvalidSpec { depth, base });
         }
         Ok(IdSpec { depth, base })
@@ -135,8 +141,17 @@ mod spec_tests {
     }
 
     #[test]
+    fn depth_is_bounded_by_the_inline_digit_slots() {
+        assert!(IdSpec::new(MAX_DEPTH, 2).is_ok());
+        assert_eq!(
+            IdSpec::new(MAX_DEPTH + 1, 2),
+            Err(IdError::InvalidSpec { depth: 8, base: 2 })
+        );
+    }
+
+    #[test]
     fn id_space_saturates() {
         assert_eq!(IdSpec::new(2, 16).unwrap().id_space(), 256);
-        assert_eq!(IdSpec::new(64, 256).unwrap().id_space(), u64::MAX);
+        assert_eq!(IdSpec::new(7, 65_535).unwrap().id_space(), u64::MAX);
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{IdError, IdSpec, UserId};
+use crate::{IdError, IdSpec, UserId, MAX_DEPTH};
 
 /// The ID of a node in the ID tree: a string of `0..=D` digits.
 ///
@@ -24,33 +24,30 @@ use crate::{IdError, IdSpec, UserId};
 /// assert_eq!(p.child(1).digits(), &[2, 0, 1]);
 /// # Ok::<(), rekey_id::IdError>(())
 /// ```
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// # Layout
+///
+/// An `IdPrefix` is an inline `Copy` value: [`MAX_DEPTH`] `u16` digit slots
+/// followed by a length byte (16 bytes in all). Slots past `len` are
+/// **always zero**, so the derived `Eq`/`Hash` see one canonical image per
+/// prefix and the derived `Ord` (digit slots first, then length) equals
+/// lexicographic order of the digit strings: zero is the smallest digit, so
+/// padding never lifts a shorter string above one of its extensions, and a
+/// string ties with its own zero-extensions only until the length decides.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IdPrefix {
-    digits: Vec<u16>,
-}
-
-/// `Clone` is implemented by hand so that [`Clone::clone_from`] reuses the
-/// destination's digit buffer instead of allocating a fresh one — the
-/// property the allocation-free rekey seal loop
-/// (`rekey_crypto::Encryption::seal_into`) relies on when overwriting
-/// arena slots in place.
-impl Clone for IdPrefix {
-    fn clone(&self) -> IdPrefix {
-        IdPrefix {
-            digits: self.digits.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &IdPrefix) {
-        self.digits.clone_from(&source.digits);
-    }
+    digits: [u16; MAX_DEPTH],
+    len: u8,
 }
 
 impl IdPrefix {
     /// The null prefix `[]`: ID of the ID-tree root, the key server, and the
     /// group key.
-    pub fn root() -> IdPrefix {
-        IdPrefix { digits: Vec::new() }
+    pub const fn root() -> IdPrefix {
+        IdPrefix {
+            digits: [0; MAX_DEPTH],
+            len: 0,
+        }
     }
 
     /// Creates a prefix from digits, validating against `spec`.
@@ -60,68 +57,76 @@ impl IdPrefix {
     /// Returns [`IdError::PrefixTooLong`] if more than `D` digits are given,
     /// or [`IdError::DigitOutOfRange`] for digits `>= B`.
     pub fn new(spec: &IdSpec, digits: Vec<u16>) -> Result<IdPrefix, IdError> {
+        IdPrefix::from_digits(spec, &digits)
+    }
+
+    /// [`IdPrefix::new`] over a borrowed digit string.
+    ///
+    /// # Errors
+    ///
+    /// As [`IdPrefix::new`].
+    pub fn from_digits(spec: &IdSpec, digits: &[u16]) -> Result<IdPrefix, IdError> {
         if digits.len() > spec.depth() {
             return Err(IdError::PrefixTooLong {
                 max: spec.depth(),
                 actual: digits.len(),
             });
         }
-        for (index, &digit) in digits.iter().enumerate() {
-            if digit >= spec.base() {
-                return Err(IdError::DigitOutOfRange {
-                    index,
-                    digit,
-                    base: spec.base(),
-                });
-            }
+        if let Some(index) = digits.iter().position(|&d| d >= spec.base()) {
+            return Err(IdError::DigitOutOfRange {
+                index,
+                digit: digits[index],
+                base: spec.base(),
+            });
         }
-        Ok(IdPrefix { digits })
+        // `spec.depth() <= MAX_DEPTH`, so the digits fit.
+        Ok(IdPrefix::root().extended(digits))
     }
 
-    pub(crate) fn from_digits_unchecked(digits: Vec<u16>) -> IdPrefix {
-        IdPrefix { digits }
+    /// `self` followed by `more`.
+    fn extended(mut self, more: &[u16]) -> IdPrefix {
+        let len = self.len();
+        self.digits[len..len + more.len()].copy_from_slice(more);
+        self.len = (len + more.len()) as u8;
+        self
     }
 
     /// The digits of this prefix.
     pub fn digits(&self) -> &[u16] {
-        &self.digits
+        &self.digits[..self.len()]
     }
 
     /// Number of digits; equals the ID-tree level of the node this prefix
     /// names.
     pub fn len(&self) -> usize {
-        self.digits.len()
+        usize::from(self.len)
     }
 
     /// `true` iff this is the null prefix `[]`.
     pub fn is_empty(&self) -> bool {
-        self.digits.is_empty()
+        self.len == 0
     }
 
     /// The last digit, if any.
     pub fn last_digit(&self) -> Option<u16> {
-        self.digits.last().copied()
+        self.digits().last().copied()
     }
 
     /// The parent node's ID (one digit shorter), or `None` for the root.
     pub fn parent(&self) -> Option<IdPrefix> {
-        if self.digits.is_empty() {
-            None
-        } else {
-            Some(IdPrefix {
-                digits: self.digits[..self.digits.len() - 1].to_vec(),
-            })
-        }
+        self.len().checked_sub(1).map(|len| self.truncate(len))
     }
 
     /// The ID of the child obtained by appending `digit`.
     ///
     /// If this prefix is a user's level-`i` prefix, `child(j)` is the ID of
     /// the user's `(i, j)`-ID subtree (Definition 2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this prefix already has [`MAX_DEPTH`] digits.
     pub fn child(&self, digit: u16) -> IdPrefix {
-        let mut digits = self.digits.clone();
-        digits.push(digit);
-        IdPrefix { digits }
+        self.extended(&[digit])
     }
 
     /// The first `len` digits of this prefix.
@@ -130,25 +135,19 @@ impl IdPrefix {
     ///
     /// Panics if `len > self.len()`.
     pub fn truncate(&self, len: usize) -> IdPrefix {
-        assert!(
-            len <= self.digits.len(),
-            "truncate length exceeds prefix length"
-        );
-        IdPrefix {
-            digits: self.digits[..len].to_vec(),
-        }
+        assert!(len <= self.len(), "truncate length exceeds prefix length");
+        // Through `root()` so the dropped tail is zeroed.
+        IdPrefix::root().extended(&self.digits[..len])
     }
 
     /// `true` iff `self` is a prefix of `other` (including `self == other`).
     pub fn is_prefix_of(&self, other: &IdPrefix) -> bool {
-        other.digits.len() >= self.digits.len()
-            && other.digits[..self.digits.len()] == self.digits[..]
+        other.digits().starts_with(self.digits())
     }
 
     /// `true` iff `self` is a prefix of the user ID `id`.
     pub fn is_prefix_of_id(&self, id: &UserId) -> bool {
-        id.digits().len() >= self.digits.len()
-            && id.digits()[..self.digits.len()] == self.digits[..]
+        id.digits().starts_with(self.digits())
     }
 
     /// `true` iff one of `self`, `other` is a prefix of the other.
@@ -192,7 +191,7 @@ impl IdPrefix {
     /// # Ok::<(), rekey_id::IdError>(())
     /// ```
     pub fn subtree_cmp(&self, digits: &[u16]) -> std::cmp::Ordering {
-        subtree_cmp(&self.digits, digits)
+        subtree_cmp(self.digits(), digits)
     }
 
     /// The proper ancestors of this prefix, root first: `[]`, the length-1
@@ -209,20 +208,14 @@ impl IdPrefix {
     /// # Ok::<(), rekey_id::IdError>(())
     /// ```
     pub fn ancestors(&self) -> impl Iterator<Item = IdPrefix> + '_ {
-        (0..self.digits.len()).map(move |len| IdPrefix {
-            digits: self.digits[..len].to_vec(),
-        })
+        (0..self.len()).map(move |len| self.truncate(len))
     }
 
     /// Converts a full-length prefix back into a [`UserId`].
     ///
     /// Returns `None` if this prefix is shorter than `spec.depth()`.
     pub fn to_user_id(&self, spec: &IdSpec) -> Option<UserId> {
-        if self.digits.len() == spec.depth() {
-            UserId::new(spec, self.digits.clone()).ok()
-        } else {
-            None
-        }
+        UserId::from_digits(spec, self.digits()).ok()
     }
 }
 
@@ -243,10 +236,18 @@ pub fn subtree_cmp(prefix: &[u16], digits: &[u16]) -> std::cmp::Ordering {
     }
 }
 
+impl fmt::Debug for IdPrefix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IdPrefix")
+            .field("digits", &self.digits())
+            .finish()
+    }
+}
+
 impl fmt::Display for IdPrefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, d) in self.digits.iter().enumerate() {
+        for (i, d) in self.digits().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -258,17 +259,13 @@ impl fmt::Display for IdPrefix {
 
 impl From<UserId> for IdPrefix {
     fn from(id: UserId) -> IdPrefix {
-        IdPrefix {
-            digits: id.digits().to_vec(),
-        }
+        id.as_prefix()
     }
 }
 
 impl From<&UserId> for IdPrefix {
     fn from(id: &UserId) -> IdPrefix {
-        IdPrefix {
-            digits: id.digits().to_vec(),
-        }
+        id.as_prefix()
     }
 }
 
@@ -303,7 +300,7 @@ mod tests {
     #[test]
     fn parent_child_round_trip() {
         let p = IdPrefix::new(&spec(), vec![1, 2]).unwrap();
-        assert_eq!(p.child(3).parent(), Some(p.clone()));
+        assert_eq!(p.child(3).parent(), Some(p));
         assert_eq!(p.parent().unwrap().digits(), &[1]);
         assert_eq!(IdPrefix::root().parent(), None);
         assert_eq!(p.last_digit(), Some(2));
@@ -328,7 +325,7 @@ mod tests {
         let s = spec();
         let u = UserId::new(&s, vec![1, 2, 3]).unwrap();
         let p: IdPrefix = (&u).into();
-        assert_eq!(p.to_user_id(&s), Some(u.clone()));
+        assert_eq!(p.to_user_id(&s), Some(u));
         assert_eq!(u.prefix(1).to_user_id(&s), None);
         assert!(u.prefix(0).is_prefix_of_id(&u));
         assert!(u.prefix(3).is_prefix_of_id(&u));

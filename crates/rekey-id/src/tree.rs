@@ -101,8 +101,8 @@ impl IdTree {
         }
         for level in 0..=self.spec.depth() {
             let id = user.prefix(level);
-            let node = self.nodes.entry(id.clone()).or_insert_with(|| IdTreeNode {
-                id: id.clone(),
+            let node = self.nodes.entry(id).or_insert_with(|| IdTreeNode {
+                id,
                 children: BTreeSet::new(),
                 user_count: 0,
             });
@@ -173,7 +173,7 @@ impl IdTree {
         let depth = self.spec.depth();
         let spec = self.spec;
         self.nodes
-            .range(id.clone()..)
+            .range(*id..)
             .take_while(move |(k, _)| id.is_prefix_of(k))
             .filter(move |(k, _)| k.len() == depth)
             .filter_map(move |(k, _)| k.to_user_id(&spec))
@@ -181,16 +181,8 @@ impl IdTree {
 
     /// Iterates over all user IDs in the group, in lexicographic order.
     pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.users_in_subtree_root()
-    }
-
-    fn users_in_subtree_root(&self) -> impl Iterator<Item = UserId> + '_ {
-        let depth = self.spec.depth();
-        let spec = self.spec;
-        self.nodes
-            .iter()
-            .filter(move |(k, _)| k.len() == depth)
-            .filter_map(move |(k, _)| k.to_user_id(&spec))
+        const ROOT: IdPrefix = IdPrefix::root();
+        self.users_in_subtree(&ROOT)
     }
 
     /// The users belonging to user `u`'s `(i, j)`-ID subtree (Definition 2):

@@ -33,9 +33,9 @@ pub(crate) struct SealJob {
 }
 
 /// Reusable scratch owned by the caller of
-/// [`batch_rekey`](crate::ModifiedKeyTree::batch_rekey): slot pools for
-/// the interval's encryptions and updated IDs plus the flattened seal-job
-/// list.
+/// [`batch_rekey`](crate::ModifiedKeyTree::batch_rekey): the slot pool for
+/// the interval's encryptions, its updated-ID list and the flattened
+/// seal-job list.
 ///
 /// Create one per driver (server loop, bench, test) and pass `&mut` to
 /// every `batch_rekey` call; the returned [`RekeyBatch`] borrows it. Slots
@@ -46,9 +46,8 @@ pub struct RekeyArena {
     /// Encryption slot pool; `[..sealed]` is the current batch.
     pub(crate) encryptions: Vec<Encryption>,
     pub(crate) sealed: usize,
-    /// Updated-ID slot pool; `[..updated_len]` is the current batch.
+    /// Updated IDs of the current batch.
     pub(crate) updated: Vec<IdPrefix>,
-    pub(crate) updated_len: usize,
     /// Flattened seal jobs of the current batch, in emit order.
     pub(crate) jobs: Vec<SealJob>,
     /// Wall-clock nanoseconds the seal phase of the last batch took.
@@ -88,7 +87,7 @@ impl RekeyArena {
     /// freeing any pool.
     pub(crate) fn reset(&mut self) {
         self.sealed = 0;
-        self.updated_len = 0;
+        self.updated.clear();
         self.jobs.clear();
         self.seal_nanos = 0;
     }
@@ -101,17 +100,6 @@ impl RekeyArena {
             self.encryptions.resize_with(n, Encryption::placeholder);
         }
         self.sealed = n;
-    }
-
-    /// Appends `id` to the updated list, reusing a pooled slot's digit
-    /// buffer when one is available.
-    pub(crate) fn push_updated(&mut self, id: &IdPrefix) {
-        if self.updated_len < self.updated.len() {
-            self.updated[self.updated_len].clone_from(id);
-        } else {
-            self.updated.push(id.clone());
-        }
-        self.updated_len += 1;
     }
 }
 
@@ -137,7 +125,7 @@ impl<'a> RekeyBatch<'a> {
 
     /// `true` iff the interval changed nothing.
     pub fn is_empty(&self) -> bool {
-        self.arena.sealed == 0 && self.arena.updated_len == 0
+        self.arena.sealed == 0 && self.arena.updated.is_empty()
     }
 
     /// The rekey message: all generated encryptions, ordered by decreasing
@@ -148,7 +136,7 @@ impl<'a> RekeyBatch<'a> {
 
     /// IDs of the k-nodes whose keys were changed, in ascending ID order.
     pub fn updated(&self) -> &[IdPrefix] {
-        &self.arena.updated[..self.arena.updated_len]
+        &self.arena.updated
     }
 
     /// Wall-clock nanoseconds the seal phase (key wrapping only, after key
@@ -172,10 +160,7 @@ impl<'a> RekeyBatch<'a> {
     /// Moves the updated IDs out of the arena without copying; see
     /// [`RekeyBatch::take_encryptions`].
     pub fn take_updated(&mut self) -> Vec<IdPrefix> {
-        let mut pool = std::mem::take(&mut self.arena.updated);
-        pool.truncate(self.arena.updated_len);
-        self.arena.updated_len = 0;
-        pool
+        std::mem::take(&mut self.arena.updated)
     }
 }
 
@@ -225,11 +210,12 @@ mod tests {
         let mut arena = RekeyArena::new();
         let spec = rekey_id::IdSpec::new(2, 4).unwrap();
         let id = IdPrefix::new(&spec, vec![1]).unwrap();
-        arena.push_updated(&id);
+        arena.updated.push(id);
         arena.reset();
-        assert_eq!(arena.updated.len(), 1, "pool survives reset");
-        arena.push_updated(&IdPrefix::root());
-        assert_eq!(arena.updated_len, 1);
+        assert!(arena.updated.is_empty());
+        assert!(arena.updated.capacity() >= 1, "pool survives reset");
+        arena.updated.push(IdPrefix::root());
+        assert_eq!(arena.updated.len(), 1);
         assert!(arena.updated[0].is_empty(), "slot overwritten in place");
     }
 }

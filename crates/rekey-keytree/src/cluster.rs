@@ -163,22 +163,22 @@ impl ClusteredKeyTree {
         // user leaving in the same batch (the slot is vacated first).
         let mut joining = std::collections::BTreeSet::new();
         for u in joins {
-            if !joining.insert(u.clone()) {
-                return Err(KeyTreeError::DuplicateRequest(u.clone()));
+            if !joining.insert(*u) {
+                return Err(KeyTreeError::DuplicateRequest(*u));
             }
         }
         let mut left = std::collections::BTreeSet::new();
         for u in leaves {
-            if !left.insert(u.clone()) {
-                return Err(KeyTreeError::DuplicateRequest(u.clone()));
+            if !left.insert(*u) {
+                return Err(KeyTreeError::DuplicateRequest(*u));
             }
             if !self.contains_user(u) {
-                return Err(KeyTreeError::NotMember(u.clone()));
+                return Err(KeyTreeError::NotMember(*u));
             }
         }
         for u in &joining {
             if self.contains_user(u) && !left.contains(u) {
-                return Err(KeyTreeError::AlreadyMember(u.clone()));
+                return Err(KeyTreeError::AlreadyMember(*u));
             }
         }
 
@@ -201,7 +201,7 @@ impl ClusteredKeyTree {
         for u in joins {
             let id = u.prefix(self.spec.depth() - 1);
             let cluster = self.clusters.entry(id).or_default();
-            cluster.members.push((self.join_seq, u.clone()));
+            cluster.members.push((self.join_seq, *u));
             self.join_seq += 1;
         }
 

@@ -44,7 +44,7 @@ impl KeyRing {
                 key.id(),
                 user
             );
-            keys.insert(key.id().clone(), key.clone());
+            keys.insert(*key.id(), key.clone());
         }
         KeyRing { user, keys }
     }
@@ -120,7 +120,7 @@ impl KeyRing {
                 let new_key = e
                     .open(wrap_key)
                     .expect("ID and version matched, unwrap must work");
-                self.keys.insert(new_key.id().clone(), new_key);
+                self.keys.insert(*new_key.id(), new_key);
                 installed += 1;
                 progress = true;
             }
@@ -182,12 +182,12 @@ mod tests {
     fn absorb_installs_exactly_the_needed_keys() {
         let (mut rng, mut tree, users) = group();
         let mut arena = RekeyArena::new();
-        let mut ring = KeyRing::new(users[0].clone(), tree.user_path_keys(&users[0]));
+        let mut ring = KeyRing::new(users[0], tree.user_path_keys(&users[0]));
         assert!(ring.matches_path(&spec(), tree.user_path_keys(&users[0])));
 
         // u5 = [2,2] leaves; user [0,0] needs only {new group}_{k[0]}.
         let out = tree
-            .batch_rekey(&[], &[users[4].clone()], &mut rng, &mut arena)
+            .batch_rekey(&[], &[users[4]], &mut rng, &mut arena)
             .unwrap();
         let needed: Vec<_> = out.encryptions().iter().filter(|e| ring.needs(e)).collect();
         assert_eq!(needed.len(), 1);
@@ -201,9 +201,9 @@ mod tests {
     fn absorb_resolves_chains_in_any_order() {
         let (mut rng, mut tree, users) = group();
         let mut arena = RekeyArena::new();
-        let mut ring = KeyRing::new(users[2].clone(), tree.user_path_keys(&users[2]));
+        let mut ring = KeyRing::new(users[2], tree.user_path_keys(&users[2]));
         let out = tree
-            .batch_rekey(&[], &[users[4].clone()], &mut rng, &mut arena)
+            .batch_rekey(&[], &[users[4]], &mut rng, &mut arena)
             .unwrap();
         // User [2,0] needs the new aux key [2] (via its individual key) and
         // then the new group key (via the new aux key).
@@ -218,10 +218,10 @@ mod tests {
     fn departed_user_cannot_recover_new_group_key() {
         let (mut rng, mut tree, users) = group();
         let mut arena = RekeyArena::new();
-        let mut departed_ring = KeyRing::new(users[4].clone(), tree.user_path_keys(&users[4]));
+        let mut departed_ring = KeyRing::new(users[4], tree.user_path_keys(&users[4]));
         let old_group = departed_ring.group_key().unwrap().clone();
         let out = tree
-            .batch_rekey(&[], &[users[4].clone()], &mut rng, &mut arena)
+            .batch_rekey(&[], &[users[4]], &mut rng, &mut arena)
             .unwrap();
         let installed = departed_ring.absorb(out.encryptions());
         assert_eq!(
@@ -258,12 +258,12 @@ mod tests {
         // Two arenas: both interval results are held at once.
         let mut arena1 = RekeyArena::new();
         let mut arena2 = RekeyArena::new();
-        let mut ring = KeyRing::new(users[0].clone(), tree.user_path_keys(&users[0]));
+        let mut ring = KeyRing::new(users[0], tree.user_path_keys(&users[0]));
         let out1 = tree
-            .batch_rekey(&[], &[users[4].clone()], &mut rng, &mut arena1)
+            .batch_rekey(&[], &[users[4]], &mut rng, &mut arena1)
             .unwrap();
         let out2 = tree
-            .batch_rekey(&[], &[users[3].clone()], &mut rng, &mut arena2)
+            .batch_rekey(&[], &[users[3]], &mut rng, &mut arena2)
             .unwrap();
         // Apply the *second* interval first: wraps under keys the ring does
         // not yet have versions for must not panic, just not install.

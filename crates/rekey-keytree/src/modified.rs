@@ -490,23 +490,23 @@ impl ModifiedKeyTree {
     fn validate_batch(&self, joins: &[UserId], leaves: &[UserId]) -> Result<(), KeyTreeError> {
         let mut seen = BTreeSet::new();
         for u in joins {
-            if !seen.insert(u.clone()) {
-                return Err(KeyTreeError::DuplicateRequest(u.clone()));
+            if !seen.insert(*u) {
+                return Err(KeyTreeError::DuplicateRequest(*u));
             }
         }
         let joining = seen;
         let mut seen = BTreeSet::new();
         for u in leaves {
-            if !seen.insert(u.clone()) {
-                return Err(KeyTreeError::DuplicateRequest(u.clone()));
+            if !seen.insert(*u) {
+                return Err(KeyTreeError::DuplicateRequest(*u));
             }
             if !self.contains_user(u) {
-                return Err(KeyTreeError::NotMember(u.clone()));
+                return Err(KeyTreeError::NotMember(*u));
             }
         }
         for u in &joining {
             if self.contains_user(u) && !seen.contains(u) {
-                return Err(KeyTreeError::AlreadyMember(u.clone()));
+                return Err(KeyTreeError::AlreadyMember(*u));
             }
         }
         Ok(())
@@ -593,7 +593,7 @@ impl ModifiedKeyTree {
                 }
                 if self.children[node as usize].is_empty() {
                     self.retired.insert(
-                        self.keys[node as usize].id().clone(),
+                        *self.keys[node as usize].id(),
                         self.keys[node as usize].version(),
                     );
                     self.release(node);
@@ -692,7 +692,7 @@ impl ModifiedKeyTree {
             }
         }
         for &s in &changed {
-            arena.push_updated(self.keys[s as usize].id());
+            arena.updated.push(*self.keys[s as usize].id());
         }
 
         // The per-batch nonce seed is drawn once, AFTER every key draw, so

@@ -111,7 +111,7 @@ impl OriginalKeyTree {
         if users.is_empty() {
             return tree;
         }
-        let mut level: Vec<usize> = users.iter().map(|u| tree.alloc_leaf(u.clone())).collect();
+        let mut level: Vec<usize> = users.iter().map(|u| tree.alloc_leaf(*u)).collect();
         while level.len() > 1 {
             let mut next = Vec::with_capacity(level.len().div_ceil(degree));
             for chunk in level.chunks(degree) {
@@ -141,7 +141,7 @@ impl OriginalKeyTree {
         let idx = self.alloc(ONode {
             parent: None,
             children: Vec::new(),
-            user: Some(user.clone()),
+            user: Some(user),
             in_use: true,
             version: 0,
         });
@@ -276,17 +276,11 @@ impl OriginalKeyTree {
     pub fn batch_rekey(&mut self, joins: &[UserId], leaves: &[UserId]) -> OrigRekeyOutcome {
         let mut join_set = HashSet::new();
         for u in joins {
-            assert!(
-                join_set.insert(u.clone()),
-                "user {u} appears twice in the batch"
-            );
+            assert!(join_set.insert(*u), "user {u} appears twice in the batch");
         }
         let mut leave_set = HashSet::new();
         for u in leaves {
-            assert!(
-                leave_set.insert(u.clone()),
-                "user {u} appears twice in the batch"
-            );
+            assert!(leave_set.insert(*u), "user {u} appears twice in the batch");
             assert!(self.contains_user(u), "leave of non-member {u}");
         }
         for u in joins {
@@ -326,13 +320,13 @@ impl OriginalKeyTree {
         // Phase 1: joins replace departed u-nodes in place.
         let replaced = departed.len().min(joins.len());
         for &leaf in departed.iter().take(replaced) {
-            let user = joins_iter.next().expect("counted").clone();
+            let user = *joins_iter.next().expect("counted");
             let old = self.nodes[leaf]
                 .user
                 .take()
                 .expect("departed node is a leaf");
             self.users.remove(&old);
-            self.nodes[leaf].user = Some(user.clone());
+            self.nodes[leaf].user = Some(user);
             self.nodes[leaf].version += 1; // fresh individual key
             self.users.insert(user, leaf);
             if let Some(p) = self.nodes[leaf].parent {
@@ -344,7 +338,7 @@ impl OriginalKeyTree {
 
         // Phase 2: surplus joins attach at the shallowest spots.
         for user in joins_iter {
-            let leaf = self.alloc_leaf(user.clone());
+            let leaf = self.alloc_leaf(*user);
             match self.find_attach_point() {
                 None => {
                     // Empty tree: the new leaf becomes the root.
@@ -357,7 +351,7 @@ impl OriginalKeyTree {
                     let moved = self.alloc(ONode {
                         parent: Some(spot),
                         children: Vec::new(),
-                        user: Some(old_user.clone()),
+                        user: Some(old_user),
                         in_use: true,
                         version: 0,
                     });
@@ -375,10 +369,7 @@ impl OriginalKeyTree {
 
         // Phase 3: surplus departures are pruned.
         for &leaf in departed.iter().skip(replaced) {
-            let user = self.nodes[leaf]
-                .user
-                .clone()
-                .expect("departed node is a leaf");
+            let user = self.nodes[leaf].user.expect("departed node is a leaf");
             let parent = self.nodes[leaf].parent;
             self.release(leaf);
             self.users.remove(&user);
@@ -570,7 +561,7 @@ mod tests {
     #[test]
     fn join_replaces_departed_leaf() {
         let us = users(64);
-        let extra = users(65)[64].clone();
+        let extra = users(65)[64];
         let mut tree = OriginalKeyTree::balanced(4, &us);
         let out = tree.batch_rekey(std::slice::from_ref(&extra), &us[10..11]);
         assert_eq!(out.cost(), 4 + 4 + 4);
@@ -584,7 +575,7 @@ mod tests {
     #[test]
     fn surplus_join_splits_a_leaf_when_full() {
         let us = users(16);
-        let extra = users(17)[16].clone();
+        let extra = users(17)[16];
         let mut tree = OriginalKeyTree::balanced(4, &us);
         let out = tree.batch_rekey(std::slice::from_ref(&extra), &[]);
         assert_eq!(tree.user_count(), 17);

@@ -117,23 +117,23 @@ impl ReferenceKeyTree {
     fn validate_batch(&self, joins: &[UserId], leaves: &[UserId]) -> Result<(), KeyTreeError> {
         let mut seen = BTreeSet::new();
         for u in joins {
-            if !seen.insert(u.clone()) {
-                return Err(KeyTreeError::DuplicateRequest(u.clone()));
+            if !seen.insert(*u) {
+                return Err(KeyTreeError::DuplicateRequest(*u));
             }
         }
         let joining = seen;
         let mut seen = BTreeSet::new();
         for u in leaves {
-            if !seen.insert(u.clone()) {
-                return Err(KeyTreeError::DuplicateRequest(u.clone()));
+            if !seen.insert(*u) {
+                return Err(KeyTreeError::DuplicateRequest(*u));
             }
             if !self.contains_user(u) {
-                return Err(KeyTreeError::NotMember(u.clone()));
+                return Err(KeyTreeError::NotMember(*u));
             }
         }
         for u in &joining {
             if self.contains_user(u) && !seen.contains(u) {
-                return Err(KeyTreeError::AlreadyMember(u.clone()));
+                return Err(KeyTreeError::AlreadyMember(*u));
             }
         }
         Ok(())
@@ -176,7 +176,7 @@ impl ReferenceKeyTree {
                 }
                 if self.nodes[&id].children.is_empty() {
                     let node = self.nodes.remove(&id).expect("node was just inspected");
-                    self.retired.insert(id.clone(), node.key.version());
+                    self.retired.insert(id, node.key.version());
                     changed.remove(&id);
                 } else {
                     changed.insert(id);
@@ -195,10 +195,10 @@ impl ReferenceKeyTree {
             );
             for level in (0..depth).rev() {
                 let id = u.prefix(level);
-                let node = match self.nodes.entry(id.clone()) {
+                let node = match self.nodes.entry(id) {
                     std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::btree_map::Entry::Vacant(e) => e.insert(TreeNode {
-                        key: fresh_key(&self.retired, id.clone(), rng),
+                        key: fresh_key(&self.retired, id, rng),
                         children: BTreeSet::new(),
                     }),
                 };
@@ -239,7 +239,7 @@ impl ReferenceKeyTree {
             }
         }
         for id in &changed {
-            arena.push_updated(id);
+            arena.updated.push(*id);
         }
         Ok(RekeyBatch::new(arena))
     }

@@ -166,11 +166,11 @@ fn tombstone_resume_in_lockstep() {
     let a1 = UserId::new(&s, vec![0, 0, 1]).unwrap();
     let b = UserId::new(&s, vec![1, 0, 0]).unwrap();
     for (joins, leaves) in [
-        (vec![a0.clone(), a1.clone(), b.clone()], vec![]),
-        (vec![], vec![a0.clone(), a1.clone()]), // prunes subtree [0]
-        (vec![a0.clone()], vec![]),             // recreates [0], [0,0], [0,0,0]
-        (vec![], vec![a0.clone()]),
-        (vec![a0.clone()], vec![]), // second resume of the same IDs
+        (vec![a0, a1, b], vec![]),
+        (vec![], vec![a0, a1]), // prunes subtree [0]
+        (vec![a0], vec![]),     // recreates [0], [0,0], [0,0,0]
+        (vec![], vec![a0]),
+        (vec![a0], vec![]), // second resume of the same IDs
     ] {
         let a = arena
             .batch_rekey(&joins, &leaves, &mut arena_rng, &mut arena_scratch)

@@ -84,7 +84,7 @@ proptest! {
         let tracked = UserId::from_index(&s, 63);
         let mut arena = RekeyArena::new();
         tree.batch_rekey(std::slice::from_ref(&tracked), &[], &mut rng, &mut arena).unwrap();
-        let mut ring = KeyRing::new(tracked.clone(), tree.user_path_keys(&tracked));
+        let mut ring = KeyRing::new(tracked, tree.user_path_keys(&tracked));
         for (joins, leaves) in schedule(&bytes) {
             let joins: Vec<UserId> =
                 joins.into_iter().filter(|u| *u != tracked && !tree.contains_user(u)).collect();
@@ -132,7 +132,7 @@ proptest! {
             let mut leaders = 0;
             for m in &members {
                 prop_assert!(tree.contains_user(m));
-                let leader = tree.leader_of(m).expect("cluster exists").clone();
+                let leader = *tree.leader_of(m).expect("cluster exists");
                 prop_assert!(members.contains(&leader));
                 prop_assert!(tree.tree().contains_user(&leader), "leader has a u-node");
                 if tree.is_leader(m) {
@@ -156,7 +156,7 @@ proptest! {
         modified.batch_rekey(&all, &[], &mut rng, &mut arena).unwrap();
         let mut original = OriginalKeyTree::balanced(4, &all);
         let mut leaves: Vec<UserId> =
-            leave_picks.iter().map(|&i| all[i].clone()).collect();
+            leave_picks.iter().map(|&i| all[i]).collect();
         leaves.sort();
         leaves.dedup();
         let m = modified.batch_rekey(&[], &leaves, &mut rng, &mut arena).unwrap().cost();

@@ -18,10 +18,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rekey_id::{IdPrefix, IdSpec, IdTree, UserId};
+use rekey_id::{IdPrefix, IdSpec, IdTree, UserId, MAX_DEPTH};
 use rekey_net::{ms, HostId, Micros, Network};
 use rekey_table::{Member, NeighborTable};
-use rekey_tmesh::metrics::percentile;
+use rekey_tmesh::metrics::{percentile, quantile};
 
 /// Parameters of the ID assignment protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,18 +88,17 @@ pub(crate) struct GroupView<'a> {
 /// A query to user `member_idx` for neighbor records matching `target`:
 /// returns the user records the queried user knows (its own record
 /// included when it matches).
-fn query(view: &GroupView<'_>, member_idx: usize, target: &IdPrefix) -> Vec<Member> {
-    let table = &view.tables[member_idx];
-    let mut out: Vec<Member> = table
+fn query<'a>(
+    view: &'a GroupView<'_>,
+    member_idx: usize,
+    target: &'a IdPrefix,
+) -> impl Iterator<Item = Member> + 'a {
+    let own = view.members[member_idx];
+    view.tables[member_idx]
         .iter_all()
-        .filter(|r| target.is_prefix_of_id(&r.member.id))
-        .map(|r| r.member.clone())
-        .collect();
-    let own = &view.members[member_idx];
-    if target.is_prefix_of_id(&own.id) {
-        out.push(own.clone());
-    }
-    out
+        .map(|r| r.member)
+        .chain(std::iter::once(own))
+        .filter(move |m| target.is_prefix_of_id(&m.id))
 }
 
 /// Runs steps 1–3 for every digit; returns the digits the joiner determined
@@ -116,25 +115,23 @@ pub(crate) fn probe_digits(
     let mut stats = AssignStats::default();
     let mut digits: Vec<u16> = Vec::new();
     // Users known to share the currently-determined prefix with the joiner.
-    let mut seeds: Vec<UserId> = vec![view.members[seed].id.clone()];
+    let mut seeds: Vec<UserId> = vec![view.members[seed].id];
+    let mut rtts: Vec<Micros> = Vec::with_capacity(params.p);
 
     // The last digit is always assigned by the key server for uniqueness.
     for i in 0..depth.saturating_sub(1) {
-        let prefix = IdPrefix::new(view.spec, digits.clone()).expect("digits are valid");
+        let prefix = IdPrefix::from_digits(view.spec, &digits).expect("digits are valid");
 
         // Step 1: collect user records per (i, j)-ID subtree.
         let mut collected: BTreeMap<u16, BTreeMap<UserId, Member>> = BTreeMap::new();
         let mut queried: BTreeSet<UserId> = BTreeSet::new();
         let insert = |collected: &mut BTreeMap<u16, BTreeMap<UserId, Member>>, m: Member| {
-            collected
-                .entry(m.id.digit(i))
-                .or_default()
-                .insert(m.id.clone(), m);
+            collected.entry(m.id.digit(i)).or_default().insert(m.id, m);
         };
         for s in &seeds {
             let idx = (view.index_of)(s);
-            insert(&mut collected, view.members[idx].clone());
-            if queried.insert(s.clone()) {
+            insert(&mut collected, view.members[idx]);
+            if queried.insert(*s) {
                 stats.queries += 1;
                 for m in query(view, idx, &prefix) {
                     insert(&mut collected, m);
@@ -151,7 +148,7 @@ pub(crate) fn probe_digits(
                 let Some(next) = bucket.keys().find(|id| !queried.contains(*id)).cloned() else {
                     break;
                 };
-                queried.insert(next.clone());
+                queried.insert(next);
                 stats.queries += 1;
                 let idx = (view.index_of)(&next);
                 for m in query(view, idx, &target) {
@@ -164,18 +161,16 @@ pub(crate) fn probe_digits(
         // Step 3: smallest F-percentile per subtree vs. threshold R_{i+1}.
         let mut best: Option<(Micros, u16)> = None;
         for (&j, bucket) in &collected {
-            let rtts: Vec<Micros> = bucket
-                .values()
-                .take(params.p)
-                .map(|m| {
-                    stats.probes += 1;
-                    net.gateway_rtt(joiner, m.host)
-                })
-                .collect();
+            rtts.clear();
+            rtts.extend(bucket.values().take(params.p).map(|m| {
+                stats.probes += 1;
+                net.gateway_rtt(joiner, m.host)
+            }));
             if rtts.is_empty() {
                 continue;
             }
-            let f = percentile(&rtts, params.f_percentile);
+            rtts.sort_unstable();
+            let f = quantile(&rtts, f64::from(params.f_percentile) / 100.0);
             if best.is_none_or(|(bf, bj)| (f, j) < (bf, bj)) {
                 best = Some((f, j));
             }
@@ -255,6 +250,13 @@ pub(crate) fn centralized_digits(
     (digits, evaluations)
 }
 
+/// The user ID that extends `prefix` with zeros.
+fn zero_padded(spec: &IdSpec, prefix: &IdPrefix) -> Option<UserId> {
+    let mut digits = [0u16; MAX_DEPTH];
+    digits[..prefix.len()].copy_from_slice(prefix.digits());
+    UserId::from_digits(spec, &digits[..spec.depth()]).ok()
+}
+
 /// Step 4, server side: given the digits the joiner determined, assigns the
 /// remaining digits so that the new user lands in a fresh subtree and the
 /// full ID is unique. Implements footnote 3: when no fresh sibling subtree
@@ -272,19 +274,18 @@ pub(crate) fn server_complete(
     // Try to keep as many determined digits as possible: for cut from
     // len(determined) down to 0, look for a fresh digit right after the cut.
     for cut in (0..=determined.len()).rev() {
-        let prefix = IdPrefix::new(spec, determined[..cut].to_vec()).expect("validated digits");
+        let prefix = IdPrefix::from_digits(spec, &determined[..cut]).expect("validated digits");
         if id_tree.node(&prefix).is_none() && !prefix.is_empty() {
             // The determined prefix itself is fresh: pad with zeros.
-            let mut digits = determined[..cut].to_vec();
-            digits.resize(depth, 0);
-            return UserId::new(spec, digits).ok();
+            return zero_padded(spec, &prefix);
+        }
+        if cut == depth {
+            continue; // a full-length prefix has no children
         }
         for x in 0..base {
             let candidate = prefix.child(x);
-            if candidate.len() <= depth && id_tree.node(&candidate).is_none() {
-                let mut digits = candidate.digits().to_vec();
-                digits.resize(depth, 0);
-                return UserId::new(spec, digits).ok();
+            if id_tree.node(&candidate).is_none() {
+                return zero_padded(spec, &candidate);
             }
         }
     }
@@ -301,9 +302,7 @@ pub(crate) fn server_complete(
         for x in 0..spec.base() {
             let child = prefix.child(x);
             if tree.node(&child).is_none() {
-                let mut digits = child.digits().to_vec();
-                digits.resize(spec.depth(), 0);
-                return UserId::new(spec, digits).ok();
+                return zero_padded(spec, &child);
             }
             if let Some(found) = dfs(spec, tree, child) {
                 return Some(found);

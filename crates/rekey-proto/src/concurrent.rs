@@ -127,25 +127,11 @@ impl TrafficNode {
         let hops: Vec<(UserId, usize, usize, u16)> = match (&self.server_table, &self.table) {
             (Some(st), _) => server_next_hops(st)
                 .into_iter()
-                .map(|h| {
-                    (
-                        h.neighbor.member.id.clone(),
-                        h.forward_level,
-                        h.row,
-                        h.column,
-                    )
-                })
+                .map(|h| (h.neighbor.member.id, h.forward_level, h.row, h.column))
                 .collect(),
             (None, Some(t)) => user_next_hops(t, level)
                 .into_iter()
-                .map(|h| {
-                    (
-                        h.neighbor.member.id.clone(),
-                        h.forward_level,
-                        h.row,
-                        h.column,
-                    )
-                })
+                .map(|h| (h.neighbor.member.id, h.forward_level, h.row, h.column))
                 .collect(),
             _ => Vec::new(),
         };
@@ -166,7 +152,7 @@ impl TrafficNode {
         if let Some(t) = &self.table {
             let hops: Vec<(UserId, usize)> = user_next_hops(t, level)
                 .into_iter()
-                .map(|h| (h.neighbor.member.id.clone(), h.forward_level))
+                .map(|h| (h.neighbor.member.id, h.forward_level))
                 .collect();
             for (id, forward_level) in hops {
                 ctx.send(
@@ -265,7 +251,7 @@ pub fn run_concurrent_session(
     assert!(data_sender < n, "data sender out of range");
     let mut index = HashMap::with_capacity(n);
     for (i, m) in group.members().iter().enumerate() {
-        index.insert(m.id.clone(), i);
+        index.insert(m.id, i);
     }
     let index = Rc::new(index);
     let message = Rc::new(SplitIndex::from_ids(encryption_ids));
@@ -349,7 +335,7 @@ mod tests {
             .map(|i| {
                 let id = loop {
                     let c = UserId::from_index(&spec, rand::Rng::gen_range(&mut rng, 0..512));
-                    if used.insert(c.clone()) {
+                    if used.insert(c) {
                         break c;
                     }
                 };

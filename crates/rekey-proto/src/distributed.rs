@@ -281,7 +281,7 @@ impl ProtoNode {
 
     fn record_of(&self) -> WireRecord {
         WireRecord {
-            member: self.member.clone().expect("joined"),
+            member: self.member.expect("joined"),
             access_rtt: self.access_rtt,
         }
     }
@@ -297,14 +297,14 @@ impl ProtoNode {
                 .eq(r.member.id.digits()[..round].iter().copied());
             self.joiner
                 .known
-                .entry(r.member.id.clone())
+                .entry(r.member.id)
                 .or_insert_with(|| r.clone());
             if matches {
                 self.joiner
                     .buckets
                     .entry(r.member.id.digit(round))
                     .or_default()
-                    .insert(r.member.id.clone(), r);
+                    .insert(r.member.id, r);
             }
         }
     }
@@ -327,7 +327,7 @@ impl ProtoNode {
             // populate all (i, j) buckets at once.
             for bucket in self.joiner.buckets.values() {
                 for id in bucket.keys() {
-                    to_query.push((id.clone(), prefix.clone()));
+                    to_query.push((*id, prefix));
                 }
             }
         } else {
@@ -338,13 +338,13 @@ impl ProtoNode {
                     continue;
                 }
                 if let Some(id) = bucket.keys().find(|id| !self.joiner.queried.contains(*id)) {
-                    to_query.push((id.clone(), prefix.child(*j)));
+                    to_query.push((*id, prefix.child(*j)));
                 }
             }
         }
         let mut sent = 0;
         for (id, target) in to_query {
-            self.joiner.queried.insert(id.clone());
+            self.joiner.queried.insert(id);
             ctx.send(node_of(&id), ProtoMsg::Query { target });
             self.joiner.stats.queries += 1;
             sent += 1;
@@ -367,10 +367,10 @@ impl ProtoNode {
             .collect();
         let mut sent = 0;
         for id in targets {
-            self.joiner.pinged.insert(id.clone());
+            self.joiner.pinged.insert(id);
             let token = self.joiner.next_token;
             self.joiner.next_token += 1;
-            self.joiner.pending_pings.insert(token, id.clone());
+            self.joiner.pending_pings.insert(token, id);
             ctx.send(
                 node_of(&id),
                 ProtoMsg::Ping {
@@ -500,23 +500,19 @@ impl ProtoNode {
         extra: Vec<WireRecord>,
         repairs: Vec<(UserId, Vec<WireRecord>)>,
     ) {
-        self.member = Some(member.clone());
-        let mut table = NeighborTable::new(
-            &self.spec,
-            member.id.clone(),
-            self.k,
-            PrimaryPolicy::SmallestRtt,
-        );
+        self.member = Some(member);
+        let mut table =
+            NeighborTable::new(&self.spec, member.id, self.k, PrimaryPolicy::SmallestRtt);
         for (id, rec) in &self.joiner.known {
             let rtt = self.joiner.rtt.get(id).copied().unwrap_or(Micros::MAX / 4);
             table.insert(NeighborRecord {
-                member: rec.member.clone(),
+                member: rec.member,
                 rtt,
             });
         }
         for rec in extra {
             table.insert(NeighborRecord {
-                member: rec.member.clone(),
+                member: rec.member,
                 rtt: Micros::MAX / 4,
             });
         }
@@ -529,7 +525,7 @@ impl ProtoNode {
             for r in replacements {
                 if r.member.id != member.id {
                     table.insert(NeighborRecord {
-                        member: r.member.clone(),
+                        member: r.member,
                         rtt: Micros::MAX / 4,
                     });
                 }
@@ -559,7 +555,7 @@ impl ServerNode {
                 let seed = self
                     .members
                     .values()
-                    .min_by_key(|r| (r.member.joined_at, r.member.id.clone()))
+                    .min_by_key(|r| (r.member.joined_at, r.member.id))
                     .cloned();
                 self.bootstrap_snapshot
                     .insert(from.0, self.members.keys().cloned().collect());
@@ -570,7 +566,7 @@ impl ServerNode {
                     .members
                     .values()
                     .find(|r| r.member.host.0 == from.0)
-                    .map(|r| r.member.id.clone());
+                    .map(|r| r.member.id);
                 if let Some(id) = departed {
                     self.process_departure(ctx, &id);
                 }
@@ -597,7 +593,7 @@ impl ServerNode {
                     .expect("ID space is large enough for the simulation");
                 self.join_seq += 1;
                 let member = Member {
-                    id: id.clone(),
+                    id,
                     host: HostId(from.0),
                     joined_at: self.join_seq,
                 };
@@ -605,13 +601,10 @@ impl ServerNode {
                 // The request/notification round trip measures the RTT.
                 let rtt = (ctx.now().saturating_sub(sent_at)) * 2;
                 let record = WireRecord {
-                    member: member.clone(),
+                    member,
                     access_rtt: 0,
                 };
-                self.table.insert(NeighborRecord {
-                    member: member.clone(),
-                    rtt,
-                });
+                self.table.insert(NeighborRecord { member, rtt });
                 // Delta of members the joiner could not have collected.
                 let snapshot = self.bootstrap_snapshot.remove(&from.0).unwrap_or_default();
                 let extra: Vec<WireRecord> = self
@@ -680,12 +673,12 @@ impl ServerNode {
             ctx.send(
                 NodeId(existing.member.host.0),
                 ProtoMsg::MemberLeft {
-                    departed: id.clone(),
+                    departed: *id,
                     replacements: replacements.clone(),
                 },
             );
         }
-        self.departures.push((id.clone(), replacements));
+        self.departures.push((*id, replacements));
         let _ = record;
     }
 }
@@ -704,12 +697,12 @@ impl ProtoNode {
                         self.notify_server(ctx);
                     }
                     Some(rec) => {
-                        self.joiner.known.insert(rec.member.id.clone(), rec.clone());
+                        self.joiner.known.insert(rec.member.id, rec.clone());
                         self.joiner
                             .buckets
                             .entry(rec.member.id.digit(0))
                             .or_default()
-                            .insert(rec.member.id.clone(), rec);
+                            .insert(rec.member.id, rec);
                         self.joiner.phase = JoinPhase::Collect {
                             round: 0,
                             outstanding: 0,
@@ -738,7 +731,7 @@ impl ProtoNode {
                 if let Some(id) = self.joiner.pending_pings.remove(&token) {
                     // The ping/pong round trip *is* the end-host RTT.
                     let measured = ctx.now().saturating_sub(sent_at);
-                    self.joiner.rtt.insert(id.clone(), measured);
+                    self.joiner.rtt.insert(id, measured);
                     if let Some(rec) = self.joiner.known.get_mut(&id) {
                         rec.access_rtt = access_rtt;
                     }
@@ -766,7 +759,7 @@ impl ProtoNode {
                     for r in table.iter_all() {
                         if target.is_prefix_of_id(&r.member.id) {
                             records.push(WireRecord {
-                                member: r.member.clone(),
+                                member: r.member,
                                 access_rtt: 0,
                             });
                         }
@@ -804,7 +797,7 @@ impl ProtoNode {
                     for r in replacements {
                         if Some(&r.member.id) != self.member.as_ref().map(|m| &m.id) {
                             table.insert(NeighborRecord {
-                                member: r.member.clone(),
+                                member: r.member,
                                 rtt: Micros::MAX / 4,
                             });
                         }
@@ -824,7 +817,7 @@ impl ProtoNode {
                     // it pessimistically — ordering refines as pings happen
                     // in steady-state operation.
                     table.insert(NeighborRecord {
-                        member: record.member.clone(),
+                        member: record.member,
                         rtt: Micros::MAX / 4,
                     });
                 }
@@ -844,7 +837,7 @@ impl ProtoNode {
         self.joiner
             .known
             .iter()
-            .map(|(id, r)| (id.clone(), r.member.host))
+            .map(|(id, r)| (*id, r.member.host))
             .collect()
     }
 }

@@ -173,7 +173,7 @@ impl GroupConfig {
         tree.set_seal_threads(self.seal_threads);
         let mut rng = seeded_rng(self.seed);
         let mut arena = RekeyArena::new();
-        let joins: Vec<UserId> = group.members().iter().map(|m| m.id.clone()).collect();
+        let joins: Vec<UserId> = group.members().iter().map(|m| m.id).collect();
         tree.batch_rekey(&joins, &[], &mut rng, &mut arena)
             .expect("bootstrap IDs are unique non-members");
         let welcomes = group
@@ -181,7 +181,7 @@ impl GroupConfig {
             .iter()
             .map(|m| WelcomePacket {
                 keys: tree.user_path_keys(&m.id).cloned().collect(),
-                id: m.id.clone(),
+                id: m.id,
                 interval: 1,
             })
             .collect();
@@ -394,7 +394,7 @@ impl GroupServer {
         now: Micros,
     ) -> Result<UserId, GroupError> {
         let outcome = self.group.join(host, net, now)?;
-        self.pending.push((true, outcome.id.clone()));
+        self.pending.push((true, outcome.id));
         Ok(outcome.id)
     }
 
@@ -407,7 +407,7 @@ impl GroupServer {
     /// [`GroupError::NotMember`] if `id` is not in the group.
     pub fn request_leave(&mut self, id: &UserId, net: &impl Network) -> Result<(), GroupError> {
         self.group.leave(id, net)?;
-        self.pending.push((false, id.clone()));
+        self.pending.push((false, *id));
         Ok(())
     }
 
@@ -432,12 +432,12 @@ impl GroupServer {
         let leaves: Vec<UserId> = first
             .iter()
             .filter(|(_, &is_join)| !is_join)
-            .map(|(id, _)| (*id).clone())
+            .map(|(&&id, _)| id)
             .collect();
         let joins: Vec<UserId> = last
             .iter()
             .filter(|(_, &is_join)| is_join)
-            .map(|(id, _)| (*id).clone())
+            .map(|(&&id, _)| id)
             .collect();
         let mut batch = self
             .tree
@@ -479,7 +479,7 @@ impl GroupServer {
         }
         Some(WelcomePacket {
             keys: self.tree.user_path_keys(id).cloned().collect(),
-            id: id.clone(),
+            id: *id,
             interval: self.interval,
         })
     }
@@ -728,7 +728,7 @@ mod tests {
         let agents = outcome
             .welcomes
             .into_iter()
-            .map(|w| (w.id.clone(), UserAgent::from_welcome(w)))
+            .map(|w| (w.id, UserAgent::from_welcome(w)))
             .collect();
         (net, server, agents)
     }
@@ -750,7 +750,7 @@ mod tests {
             .into_iter()
             .map(|w| {
                 assert_eq!(w.interval, 1);
-                (w.id.clone(), UserAgent::from_welcome(w))
+                (w.id, UserAgent::from_welcome(w))
             })
             .collect();
         for agent in agents.values() {
@@ -758,7 +758,7 @@ mod tests {
         }
         // Incremental churn on top of the bootstrapped state works as if
         // the group had been built by joins.
-        let victim = server.group().members()[3].id.clone();
+        let victim = server.group().members()[3].id;
         server.request_leave(&victim, &net).unwrap();
         agents.remove(&victim);
         let outcome = server.end_interval();
@@ -795,7 +795,7 @@ mod tests {
             .members()
             .iter()
             .take(2)
-            .map(|m| m.id.clone())
+            .map(|m| m.id)
             .collect();
         for v in &victims {
             server.request_leave(v, &net).unwrap();
@@ -805,7 +805,7 @@ mod tests {
         let outcome = server.end_interval();
         assert_eq!(outcome.departed, victims);
         for w in outcome.welcomes.clone() {
-            agents.insert(w.id.clone(), UserAgent::from_welcome(w));
+            agents.insert(w.id, UserAgent::from_welcome(w));
         }
 
         let delivered = server.deliver(&net, &outcome);
@@ -830,7 +830,7 @@ mod tests {
         }
 
         // Replaying the same interval is reported stale and changes nothing.
-        let replay_victim = server.mesh().members()[0].id.clone();
+        let replay_victim = server.mesh().members()[0].id;
         let agent = agents.get_mut(&replay_victim).unwrap();
         let key_before = agent.group_key().cloned();
         assert_eq!(
@@ -854,7 +854,7 @@ mod tests {
 
         // One member leaves; after the interval the departed agent cannot
         // open new traffic.
-        let victim = server.group().members()[0].id.clone();
+        let victim = server.group().members()[0].id;
         server.request_leave(&victim, &net).unwrap();
         let departed = agents.remove(&victim).unwrap();
         let outcome = server.end_interval();
@@ -911,13 +911,13 @@ mod tests {
             server.request_join(HostId(h), &net, h as u64).unwrap();
         }
         server.end_interval();
-        let victim = server.group().members()[0].id.clone();
+        let victim = server.group().members()[0].id;
         let old_group_key = server.tree().group_key().unwrap().clone();
         server.request_leave(&victim, &net).unwrap();
         let reused = server.request_join(HostId(7), &net, 99).unwrap();
         assert_eq!(reused, victim, "a full ID space forces reuse");
         let out = server.end_interval();
-        assert_eq!(out.departed, vec![victim.clone()]);
+        assert_eq!(out.departed, vec![victim]);
         assert_eq!(out.welcomes.len(), 1);
         assert_eq!(out.welcomes[0].id, victim);
         assert!(out.cost() > 0);

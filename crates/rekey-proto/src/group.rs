@@ -3,9 +3,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 
-use rekey_id::{IdSpec, IdTree, UserId};
+use rekey_id::{IdSpec, IdTree, UserId, MAX_DEPTH};
 use rekey_net::{HostId, Micros, Network};
 use rekey_table::{
     check_consistency, ConsistencyViolation, Member, NeighborRecord, NeighborTable, PrimaryPolicy,
@@ -172,10 +173,7 @@ impl Group {
         now: Micros,
     ) -> Result<JoinOutcome, GroupError> {
         let (id, stats) = if self.members.is_empty() {
-            (
-                UserId::new(&self.spec, vec![0; self.spec.depth()]).expect("zeros fit"),
-                AssignStats::default(),
-            )
+            (UserId::from_index(&self.spec, 0), AssignStats::default())
         } else {
             // The key server hands the joiner the record of an existing
             // user; we use the member with the smallest RTT the server
@@ -197,7 +195,7 @@ impl Group {
         };
         self.insert_member(
             Member {
-                id: id.clone(),
+                id,
                 host,
                 joined_at: now,
             },
@@ -225,10 +223,7 @@ impl Group {
         now: Micros,
     ) -> Result<JoinOutcome, GroupError> {
         let (id, stats) = if self.members.is_empty() {
-            (
-                UserId::new(&self.spec, vec![0; self.spec.depth()]).expect("zeros fit"),
-                AssignStats::default(),
-            )
+            (UserId::from_index(&self.spec, 0), AssignStats::default())
         } else {
             let joiner_coord = coords.measure(host, net);
             let estimate = |h: HostId| {
@@ -249,7 +244,7 @@ impl Group {
         };
         self.insert_member(
             Member {
-                id: id.clone(),
+                id,
                 host,
                 joined_at: now,
             },
@@ -303,7 +298,7 @@ impl Group {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `spec.depth() > 7`.
+    /// Panics if `k == 0`.
     pub fn bootstrap(
         spec: &IdSpec,
         server_host: HostId,
@@ -314,97 +309,81 @@ impl Group {
         net: &impl Network,
     ) -> Result<Group, GroupError> {
         assert!(k > 0, "neighbor-table redundancy K must be at least 1");
-        assert!(spec.depth() <= 7, "bootstrap packs ID prefixes into u128");
-        if hosts.len() as u64 > spec.id_space() {
+        let n = hosts.len() as u64;
+        if n > spec.id_space() {
             return Err(GroupError::IdSpaceFull);
         }
         let depth = spec.depth();
-        let base = spec.base() as u64;
+        let base = u64::from(spec.base());
         let members: Vec<Member> = hosts
             .iter()
             .enumerate()
             .map(|(i, &host)| {
-                let mut digits = vec![0u16; depth];
+                let mut digits = [0u16; MAX_DEPTH];
                 let mut rest = i as u64;
-                for d in digits.iter_mut() {
+                for d in &mut digits[..depth] {
                     *d = (rest % base) as u16;
                     rest /= base;
                 }
                 Member {
-                    id: UserId::new(spec, digits).expect("digits below base"),
+                    id: UserId::from_digits(spec, &digits[..depth]).expect("digits below base"),
                     host,
                     joined_at: 0,
                 }
             })
             .collect();
 
-        // Directory: packed ID prefix → indices of the members under it,
-        // in deal order. Packing (length tag, then 16 bits per digit) keeps
-        // the hot lookup loop free of heap-allocated keys.
-        let pack = |digits: &[u16], len: usize| -> u128 {
-            let mut key = len as u128;
-            for &d in &digits[..len] {
-                key = (key << 16) | d as u128;
-            }
-            key
+        // Dealing is arithmetic, so the directory of "members under a
+        // prefix" is too: a prefix of `l` digits read as a base-B number
+        // (digit 0 least significant) is the index of the first member
+        // dealt under it, and the others follow every `B^l` indices.
+        let first_k_under = |first: u64, stride: u64| {
+            (first..n)
+                .step_by(stride as usize)
+                .take(k)
+                .map(|c| &members[c as usize])
         };
-        let mut dir: HashMap<u128, Vec<u32>> = HashMap::new();
-        for (i, m) in members.iter().enumerate() {
-            for len in 1..=depth {
-                dir.entry(pack(m.id.digits(), len))
-                    .or_default()
-                    .push(i as u32);
-            }
-        }
 
         let mut tables = Vec::with_capacity(members.len());
-        let mut prefix = vec![0u16; depth];
         for m in &members {
-            let mut table = NeighborTable::new(spec, m.id.clone(), k, policy);
+            let mut table = NeighborTable::new(spec, m.id, k, policy);
+            // `own`: first member under `m`'s level-`row` prefix; `stride`
+            // is `B^row`, saturated once no second member can follow.
+            let (mut own, mut stride) = (0u64, 1u64);
             for row in 0..depth {
-                prefix[..row].copy_from_slice(&m.id.digits()[..row]);
-                for j in 0..spec.base() {
-                    if j == m.id.digit(row) {
-                        continue;
+                let below = stride.saturating_mul(base);
+                for j in (0..spec.base()).filter(|&j| j != m.id.digit(row)) {
+                    let first = own.saturating_add(u64::from(j).saturating_mul(stride));
+                    if first >= n {
+                        break; // higher columns start later still
                     }
-                    prefix[row] = j;
-                    let Some(bucket) = dir.get(&pack(&prefix, row + 1)) else {
-                        continue;
-                    };
-                    // Everyone in the bucket differs from the owner at
+                    // Everyone under `(row, j)` differs from the owner at
                     // digit `row`, so the owner is never its own neighbor.
-                    for &c in bucket.iter().take(k) {
-                        let cand = &members[c as usize];
+                    for cand in first_k_under(first, below) {
                         table.insert(NeighborRecord {
-                            member: cand.clone(),
+                            member: *cand,
                             rtt: net.rtt(m.host, cand.host),
                         });
                     }
                 }
+                own += u64::from(m.id.digit(row)) * stride;
+                stride = below;
             }
             tables.push(table);
         }
 
         let mut server_table = ServerTable::new(spec, k);
-        for j in 0..spec.base() {
-            prefix[0] = j;
-            if let Some(bucket) = dir.get(&pack(&prefix, 1)) {
-                for &c in bucket.iter().take(k) {
-                    let cand = &members[c as usize];
-                    server_table.insert(NeighborRecord {
-                        member: cand.clone(),
-                        rtt: net.rtt(server_host, cand.host),
-                    });
-                }
+        for j in 0..base.min(n) {
+            for cand in first_k_under(j, base) {
+                server_table.insert(NeighborRecord {
+                    member: *cand,
+                    rtt: net.rtt(server_host, cand.host),
+                });
             }
         }
 
-        let id_tree = IdTree::from_users(spec, members.iter().map(|m| m.id.clone()));
-        let index = members
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.id.clone(), i))
-            .collect();
+        let id_tree = IdTree::from_users(spec, members.iter().map(|m| m.id));
+        let index = members.iter().enumerate().map(|(i, m)| (m.id, i)).collect();
         Ok(Group {
             spec: *spec,
             k,
@@ -431,17 +410,14 @@ impl Group {
         );
         for (i, existing) in self.members.iter().enumerate() {
             let rtt = net.rtt(existing.host, member.host);
-            self.tables[i].insert(NeighborRecord {
-                member: member.clone(),
-                rtt,
-            });
+            self.tables[i].insert(NeighborRecord { member, rtt });
         }
         self.server_table.insert(NeighborRecord {
-            member: member.clone(),
+            member,
             rtt: net.rtt(self.server_host, member.host),
         });
         self.id_tree.insert(&member.id);
-        self.index.insert(member.id.clone(), self.members.len());
+        self.index.insert(member.id, self.members.len());
         self.members.push(member);
         self.tables.push(table);
     }
@@ -453,41 +429,58 @@ impl Group {
     ///
     /// [`GroupError::NotMember`] if `id` is not in the group.
     pub fn leave(&mut self, id: &UserId, net: &impl Network) -> Result<Member, GroupError> {
-        let idx = *self
-            .index
-            .get(id)
-            .ok_or_else(|| GroupError::NotMember(id.clone()))?;
+        let idx = self.index.remove(id).ok_or(GroupError::NotMember(*id))?;
         let departed = self.members.remove(idx);
         self.tables.remove(idx);
-        self.index.remove(id);
-        for (i, m) in self.members.iter().enumerate().skip(idx) {
-            self.index.insert(m.id.clone(), i);
+        for at in self.index.values_mut() {
+            if *at > idx {
+                *at -= 1;
+            }
         }
         self.id_tree.remove(id);
         self.server_table.remove(id);
         // Remove from all tables, refilling entries from global knowledge
         // (the role Silk's failure-recovery protocol plays in the paper).
-        for i in 0..self.members.len() {
-            let owner = self.members[i].clone();
-            if !self.tables[i].remove(id) {
+        //
+        // An owner that stored the departed member in row `r` refills from
+        // the subtree under `id.prefix(r + 1)`, whoever the owner is, and
+        // those subtrees nest. So the departed member's level-1 subtree is
+        // resolved once, in ascending-ID order, and row `r`'s candidates
+        // are the contiguous run of it under `id.prefix(r + 1)`.
+        let level1: Vec<Member> = self
+            .id_tree
+            .users_in_subtree(&id.prefix(1))
+            .map(|u| self.members[self.index[&u]])
+            .collect();
+        let runs: Vec<Range<usize>> = (1..=self.spec.depth())
+            .map(|len| {
+                let root = id.prefix(len);
+                let start = level1.partition_point(|m| root.subtree_cmp(m.id.digits()).is_lt());
+                let len = level1[start..].partition_point(|m| root.is_prefix_of_id(&m.id));
+                start..start + len
+            })
+            .collect();
+        let k = self.k;
+        for (owner, table) in self.members.iter().zip(&mut self.tables) {
+            if !table.remove(id) {
                 continue;
             }
-            let Some((row, col)) = self.tables[i].slot_for(id) else {
-                continue;
-            };
-            let candidates = self.id_tree.ij_subtree_users(&owner.id, row, col);
-            for cand in candidates {
-                let m = self.members[self.index[&cand]].clone();
-                let rtt = net.rtt(owner.host, m.host);
-                self.tables[i].insert(NeighborRecord { member: m, rtt });
+            let (row, col) = table.slot_for(id).expect("stored, so not the owner");
+            // Once the entry is full again only a strictly closer
+            // candidate can still enter it; the rest are not offered.
+            let mut worst = None;
+            for cand in &level1[runs[row].clone()] {
+                let rtt = net.rtt(owner.host, cand.host);
+                if worst.is_some_and(|w| rtt >= w) {
+                    continue;
+                }
+                table.insert(NeighborRecord { member: *cand, rtt });
+                let entry = table.entry(row, col);
+                worst = entry.iter().nth(k - 1).map(|r| r.rtt);
             }
         }
         // Refill the server entry for the departed user's digit.
-        for m in self
-            .id_tree
-            .ij_subtree_users(&departed.id, 0, departed.id.digit(0))
-        {
-            let member = self.members[self.index[&m]].clone();
+        for member in level1 {
             let rtt = net.rtt(self.server_host, member.host);
             self.server_table.insert(NeighborRecord { member, rtt });
         }
@@ -549,7 +542,7 @@ mod tests {
     fn joins_yield_unique_ids_and_consistent_tables() {
         let (group, _) = setup(14, 2);
         assert_eq!(group.len(), 14);
-        let mut ids: Vec<_> = group.members().iter().map(|m| m.id.clone()).collect();
+        let mut ids: Vec<_> = group.members().iter().map(|m| m.id).collect();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 14, "IDs must be unique");
@@ -559,18 +552,13 @@ mod tests {
     #[test]
     fn leaves_repair_tables() {
         let (mut group, net) = setup(14, 3);
-        let victims: Vec<UserId> = group
-            .members()
-            .iter()
-            .step_by(3)
-            .map(|m| m.id.clone())
-            .collect();
+        let victims: Vec<UserId> = group.members().iter().step_by(3).map(|m| m.id).collect();
         for v in &victims {
             group.leave(v, &net).unwrap();
             group.check().expect("K-consistent after each leave");
         }
         assert_eq!(group.len(), 14 - victims.len());
-        let missing = victims[0].clone();
+        let missing = victims[0];
         assert_eq!(
             group.leave(&missing, &net),
             Err(GroupError::NotMember(missing))
@@ -636,7 +624,7 @@ mod tests {
         assert_eq!(group.members()[4].id.digits(), &[0, 1, 0]);
         // Unique IDs, index agrees, server table covers every level-1 digit
         // that has members.
-        let mut ids: Vec<_> = group.members().iter().map(|m| m.id.clone()).collect();
+        let mut ids: Vec<_> = group.members().iter().map(|m| m.id).collect();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 39);
@@ -646,7 +634,7 @@ mod tests {
         assert_eq!(group.id_tree().user_count(), 39);
         // Churn after bootstrap goes through the incremental paths.
         let mut group = group;
-        let victim = group.members()[7].id.clone();
+        let victim = group.members()[7].id;
         group.leave(&victim, &net).unwrap();
         group
             .check()

@@ -160,12 +160,7 @@ mod tests {
         let rings: Rings = group
             .members()
             .iter()
-            .map(|m| {
-                (
-                    m.id.clone(),
-                    KeyRing::new(m.id.clone(), tree.user_path_keys(&m.id)),
-                )
-            })
+            .map(|m| (m.id, KeyRing::new(m.id, tree.user_path_keys(&m.id))))
             .collect();
         (net, group, tree, rings, rng)
     }
@@ -173,7 +168,7 @@ mod tests {
     #[test]
     fn zero_loss_needs_no_recovery() {
         let (net, mut group, mut tree, _rings, mut rng) = fixture(30, 1);
-        let leaver = group.members()[3].id.clone();
+        let leaver = group.members()[3].id;
         group.leave(&leaver, &net).unwrap();
         let mut arena = RekeyArena::new();
         let out = tree
@@ -194,12 +189,7 @@ mod tests {
     #[test]
     fn recovery_restores_every_member_key_state() {
         let (net, mut group, mut tree, mut rings, mut rng) = fixture(40, 2);
-        let leavers: Vec<_> = group
-            .members()
-            .iter()
-            .step_by(5)
-            .map(|m| m.id.clone())
-            .collect();
+        let leavers: Vec<_> = group.members().iter().step_by(5).map(|m| m.id).collect();
         for l in &leavers {
             group.leave(l, &net).unwrap();
             rings.remove(l);
@@ -238,7 +228,7 @@ mod tests {
     #[test]
     fn heavier_loss_recovers_more_members() {
         let (net, mut group, mut tree, _rings, mut rng) = fixture(40, 3);
-        let leaver = group.members()[0].id.clone();
+        let leaver = group.members()[0].id;
         group.leave(&leaver, &net).unwrap();
         let mut arena = RekeyArena::new();
         let out = tree

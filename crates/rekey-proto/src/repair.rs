@@ -147,12 +147,12 @@ mod tests {
     fn departed_member_is_never_its_own_replacement() {
         let spec = IdSpec::new(2, 4).unwrap();
         let departed = UserId::new(&spec, vec![0, 0]).unwrap();
-        let members = [departed.clone(), UserId::new(&spec, vec![0, 1]).unwrap()];
+        let members = [departed, UserId::new(&spec, vec![0, 1]).unwrap()];
         let picks = replacement_candidates(2, 4, &departed, members.iter(), |id| id);
         assert_eq!(picks, vec![&members[1]], "departed id must be skipped");
 
         // Even when the departed id is the *only* entry at every level.
-        let only_self = [departed.clone()];
+        let only_self = [departed];
         assert!(replacement_candidates(2, 4, &departed, only_self.iter(), |id| id).is_empty());
     }
 }

@@ -107,7 +107,7 @@ pub(crate) use self::core::{
     SharedHandle, SERVER,
 };
 pub use self::core::{IntervalMessage, MemberStats, Outputs, ReplOp, RtMsg, ServerStats};
-pub use socket::UdpGroupDriver;
+pub use socket::{NotConverged, UdpGroupDriver};
 
 /// Domain separator for the chaos injector's seed, so fault randomness is
 /// decoupled from the legacy loss stream and the heartbeat stagger.

@@ -673,7 +673,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
             RtMsg::JoinRequest => self.admit(ctx, from),
             RtMsg::LeaveRequest => {
                 let host = self.member_host(from);
-                let id = self.member_by_host(host).map(|m| m.id.clone());
+                let id = self.member_by_host(host).map(|m| m.id);
                 if let Some(id) = id {
                     self.depart(ctx, id);
                 }
@@ -755,7 +755,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
                 self.stats.resyncs += 1;
                 let group = self.server.group();
                 let idx = group.index_of(&id).expect("verified member has an index");
-                let member = group.members()[idx].clone();
+                let member = group.members()[idx];
                 let table = group.table(idx).clone();
                 ctx.send(
                     from,
@@ -1020,7 +1020,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         self.append_op(ctx, ReplOp::Join { host, at });
         let group = self.server.group();
         let idx = group.index_of(&id).expect("member was just admitted");
-        let member = group.members()[idx].clone();
+        let member = group.members()[idx];
         let table = group.table(idx).clone();
         for existing in group.members() {
             if existing.id == id {
@@ -1029,7 +1029,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
             ctx.send(
                 self.member_node(existing.host),
                 RtMsg::NewMember {
-                    record: member.clone(),
+                    record: member,
                     rtt: self.net.rtt(existing.host, member.host),
                     epoch: self.epoch,
                     seq: self.seq,
@@ -1053,7 +1053,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
             .expect("departing member is in the group");
         self.stats.departures += 1;
         self.seq += 1;
-        self.append_op(ctx, ReplOp::Leave { id: id.clone() });
+        self.append_op(ctx, ReplOp::Leave { id });
         let group = self.server.group();
         let candidates = crate::repair::replacement_candidates(
             group.spec().depth(),
@@ -1065,12 +1065,12 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         for existing in group.members() {
             let replacements: Vec<(Member, Micros)> = candidates
                 .iter()
-                .map(|c| ((*c).clone(), self.net.rtt(existing.host, c.host)))
+                .map(|&&c| (c, self.net.rtt(existing.host, c.host)))
                 .collect();
             ctx.send(
                 self.member_node(existing.host),
                 RtMsg::MemberLeft {
-                    departed: id.clone(),
+                    departed: id,
                     replacements,
                     epoch: self.epoch,
                     seq: self.seq,
@@ -1901,6 +1901,14 @@ impl<S: SharedHandle> RtMember<S> {
             } => {
                 self.server_interval_seen = self.server_interval_seen.max(interval);
                 self.note_seq_watermark(ctx, seq);
+                // A member that learned of an epoch bump from a peer's
+                // forwarded copy may have aimed its resync at the dead
+                // ex-primary just before shutdown killed the retry
+                // timers. The flush's `Recover` comes from the acting
+                // primary (and re-anchored us above): ask it now.
+                if self.sync_stale && self.shared.is_shutdown() {
+                    self.fire_shutdown(ctx, Retrying::Resync);
+                }
                 let needed = self.agent.as_ref().is_some_and(|a| interval > a.interval())
                     && !self.pending.contains_key(&interval);
                 if needed {
@@ -2156,9 +2164,9 @@ impl<S: SharedHandle> RtMember<S> {
             } => {
                 self.suspected.remove(&departed);
                 self.suspect_records.remove(&departed);
-                self.departed_seen.insert(departed.clone());
+                self.departed_seen.insert(departed);
                 self.outstanding.retain(|_, id| *id != departed);
-                let own = self.member.as_ref().map(|m| m.id.clone());
+                let own = self.member.as_ref().map(|m| m.id);
                 if let Some(table) = &mut self.table {
                     table.remove(&departed);
                     for (m, rtt) in replacements {
@@ -2265,7 +2273,7 @@ impl<S: SharedHandle> RtMember<S> {
                 if !self.shutdown_resynced {
                     if let Some(member) = &self.member {
                         self.shutdown_resynced = true;
-                        let id = member.id.clone();
+                        let id = member.id;
                         ctx.send(self.server_node, RtMsg::ResyncRequest { id });
                     }
                 }
@@ -2358,7 +2366,7 @@ impl<S: SharedHandle> RtMember<S> {
             Retrying::Join => ctx.send(self.server_node, RtMsg::JoinRequest),
             Retrying::Leave => ctx.send(self.server_node, RtMsg::LeaveRequest),
             Retrying::Resync => {
-                let id = self.member.as_ref().expect("checked above").id.clone();
+                let id = self.member.as_ref().expect("checked above").id;
                 ctx.send(self.server_node, RtMsg::ResyncRequest { id });
             }
             Retrying::Nack(i) => {
@@ -2413,15 +2421,11 @@ impl<S: SharedHandle> RtMember<S> {
         }
         for record in evicted {
             self.stats.evictions += 1;
-            self.suspected.insert(record.member.id.clone());
-            self.suspect_records
-                .insert(record.member.id.clone(), record);
+            self.suspected.insert(record.member.id);
+            self.suspect_records.insert(record.member.id, record);
         }
         for id in self.suspect_records.keys() {
-            ctx.send(
-                self.server_node,
-                RtMsg::FailureNotice { failed: id.clone() },
-            );
+            ctx.send(self.server_node, RtMsg::FailureNotice { failed: *id });
         }
         if self.shared.is_shutdown() {
             self.heartbeat_running = false;
@@ -2431,11 +2435,11 @@ impl<S: SharedHandle> RtMember<S> {
         let mut targets: Vec<(HostId, UserId)> = Vec::new();
         if let Some(table) = &self.table {
             for record in table.iter_all() {
-                targets.push((record.member.host, record.member.id.clone()));
+                targets.push((record.member.host, record.member.id));
             }
         }
         for record in self.suspect_records.values() {
-            targets.push((record.member.host, record.member.id.clone()));
+            targets.push((record.member.host, record.member.id));
         }
         for (host, id) in targets {
             let token = self.next_token;
@@ -2452,7 +2456,7 @@ impl<S: SharedHandle> RtMember<S> {
             self.rotate_server();
         }
         if let Some(member) = &self.member {
-            let id = member.id.clone();
+            let id = member.id;
             self.server_ping_outstanding = true;
             ctx.send(self.server_node, RtMsg::ServerPing { id });
         }

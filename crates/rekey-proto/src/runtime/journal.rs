@@ -184,7 +184,7 @@ mod tests {
         let mut restored = journal.restore().unwrap();
         assert_eq!(restored.seq, 5);
         assert_eq!(restored.server.interval(), server.interval());
-        let victim = restored.server.group().members()[0].id.clone();
+        let victim = restored.server.group().members()[0].id;
         restored.server.request_leave(&victim, &net).unwrap();
         restored.server.end_interval();
         assert_eq!(journal.latest().unwrap().server.group().len(), 5);
@@ -287,7 +287,7 @@ mod tests {
         // First restore: mutate it past the checkpoint (the mutations a
         // second crash would lose), then restore again.
         let mut first = journal.restore().unwrap();
-        let victim = first.server.group().members()[0].id.clone();
+        let victim = first.server.group().members()[0].id;
         first.server.request_leave(&victim, &net).unwrap();
         first.server.end_interval();
 

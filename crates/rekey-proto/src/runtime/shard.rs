@@ -395,7 +395,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         let mut placement = Vec::with_capacity(members);
         let first_deadline = config.rekey_period + config.nack_grace;
         for (i, welcome) in welcomes.into_iter().enumerate() {
-            let record = server_fsm.group().members()[i].clone();
+            let record = server_fsm.group().members()[i];
             let table = server_fsm.group().table(i).clone();
             debug_assert_eq!(record.id, welcome.id);
             let shard_index = (record.id.digit(0) as usize) % shard_count;
@@ -493,8 +493,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             .member
             .as_ref()
             .expect("bootstrapped members all hold a record")
-            .id
-            .clone();
+            .id;
         let accuser_node = node_of_host(HostId(accuser));
         let at = at.max(self.server_sched.now());
         self.server_sched.schedule_at(

@@ -95,6 +95,35 @@ impl From<std::io::Error> for SocketError {
     }
 }
 
+/// Why [`UdpGroupDriver::finish`] gave up: each conjunct of its convergence
+/// condition as it stood at the deadline, with the member handles holding
+/// it open. Read it with [`UdpGroupDriver::not_converged`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NotConverged {
+    /// The acting primary's rekey interval the members were measured against.
+    pub interval: u64,
+    /// Join requests the acting primary still has queued.
+    pub joins: usize,
+    /// Leave requests the acting primary still has queued.
+    pub leaves: usize,
+    /// Handles whose `LeaveAck` the acting primary still owes.
+    pub pending_leave_acks: Vec<usize>,
+    /// Handles that have not applied `interval`.
+    pub lagging: Vec<usize>,
+    /// Handles whose membership view is provably behind the server's.
+    pub stale: Vec<usize>,
+}
+
+impl NotConverged {
+    fn is_clear(&self) -> bool {
+        self.joins == 0
+            && self.leaves == 0
+            && self.pending_leave_acks.is_empty()
+            && self.lagging.is_empty()
+            && self.stale.is_empty()
+    }
+}
+
 /// Traffic totals over every endpoint (server + workers), plus protocol
 /// decode failures. All counters are cumulative since construction.
 #[derive(Debug, Clone, Copy, Default)]
@@ -223,17 +252,17 @@ enum WorkerCtl {
     Spawn(Box<Seed>),
     /// Deliver `msg` to `node` as a self-event (join/leave injection).
     Inject { node: NodeId, msg: RtMsg },
-    /// Reply with the number of hosted members that have not yet applied
-    /// rekey interval `target` (departed members excluded).
+    /// Reply with the hosted members that have not yet applied rekey
+    /// interval `target` (departed members excluded).
     Lag {
         target: u64,
-        reply: mpsc::Sender<usize>,
+        reply: mpsc::Sender<Vec<usize>>,
     },
-    /// Reply with the number of hosted members whose membership view is
-    /// provably behind the server's (a buffered seq gap, an epoch-bump
-    /// snapshot still owed, or a watermark ahead of the applied counter
-    /// — the kernel-drop cases a resync has yet to repair).
-    Stale { reply: mpsc::Sender<usize> },
+    /// Reply with the hosted members whose membership view is provably
+    /// behind the server's (a buffered seq gap, an epoch-bump snapshot
+    /// still owed, or a watermark ahead of the applied counter — the
+    /// kernel-drop cases a resync has yet to repair).
+    Stale { reply: mpsc::Sender<Vec<usize>> },
     /// Drain the socket once more and return all hosted members.
     Stop,
 }
@@ -314,22 +343,24 @@ impl Worker {
     /// Members that are live but have not applied interval `target` yet.
     /// A member mid-join (no agent) counts as lagging; a departed one
     /// does not.
-    fn lagging(&self, target: u64) -> usize {
+    fn lagging(&self, target: u64) -> Vec<usize> {
         self.members
-            .values()
-            .filter(|m| !m.departed)
-            .filter(|m| m.agent.as_ref().is_none_or(|a| a.interval() < target))
-            .count()
+            .iter()
+            .filter(|(_, m)| !m.departed)
+            .filter(|(_, m)| m.agent.as_ref().is_none_or(|a| a.interval() < target))
+            .map(|(&node, _)| node)
+            .collect()
     }
 
     /// Members whose membership view is provably behind the server's —
     /// their pending resync must land before shutdown collects them.
-    fn stale(&self) -> usize {
+    fn stale(&self) -> Vec<usize> {
         self.members
-            .values()
-            .filter(|m| !m.departed && m.member.is_some())
-            .filter(|m| m.sync_stale || !m.update_buf.is_empty() || m.seq_hint > m.applied_seq)
-            .count()
+            .iter()
+            .filter(|(_, m)| !m.departed && m.member.is_some())
+            .filter(|(_, m)| m.sync_stale || !m.update_buf.is_empty() || m.seq_hint > m.applied_seq)
+            .map(|(&node, _)| node)
+            .collect()
     }
 
     /// Runs `node`'s state machine on one event and flushes its outputs.
@@ -477,6 +508,7 @@ pub struct UdpGroupDriver<NET: Network> {
     /// collected from the workers, indexed by handle.
     collected: Vec<Option<RtMember<Arc<ShardCore>>>>,
     finished: bool,
+    not_converged: Option<NotConverged>,
     sends: Vec<(NodeId, RtMsg)>,
     new_timers: Vec<(SimTime, RtMsg)>,
     frame: Vec<u8>,
@@ -629,6 +661,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             handles: 0,
             collected: Vec::new(),
             finished: false,
+            not_converged: None,
             sends: Vec::new(),
             new_timers: Vec::new(),
             frame: Vec::new(),
@@ -639,7 +672,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         // at the first rekey boundary plus the NACK grace.
         let first_deadline = config.rekey_period() + config.nack_grace();
         for (i, welcome) in welcomes.into_iter().enumerate() {
-            let record = driver.servers[0].rt.server.group().members()[i].clone();
+            let record = driver.servers[0].rt.server.group().members()[i];
             let table = driver.servers[0].rt.server.group().table(i).clone();
             debug_assert_eq!(record.id, welcome.id);
 
@@ -827,34 +860,33 @@ impl<NET: Network> UdpGroupDriver<NET> {
         }
     }
 
-    /// Sum of members across all workers that have not applied interval
-    /// `target` yet.
-    fn lag(&mut self, target: u64) -> usize {
+    /// Asks every worker which of its members match `question`; returns
+    /// their handles in ascending order.
+    fn ask_workers(
+        &mut self,
+        question: impl Fn(mpsc::Sender<Vec<usize>>) -> WorkerCtl,
+    ) -> Vec<usize> {
         let (reply_tx, reply_rx) = mpsc::channel();
         for link in &self.workers {
             link.ctl
-                .send(WorkerCtl::Lag {
-                    target,
-                    reply: reply_tx.clone(),
-                })
+                .send(question(reply_tx.clone()))
                 .expect("worker thread alive");
         }
         drop(reply_tx);
-        reply_rx.iter().sum()
+        let replicas = self.replicas();
+        let mut handles: Vec<usize> = reply_rx.iter().flatten().map(|n| n - replicas).collect();
+        handles.sort_unstable();
+        handles
     }
 
-    /// Total members across all workers still owed a membership repair.
-    fn stale_members(&mut self) -> usize {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        for link in &self.workers {
-            link.ctl
-                .send(WorkerCtl::Stale {
-                    reply: reply_tx.clone(),
-                })
-                .expect("worker thread alive");
-        }
-        drop(reply_tx);
-        reply_rx.iter().sum()
+    /// Handles of the members that have not applied interval `target` yet.
+    fn lag(&mut self, target: u64) -> Vec<usize> {
+        self.ask_workers(|reply| WorkerCtl::Lag { target, reply })
+    }
+
+    /// Handles of the members still owed a membership repair.
+    fn stale_members(&mut self) -> Vec<usize> {
+        self.ask_workers(|reply| WorkerCtl::Stale { reply })
     }
 
     /// Spawns a brand-new member that joins through the server over real
@@ -949,7 +981,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         let deadline = Instant::now() + timeout;
         loop {
             self.pump(Duration::from_millis(20));
-            if self.primary_rt().server.interval() >= target && self.lag(target) == 0 {
+            if self.primary_rt().server.interval() >= target && self.lag(target).is_empty() {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -963,7 +995,8 @@ impl<NET: Network> UdpGroupDriver<NET> {
     /// work or leave ack is outstanding (mirroring the simulators'
     /// `finish`), stops the workers, and collects every member state
     /// machine for inspection. Returns `true` when the flush converged
-    /// within `timeout`.
+    /// within `timeout`; when it did not, [`UdpGroupDriver::not_converged`]
+    /// says what was still open, and for which members.
     ///
     /// Idempotent: later calls return `true` without further effect.
     pub fn finish(&mut self, timeout: Duration) -> bool {
@@ -988,12 +1021,23 @@ impl<NET: Network> UdpGroupDriver<NET> {
             // `MemberLeft` stream to a kernel drop NACKs or resyncs now
             // — those replies must land before workers are collected.
             let interval = self.servers[primary].rt.server.interval();
-            converged = joins == 0
-                && leaves == 0
-                && self.servers[primary].rt.pending_leave_acks.is_empty()
-                && self.lag(interval) == 0
-                && self.stale_members() == 0;
+            let replicas = self.replicas();
+            let open = NotConverged {
+                interval,
+                joins,
+                leaves,
+                pending_leave_acks: self.servers[primary]
+                    .rt
+                    .pending_leave_acks
+                    .iter()
+                    .map(|node| node.0 - replicas)
+                    .collect(),
+                lagging: self.lag(interval),
+                stale: self.stale_members(),
+            };
+            converged = open.is_clear();
             if !converged && Instant::now() >= deadline {
+                self.not_converged = Some(open);
                 break;
             }
         }
@@ -1017,6 +1061,12 @@ impl<NET: Network> UdpGroupDriver<NET> {
         }
         self.finished = true;
         converged
+    }
+
+    /// What [`UdpGroupDriver::finish`] was still waiting for when it gave
+    /// up; `None` before `finish` and after a converged one.
+    pub fn not_converged(&self) -> Option<&NotConverged> {
+        self.not_converged.as_ref()
     }
 
     /// The authoritative server state machine (the acting primary's).
@@ -1277,6 +1327,22 @@ mod tests {
             .seed(seed)
             .build();
         UdpGroupDriver::bootstrapped(group, config, net, members, 2).expect("driver builds")
+    }
+
+    /// With its only server dead a joiner is never admitted, so it can
+    /// never apply an interval: `finish` must give up, and say it was the
+    /// joiner it was waiting for.
+    #[test]
+    fn finish_that_gives_up_names_what_was_still_open() {
+        let mut rt = driver(8, 5);
+        assert!(rt.not_converged().is_none());
+        rt.kill_server(0);
+        let joiner = rt.join();
+        assert!(!rt.finish(Duration::from_millis(100)), "nobody to flush");
+        let open = rt.not_converged().expect("finish gave up");
+        assert_eq!(open.lagging, vec![joiner]);
+        assert_eq!((open.joins, open.leaves), (0, 0));
+        assert!(open.pending_leave_acks.is_empty() && open.stale.is_empty());
     }
 
     /// Bootstrap, one leave and one fresh join over real packets, three

@@ -129,11 +129,9 @@ fn put_user_id(out: &mut Vec<u8>, id: &UserId) {
 }
 
 fn get_user_id(r: &mut Reader<'_>, spec: &IdSpec) -> Result<UserId, WireError> {
-    let p = decode_prefix(r, spec)?;
-    if p.len() != spec.depth() {
-        return Err(WireError::BadValue("user id depth"));
-    }
-    UserId::new(spec, p.digits().to_vec()).map_err(|_| WireError::BadValue("user id digits"))
+    decode_prefix(r, spec)?
+        .to_user_id(spec)
+        .ok_or(WireError::BadValue("user id depth"))
 }
 
 fn put_member(out: &mut Vec<u8>, m: &Member) {
@@ -172,9 +170,8 @@ fn put_table(out: &mut Vec<u8>, t: &NeighborTable) {
         PrimaryPolicy::SmallestRtt => 0,
         PrimaryPolicy::EarliestJoinAtBottom => 1,
     });
-    let records: Vec<&NeighborRecord> = t.iter_all().collect();
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for rec in records {
+    out.extend_from_slice(&(t.neighbor_count() as u32).to_le_bytes());
+    for rec in t.iter_all() {
         put_record(out, rec);
     }
 }

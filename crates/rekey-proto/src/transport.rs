@@ -17,9 +17,8 @@
 //!   runs** (exact matches of `p`'s proper prefixes), each found by binary
 //!   search in O(log M). A hop's payload is described, counted, and
 //!   iterated without scanning the message;
-//! * [`PrefixBuf`] — a fixed-capacity digit buffer so queued hops carry
-//!   their split prefix without a heap allocation per edge (the former
-//!   implementation cloned a fresh `Vec<usize>` subset per edge).
+//! * [`PrefixBuf`] — the split prefix a queued hop carries, an inline
+//!   [`IdPrefix`] that was not checked against an `IdSpec`.
 //!
 //! # Why range extraction is exact (not just an over-approximation)
 //!
@@ -42,10 +41,7 @@ use rekey_net::{HostId, LinkLoad, Network};
 use rekey_tmesh::forward::Hop;
 use rekey_tmesh::TmeshGroup;
 
-/// Hard cap on ID-tree depth supported by the allocation-free hop buffers.
-/// The paper's spec is `D = 5`; every spec in this workspace is far below
-/// this.
-pub const MAX_DEPTH: usize = 12;
+pub use rekey_id::MAX_DEPTH;
 
 /// Options for a rekey transport session, replacing the former
 /// `(split: bool, detail: bool)` positional flags.
@@ -123,13 +119,10 @@ impl<'a> MemberIndex<'a> {
     }
 }
 
-/// A fixed-capacity prefix digit buffer: the split key a queued hop
-/// carries, without per-edge heap allocation.
+/// The split key a queued hop carries: a prefix of some member ID, held
+/// as raw digits (no `IdSpec` is at hand where hops are queued or decoded).
 #[derive(Clone, Copy, Debug)]
-pub struct PrefixBuf {
-    len: u8,
-    digits: [u16; MAX_DEPTH],
-}
+pub struct PrefixBuf(IdPrefix);
 
 impl PrefixBuf {
     /// Captures `digits` (a prefix of some member ID).
@@ -142,22 +135,17 @@ impl PrefixBuf {
             digits.len() <= MAX_DEPTH,
             "ID-tree depth exceeds transport MAX_DEPTH"
         );
-        let mut buf = PrefixBuf {
-            len: digits.len() as u8,
-            digits: [0; MAX_DEPTH],
-        };
-        buf.digits[..digits.len()].copy_from_slice(digits);
-        buf
+        PrefixBuf(digits.iter().fold(IdPrefix::root(), |p, &d| p.child(d)))
     }
 
     /// The `(row, ·)`-subtree prefix served by `hop`: the receiving
     /// neighbor's level-`row + 1` prefix (see [`Hop::prefix`]).
     pub fn of_hop(hop: &Hop<'_>) -> PrefixBuf {
-        PrefixBuf::new(&hop.neighbor.member.id.digits()[..hop.row + 1])
+        PrefixBuf(hop.prefix())
     }
 
     pub fn as_slice(&self) -> &[u16] {
-        &self.digits[..self.len as usize]
+        self.0.digits()
     }
 }
 
@@ -598,10 +586,6 @@ pub(crate) struct RekeySession<'a> {
 
 impl<'a> RekeySession<'a> {
     pub fn new(group: &'a TmeshGroup, message: &[Encryption], split: bool) -> RekeySession<'a> {
-        assert!(
-            group.spec().depth() <= MAX_DEPTH,
-            "ID-tree depth exceeds transport MAX_DEPTH"
-        );
         RekeySession {
             group,
             members: MemberIndex::new(group),

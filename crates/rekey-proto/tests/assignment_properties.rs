@@ -44,7 +44,7 @@ proptest! {
             let out = group.join(HostId(h), &network, t as u64).unwrap();
             prop_assert_eq!(out.id.depth(), 4);
         }
-        let mut ids: Vec<UserId> = group.members().iter().map(|m| m.id.clone()).collect();
+        let mut ids: Vec<UserId> = group.members().iter().map(|m| m.id).collect();
         let n = ids.len();
         ids.sort();
         ids.dedup();
@@ -78,7 +78,7 @@ proptest! {
                 }
             } else {
                 let pick = usize::from(b) % group.len();
-                let id = group.members()[pick].id.clone();
+                let id = group.members()[pick].id;
                 group.leave(&id, &network).unwrap();
                 // A second leave of the same ID must fail cleanly.
                 prop_assert_eq!(
@@ -112,7 +112,7 @@ proptest! {
             let out = group.join_centralized(HostId(h), &network, &coords, h as u64).unwrap();
             prop_assert_eq!(out.stats.queries, 0, "centralized joins query nobody");
         }
-        let mut ids: Vec<UserId> = group.members().iter().map(|m| m.id.clone()).collect();
+        let mut ids: Vec<UserId> = group.members().iter().map(|m| m.id).collect();
         ids.sort();
         ids.dedup();
         prop_assert_eq!(ids.len(), joins);

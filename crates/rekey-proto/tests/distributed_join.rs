@@ -32,7 +32,7 @@ fn run(seed: u64, joins: usize, spacing: u64, jitter: u64) -> (MatrixNetwork, Di
 fn sequential_joins_build_consistent_tables() {
     let (_, out) = run(1, 30, 10_000_000, 0); // 10 s apart: strictly sequential
     assert_eq!(out.members.len(), 30, "every join completes");
-    let mut ids: Vec<_> = out.members.iter().map(|m| m.id.clone()).collect();
+    let mut ids: Vec<_> = out.members.iter().map(|m| m.id).collect();
     ids.sort();
     ids.dedup();
     assert_eq!(ids.len(), 30, "IDs are unique");
@@ -47,7 +47,7 @@ fn sequential_joins_build_consistent_tables() {
 fn concurrent_joins_still_converge() {
     let (_, out) = run(2, 30, 3_000, 5_000); // heavy overlap
     assert_eq!(out.members.len(), 30);
-    let mut ids: Vec<_> = out.members.iter().map(|m| m.id.clone()).collect();
+    let mut ids: Vec<_> = out.members.iter().map(|m| m.id).collect();
     ids.sort();
     ids.dedup();
     assert_eq!(ids.len(), 30);
@@ -165,7 +165,7 @@ fn leaves_repair_survivor_tables() {
         .collect();
     let out = run_distributed_session(&spec, &params, 2, &network, joins, &times, &leaves);
     assert_eq!(out.members.len(), joins - leaves.len(), "survivors only");
-    let mut ids: Vec<_> = out.members.iter().map(|m| m.id.clone()).collect();
+    let mut ids: Vec<_> = out.members.iter().map(|m| m.id).collect();
     ids.sort();
     ids.dedup();
     assert_eq!(ids.len(), out.members.len());
@@ -213,7 +213,7 @@ fn leave_during_inflight_join_leaves_no_ghost_records() {
             joins - 2,
             "offset {offset}: survivors only"
         );
-        let ids: Vec<_> = out.members.iter().map(|m| m.id.clone()).collect();
+        let ids: Vec<_> = out.members.iter().map(|m| m.id).collect();
         for (m, t) in out.members.iter().zip(&out.tables) {
             for r in t.iter_all() {
                 assert!(

@@ -86,13 +86,13 @@ fn runtime_and_synchronous_driver_build_identical_key_trees() {
         .group()
         .members()
         .iter()
-        .map(|m| (m.id.clone(), m.host))
+        .map(|m| (m.id, m.host))
         .collect();
     let rt_members: Vec<(UserId, HostId)> = rt
         .group()
         .members()
         .iter()
-        .map(|m| (m.id.clone(), m.host))
+        .map(|m| (m.id, m.host))
         .collect();
     assert_eq!(sync_members, rt_members, "drivers assigned different IDs");
 

@@ -44,14 +44,11 @@ fn fixture(spec: IdSpec, n: usize, seed: u64) -> Fixture {
         let out = group.join(HostId(h), &net, h as u64).unwrap();
         tree.batch_rekey(std::slice::from_ref(&out.id), &[], &mut rng, &mut arena)
             .unwrap();
-        rings.insert(
-            out.id.clone(),
-            KeyRing::new(out.id.clone(), tree.user_path_keys(&out.id)),
-        );
+        rings.insert(out.id, KeyRing::new(out.id, tree.user_path_keys(&out.id)));
     }
     // Bring every ring up to date with the joins that happened after it.
     for (id, ring) in rings.iter_mut() {
-        *ring = KeyRing::new(id.clone(), tree.user_path_keys(id));
+        *ring = KeyRing::new(*id, tree.user_path_keys(id));
     }
     Fixture {
         net,
@@ -104,7 +101,7 @@ fn corollary1_split_delivers_exactly_the_needed_encryptions() {
         .iter()
         .step_by(7)
         .take(6)
-        .map(|m| m.id.clone())
+        .map(|m| m.id)
         .collect();
     for l in &leaves {
         fx.group.leave(l, &fx.net).unwrap();
@@ -175,7 +172,7 @@ fn split_end_to_end_key_delivery_over_churn_intervals() {
             .skip(interval)
             .step_by(9)
             .take(3)
-            .map(|m| m.id.clone())
+            .map(|m| m.id)
             .collect();
         for l in &leaves {
             fx.group.leave(l, &fx.net).unwrap();
@@ -195,10 +192,8 @@ fn split_end_to_end_key_delivery_over_churn_intervals() {
             .batch_rekey(&joins, &leaves, &mut fx.rng, &mut fx.arena)
             .unwrap();
         for j in &joins {
-            fx.rings.insert(
-                j.clone(),
-                KeyRing::new(j.clone(), fx.tree.user_path_keys(j)),
-            );
+            fx.rings
+                .insert(*j, KeyRing::new(*j, fx.tree.user_path_keys(j)));
         }
 
         // Deliver with splitting; members absorb only what they received.
@@ -232,7 +227,7 @@ fn splitting_reduces_received_bandwidth_massively() {
         .iter()
         .step_by(4)
         .take(10)
-        .map(|m| m.id.clone())
+        .map(|m| m.id)
         .collect();
     for l in &leaves {
         fx.group.leave(l, &fx.net).unwrap();

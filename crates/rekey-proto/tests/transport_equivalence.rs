@@ -64,7 +64,7 @@ fn churned_group(
             }
         }
         if b % 3 == 0 && group.len() > 1 {
-            let victim = group.members()[usize::from(b) % group.len()].id.clone();
+            let victim = group.members()[usize::from(b) % group.len()].id;
             group.leave(&victim, &network).unwrap();
             if let Some(pos) = joins.iter().position(|j| j == &victim) {
                 // Joined and left within the batch: cancels.

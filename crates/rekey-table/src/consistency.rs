@@ -97,7 +97,7 @@ pub fn check_consistency(
     tables: &[NeighborTable],
     k: usize,
 ) -> Result<(), ConsistencyViolation> {
-    let tree = IdTree::from_users(spec, members.iter().map(|m| m.id.clone()));
+    let tree = IdTree::from_users(spec, members.iter().map(|m| m.id));
     let in_group: HashMap<&UserId, ()> = members.iter().map(|m| (&m.id, ())).collect();
     for table in tables {
         let owner = table.owner();
@@ -107,7 +107,7 @@ pub fn check_consistency(
                 if j == owner.digit(i) {
                     if !entry.is_empty() {
                         return Err(ConsistencyViolation::OwnColumnNotEmpty {
-                            owner: owner.clone(),
+                            owner: *owner,
                             i,
                             j,
                         });
@@ -119,10 +119,10 @@ pub fn check_consistency(
                     let id = &record.member.id;
                     if !subtree_root.is_prefix_of_id(id) || !in_group.contains_key(id) {
                         return Err(ConsistencyViolation::ForeignNeighbor {
-                            owner: owner.clone(),
+                            owner: *owner,
                             i,
                             j,
-                            neighbor: id.clone(),
+                            neighbor: *id,
                         });
                     }
                 }
@@ -130,7 +130,7 @@ pub fn check_consistency(
                 let required = k.min(m);
                 if entry.len() < required {
                     return Err(ConsistencyViolation::TooFewNeighbors {
-                        owner: owner.clone(),
+                        owner: *owner,
                         i,
                         j,
                         stored: entry.len(),
@@ -163,10 +163,7 @@ mod tests {
     }
 
     fn rec(m: &Member, rtt: u64) -> NeighborRecord {
-        NeighborRecord {
-            member: m.clone(),
-            rtt,
-        }
+        NeighborRecord { member: *m, rtt }
     }
 
     #[test]
@@ -174,9 +171,9 @@ mod tests {
         let s = spec();
         let a = member([0, 0], 0);
         let b = member([1, 0], 1);
-        let mut ta = NeighborTable::new(&s, a.id.clone(), 2, PrimaryPolicy::SmallestRtt);
+        let mut ta = NeighborTable::new(&s, a.id, 2, PrimaryPolicy::SmallestRtt);
         ta.insert(rec(&b, 10));
-        let mut tb = NeighborTable::new(&s, b.id.clone(), 2, PrimaryPolicy::SmallestRtt);
+        let mut tb = NeighborTable::new(&s, b.id, 2, PrimaryPolicy::SmallestRtt);
         tb.insert(rec(&a, 10));
         let members = vec![a, b];
         check_consistency(&s, &members, &[ta, tb], 2).unwrap();
@@ -187,8 +184,8 @@ mod tests {
         let s = spec();
         let a = member([0, 0], 0);
         let b = member([1, 0], 1);
-        let ta = NeighborTable::new(&s, a.id.clone(), 2, PrimaryPolicy::SmallestRtt);
-        let mut tb = NeighborTable::new(&s, b.id.clone(), 2, PrimaryPolicy::SmallestRtt);
+        let ta = NeighborTable::new(&s, a.id, 2, PrimaryPolicy::SmallestRtt);
+        let mut tb = NeighborTable::new(&s, b.id, 2, PrimaryPolicy::SmallestRtt);
         tb.insert(rec(&a, 10));
         let members = vec![a, b];
         let err = check_consistency(&s, &members, &[ta, tb], 2).unwrap_err();
@@ -205,10 +202,10 @@ mod tests {
         let a = member([0, 0], 0);
         let b = member([1, 0], 1);
         let ghost = member([2, 0], 2);
-        let mut ta = NeighborTable::new(&s, a.id.clone(), 2, PrimaryPolicy::SmallestRtt);
+        let mut ta = NeighborTable::new(&s, a.id, 2, PrimaryPolicy::SmallestRtt);
         ta.insert(rec(&b, 10));
         ta.insert(rec(&ghost, 10));
-        let mut tb = NeighborTable::new(&s, b.id.clone(), 2, PrimaryPolicy::SmallestRtt);
+        let mut tb = NeighborTable::new(&s, b.id, 2, PrimaryPolicy::SmallestRtt);
         tb.insert(rec(&a, 10));
         let members = vec![a, b]; // ghost is not a member
         let err = check_consistency(&s, &members, &[ta, tb], 2).unwrap_err();
@@ -222,12 +219,12 @@ mod tests {
         let a = member([0, 0], 0);
         let b = member([2, 0], 1);
         let c = member([2, 1], 2);
-        let mut ta = NeighborTable::new(&s, a.id.clone(), 4, PrimaryPolicy::SmallestRtt);
+        let mut ta = NeighborTable::new(&s, a.id, 4, PrimaryPolicy::SmallestRtt);
         ta.insert(rec(&b, 10));
-        let mut tb = NeighborTable::new(&s, b.id.clone(), 4, PrimaryPolicy::SmallestRtt);
+        let mut tb = NeighborTable::new(&s, b.id, 4, PrimaryPolicy::SmallestRtt);
         tb.insert(rec(&a, 10));
         tb.insert(rec(&c, 10));
-        let mut tc = NeighborTable::new(&s, c.id.clone(), 4, PrimaryPolicy::SmallestRtt);
+        let mut tc = NeighborTable::new(&s, c.id, 4, PrimaryPolicy::SmallestRtt);
         tc.insert(rec(&a, 10));
         tc.insert(rec(&b, 10));
         let members = vec![a, b, c];

@@ -28,7 +28,7 @@ pub fn build_table(
     k: usize,
     policy: PrimaryPolicy,
 ) -> NeighborTable {
-    let mut table = NeighborTable::new(spec, owner.id.clone(), k, policy);
+    let mut table = NeighborTable::new(spec, owner.id, k, policy);
     // `TableEntry::insert` keeps the K smallest-RTT records per entry, so a
     // single pass suffices.
     for m in members {
@@ -36,10 +36,7 @@ pub fn build_table(
             continue;
         }
         let rtt = net.rtt(owner.host, m.host);
-        table.insert(NeighborRecord {
-            member: m.clone(),
-            rtt,
-        });
+        table.insert(NeighborRecord { member: *m, rtt });
     }
     table
 }
@@ -70,10 +67,7 @@ pub fn build_server_table(
     let mut table = ServerTable::new(spec, k);
     for m in members {
         let rtt = net.rtt(server_host, m.host);
-        table.insert(NeighborRecord {
-            member: m.clone(),
-            rtt,
-        });
+        table.insert(NeighborRecord { member: *m, rtt });
     }
     table
 }
@@ -92,7 +86,7 @@ mod tests {
         let mut used = std::collections::HashSet::new();
         while members.len() < n {
             let id = UserId::from_index(spec, rng.gen_range(0..spec.id_space()));
-            if used.insert(id.clone()) {
+            if used.insert(id) {
                 members.push(Member {
                     id,
                     host: HostId(members.len() % hosts),

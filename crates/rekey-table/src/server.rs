@@ -2,7 +2,7 @@
 
 use rekey_id::IdSpec;
 
-use crate::entry::{NeighborRecord, TableEntry};
+use crate::entry::{Entries, NeighborRecord, TableEntry};
 
 /// The key server's neighbor table (§2.2): a single row of `B` entries.
 ///
@@ -14,7 +14,7 @@ use crate::entry::{NeighborRecord, TableEntry};
 pub struct ServerTable {
     spec: IdSpec,
     k: usize,
-    entries: Vec<TableEntry>,
+    entries: Entries,
 }
 
 impl ServerTable {
@@ -28,7 +28,7 @@ impl ServerTable {
         ServerTable {
             spec: *spec,
             k,
-            entries: (0..spec.base()).map(|_| TableEntry::new()).collect(),
+            entries: Entries::default(),
         }
     }
 
@@ -47,31 +47,34 @@ impl ServerTable {
     /// # Panics
     ///
     /// Panics if `j >= B`.
-    pub fn entry(&self, j: u16) -> &TableEntry {
-        &self.entries[usize::from(j)]
+    pub fn entry(&self, j: u16) -> TableEntry<'_> {
+        assert!(j < self.spec.base());
+        self.entries.entry(0, j)
     }
 
     /// Inserts a user record; its entry is determined by the user's 0th
     /// digit. `record.rtt` must be the RTT between the user and the key
     /// server.
     pub fn insert(&mut self, record: NeighborRecord) -> bool {
-        let j = usize::from(record.member.id.digit(0));
-        self.entries[j].insert(record, self.k)
+        let j = record.member.id.digit(0);
+        self.entries.insert(0, j, record, self.k)
     }
 
     /// Removes a user wherever stored; returns `true` if present.
     pub fn remove(&mut self, id: &rekey_id::UserId) -> bool {
-        self.entries[usize::from(id.digit(0))].remove(id)
+        self.entries.remove(0, id.digit(0), id)
     }
 
     /// The primary `(0, j)`-neighbor (smallest RTT to the server).
     pub fn primary(&self, j: u16) -> Option<&NeighborRecord> {
-        self.entries[usize::from(j)].primary()
+        self.entry(j).primary()
     }
 
     /// Iterates over `(j, primary)` for all non-empty entries.
     pub fn primaries(&self) -> impl Iterator<Item = (u16, &NeighborRecord)> + '_ {
-        (0..self.spec.base()).filter_map(move |j| self.primary(j).map(|r| (j, r)))
+        self.entries
+            .row(0)
+            .filter_map(|(j, entry)| entry.primary().map(|r| (j, r)))
     }
 }
 

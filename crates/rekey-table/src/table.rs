@@ -2,7 +2,7 @@
 
 use rekey_id::{IdSpec, UserId};
 
-use crate::entry::{NeighborRecord, TableEntry};
+use crate::entry::{Entries, NeighborRecord, TableEntry};
 
 /// How a table entry's *primary* neighbor is selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,13 +44,10 @@ pub struct NeighborTable {
     owner: UserId,
     k: usize,
     policy: PrimaryPolicy,
-    rows: Vec<Vec<TableEntry>>,
-    /// Per row, the sorted columns whose entries are non-empty. Row
-    /// enumeration ([`Self::primaries_in_row`], and through it the rekey
-    /// transports' `FORWARD` loops) walks only these instead of probing
-    /// all `B` columns — with sparse deep rows that is the difference
-    /// between O(D·B) and O(neighbors) per member.
-    occupied: Vec<Vec<u16>>,
+    /// Only the non-empty entries are stored, so row enumeration
+    /// ([`Self::primaries_in_row`], and through it the rekey transports'
+    /// `FORWARD` loops) is O(neighbors) per member, not O(D·B).
+    entries: Entries,
 }
 
 impl NeighborTable {
@@ -67,17 +64,12 @@ impl NeighborTable {
             spec.depth(),
             "owner ID must match the spec depth"
         );
-        let rows = (0..spec.depth())
-            .map(|_| (0..spec.base()).map(|_| TableEntry::new()).collect())
-            .collect();
-        let occupied = vec![Vec::new(); spec.depth()];
         NeighborTable {
             spec: *spec,
             owner,
             k,
             policy,
-            rows,
-            occupied,
+            entries: Entries::default(),
         }
     }
 
@@ -106,8 +98,9 @@ impl NeighborTable {
     /// # Panics
     ///
     /// Panics if `i >= D` or `j >= B`.
-    pub fn entry(&self, i: usize, j: u16) -> &TableEntry {
-        &self.rows[i][usize::from(j)]
+    pub fn entry(&self, i: usize, j: u16) -> TableEntry<'_> {
+        assert!(i < self.spec.depth() && j < self.spec.base());
+        self.entries.entry(i, j)
     }
 
     /// The row/column of the owner's table where `id` belongs:
@@ -128,15 +121,7 @@ impl NeighborTable {
     pub fn insert(&mut self, record: NeighborRecord) -> bool {
         match self.slot_for(&record.member.id) {
             None => false,
-            Some((i, j)) => {
-                let stored = self.rows[i][usize::from(j)].insert(record, self.k);
-                if stored {
-                    if let Err(pos) = self.occupied[i].binary_search(&j) {
-                        self.occupied[i].insert(pos, j);
-                    }
-                }
-                stored
-            }
+            Some((i, j)) => self.entries.insert(i, j, record, self.k),
         }
     }
 
@@ -144,22 +129,17 @@ impl NeighborTable {
     pub fn remove(&mut self, id: &UserId) -> bool {
         match self.slot_for(id) {
             None => false,
-            Some((i, j)) => {
-                let removed = self.rows[i][usize::from(j)].remove(id);
-                if removed && self.rows[i][usize::from(j)].is_empty() {
-                    if let Ok(pos) = self.occupied[i].binary_search(&j) {
-                        self.occupied[i].remove(pos);
-                    }
-                }
-                removed
-            }
+            Some((i, j)) => self.entries.remove(i, j, id),
         }
     }
 
     /// The primary `(i, j)`-neighbor under this table's
     /// [`PrimaryPolicy`].
     pub fn primary(&self, i: usize, j: u16) -> Option<&NeighborRecord> {
-        let entry = self.entry(i, j);
+        self.primary_of(i, self.entry(i, j))
+    }
+
+    fn primary_of<'a>(&self, i: usize, entry: TableEntry<'a>) -> Option<&'a NeighborRecord> {
         match self.policy {
             PrimaryPolicy::SmallestRtt => entry.primary(),
             PrimaryPolicy::EarliestJoinAtBottom => {
@@ -175,30 +155,25 @@ impl NeighborTable {
     /// Iterates over the primary neighbors of row `i` (all `j`), in
     /// increasing `j` order.
     pub fn primaries_in_row(&self, i: usize) -> impl Iterator<Item = (u16, &NeighborRecord)> + '_ {
-        self.occupied[i]
-            .iter()
-            .filter_map(move |&j| self.primary(i, j).map(|r| (j, r)))
+        self.entries_in_row(i)
+            .filter_map(move |(j, entry)| self.primary_of(i, entry).map(|r| (j, r)))
     }
 
     /// Iterates over the non-empty entries of row `i` in increasing `j`
-    /// order, walking the occupancy index rather than probing all `B`
-    /// columns. Forwarding fail-over (§2.3) uses this to scan each
-    /// `(i, j)` bucket for the first live neighbor.
-    pub fn entries_in_row(&self, i: usize) -> impl Iterator<Item = (u16, &TableEntry)> + '_ {
-        self.occupied[i]
-            .iter()
-            .map(move |&j| (j, &self.rows[i][usize::from(j)]))
+    /// order, without probing all `B` columns. Forwarding fail-over (§2.3)
+    /// uses this to scan each `(i, j)` bucket for the first live neighbor.
+    pub fn entries_in_row(&self, i: usize) -> impl Iterator<Item = (u16, TableEntry<'_>)> + '_ {
+        self.entries.row(i)
     }
 
     /// Evicts every stored record for which `dead` returns `true` (e.g.
-    /// neighbors that stopped answering heartbeat pings, §3.2), keeping
-    /// the row-occupancy index consistent. Returns the evicted user IDs in
-    /// table order.
+    /// neighbors that stopped answering heartbeat pings, §3.2). Returns the
+    /// evicted user IDs in table order.
     pub fn evict_where(&mut self, mut dead: impl FnMut(&NeighborRecord) -> bool) -> Vec<UserId> {
         let victims: Vec<UserId> = self
             .iter_all()
             .filter(|r| dead(r))
-            .map(|r| r.member.id.clone())
+            .map(|r| r.member.id)
             .collect();
         for id in &victims {
             self.remove(id);
@@ -206,16 +181,15 @@ impl NeighborTable {
         victims
     }
 
-    /// Iterates over every stored neighbor record.
-    pub fn iter_all(&self) -> impl Iterator<Item = &NeighborRecord> {
-        self.rows
-            .iter()
-            .flat_map(|row| row.iter().flat_map(|e| e.iter()))
+    /// Iterates over every stored neighbor record, in (row, column, RTT)
+    /// order.
+    pub fn iter_all(&self) -> std::slice::Iter<'_, NeighborRecord> {
+        self.entries.iter_all()
     }
 
     /// Total number of stored neighbor records.
     pub fn neighbor_count(&self) -> usize {
-        self.iter_all().count()
+        self.iter_all().len()
     }
 }
 

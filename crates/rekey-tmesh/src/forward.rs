@@ -163,10 +163,7 @@ mod tests {
     }
 
     fn rec(m: &Member, rtt: u64) -> rekey_table::NeighborRecord {
-        rekey_table::NeighborRecord {
-            member: m.clone(),
-            rtt,
-        }
+        rekey_table::NeighborRecord { member: *m, rtt }
     }
 
     #[test]
@@ -191,7 +188,7 @@ mod tests {
         let owner = member([0, 0], 0);
         let sibling = member([0, 1], 1);
         let far = member([2, 0], 2);
-        let mut t = NeighborTable::new(&spec(), owner.id.clone(), 2, PrimaryPolicy::SmallestRtt);
+        let mut t = NeighborTable::new(&spec(), owner.id, 2, PrimaryPolicy::SmallestRtt);
         t.insert(rec(&sibling, 4));
         t.insert(rec(&far, 9));
         // At level 0 (data sender) the user covers both rows.
@@ -216,7 +213,7 @@ mod tests {
         let near = member([2, 1], 1); // (0, 2) bucket, rtt 3 → primary
         let backup = member([2, 3], 2); // (0, 2) bucket, rtt 8
         let sibling = member([0, 1], 3); // (1, 1) bucket
-        let mut t = NeighborTable::new(&spec(), owner.id.clone(), 2, PrimaryPolicy::SmallestRtt);
+        let mut t = NeighborTable::new(&spec(), owner.id, 2, PrimaryPolicy::SmallestRtt);
         t.insert(rec(&near, 3));
         t.insert(rec(&backup, 8));
         t.insert(rec(&sibling, 5));
@@ -228,7 +225,7 @@ mod tests {
 
         // The primary is a stale record (crashed, not yet evicted): the
         // copy falls back to the next neighbor in the same (0, 2) bucket.
-        let dead = near.id.clone();
+        let dead = near.id;
         let hops = user_next_hops_with(&t, 0, &move |id| *id != dead);
         assert_eq!(hops.len(), 2);
         assert_eq!(hops[0].row, 0);
@@ -236,7 +233,7 @@ mod tests {
         assert_eq!(hops[0].neighbor.member.id, backup.id);
 
         // Whole bucket down: the entry produces no hop, others unaffected.
-        let (d1, d2) = (near.id.clone(), backup.id.clone());
+        let (d1, d2) = (near.id, backup.id);
         let hops = user_next_hops_with(&t, 0, &move |id| *id != d1 && *id != d2);
         assert_eq!(hops.len(), 1);
         assert_eq!(hops[0].neighbor.member.id, sibling.id);
@@ -245,11 +242,11 @@ mod tests {
         // everyone is alive.
         let plain: Vec<_> = user_next_hops(&t, 0)
             .into_iter()
-            .map(|h| (h.row, h.column, h.neighbor.member.id.clone()))
+            .map(|h| (h.row, h.column, h.neighbor.member.id))
             .collect();
         let with: Vec<_> = user_next_hops_with(&t, 0, &|_| true)
             .into_iter()
-            .map(|h| (h.row, h.column, h.neighbor.member.id.clone()))
+            .map(|h| (h.row, h.column, h.neighbor.member.id))
             .collect();
         assert_eq!(plain, with);
     }
@@ -259,7 +256,7 @@ mod tests {
         let owner = member([0, 0], 0);
         let sibling = member([0, 1], 1);
         let far = member([2, 0], 2);
-        let mut t = NeighborTable::new(&spec(), owner.id.clone(), 2, PrimaryPolicy::SmallestRtt);
+        let mut t = NeighborTable::new(&spec(), owner.id, 2, PrimaryPolicy::SmallestRtt);
         t.insert(rec(&sibling, 4));
         t.insert(rec(&far, 9));
         for hop in user_next_hops(&t, 0) {

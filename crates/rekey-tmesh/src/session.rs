@@ -157,19 +157,19 @@ impl MeshNode {
         let hops: Vec<(UserId, usize)> = match &self.role {
             Role::Server { table } if any_failed => server_next_hops_with(table, &alive)
                 .into_iter()
-                .map(|h| (h.neighbor.member.id.clone(), h.forward_level))
+                .map(|h| (h.neighbor.member.id, h.forward_level))
                 .collect(),
             Role::Server { table } => server_next_hops(table)
                 .into_iter()
-                .map(|h| (h.neighbor.member.id.clone(), h.forward_level))
+                .map(|h| (h.neighbor.member.id, h.forward_level))
                 .collect(),
             Role::User { table } if any_failed => user_next_hops_with(table, level, &alive)
                 .into_iter()
-                .map(|h| (h.neighbor.member.id.clone(), h.forward_level))
+                .map(|h| (h.neighbor.member.id, h.forward_level))
                 .collect(),
             Role::User { table } => user_next_hops(table, level)
                 .into_iter()
-                .map(|h| (h.neighbor.member.id.clone(), h.forward_level))
+                .map(|h| (h.neighbor.member.id, h.forward_level))
                 .collect(),
         };
         for (id, forward_level) in hops {
@@ -258,7 +258,7 @@ impl TmeshGroup {
         ));
         let mut index = HashMap::with_capacity(members.len());
         for (i, m) in members.iter().enumerate() {
-            let prev = index.insert(m.id.clone(), i);
+            let prev = index.insert(m.id, i);
             assert!(prev.is_none(), "duplicate member ID {}", m.id);
         }
         TmeshGroup {
@@ -283,7 +283,7 @@ impl TmeshGroup {
         assert_eq!(members.len(), tables.len(), "one table per member");
         let mut index = HashMap::with_capacity(members.len());
         for (i, m) in members.iter().enumerate() {
-            let prev = index.insert(m.id.clone(), i);
+            let prev = index.insert(m.id, i);
             assert!(prev.is_none(), "duplicate member ID {}", m.id);
         }
         TmeshGroup {

@@ -60,10 +60,7 @@ fn main() {
         .check()
         .expect("neighbor tables are K-consistent (Definition 3)");
     for m in group.members() {
-        rings.insert(
-            m.id.clone(),
-            KeyRing::new(m.id.clone(), tree.user_path_keys(&m.id)),
-        );
+        rings.insert(m.id, KeyRing::new(m.id, tree.user_path_keys(&m.id)));
     }
 
     // One rekey interval: the member on host 7 leaves.
@@ -72,8 +69,7 @@ fn main() {
         .iter()
         .find(|m| m.host == HostId(7))
         .unwrap()
-        .id
-        .clone();
+        .id;
     let departed_ring = rings.remove(&leaver).unwrap();
     group.leave(&leaver, &net).expect("member exists");
     let rekey = tree

@@ -51,14 +51,11 @@ fn main() {
         next_host += 1;
         tree.batch_rekey(std::slice::from_ref(&id), &[], &mut rng, &mut arena)
             .unwrap();
-        rings.insert(
-            id.clone(),
-            KeyRing::new(id.clone(), tree.user_path_keys(&id)),
-        );
+        rings.insert(id, KeyRing::new(id, tree.user_path_keys(&id)));
     }
     // Refresh rings to the post-bootstrap key state.
     for (id, ring) in rings.iter_mut() {
-        *ring = KeyRing::new(id.clone(), tree.user_path_keys(id));
+        *ring = KeyRing::new(*id, tree.user_path_keys(id));
     }
     println!("conference bootstrapped: {} participants\n", group.len());
     println!("interval  joins leaves  rekey_encs  max_recv/user  speaker_delay_p95_ms  rdp_p95");
@@ -71,7 +68,7 @@ fn main() {
         let mut leaves = Vec::new();
         for _ in 0..leaves_n {
             let pick = rng.gen_range(0..group.len());
-            let id = group.members()[pick].id.clone();
+            let id = group.members()[pick].id;
             group.leave(&id, &net).unwrap();
             rings.remove(&id);
             leaves.push(id);
@@ -86,10 +83,7 @@ fn main() {
             .batch_rekey(&joins, &leaves, &mut rng, &mut arena)
             .unwrap();
         for id in &joins {
-            rings.insert(
-                id.clone(),
-                KeyRing::new(id.clone(), tree.user_path_keys(id)),
-            );
+            rings.insert(*id, KeyRing::new(*id, tree.user_path_keys(id)));
         }
 
         // Rekey transport with splitting; every survivor decrypts its keys.

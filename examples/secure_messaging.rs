@@ -38,12 +38,12 @@ fn main() {
     let mut agents: HashMap<UserId, UserAgent> = outcome
         .welcomes
         .into_iter()
-        .map(|w| (w.id.clone(), UserAgent::from_welcome(w)))
+        .map(|w| (w.id, UserAgent::from_welcome(w)))
         .collect();
     println!("\ninterval 1 complete: {} members keyed\n", agents.len());
 
     // Chat: a member seals a message; all agents open it.
-    let alice = server.group().members()[0].id.clone();
+    let alice = server.group().members()[0].id;
     let hello = agents[&alice]
         .seal_data(b"hello, group!", &mut rng)
         .unwrap();
@@ -61,7 +61,7 @@ fn main() {
         .iter()
         .rev()
         .take(3)
-        .map(|m| m.id.clone())
+        .map(|m| m.id)
         .collect();
     for v in &victims {
         server.request_leave(v, &net).unwrap();
@@ -78,7 +78,7 @@ fn main() {
     let outcome = server.end_interval();
     for w in outcome.welcomes.clone() {
         println!("new member {} keyed via unicast welcome", w.id);
-        agents.insert(w.id.clone(), UserAgent::from_welcome(w));
+        agents.insert(w.id, UserAgent::from_welcome(w));
     }
 
     let bytes = encode_rekey_message(outcome.encryptions());
@@ -110,9 +110,7 @@ fn main() {
     );
 
     // New traffic under the new group key.
-    let speaker = server.group().members()[rng.gen_range(0..server.group().len())]
-        .id
-        .clone();
+    let speaker = server.group().members()[rng.gen_range(0..server.group().len())].id;
     let secret = agents[&speaker]
         .seal_data(b"post-rekey secret", &mut rng)
         .unwrap();

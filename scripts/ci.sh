@@ -47,12 +47,17 @@ cargo run --offline --release -q -p rekey-bench --bin bench_crypto > /dev/null
 echo "==> criterion crypto_batch smoke (churn interval x 1/2/4/8 seal threads, one pass)"
 cargo bench --offline -q -p rekey-bench --bench crypto_batch -- --test > /dev/null
 
+echo "==> benchmark package tests (thumbnail runs of all four workloads, catalogue == BENCHMARK.json)"
+cargo test --offline -q --manifest-path bench/Cargo.toml
+
 echo "==> cargo test --doc"
 cargo test --offline --workspace -q --doc
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# `-D warnings` denies clippy::clone_on_copy: IDs, prefixes and member
+# records are `Copy`, so a `.clone()` on one is a leftover to delete.
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -132,10 +132,7 @@ fn main() {
             .unwrap();
     }
     for m in group.members() {
-        rings.insert(
-            m.id.clone(),
-            KeyRing::new(m.id.clone(), tree.user_path_keys(&m.id)),
-        );
+        rings.insert(m.id, KeyRing::new(m.id, tree.user_path_keys(&m.id)));
     }
 
     println!("interval\tjoins\tleaves\trekey_encs\tmax_recv\ttotal_recv\trecovered\tp95_delay_ms\tkeys_ok");
@@ -143,7 +140,7 @@ fn main() {
         let mut leaves = Vec::new();
         for _ in 0..churn.min(group.len().saturating_sub(1)) {
             let pick = rng.gen_range(0..group.len());
-            let id = group.members()[pick].id.clone();
+            let id = group.members()[pick].id;
             group.leave(&id, &net).unwrap();
             rings.remove(&id);
             leaves.push(id);
@@ -165,10 +162,7 @@ fn main() {
             .batch_rekey(&joins, &leaves, &mut rng, &mut arena)
             .unwrap();
         for id in &joins {
-            rings.insert(
-                id.clone(),
-                KeyRing::new(id.clone(), tree.user_path_keys(id)),
-            );
+            rings.insert(*id, KeyRing::new(*id, tree.user_path_keys(id)));
         }
 
         let mesh = group.tmesh();

@@ -66,8 +66,8 @@ fn rtt_matrices_are_deterministic() {
 fn group_growth_and_multicast_are_deterministic() {
     let (net_a, group_a) = grow(77);
     let (net_b, group_b) = grow(77);
-    let ids_a: Vec<UserId> = group_a.members().iter().map(|m| m.id.clone()).collect();
-    let ids_b: Vec<UserId> = group_b.members().iter().map(|m| m.id.clone()).collect();
+    let ids_a: Vec<UserId> = group_a.members().iter().map(|m| m.id).collect();
+    let ids_b: Vec<UserId> = group_b.members().iter().map(|m| m.id).collect();
     assert_eq!(ids_a, ids_b, "ID assignment is deterministic");
 
     let out_a = group_a.tmesh().multicast(&net_a, Source::Server);
@@ -81,11 +81,11 @@ fn rekey_messages_and_split_transport_are_deterministic() {
     let run = |seed: u64| -> (Vec<String>, Vec<u64>, u64) {
         let (net, mut group) = grow(seed);
         let mut rng = seeded_rng(seed ^ 0xAAAA);
-        let ids: Vec<UserId> = group.members().iter().map(|m| m.id.clone()).collect();
+        let ids: Vec<UserId> = group.members().iter().map(|m| m.id).collect();
         let mut tree = ModifiedKeyTree::new(group.spec());
         let mut arena = RekeyArena::new();
         tree.batch_rekey(&ids, &[], &mut rng, &mut arena).unwrap();
-        let leaver = ids[5].clone();
+        let leaver = ids[5];
         group.leave(&leaver, &net).unwrap();
         let out = tree
             .batch_rekey(&[], &[leaver], &mut rng, &mut arena)
@@ -136,11 +136,11 @@ fn lossy_transport_is_deterministic_in_the_loss_seed() {
     let fingerprint = |loss_seed: u64| -> (u64, u64, Vec<usize>, Vec<u64>) {
         let (net, mut group) = grow(21);
         let mut rng = seeded_rng(0x21);
-        let ids: Vec<UserId> = group.members().iter().map(|m| m.id.clone()).collect();
+        let ids: Vec<UserId> = group.members().iter().map(|m| m.id).collect();
         let mut tree = ModifiedKeyTree::new(group.spec());
         let mut arena = RekeyArena::new();
         tree.batch_rekey(&ids, &[], &mut rng, &mut arena).unwrap();
-        let leaver = ids[4].clone();
+        let leaver = ids[4];
         group.leave(&leaver, &net).unwrap();
         let out = tree
             .batch_rekey(&[], &[leaver], &mut rng, &mut arena)

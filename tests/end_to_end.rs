@@ -57,10 +57,8 @@ fn boot(users: usize, capacity: usize, seed: u64, policy: PrimaryPolicy) -> Syst
             .unwrap();
     }
     for m in group.members() {
-        sys.rings.insert(
-            m.id.clone(),
-            KeyRing::new(m.id.clone(), tree.user_path_keys(&m.id)),
-        );
+        sys.rings
+            .insert(m.id, KeyRing::new(m.id, tree.user_path_keys(&m.id)));
     }
     sys.group = group;
     sys.tree = tree;
@@ -71,7 +69,7 @@ fn churn_interval(sys: &mut System, joins_n: usize, leaves_n: usize) -> (Vec<Use
     let mut leaves = Vec::new();
     for _ in 0..leaves_n.min(sys.group.len().saturating_sub(1)) {
         let pick = sys.rng.gen_range(0..sys.group.len());
-        let id = sys.group.members()[pick].id.clone();
+        let id = sys.group.members()[pick].id;
         sys.group.leave(&id, &sys.net).unwrap();
         sys.rings.remove(&id);
         leaves.push(id);
@@ -104,10 +102,8 @@ fn ten_interval_full_pipeline() {
             .batch_rekey(&joins, &leaves, &mut sys.rng, &mut arena)
             .unwrap();
         for id in &joins {
-            sys.rings.insert(
-                id.clone(),
-                KeyRing::new(id.clone(), sys.tree.user_path_keys(id)),
-            );
+            sys.rings
+                .insert(*id, KeyRing::new(*id, sys.tree.user_path_keys(id)));
         }
         sys.group.check().expect("K-consistency after churn");
 
@@ -165,7 +161,7 @@ fn cluster_transport_reaches_every_member() {
         .group
         .members()
         .iter()
-        .map(|m| (m.joined_at, m.id.clone()))
+        .map(|m| (m.joined_at, m.id))
         .collect();
     ordered.sort();
     let ordered: Vec<UserId> = ordered.into_iter().map(|(_, u)| u).collect();
@@ -256,7 +252,7 @@ fn random_ids_degrade_split_efficiency() {
     for h in 0..40 {
         let id = loop {
             let candidate = UserId::from_index(&spec, rng.gen_range(0..spec.id_space()));
-            if used.insert(candidate.clone()) {
+            if used.insert(candidate) {
                 break candidate;
             }
         };
@@ -269,7 +265,7 @@ fn random_ids_degrade_split_efficiency() {
     // hops per delivered encryption.
     let mut hops_per_delivery = [0f64; 2];
     for (g, slot) in [(&aware, 0), (&random, 1)] {
-        let ids: Vec<UserId> = g.members().iter().map(|m| m.id.clone()).collect();
+        let ids: Vec<UserId> = g.members().iter().map(|m| m.id).collect();
         let mut tree = ModifiedKeyTree::new(&spec);
         let mut arena = RekeyArena::new();
         tree.batch_rekey(&ids, &[], &mut rng, &mut arena).unwrap();

@@ -332,7 +332,12 @@ fn socket_failover_matches_single_replica_sim() {
         UDP_MEMBERS - 2,
         "the post-kill leave never reached the promoted primary"
     );
-    assert!(udp.finish(Duration::from_secs(60)), "udp flush converged");
+    let converged = udp.finish(Duration::from_secs(60));
+    assert!(
+        converged,
+        "udp flush did not converge; still open: {:?}",
+        udp.not_converged()
+    );
     udp.check_consistency().expect("udp tables K-consistent");
 
     assert_ne!(

@@ -40,7 +40,7 @@ fn run_matrix(seed: u64, users: usize, churn: usize) -> Matrix {
     for h in 0..users {
         group.join(HostId(h), &net, h as u64).unwrap();
     }
-    let base_ids: Vec<UserId> = group.members().iter().map(|m| m.id.clone()).collect();
+    let base_ids: Vec<UserId> = group.members().iter().map(|m| m.id).collect();
 
     let mut modified = ModifiedKeyTree::new(&spec);
     let mut modified_arena = RekeyArena::new();
@@ -58,7 +58,7 @@ fn run_matrix(seed: u64, users: usize, churn: usize) -> Matrix {
     let mut leaves = Vec::new();
     for _ in 0..churn {
         let pick = rng.gen_range(0..group.len());
-        let id = group.members()[pick].id.clone();
+        let id = group.members()[pick].id;
         group.leave(&id, &net).unwrap();
         leaves.push(id);
     }
