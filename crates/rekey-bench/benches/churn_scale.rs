@@ -1,9 +1,7 @@
 //! Criterion scaling run of the event-driven group runtime: N members on
-//! one simulated clock sustain a leave+join churn trace with 2% per-copy
-//! loss on the overlay rekey transport, at N ∈ {64, 256, 1024}.
-//!
-//! The committed `BENCH_runtime.json` is produced by the `bench_runtime`
-//! binary, which runs the same fixture.
+//! one simulated clock join through the protocol, then sustain a
+//! leave+join churn trace with 2% per-copy loss on the overlay rekey
+//! transport, at N ∈ {64, 256, 1024}.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rekey_bench::churn_runtime_fixture;

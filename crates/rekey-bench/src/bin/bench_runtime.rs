@@ -1,207 +1,70 @@
-//! Measures the event-driven group runtime end to end, twice over:
+//! The mega sweep: the simulated executor (`ShardedGroupRuntime`)
+//! bootstraps N ∈ {65 536, 262 144, 1 048 576} members in one dealing
+//! pass and drives two churned rekey intervals with 1% copy loss — the
+//! only way to run the 262k / 1M points the README scale table quotes
+//! (the benchmark proper, `bench/`, measures at 16 384).
 //!
-//! 1. **Classic sweep** — N members on one simulated clock sustain a
-//!    leave+join churn trace with 2% per-copy loss, at
-//!    N ∈ {64, 256, 1024} (the `GroupRuntime` single-queue executor).
-//! 2. **Mega sweep** — the sharded windowed executor
-//!    (`ShardedGroupRuntime`) bootstraps N ∈ {65 536, 262 144, 1 048 576}
-//!    members in one dealing pass and drives two churned rekey intervals
-//!    with 1% copy loss. Reports build time separately from the drive
-//!    rate, plus `member_intervals_per_sec` (intervals/s × members) — the
-//!    per-member cost figure that should stay roughly flat as N grows.
-//!    `--mega-cap N` skips mega sizes above N (CI smoke uses 65536).
-//!
-//! Reports completed rekey intervals per wall-clock second, the unicast
-//! recovery traffic (NACK-triggered encryptions, converted to wire bytes)
-//! the loss model induced, and apply-delay percentiles from the runtime's
-//! metrics snapshot. Prints a JSON document (the committed
-//! `BENCH_runtime.json`) to stdout via the shared deterministic writer;
-//! every snapshot is validated against the promised schema first.
-//! Progress goes to stderr. Run with `--release`.
+//! Prints one line per size to stdout: build time separately from the
+//! drive rate, `member_intervals_per_sec` (intervals/s × members, the
+//! per-member cost figure that should stay roughly flat as N grows), and
+//! the recovery traffic the loss induced. Every snapshot is validated
+//! against the promised schema first. Writes no file; the recorded perf
+//! baseline is `bench/BASELINE.md`. `--mega-cap N` skips sizes above N
+//! (CI smoke uses 65536). Run with `--release`.
 
-use std::hint::black_box;
 use std::time::Instant;
 
-use rekey_bench::{arg_usize, churn_runtime_fixture, mega_runtime_fixture, schema};
-use rekey_metrics::json::Writer;
-use rekey_proto::{GroupRuntime, MetricsSnapshot, RuntimeConfig, ShardedGroupRuntime};
+use rekey_bench::{arg_usize, mega_runtime_fixture, schema};
+use rekey_proto::{RuntimeConfig, ShardedGroupRuntime};
 
-/// Serialized size of one `Encryption` on the wire: two key identifiers
-/// (≤ 5-digit prefix + length byte + u64 version, 14 bytes each), a
-/// 12-byte nonce, 32 bytes of wrapped key material and an 8-byte MAC tag.
-const ENCRYPTION_WIRE_BYTES: u64 = 2 * (6 + 8) + 12 + 32 + 8;
-
-const CHURN_INTERVALS: u64 = 8;
+const SHARDS: usize = 8;
+const LOSS: f64 = 0.01;
 const SEED: u64 = 0xC4C4;
-
-struct Row {
-    members: usize,
-    report: MetricsSnapshot,
-    run_ns: f64,
-}
-
-fn run_once(members: usize) -> MetricsSnapshot {
-    let (net, config, trace, finish) = churn_runtime_fixture(members, CHURN_INTERVALS, SEED);
-    let runtime_config = RuntimeConfig::builder().loss(0.02).seed(SEED).build();
-    let mut rt = GroupRuntime::new(config, runtime_config, net);
-    rt.run_trace(&trace);
-    rt.finish(finish);
-    rt.snapshot()
-}
-
-/// Times full runs adaptively: after the warm-up, repeat until at least
-/// `MIN_TIME` has elapsed, and report mean nanoseconds per run.
-fn run_size(members: usize) -> Row {
-    const MIN_TIME_NS: u128 = 400_000_000;
-    const MIN_ITERS: u32 = 3;
-    eprintln!("bench_runtime: {members} members, {CHURN_INTERVALS} churn intervals, 2% loss…");
-    let report = run_once(members); // warm-up; runs are deterministic
-    schema::validate_snapshot(&report.to_json());
-    let mut iters = 0u32;
-    let start = Instant::now();
-    while iters < MIN_ITERS || start.elapsed().as_nanos() < MIN_TIME_NS {
-        black_box(run_once(members));
-        iters += 1;
-    }
-    let run_ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-    eprintln!(
-        "bench_runtime: {members} members: {} intervals in {:.0} ms/run",
-        report.intervals,
-        run_ns / 1e6
-    );
-    Row {
-        members,
-        report,
-        run_ns,
-    }
-}
-
-struct MegaRow {
-    members: usize,
-    shards: usize,
-    report: MetricsSnapshot,
-    build_ns: f64,
-    run_ns: f64,
-}
 
 /// One mega point, run once (bootstraps alone take tens of seconds at
 /// 10⁶ members; the run is deterministic, so repetition buys nothing but
 /// heat). Build and drive are timed separately: the per-member cost
 /// figure is about sustaining churn, not the one-off dealing pass.
-fn run_mega_size(members: usize) -> MegaRow {
-    const SHARDS: usize = 8;
-    const MEGA_LOSS: f64 = 0.01;
-    eprintln!("bench_runtime: mega {members} members, 2 churned intervals, 1% loss…");
+fn run_size(members: usize) {
     let (net, group, leaves, finish, window) = mega_runtime_fixture(members);
-    let runtime_config = RuntimeConfig::builder().loss(MEGA_LOSS).seed(SEED).build();
+    let runtime_config = RuntimeConfig::builder().loss(LOSS).seed(SEED).build();
     let build_start = Instant::now();
     let mut rt =
         ShardedGroupRuntime::bootstrapped(group, runtime_config, net, members, SHARDS, window)
             .expect("the fixture's ID space seats every member");
-    let build_ns = build_start.elapsed().as_nanos() as f64;
+    let build_s = build_start.elapsed().as_secs_f64();
     for &(at, handle) in &leaves {
         rt.leave_at(at, handle);
     }
     let run_start = Instant::now();
     rt.finish(finish);
-    let run_ns = run_start.elapsed().as_nanos() as f64;
+    let run_s = run_start.elapsed().as_secs_f64();
     let report = rt.snapshot();
     schema::validate_snapshot(&report.to_json());
-    eprintln!(
-        "bench_runtime: mega {members}: built in {:.0} ms, {} intervals in {:.0} ms",
-        build_ns / 1e6,
+    let intervals_per_sec = report.intervals as f64 / run_s;
+    println!(
+        "members {members:>9}  shards {SHARDS}  build_ms {:>9.1}  intervals {}  \
+         intervals_per_sec {intervals_per_sec:>8.4}  member_intervals_per_sec {:>9.0}  \
+         delivered {}  copies_lost {}  nacks {}  recovery_encryptions {}  \
+         apply_delay_p50_us {}  apply_delay_p95_us {}  peak_queue_depth {}",
+        build_s * 1e3,
         report.intervals,
-        run_ns / 1e6
+        intervals_per_sec * members as f64,
+        report.delivered,
+        report.copies_lost,
+        report.nacks,
+        report.recovery_encryptions,
+        report.apply_delay_us.p50(),
+        report.apply_delay_us.p95(),
+        report.peak_queue_depth,
     );
-    MegaRow {
-        members,
-        shards: SHARDS,
-        report,
-        build_ns,
-        run_ns,
-    }
 }
 
 fn main() {
-    let rows: Vec<Row> = [64usize, 256, 1024].map(run_size).into();
     let mega_cap = arg_usize("--mega-cap", 1_048_576);
-    let mega_rows: Vec<MegaRow> = [65_536usize, 262_144, 1_048_576]
-        .into_iter()
-        .filter(|&m| m <= mega_cap)
-        .map(run_mega_size)
-        .collect();
-    let mut w = Writer::new();
-    w.begin_object();
-    w.field_str(
-        "bench",
-        &format!(
-            "GroupRuntime: event-driven churn at scale \
-             ({CHURN_INTERVALS} leave+join intervals, 2% copy loss)"
-        ),
-    );
-    w.field_str(
-        "unit",
-        "completed rekey intervals per wall-clock second (release)",
-    );
-    w.begin_named_array("results");
-    for r in &rows {
-        let rep = &r.report;
-        w.begin_object();
-        w.field_usize("members", r.members);
-        w.field_u64("intervals", rep.intervals);
-        w.field_f64(
-            "intervals_per_sec",
-            rep.intervals as f64 / (r.run_ns / 1e9),
-            2,
-        );
-        w.field_u64("forward_copies", rep.forward_copies);
-        w.field_u64("copies_lost", rep.copies_lost);
-        w.field_u64("nacks", rep.nacks);
-        w.field_u64("recovery_encryptions", rep.recovery_encryptions);
-        w.field_u64(
-            "recovery_bytes",
-            rep.recovery_encryptions * ENCRYPTION_WIRE_BYTES,
-        );
-        w.field_u64("dead_letters", rep.dead_letters);
-        w.field_u64("suppressed", rep.suppressed);
-        w.field_u64("delivered", rep.delivered);
-        w.field_u64("apply_delay_p50_us", rep.apply_delay_us.p50());
-        w.field_u64("apply_delay_p95_us", rep.apply_delay_us.p95());
-        w.field_usize("peak_queue_depth", rep.peak_queue_depth);
-        w.end_object();
+    for members in [65_536usize, 262_144, 1_048_576] {
+        if members <= mega_cap {
+            run_size(members);
+        }
     }
-    w.end_array();
-    w.begin_named_array("mega_results");
-    for r in &mega_rows {
-        let rep = &r.report;
-        let intervals_per_sec = rep.intervals as f64 / (r.run_ns / 1e9);
-        w.begin_object();
-        w.field_usize("members", r.members);
-        w.field_usize("shards", r.shards);
-        w.field_u64("intervals", rep.intervals);
-        w.field_f64("build_ms", r.build_ns / 1e6, 1);
-        w.field_f64("intervals_per_sec", intervals_per_sec, 4);
-        w.field_f64(
-            "member_intervals_per_sec",
-            intervals_per_sec * r.members as f64,
-            0,
-        );
-        w.field_u64("departures", rep.departures);
-        w.field_u64("forward_copies", rep.forward_copies);
-        w.field_u64("copies_lost", rep.copies_lost);
-        w.field_u64("nacks", rep.nacks);
-        w.field_u64("recovery_encryptions", rep.recovery_encryptions);
-        w.field_u64(
-            "recovery_bytes",
-            rep.recovery_encryptions * ENCRYPTION_WIRE_BYTES,
-        );
-        w.field_u64("delivered", rep.delivered);
-        w.field_u64("apply_delay_p50_us", rep.apply_delay_us.p50());
-        w.field_u64("apply_delay_p95_us", rep.apply_delay_us.p95());
-        w.field_usize("peak_queue_depth", rep.peak_queue_depth);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    print!("{}", w.finish());
 }

@@ -436,7 +436,7 @@ pub fn transport_fixture(
 }
 
 /// Substrate, group config, churn trace and finish time for a
-/// [`rekey_proto::GroupRuntime`] scaling run: `members` joins spread over
+/// [`rekey_proto::ShardedGroupRuntime::new`] scaling run: `members` joins spread over
 /// the opening intervals, then `churn_intervals` rekey intervals in which
 /// one member leaves and a fresh one joins (audience size stays constant).
 ///

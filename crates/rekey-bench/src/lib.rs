@@ -2,11 +2,10 @@
 //!
 //! Every figure has a dedicated binary in `src/bin/` (`fig06` … `fig14`,
 //! plus `join_cost` and the ablations); each prints TSV series to stdout.
-//! The `bench_*` binaries emit the committed `BENCH_*.json` snapshots
-//! (schema-checked by [`schema::validate_snapshot`]), and `load_test`
-//! drives 1k+ members over real loopback UDP sockets against the wall
-//! clock. `EXPERIMENTS.md` in the repository root records
-//! paper-vs-measured for every experiment.
+//! `bench_runtime` prints the 65k / 262k / 1M mega sweep of the simulated
+//! executor. The recorded performance baseline lives in the standalone
+//! `bench/` package, not here. `EXPERIMENTS.md` in the repository root
+//! records paper-vs-measured for every experiment.
 
 pub mod harness;
 pub mod output;

@@ -1,12 +1,9 @@
-//! Loud validation of the snapshot JSON schema the bench artifacts
-//! promise.
+//! Loud validation of the [`rekey_proto::MetricsSnapshot`] JSON schema.
 //!
-//! The committed `BENCH_runtime.json` / `BENCH_chaos.json` documents are
-//! derived from [`rekey_proto::MetricsSnapshot`] data, and downstream
-//! tooling greps those artifacts by key. Every bench binary calls
-//! [`validate_snapshot`] on each snapshot it folds into an artifact, so a
-//! renamed or dropped counter fails the bench run immediately instead of
-//! silently shipping an artifact with holes.
+//! Downstream tooling greps snapshot documents by key. The soak tests and
+//! `bench_runtime` call [`validate_snapshot`] on every snapshot they
+//! take, so a renamed or dropped counter fails the run immediately
+//! instead of silently shipping a document with holes.
 
 use rekey_metrics::json::has_key;
 
@@ -76,41 +73,6 @@ pub fn validate_snapshot(json: &str) {
     );
 }
 
-/// Every key the `BENCH_crypto.json` artifact promises: the sweep array,
-/// its per-cell measurements, and the headline 64k speedup downstream
-/// tooling greps for.
-pub const CRYPTO_BENCH_REQUIRED_KEYS: &[&str] = &[
-    "bench",
-    "unit",
-    "cores",
-    "crypto_sweep",
-    "batch_cost",
-    "threads",
-    "seal_ns_min",
-    "seal_ns_mean",
-    "seals_per_us",
-    "speedup_vs_serial",
-    "speedup_64k_best",
-];
-
-/// Checks a `bench_crypto` artifact against
-/// [`CRYPTO_BENCH_REQUIRED_KEYS`].
-///
-/// # Panics
-///
-/// Panics listing every promised key absent from `json`.
-pub fn validate_crypto_bench(json: &str) {
-    let missing: Vec<&str> = CRYPTO_BENCH_REQUIRED_KEYS
-        .iter()
-        .copied()
-        .filter(|key| !has_key(json, key))
-        .collect();
-    assert!(
-        missing.is_empty(),
-        "crypto bench JSON is missing promised keys: {missing:?}"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,11 +86,5 @@ mod tests {
     #[should_panic(expected = "missing promised keys")]
     fn missing_keys_are_reported_loudly() {
         validate_snapshot("{\"intervals\": 3}");
-    }
-
-    #[test]
-    #[should_panic(expected = "missing promised keys")]
-    fn crypto_bench_keys_are_checked_loudly() {
-        validate_crypto_bench("{\"bench\": \"x\"}");
     }
 }

@@ -75,16 +75,35 @@ impl SpanRecord {
     }
 }
 
-/// The bounded span ring: keeps the most recent `capacity` spans.
+/// The bounded span ring: keeps the most recent `capacity` spans
+/// (drop-oldest, with a dropped count). A [`Registry`] owns one; code that
+/// records spans off the registry's thread keeps a ring of its own and
+/// folds it in at snapshot time with [`RegistrySnapshot::merge_spans`].
 #[derive(Debug)]
-struct SpanLog {
+pub struct SpanLog {
     capacity: usize,
     spans: std::collections::VecDeque<SpanRecord>,
     dropped: u64,
 }
 
+impl Default for SpanLog {
+    fn default() -> SpanLog {
+        SpanLog::with_capacity(DEFAULT_SPAN_CAPACITY)
+    }
+}
+
 impl SpanLog {
-    fn record(&mut self, span: SpanRecord) {
+    /// An empty ring keeping at most `capacity` spans.
+    pub fn with_capacity(capacity: usize) -> SpanLog {
+        SpanLog {
+            capacity,
+            spans: std::collections::VecDeque::new(),
+            dropped: 0,
+        }
+    }
+
+    /// Records one span, evicting the oldest when the ring is full.
+    pub fn record(&mut self, name: &'static str, start: u64, end: u64, detail: u64) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -93,7 +112,12 @@ impl SpanLog {
             self.spans.pop_front();
             self.dropped += 1;
         }
-        self.spans.push_back(span);
+        self.spans.push_back(SpanRecord {
+            name,
+            start,
+            end,
+            detail,
+        });
     }
 }
 
@@ -182,11 +206,7 @@ impl Registry {
                 counters: BTreeMap::new(),
                 gauges: BTreeMap::new(),
                 histograms: BTreeMap::new(),
-                spans: SpanLog {
-                    capacity,
-                    spans: std::collections::VecDeque::new(),
-                    dropped: 0,
-                },
+                spans: SpanLog::with_capacity(capacity),
             })),
         }
     }
@@ -228,12 +248,10 @@ impl Registry {
     /// `end` are on the caller's clock (simulated microseconds in this
     /// workspace); `detail` is one free word keyed by the span name.
     pub fn span(&self, name: &'static str, start: u64, end: u64, detail: u64) {
-        self.inner.borrow_mut().spans.record(SpanRecord {
-            name,
-            start,
-            end,
-            detail,
-        });
+        self.inner
+            .borrow_mut()
+            .spans
+            .record(name, start, end, detail);
     }
 
     /// Spans dropped from the ring so far.
@@ -284,6 +302,21 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
+    /// Folds a span ring recorded beside the registry into this snapshot,
+    /// as if both had been one ring of `ring`'s capacity: spans are
+    /// ordered by end time (ties keep the snapshot's spans first, so the
+    /// result depends only on the order of the `merge_spans` calls), the
+    /// newest `capacity` are kept, and everything either side evicted is
+    /// counted as dropped.
+    pub fn merge_spans(&mut self, ring: &SpanLog) {
+        self.spans.extend(ring.spans.iter().copied());
+        self.spans_dropped += ring.dropped;
+        self.spans.sort_by_key(|span| span.end);
+        let excess = self.spans.len().saturating_sub(ring.capacity);
+        self.spans.drain(..excess);
+        self.spans_dropped += excess as u64;
+    }
+
     /// Serializes the snapshot as pretty-printed JSON with sorted keys.
     /// The output is a pure function of the snapshot — identically seeded
     /// runs emit byte-identical documents.
@@ -361,6 +394,25 @@ mod tests {
         assert_eq!(snap.spans[1].name, "c");
         assert_eq!(snap.spans_dropped, 1);
         assert_eq!(registry.spans_dropped(), 1);
+    }
+
+    #[test]
+    fn merged_rings_read_like_one_ring() {
+        let registry = Registry::with_span_capacity(3);
+        registry.span("interval", 0, 10, 1);
+        registry.span("interval", 10, 20, 2);
+        let mut ring = SpanLog::with_capacity(3);
+        for (end, detail) in [(5, 1), (10, 1), (15, 2), (25, 2)] {
+            ring.record("apply", 0, end, detail);
+        }
+        let mut snap = registry.snapshot();
+        snap.merge_spans(&ring);
+        // Ring kept ends 10/15/25 (1 dropped); union by end is
+        // interval@10, apply@10, apply@15, interval@20, apply@25 — the
+        // registry's span wins the tie — of which the newest three stay.
+        let kept: Vec<_> = snap.spans.iter().map(|s| (s.name, s.end)).collect();
+        assert_eq!(kept, [("apply", 15), ("interval", 20), ("apply", 25)]);
+        assert_eq!(snap.spans_dropped, 1 + 2);
     }
 
     #[test]

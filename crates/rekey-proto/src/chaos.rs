@@ -1,11 +1,12 @@
 //! Helpers for wiring [`rekey_sim::FaultPlan`] chaos scenarios to the
 //! group runtime's node numbering.
 //!
-//! The [`crate::runtime::GroupRuntime`] maps protocol actors onto
+//! The [`crate::runtime::ShardedGroupRuntime`] maps protocol actors onto
 //! simulator [`NodeId`]s with a fixed scheme: the key server is node `0`
-//! ([`SERVER_NODE`]) and the member spawned by the `i`-th
-//! [`crate::ChurnEvent::join`] — i.e. member *handle* `i` — is node
-//! `i + 1` ([`member_node`]). Fault plans are expressed in `NodeId`s, so a
+//! ([`SERVER_NODE`]) and member *handle* `i` — the `i`-th member dealt in
+//! or spawned by a [`crate::ChurnEvent::join`] — is node `i + 1`
+//! ([`member_node`]; with `replicas` server replicas the block grows to
+//! nodes `0..replicas`, see [`member_node_with_replicas`]). Fault plans are expressed in `NodeId`s, so a
 //! test that wants to "partition members 3 and 7 away from the server" or
 //! "kill the server at t=24s" needs this mapping; keeping it in one place
 //! stops every chaos test from re-deriving the `+1` offset.
@@ -22,7 +23,7 @@ use rekey_sim::NodeId;
 pub const SERVER_NODE: NodeId = NodeId(0);
 
 /// The simulator node hosting member `handle` (the index returned by
-/// [`crate::runtime::GroupRuntime::run_trace`] for its join event).
+/// [`crate::runtime::ShardedGroupRuntime::run_trace`] for its join event).
 pub fn member_node(handle: usize) -> NodeId {
     NodeId(handle + 1)
 }
@@ -77,7 +78,7 @@ mod tests {
         assert_eq!(replica_node(2), NodeId(2));
         assert_eq!(member_node_with_replicas(0, 3), NodeId(3));
         assert_eq!(member_node_with_replicas(5, 3), NodeId(8));
-        // One replica degenerates to the classic mapping.
+        // One replica degenerates to the single-server mapping.
         assert_eq!(member_node_with_replicas(4, 1), member_node(4));
     }
 

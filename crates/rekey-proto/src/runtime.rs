@@ -1,17 +1,27 @@
 //! The event-driven group runtime: one long-lived simulation in which the
-//! key server and every member are [`rekey_sim::Node`]s on a single clock.
+//! key server and every member are nodes on a single simulated clock.
 //!
 //! The synchronous [`GroupServer`]/[`UserAgent`] facade executes the
 //! protocol one interval at a time with the caller as the clock; this
 //! module drives the *same* state machines from a discrete-event schedule,
 //! which is what the paper's own evaluation does (§4): "we simulate the
 //! sending and the reception of a message as events". One implementation,
-//! two drivers — the global-knowledge [`Group`] inside the server stays
-//! the oracle that equivalence tests compare against.
+//! two drivers — the global-knowledge [`Group`](crate::Group) inside the
+//! server stays the oracle that equivalence tests compare against.
+//!
+//! There is one simulated executor, [`ShardedGroupRuntime`] (module
+//! [`shard`]): it alone decides who orders simulated events. Built empty
+//! with [`ShardedGroupRuntime::new`] it is a sequential event loop that
+//! admits joiners from a [`ChurnEvent`] trace; built populated with
+//! [`ShardedGroupRuntime::bootstrapped`] it spreads a dealt group over
+//! worker threads. Joins, crashes, fault plans, server replicas,
+//! heartbeats and the crash journal work the same either way.
+//! [`UdpGroupDriver`] (module [`socket`]) runs the same state machines
+//! over real sockets and the wall clock.
 //!
 //! # Message taxonomy
 //!
-//! * **Timers** (`send_after`, immune to loss and jitter): `IntervalTick`
+//! * **Timers** (immune to loss and jitter): `IntervalTick`
 //!   fires the periodic rekey at the server (§1: "periodic batch
 //!   rekeying"), `HeartbeatTick` drives each member's neighbor pings
 //!   (§3.2), `IntervalCheck` is each member's NACK deadline per interval,
@@ -35,7 +45,8 @@
 //!   `ResyncRequest` / `Resync` snapshot.
 //! * **Failure detection** (`Ping` / `Pong`, `ServerPing` / `ServerPong`):
 //!   members ping every stored neighbor each heartbeat period; an
-//!   unanswered ping evicts the record ([`NeighborTable::evict_where`]),
+//!   unanswered ping evicts the record
+//!   ([`rekey_table::NeighborTable::evict_where`]),
 //!   notifies the server (`FailureNotice`, re-sent each beat until the
 //!   repair broadcast lands), and triggers the same repair as a leave.
 //!   Evicted records stay on probation: a suspect that answers a later
@@ -48,12 +59,13 @@
 //!
 //! # Failure model and self-healing
 //!
-//! Crashed nodes are [`rekey_sim::Simulation::kill`]ed: they absorb all
-//! traffic silently. Only `Forward` copies are subject to the *loss
+//! A crashed member ([`ChurnOp::Crash`]) absorbs all traffic silently.
+//! Only `Forward` copies are subject to the *loss
 //! model* (the bulk rekey payload on a UDP-like path); control traffic is
 //! reliable on a healthy network, matching the paper's assumption that
 //! notifications and unicast recovery ride TCP. On top of that,
-//! [`GroupRuntime::with_faults`] wires a [`FaultPlan`] into the run:
+//! [`ShardedGroupRuntime::with_faults`] wires a
+//! [`FaultPlan`](rekey_sim::FaultPlan) into the run:
 //! partitions cut *all* traffic across cells, outages silence single
 //! nodes (including the server) for a window, jitter reorders messages,
 //! and i.i.d./burst loss thins the `Forward` stream. The protocol heals
@@ -69,56 +81,38 @@
 //!   every interval's multicast; a restart (modeled by a `Restart` event
 //!   at the outage window's end) restores the latest checkpoint, bumps
 //!   the *epoch*, and re-announces itself with an immediate interval, and
-//!   every member that observes the new epoch resyncs.
+//!   every member that observes the new epoch resyncs;
+//! * with [`RuntimeConfig::replicas`] > 1 a follower replica replays the
+//!   primary's mutation log, is elected when the primary falls silent,
+//!   and takes over through the same epoch-bumped resync.
 //!
 //! Every surviving member holds the current group key once
-//! [`GroupRuntime::finish`] drains: the final flush rounds push each
+//! [`ShardedGroupRuntime::finish`] drains: the final flush rounds push each
 //! member its latest related set, members NACK any gap immediately, and
 //! the server answers from its per-interval history.
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use rekey_metrics::{json, HistogramSnapshot, RegistrySnapshot, SpanRecord};
+use rekey_sim::SimTime;
+use rekey_table::ConsistencyViolation;
 
-use rand::Rng;
-use rekey_keytree::TreeMetrics;
-use rekey_metrics::{json, Histogram, HistogramSnapshot, Registry, SpanRecord};
-use rekey_net::{HostId, Micros, Network};
-use rekey_sim::{
-    node_rng, seeded_rng, Ctx, FaultInjector, FaultPlan, Node, NodeId, SimTime, Simulation,
-};
-use rekey_table::{check_consistency, ConsistencyViolation, Member, NeighborTable};
-
-use crate::transport::SplitIndexMaintainer;
-use crate::{Group, GroupConfig, GroupServer, UserAgent};
-
-pub mod journal;
-pub mod shard;
-
-pub use shard::ShardedGroupRuntime;
+use crate::{GroupServer, UserAgent};
 
 pub(crate) mod core;
+pub mod journal;
+pub mod shard;
 pub mod socket;
 pub mod wire;
 
-#[allow(unused_imports)]
-pub(crate) use self::core::{
-    host_of_member_node, node_of_host, Knobs, ReplRole, Replication, RtMember, RtServer,
-    SharedHandle, SERVER,
-};
 pub use self::core::{IntervalMessage, MemberStats, Outputs, ReplOp, RtMsg, ServerStats};
+pub use shard::ShardedGroupRuntime;
 pub use socket::{NotConverged, UdpGroupDriver};
 
-/// Domain separator for the chaos injector's seed, so fault randomness is
-/// decoupled from the legacy loss stream and the heartbeat stagger.
-const CHAOS_SEED: u64 = 0x43_48_41_4F_53; // "CHAOS"
-
-/// Timing, loss, retry, and seeding knobs of a [`GroupRuntime`].
+/// Timing, loss, retry, and seeding knobs of a runtime session.
 ///
 /// Constructed through [`RuntimeConfig::builder`] (mirroring the
-/// [`GroupConfig`] builder), which validates every knob in
-/// [`RuntimeConfigBuilder::build`] — so a `RuntimeConfig` in hand is
-/// valid by construction and [`GroupRuntime::new`] never has to reject
+/// [`GroupConfig`](crate::GroupConfig) builder), which validates every
+/// knob in [`RuntimeConfigBuilder::build`] — so a `RuntimeConfig` in hand
+/// is valid by construction and no driver ever has to reject
 /// one. [`RuntimeConfig::default`] is the validated default set.
 ///
 /// ```
@@ -185,7 +179,7 @@ impl RuntimeConfig {
     }
 
     /// Seed for the runtime's randomness (loss draws, heartbeat stagger,
-    /// fault injection). Independent of the [`GroupConfig`]
+    /// fault injection). Independent of the [`GroupConfig`](crate::GroupConfig)
     /// key-generation seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -264,7 +258,7 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Key-server replica count (≥ 1; 1 means the classic single server).
+    /// Key-server replica count (≥ 1; 1 means a single, unreplicated server).
     pub fn replicas(mut self, replicas: usize) -> RuntimeConfigBuilder {
         self.0.replicas = replicas;
         self
@@ -296,7 +290,7 @@ impl RuntimeConfigBuilder {
     }
 }
 
-/// One scheduled churn action for [`GroupRuntime::run_trace`].
+/// One scheduled churn action for [`ShardedGroupRuntime::run_trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnOp {
     /// A new host joins; it gets the next member handle (join order).
@@ -343,110 +337,6 @@ impl ChurnEvent {
     }
 }
 
-/// Metric handles shared by every node of one runtime, all registered in
-/// one [`Registry`] (which the server's [`TreeMetrics`] also reports
-/// into). Recording is O(1) per event, so the hot paths stay hot.
-struct RuntimeMetrics {
-    registry: Registry,
-    /// µs from an interval's multicast to its local application.
-    apply_delay_us: Histogram,
-    /// Encryptions per `Forward` copy received (split payload sizes).
-    split_payload: Histogram,
-    /// Copies sent per forwarding occasion (server seeds and member
-    /// forward duties alike).
-    forward_fanout: Histogram,
-    /// Encryptions per unicast `Recover` reply.
-    recovery_size: Histogram,
-}
-
-impl RuntimeMetrics {
-    fn new() -> RuntimeMetrics {
-        let registry = Registry::new();
-        RuntimeMetrics {
-            apply_delay_us: registry.histogram("apply_delay_us"),
-            split_payload: registry.histogram("split_payload"),
-            forward_fanout: registry.histogram("forward_fanout"),
-            recovery_size: registry.histogram("recovery_size"),
-            registry,
-        }
-    }
-}
-
-/// Shared state of the classic single-queue runtime.
-struct Shared {
-    knobs: Knobs,
-    /// Set by [`GroupRuntime::finish`]: timers stop re-arming so the
-    /// event queue drains with all repairs and recoveries completed;
-    /// retries fire immediately instead of waiting for a tick.
-    shutdown: Cell<bool>,
-    metrics: RuntimeMetrics,
-}
-
-impl SharedHandle for Rc<Shared> {
-    fn knobs(&self) -> &Knobs {
-        &self.knobs
-    }
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.get()
-    }
-    fn record_split_payload(&self, v: u64) {
-        self.metrics.split_payload.record(v);
-    }
-    fn record_forward_fanout(&self, v: u64) {
-        self.metrics.forward_fanout.record(v);
-    }
-    fn record_apply(&self, span: &'static str, sent_at: SimTime, now: SimTime, interval: u64) {
-        self.metrics
-            .apply_delay_us
-            .record(now.saturating_sub(sent_at));
-        self.metrics.registry.span(span, sent_at, now, interval);
-    }
-    fn record_recovery_size(&self, v: u64) {
-        self.metrics.recovery_size.record(v);
-    }
-    fn span(&self, name: &'static str, start: SimTime, end: SimTime, detail: u64) {
-        self.metrics.registry.span(name, start, end, detail);
-    }
-}
-
-/// The deterministic sim driver's output boundary: `Ctx` already *is*
-/// an outbox over `Outgoing`, so delegation is 1:1 and the scheduled
-/// event sequence is bit-for-bit what the pre-split runtime produced.
-impl Outputs for Ctx<'_, RtMsg> {
-    fn now(&self) -> SimTime {
-        Ctx::now(self)
-    }
-    fn self_id(&self) -> NodeId {
-        Ctx::self_id(self)
-    }
-    fn send(&mut self, to: NodeId, msg: RtMsg) {
-        Ctx::send(self, to, msg);
-    }
-    fn timer(&mut self, delay: SimTime, msg: RtMsg) {
-        let me = Ctx::self_id(self);
-        Ctx::send_after(self, me, delay, msg);
-    }
-}
-
-/// A protocol participant of the runtime: the server or a member.
-pub struct RtActor<NET>(ActorKind<NET>);
-
-enum ActorKind<NET> {
-    Server(Box<RtServer<NET, Rc<Shared>>>),
-    Member(Box<RtMember<Rc<Shared>>>),
-}
-
-impl<NET: Network> Node for RtActor<NET> {
-    type Msg = RtMsg;
-
-    fn receive(&mut self, ctx: &mut Ctx<'_, RtMsg>, from: NodeId, msg: RtMsg) {
-        match &mut self.0 {
-            ActorKind::Server(s) => s.receive(ctx, from, msg),
-            ActorKind::Member(m) => m.receive(ctx, from, msg),
-        }
-    }
-}
-
 /// Aggregated outcome of a runtime session: counters, histogram
 /// summaries, and the tracing-span tail, for reports and benches.
 ///
@@ -456,8 +346,9 @@ impl<NET: Network> Node for RtActor<NET> {
 /// the same data as a byte-stable JSON document for bench artifacts.
 ///
 /// The struct is `#[non_exhaustive]`: obtain one via
-/// [`GroupRuntime::snapshot`] and read the fields you need — new series
-/// may appear in later versions without breaking callers.
+/// [`ShardedGroupRuntime::snapshot`] or [`UdpGroupDriver::snapshot`] and
+/// read the fields you need — new series may appear in later versions
+/// without breaking callers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct MetricsSnapshot {
@@ -544,7 +435,92 @@ pub struct MetricsSnapshot {
     pub spans_dropped: u64,
 }
 
+/// What an executor itself counts — deliveries, drops and queue depth —
+/// as opposed to what the state machines count.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ExecutorCounters {
+    pub(crate) copies_lost: u64,
+    pub(crate) dead_letters: u64,
+    pub(crate) suppressed: u64,
+    pub(crate) delivered: u64,
+    pub(crate) partition_cuts: u64,
+    pub(crate) fault_loss_drops: u64,
+    pub(crate) peak_queue_depth: usize,
+}
+
 impl MetricsSnapshot {
+    /// The one place a snapshot is put together, whatever the driver:
+    /// `server` is the replica set's [`ServerStats::sum`], `registry` the
+    /// coordinator's registry with the member span rings merged in, and
+    /// `histograms` the member-side series in the order
+    /// `core::merge_member_sinks` returns them.
+    pub(crate) fn assemble<'a>(
+        members: usize,
+        server: ServerStats,
+        member_stats: impl IntoIterator<Item = &'a MemberStats>,
+        registry: RegistrySnapshot,
+        histograms: [HistogramSnapshot; 4],
+        executor: ExecutorCounters,
+    ) -> MetricsSnapshot {
+        let counter = |name: &str| registry.counters.get(name).copied().unwrap_or(0);
+        let [apply_delay_us, split_payload, forward_fanout, recovery_size] = histograms;
+        let mut snapshot = MetricsSnapshot {
+            intervals: server.intervals,
+            members,
+            joins: server.joins,
+            departures: server.departures,
+            failures_detected: server.failures_detected,
+            forward_copies: server.forward_copies,
+            copies_lost: executor.copies_lost,
+            dead_letters: executor.dead_letters,
+            suppressed: executor.suppressed,
+            nacks: server.nacks,
+            recovery_encryptions: server.recovery_encryptions,
+            pings: 0,
+            evictions: 0,
+            retransmissions: 0,
+            max_retry_attempts: 0,
+            resyncs: server.resyncs,
+            rejoins: 0,
+            rehabilitations: 0,
+            restarts: server.restarts,
+            checkpoints: server.checkpoints,
+            delivered: executor.delivered,
+            welcomes: server.welcomes,
+            leave_acks: server.leave_acks,
+            tree_encryptions: counter("tree_encryptions"),
+            tombstone_hits: counter("tree_tombstone_hits"),
+            partition_cuts: executor.partition_cuts,
+            fault_loss_drops: executor.fault_loss_drops,
+            elections: server.elections,
+            promotions: server.promotions,
+            lost_mutations: server.lost_mutations,
+            repl_lag_peak: server.repl_lag_peak,
+            peak_queue_depth: executor.peak_queue_depth,
+            apply_delay_us,
+            batch_size: registry
+                .histograms
+                .get("tree_batch_size")
+                .cloned()
+                .unwrap_or_default(),
+            split_payload,
+            forward_fanout,
+            recovery_size,
+            spans: registry.spans,
+            spans_dropped: registry.spans_dropped,
+        };
+        for stats in member_stats {
+            snapshot.forward_copies += stats.copies_forwarded;
+            snapshot.pings += stats.pings_sent;
+            snapshot.evictions += stats.evictions;
+            snapshot.retransmissions += stats.retransmissions;
+            snapshot.max_retry_attempts = snapshot.max_retry_attempts.max(stats.max_retry_attempts);
+            snapshot.rejoins += stats.rejoins;
+            snapshot.rehabilitations += stats.rehabilitations;
+        }
+        snapshot
+    }
+
     /// Renders the snapshot as a deterministic JSON document:
     /// `{"counters": {...}, "histograms": {name: {count, sum, min, max,
     /// mean, p50, p95, p99}}, "spans_dropped": n, "spans": [...]}`.
@@ -615,26 +591,24 @@ impl MetricsSnapshot {
     }
 }
 
-type DelayFn = Box<dyn FnMut(NodeId, NodeId) -> SimTime>;
-
-/// One churn-and-advance surface over every execution engine of the
+/// One churn-and-advance surface over both execution engines of the
 /// sans-I/O protocol core ([`runtime::core`](self)).
 ///
 /// The core's state machines know nothing about clocks or wires; a
 /// *driver* binds their `(destination, payload, deadline)` outputs to an
-/// execution substrate. Three drivers exist:
+/// execution substrate. Two drivers exist:
 ///
-/// * [`GroupRuntime`] — one virtual clock, one global event queue
-///   (deterministic, fault-injectable);
-/// * [`ShardedGroupRuntime`] — windowed shards on worker threads, still
-///   byte-deterministic (the million-member engine);
+/// * [`ShardedGroupRuntime`] — the simulator: one virtual clock, windowed
+///   event queues (one for a session built empty, one per shard on worker
+///   threads for a bootstrapped one), byte-deterministic and
+///   fault-injectable;
 /// * [`socket::UdpGroupDriver`] — real loopback UDP datagrams and the
 ///   wall clock (not reproducible, but *equivalent*: the
 ///   `socket_equivalence` integration test pins identical final key
 ///   trees for identical churn).
 ///
 /// The trait deliberately speaks in *rekey intervals*, not clock units,
-/// because interval numbering is the one notion of progress all three
+/// because interval numbering is the one notion of progress both
 /// substrates share. Time-based APIs (traces at microsecond offsets,
 /// fault plans) remain on the concrete types.
 pub trait Driver {
@@ -679,578 +653,18 @@ pub trait Driver {
     fn metrics(&self) -> MetricsSnapshot;
 }
 
-/// The event-driven group runtime: see the module docs.
-///
-/// Join handles are join-trace indices: the `k`-th [`ChurnOp::Join`] gets
-/// handle `k` and runs on `HostId(k)`; the server runs on the substrate's
-/// last host.
-pub struct GroupRuntime<NET: Network + 'static> {
-    sim: Simulation<RtActor<NET>, DelayFn>,
-    shared: Rc<Shared>,
-    loss: f64,
-    joins: usize,
-    server_host: HostId,
-    /// The chaos injector, kept so [`GroupRuntime::snapshot`] can read
-    /// its fault counters after the run.
-    faults: Option<Rc<RefCell<FaultInjector>>>,
-}
-
-impl<NET: Network + 'static> GroupRuntime<NET> {
-    /// Builds a runtime over `net` with the server on the last host.
-    ///
-    /// `config` is valid by construction ([`RuntimeConfigBuilder::build`]
-    /// holds the validation), so this never panics on configuration.
-    /// Debug builds warn when `nack_grace` does not cover a worst-case
-    /// server round trip, which makes spurious NACKs likely.
-    pub fn new(group: GroupConfig, config: RuntimeConfig, net: NET) -> GroupRuntime<NET> {
-        let net = Rc::new(net);
-        let server_host = HostId(net.host_count() - 1);
-        #[cfg(debug_assertions)]
-        {
-            let worst_round_trip = (0..net.host_count())
-                .map(HostId)
-                .filter(|&h| h != server_host)
-                .map(|h| net.one_way(server_host, h) + net.one_way(h, server_host))
-                .max()
-                .unwrap_or(0);
-            if config.nack_grace < worst_round_trip {
-                eprintln!(
-                    "warning: nack_grace ({} µs) is below the worst-case server \
-                     round trip ({} µs); expect spurious NACKs",
-                    config.nack_grace, worst_round_trip
-                );
-            }
-        }
-        let shared = Rc::new(Shared {
-            knobs: Knobs::of_config(&config),
-            shutdown: Cell::new(false),
-            metrics: RuntimeMetrics::new(),
-        });
-        // Replica 0 is the initial primary; further replicas build the
-        // *same* seeded state machine (deterministic replication replays
-        // ops, so identical seeds keep the RNG streams aligned) but only
-        // the primary instruments the tree — one metrics stream per group.
-        let replicas = config.replicas;
-        let mut servers = Vec::with_capacity(replicas);
-        for replica in 0..replicas {
-            let mut server_fsm = group.clone().build(server_host);
-            if replica == 0 {
-                server_fsm.instrument_tree(TreeMetrics::in_registry(&shared.metrics.registry));
-            }
-            servers.push(RtActor(ActorKind::Server(Box::new(RtServer {
-                net: Rc::clone(&net),
-                shared: Rc::clone(&shared),
-                server: server_fsm,
-                epoch: 0,
-                seq: 0,
-                tick_gen: 0,
-                next_interval_at: config.rekey_period,
-                last_round_at: 0,
-                history: BTreeMap::new(),
-                split_index: SplitIndexMaintainer::default(),
-                journal: journal::Journal::new(),
-                pending_leave_acks: Vec::new(),
-                repl: Replication::new(replica, replicas),
-                stats: ServerStats::default(),
-            }))));
-        }
-        let delay_net = Rc::clone(&net);
-        let delay: DelayFn = Box::new(move |a, b| {
-            let host = |n: NodeId| {
-                if n.0 < replicas {
-                    server_host
-                } else {
-                    HostId(n.0 - replicas)
-                }
-            };
-            delay_net.one_way(host(a), host(b)).max(1)
-        });
-        let mut sim = Simulation::new(servers, delay);
-        if config.loss > 0.0 {
-            let mut rng = seeded_rng(config.seed ^ 0x4C4F_5353_u64);
-            let loss = config.loss;
-            sim.set_loss(move |_, _, _, msg: &RtMsg| {
-                matches!(msg, RtMsg::Forward { .. }) && rng.gen_bool(loss)
-            });
-        }
-        sim.inject_at(
-            config.rekey_period,
-            SERVER,
-            SERVER,
-            RtMsg::IntervalTick { gen: 0 },
-        );
-        if replicas > 1 {
-            // Prime the replication machinery: the primary's stream tick,
-            // and each follower's liveness check — staggered by replica
-            // index so elections never fire in lockstep.
-            let knobs = Knobs::of_config(&config);
-            sim.inject_at(
-                knobs.repl_period(),
-                SERVER,
-                SERVER,
-                RtMsg::ReplTick { gen: 0 },
-            );
-            for replica in 1..replicas {
-                let node = NodeId(replica);
-                sim.inject_at(
-                    config.rekey_period + replica as u64 * config.retry_base,
-                    node,
-                    node,
-                    RtMsg::ReplCheck { gen: 0 },
-                );
-            }
-        }
-        GroupRuntime {
-            sim,
-            shared,
-            loss: config.loss,
-            joins: 0,
-            server_host,
-            faults: None,
-        }
-    }
-
-    /// Wires a chaos [`FaultPlan`] into the runtime: partitions cut every
-    /// message across cells, i.i.d./burst loss thins `Forward` copies (on
-    /// top of the legacy `config.loss` draw, whose stream is unchanged),
-    /// jitter delays and reorders network sends, and each outage window
-    /// silences its node and ends with a `Restart` event at the window's
-    /// close. Call before [`GroupRuntime::run_trace`]; the injector is
-    /// seeded from `config.seed`, so a fixed seed and plan reproduce the
-    /// run bit for bit.
-    pub fn with_faults(mut self, plan: FaultPlan) -> GroupRuntime<NET> {
-        let inj = Rc::new(RefCell::new(
-            plan.injector(self.shared.knobs().seed ^ CHAOS_SEED),
-        ));
-        let loss = self.loss;
-        let mut rng = seeded_rng(self.shared.knobs().seed ^ 0x4C4F_5353_u64);
-        let drop_inj = Rc::clone(&inj);
-        self.sim.set_loss(move |now, from, to, msg: &RtMsg| {
-            let mut inj = drop_inj.borrow_mut();
-            if inj.cut(now, from, to) {
-                return true;
-            }
-            if !matches!(msg, RtMsg::Forward { .. }) {
-                return false;
-            }
-            // `|` (not `||`): both streams must advance on every copy for
-            // the draws to stay aligned across runs.
-            (loss > 0.0 && rng.gen_bool(loss)) | inj.lose(from)
-        });
-        if plan.jitter_max() > 0 {
-            let jitter_inj = Rc::clone(&inj);
-            self.sim.set_jitter(move |_, from, to, _msg: &RtMsg| {
-                jitter_inj.borrow_mut().extra_delay(from, to)
-            });
-        }
-        let down_inj = Rc::clone(&inj);
-        self.sim
-            .set_downtime(move |now, node| down_inj.borrow_mut().is_down(now, node));
-        for outage in plan.outages() {
-            self.sim
-                .inject_at(outage.until, outage.node, outage.node, RtMsg::Restart);
-        }
-        self.faults = Some(inj);
-        self
-    }
-
-    /// Plays a churn trace: advances the clock to each event's time and
-    /// applies it. Events are processed in time order (stable for ties).
-    /// Returns the handles assigned to the trace's joins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event refers to a handle that has not joined, lies in
-    /// the past, or the substrate runs out of hosts.
-    pub fn run_trace(&mut self, events: &[ChurnEvent]) -> Vec<usize> {
-        let mut ordered: Vec<&ChurnEvent> = events.iter().collect();
-        ordered.sort_by_key(|e| e.at);
-        let mut handles = Vec::new();
-        for event in ordered {
-            self.sim.run_until(event.at);
-            match event.op {
-                ChurnOp::Join => {
-                    assert!(
-                        self.joins < self.server_host.0,
-                        "substrate has no free host for another join"
-                    );
-                    let node = self
-                        .sim
-                        .spawn(RtActor(ActorKind::Member(Box::new(RtMember::new(
-                            Rc::clone(&self.shared),
-                        )))));
-                    handles.push(self.joins);
-                    self.joins += 1;
-                    debug_assert_eq!(node.0, self.joins - 1 + self.replicas());
-                    self.sim.inject_at(event.at, node, node, RtMsg::JoinRequest);
-                }
-                ChurnOp::Leave(member) => {
-                    let node = self.member_node(member);
-                    self.sim
-                        .inject_at(event.at, node, node, RtMsg::LeaveRequest);
-                }
-                ChurnOp::Crash(member) => {
-                    let node = self.member_node(member);
-                    self.sim.kill(node);
-                }
-            }
-        }
-        handles
-    }
-
-    /// Runs the clock to `until`, then shuts timers down and drains the
-    /// event queue — in-flight repairs, recoveries, and detections all
-    /// complete. After the drain the server runs *flush rounds*: each
-    /// folds any pending membership work into a final interval and pushes
-    /// every member its latest related set, so the last interval is
-    /// discoverable even when every multicast copy of it was lost; rounds
-    /// repeat until no membership work or leave ack is outstanding.
-    /// Returns the final simulated time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flush rounds fail to converge (e.g. a fault window
-    /// extends past `until`, leaving the server unreachable forever).
-    pub fn finish(&mut self, until: SimTime) -> SimTime {
-        self.sim.run_until(until);
-        self.shared.shutdown.set(true);
-        self.sim.run_until_idle();
-        let mut rounds = 0;
-        loop {
-            rounds += 1;
-            assert!(rounds <= 64, "shutdown flush did not converge");
-            let now = self.sim.now();
-            let primary = NodeId(self.acting_primary());
-            self.sim.inject_at(now, primary, primary, RtMsg::Flush);
-            self.sim.run_until_idle();
-            let server = self.server_ref();
-            let (joins, leaves) = server.server.pending();
-            if joins == 0 && leaves == 0 && server.pending_leave_acks.is_empty() {
-                break;
-            }
-        }
-        self.sim.now()
-    }
-
-    /// Advances the simulated clock to `until` without shutting down
-    /// (finer-grained than [`GroupRuntime::run_trace`] /
-    /// [`GroupRuntime::finish`] for callers that steer by state, not
-    /// time).
-    pub fn run_until(&mut self, until: SimTime) {
-        self.sim.run_until(until);
-    }
-
-    /// Schedules member `handle`'s voluntary `LeaveRequest` at `at`
-    /// (clamped to the present).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a handle that never joined.
-    pub fn leave_at(&mut self, at: SimTime, handle: usize) {
-        let node = self.member_node(handle);
-        let at = at.max(self.sim.now());
-        self.sim.inject_at(at, node, node, RtMsg::LeaveRequest);
-    }
-
-    fn member_node(&self, handle: usize) -> NodeId {
-        assert!(handle < self.joins, "member handle {handle} never joined");
-        NodeId(handle + self.replicas())
-    }
-
-    fn replicas(&self) -> usize {
-        self.shared.knobs().replicas
-    }
-
-    fn replica_ref(&self, replica: usize) -> &RtServer<NET, Rc<Shared>> {
-        match &self.sim.nodes()[replica].0 {
-            ActorKind::Server(s) => s.as_ref(),
-            ActorKind::Member(_) => unreachable!("replica nodes precede member nodes"),
-        }
-    }
-
-    /// The replica currently acting as primary: the active primary with
-    /// the highest epoch (a just-stepped-down ex-primary is inactive, so
-    /// split-brain windows resolve to the winner). Falls back to replica
-    /// 0 when no replica is primary (mid-election).
-    fn acting_primary(&self) -> usize {
-        let mut best: Option<(u64, usize)> = None;
-        for replica in 0..self.replicas() {
-            let server = self.replica_ref(replica);
-            if server.repl.role == ReplRole::Primary
-                && server.repl.active
-                && best.is_none_or(|(epoch, _)| server.epoch > epoch)
-            {
-                best = Some((server.epoch, replica));
-            }
-        }
-        best.map_or(0, |(_, replica)| replica)
-    }
-
-    fn server_ref(&self) -> &RtServer<NET, Rc<Shared>> {
-        self.replica_ref(self.acting_primary())
-    }
-
-    fn member_ref(&self, handle: usize) -> &RtMember<Rc<Shared>> {
-        match &self.sim.nodes()[self.member_node(handle).0].0 {
-            ActorKind::Member(m) => m,
-            ActorKind::Server(_) => unreachable!("member nodes start at 1"),
-        }
-    }
-
-    /// The server-side facade state machine (and through it the oracle
-    /// [`Group`] and the key tree).
-    pub fn server(&self) -> &GroupServer {
-        &self.server_ref().server
-    }
-
-    /// The oracle membership view.
-    pub fn group(&self) -> &Group {
-        self.server().group()
-    }
-
-    /// The server's crash journal.
-    pub fn journal(&self) -> &journal::Journal {
-        &self.server_ref().journal
-    }
-
-    /// The server's epoch (0 until the first restart).
-    pub fn server_epoch(&self) -> u64 {
-        self.server_ref().epoch
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Members spawned so far (handles are `0..member_count()`).
-    pub fn member_count(&self) -> usize {
-        self.joins
-    }
-
-    /// The key agent of join-handle `member`, once welcomed.
-    pub fn agent(&self, member: usize) -> Option<&UserAgent> {
-        self.member_ref(member).agent.as_ref()
-    }
-
-    /// The local neighbor table of join-handle `member`, while active.
-    pub fn member_table(&self, member: usize) -> Option<&NeighborTable> {
-        self.member_ref(member).table.as_ref()
-    }
-
-    /// The member record of join-handle `member`, once admitted.
-    pub fn member_record(&self, member: usize) -> Option<&Member> {
-        self.member_ref(member).member.as_ref()
-    }
-
-    /// Per-member counters.
-    pub fn member_stats(&self, member: usize) -> MemberStats {
-        self.member_ref(member).stats
-    }
-
-    /// `false` once the member's node has been crashed.
-    pub fn is_member_alive(&self, member: usize) -> bool {
-        self.sim.is_alive(self.member_node(member))
-    }
-
-    /// Server-side counters (the acting primary's; `snapshot()` reports
-    /// the whole replica set's sum).
-    pub fn server_stats(&self) -> ServerStats {
-        self.server_ref().stats
-    }
-
-    /// Server-side counters summed over every replica. Followers mutate
-    /// no member-facing counters, so with one replica (or none ever
-    /// promoted) this equals the primary's stats; after a failover it
-    /// stitches the old and new primaries' tallies into one session view.
-    fn summed_server_stats(&self) -> ServerStats {
-        let mut sum = ServerStats::default();
-        for replica in 0..self.replicas() {
-            let s = self.replica_ref(replica).stats;
-            sum.intervals += s.intervals;
-            sum.joins += s.joins;
-            sum.departures += s.departures;
-            sum.failures_detected += s.failures_detected;
-            sum.forward_copies += s.forward_copies;
-            sum.nacks += s.nacks;
-            sum.recovery_encryptions += s.recovery_encryptions;
-            sum.welcomes += s.welcomes;
-            sum.resyncs += s.resyncs;
-            sum.restarts += s.restarts;
-            sum.checkpoints += s.checkpoints;
-            sum.leave_acks += s.leave_acks;
-            sum.elections += s.elections;
-            sum.promotions += s.promotions;
-            sum.lost_mutations += s.lost_mutations;
-            sum.repl_lag_peak = sum.repl_lag_peak.max(s.repl_lag_peak);
-        }
-        sum
-    }
-
-    /// Checks that the *members' local tables* (not the oracle's) are
-    /// K-consistent for the oracle membership (Definition 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an oracle member never received its overlay state (its
-    /// node has no table) — that indicates a protocol bug, not a
-    /// consistency violation.
-    pub fn check_consistency(&self) -> Result<(), ConsistencyViolation> {
-        let group = self.group();
-        let members: Vec<Member> = group.members().to_vec();
-        let tables: Vec<NeighborTable> = members
-            .iter()
-            .map(|m| {
-                let node = NodeId(m.host.0 + self.replicas());
-                match &self.sim.nodes()[node.0].0 {
-                    ActorKind::Member(member) => {
-                        member.table.clone().expect("admitted member holds a table")
-                    }
-                    ActorKind::Server(_) => unreachable!("member hosts map to member nodes"),
-                }
-            })
-            .collect();
-        check_consistency(group.spec(), &members, &tables, group.k())
-    }
-
-    /// The metrics registry shared by the server, members, and key tree.
-    /// Use it to attach extra series before a run or to read raw
-    /// histograms; [`GroupRuntime::snapshot`] is the aggregated view.
-    pub fn registry(&self) -> &Registry {
-        &self.shared.metrics.registry
-    }
-
-    /// Aggregates the session's counters, histograms, and spans.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let server = self.summed_server_stats();
-        let metrics = &self.shared.metrics;
-        let registry = metrics.registry.snapshot();
-        let counter = |name: &str| registry.counters.get(name).copied().unwrap_or(0);
-        let fault_stats = self
-            .faults
-            .as_ref()
-            .map(|inj| inj.borrow().stats())
-            .unwrap_or_default();
-        let mut snapshot = MetricsSnapshot {
-            intervals: server.intervals,
-            members: self.group().len(),
-            joins: server.joins,
-            departures: server.departures,
-            failures_detected: server.failures_detected,
-            forward_copies: server.forward_copies,
-            copies_lost: self.sim.dropped(),
-            dead_letters: self.sim.dead_letters(),
-            suppressed: self.sim.suppressed(),
-            nacks: server.nacks,
-            recovery_encryptions: server.recovery_encryptions,
-            pings: 0,
-            evictions: 0,
-            retransmissions: 0,
-            max_retry_attempts: 0,
-            resyncs: server.resyncs,
-            rejoins: 0,
-            rehabilitations: 0,
-            restarts: server.restarts,
-            checkpoints: server.checkpoints,
-            delivered: self.sim.delivered(),
-            welcomes: server.welcomes,
-            leave_acks: server.leave_acks,
-            tree_encryptions: counter("tree_encryptions"),
-            tombstone_hits: counter("tree_tombstone_hits"),
-            partition_cuts: fault_stats.partition_cuts,
-            fault_loss_drops: fault_stats.loss_drops,
-            elections: server.elections,
-            promotions: server.promotions,
-            lost_mutations: server.lost_mutations,
-            repl_lag_peak: server.repl_lag_peak,
-            peak_queue_depth: self.sim.peak_pending(),
-            apply_delay_us: metrics.apply_delay_us.snapshot(),
-            batch_size: registry
-                .histograms
-                .get("tree_batch_size")
-                .cloned()
-                .unwrap_or_default(),
-            split_payload: metrics.split_payload.snapshot(),
-            forward_fanout: metrics.forward_fanout.snapshot(),
-            recovery_size: metrics.recovery_size.snapshot(),
-            spans: registry.spans,
-            spans_dropped: registry.spans_dropped,
-        };
-        for handle in 0..self.joins {
-            let stats = self.member_stats(handle);
-            snapshot.forward_copies += stats.copies_forwarded;
-            snapshot.pings += stats.pings_sent;
-            snapshot.evictions += stats.evictions;
-            snapshot.retransmissions += stats.retransmissions;
-            snapshot.max_retry_attempts = snapshot.max_retry_attempts.max(stats.max_retry_attempts);
-            snapshot.rejoins += stats.rejoins;
-            snapshot.rehabilitations += stats.rehabilitations;
-        }
-        snapshot
-    }
-}
-
-impl<NET: Network + 'static> Driver for GroupRuntime<NET> {
-    fn server_fsm(&self) -> &GroupServer {
-        self.server()
-    }
-
-    fn member_count(&self) -> usize {
-        self.joins
-    }
-
-    fn agent_of(&self, handle: usize) -> Option<&UserAgent> {
-        self.agent(handle)
-    }
-
-    fn leave(&mut self, handle: usize) {
-        let now = self.sim.now();
-        self.leave_at(now, handle);
-    }
-
-    fn run_to_interval(&mut self, target: u64) -> bool {
-        let period = self.shared.knobs().rekey_period.max(4);
-        for _ in 0..100_000 {
-            let reached = self.server().interval() >= target
-                && (0..self.joins).all(|handle| {
-                    let member = self.member_ref(handle);
-                    member.departed
-                        || !self.is_member_alive(handle)
-                        || member
-                            .agent
-                            .as_ref()
-                            .is_some_and(|a| a.interval() >= target)
-                });
-            if reached {
-                return true;
-            }
-            let until = self.sim.now() + period / 4;
-            self.sim.run_until(until);
-        }
-        false
-    }
-
-    fn finish_run(&mut self) -> bool {
-        let now = self.sim.now();
-        self.finish(now);
-        true
-    }
-
-    fn verify_consistency(&self) -> Result<(), ConsistencyViolation> {
-        self.check_consistency()
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.snapshot()
-    }
-}
+/// The simulated executor under its historical short name: there is one
+/// simulator, [`ShardedGroupRuntime`], and this is it.
+pub type GroupRuntime<NET> = ShardedGroupRuntime<NET>;
 
 #[cfg(test)]
 mod tests {
+    use super::core::SERVER;
     use super::*;
+    use crate::GroupConfig;
     use rekey_id::IdSpec;
     use rekey_net::{MatrixNetwork, PlanetLabParams};
-    use rekey_sim::GilbertElliott;
+    use rekey_sim::{seeded_rng, FaultPlan, GilbertElliott, NodeId};
 
     const SEC: SimTime = 1_000_000;
 
@@ -1545,8 +959,10 @@ mod tests {
 #[cfg(test)]
 mod review_repro {
     use super::*;
+    use crate::GroupConfig;
     use rekey_id::IdSpec;
     use rekey_net::{MatrixNetwork, PlanetLabParams};
+    use rekey_sim::{seeded_rng, FaultPlan, NodeId};
 
     const SEC: SimTime = 1_000_000;
 

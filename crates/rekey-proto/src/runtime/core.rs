@@ -7,27 +7,30 @@
 //! no knowledge of the clock, the scheduler, or the wire. Drivers own
 //! all of that:
 //!
-//! * [`GroupRuntime`](super::GroupRuntime) and
-//!   [`ShardedGroupRuntime`](super::shard::ShardedGroupRuntime) run the
+//! * [`ShardedGroupRuntime`](super::shard::ShardedGroupRuntime) runs the
 //!   machines inside the deterministic discrete-event simulator
-//!   (`rekey_sim::Ctx` implements [`Outputs`] by direct delegation, so
-//!   the event sequence — and therefore every metrics snapshot — is
-//!   byte-identical to the pre-split runtime);
+//!   (`rekey_sim::Ctx` implements [`Outputs`] by direct delegation);
 //! * [`UdpGroupDriver`](super::socket::UdpGroupDriver) runs the same
 //!   machines over real `std::net::UdpSocket` endpoints and OS threads,
 //!   encoding every [`RtMsg`] through the versioned wire codec in
 //!   [`wire`](super::wire).
 //!
 //! The only other seam the machines need is [`SharedHandle`]: the
-//! runtime-wide knobs, the shutdown flag, and metric sinks.
+//! runtime-wide knobs, the shutdown flag, and metric sinks. Both drivers
+//! hand members an `Arc<`[`ShardCore`]`>` and servers a [`CoordHandle`].
+//! What the drivers would otherwise each spell out — how a replica or a
+//! pre-welcomed member starts, which timers bring a replica set up, which
+//! replica is acting primary — lives here too, once.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::Rng;
 use rekey_crypto::Encryption;
 use rekey_id::UserId;
+use rekey_metrics::{HistogramSnapshot, LocalHistogram, Registry, RegistrySnapshot, SpanLog};
 use rekey_net::{HostId, Micros, Network};
 use rekey_sim::{node_rng, NodeId, SimTime};
 use rekey_table::{Member, NeighborRecord, NeighborTable};
@@ -61,18 +64,6 @@ pub trait Outputs {
 /// the *initial primary*; replicas occupy nodes `0..replicas` and members
 /// are offset past the whole block (see [`Knobs::replicas`]).
 pub(crate) const SERVER: NodeId = NodeId(0);
-
-/// Single-replica node mapping (the historical scheme, kept for the
-/// drivers that pin `replicas == 1`). Replica-aware mapping lives on the
-/// state machines, which read the offset from their [`Knobs`].
-pub(crate) fn node_of_host(h: HostId) -> NodeId {
-    NodeId(h.0 + 1)
-}
-
-pub(crate) fn host_of_member_node(n: NodeId) -> HostId {
-    debug_assert!(n != SERVER, "the server has no member host");
-    HostId(n.0 - 1)
-}
 
 /// One interval's rekey message as multicast over the overlay: the
 /// encryptions plus the split index that addresses them (Fig. 5). Shared
@@ -143,7 +134,7 @@ pub enum RtMsg {
         /// Stale-chain guard; bumped on server restart.
         gen: u64,
     },
-    /// Injected by `GroupRuntime::finish`: process pending membership
+    /// Injected by a driver's `finish`: process pending membership
     /// work immediately and push every member its latest related set.
     Flush,
     /// Injected at a node when its outage window ends: the process comes
@@ -419,11 +410,10 @@ impl Knobs {
     }
 }
 
-/// What a member needs from its runtime: the knobs, the shutdown flag,
-/// and metric sinks. The classic runtime hands every member an
-/// `Rc<Shared>` (single-threaded, one registry); the sharded runtime
-/// hands out `Arc<shard::ShardCore>` handles (`Send`, per-shard local
-/// sinks merged deterministically after the workers join).
+/// What a state machine needs from its driver: the knobs, the shutdown
+/// flag, and metric sinks. Members hold an `Arc<`[`ShardCore`]`>` (`Send`,
+/// so they can live on shard or socket worker threads), servers a
+/// [`CoordHandle`] (the same core plus the coordinator's registry).
 pub(crate) trait SharedHandle {
     /// The timing/retry knobs.
     fn knobs(&self) -> &Knobs;
@@ -434,12 +424,148 @@ pub(crate) trait SharedHandle {
     /// Records the copies sent in one forwarding occasion.
     fn record_forward_fanout(&self, v: u64);
     /// Records one interval application: the apply-delay histogram plus
-    /// an `"apply"`/`"recovery"` span (span sinks may be a no-op).
+    /// an `"apply"`/`"recovery"` span.
     fn record_apply(&self, span: &'static str, sent_at: SimTime, now: SimTime, interval: u64);
     /// Records the encryption count of one unicast `Recover` reply.
     fn record_recovery_size(&self, v: u64);
-    /// Records a tracing span (no-op for handles without a span sink).
+    /// Records a tracing span.
     fn span(&self, name: &'static str, start: SimTime, end: SimTime, detail: u64);
+}
+
+/// The member-side sinks of one [`ShardCore`]. Histogram inserts commute,
+/// so recording under the mutex from several threads is deterministic;
+/// the span ring is ordered, so a deterministic driver gives every thread
+/// a core of its own (the simulator: one per shard) and merges them in a
+/// fixed order with [`merge_member_sinks`].
+#[derive(Default)]
+struct MemberSinks {
+    apply_delay_us: LocalHistogram,
+    split_payload: LocalHistogram,
+    forward_fanout: LocalHistogram,
+    recovery_size: LocalHistogram,
+    spans: SpanLog,
+}
+
+/// State shared by the members of one executor lane (a simulator shard,
+/// or every worker of the socket driver): the knobs, the shutdown flag,
+/// and the mutex-guarded metric sinks.
+pub(crate) struct ShardCore {
+    knobs: Knobs,
+    shutdown: AtomicBool,
+    sinks: Mutex<MemberSinks>,
+}
+
+impl ShardCore {
+    pub(crate) fn new(knobs: Knobs) -> Arc<ShardCore> {
+        Arc::new(ShardCore {
+            knobs,
+            shutdown: AtomicBool::new(false),
+            sinks: Mutex::new(MemberSinks::default()),
+        })
+    }
+
+    /// Raises the shutdown flag: state machines stop re-arming timers.
+    pub(crate) fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+    }
+
+    fn sinks(&self) -> MutexGuard<'_, MemberSinks> {
+        self.sinks
+            .lock()
+            .expect("no thread panics while recording a metric")
+    }
+}
+
+impl SharedHandle for Arc<ShardCore> {
+    fn knobs(&self) -> &Knobs {
+        &self.knobs
+    }
+    fn is_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+    fn record_split_payload(&self, v: u64) {
+        self.sinks().split_payload.record(v);
+    }
+    fn record_forward_fanout(&self, v: u64) {
+        self.sinks().forward_fanout.record(v);
+    }
+    fn record_apply(&self, span: &'static str, sent_at: SimTime, now: SimTime, interval: u64) {
+        let mut sinks = self.sinks();
+        sinks.apply_delay_us.record(now.saturating_sub(sent_at));
+        sinks.spans.record(span, sent_at, now, interval);
+    }
+    fn record_recovery_size(&self, v: u64) {
+        self.sinks().recovery_size.record(v);
+    }
+    fn span(&self, name: &'static str, start: SimTime, end: SimTime, detail: u64) {
+        self.sinks().spans.record(name, start, end, detail);
+    }
+}
+
+/// Folds the member-side sinks of `cores` into one view: the four
+/// histograms (apply delay, split payload, forward fan-out, recovery
+/// size) summed, and the span rings merged into `registry`'s by end time
+/// — ties keep the order of `cores`, so the result is a function of
+/// (seed, lane layout) and never of thread timing.
+pub(crate) fn merge_member_sinks<'a>(
+    cores: impl IntoIterator<Item = &'a ShardCore>,
+    registry: &mut RegistrySnapshot,
+) -> [HistogramSnapshot; 4] {
+    let mut sum = MemberSinks::default();
+    for core in cores {
+        let sinks = core.sinks();
+        sum.apply_delay_us.merge(&sinks.apply_delay_us);
+        sum.split_payload.merge(&sinks.split_payload);
+        sum.forward_fanout.merge(&sinks.forward_fanout);
+        sum.recovery_size.merge(&sinks.recovery_size);
+        registry.merge_spans(&sinks.spans);
+    }
+    [
+        sum.apply_delay_us.snapshot(),
+        sum.split_payload.snapshot(),
+        sum.forward_fanout.snapshot(),
+        sum.recovery_size.snapshot(),
+    ]
+}
+
+/// A server replica's handle: a [`ShardCore`] for the knobs, the shutdown
+/// flag and the histograms it feeds, plus the coordinator-only
+/// [`Registry`] for its spans and the key tree's counters. Servers run
+/// exclusively on the coordinator thread, so the `Rc`-based registry
+/// never crosses a thread.
+pub(crate) struct CoordHandle {
+    core: Arc<ShardCore>,
+    registry: Registry,
+}
+
+impl CoordHandle {
+    pub(crate) fn new(core: Arc<ShardCore>, registry: Registry) -> CoordHandle {
+        CoordHandle { core, registry }
+    }
+}
+
+impl SharedHandle for CoordHandle {
+    fn knobs(&self) -> &Knobs {
+        &self.core.knobs
+    }
+    fn is_shutdown(&self) -> bool {
+        self.core.is_shutdown()
+    }
+    fn record_split_payload(&self, v: u64) {
+        self.core.record_split_payload(v);
+    }
+    fn record_forward_fanout(&self, v: u64) {
+        self.core.record_forward_fanout(v);
+    }
+    fn record_apply(&self, span: &'static str, sent_at: SimTime, now: SimTime, interval: u64) {
+        self.core.record_apply(span, sent_at, now, interval);
+    }
+    fn record_recovery_size(&self, v: u64) {
+        self.core.record_recovery_size(v);
+    }
+    fn span(&self, name: &'static str, start: SimTime, end: SimTime, detail: u64) {
+        self.registry.span(name, start, end, detail);
+    }
 }
 
 /// Server-side counters of one runtime session.
@@ -481,6 +607,36 @@ pub struct ServerStats {
     /// Peak replication lag (log head minus the slowest known follower
     /// watermark) observed at any replication tick.
     pub repl_lag_peak: u64,
+}
+
+impl ServerStats {
+    /// The replica set's counters as one logical server's. Each mutation
+    /// is counted once, by whichever replica was primary when it was
+    /// applied (followers replay without stats), so the sum stitches the
+    /// tallies of the old and new primaries across a failover; with one
+    /// replica it is that replica's stats.
+    pub(crate) fn sum<'a>(replicas: impl IntoIterator<Item = &'a ServerStats>) -> ServerStats {
+        let mut sum = ServerStats::default();
+        for s in replicas {
+            sum.intervals += s.intervals;
+            sum.joins += s.joins;
+            sum.departures += s.departures;
+            sum.failures_detected += s.failures_detected;
+            sum.forward_copies += s.forward_copies;
+            sum.nacks += s.nacks;
+            sum.recovery_encryptions += s.recovery_encryptions;
+            sum.welcomes += s.welcomes;
+            sum.resyncs += s.resyncs;
+            sum.restarts += s.restarts;
+            sum.checkpoints += s.checkpoints;
+            sum.leave_acks += s.leave_acks;
+            sum.elections += s.elections;
+            sum.promotions += s.promotions;
+            sum.lost_mutations += s.lost_mutations;
+            sum.repl_lag_peak = sum.repl_lag_peak.max(s.repl_lag_peak);
+        }
+        sum
+    }
 }
 
 /// A server replica's role.
@@ -605,7 +761,87 @@ pub(crate) struct RtServer<NET, S: SharedHandle> {
     pub(crate) stats: ServerStats,
 }
 
+/// The replica currently acting as primary among `replicas` (index,
+/// state machine — a driver that can kill replicas passes the live ones):
+/// the active primary with the highest epoch, the lowest index on a tie
+/// (a just-stepped-down ex-primary is inactive, so split-brain windows
+/// resolve to the winner). Falls back to replica 0 mid-election.
+pub(crate) fn acting_primary<'a, NET: 'a, S: SharedHandle + 'a>(
+    replicas: impl IntoIterator<Item = (usize, &'a RtServer<NET, S>)>,
+) -> usize {
+    let mut best: Option<(u64, usize)> = None;
+    for (replica, server) in replicas {
+        if server.repl.role == ReplRole::Primary
+            && server.repl.active
+            && best.is_none_or(|(epoch, _)| server.epoch > epoch)
+        {
+            best = Some((server.epoch, replica));
+        }
+    }
+    best.map_or(0, |(_, replica)| replica)
+}
+
+/// The timers that bring a replica set up, as `(node, due, message)` in
+/// arming order: the initial primary's first interval tick, and with
+/// more than one replica its replication stream tick plus each follower's
+/// liveness check — staggered by replica index so elections never fire
+/// in lockstep.
+pub(crate) fn boot_timers(knobs: &Knobs) -> Vec<(NodeId, SimTime, RtMsg)> {
+    let mut timers = vec![(SERVER, knobs.rekey_period, RtMsg::IntervalTick { gen: 0 })];
+    if knobs.replicas > 1 {
+        timers.push((SERVER, knobs.repl_period(), RtMsg::ReplTick { gen: 0 }));
+        for replica in 1..knobs.replicas {
+            timers.push((
+                NodeId(replica),
+                knobs.rekey_period + replica as SimTime * knobs.retry_base,
+                RtMsg::ReplCheck { gen: 0 },
+            ));
+        }
+    }
+    timers
+}
+
 impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
+    /// Replica `replica` of the set `shared`'s knobs describe, about to
+    /// start its first interval over the group state `server`.
+    pub(crate) fn new(
+        net: Rc<NET>,
+        shared: S,
+        server: GroupServer,
+        replica: usize,
+        journal: journal::Journal,
+    ) -> RtServer<NET, S> {
+        let knobs = *shared.knobs();
+        RtServer {
+            net,
+            shared,
+            server,
+            epoch: 0,
+            seq: 0,
+            tick_gen: 0,
+            next_interval_at: knobs.rekey_period,
+            last_round_at: 0,
+            history: BTreeMap::new(),
+            split_index: SplitIndexMaintainer::default(),
+            journal,
+            pending_leave_acks: Vec::new(),
+            repl: Replication::new(replica, knobs.replicas),
+            stats: ServerStats::default(),
+        }
+    }
+
+    /// What a shutdown flush still has to clear: queued joins, queued
+    /// leaves, and the member handles whose `LeaveAck` is still owed.
+    pub(crate) fn flush_backlog(&self) -> (usize, usize, Vec<usize>) {
+        let (joins, leaves) = self.server.pending();
+        let owed = self
+            .pending_leave_acks
+            .iter()
+            .map(|&node| self.member_host(node).0)
+            .collect();
+        (joins, leaves, owed)
+    }
+
     pub(crate) fn receive(&mut self, ctx: &mut impl Outputs, from: NodeId, msg: RtMsg) {
         // A restart revives even a divergent replica (it rolls back to
         // its checkpoint); everything else requires an active one.
@@ -875,7 +1111,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// leave acks it covers.
     fn checkpoint(&mut self, ctx: &mut impl Outputs) {
         // Guard *before* building the checkpoint: cloning the server is
-        // O(members) per interval, which a disabled journal (the sharded
+        // O(members) per interval, which a disabled journal (an unfaulted
         // mega runtime) must never pay.
         if self.journal.is_enabled() {
             self.journal.record(journal::Checkpoint {
@@ -1083,7 +1319,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
 
     /// Appends one mutation op to the replication log and streams it to
     /// every other replica. A no-op with a single replica, keeping the
-    /// classic runtime byte-identical to its pre-replication behavior.
+    /// single-server runtime byte-identical to its pre-replication behavior.
     fn append_op(&mut self, ctx: &mut impl Outputs, op: ReplOp) {
         let replicas = self.shared.knobs().replicas;
         if replicas <= 1 {
@@ -1684,6 +1920,32 @@ impl<S: SharedHandle> RtMember<S> {
             server_ping_outstanding: false,
             stats: MemberStats::default(),
         }
+    }
+
+    /// A member dealt in by [`crate::GroupConfig::bootstrap`]: admitted
+    /// and welcomed at interval 1 before the session starts, expecting
+    /// interval 2 to close at the first rekey boundary. Returns the member
+    /// and the timer that mirrors `arm_check` after a `Welcome`. Its
+    /// heartbeat is *not* started: per-neighbor probing is O(N·K·D)
+    /// events per period at bootstrap scale.
+    pub(crate) fn welcomed(
+        shared: S,
+        record: Member,
+        table: NeighborTable,
+        welcome: WelcomePacket,
+    ) -> (RtMember<S>, (SimTime, RtMsg)) {
+        debug_assert_eq!(record.id, welcome.id);
+        let knobs = *shared.knobs();
+        let mut member = RtMember::new(shared);
+        member.member = Some(record);
+        member.table = Some(table);
+        member.server_interval_seen = welcome.interval;
+        member.agent = Some(UserAgent::from_welcome(welcome));
+        member.check_gen = 1;
+        member.next_boundary = knobs.rekey_period;
+        member.expected_interval = 2;
+        let first_check = knobs.rekey_period + knobs.nack_grace;
+        (member, (first_check, RtMsg::IntervalCheck { gen: 1 }))
     }
 
     /// The node hosting `host`'s member, offset past the replica block.

@@ -91,7 +91,7 @@ impl Journal {
     /// A journal that records nothing. A checkpoint clones the complete
     /// server state — membership, every neighbor table, the key tree —
     /// which is O(N) memory and time per interval; runtimes that model no
-    /// server crashes (the sharded million-member executor) opt out.
+    /// server crashes (a dealt group on one unfaulted replica) opt out.
     pub fn disabled() -> Journal {
         Journal {
             latest: None,

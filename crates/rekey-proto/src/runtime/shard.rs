@@ -1,13 +1,13 @@
-//! The sharded event executor: the million-member runtime.
+//! The simulated executor: the one place that orders simulated events.
 //!
-//! [`super::GroupRuntime`] drives every node through one global event
-//! queue — perfect for protocol fidelity, hopeless for a 10⁶-member
-//! sweep where a single rekey interval produces millions of `Forward`
-//! deliveries. This module keeps the *exact same* protocol state machines
-//! (`RtServer`, `RtMember`) and replaces only the executor: members
-//! are partitioned into shards by their level-1 ID digit, each shard owns
-//! a private [`Scheduler`], and shards drain **windows** of simulated
-//! time on scoped worker threads.
+//! The protocol state machines (`RtServer`, `RtMember`) are sans-I/O;
+//! this module owns everything about *when* they run. Events live in
+//! **lanes** — one for the coordinator, which holds every key-server
+//! replica on a single [`Scheduler`], and one per **shard**, which holds a
+//! subset of the members — and the lanes drain **windows** of simulated
+//! time: the coordinator on the caller's thread, then the shards — the
+//! first due one on the caller's thread too, the others on scoped worker
+//! threads that are joined before the window closes.
 //!
 //! # The window invariant
 //!
@@ -19,184 +19,128 @@
 //!
 //! Every member→member and member→server message crosses distinct hosts,
 //! so anything *sent* inside the window *arrives* at or after its end —
-//! cross-shard traffic can therefore be exchanged once per window, at a
+//! cross-lane traffic can therefore be exchanged once per window, at a
 //! barrier, instead of per event. Within a window only a node's own
-//! timers (`send_after`, always self-directed in this protocol) can land,
-//! and those stay inside the node's own shard by construction. A
-//! `debug_assert` on every cross-shard send enforces the invariant
-//! dynamically, so an undersized delay model fails loudly in debug runs.
+//! timers (always self-directed in this protocol) and replica↔replica
+//! messages can land; both stay inside one lane by construction (the
+//! replicas share the coordinator's queue). A `debug_assert` on every
+//! cross-lane send enforces the invariant dynamically, so an undersized
+//! delay model fails loudly in debug runs.
+//!
+//! [`ShardedGroupRuntime::new`] builds the degenerate layout — one shard,
+//! `W` = 1 µs. Every delay is clamped to at least 1 µs, so the invariant
+//! holds on any [`Network`] without inspecting it, and the executor is a
+//! plain sequential event loop. [`ShardedGroupRuntime::bootstrapped`]
+//! takes the shard count and the window from the caller, who knows the
+//! substrate (e.g. `GridNetwork::min_one_way`).
 //!
 //! # Determinism
 //!
 //! Identically seeded runs produce byte-identical [`MetricsSnapshot`]
 //! JSON even though shards run on real threads:
 //!
-//! * each shard owns a private loss RNG (domain-separated from the
-//!   coordinator's), and loss is drawn at **send** time in the sender's
-//!   shard — never at a receive whose thread timing could vary;
-//! * shard metrics are [`LocalHistogram`]s behind one mutex; histogram
-//!   inserts commute, so lock-acquisition order cannot change the merge;
-//! * per window the order is fixed: the coordinator drains the server,
-//!   then workers drain their shards (disjoint `&mut`), then outboxes
-//!   merge into destination schedulers in shard-index order.
+//! * every lane owns its randomness: a private stream for the
+//!   [`RuntimeConfig::loss`] draws (domain-separated by lane), and its own
+//!   [`FaultInjector`] compiled from the session's [`FaultPlan`]. The
+//!   injector's loss and jitter streams are keyed by *sender* node and a
+//!   node sends from exactly one lane, while partitions and outages are
+//!   pure functions of `(plan, now)` — so per-lane injectors draw what one
+//!   shared injector would, whatever the shard count. All fates are
+//!   decided at **send** time in the sender's lane, or at delivery from
+//!   `(plan, now)` alone — never from thread timing;
+//! * each shard's members share a `ShardCore` of their own: histogram
+//!   inserts commute, and the per-shard span rings are merged by end time
+//!   in lane order at snapshot time;
+//! * per window the order is fixed: the coordinator drains the replicas,
+//!   then the shards drain in parallel (disjoint `&mut`), then outboxes
+//!   merge into destination schedulers in shard-index order. No worker
+//!   outlives its window (see `step_window`), which also keeps a run's
+//!   resident size from depending on thread timing.
 //!
-//! # What the sharded runtime does *not* model
+//! # What `bootstrapped` leaves off
 //!
-//! * **Heartbeats** are disarmed (members still *answer* `Ping`s): at
-//!   10⁶ members the paper's per-neighbor probing is pure O(N·K·D)
-//!   noise for a churn sweep, and failure detection is exercised by the
-//!   classic runtime's tests.
-//! * **Server crashes**: the journal is [`journal::Journal::disabled`],
-//!   because a checkpoint clones the complete server state — O(N) per
-//!   interval. Leave acks still ride the (skipped) checkpoint boundary.
-//! * **Joins after bootstrap**: the group is built by
-//!   [`GroupConfig::bootstrap`]'s O(N·D·B) dealing pass; churn is
-//!   leaves/failures, which is where batch rekeying earns its keep.
+//! Two costs that are O(N) per period stay off for a dealt group, decided
+//! by how the session was built rather than by an option:
+//!
+//! * **Heartbeats.** Dealt members are not heartbeated (they still
+//!   *answer* pings, and a member that joins later through
+//!   [`ShardedGroupRuntime::run_trace`] probes as usual): per-neighbor
+//!   probing is O(N·K·D) events per period.
+//!   [`ShardedGroupRuntime::fail_at`] stands in for a concluded detection.
+//! * **The journal.** A checkpoint clones the complete server state, so a
+//!   single replica that no [`FaultPlan`] outage can touch journals
+//!   nothing. Replicated sessions, and sessions whose plan takes a replica
+//!   down, journal as usual.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
-use rekey_metrics::LocalHistogram;
-use rekey_sim::{Outgoing, Scheduler, SimRng};
+use rand::Rng;
+use rekey_keytree::TreeMetrics;
+use rekey_metrics::Registry;
+use rekey_net::{HostId, Micros, Network};
+use rekey_sim::{
+    node_rng, Ctx, FaultInjector, FaultPlan, NodeId, Outgoing, Scheduler, SimRng, SimTime,
+};
+use rekey_table::{check_consistency, ConsistencyViolation, Member, NeighborTable};
 
-use crate::GroupError;
+use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
 
-use super::*;
+use super::core::{
+    acting_primary, boot_timers, merge_member_sinks, CoordHandle, Knobs, RtMember, RtServer,
+    ShardCore, SharedHandle, SERVER,
+};
+use super::{
+    journal, ChurnEvent, ChurnOp, Driver, ExecutorCounters, MemberStats, MetricsSnapshot, Outputs,
+    RtMsg, RuntimeConfig, ServerStats,
+};
 
-/// Domain separator of the per-shard loss RNG streams (same constant as
-/// the classic runtime's loss stream; shards are further separated by
-/// their index, the coordinator by [`SERVER`]).
+/// Domain separator of the per-lane loss RNG streams (lanes are further
+/// separated by node: the coordinator draws as [`SERVER`], shard `i` as
+/// node `i + 1`).
 const LOSS_SEED: u64 = 0x4C4F_5353; // "LOSS"
+
+/// Domain separator for the fault injectors' seed, so fault randomness is
+/// decoupled from the loss stream and the heartbeat stagger.
+const CHAOS_SEED: u64 = 0x43_48_41_4F_53; // "CHAOS"
 
 /// Shutdown-flush rounds before we declare the drain diverged.
 const MAX_FLUSH_ROUNDS: u32 = 64;
 
-/// State shared by every member across all shards: the knobs, the
-/// shutdown flag, and the mutex-merged metric sinks. The `Send + Sync`
-/// counterpart of the classic runtime's `Rc<Shared>`.
-pub(crate) struct ShardCore {
-    knobs: Knobs,
-    shutdown: AtomicBool,
-    metrics: Mutex<ShardMetrics>,
-}
-
-/// The member-side histogram sinks. All operations are commutative
-/// (bucket increments), so recording under a shared mutex from many
-/// worker threads is deterministic regardless of interleaving.
-#[derive(Default)]
-struct ShardMetrics {
-    apply_delay_us: LocalHistogram,
-    split_payload: LocalHistogram,
-    forward_fanout: LocalHistogram,
-    recovery_size: LocalHistogram,
-}
-
-impl ShardCore {
-    /// Builds the shared member-side core. Also used by the real-socket
-    /// driver ([`super::socket`]), whose worker threads need the same
-    /// `Send + Sync` handle the shards use.
-    pub(crate) fn new(knobs: Knobs) -> Arc<ShardCore> {
-        Arc::new(ShardCore {
-            knobs,
-            shutdown: AtomicBool::new(false),
-            metrics: Mutex::new(ShardMetrics::default()),
-        })
+/// The simulator's output boundary: `Ctx` already *is* an outbox over
+/// `Outgoing`, so delegation is 1:1.
+impl Outputs for Ctx<'_, RtMsg> {
+    fn now(&self) -> SimTime {
+        Ctx::now(self)
     }
-
-    /// Raises the shutdown flag: state machines stop re-arming timers.
-    pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+    fn self_id(&self) -> NodeId {
+        Ctx::self_id(self)
     }
-
-    /// Snapshots the four member-side histograms in declaration order
-    /// (apply delay, split payload, forward fan-out, recovery size).
-    pub(crate) fn member_histograms(&self) -> [rekey_metrics::HistogramSnapshot; 4] {
-        let metrics = self.metrics.lock().unwrap();
-        [
-            metrics.apply_delay_us.snapshot(),
-            metrics.split_payload.snapshot(),
-            metrics.forward_fanout.snapshot(),
-            metrics.recovery_size.snapshot(),
-        ]
+    fn send(&mut self, to: NodeId, msg: RtMsg) {
+        Ctx::send(self, to, msg);
+    }
+    fn timer(&mut self, delay: SimTime, msg: RtMsg) {
+        let me = Ctx::self_id(self);
+        Ctx::send_after(self, me, delay, msg);
     }
 }
 
-impl SharedHandle for Arc<ShardCore> {
-    fn knobs(&self) -> &Knobs {
-        &self.knobs
-    }
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-    fn record_split_payload(&self, v: u64) {
-        self.metrics.lock().unwrap().split_payload.record(v);
-    }
-    fn record_forward_fanout(&self, v: u64) {
-        self.metrics.lock().unwrap().forward_fanout.record(v);
-    }
-    fn record_apply(&self, _span: &'static str, sent_at: SimTime, now: SimTime, _interval: u64) {
-        self.metrics
-            .lock()
-            .unwrap()
-            .apply_delay_us
-            .record(now.saturating_sub(sent_at));
-    }
-    fn record_recovery_size(&self, v: u64) {
-        self.metrics.lock().unwrap().recovery_size.record(v);
-    }
-    fn span(&self, _name: &'static str, _start: SimTime, _end: SimTime, _detail: u64) {
-        // Members record no spans in the sharded runtime: the span ring
-        // lives in the coordinator's single-threaded registry.
-    }
-}
-
-/// The server's handle: the same shared core (knobs, shutdown, member
-/// histograms) plus the coordinator-only [`Registry`] for spans and the
-/// key tree's counters. The server runs exclusively on the coordinator
-/// thread, so the `Rc`-based registry never crosses a thread.
-pub(crate) struct CoordHandle {
-    core: Arc<ShardCore>,
-    registry: Registry,
-}
-
-impl CoordHandle {
-    /// Pairs the shared core with a coordinator-local span registry.
-    /// Also the server handle of the real-socket driver.
-    pub(crate) fn new(core: Arc<ShardCore>, registry: Registry) -> CoordHandle {
-        CoordHandle { core, registry }
-    }
-}
-
-impl SharedHandle for CoordHandle {
-    fn knobs(&self) -> &Knobs {
-        &self.core.knobs
-    }
-    fn is_shutdown(&self) -> bool {
-        self.core.is_shutdown()
-    }
-    fn record_split_payload(&self, v: u64) {
-        self.core.record_split_payload(v);
-    }
-    fn record_forward_fanout(&self, v: u64) {
-        self.core.record_forward_fanout(v);
-    }
-    fn record_apply(&self, span: &'static str, sent_at: SimTime, now: SimTime, interval: u64) {
-        self.core.record_apply(span, sent_at, now, interval);
-        self.registry.span(span, sent_at, now, interval);
-    }
-    fn record_recovery_size(&self, v: u64) {
-        self.core.record_recovery_size(v);
-    }
-    fn span(&self, name: &'static str, start: SimTime, end: SimTime, detail: u64) {
-        self.registry.span(name, start, end, detail);
-    }
-}
-
-/// One queued delivery inside a shard's scheduler.
+/// One queued delivery.
 struct Envelope {
     from: NodeId,
     to: NodeId,
     msg: RtMsg,
+}
+
+impl Envelope {
+    /// A self-delivery: a timer, or an event injected at a node.
+    fn to_self(node: NodeId, msg: RtMsg) -> Envelope {
+        Envelope {
+            from: node,
+            to: node,
+            msg,
+        }
+    }
 }
 
 /// A message leaving its shard during a window; `at` is the (already
@@ -204,121 +148,202 @@ struct Envelope {
 /// beyond the window's end.
 struct Crossing {
     at: SimTime,
-    from: NodeId,
-    to: NodeId,
-    msg: RtMsg,
+    envelope: Envelope,
 }
 
-/// One shard: a contiguous run of the executor owning a subset of the
-/// members, their event queue, a private loss RNG, and delivery counters.
-struct Shard {
-    index: usize,
-    members: Vec<RtMember<Arc<ShardCore>>>,
+/// One event queue with the randomness and the counters of the nodes it
+/// runs: the coordinator's (the replicas) or a shard's (its members).
+struct Lane {
     sched: Scheduler<Envelope>,
-    /// Loss draws for `Forward` copies sent *by this shard's members*.
+    /// [`RuntimeConfig::loss`] draws for `Forward` copies sent from here.
     rng: SimRng,
-    /// Cross-shard (and member→server) sends of the current window,
-    /// merged by the coordinator after the workers join.
-    outbox: Vec<Crossing>,
+    /// This lane's compilation of the session's fault plan, if any.
+    faults: Option<FaultInjector>,
+    /// Scratch for one delivery's side effects, kept for its capacity.
+    out: Vec<Outgoing<RtMsg>>,
     delivered: u64,
     dropped: u64,
+    dead_letters: u64,
+    suppressed: u64,
+}
+
+impl Lane {
+    fn new(rng: SimRng) -> Lane {
+        Lane {
+            sched: Scheduler::new(),
+            rng,
+            faults: None,
+            out: Vec::new(),
+            delivered: 0,
+            dropped: 0,
+            dead_letters: 0,
+            suppressed: 0,
+        }
+    }
+
+    /// The send-time fate of one network message: `None` when it is lost
+    /// (counted), otherwise the extra delay jitter adds to its trip.
+    /// Partitions cut every message; the loss processes thin `Forward`
+    /// copies only (the bulk payload on a UDP-like path).
+    fn admit(
+        &mut self,
+        loss: f64,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        msg: &RtMsg,
+    ) -> Option<SimTime> {
+        let forward = matches!(msg, RtMsg::Forward { .. });
+        let Some(faults) = self.faults.as_mut() else {
+            if loss > 0.0 && forward && self.rng.gen_bool(loss) {
+                self.dropped += 1;
+                return None;
+            }
+            return Some(0);
+        };
+        // `|` (not `||`): both loss streams must advance on every copy for
+        // the draws to stay aligned across runs.
+        if faults.cut(now, from, to)
+            || (forward && ((loss > 0.0 && self.rng.gen_bool(loss)) | faults.lose(from)))
+        {
+            self.dropped += 1;
+            return None;
+        }
+        Some(faults.extra_delay(from, to))
+    }
+
+    /// `true` (and counted) when an outage window swallows a delivery.
+    fn suppresses(&mut self, now: SimTime, to: NodeId) -> bool {
+        let down = self
+            .faults
+            .as_ref()
+            .is_some_and(|faults| faults.is_down(now, to));
+        self.suppressed += u64::from(down);
+        down
+    }
+}
+
+/// One shard: a subset of the members, their lane, and their shared core.
+struct Shard {
+    index: usize,
+    lane: Lane,
+    core: Arc<ShardCore>,
+    members: Vec<RtMember<Arc<ShardCore>>>,
+    /// Cleared by [`ChurnOp::Crash`]; parallel to `members`.
+    alive: Vec<bool>,
+    /// Cross-lane sends of the current window, merged by the coordinator
+    /// after the workers join.
+    outbox: Vec<Crossing>,
+}
+
+/// Who runs where: node ids are `0..replicas` for the key-server replicas
+/// and `replicas + handle` for member `handle`, which lives on
+/// `HostId(handle)`; the replicas share the network's last host.
+struct Layout<'a> {
+    replicas: usize,
+    server_host: HostId,
+    /// Member handle → (shard index, index within the shard).
+    placement: &'a [(u32, u32)],
 }
 
 /// Drains every event of `shard` strictly before `t1`, routing in-shard
 /// traffic and timers locally and pushing everything else onto the
 /// shard's outbox. Runs on a worker thread; touches nothing but the
-/// shard, the (read-only) network, and the placement table.
+/// shard, the (read-only) network, and the layout.
 fn drain_shard<NET: Network + Sync>(
     shard: &mut Shard,
     net: &NET,
-    placement: &[(u32, u32)],
-    server_host: HostId,
+    layout: &Layout<'_>,
     loss: f64,
     t1: SimTime,
 ) {
-    let mut out: Vec<Outgoing<RtMsg>> = Vec::new();
-    while shard.sched.next_time().is_some_and(|t| t < t1) {
-        let (now, env) = shard.sched.pop().expect("peeked above");
-        shard.delivered += 1;
-        let (owner, idx) = placement[env.to.0 - 1];
+    let Layout {
+        replicas,
+        server_host,
+        placement,
+    } = *layout;
+    let mut out = std::mem::take(&mut shard.lane.out);
+    while shard.lane.sched.next_time().is_some_and(|t| t < t1) {
+        let (now, env) = shard.lane.sched.pop().expect("peeked above");
+        let me = env.to;
+        let handle = me.0 - replicas;
+        let (owner, idx) = placement[handle];
         debug_assert_eq!(
             owner as usize, shard.index,
             "envelope routed to the wrong shard"
         );
+        if !shard.alive[idx as usize] {
+            shard.lane.dead_letters += 1;
+            continue;
+        }
+        if shard.lane.suppresses(now, me) {
+            continue;
+        }
+        shard.lane.delivered += 1;
         {
-            let mut ctx = Ctx::external(now, env.to, &mut out);
+            let mut ctx = Ctx::external(now, me, &mut out);
             shard.members[idx as usize].receive(&mut ctx, env.from, env.msg);
         }
         for outgoing in out.drain(..) {
             match outgoing {
                 Outgoing::Send { to, msg } => {
-                    if loss > 0.0
-                        && matches!(msg, RtMsg::Forward { .. })
-                        && shard.rng.gen_bool(loss)
-                    {
-                        shard.dropped += 1;
+                    let Some(extra) = shard.lane.admit(loss, now, me, to, &msg) else {
                         continue;
-                    }
-                    let from_host = host_of_member_node(env.to);
-                    let to_host = if to == SERVER {
+                    };
+                    let to_replica = to.0 < replicas;
+                    let to_host = if to_replica {
                         server_host
                     } else {
-                        host_of_member_node(to)
+                        HostId(to.0 - replicas)
                     };
-                    let at = now + net.one_way(from_host, to_host).max(1);
-                    let local = to != SERVER && placement[to.0 - 1].0 as usize == shard.index;
-                    if local {
-                        shard.sched.schedule_at(
-                            at,
-                            Envelope {
-                                from: env.to,
-                                to,
-                                msg,
-                            },
-                        );
+                    let at = now + net.one_way(HostId(handle), to_host).max(1) + extra;
+                    let envelope = Envelope { from: me, to, msg };
+                    if !to_replica && placement[to.0 - replicas].0 as usize == shard.index {
+                        shard.lane.sched.schedule_at(at, envelope);
                     } else {
                         debug_assert!(
                             at >= t1,
-                            "cross-shard send inside the window: the window exceeds \
+                            "cross-lane send inside the window: the window exceeds \
                              the minimum one-way delay"
                         );
-                        shard.outbox.push(Crossing {
-                            at,
-                            from: env.to,
-                            to,
-                            msg,
-                        });
+                        shard.outbox.push(Crossing { at, envelope });
                     }
                 }
                 Outgoing::After { to, delay, msg } => {
-                    debug_assert_eq!(to, env.to, "runtime timers are self-directed");
-                    shard.sched.schedule_at(
-                        now + delay.max(1),
-                        Envelope {
-                            from: env.to,
-                            to,
-                            msg,
-                        },
-                    );
+                    debug_assert_eq!(to, me, "runtime timers are self-directed");
+                    shard
+                        .lane
+                        .sched
+                        .schedule_at(now + delay.max(1), Envelope::to_self(me, msg));
                 }
             }
         }
     }
+    shard.lane.out = out;
 }
 
-/// The sharded runtime: the classic protocol state machines under a
-/// windowed multi-queue executor. Built fully populated via
-/// [`ShardedGroupRuntime::bootstrapped`]; drive it with
-/// [`ShardedGroupRuntime::leave_at`] / [`ShardedGroupRuntime::fail_at`]
-/// and [`ShardedGroupRuntime::finish`], then read
+/// The simulated group runtime: the sans-I/O protocol state machines
+/// under the windowed executor (see the module docs).
+///
+/// Build it empty with [`ShardedGroupRuntime::new`] and play a
+/// [`ChurnEvent`] trace into it, or fully populated with
+/// [`ShardedGroupRuntime::bootstrapped`] and churn it with
+/// [`ShardedGroupRuntime::leave_at`]; optionally wire in a [`FaultPlan`]
+/// with [`ShardedGroupRuntime::with_faults`]; end every session with
+/// [`ShardedGroupRuntime::finish`], then read
 /// [`ShardedGroupRuntime::snapshot`].
+///
+/// Member handles are join order: the `k`-th member (dealt or joined) has
+/// handle `k`, runs on `HostId(k)`, and is node
+/// [`chaos::member_node_with_replicas`](crate::chaos::member_node_with_replicas)`(k, replicas)`;
+/// the replicas run on the substrate's last host.
 pub struct ShardedGroupRuntime<NET: Network + Sync> {
     net: Rc<NET>,
-    server: RtServer<NET, CoordHandle>,
-    server_sched: Scheduler<Envelope>,
-    /// Loss draws for `Forward` copies seeded by the server.
-    server_rng: SimRng,
-    core: Arc<ShardCore>,
+    /// The key-server replicas (node `r` is `servers[r]`; replica 0 is
+    /// the initial primary), all on the coordinator's lane.
+    servers: Vec<RtServer<NET, CoordHandle>>,
+    coord: Lane,
+    coord_core: Arc<ShardCore>,
     registry: Registry,
     shards: Vec<Shard>,
     /// Member handle → (shard index, index within the shard).
@@ -326,13 +351,47 @@ pub struct ShardedGroupRuntime<NET: Network + Sync> {
     window: Micros,
     loss: f64,
     server_host: HostId,
+    /// Every event strictly before `now` has been processed.
     now: SimTime,
-    delivered_coord: u64,
-    dropped_coord: u64,
     peak_queue: usize,
 }
 
 impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
+    /// Builds an empty group over `net` with the server on the last host;
+    /// members arrive through [`ShardedGroupRuntime::run_trace`].
+    ///
+    /// `config` is valid by construction ([`RuntimeConfig::builder`] holds
+    /// the validation), so this never panics on configuration. Debug
+    /// builds warn when `nack_grace` does not cover a worst-case server
+    /// round trip, which makes spurious NACKs likely.
+    pub fn new(group: GroupConfig, config: RuntimeConfig, net: NET) -> ShardedGroupRuntime<NET> {
+        let server_host = HostId(net.host_count() - 1);
+        #[cfg(debug_assertions)]
+        {
+            let worst_round_trip = (0..net.host_count())
+                .map(HostId)
+                .filter(|&h| h != server_host)
+                .map(|h| net.one_way(server_host, h) + net.one_way(h, server_host))
+                .max()
+                .unwrap_or(0);
+            if config.nack_grace() < worst_round_trip {
+                eprintln!(
+                    "warning: nack_grace ({} µs) is below the worst-case server \
+                     round trip ({} µs); expect spurious NACKs",
+                    config.nack_grace(),
+                    worst_round_trip
+                );
+            }
+        }
+        // Every replica builds the *same* seeded state machine:
+        // deterministic replication replays ops, so identical seeds keep
+        // the RNG streams aligned.
+        let fsms = (0..config.replicas())
+            .map(|_| group.clone().build(server_host))
+            .collect();
+        ShardedGroupRuntime::assemble(config, net, fsms, true, 1, 1)
+    }
+
     /// Builds a fully populated runtime: `members` members on hosts
     /// `0..members` (the server takes the network's last host), dealt
     /// into IDs and K-consistent tables by [`GroupConfig::bootstrap`],
@@ -351,252 +410,341 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     ) -> Result<ShardedGroupRuntime<NET>, GroupError> {
         assert!(window > 0, "the drain window must be positive");
         assert!(shards > 0, "need at least one shard");
-        // The sharded engine models no server crashes (disabled journal)
-        // and bakes the legacy node mapping into its shard routing.
-        assert!(
-            config.replicas() == 1,
-            "the sharded runtime supports a single key-server replica"
-        );
         assert!(
             members < net.host_count(),
             "need a host per member plus one for the server"
         );
-        let net = Rc::new(net);
         let server_host = HostId(net.host_count() - 1);
         let hosts: Vec<HostId> = (0..members).map(HostId).collect();
-        let (mut server_fsm, welcomes) = group.bootstrap(server_host, &hosts, &*net)?;
-
-        let core = Arc::new(ShardCore {
-            knobs: Knobs::of_config(&config),
-            shutdown: AtomicBool::new(false),
-            metrics: Mutex::new(ShardMetrics::default()),
-        });
-        let registry = Registry::new();
-        server_fsm.instrument_tree(TreeMetrics::in_registry(&registry));
-        let base = server_fsm.group().spec().base();
-        let shard_count = shards.min(base as usize);
-
-        let mut shard_list: Vec<Shard> = (0..shard_count)
-            .map(|index| Shard {
-                index,
-                members: Vec::new(),
-                sched: Scheduler::new(),
-                // Shard streams are separated by index + 1 so none
-                // collides with the coordinator's (node 0 = SERVER).
-                rng: node_rng(config.seed ^ LOSS_SEED, NodeId(index + 1)),
-                outbox: Vec::new(),
-                delivered: 0,
-                dropped: 0,
-            })
-            .collect();
+        let (server_fsm, welcomes) = group.bootstrap(server_host, &hosts, &net)?;
+        let shard_count = shards.min(server_fsm.group().spec().base() as usize);
+        let replicas = config.replicas();
+        // Followers start from a copy of the dealt state — what replaying
+        // the primary's bootstrap would have given them.
+        let fsms = vec![server_fsm; replicas];
+        let mut rt =
+            ShardedGroupRuntime::assemble(config, net, fsms, replicas > 1, shard_count, window);
+        rt.servers[0].stats.welcomes = members as u64;
 
         // Welcomes come back in member order (bootstrap deals IDs in
         // host order), so handle i pairs welcomes[i] with members()[i].
-        let mut placement = Vec::with_capacity(members);
-        let first_deadline = config.rekey_period + config.nack_grace;
-        for (i, welcome) in welcomes.into_iter().enumerate() {
-            let record = server_fsm.group().members()[i];
-            let table = server_fsm.group().table(i).clone();
-            debug_assert_eq!(record.id, welcome.id);
-            let shard_index = (record.id.digit(0) as usize) % shard_count;
-
-            let mut member = RtMember::new(Arc::clone(&core));
-            member.member = Some(record);
-            member.table = Some(table);
-            member.server_interval_seen = welcome.interval;
-            member.agent = Some(UserAgent::from_welcome(welcome));
-            // Mirror `arm_check` after a Welcome: expect interval 2 to
-            // close at the first rekey boundary. Heartbeats stay
-            // disarmed (see the module docs).
-            member.check_gen = 1;
-            member.next_boundary = config.rekey_period;
-            member.expected_interval = 2;
-
-            let node = node_of_host(HostId(i));
-            let shard = &mut shard_list[shard_index];
-            placement.push((shard_index as u32, shard.members.len() as u32));
-            shard.sched.schedule_at(
-                first_deadline,
-                Envelope {
-                    from: node,
-                    to: node,
-                    msg: RtMsg::IntervalCheck { gen: 1 },
-                },
-            );
+        for (handle, welcome) in welcomes.into_iter().enumerate() {
+            let group = rt.servers[0].server.group();
+            let record = group.members()[handle];
+            let table = group.table(handle).clone();
+            let shard = &mut rt.shards[(record.id.digit(0) as usize) % shard_count];
+            let (member, (due, check)) =
+                RtMember::welcomed(Arc::clone(&shard.core), record, table, welcome);
+            rt.placement
+                .push((shard.index as u32, shard.members.len() as u32));
             shard.members.push(member);
+            shard.alive.push(true);
+            let node = NodeId(handle + replicas);
+            shard
+                .lane
+                .sched
+                .schedule_at(due, Envelope::to_self(node, check));
         }
-
-        let server = RtServer {
-            net: Rc::clone(&net),
-            shared: CoordHandle {
-                core: Arc::clone(&core),
-                registry: registry.clone(),
-            },
-            server: server_fsm,
-            epoch: 0,
-            seq: 0,
-            tick_gen: 0,
-            next_interval_at: config.rekey_period,
-            last_round_at: 0,
-            history: BTreeMap::new(),
-            split_index: SplitIndexMaintainer::default(),
-            journal: journal::Journal::disabled(),
-            pending_leave_acks: Vec::new(),
-            repl: Replication::new(0, 1),
-            stats: ServerStats {
-                welcomes: members as u64,
-                ..ServerStats::default()
-            },
-        };
-
-        let mut server_sched = Scheduler::new();
-        server_sched.schedule_at(
-            config.rekey_period,
-            Envelope {
-                from: SERVER,
-                to: SERVER,
-                msg: RtMsg::IntervalTick { gen: 0 },
-            },
-        );
-
-        Ok(ShardedGroupRuntime {
-            server,
-            server_sched,
-            server_rng: node_rng(config.seed ^ LOSS_SEED, SERVER),
-            core,
-            registry,
-            shards: shard_list,
-            placement,
-            window,
-            loss: config.loss,
-            server_host,
-            now: 0,
-            delivered_coord: 0,
-            dropped_coord: 0,
-            peak_queue: 0,
-            net,
-        })
+        Ok(rt)
     }
 
-    /// Schedules member `handle`'s voluntary `LeaveRequest` at `at`.
+    /// The part both constructors share: replicas over `fsms` on the
+    /// coordinator's lane with their bring-up timers armed, and
+    /// `shard_count` empty shards.
+    fn assemble(
+        config: RuntimeConfig,
+        net: NET,
+        fsms: Vec<GroupServer>,
+        journaled: bool,
+        shard_count: usize,
+        window: Micros,
+    ) -> ShardedGroupRuntime<NET> {
+        let net = Rc::new(net);
+        let knobs = Knobs::of_config(&config);
+        let registry = Registry::new();
+        let coord_core = ShardCore::new(knobs);
+        let servers = fsms
+            .into_iter()
+            .enumerate()
+            .map(|(replica, mut fsm)| {
+                // Only the initial primary instruments the tree — one
+                // metrics stream per group.
+                if replica == 0 {
+                    fsm.instrument_tree(TreeMetrics::in_registry(&registry));
+                }
+                let journal = if journaled {
+                    journal::Journal::new()
+                } else {
+                    journal::Journal::disabled()
+                };
+                RtServer::new(
+                    Rc::clone(&net),
+                    CoordHandle::new(Arc::clone(&coord_core), registry.clone()),
+                    fsm,
+                    replica,
+                    journal,
+                )
+            })
+            .collect();
+        let mut coord = Lane::new(node_rng(config.seed() ^ LOSS_SEED, SERVER));
+        for (node, due, msg) in boot_timers(&knobs) {
+            coord.sched.schedule_at(due, Envelope::to_self(node, msg));
+        }
+        let shards = (0..shard_count)
+            .map(|index| Shard {
+                index,
+                // Shard streams are separated by index + 1 so none
+                // collides with the coordinator's (node 0 = SERVER).
+                lane: Lane::new(node_rng(config.seed() ^ LOSS_SEED, NodeId(index + 1))),
+                core: ShardCore::new(knobs),
+                members: Vec::new(),
+                alive: Vec::new(),
+                outbox: Vec::new(),
+            })
+            .collect();
+        ShardedGroupRuntime {
+            server_host: HostId(net.host_count() - 1),
+            net,
+            servers,
+            coord,
+            coord_core,
+            registry,
+            shards,
+            placement: Vec::new(),
+            window,
+            loss: config.loss(),
+            now: 0,
+            peak_queue: 0,
+        }
+    }
+
+    /// Wires a chaos [`FaultPlan`] into the session: partitions cut every
+    /// message across cells, i.i.d./burst loss thins `Forward` copies (on
+    /// top of the [`RuntimeConfig::loss`] draw, whose stream is
+    /// unchanged), jitter delays and reorders network sends, and each
+    /// outage window silences its node and ends with a `Restart` event at
+    /// the window's close. Call before driving the session; the injectors
+    /// are seeded from [`RuntimeConfig::seed`], so a fixed seed and plan
+    /// reproduce the run bit for bit at any shard count.
+    pub fn with_faults(mut self, plan: FaultPlan) -> ShardedGroupRuntime<NET> {
+        let seed = self.knobs().seed ^ CHAOS_SEED;
+        self.coord.faults = Some(plan.injector(seed));
+        for shard in &mut self.shards {
+            shard.lane.faults = Some(plan.injector(seed));
+        }
+        for outage in plan.outages() {
+            let restart = Envelope::to_self(outage.node, RtMsg::Restart);
+            if outage.node.0 < self.servers.len() {
+                // A replica that can go down needs something to come
+                // back from.
+                for server in &mut self.servers {
+                    if !server.journal.is_enabled() {
+                        server.journal = journal::Journal::new();
+                    }
+                }
+                self.coord.sched.schedule_at(outage.until, restart);
+            } else {
+                self.lane_of(outage.node)
+                    .sched
+                    .schedule_at(outage.until, restart);
+            }
+        }
+        self
+    }
+
+    /// Plays a churn trace: advances the clock to each event's time and
+    /// applies it. Events are processed in time order (stable for ties);
+    /// an event at time `t` takes effect before the deliveries of instant
+    /// `t`. Returns the handles assigned to the trace's joins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event refers to a handle that has not joined or the
+    /// substrate runs out of hosts.
+    pub fn run_trace(&mut self, events: &[ChurnEvent]) -> Vec<usize> {
+        let mut ordered: Vec<&ChurnEvent> = events.iter().collect();
+        ordered.sort_by_key(|e| e.at);
+        let mut handles = Vec::new();
+        for event in ordered {
+            self.run_until(event.at);
+            match event.op {
+                ChurnOp::Join => {
+                    let handle = self.placement.len();
+                    assert!(
+                        handle < self.server_host.0,
+                        "substrate has no free host for another join"
+                    );
+                    // `placement` decouples handle from shard, so a
+                    // joiner needs no ID yet to be placed.
+                    let shard_index = handle % self.shards.len();
+                    let shard = &mut self.shards[shard_index];
+                    self.placement
+                        .push((shard.index as u32, shard.members.len() as u32));
+                    shard.members.push(RtMember::new(Arc::clone(&shard.core)));
+                    shard.alive.push(true);
+                    handles.push(handle);
+                    self.inject(event.at, handle, RtMsg::JoinRequest);
+                }
+                ChurnOp::Leave(member) => self.inject(event.at, member, RtMsg::LeaveRequest),
+                ChurnOp::Crash(member) => {
+                    let (shard_index, idx) = self.placed(member);
+                    self.shards[shard_index].alive[idx] = false;
+                }
+            }
+        }
+        handles
+    }
+
+    /// Schedules member `handle`'s voluntary `LeaveRequest` at `at`
+    /// (clamped to the present).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a handle that never joined.
     pub fn leave_at(&mut self, at: SimTime, handle: usize) {
         self.inject(at, handle, RtMsg::LeaveRequest);
     }
 
-    /// Schedules a crash of member `handle` at `at`: a neighbor's
-    /// `FailureNotice` reaches the server as if detection concluded, and
+    /// Schedules a concluded failure detection of member `handle` at
+    /// `at`: neighbor `accuser`'s `FailureNotice` reaches the replica that
+    /// is acting primary now, and
     /// the member itself goes silent (departs) when the repair broadcast
-    /// arrives.
+    /// arrives. For dealt groups, whose members are not heartbeated (see
+    /// the module docs); [`ChurnOp::Crash`] is the real thing.
     pub fn fail_at(&mut self, at: SimTime, handle: usize, accuser: usize) {
-        let failed = self.shards[self.placement[handle].0 as usize].members
-            [self.placement[handle].1 as usize]
+        let failed = self
+            .member(handle)
             .member
             .as_ref()
-            .expect("bootstrapped members all hold a record")
+            .expect("only an admitted member can fail")
             .id;
-        let accuser_node = node_of_host(HostId(accuser));
-        let at = at.max(self.server_sched.now());
-        self.server_sched.schedule_at(
-            at,
-            Envelope {
-                from: accuser_node,
-                to: SERVER,
-                msg: RtMsg::FailureNotice { failed },
-            },
-        );
+        let from = self.member_node(accuser);
+        let to = NodeId(self.acting_primary());
+        let msg = RtMsg::FailureNotice { failed };
+        self.coord
+            .sched
+            .schedule_at(at.max(self.now), Envelope { from, to, msg });
     }
 
     /// Schedules `msg` as a self-delivery at member `handle`.
     fn inject(&mut self, at: SimTime, handle: usize, msg: RtMsg) {
-        let (shard_index, _) = self.placement[handle];
-        let node = node_of_host(HostId(handle));
-        let shard = &mut self.shards[shard_index as usize];
-        let at = at.max(shard.sched.now());
-        shard.sched.schedule_at(
-            at,
-            Envelope {
-                from: node,
-                to: node,
-                msg,
-            },
+        let node = self.member_node(handle);
+        let at = at.max(self.now);
+        self.lane_of(node)
+            .sched
+            .schedule_at(at, Envelope::to_self(node, msg));
+    }
+
+    fn knobs(&self) -> &Knobs {
+        self.coord_core.knobs()
+    }
+
+    fn member_node(&self, handle: usize) -> NodeId {
+        self.placed(handle);
+        NodeId(handle + self.servers.len())
+    }
+
+    fn placed(&self, handle: usize) -> (usize, usize) {
+        assert!(
+            handle < self.placement.len(),
+            "member handle {handle} never joined"
         );
+        let (shard_index, idx) = self.placement[handle];
+        (shard_index as usize, idx as usize)
     }
 
-    /// Earliest pending event anywhere, or `None` when fully idle.
-    fn min_next(&self) -> Option<SimTime> {
-        let mut next = self.server_sched.next_time();
-        for shard in &self.shards {
-            next = match (next, shard.sched.next_time()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        next
+    fn member(&self, handle: usize) -> &RtMember<Arc<ShardCore>> {
+        let (shard_index, idx) = self.placed(handle);
+        &self.shards[shard_index].members[idx]
     }
 
-    /// Drains the server's events strictly before `t1` on the
-    /// coordinator thread, scheduling its sends straight into the
+    /// Every member in handle order.
+    fn members(&self) -> impl Iterator<Item = &RtMember<Arc<ShardCore>>> {
+        self.placement
+            .iter()
+            .map(|&(shard_index, idx)| &self.shards[shard_index as usize].members[idx as usize])
+    }
+
+    /// The lane member node `node` runs (or, for a handle a fault plan
+    /// names before its join, will run) in.
+    fn lane_of(&mut self, node: NodeId) -> &mut Lane {
+        let handle = node.0 - self.servers.len();
+        let shard_index = match self.placement.get(handle) {
+            Some(&(shard_index, _)) => shard_index as usize,
+            None => handle % self.shards.len(),
+        };
+        &mut self.shards[shard_index].lane
+    }
+
+    fn lanes(&self) -> impl Iterator<Item = &Lane> {
+        std::iter::once(&self.coord).chain(self.shards.iter().map(|s| &s.lane))
+    }
+
+    fn acting_primary(&self) -> usize {
+        acting_primary(self.servers.iter().enumerate())
+    }
+
+    fn primary(&self) -> &RtServer<NET, CoordHandle> {
+        &self.servers[self.acting_primary()]
+    }
+
+    /// Drains the replicas' events strictly before `t1` on the
+    /// coordinator thread. Replica↔replica messages are same-host and
+    /// stay on this lane; sends to members go straight into the
     /// destination shards (safe before the workers start; the invariant
     /// puts every arrival at or beyond `t1`).
     fn drain_server(&mut self, t1: SimTime) {
-        let mut out: Vec<Outgoing<RtMsg>> = Vec::new();
-        while self.server_sched.next_time().is_some_and(|t| t < t1) {
-            let (now, env) = self.server_sched.pop().expect("peeked above");
-            self.delivered_coord += 1;
+        let replicas = self.servers.len();
+        let mut out = std::mem::take(&mut self.coord.out);
+        while self.coord.sched.next_time().is_some_and(|t| t < t1) {
+            let (now, env) = self.coord.sched.pop().expect("peeked above");
+            let me = env.to;
+            if self.coord.suppresses(now, me) {
+                continue;
+            }
+            self.coord.delivered += 1;
             {
-                let mut ctx = Ctx::external(now, SERVER, &mut out);
-                self.server.receive(&mut ctx, env.from, env.msg);
+                let mut ctx = Ctx::external(now, me, &mut out);
+                self.servers[me.0].receive(&mut ctx, env.from, env.msg);
             }
             for outgoing in out.drain(..) {
                 match outgoing {
                     Outgoing::Send { to, msg } => {
-                        if self.loss > 0.0
-                            && matches!(msg, RtMsg::Forward { .. })
-                            && self.server_rng.gen_bool(self.loss)
-                        {
-                            self.dropped_coord += 1;
+                        let Some(extra) = self.coord.admit(self.loss, now, me, to, &msg) else {
+                            continue;
+                        };
+                        let envelope = Envelope { from: me, to, msg };
+                        if to.0 < replicas {
+                            let hop = self.net.one_way(self.server_host, self.server_host);
+                            self.coord
+                                .sched
+                                .schedule_at(now + hop.max(1) + extra, envelope);
                             continue;
                         }
-                        debug_assert_ne!(to, SERVER, "the server never unicasts itself");
-                        let at = now
-                            + self
-                                .net
-                                .one_way(self.server_host, host_of_member_node(to))
-                                .max(1);
+                        let to_host = HostId(to.0 - replicas);
+                        let at = now + self.net.one_way(self.server_host, to_host).max(1) + extra;
                         debug_assert!(at >= t1, "server send inside the window");
-                        let (shard_index, _) = self.placement[to.0 - 1];
-                        self.shards[shard_index as usize].sched.schedule_at(
-                            at,
-                            Envelope {
-                                from: SERVER,
-                                to,
-                                msg,
-                            },
-                        );
+                        self.lane_of(to).sched.schedule_at(at, envelope);
                     }
                     Outgoing::After { to, delay, msg } => {
-                        debug_assert_eq!(to, SERVER, "server timers are self-directed");
-                        self.server_sched.schedule_at(
-                            now + delay.max(1),
-                            Envelope {
-                                from: SERVER,
-                                to,
-                                msg,
-                            },
-                        );
+                        debug_assert_eq!(to, me, "server timers are self-directed");
+                        self.coord
+                            .sched
+                            .schedule_at(now + delay.max(1), Envelope::to_self(me, msg));
                     }
                 }
             }
         }
+        self.coord.out = out;
     }
 
     /// Runs one window: pick `t0` (earliest event anywhere), drain
-    /// everything in `[t0, min(t0 + W, cap))` — server first on the
-    /// coordinator, then the due shards on scoped worker threads — and
-    /// merge the outboxes in shard-index order. Returns `false` when no
+    /// everything in `[t0, min(t0 + W, cap))` — replicas first on the
+    /// coordinator, then the due shards in parallel — and merge the
+    /// outboxes in shard-index order. Returns `false` when no
     /// event remains before `cap`.
     fn step_window(&mut self, cap: Option<SimTime>) -> bool {
-        let Some(t0) = self.min_next() else {
+        let Some(t0) = self.lanes().filter_map(|lane| lane.sched.next_time()).min() else {
             return false;
         };
         if cap.is_some_and(|c| t0 >= c) {
@@ -607,42 +755,43 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             t1 = t1.min(c);
         }
 
-        let depth = self.server_sched.pending()
-            + self.shards.iter().map(|s| s.sched.pending()).sum::<usize>();
+        let depth = self.lanes().map(|lane| lane.sched.pending()).sum();
         self.peak_queue = self.peak_queue.max(depth);
 
         self.drain_server(t1);
 
-        let placement: &[(u32, u32)] = &self.placement;
+        let layout = Layout {
+            replicas: self.servers.len(),
+            server_host: self.server_host,
+            placement: &self.placement,
+        };
         let net: &NET = &self.net;
         let loss = self.loss;
-        let server_host = self.server_host;
-        let mut due = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.sched.next_time().is_some_and(|t| t < t1))
-            .map(|(i, _)| i);
-        match (due.next(), due.next()) {
+        let due = |shard: &Shard| shard.lane.sched.next_time().is_some_and(|t| t < t1);
+        let mut busy = self.shards.iter_mut().filter(|shard| due(shard));
+        match (busy.next(), busy.next()) {
             (None, _) => {}
-            (Some(only), None) => {
-                // One busy shard: drain inline, skip the thread spawn.
-                drain_shard(
-                    &mut self.shards[only],
-                    net,
-                    placement,
-                    server_host,
-                    loss,
-                    t1,
-                );
-            }
-            (Some(_), Some(_)) => {
+            // One busy shard: drain inline, skip the thread spawn.
+            (Some(only), None) => drain_shard(only, net, &layout, loss, t1),
+            // The caller's thread takes the first busy shard itself and
+            // spawns only for the rest. The workers are joined by handle:
+            // the scope's own wait ends when their closures return, which
+            // is before the threads have exited, and the allocator gives a
+            // new thread a fresh arena while an old thread still holds
+            // its own — the heap then grows by how often a spawn overtook
+            // an exit. Joined, a window reuses the arenas of the one
+            // before, and the footprint no longer depends on thread timing.
+            (Some(first), Some(second)) => {
+                let layout = &layout;
                 std::thread::scope(|scope| {
-                    for shard in self.shards.iter_mut() {
-                        if shard.sched.next_time().is_some_and(|t| t < t1) {
-                            scope.spawn(move || {
-                                drain_shard(shard, net, placement, server_host, loss, t1);
-                            });
+                    let workers: Vec<_> = std::iter::once(second)
+                        .chain(busy)
+                        .map(|shard| scope.spawn(move || drain_shard(shard, net, layout, loss, t1)))
+                        .collect();
+                    drain_shard(first, net, layout, loss, t1);
+                    for worker in workers {
+                        if let Err(panic) = worker.join() {
+                            std::panic::resume_unwind(panic);
                         }
                     }
                 });
@@ -651,22 +800,18 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
 
         // Merge outboxes in shard-index order: together with the
         // scheduler's FIFO tie-break this fixes the delivery order of
-        // same-instant cross-shard messages independently of thread
+        // same-instant cross-lane messages independently of thread
         // timing.
         for index in 0..self.shards.len() {
-            let crossings = std::mem::take(&mut self.shards[index].outbox);
-            for crossing in crossings {
-                let Crossing { at, from, to, msg } = crossing;
-                if to == SERVER {
-                    self.server_sched
-                        .schedule_at(at, Envelope { from, to, msg });
+            let mut outbox = std::mem::take(&mut self.shards[index].outbox);
+            for Crossing { at, envelope } in outbox.drain(..) {
+                if envelope.to.0 < self.servers.len() {
+                    self.coord.sched.schedule_at(at, envelope);
                 } else {
-                    let (shard_index, _) = self.placement[to.0 - 1];
-                    self.shards[shard_index as usize]
-                        .sched
-                        .schedule_at(at, Envelope { from, to, msg });
+                    self.lane_of(envelope.to).sched.schedule_at(at, envelope);
                 }
             }
+            self.shards[index].outbox = outbox;
         }
 
         self.now = self.now.max(t1);
@@ -685,154 +830,175 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         while self.step_window(None) {}
     }
 
-    /// Runs to `until`, then shuts down: timers stop re-arming, the
-    /// queues drain, and shutdown `Flush` rounds run until the server
-    /// holds no pending membership work and no unacknowledged leaves
-    /// (mirrors [`GroupRuntime::finish`]). Returns the final simulated
-    /// time.
+    /// Runs the clock to `until`, then shuts timers down and drains the
+    /// event queues — in-flight repairs, recoveries, and detections all
+    /// complete. After the drain the acting primary runs *flush rounds*:
+    /// each folds any pending membership work into a final interval and
+    /// pushes every member its latest related set, so the last interval
+    /// is discoverable even when every multicast copy of it was lost;
+    /// rounds repeat until no membership work or leave ack is
+    /// outstanding. Returns the final simulated time.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming what was still open, if the flush rounds fail to
+    /// converge (e.g. a fault window extends past `until`, leaving the
+    /// server unreachable forever).
     pub fn finish(&mut self, until: SimTime) -> SimTime {
         self.run_until(until);
-        self.core.shutdown.store(true, Ordering::Release);
-        self.drain();
-        let mut rounds = 0;
-        loop {
-            rounds += 1;
-            assert!(
-                rounds <= MAX_FLUSH_ROUNDS,
-                "shutdown flush did not converge"
-            );
-            let at = self.now.max(self.server_sched.now());
-            self.server_sched.schedule_at(
-                at,
-                Envelope {
-                    from: SERVER,
-                    to: SERVER,
-                    msg: RtMsg::Flush,
-                },
-            );
-            self.drain();
-            let (joins, leaves) = self.server.server.pending();
-            if joins == 0 && leaves == 0 && self.server.pending_leave_acks.is_empty() {
-                return self.now;
-            }
+        self.coord_core.begin_shutdown();
+        for shard in &self.shards {
+            shard.core.begin_shutdown();
         }
+        self.drain();
+        for round in 1.. {
+            let primary = NodeId(self.acting_primary());
+            self.coord
+                .sched
+                .schedule_at(self.now, Envelope::to_self(primary, RtMsg::Flush));
+            self.drain();
+            let (joins, leaves, owed) = self.primary().flush_backlog();
+            if joins == 0 && leaves == 0 && owed.is_empty() {
+                break;
+            }
+            assert!(
+                round < MAX_FLUSH_ROUNDS,
+                "shutdown flush did not converge in {MAX_FLUSH_ROUNDS} rounds: replica {} at \
+                 interval {} still holds {joins} pending joins and {leaves} pending leaves, \
+                 and owes leave acks to handles {owed:?}",
+                self.acting_primary(),
+                self.server().interval(),
+            );
+        }
+        self.now
     }
 
-    /// Current simulated time (the end of the last drained window).
+    /// Current simulated time: every event before it has been processed.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Members dealt in at bootstrap (handles are `0..member_count()`).
+    /// Members dealt in or spawned so far (handles are
+    /// `0..member_count()`).
     pub fn member_count(&self) -> usize {
         self.placement.len()
     }
 
-    /// The server's group state machine.
+    /// The server-side facade state machine of the acting primary (and
+    /// through it the oracle [`Group`] and the key tree).
     pub fn server(&self) -> &GroupServer {
-        &self.server.server
+        &self.primary().server
     }
 
     /// The authoritative membership view.
     pub fn group(&self) -> &Group {
-        self.server.server.group()
+        self.server().group()
     }
 
-    /// Member `handle`'s key agent (`None` after it departed).
+    /// The acting primary's crash journal.
+    pub fn journal(&self) -> &journal::Journal {
+        &self.primary().journal
+    }
+
+    /// The acting primary's epoch (0 until the first restart or
+    /// promotion).
+    pub fn server_epoch(&self) -> u64 {
+        self.primary().epoch
+    }
+
+    /// Server-side counters (the acting primary's; `snapshot()` reports
+    /// the whole replica set's sum).
+    pub fn server_stats(&self) -> ServerStats {
+        self.primary().stats
+    }
+
+    /// Member `handle`'s key agent, once welcomed (`None` after it
+    /// departed).
     pub fn agent(&self, handle: usize) -> Option<&UserAgent> {
-        let (shard_index, idx) = *self.placement.get(handle)?;
+        let &(shard_index, idx) = self.placement.get(handle)?;
         self.shards[shard_index as usize].members[idx as usize]
             .agent
             .as_ref()
     }
 
-    /// Member `handle`'s counters.
-    pub fn member_stats(&self, handle: usize) -> MemberStats {
-        let (shard_index, idx) = self.placement[handle];
-        self.shards[shard_index as usize].members[idx as usize].stats
+    /// Member `handle`'s local neighbor table, while active.
+    pub fn member_table(&self, handle: usize) -> Option<&NeighborTable> {
+        self.member(handle).table.as_ref()
     }
 
-    /// Verifies K-consistency of every live member's local table against
-    /// the authoritative membership (test/debug helper; O(N²·D·B)).
+    /// Member `handle`'s record, once admitted.
+    pub fn member_record(&self, handle: usize) -> Option<&Member> {
+        self.member(handle).member.as_ref()
+    }
+
+    /// Member `handle`'s counters.
+    pub fn member_stats(&self, handle: usize) -> MemberStats {
+        self.member(handle).stats
+    }
+
+    /// `false` once member `handle` has been crashed.
+    pub fn is_member_alive(&self, handle: usize) -> bool {
+        let (shard_index, idx) = self.placed(handle);
+        self.shards[shard_index].alive[idx]
+    }
+
+    /// The coordinator's metrics registry (the replicas' spans and the
+    /// key tree's series). Use it to attach extra series before a run;
+    /// [`ShardedGroupRuntime::snapshot`] is the aggregated view.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Checks that the *members' local tables* (not the oracle's) are
+    /// K-consistent for the oracle membership (Definition 3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an oracle member never received its overlay state (its
+    /// node has no table) — that indicates a protocol bug, not a
+    /// consistency violation.
     pub fn check_consistency(&self) -> Result<(), ConsistencyViolation> {
-        let group = self.server.server.group();
+        let group = self.group();
         let members: Vec<Member> = group.members().to_vec();
         let tables: Vec<NeighborTable> = members
             .iter()
             .map(|m| {
-                let (shard_index, idx) = self.placement[m.host.0];
-                self.shards[shard_index as usize].members[idx as usize]
-                    .table
-                    .clone()
+                self.member_table(m.host.0)
+                    .cloned()
                     .expect("admitted member holds a table")
             })
             .collect();
         check_consistency(group.spec(), &members, &tables, group.k())
     }
 
-    /// Aggregates the session's counters, histograms, and spans into the
-    /// same [`MetricsSnapshot`] the classic runtime produces.
+    /// Aggregates the session's counters, histograms, and spans.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let server = self.server.stats;
-        let registry = self.registry.snapshot();
-        let counter = |name: &str| registry.counters.get(name).copied().unwrap_or(0);
-        let metrics = self.core.metrics.lock().unwrap();
-        let mut snapshot = MetricsSnapshot {
-            intervals: server.intervals,
-            members: self.group().len(),
-            joins: server.joins,
-            departures: server.departures,
-            failures_detected: server.failures_detected,
-            forward_copies: server.forward_copies,
-            copies_lost: self.dropped_coord + self.shards.iter().map(|s| s.dropped).sum::<u64>(),
-            dead_letters: 0,
-            suppressed: 0,
-            nacks: server.nacks,
-            recovery_encryptions: server.recovery_encryptions,
-            pings: 0,
-            evictions: 0,
-            retransmissions: 0,
-            max_retry_attempts: 0,
-            resyncs: server.resyncs,
-            rejoins: 0,
-            rehabilitations: 0,
-            restarts: server.restarts,
-            checkpoints: server.checkpoints,
-            delivered: self.delivered_coord + self.shards.iter().map(|s| s.delivered).sum::<u64>(),
-            welcomes: server.welcomes,
-            leave_acks: server.leave_acks,
-            tree_encryptions: counter("tree_encryptions"),
-            tombstone_hits: counter("tree_tombstone_hits"),
-            partition_cuts: 0,
-            fault_loss_drops: 0,
-            elections: server.elections,
-            promotions: server.promotions,
-            lost_mutations: server.lost_mutations,
-            repl_lag_peak: server.repl_lag_peak,
+        let mut registry = self.registry.snapshot();
+        let cores = std::iter::once(&self.coord_core).chain(self.shards.iter().map(|s| &s.core));
+        let histograms = merge_member_sinks(cores.map(|core| &**core), &mut registry);
+        let mut executor = ExecutorCounters {
             peak_queue_depth: self.peak_queue,
-            apply_delay_us: metrics.apply_delay_us.snapshot(),
-            batch_size: registry
-                .histograms
-                .get("tree_batch_size")
-                .cloned()
-                .unwrap_or_default(),
-            split_payload: metrics.split_payload.snapshot(),
-            forward_fanout: metrics.forward_fanout.snapshot(),
-            recovery_size: metrics.recovery_size.snapshot(),
-            spans: registry.spans,
-            spans_dropped: registry.spans_dropped,
+            ..ExecutorCounters::default()
         };
-        for &(shard_index, idx) in &self.placement {
-            let stats = &self.shards[shard_index as usize].members[idx as usize].stats;
-            snapshot.forward_copies += stats.copies_forwarded;
-            snapshot.pings += stats.pings_sent;
-            snapshot.evictions += stats.evictions;
-            snapshot.retransmissions += stats.retransmissions;
-            snapshot.max_retry_attempts = snapshot.max_retry_attempts.max(stats.max_retry_attempts);
-            snapshot.rejoins += stats.rejoins;
-            snapshot.rehabilitations += stats.rehabilitations;
+        for lane in self.lanes() {
+            executor.copies_lost += lane.dropped;
+            executor.dead_letters += lane.dead_letters;
+            executor.suppressed += lane.suppressed;
+            executor.delivered += lane.delivered;
+            if let Some(faults) = &lane.faults {
+                let fired = faults.stats();
+                executor.partition_cuts += fired.partition_cuts;
+                executor.fault_loss_drops += fired.loss_drops;
+            }
         }
-        snapshot
+        MetricsSnapshot::assemble(
+            self.group().len(),
+            ServerStats::sum(self.servers.iter().map(|s| &s.stats)),
+            self.members().map(|m| &m.stats),
+            registry,
+            histograms,
+            executor,
+        )
     }
 }
 
@@ -850,34 +1016,39 @@ impl<NET: Network + Sync> Driver for ShardedGroupRuntime<NET> {
     }
 
     fn leave(&mut self, handle: usize) {
-        let at = self.now;
-        self.leave_at(at, handle);
+        self.leave_at(self.now, handle);
     }
 
     fn run_to_interval(&mut self, target: u64) -> bool {
-        let period = self.core.knobs.rekey_period.max(4);
+        let period = self.knobs().rekey_period.max(4);
         for _ in 0..100_000 {
-            let reached = self.server.server.interval() >= target
-                && self.placement.iter().all(|&(shard_index, idx)| {
-                    let member = &self.shards[shard_index as usize].members[idx as usize];
-                    member.departed
-                        || member
-                            .agent
-                            .as_ref()
-                            .is_some_and(|a| a.interval() >= target)
+            let reached = self.server().interval() >= target
+                && self.shards.iter().all(|shard| {
+                    // A crashed member never applies anything again; it
+                    // stays in the roster until its neighbors detect it.
+                    shard
+                        .members
+                        .iter()
+                        .zip(&shard.alive)
+                        .all(|(member, &alive)| {
+                            member.departed
+                                || !alive
+                                || member
+                                    .agent
+                                    .as_ref()
+                                    .is_some_and(|a| a.interval() >= target)
+                        })
                 });
             if reached {
                 return true;
             }
-            let until = self.now + period / 4;
-            self.run_until(until);
+            self.run_until(self.now + period / 4);
         }
         false
     }
 
     fn finish_run(&mut self) -> bool {
-        let now = self.now;
-        self.finish(now);
+        self.finish(self.now);
         true
     }
 
@@ -897,36 +1068,72 @@ impl<NET: Network + Sync> Driver for ShardedGroupRuntime<NET> {
 fn assert_shard_is_send() {
     fn is_send<T: Send>() {}
     is_send::<Shard>();
-    is_send::<RtMember<Arc<ShardCore>>>();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{member_node_with_replicas, replica_node};
     use rekey_id::IdSpec;
     use rekey_net::GridNetwork;
+    use rekey_sim::GilbertElliott;
 
     const MEMBERS: usize = 48;
     const PERIOD: SimTime = 400_000;
 
-    fn build(shards: usize, loss: f64, seed: u64) -> ShardedGroupRuntime<GridNetwork> {
-        let net = GridNetwork::new(MEMBERS + 1, 1_000, 100);
-        let window = net.min_one_way();
-        let group = GroupConfig::for_spec(&IdSpec::new(3, 4).unwrap())
+    fn group() -> GroupConfig {
+        GroupConfig::for_spec(&IdSpec::new(3, 4).unwrap())
             .k(2)
-            .seed(11);
-        let config = RuntimeConfig::builder()
+            .seed(11)
+    }
+
+    fn config(loss: f64, seed: u64, replicas: usize) -> RuntimeConfig {
+        RuntimeConfig::builder()
             .rekey_period(PERIOD)
             .nack_grace(PERIOD / 4)
-            // No heartbeats fire: the sharded runtime disarms them, but
-            // keep the period out of the run anyway.
+            // Dealt members are not heartbeated; keep the period out of
+            // the run for the ones that join later, too.
             .heartbeat_period(1 << 40)
             .loss(loss)
             .retry_base(PERIOD / 8)
+            .replicas(replicas)
             .seed(seed)
-            .build();
-        ShardedGroupRuntime::bootstrapped(group, config, net, MEMBERS, shards, window)
-            .expect("bootstrap fits the ID space")
+            .build()
+    }
+
+    fn build(shards: usize, loss: f64, seed: u64) -> ShardedGroupRuntime<GridNetwork> {
+        let net = GridNetwork::new(MEMBERS + 1, 1_000, 100);
+        let window = net.min_one_way();
+        ShardedGroupRuntime::bootstrapped(
+            group(),
+            config(loss, seed, 1),
+            net,
+            MEMBERS,
+            shards,
+            window,
+        )
+        .expect("bootstrap fits the ID space")
+    }
+
+    /// Every live member's agent is at the server's interval with the
+    /// server's group key, leavers hold nothing (a crashed member keeps
+    /// whatever it died with), tables are K-consistent.
+    fn assert_current(rt: &ShardedGroupRuntime<GridNetwork>, gone: &[usize]) {
+        let server_interval = rt.server().interval();
+        let group_key = rt.server().tree().group_key().expect("non-empty").clone();
+        for handle in 0..rt.member_count() {
+            if !rt.is_member_alive(handle) {
+                continue;
+            }
+            if gone.contains(&handle) {
+                assert!(rt.agent(handle).is_none(), "leaver {handle} kept its agent");
+                continue;
+            }
+            let agent = rt.agent(handle).expect("survivor was welcomed");
+            assert_eq!(agent.interval(), server_interval, "member {handle} lags");
+            assert_eq!(agent.group_key(), Some(&group_key), "member {handle} stale");
+        }
+        rt.check_consistency().expect("tables stay K-consistent");
     }
 
     /// Every member bootstraps current, rekey intervals propagate
@@ -949,26 +1156,17 @@ mod tests {
         assert_eq!(report.welcomes, MEMBERS as u64);
         assert_eq!(report.leave_acks, 2);
         assert!(report.intervals >= 3, "got {} intervals", report.intervals);
-        assert_eq!(report.checkpoints, 0, "journal is disabled");
-        assert_eq!(report.pings, 0, "heartbeats are disarmed");
+        assert_eq!(
+            report.checkpoints, 0,
+            "one unfaulted replica journals nothing"
+        );
+        assert_eq!(report.pings, 0, "dealt members are not heartbeated");
         assert!(report.copies_lost > 0, "loss stream never drew");
-
-        let server_interval = rt.server().interval();
-        let group_key = rt.server().tree().group_key().expect("non-empty").clone();
-        for handle in 0..MEMBERS {
-            if handle == 7 || handle == 19 {
-                assert!(rt.agent(handle).is_none(), "leaver {handle} kept its agent");
-                continue;
-            }
-            let agent = rt.agent(handle).expect("survivor was welcomed");
-            assert_eq!(agent.interval(), server_interval, "member {handle} lags");
-            assert_eq!(agent.group_key(), Some(&group_key), "member {handle} stale");
-        }
-        rt.check_consistency().expect("tables stay K-consistent");
+        assert_current(&rt, &[7, 19]);
     }
 
-    /// A crash propagates as a failure notice: the server departs the
-    /// member and repairs the survivors' tables.
+    /// A concluded detection propagates as a failure notice: the server
+    /// departs the member and repairs the survivors' tables.
     #[test]
     fn sharded_failure_departs_the_member() {
         let mut rt = build(4, 0.0, 9);
@@ -983,8 +1181,9 @@ mod tests {
     }
 
     /// The executor is deterministic: identically seeded runs — threads,
-    /// mutexes, and all — render byte-identical snapshot JSON, and a
-    /// different seed diverges (the test would otherwise be vacuous).
+    /// mutexes, and all — render byte-identical snapshot JSON (member
+    /// spans included), and a different seed diverges (the test would
+    /// otherwise be vacuous).
     #[test]
     fn sharded_runs_are_byte_identical() {
         let run = |seed: u64| {
@@ -997,6 +1196,10 @@ mod tests {
         let first = run(0xD57E);
         let second = run(0xD57E);
         assert_eq!(first, second, "identical seeds must render identical JSON");
+        assert!(
+            first.contains("\"name\": \"apply\""),
+            "member spans merged in"
+        );
         let other = run(0xD57F);
         assert_ne!(first, other, "the seed must actually steer the run");
     }
@@ -1011,9 +1214,9 @@ mod tests {
             rt.finish(3 * PERIOD);
             rt.snapshot().to_json()
         };
-        // Loss draws are per-shard streams, so counters can only agree
-        // when the shard layout matches — pin the weaker, still
-        // meaningful property on a lossless run instead.
+        // `RuntimeConfig::loss` draws are per-lane streams, so counters
+        // can only agree when the shard layout matches — pin the weaker,
+        // still meaningful property on a lossless run instead.
         let lossless = |shards: usize| {
             let mut rt = build(shards, 0.0, 21);
             rt.leave_at(PERIOD / 2, 11);
@@ -1023,5 +1226,161 @@ mod tests {
         assert_eq!(lossless(1), lossless(4));
         // And with loss, each layout is at least self-consistent.
         assert_eq!(run(2), run(2));
+    }
+
+    /// The same under faults, which the sharded layout could not run
+    /// before: a fault plan's loss and jitter streams are per *sender*,
+    /// its partitions and outages pure in `(plan, now)`, so a replicated
+    /// session with a partition, burst loss, a primary outage, leaves, a
+    /// late joiner and a crash ends in the same place at 1 and 4 shards —
+    /// roster, epoch, keys, every local table, and every counter.
+    #[test]
+    fn shard_count_is_an_execution_detail_under_faults() {
+        const REPLICAS: usize = 3;
+        let run = |shards: usize| {
+            let net = GridNetwork::new(MEMBERS + 4, 1_000, 100);
+            let window = net.min_one_way();
+            let cell: Vec<NodeId> = (0..MEMBERS)
+                .step_by(3)
+                .map(|h| member_node_with_replicas(h, REPLICAS))
+                .collect();
+            let plan = FaultPlan::new()
+                .burst_loss(GilbertElliott::moderate())
+                .jitter(700)
+                .partition(vec![cell], 2 * PERIOD, 4 * PERIOD)
+                .outage(replica_node(0), 6 * PERIOD + PERIOD / 3, 14 * PERIOD);
+            let mut rt = ShardedGroupRuntime::bootstrapped(
+                group(),
+                config(0.0, 33, REPLICAS),
+                net,
+                MEMBERS,
+                shards,
+                window,
+            )
+            .expect("bootstrap fits the ID space")
+            .with_faults(plan);
+            let joined = rt.run_trace(&[
+                ChurnEvent::leave(PERIOD / 2, 7),
+                ChurnEvent::leave(3 * PERIOD, 18),
+                ChurnEvent::crash(4 * PERIOD + PERIOD / 2, 40),
+                ChurnEvent::join(5 * PERIOD + 17),
+            ]);
+            assert_eq!(joined, [MEMBERS]);
+            // The crashed member is not heartbeated by its dealt
+            // neighbors; conclude the detection by hand. The last leave
+            // falls into the outage and is retried onto the new primary.
+            rt.fail_at(5 * PERIOD + PERIOD / 2, 40, 41);
+            rt.leave_at(7 * PERIOD, 29);
+            rt.finish(24 * PERIOD + 5);
+            rt
+        };
+        let (one, four) = (run(1), run(4));
+        let report = one.snapshot();
+        assert_eq!(report.promotions, 1, "a follower took over");
+        assert_eq!(report.restarts, 1, "the ex-primary came back");
+        assert!(report.partition_cuts > 0 && report.fault_loss_drops > 0);
+        assert!(report.suppressed > 0, "the outage swallowed deliveries");
+        assert!(
+            report.dead_letters > 0,
+            "the crashed member absorbed traffic"
+        );
+        assert_eq!(one.server_epoch(), 1);
+        assert_eq!(one.group().len(), MEMBERS + 1 - 4);
+        assert_current(&one, &[7, 18, 29]);
+        assert_current(&four, &[7, 18, 29]);
+
+        assert_eq!(one.group().members(), four.group().members(), "rosters");
+        assert_eq!(one.server_epoch(), four.server_epoch());
+        assert_eq!(one.server().interval(), four.server().interval());
+        for m in one.group().members() {
+            assert_eq!(
+                one.server()
+                    .tree()
+                    .user_path_keys(&m.id)
+                    .collect::<Vec<_>>(),
+                four.server()
+                    .tree()
+                    .user_path_keys(&m.id)
+                    .collect::<Vec<_>>(),
+                "path keys of {}",
+                m.id
+            );
+            let records = |rt: &ShardedGroupRuntime<GridNetwork>| -> Vec<_> {
+                let table = rt.member_table(m.host.0).expect("live member has a table");
+                table.iter_all().copied().collect()
+            };
+            assert_eq!(records(&one), records(&four), "local table of {}", m.id);
+        }
+        assert_eq!(report, four.snapshot(), "every counter, histogram and span");
+    }
+
+    /// `run_to_interval` must not wait for a member that crashed but is
+    /// not yet detected: it would spin its whole budget on it.
+    #[test]
+    fn run_to_interval_skips_crashed_members() {
+        let mut rt = build(2, 0.0, 4);
+        rt.run_trace(&[ChurnEvent::crash(PERIOD / 2, 9)]);
+        assert!(!rt.is_member_alive(9));
+        assert!(rt.run_to_interval(2), "interval 2 stalled on a dead member");
+        assert!(rt.now() <= 2 * PERIOD, "took until {}", rt.now());
+        assert_eq!(
+            rt.agent(9).map(|a| a.interval()),
+            Some(1),
+            "the dead stay put"
+        );
+        assert!(
+            rt.group().len() == MEMBERS,
+            "undetected: still in the roster"
+        );
+    }
+
+    /// What a wedged shutdown flush would report: the backlog by name and
+    /// by member handle, not just "did not converge".
+    #[test]
+    fn flush_backlog_names_what_is_still_open() {
+        let mut rt = build(2, 0.0, 6);
+        rt.leave_at(PERIOD / 4, 13);
+        rt.leave_at(PERIOD / 4, 31);
+        // Mid-interval: both requests reached the server, neither is
+        // rekeyed away or acknowledged yet.
+        rt.run_until(PERIOD / 2);
+        let (joins, leaves, owed) = rt.primary().flush_backlog();
+        assert_eq!((joins, leaves), (0, 2));
+        assert_eq!(owed, [13, 31]);
+        rt.finish(PERIOD / 2);
+        assert_eq!(rt.primary().flush_backlog(), (0, 0, Vec::new()));
+        assert_eq!(rt.snapshot().leave_acks, 2);
+    }
+
+    /// A session built empty is the degenerate layout: one shard, a 1 µs
+    /// window, heartbeats and journal on — and its members can be joined
+    /// by a trace, which a dealt session could not do before.
+    #[test]
+    fn joins_work_on_both_layouts() {
+        let net = GridNetwork::new(MEMBERS + 1, 1_000, 100);
+        let mut empty = ShardedGroupRuntime::new(group(), config(0.0, 2, 1), net);
+        let trace: Vec<ChurnEvent> = (0..6)
+            .map(|i| ChurnEvent::join(1_000 + i * 7_000))
+            .collect();
+        assert_eq!(empty.run_trace(&trace), [0, 1, 2, 3, 4, 5]);
+        empty.finish(3 * PERIOD);
+        assert_eq!(empty.group().len(), 6);
+        assert!(empty.snapshot().checkpoints >= 2, "built empty: journaled");
+        assert_current(&empty, &[]);
+
+        let net = GridNetwork::new(MEMBERS + 4, 1_000, 100);
+        let window = net.min_one_way();
+        let mut dealt =
+            ShardedGroupRuntime::bootstrapped(group(), config(0.0, 2, 1), net, MEMBERS, 4, window)
+                .unwrap();
+        let joined = dealt.run_trace(&[
+            ChurnEvent::join(PERIOD / 3),
+            ChurnEvent::join(PERIOD + PERIOD / 3),
+        ]);
+        assert_eq!(joined, [MEMBERS, MEMBERS + 1]);
+        dealt.finish(3 * PERIOD);
+        assert_eq!(dealt.snapshot().joins, 2);
+        assert_eq!(dealt.group().len(), MEMBERS + 2);
+        assert_current(&dealt, &[]);
     }
 }

@@ -3,7 +3,7 @@
 //! The sibling `core` module defines the protocol as pure state machines
 //! — decoded
 //! messages and timer ticks in, `(destination, payload, deadline)` out.
-//! The simulation drivers bind those outputs to a virtual clock; this
+//! The simulation driver binds those outputs to a virtual clock; this
 //! module binds them to the operating system instead:
 //!
 //! * **time** is a shared [`Instant`] epoch, read as integer microseconds
@@ -42,26 +42,38 @@
 //! congested link would — and the protocol's NACK/recover path repairs
 //! the gap. [`UdpGroupDriver::traffic`] reports what the endpoints saw.
 //!
-//! Unlike the simulation engines the wall clock is not deterministic, so
+//! Unlike the simulation engine the wall clock is not deterministic, so
 //! runs are *not* byte-reproducible; equivalence with the simulated
-//! drivers is pinned by the `socket_equivalence` integration test, which
+//! driver is pinned by the `socket_equivalence` integration test, which
 //! drives the same churn through both and compares final key trees.
 
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::net::SocketAddr;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rekey_id::IdSpec;
+use rekey_keytree::TreeMetrics;
+use rekey_metrics::Registry;
 use rekey_net::udp::{EndpointStats, UdpEndpoint};
+use rekey_net::{HostId, Network};
+use rekey_sim::{NodeId, SimTime};
+use rekey_table::{check_consistency, ConsistencyViolation, Member, NeighborTable};
 
-use super::shard::{CoordHandle, ShardCore};
+use super::core::{
+    acting_primary, boot_timers, merge_member_sinks, CoordHandle, Knobs, RtMember, RtServer,
+    ShardCore,
+};
 use super::wire::{decode_msg, encode_forward_split, encode_msg};
-use super::*;
+use super::{
+    journal, Driver, ExecutorCounters, MemberStats, MetricsSnapshot, Outputs, RtMsg, RuntimeConfig,
+    ServerStats,
+};
 
-use crate::GroupError;
+use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
 
 /// Construction/runtime failures of the socket driver.
 #[derive(Debug)]
@@ -473,10 +485,10 @@ struct ServerSlot<NET: Network> {
 }
 
 /// The real-socket group driver: the same protocol core as the
-/// simulation runtimes, executed over loopback UDP in real time.
+/// simulated runtime, executed over loopback UDP in real time.
 ///
 /// Built fully populated by [`UdpGroupDriver::bootstrapped`] (the
-/// O(N·D·B) dealing pass of [`GroupConfig::bootstrap`], like the sharded
+/// O(N·D·B) dealing pass of [`GroupConfig::bootstrap`], like the simulated
 /// runtime), then churned with [`join`](UdpGroupDriver::join) and
 /// [`leave`](UdpGroupDriver::leave) — both travel as real packets.
 /// Advance the session with [`run_to_interval`], then [`finish`] to
@@ -571,26 +583,17 @@ impl<NET: Network> UdpGroupDriver<NET> {
                 server_fsm.instrument_tree(TreeMetrics::in_registry(&registry));
                 welcomes = dealt;
             }
-            let rt = RtServer {
-                net: Rc::clone(&net),
-                shared: CoordHandle::new(Arc::clone(&core), registry.clone()),
-                server: server_fsm,
-                epoch: 0,
-                seq: 0,
-                tick_gen: 0,
-                next_interval_at: config.rekey_period(),
-                last_round_at: 0,
-                history: BTreeMap::new(),
-                split_index: SplitIndexMaintainer::default(),
-                journal: journal::Journal::disabled(),
-                pending_leave_acks: Vec::new(),
-                repl: Replication::new(replica, replicas),
-                stats: ServerStats {
-                    // The bootstrap deal is counted once, on the primary.
-                    welcomes: if replica == 0 { members as u64 } else { 0 },
-                    ..ServerStats::default()
-                },
-            };
+            let mut rt = RtServer::new(
+                Rc::clone(&net),
+                CoordHandle::new(Arc::clone(&core), registry.clone()),
+                server_fsm,
+                replica,
+                journal::Journal::disabled(),
+            );
+            if replica == 0 {
+                // The bootstrap deal is counted once, on the primary.
+                rt.stats.welcomes = members as u64;
+            }
             slots.push(ServerSlot {
                 rt,
                 endpoint: UdpEndpoint::bind_loopback()?,
@@ -610,7 +613,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         let decode_errors = Arc::new(AtomicU64::new(0));
         let poll = Duration::from_millis(1);
         // The epoch starts *after* the dealing pass: interval deadlines
-        // count from here, exactly like the simulators' time zero.
+        // count from here, exactly like the simulator's time zero.
         let epoch = Instant::now();
 
         let mut links = Vec::with_capacity(workers);
@@ -667,24 +670,17 @@ impl<NET: Network> UdpGroupDriver<NET> {
             frame: Vec::new(),
         };
 
-        // Seed the pre-welcomed members, mirroring the sharded
-        // bootstrap: agent current at interval 1, interval-2 check armed
-        // at the first rekey boundary plus the NACK grace.
-        let first_deadline = config.rekey_period() + config.nack_grace();
+        // Seed the pre-welcomed members: agent current at interval 1,
+        // interval-2 check armed at the first rekey boundary plus the
+        // NACK grace.
         for (i, welcome) in welcomes.into_iter().enumerate() {
-            let record = driver.servers[0].rt.server.group().members()[i];
-            let table = driver.servers[0].rt.server.group().table(i).clone();
-            debug_assert_eq!(record.id, welcome.id);
-
-            let mut member = RtMember::new(Arc::clone(&driver.core));
-            member.member = Some(record);
-            member.table = Some(table);
-            member.server_interval_seen = welcome.interval;
-            member.agent = Some(UserAgent::from_welcome(welcome));
-            member.check_gen = 1;
-            member.next_boundary = config.rekey_period();
-            member.expected_interval = 2;
-
+            let group = driver.servers[0].rt.server.group();
+            let (member, check) = RtMember::welcomed(
+                Arc::clone(&driver.core),
+                group.members()[i],
+                group.table(i).clone(),
+                welcome,
+            );
             let node = NodeId(i + replicas);
             driver.handles += 1;
             driver
@@ -693,28 +689,13 @@ impl<NET: Network> UdpGroupDriver<NET> {
                 .send(WorkerCtl::Spawn(Box::new(Seed {
                     node,
                     member,
-                    timers: vec![(first_deadline, RtMsg::IntervalCheck { gen: 1 })],
+                    timers: vec![check],
                 })))
                 .expect("worker thread alive at bootstrap");
         }
 
-        driver.arm_server_timer(
-            SERVER,
-            config.rekey_period(),
-            RtMsg::IntervalTick { gen: 0 },
-        );
-        if replicas > 1 {
-            // Mirror the simulator's replication bring-up: the primary
-            // streams/heartbeats every half rekey period, followers run
-            // staggered liveness checks so elections do not collide.
-            driver.arm_server_timer(SERVER, knobs.repl_period(), RtMsg::ReplTick { gen: 0 });
-            for r in 1..replicas {
-                driver.arm_server_timer(
-                    NodeId(r),
-                    config.rekey_period() + r as SimTime * config.retry_base(),
-                    RtMsg::ReplCheck { gen: 0 },
-                );
-            }
+        for (node, due, msg) in boot_timers(&knobs) {
+            driver.arm_server_timer(node, due, msg);
         }
         Ok(driver)
     }
@@ -728,17 +709,15 @@ impl<NET: Network> UdpGroupDriver<NET> {
         self.servers.len()
     }
 
-    /// The replica currently acting as primary: the alive, non-diverged
-    /// [`ReplRole::Primary`] with the highest epoch, falling back to
-    /// replica 0 mid-election.
+    /// The replica currently acting as primary, among the alive ones.
     fn acting_primary(&self) -> usize {
-        self.servers
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive && s.rt.repl.active && s.rt.repl.role == ReplRole::Primary)
-            .max_by_key(|(_, s)| s.rt.epoch)
-            .map(|(r, _)| r)
-            .unwrap_or(0)
+        acting_primary(
+            self.servers
+                .iter()
+                .enumerate()
+                .filter(|(_, slot)| slot.alive)
+                .map(|(replica, slot)| (replica, &slot.rt)),
+        )
     }
 
     fn primary_rt(&self) -> &RtServer<NET, CoordHandle> {
@@ -799,7 +778,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
 
     /// Pumps the server replicas — timers and sockets — for up to
     /// `slice`. The wait budget of each beat is split across the alive
-    /// replica sockets (with one replica this is the classic
+    /// replica sockets (with one replica this is the plain
     /// single-socket poll).
     fn pump(&mut self, slice: Duration) {
         let deadline = Instant::now() + slice;
@@ -992,7 +971,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
 
     /// Shuts the session down: raises the shutdown flag (timers stop
     /// re-arming), then runs server flush rounds until no membership
-    /// work or leave ack is outstanding (mirroring the simulators'
+    /// work or leave ack is outstanding (mirroring the simulator's
     /// `finish`), stops the workers, and collects every member state
     /// machine for inspection. Returns `true` when the flush converged
     /// within `timeout`; when it did not, [`UdpGroupDriver::not_converged`]
@@ -1013,7 +992,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             self.server_receive(primary, NodeId(primary), RtMsg::Flush);
             self.pump(Duration::from_millis(40));
             let primary = self.acting_primary();
-            let (joins, leaves) = self.servers[primary].rt.server.pending();
+            let (joins, leaves, pending_leave_acks) = self.servers[primary].rt.flush_backlog();
             // Beyond the server's own queues, wait for every member's
             // repairs: the flush's `Recover` broadcast carries both the
             // latest key material and the mutation watermark, so a
@@ -1021,17 +1000,11 @@ impl<NET: Network> UdpGroupDriver<NET> {
             // `MemberLeft` stream to a kernel drop NACKs or resyncs now
             // — those replies must land before workers are collected.
             let interval = self.servers[primary].rt.server.interval();
-            let replicas = self.replicas();
             let open = NotConverged {
                 interval,
                 joins,
                 leaves,
-                pending_leave_acks: self.servers[primary]
-                    .rt
-                    .pending_leave_acks
-                    .iter()
-                    .map(|node| node.0 - replicas)
-                    .collect(),
+                pending_leave_acks,
                 lagging: self.lag(interval),
                 stale: self.stale_members(),
             };
@@ -1160,96 +1133,29 @@ impl<NET: Network> UdpGroupDriver<NET> {
     }
 
     /// Aggregates the session's counters and histograms into the same
-    /// [`MetricsSnapshot`] shape the simulation runtimes produce.
+    /// [`MetricsSnapshot`] shape the simulator produces.
     /// `delivered` counts received frames; `copies_lost` counts local
     /// oversize drops (kernel drops are invisible — they surface as NACK
     /// recoveries instead). Member-side counters are merged only after
     /// [`UdpGroupDriver::finish`].
     pub fn snapshot(&self) -> MetricsSnapshot {
-        // Sum mutation counters across the replica fleet: each mutation
-        // is counted once, by whichever replica was primary when it was
-        // applied, so the sum reads like a single logical server.
-        let mut server = ServerStats::default();
-        for slot in &self.servers {
-            let s = &slot.rt.stats;
-            server.intervals += s.intervals;
-            server.joins += s.joins;
-            server.departures += s.departures;
-            server.failures_detected += s.failures_detected;
-            server.forward_copies += s.forward_copies;
-            server.nacks += s.nacks;
-            server.recovery_encryptions += s.recovery_encryptions;
-            server.welcomes += s.welcomes;
-            server.resyncs += s.resyncs;
-            server.restarts += s.restarts;
-            server.checkpoints += s.checkpoints;
-            server.leave_acks += s.leave_acks;
-            server.elections += s.elections;
-            server.promotions += s.promotions;
-            server.lost_mutations += s.lost_mutations;
-            server.repl_lag_peak = server.repl_lag_peak.max(s.repl_lag_peak);
-        }
-        let registry = self.registry.snapshot();
-        let counter = |name: &str| registry.counters.get(name).copied().unwrap_or(0);
+        let mut registry = self.registry.snapshot();
+        let histograms = merge_member_sinks([&*self.core], &mut registry);
         let traffic = self.traffic();
-        let [apply_delay_us, split_payload, forward_fanout, recovery_size] =
-            self.core.member_histograms();
-        let mut snapshot = MetricsSnapshot {
-            intervals: server.intervals,
-            members: self.group().len(),
-            joins: server.joins,
-            departures: server.departures,
-            failures_detected: server.failures_detected,
-            forward_copies: server.forward_copies,
-            copies_lost: traffic.oversize_drops,
-            dead_letters: traffic.malformed_frames + traffic.decode_errors,
-            suppressed: 0,
-            nacks: server.nacks,
-            recovery_encryptions: server.recovery_encryptions,
-            pings: 0,
-            evictions: 0,
-            retransmissions: 0,
-            max_retry_attempts: 0,
-            resyncs: server.resyncs,
-            rejoins: 0,
-            rehabilitations: 0,
-            restarts: server.restarts,
-            checkpoints: server.checkpoints,
-            delivered: traffic.packets_received,
-            welcomes: server.welcomes,
-            leave_acks: server.leave_acks,
-            tree_encryptions: counter("tree_encryptions"),
-            tombstone_hits: counter("tree_tombstone_hits"),
-            partition_cuts: 0,
-            fault_loss_drops: 0,
-            elections: server.elections,
-            promotions: server.promotions,
-            lost_mutations: server.lost_mutations,
-            repl_lag_peak: server.repl_lag_peak,
-            peak_queue_depth: self.peak_timers,
-            apply_delay_us,
-            batch_size: registry
-                .histograms
-                .get("tree_batch_size")
-                .cloned()
-                .unwrap_or_default(),
-            split_payload,
-            forward_fanout,
-            recovery_size,
-            spans: registry.spans,
-            spans_dropped: registry.spans_dropped,
-        };
-        for member in self.collected.iter().flatten() {
-            let stats = &member.stats;
-            snapshot.forward_copies += stats.copies_forwarded;
-            snapshot.pings += stats.pings_sent;
-            snapshot.evictions += stats.evictions;
-            snapshot.retransmissions += stats.retransmissions;
-            snapshot.max_retry_attempts = snapshot.max_retry_attempts.max(stats.max_retry_attempts);
-            snapshot.rejoins += stats.rejoins;
-            snapshot.rehabilitations += stats.rehabilitations;
-        }
-        snapshot
+        MetricsSnapshot::assemble(
+            self.group().len(),
+            ServerStats::sum(self.servers.iter().map(|slot| &slot.rt.stats)),
+            self.collected.iter().flatten().map(|member| &member.stats),
+            registry,
+            histograms,
+            ExecutorCounters {
+                copies_lost: traffic.oversize_drops,
+                dead_letters: traffic.malformed_frames + traffic.decode_errors,
+                delivered: traffic.packets_received,
+                peak_queue_depth: self.peak_timers,
+                ..ExecutorCounters::default()
+            },
+        )
     }
 }
 

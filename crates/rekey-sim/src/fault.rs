@@ -97,17 +97,37 @@ impl GilbertElliott {
 /// implicit default cell.
 #[derive(Debug, Clone)]
 struct Partition {
-    cells: Vec<Vec<NodeId>>,
+    /// Cell index by node id (`IMPLICIT_CELL` for unlisted nodes), so a
+    /// cut decision is two lookups however large the cells are.
+    cell_of: Vec<u32>,
     from: SimTime,
     until: SimTime,
 }
 
+/// The cell every node absent from the listed cells belongs to.
+const IMPLICIT_CELL: u32 = u32::MAX;
+
 impl Partition {
-    fn cell_of(&self, node: NodeId) -> usize {
-        self.cells
-            .iter()
-            .position(|cell| cell.contains(&node))
-            .unwrap_or(usize::MAX)
+    fn new(cells: &[Vec<NodeId>], from: SimTime, until: SimTime) -> Partition {
+        let nodes = cells.iter().flatten().map(|n| n.0 + 1).max().unwrap_or(0);
+        let mut cell_of = vec![IMPLICIT_CELL; nodes];
+        for (cell, members) in cells.iter().enumerate() {
+            for node in members {
+                // A node listed twice stays in its first cell.
+                if cell_of[node.0] == IMPLICIT_CELL {
+                    cell_of[node.0] = cell as u32;
+                }
+            }
+        }
+        Partition {
+            cell_of,
+            from,
+            until,
+        }
+    }
+
+    fn cell_of(&self, node: NodeId) -> u32 {
+        self.cell_of.get(node.0).copied().unwrap_or(IMPLICIT_CELL)
     }
 }
 
@@ -158,7 +178,7 @@ impl FaultPlan {
             from < until,
             "partition window is empty ({from} >= {until})"
         );
-        self.partitions.push(Partition { cells, from, until });
+        self.partitions.push(Partition::new(&cells, from, until));
         self
     }
 

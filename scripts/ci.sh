@@ -4,9 +4,10 @@
 #
 #   scripts/ci.sh
 #
-# Runs the release build, the full test suite, the runtime and chaos
-# soaks, the doc tests, the formatting check, clippy and rustdoc with
-# warnings denied — the same bar every PR must clear.
+# Runs the release build, the full test suite, the runtime, chaos,
+# failover and mega soaks, the doc tests, the formatting check, clippy and
+# rustdoc with warnings denied — the same bar every PR must clear — and
+# prints the two tracked size outcomes (scripts/loc.sh).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,20 +30,14 @@ cargo test --offline --release -q --test failover_soak -- --ignored
 echo "==> metrics smoke (200-member soak, snapshot JSON schema validation)"
 cargo test --offline --release -q --test metrics_smoke -- --ignored
 
-echo "==> mega soak (65k members on the sharded windowed executor, 1% loss)"
+echo "==> mega soaks (65k members on 8 shards: 1% loss; then 3 replicas + burst loss + 3-way partition + primary kill)"
 cargo test --offline --release -q --test mega_soak -- --ignored
 
-echo "==> bench_runtime sweep smoke (classic 64/256/1024 + sharded 65k mega point)"
+echo "==> executor goldens at benchmark size (16k-member bootstrapped run renders the pre-unification snapshot)"
+cargo test --offline --release -q -p rekey-proto --test golden_executor -- --ignored
+
+echo "==> bench_runtime mega sweep smoke (65k point; prints, writes nothing)"
 cargo run --offline --release -q -p rekey-bench --bin bench_runtime -- --mega-cap 65536 > /dev/null
-
-echo "==> loopback-UDP load-test smoke (1k members over real sockets, bounded wall-clock)"
-cargo run --offline --release -q -p rekey-bench --bin load_test -- --members 1024 --intervals 2 > /dev/null
-
-echo "==> bench_failover smoke (replica count x kill timing, schema-validated snapshots)"
-cargo run --offline --release -q -p rekey-bench --bin bench_failover > /dev/null
-
-echo "==> bench_crypto sweep (serial vs parallel seal at 4k/64k, byte-identity + schema check)"
-cargo run --offline --release -q -p rekey-bench --bin bench_crypto > /dev/null
 
 echo "==> criterion crypto_batch smoke (churn interval x 1/2/4/8 seal threads, one pass)"
 cargo bench --offline -q -p rekey-bench --bench crypto_batch -- --test > /dev/null
@@ -63,5 +58,8 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
+
+echo "==> tracked size outcomes (ROADMAP aim 2)"
+scripts/loc.sh
 
 echo "==> ci.sh: all green"

@@ -1,0 +1,33 @@
+#!/usr/bin/env sh
+# The two tracked size outcomes of ROADMAP aim 2, reproducibly:
+#
+#   non-test lines  lines before the first `#[cfg(test)]` at column 0 of
+#                   every .rs file under crates/*/src
+#   public items    `pub fn|struct|enum|trait|type|const|static|mod|use`
+#                   declarations in those same lines
+#
+#   scripts/loc.sh            # the two totals
+#   scripts/loc.sh -v         # plus one line per file
+set -eu
+
+cd "$(dirname "$0")/.."
+
+find crates/*/src -name '*.rs' | sort | xargs awk -v verbose="${1:-}" '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests { next }
+    {
+        lines[FILENAME]++
+        total_lines++
+        if ($0 ~ /^[ \t]*pub (fn|struct|enum|trait|type|const|static|mod|use) /) {
+            items[FILENAME]++
+            total_items++
+        }
+    }
+    END {
+        if (verbose == "-v")
+            for (f in lines) printf "%6d %4d %s\n", lines[f], items[f], f | "sort -k3"
+        close("sort -k3")
+        printf "non-test lines under crates/*/src: %d\n", total_lines
+        printf "public items in those lines:       %d\n", total_items
+    }'
