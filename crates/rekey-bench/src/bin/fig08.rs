@@ -4,54 +4,8 @@
 //! delay in ms, and RDP) with one column per scheme. Override the run count
 //! with `--runs N` and group size with `--users N`.
 
-use rekey_bench::{arg_usize, latency_figure, print_series_table, LatencyConfig, Topology};
+use rekey_bench::{latency_figure_main, Topology};
 
 fn main() {
-    let mut cfg = LatencyConfig::paper(Topology::GtItm, 1024, false);
-    cfg.runs = arg_usize("--runs", 5);
-    cfg.users = arg_usize("--users", cfg.users);
-    eprintln!(
-        "fig8: {} users, {} runs on {:?} ({} path)…",
-        cfg.users,
-        cfg.runs,
-        cfg.topology,
-        if cfg.data_path { "data" } else { "rekey" }
-    );
-    let fig = latency_figure(&cfg);
-    print_series_table(
-        "fig8a: inverse CDF of user stress",
-        &[
-            ("nice", &fig.stress.nice),
-            ("nice_p95", &fig.stress.nice_p95),
-            ("tmesh", &fig.stress.tmesh),
-            ("tmesh_p95", &fig.stress.tmesh_p95),
-        ],
-    );
-    print_series_table(
-        "fig8b: inverse CDF of application-layer delay (ms)",
-        &[
-            ("nice", &fig.delay_ms.nice),
-            ("nice_p95", &fig.delay_ms.nice_p95),
-            ("tmesh", &fig.delay_ms.tmesh),
-            ("tmesh_p95", &fig.delay_ms.tmesh_p95),
-        ],
-    );
-    print_series_table(
-        "fig8c: inverse CDF of RDP",
-        &[
-            ("nice", &fig.rdp.nice),
-            ("nice_p95", &fig.rdp.nice_p95),
-            ("tmesh", &fig.rdp.tmesh),
-            ("tmesh_p95", &fig.rdp.tmesh_p95),
-        ],
-    );
-    eprintln!(
-        "fig8: T-mesh RDP<2 for {:.0}% of users, RDP<3 for {:.0}%; NICE RDP<2 for {:.0}%, RDP<3 for {:.0}%",
-        frac_below(&fig.rdp.tmesh, 2.0), frac_below(&fig.rdp.tmesh, 3.0),
-        frac_below(&fig.rdp.nice, 2.0), frac_below(&fig.rdp.nice, 3.0),
-    );
-}
-
-fn frac_below(series: &[f64], bound: f64) -> f64 {
-    100.0 * series.iter().filter(|&&v| v < bound).count() as f64 / series.len() as f64
+    latency_figure_main(8, Topology::GtItm, 1024, false, 5);
 }

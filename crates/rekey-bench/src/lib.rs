@@ -16,4 +16,4 @@ pub use harness::{
     rekey_message_for_churn, transport_fixture, ChurnPlan, GroupBuild, LatencyConfig,
     LatencyFigure, SchemeSeries, Topology,
 };
-pub use output::{fraction_axis, print_series_table, ranked_mean};
+pub use output::{fraction_axis, latency_figure_main, print_series_table, ranked_mean};

@@ -1,5 +1,7 @@
 //! TSV output helpers for the figure binaries.
 
+use crate::harness::{arg_usize, latency_figure, LatencyConfig, SchemeSeries, Topology};
+
 /// The x axis of an inverse CDF plot: `ranks` evenly spaced fractions of
 /// users/links.
 pub fn fraction_axis(samples: usize) -> Vec<f64> {
@@ -95,6 +97,59 @@ pub fn print_series_table(title: &str, columns: &[(&str, &[f64])]) {
         println!();
     }
     println!();
+}
+
+/// The whole of a latency-figure binary (Figs. 6–11, which differ only in
+/// these arguments): runs figure `fig` on `topology` with `users` joins
+/// over the rekey or the data path, honouring `--runs N` (default
+/// `default_runs`) and `--users N`, and prints the three inverse-CDF TSV
+/// tables (user stress, application-layer delay in ms, RDP) to stdout and
+/// a summary to stderr.
+pub fn latency_figure_main(
+    fig: u32,
+    topology: Topology,
+    users: usize,
+    data_path: bool,
+    default_runs: usize,
+) {
+    let mut cfg = LatencyConfig::paper(topology, users, data_path);
+    cfg.runs = arg_usize("--runs", default_runs);
+    cfg.users = arg_usize("--users", cfg.users);
+    eprintln!(
+        "fig{fig}: {} users, {} runs on {:?} ({} path)…",
+        cfg.users,
+        cfg.runs,
+        cfg.topology,
+        if cfg.data_path { "data" } else { "rekey" }
+    );
+    let figure = latency_figure(&cfg);
+    let table = |title: &str, series: &SchemeSeries| {
+        print_series_table(
+            &format!("fig{fig}{title}"),
+            &[
+                ("nice", &series.nice),
+                ("nice_p95", &series.nice_p95),
+                ("tmesh", &series.tmesh),
+                ("tmesh_p95", &series.tmesh_p95),
+            ],
+        );
+    };
+    table("a: inverse CDF of user stress", &figure.stress);
+    table(
+        "b: inverse CDF of application-layer delay (ms)",
+        &figure.delay_ms,
+    );
+    table("c: inverse CDF of RDP", &figure.rdp);
+    let below = |series: &[f64], bound: f64| {
+        100.0 * series.iter().filter(|&&v| v < bound).count() as f64 / series.len() as f64
+    };
+    eprintln!(
+        "fig{fig}: T-mesh RDP<2 for {:.0}% of users, RDP<3 for {:.0}%; NICE RDP<2 for {:.0}%, RDP<3 for {:.0}%",
+        below(&figure.rdp.tmesh, 2.0),
+        below(&figure.rdp.tmesh, 3.0),
+        below(&figure.rdp.nice, 2.0),
+        below(&figure.rdp.nice, 3.0),
+    );
 }
 
 #[cfg(test)]

@@ -56,11 +56,6 @@ impl<'a> ClusterRekeyBatch<'a> {
         &self.rekey
     }
 
-    /// Unwraps into the underlying key-tree batch.
-    pub fn into_rekey(self) -> RekeyBatch<'a> {
-        self.rekey
-    }
-
     /// Number of pairwise-encrypted group-key unicasts the leaders perform
     /// to refresh their non-leader members after this interval (0 when the
     /// group key did not change).

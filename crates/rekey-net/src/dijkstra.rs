@@ -30,12 +30,6 @@ impl ShortestPaths {
         }
     }
 
-    /// The predecessor `(router, link)` of `to` on its shortest path, or
-    /// `None` for the source and unreachable routers.
-    pub fn predecessor(&self, to: RouterId) -> Option<(RouterId, LinkId)> {
-        self.prev[to.0]
-    }
-
     /// Links on the shortest path from the source to `to`, in path order.
     /// Returns `None` if `to` is unreachable; the path to the source itself
     /// is the empty path.

@@ -53,11 +53,6 @@ impl NiceHierarchy {
         &self.params
     }
 
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// The clusters of one layer.
     ///
     /// # Panics

@@ -141,11 +141,6 @@ impl Group {
         self.index.get(id).copied()
     }
 
-    /// The neighbor table of the member with the given ID.
-    pub fn table_of(&self, id: &UserId) -> Option<&NeighborTable> {
-        self.index_of(id).map(|i| &self.tables[i])
-    }
-
     /// The key server's neighbor table.
     pub fn server_table(&self) -> &ServerTable {
         &self.server_table

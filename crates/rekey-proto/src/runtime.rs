@@ -21,12 +21,16 @@
 //!
 //! # Message taxonomy
 //!
-//! * **Timers** (immune to loss and jitter): `IntervalTick`
-//!   fires the periodic rekey at the server (§1: "periodic batch
-//!   rekeying"), `HeartbeatTick` drives each member's neighbor pings
-//!   (§3.2), `IntervalCheck` is each member's NACK deadline per interval,
-//!   `RetryTick` drives the bounded-retry machinery. Every timer carries a
-//!   generation number so a restart can cancel a stale chain.
+//! An [`RtMsg`] is what one node sends another, and all the
+//! [`wire`] codec has a tag for. A node's own **timers** — the server's
+//! interval tick (§1: "periodic batch rekeying"), each member's heartbeat
+//! tick (§3.2), per-interval NACK deadline and retry tick, the replicas'
+//! replication ticks — and its driver's **commands** (join, leave, flush,
+//! restart) are not messages: they are a separate crate-private type that
+//! is never encoded, so the network cannot deliver one. Timers are immune
+//! to loss and jitter, and each carries a generation number so a restart
+//! can cancel a stale chain. The messages:
+//!
 //! * **Membership control** (unicast, retransmitted until acknowledged):
 //!   `JoinRequest` / `JoinAccepted` admit a member into the overlay
 //!   mid-interval (its keys arrive in `Welcome` at the interval end);
@@ -78,7 +82,7 @@
 //! * a member that missed membership updates (sequence gap) or rekey
 //!   intervals beyond the NACK retry cap resyncs from a server snapshot;
 //! * the server checkpoints itself into a [`journal::Journal`] after
-//!   every interval's multicast; a restart (modeled by a `Restart` event
+//!   every interval's multicast; a restart (the driver's restart command
 //!   at the outage window's end) restores the latest checkpoint, bumps
 //!   the *epoch*, and re-announces itself with an immediate interval, and
 //!   every member that observes the new epoch resyncs;
@@ -103,7 +107,7 @@ pub mod shard;
 pub mod socket;
 pub mod wire;
 
-pub use self::core::{IntervalMessage, MemberStats, Outputs, ReplOp, RtMsg, ServerStats};
+pub use self::core::{IntervalMessage, MemberStats, ReplOp, RtMsg, ServerStats};
 pub use shard::ShardedGroupRuntime;
 pub use socket::{NotConverged, UdpGroupDriver};
 

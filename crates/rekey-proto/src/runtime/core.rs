@@ -1,26 +1,29 @@
 //! The sans-I/O protocol core: server and member state machines.
 //!
 //! Everything in this module is pure protocol logic. The state machines
-//! ([`RtServer`], [`RtMember`]) consume *decoded messages* plus *timer
-//! ticks* and emit their effects through the [`Outputs`] trait — a
-//! `(destination, payload)` send or a `(deadline, payload)` timer — with
-//! no knowledge of the clock, the scheduler, or the wire. Drivers own
-//! all of that:
+//! ([`RtServer`], [`RtMember`]) take one [`Event`] at a time — a decoded
+//! [`RtMsg`] a peer sent, or an [`RtLocal`] of the node's own — and write
+//! what they want done into an [`Outbox`] as [`Effect`]s, with no
+//! knowledge of the clock, the scheduler, or the wire. Drivers own all of
+//! that:
 //!
 //! * [`ShardedGroupRuntime`](super::shard::ShardedGroupRuntime) runs the
-//!   machines inside the deterministic discrete-event simulator
-//!   (`rekey_sim::Ctx` implements [`Outputs`] by direct delegation);
+//!   machines inside the deterministic discrete-event simulator;
 //! * [`UdpGroupDriver`](super::socket::UdpGroupDriver) runs the same
 //!   machines over real `std::net::UdpSocket` endpoints and OS threads,
 //!   encoding every [`RtMsg`] through the versioned wire codec in
 //!   [`wire`](super::wire).
 //!
-//! The only other seam the machines need is [`SharedHandle`]: the
-//! runtime-wide knobs, the shutdown flag, and metric sinks. Both drivers
-//! hand members an `Arc<`[`ShardCore`]`>` and servers a [`CoordHandle`].
-//! What the drivers would otherwise each spell out — how a replica or a
-//! pre-welcomed member starts, which timers bring a replica set up, which
-//! replica is acting primary — lives here too, once.
+//! The two inputs are distinct types on purpose: the network controls
+//! which [`RtMsg`]s arrive, only the node and its driver can raise an
+//! [`RtLocal`], and the codec has no tag for one — a peer cannot fire
+//! another node's timer or issue its driver's commands.
+//!
+//! The only other seam the machines need is the [`ShardCore`] their driver
+//! hands them: the runtime-wide knobs, the shutdown flag, and metric
+//! sinks. What the drivers would otherwise each spell out — how a replica
+//! or a pre-welcomed member starts, which timers bring a replica set up,
+//! which replica is acting primary — lives here too, once.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -41,23 +44,67 @@ use crate::{GroupServer, UserAgent, WelcomePacket};
 
 use super::{journal, RuntimeConfig};
 
-/// Where a state machine's effects go: the sans-I/O output boundary.
-///
-/// A driver hands the machines an implementation per delivered event.
-/// [`send`](Outputs::send) addresses a peer by logical [`NodeId`];
-/// [`timer`](Outputs::timer) requests a self-delivery after a delay
-/// (timers are immune to loss — they model local alarms, not packets).
-/// [`now`](Outputs::now) is the driver's clock in µs: virtual time under
-/// the simulator, monotonic wall-clock µs under the socket driver.
-pub trait Outputs {
-    /// The driver's current time, in µs.
-    fn now(&self) -> SimTime;
-    /// The logical id of the node the current event is delivered to.
-    fn self_id(&self) -> NodeId;
-    /// Emits `msg` toward `to` (subject to the driver's delivery model).
-    fn send(&mut self, to: NodeId, msg: RtMsg);
-    /// Arms a local timer: redeliver `msg` to this node after `delay` µs.
-    fn timer(&mut self, delay: SimTime, msg: RtMsg);
+/// One input to a state machine: the sans-I/O input boundary.
+#[derive(Debug)]
+pub(crate) enum Event {
+    /// A message `from` sent over the network — the only kind of event a
+    /// peer (or anyone who can reach the socket) controls.
+    Net { from: NodeId, msg: RtMsg },
+    /// One of the node's own timers firing, or a command of its driver.
+    Local(RtLocal),
+}
+
+/// One thing a state machine wants done.
+#[derive(Debug)]
+pub(crate) enum Effect {
+    /// Emit `msg` toward node `to` (subject to the driver's delivery
+    /// model).
+    Send { to: NodeId, msg: RtMsg },
+    /// Raise `event` at this node after `delay` µs (timers are immune to
+    /// loss — they model local alarms, not packets).
+    Timer { delay: SimTime, event: RtLocal },
+}
+
+/// What handling one [`Event`] produced: the sans-I/O output boundary.
+/// The driver sets `now` and `me`, passes the outbox to `handle`, and
+/// drains `effects` — one vector, in emission order, because the
+/// simulator's FIFO tie-break makes that order behaviour.
+#[derive(Debug)]
+pub(crate) struct Outbox {
+    /// The driver's clock in µs: virtual time under the simulator,
+    /// monotonic wall-clock µs under the socket driver.
+    pub(crate) now: SimTime,
+    /// The node the current event is delivered to.
+    pub(crate) me: NodeId,
+    /// The effects of the current event.
+    pub(crate) effects: Vec<Effect>,
+}
+
+impl Outbox {
+    /// An empty outbox; the driver sets `now` and `me` per event.
+    pub(crate) fn new() -> Outbox {
+        Outbox {
+            now: 0,
+            me: SERVER,
+            effects: Vec::new(),
+        }
+    }
+
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
+    pub(crate) fn self_id(&self) -> NodeId {
+        self.me
+    }
+
+    pub(crate) fn send(&mut self, to: NodeId, msg: RtMsg) {
+        self.effects.push(Effect::Send { to, msg });
+    }
+
+    pub(crate) fn timer(&mut self, delay: SimTime, event: RtLocal) {
+        self.effects.push(Effect::Timer { delay, event });
+    }
 }
 
 /// The key server's node id: always node 0. With `replicas > 1` this is
@@ -126,23 +173,13 @@ pub enum ReplOp {
     },
 }
 
-/// Runtime protocol messages. See the module docs for the taxonomy.
+/// The protocol messages: exactly what one node may send another, and
+/// all the wire codec has a tag for. See the
+/// [runtime module docs](super) for the taxonomy.
 #[derive(Debug, Clone)]
 pub enum RtMsg {
-    /// Server timer: end the current rekey interval.
-    IntervalTick {
-        /// Stale-chain guard; bumped on server restart.
-        gen: u64,
-    },
-    /// Injected by a driver's `finish`: process pending membership
-    /// work immediately and push every member its latest related set.
-    Flush,
-    /// Injected at a node when its outage window ends: the process comes
-    /// back up and re-arms its timers (the server additionally restores
-    /// its journal and bumps its epoch).
-    Restart,
-    /// Injected at a joining node; forwarded to the server and
-    /// retransmitted with backoff until `JoinAccepted`.
+    /// Joiner → server: admit me; retransmitted with backoff until
+    /// `JoinAccepted`.
     JoinRequest,
     /// Server → joiner: admission into the overlay with a ready table.
     JoinAccepted {
@@ -175,8 +212,8 @@ pub enum RtMsg {
         /// Mutation sequence number; applied strictly in order.
         seq: u64,
     },
-    /// Injected at a leaving node; forwarded to the server and
-    /// retransmitted with backoff until `LeaveAck`.
+    /// Leaver → server: retire me; retransmitted with backoff until
+    /// `LeaveAck`.
     LeaveRequest,
     /// Server → leaver, once the departure has reached the journal.
     LeaveAck,
@@ -279,21 +316,6 @@ pub enum RtMsg {
         /// When the next interval ends, re-anchoring the check timer.
         next_interval_at: SimTime,
     },
-    /// Member timer: ping neighbors, evict the unresponsive.
-    HeartbeatTick {
-        /// Stale-chain guard; bumped on member restart or rejoin.
-        gen: u64,
-    },
-    /// Member timer: NACK intervals still missing past their deadline.
-    IntervalCheck {
-        /// Stale-chain guard; bumped when the timer is re-anchored.
-        gen: u64,
-    },
-    /// Member timer: fire due retry entries.
-    RetryTick {
-        /// Stale-chain guard; bumped on every re-schedule.
-        gen: u64,
-    },
     /// Primary → follower: one replication-log entry. Streamed on append
     /// and re-sent from the follower's acknowledged watermark on every
     /// replication tick, so losses and outages self-heal.
@@ -337,24 +359,42 @@ pub enum RtMsg {
         /// The candidate's replica index.
         replica: usize,
     },
+}
+
+/// What only the node itself or its driver can raise at it: its timers
+/// and the driver's commands. Never encoded, never decoded. Every timer
+/// carries the generation of the chain that armed it, so a restart or a
+/// role change cancels a stale chain by bumping the counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RtLocal {
+    /// Server timer: end the current rekey interval.
+    IntervalTick { gen: u64 },
+    /// Member timer: ping neighbors, evict the unresponsive.
+    HeartbeatTick { gen: u64 },
+    /// Member timer: NACK intervals still missing past their deadline.
+    IntervalCheck { gen: u64 },
+    /// Member timer: fire due retry entries.
+    RetryTick { gen: u64 },
     /// Primary timer: resend unacknowledged log entries and heartbeat the
     /// followers.
-    ReplTick {
-        /// Stale-chain guard; bumped on every role change.
-        gen: u64,
-    },
+    ReplTick { gen: u64 },
     /// Follower timer: check primary liveness, start an election on
     /// silence.
-    ReplCheck {
-        /// Stale-chain guard; bumped on every role change.
-        gen: u64,
-    },
+    ReplCheck { gen: u64 },
     /// Follower timer: the election's candidacy window closed — promote
     /// the winner.
-    ElectionTick {
-        /// Stale-chain guard; bumped on every role change.
-        gen: u64,
-    },
+    ElectionTick { gen: u64 },
+    /// Driver → unjoined node: send a `JoinRequest` and keep retrying.
+    Join,
+    /// Driver → member: send a `LeaveRequest` and retire.
+    Leave,
+    /// Driver's `finish` → primary: process pending membership work now
+    /// and push every member its latest related set.
+    Flush,
+    /// Driver → node whose outage window ended: the process comes back up
+    /// and re-arms its timers (the server additionally restores its
+    /// journal and bumps its epoch).
+    Restart,
 }
 
 /// Copyable timing/retry knobs shared by every node of one runtime.
@@ -410,28 +450,6 @@ impl Knobs {
     }
 }
 
-/// What a state machine needs from its driver: the knobs, the shutdown
-/// flag, and metric sinks. Members hold an `Arc<`[`ShardCore`]`>` (`Send`,
-/// so they can live on shard or socket worker threads), servers a
-/// [`CoordHandle`] (the same core plus the coordinator's registry).
-pub(crate) trait SharedHandle {
-    /// The timing/retry knobs.
-    fn knobs(&self) -> &Knobs;
-    /// `true` once the runtime began its shutdown drain.
-    fn is_shutdown(&self) -> bool;
-    /// Records the encryption count of one received split copy.
-    fn record_split_payload(&self, v: u64);
-    /// Records the copies sent in one forwarding occasion.
-    fn record_forward_fanout(&self, v: u64);
-    /// Records one interval application: the apply-delay histogram plus
-    /// an `"apply"`/`"recovery"` span.
-    fn record_apply(&self, span: &'static str, sent_at: SimTime, now: SimTime, interval: u64);
-    /// Records the encryption count of one unicast `Recover` reply.
-    fn record_recovery_size(&self, v: u64);
-    /// Records a tracing span.
-    fn span(&self, name: &'static str, start: SimTime, end: SimTime, detail: u64);
-}
-
 /// The member-side sinks of one [`ShardCore`]. Histogram inserts commute,
 /// so recording under the mutex from several threads is deterministic;
 /// the span ring is ordered, so a deterministic driver gives every thread
@@ -446,9 +464,10 @@ struct MemberSinks {
     spans: SpanLog,
 }
 
-/// State shared by the members of one executor lane (a simulator shard,
-/// or every worker of the socket driver): the knobs, the shutdown flag,
-/// and the mutex-guarded metric sinks.
+/// What a state machine needs from its driver, shared by the nodes of one
+/// executor lane (a simulator shard, or every worker of the socket
+/// driver): the knobs, the shutdown flag, and the mutex-guarded metric
+/// sinks. `Send`, so members can live on shard or socket worker threads.
 pub(crate) struct ShardCore {
     knobs: Knobs,
     shutdown: AtomicBool,
@@ -474,31 +493,38 @@ impl ShardCore {
             .lock()
             .expect("no thread panics while recording a metric")
     }
-}
 
-impl SharedHandle for Arc<ShardCore> {
-    fn knobs(&self) -> &Knobs {
+    /// The timing/retry knobs.
+    pub(crate) fn knobs(&self) -> &Knobs {
         &self.knobs
     }
+
+    /// `true` once the runtime began its shutdown drain.
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
+
+    /// Records the encryption count of one received split copy.
     fn record_split_payload(&self, v: u64) {
         self.sinks().split_payload.record(v);
     }
+
+    /// Records the copies sent in one forwarding occasion.
     fn record_forward_fanout(&self, v: u64) {
         self.sinks().forward_fanout.record(v);
     }
+
+    /// Records one interval application: the apply-delay histogram plus
+    /// an `"apply"`/`"recovery"` span.
     fn record_apply(&self, span: &'static str, sent_at: SimTime, now: SimTime, interval: u64) {
         let mut sinks = self.sinks();
         sinks.apply_delay_us.record(now.saturating_sub(sent_at));
         sinks.spans.record(span, sent_at, now, interval);
     }
+
+    /// Records the encryption count of one unicast `Recover` reply.
     fn record_recovery_size(&self, v: u64) {
         self.sinks().recovery_size.record(v);
-    }
-    fn span(&self, name: &'static str, start: SimTime, end: SimTime, detail: u64) {
-        self.sinks().spans.record(name, start, end, detail);
     }
 }
 
@@ -526,46 +552,6 @@ pub(crate) fn merge_member_sinks<'a>(
         sum.forward_fanout.snapshot(),
         sum.recovery_size.snapshot(),
     ]
-}
-
-/// A server replica's handle: a [`ShardCore`] for the knobs, the shutdown
-/// flag and the histograms it feeds, plus the coordinator-only
-/// [`Registry`] for its spans and the key tree's counters. Servers run
-/// exclusively on the coordinator thread, so the `Rc`-based registry
-/// never crosses a thread.
-pub(crate) struct CoordHandle {
-    core: Arc<ShardCore>,
-    registry: Registry,
-}
-
-impl CoordHandle {
-    pub(crate) fn new(core: Arc<ShardCore>, registry: Registry) -> CoordHandle {
-        CoordHandle { core, registry }
-    }
-}
-
-impl SharedHandle for CoordHandle {
-    fn knobs(&self) -> &Knobs {
-        &self.core.knobs
-    }
-    fn is_shutdown(&self) -> bool {
-        self.core.is_shutdown()
-    }
-    fn record_split_payload(&self, v: u64) {
-        self.core.record_split_payload(v);
-    }
-    fn record_forward_fanout(&self, v: u64) {
-        self.core.record_forward_fanout(v);
-    }
-    fn record_apply(&self, span: &'static str, sent_at: SimTime, now: SimTime, interval: u64) {
-        self.core.record_apply(span, sent_at, now, interval);
-    }
-    fn record_recovery_size(&self, v: u64) {
-        self.core.record_recovery_size(v);
-    }
-    fn span(&self, name: &'static str, start: SimTime, end: SimTime, detail: u64) {
-        self.registry.span(name, start, end, detail);
-    }
 }
 
 /// Server-side counters of one runtime session.
@@ -731,9 +717,13 @@ impl Replication {
     }
 }
 
-pub(crate) struct RtServer<NET, S: SharedHandle> {
+pub(crate) struct RtServer<NET> {
     pub(crate) net: Rc<NET>,
-    pub(crate) shared: S,
+    pub(crate) shared: Arc<ShardCore>,
+    /// The coordinator's registry, for this replica's spans. Replicas run
+    /// on the coordinator thread only, so the `Rc`-based registry never
+    /// crosses a thread.
+    registry: Registry,
     pub(crate) server: GroupServer,
     /// Bumped on every restart; members resync when they observe a bump.
     pub(crate) epoch: u64,
@@ -766,8 +756,8 @@ pub(crate) struct RtServer<NET, S: SharedHandle> {
 /// the active primary with the highest epoch, the lowest index on a tie
 /// (a just-stepped-down ex-primary is inactive, so split-brain windows
 /// resolve to the winner). Falls back to replica 0 mid-election.
-pub(crate) fn acting_primary<'a, NET: 'a, S: SharedHandle + 'a>(
-    replicas: impl IntoIterator<Item = (usize, &'a RtServer<NET, S>)>,
+pub(crate) fn acting_primary<'a, NET: 'a>(
+    replicas: impl IntoIterator<Item = (usize, &'a RtServer<NET>)>,
 ) -> usize {
     let mut best: Option<(u64, usize)> = None;
     for (replica, server) in replicas {
@@ -781,40 +771,42 @@ pub(crate) fn acting_primary<'a, NET: 'a, S: SharedHandle + 'a>(
     best.map_or(0, |(_, replica)| replica)
 }
 
-/// The timers that bring a replica set up, as `(node, due, message)` in
+/// The timers that bring a replica set up, as `(node, due, alarm)` in
 /// arming order: the initial primary's first interval tick, and with
 /// more than one replica its replication stream tick plus each follower's
 /// liveness check — staggered by replica index so elections never fire
 /// in lockstep.
-pub(crate) fn boot_timers(knobs: &Knobs) -> Vec<(NodeId, SimTime, RtMsg)> {
-    let mut timers = vec![(SERVER, knobs.rekey_period, RtMsg::IntervalTick { gen: 0 })];
+pub(crate) fn boot_timers(knobs: &Knobs) -> Vec<(NodeId, SimTime, RtLocal)> {
+    let mut timers = vec![(SERVER, knobs.rekey_period, RtLocal::IntervalTick { gen: 0 })];
     if knobs.replicas > 1 {
-        timers.push((SERVER, knobs.repl_period(), RtMsg::ReplTick { gen: 0 }));
+        timers.push((SERVER, knobs.repl_period(), RtLocal::ReplTick { gen: 0 }));
         for replica in 1..knobs.replicas {
             timers.push((
                 NodeId(replica),
                 knobs.rekey_period + replica as SimTime * knobs.retry_base,
-                RtMsg::ReplCheck { gen: 0 },
+                RtLocal::ReplCheck { gen: 0 },
             ));
         }
     }
     timers
 }
 
-impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
+impl<NET: Network> RtServer<NET> {
     /// Replica `replica` of the set `shared`'s knobs describe, about to
     /// start its first interval over the group state `server`.
     pub(crate) fn new(
         net: Rc<NET>,
-        shared: S,
+        shared: Arc<ShardCore>,
+        registry: Registry,
         server: GroupServer,
         replica: usize,
         journal: journal::Journal,
-    ) -> RtServer<NET, S> {
+    ) -> RtServer<NET> {
         let knobs = *shared.knobs();
         RtServer {
             net,
             shared,
+            registry,
             server,
             epoch: 0,
             seq: 0,
@@ -842,12 +834,41 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         (joins, leaves, owed)
     }
 
-    pub(crate) fn receive(&mut self, ctx: &mut impl Outputs, from: NodeId, msg: RtMsg) {
+    /// Feeds the replica one event; its effects land in `ctx`.
+    pub(crate) fn handle(&mut self, ctx: &mut Outbox, event: Event) {
+        match event {
+            Event::Net { from, msg } => self.receive(ctx, from, msg),
+            Event::Local(local) => self.on_local(ctx, local),
+        }
+    }
+
+    /// One of this replica's own timers, or a command of its driver.
+    fn on_local(&mut self, ctx: &mut Outbox, local: RtLocal) {
         // A restart revives even a divergent replica (it rolls back to
         // its checkpoint); everything else requires an active one.
-        if let RtMsg::Restart = msg {
+        if local == RtLocal::Restart {
             return self.restart(ctx);
         }
+        if !self.repl.active {
+            return;
+        }
+        let primary = self.repl.role == ReplRole::Primary;
+        match local {
+            RtLocal::ReplTick { gen } if gen == self.repl.gen && primary => self.repl_tick(ctx),
+            RtLocal::ReplCheck { gen } if gen == self.repl.gen && !primary => self.repl_check(ctx),
+            RtLocal::ElectionTick { gen } if gen == self.repl.gen && !primary => {
+                self.election_tick(ctx);
+            }
+            RtLocal::IntervalTick { gen } if gen == self.tick_gen && primary => {
+                self.end_interval(ctx);
+            }
+            RtLocal::Flush if primary => self.flush(ctx),
+            _ => {}
+        }
+    }
+
+    /// A message `from` sent over the network.
+    fn receive(&mut self, ctx: &mut Outbox, from: NodeId, msg: RtMsg) {
         if !self.repl.active {
             return;
         }
@@ -877,24 +898,6 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
                 self.on_candidacy(ctx, from, epoch, idx, replica);
                 return;
             }
-            RtMsg::ReplTick { gen } => {
-                if gen == self.repl.gen && self.repl.role == ReplRole::Primary {
-                    self.repl_tick(ctx);
-                }
-                return;
-            }
-            RtMsg::ReplCheck { gen } => {
-                if gen == self.repl.gen && self.repl.role == ReplRole::Follower {
-                    self.repl_check(ctx);
-                }
-                return;
-            }
-            RtMsg::ElectionTick { gen } => {
-                if gen == self.repl.gen && self.repl.role == ReplRole::Follower {
-                    self.election_tick(ctx);
-                }
-                return;
-            }
             _ => {}
         }
         // Member-facing traffic is the primary's alone: a follower stays
@@ -904,8 +907,6 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
             return;
         }
         match msg {
-            RtMsg::IntervalTick { gen } if gen == self.tick_gen => self.end_interval(ctx),
-            RtMsg::Flush => self.flush(ctx),
             RtMsg::JoinRequest => self.admit(ctx, from),
             RtMsg::LeaveRequest => {
                 let host = self.member_host(from);
@@ -1037,19 +1038,19 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
             .is_some_and(|m| m.host == self.member_host(from))
     }
 
-    fn end_interval(&mut self, ctx: &mut impl Outputs) {
+    fn end_interval(&mut self, ctx: &mut Outbox) {
         if self.shared.is_shutdown() {
             return;
         }
         self.rekey_round(ctx);
         ctx.timer(
             self.shared.knobs().rekey_period,
-            RtMsg::IntervalTick { gen: self.tick_gen },
+            RtLocal::IntervalTick { gen: self.tick_gen },
         );
     }
 
     /// Ends one interval: welcomes, multicast, checkpoint, leave acks.
-    fn rekey_round(&mut self, ctx: &mut impl Outputs) {
+    fn rekey_round(&mut self, ctx: &mut Outbox) {
         self.append_op(ctx, ReplOp::Interval { sent_at: ctx.now() });
         let mut outcome = self.server.end_interval();
         let encryptions = outcome.take_encryptions();
@@ -1100,7 +1101,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
             );
         }
         self.shared.record_forward_fanout(fanout);
-        self.shared
+        self.registry
             .span("interval", self.last_round_at, ctx.now(), outcome.interval);
         self.last_round_at = ctx.now();
         self.checkpoint(ctx);
@@ -1109,7 +1110,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// Records the interval-boundary checkpoint — *after* the multicast,
     /// so no member is ever ahead of the journal — then releases the
     /// leave acks it covers.
-    fn checkpoint(&mut self, ctx: &mut impl Outputs) {
+    fn checkpoint(&mut self, ctx: &mut Outbox) {
         // Guard *before* building the checkpoint: cloning the server is
         // O(members) per interval, which a disabled journal (an unfaulted
         // mega runtime) must never pay.
@@ -1131,7 +1132,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// Shutdown flush: fold any pending membership work into an interval,
     /// then push every member its latest related set so the final
     /// interval is discoverable even if every multicast copy was lost.
-    fn flush(&mut self, ctx: &mut impl Outputs) {
+    fn flush(&mut self, ctx: &mut Outbox) {
         let (joins, leaves) = self.server.pending();
         if joins > 0 || leaves > 0 {
             self.rekey_round(ctx);
@@ -1169,13 +1170,13 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// *follower*: the acting primary (possibly a promoted peer) streams
     /// it forward from its checkpoint watermark, and if no primary is
     /// alive its own liveness check escalates to an election.
-    fn restart(&mut self, ctx: &mut impl Outputs) {
+    fn restart(&mut self, ctx: &mut Outbox) {
         if self.shared.knobs().replicas > 1 {
             return self.restart_replica(ctx);
         }
         self.stats.restarts += 1;
         self.epoch += 1;
-        self.shared
+        self.registry
             .span("restart", ctx.now(), ctx.now(), self.epoch);
         self.tick_gen += 1;
         self.pending_leave_acks.clear();
@@ -1197,9 +1198,9 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// Multi-replica restart: roll back to the checkpoint, come up as a
     /// follower. No epoch bump and no beacon — only a *promotion* speaks
     /// to members, so a revived ex-primary cannot split-brain the group.
-    fn restart_replica(&mut self, ctx: &mut impl Outputs) {
+    fn restart_replica(&mut self, ctx: &mut Outbox) {
         self.stats.restarts += 1;
-        self.shared
+        self.registry
             .span("restart", ctx.now(), ctx.now(), self.epoch);
         self.tick_gen += 1;
         self.repl.gen += 1;
@@ -1223,11 +1224,11 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         self.repl.last_primary_at = ctx.now();
         ctx.timer(
             self.shared.knobs().repl_check_period(),
-            RtMsg::ReplCheck { gen: self.repl.gen },
+            RtLocal::ReplCheck { gen: self.repl.gen },
         );
     }
 
-    fn admit(&mut self, ctx: &mut impl Outputs, from: NodeId) {
+    fn admit(&mut self, ctx: &mut Outbox, from: NodeId) {
         let host = self.member_host(from);
         if let Some(member) = self.member_by_host(host).cloned() {
             // Retransmitted join (the original accept was lost): resend
@@ -1283,7 +1284,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         );
     }
 
-    fn depart(&mut self, ctx: &mut impl Outputs, id: UserId) {
+    fn depart(&mut self, ctx: &mut Outbox, id: UserId) {
         self.server
             .request_leave(&id, &*self.net)
             .expect("departing member is in the group");
@@ -1320,7 +1321,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// Appends one mutation op to the replication log and streams it to
     /// every other replica. A no-op with a single replica, keeping the
     /// single-server runtime byte-identical to its pre-replication behavior.
-    fn append_op(&mut self, ctx: &mut impl Outputs, op: ReplOp) {
+    fn append_op(&mut self, ctx: &mut Outbox, op: ReplOp) {
         let replicas = self.shared.knobs().replicas;
         if replicas <= 1 {
             return;
@@ -1359,7 +1360,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// and resend the log tail past each acknowledged watermark. Lost
     /// entries and lost acks both heal here — the stream needs no
     /// per-entry retry state, just this bounded resend loop.
-    fn repl_tick(&mut self, ctx: &mut impl Outputs) {
+    fn repl_tick(&mut self, ctx: &mut Outbox) {
         let replicas = self.shared.knobs().replicas;
         let head = self.repl.next_idx - 1;
         let floor = self.repl.floor();
@@ -1398,7 +1399,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         if !self.shared.is_shutdown() {
             ctx.timer(
                 self.shared.knobs().repl_period(),
-                RtMsg::ReplTick { gen: self.repl.gen },
+                RtLocal::ReplTick { gen: self.repl.gen },
             );
         }
     }
@@ -1418,7 +1419,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
 
     /// A streamed log entry: buffer, drain contiguously, replay, ack the
     /// applied watermark back to the sender.
-    fn on_repl_entry(&mut self, ctx: &mut impl Outputs, from: NodeId, entry: journal::Entry) {
+    fn on_repl_entry(&mut self, ctx: &mut Outbox, from: NodeId, entry: journal::Entry) {
         if self.repl.role != ReplRole::Follower {
             return;
         }
@@ -1510,7 +1511,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// replica on ties) wins; the loser steps down dead.
     fn on_repl_heartbeat(
         &mut self,
-        ctx: &mut impl Outputs,
+        ctx: &mut Outbox,
         from: NodeId,
         epoch: u64,
         idx: u64,
@@ -1568,7 +1569,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// dead from here too) and folds the peer's watermark into its tally.
     fn on_candidacy(
         &mut self,
-        ctx: &mut impl Outputs,
+        ctx: &mut Outbox,
         from: NodeId,
         epoch: u64,
         idx: u64,
@@ -1606,7 +1607,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
 
     /// Follower liveness check: a silent primary starts an election,
     /// otherwise the check re-arms itself.
-    fn repl_check(&mut self, ctx: &mut impl Outputs) {
+    fn repl_check(&mut self, ctx: &mut Outbox) {
         if self.shared.is_shutdown() {
             return;
         }
@@ -1618,7 +1619,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         }
         ctx.timer(
             self.shared.knobs().repl_check_period(),
-            RtMsg::ReplCheck { gen: self.repl.gen },
+            RtLocal::ReplCheck { gen: self.repl.gen },
         );
     }
 
@@ -1626,10 +1627,10 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// peers' candidacies for a NACK-grace window, then resolve. Bumping
     /// `gen` here kills the pending liveness-check chain; resolution
     /// re-arms it under the new gen.
-    fn start_election(&mut self, ctx: &mut impl Outputs) {
+    fn start_election(&mut self, ctx: &mut Outbox) {
         self.stats.elections += 1;
         self.repl.gen += 1;
-        self.shared
+        self.registry
             .span("election", ctx.now(), ctx.now(), self.epoch);
         self.repl.election = Some(ElectionState {
             best_idx: self.repl.applied_idx,
@@ -1650,19 +1651,19 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         }
         ctx.timer(
             self.shared.knobs().nack_grace,
-            RtMsg::ElectionTick { gen: self.repl.gen },
+            RtLocal::ElectionTick { gen: self.repl.gen },
         );
     }
 
     /// Election grace expired: the best watermark seen wins, lowest
     /// replica index breaking ties — every voter that saw the same
     /// candidacies computes the same winner.
-    fn election_tick(&mut self, ctx: &mut impl Outputs) {
+    fn election_tick(&mut self, ctx: &mut Outbox) {
         let Some(election) = self.repl.election.take() else {
             // A heartbeat cancelled the election mid-grace.
             ctx.timer(
                 self.shared.knobs().repl_check_period(),
-                RtMsg::ReplCheck { gen: self.repl.gen },
+                RtLocal::ReplCheck { gen: self.repl.gen },
             );
             return;
         };
@@ -1674,7 +1675,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         self.repl.last_primary_at = ctx.now();
         ctx.timer(
             self.shared.knobs().repl_check_period(),
-            RtMsg::ReplCheck { gen: self.repl.gen },
+            RtLocal::ReplCheck { gen: self.repl.gen },
         );
     }
 
@@ -1684,14 +1685,14 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
     /// The gap between the dead primary's advertised head and our replay
     /// watermark is recorded as lost mutations; the affected members
     /// re-request via `NotMember` rejoins and leave retransmissions.
-    fn promote(&mut self, ctx: &mut impl Outputs) {
+    fn promote(&mut self, ctx: &mut Outbox) {
         self.stats.promotions += 1;
         self.stats.lost_mutations += self
             .repl
             .primary_idx_seen
             .saturating_sub(self.repl.applied_idx);
         self.epoch += 1;
-        self.shared
+        self.registry
             .span("promotion", ctx.now(), ctx.now(), self.epoch);
         self.repl.role = ReplRole::Primary;
         self.repl.gen += 1;
@@ -1711,7 +1712,7 @@ impl<NET: Network, S: SharedHandle> RtServer<NET, S> {
         self.end_interval(ctx);
         ctx.timer(
             self.shared.knobs().repl_period(),
-            RtMsg::ReplTick { gen: self.repl.gen },
+            RtLocal::ReplTick { gen: self.repl.gen },
         );
     }
 }
@@ -1796,8 +1797,8 @@ pub(crate) struct RetryState {
     pub(crate) due: SimTime,
 }
 
-pub(crate) struct RtMember<S: SharedHandle> {
-    pub(crate) shared: S,
+pub(crate) struct RtMember {
+    pub(crate) shared: Arc<ShardCore>,
     pub(crate) member: Option<Member>,
     pub(crate) table: Option<NeighborTable>,
     pub(crate) agent: Option<UserAgent>,
@@ -1882,8 +1883,8 @@ pub(crate) struct RtMember<S: SharedHandle> {
     pub(crate) stats: MemberStats,
 }
 
-impl<S: SharedHandle> RtMember<S> {
-    pub(crate) fn new(shared: S) -> RtMember<S> {
+impl RtMember {
+    pub(crate) fn new(shared: Arc<ShardCore>) -> RtMember {
         RtMember {
             shared,
             member: None,
@@ -1929,11 +1930,11 @@ impl<S: SharedHandle> RtMember<S> {
     /// heartbeat is *not* started: per-neighbor probing is O(N·K·D)
     /// events per period at bootstrap scale.
     pub(crate) fn welcomed(
-        shared: S,
+        shared: Arc<ShardCore>,
         record: Member,
         table: NeighborTable,
         welcome: WelcomePacket,
-    ) -> (RtMember<S>, (SimTime, RtMsg)) {
+    ) -> (RtMember, (SimTime, RtLocal)) {
         debug_assert_eq!(record.id, welcome.id);
         let knobs = *shared.knobs();
         let mut member = RtMember::new(shared);
@@ -1945,7 +1946,7 @@ impl<S: SharedHandle> RtMember<S> {
         member.next_boundary = knobs.rekey_period;
         member.expected_interval = 2;
         let first_check = knobs.rekey_period + knobs.nack_grace;
-        (member, (first_check, RtMsg::IntervalCheck { gen: 1 }))
+        (member, (first_check, RtLocal::IntervalCheck { gen: 1 }))
     }
 
     /// The node hosting `host`'s member, offset past the replica block.
@@ -1979,26 +1980,21 @@ impl<S: SharedHandle> RtMember<S> {
         (seen + seen / 2 + 50_000).clamp(grace.min(100_000), grace)
     }
 
-    pub(crate) fn receive(&mut self, ctx: &mut impl Outputs, from: NodeId, msg: RtMsg) {
-        // Any traffic from a replica node is server-originated (members
-        // all live past the replica block, and timer self-deliveries have
-        // `from == self`): adopt the sender as our server. After a
-        // failover this re-anchors every member on the promoted primary
-        // the moment its beacon interval (or any reply) arrives.
-        if from.0 < self.shared.knobs().replicas {
-            self.server_node = from;
-            self.server_ping_outstanding = false;
+    /// Feeds the member one event; its effects land in `ctx`.
+    pub(crate) fn handle(&mut self, ctx: &mut Outbox, event: Event) {
+        match event {
+            Event::Net { from, msg } => self.receive(ctx, from, msg),
+            Event::Local(local) => self.on_local(ctx, local),
         }
-        if self.departed
-            && !matches!(
-                msg,
-                RtMsg::LeaveAck | RtMsg::RetryTick { .. } | RtMsg::Restart
-            )
-        {
+    }
+
+    /// One of this node's own timers, or a command of its driver.
+    fn on_local(&mut self, ctx: &mut Outbox, local: RtLocal) {
+        if self.departed && !matches!(local, RtLocal::RetryTick { .. } | RtLocal::Restart) {
             return;
         }
-        match msg {
-            RtMsg::JoinRequest if self.member.is_none() && !self.join_requested => {
+        match local {
+            RtLocal::Join if self.member.is_none() && !self.join_requested => {
                 self.join_requested = true;
                 ctx.send(self.server_node, RtMsg::JoinRequest);
                 self.arm(
@@ -2007,6 +2003,61 @@ impl<S: SharedHandle> RtMember<S> {
                     ctx.now() + self.shared.knobs().retry_base,
                 );
             }
+            RtLocal::Leave if self.member.is_some() && !self.leave_pending => {
+                self.leave_pending = true;
+                self.departed = true;
+                self.retire();
+                ctx.send(self.server_node, RtMsg::LeaveRequest);
+                // The ack rides the next checkpoint, so the first retry
+                // only fires once a full rekey period has gone unanswered.
+                self.arm(
+                    ctx,
+                    Retrying::Leave,
+                    ctx.now() + self.shared.knobs().rekey_period + self.shared.knobs().retry_base,
+                );
+            }
+            RtLocal::IntervalCheck { gen } if gen == self.check_gen => self.interval_check(ctx),
+            RtLocal::RetryTick { gen } if gen == self.retry_gen => {
+                self.fire_due_retries(ctx);
+                self.schedule_retry_tick(ctx);
+            }
+            RtLocal::HeartbeatTick { gen } if gen == self.heartbeat_gen => self.heartbeat(ctx),
+            RtLocal::Restart => {
+                // Our outage window ended: every timer chain died with the
+                // suppressed deliveries, and any pong that was in flight
+                // is gone — forget outstanding probes so we do not evict
+                // healthy neighbors for our own downtime.
+                self.outstanding.clear();
+                self.schedule_retry_tick(ctx);
+                if self.leave_pending {
+                    self.arm(ctx, Retrying::Leave, ctx.now());
+                } else if self.member.is_some() {
+                    self.arm(ctx, Retrying::Resync, ctx.now());
+                    self.heartbeat_running = false;
+                    self.start_heartbeat(ctx);
+                } else if self.join_requested {
+                    self.arm(ctx, Retrying::Join, ctx.now());
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// A message `from` sent over the network.
+    fn receive(&mut self, ctx: &mut Outbox, from: NodeId, msg: RtMsg) {
+        // Any traffic from a replica node is server-originated (members
+        // all live past the replica block): adopt the sender as our
+        // server. After a failover this re-anchors every member on the
+        // promoted primary the moment its beacon interval (or any reply)
+        // arrives.
+        if from.0 < self.shared.knobs().replicas {
+            self.server_node = from;
+            self.server_ping_outstanding = false;
+        }
+        if self.departed && !matches!(msg, RtMsg::LeaveAck) {
+            return;
+        }
+        match msg {
             RtMsg::JoinAccepted {
                 member,
                 table,
@@ -2083,19 +2134,6 @@ impl<S: SharedHandle> RtMember<S> {
                         },
                     );
                 }
-            }
-            RtMsg::LeaveRequest if self.member.is_some() && !self.leave_pending => {
-                self.leave_pending = true;
-                self.departed = true;
-                self.retire();
-                ctx.send(self.server_node, RtMsg::LeaveRequest);
-                // The ack rides the next checkpoint, so the first retry
-                // only fires once a full rekey period has gone unanswered.
-                self.arm(
-                    ctx,
-                    Retrying::Leave,
-                    ctx.now() + self.shared.knobs().rekey_period + self.shared.knobs().retry_base,
-                );
             }
             RtMsg::LeaveAck => {
                 self.leave_pending = false;
@@ -2187,50 +2225,6 @@ impl<S: SharedHandle> RtMember<S> {
                 let grace = self.adaptive_grace();
                 self.scan_missing(ctx, grace);
             }
-            RtMsg::IntervalCheck { gen } => {
-                if gen != self.check_gen {
-                    return;
-                }
-                self.scan_missing(ctx, 0);
-                // This timer fires `adaptive_grace` past each expected
-                // interval boundary. If the boundary passed without any
-                // evidence of the interval (every copy to us and to our
-                // upstream lost, or the server is down), probe for it
-                // speculatively: a live server answers with the related
-                // set, a dead one stays silent and the retry lineage
-                // escalates into the existing resync machinery.
-                if !self.shared.is_shutdown() {
-                    if let (Some(agent), true) = (&self.agent, self.member.is_some()) {
-                        let next = agent.interval() + 1;
-                        if next > self.server_interval_seen
-                            && next <= self.expected_interval
-                            && !self.pending.contains_key(&next)
-                            && !self.retries.contains_key(&Retrying::Nack(next))
-                        {
-                            self.arm(ctx, Retrying::Nack(next), ctx.now());
-                        }
-                    }
-                }
-                self.delay_seen_prev = self.delay_seen;
-                self.delay_seen = 0;
-                if !self.shared.is_shutdown() {
-                    self.next_boundary += self.shared.knobs().rekey_period;
-                    self.expected_interval += 1;
-                    let deadline = self.next_boundary + self.adaptive_grace();
-                    ctx.timer(
-                        deadline.saturating_sub(ctx.now()).max(1),
-                        RtMsg::IntervalCheck { gen },
-                    );
-                }
-            }
-            RtMsg::RetryTick { gen } => {
-                if gen != self.retry_gen {
-                    return;
-                }
-                self.fire_due_retries(ctx);
-                self.schedule_retry_tick(ctx);
-            }
-            RtMsg::HeartbeatTick { gen } => self.heartbeat(ctx, gen),
             RtMsg::Ping { token } => {
                 // Answered whenever the process is up (even before our own
                 // JoinAccepted lands — an established member may learn of
@@ -2320,33 +2314,53 @@ impl<S: SharedHandle> RtMember<S> {
                 self.arm_check(ctx, next_interval_at);
                 self.start_heartbeat(ctx);
             }
-            RtMsg::Restart => {
-                // Our outage window ended: every timer chain died with the
-                // suppressed deliveries, and any pong that was in flight
-                // is gone — forget outstanding probes so we do not evict
-                // healthy neighbors for our own downtime.
-                self.outstanding.clear();
-                self.schedule_retry_tick(ctx);
-                if self.leave_pending {
-                    self.arm(ctx, Retrying::Leave, ctx.now());
-                } else if self.member.is_some() {
-                    self.arm(ctx, Retrying::Resync, ctx.now());
-                    self.heartbeat_running = false;
-                    self.start_heartbeat(ctx);
-                } else if self.join_requested {
-                    self.arm(ctx, Retrying::Join, ctx.now());
-                }
-            }
             _ => {}
         }
     }
 }
 
-impl<S: SharedHandle> RtMember<S> {
+impl RtMember {
+    /// The NACK deadline of one expected interval boundary passed.
+    fn interval_check(&mut self, ctx: &mut Outbox) {
+        self.scan_missing(ctx, 0);
+        // This timer fires `adaptive_grace` past each expected
+        // interval boundary. If the boundary passed without any
+        // evidence of the interval (every copy to us and to our
+        // upstream lost, or the server is down), probe for it
+        // speculatively: a live server answers with the related
+        // set, a dead one stays silent and the retry lineage
+        // escalates into the existing resync machinery.
+        if !self.shared.is_shutdown() {
+            if let (Some(agent), true) = (&self.agent, self.member.is_some()) {
+                let next = agent.interval() + 1;
+                if next > self.server_interval_seen
+                    && next <= self.expected_interval
+                    && !self.pending.contains_key(&next)
+                    && !self.retries.contains_key(&Retrying::Nack(next))
+                {
+                    self.arm(ctx, Retrying::Nack(next), ctx.now());
+                }
+            }
+        }
+        self.delay_seen_prev = self.delay_seen;
+        self.delay_seen = 0;
+        if !self.shared.is_shutdown() {
+            self.next_boundary += self.shared.knobs().rekey_period;
+            self.expected_interval += 1;
+            let deadline = self.next_boundary + self.adaptive_grace();
+            ctx.timer(
+                deadline.saturating_sub(ctx.now()).max(1),
+                RtLocal::IntervalCheck {
+                    gen: self.check_gen,
+                },
+            );
+        }
+    }
+
     /// Observes a server epoch: any bump invalidates our sequence state
     /// and forces a snapshot resync (a restarted server rolled back to
     /// its last checkpoint, so no incremental path is trustworthy).
-    fn note_epoch(&mut self, ctx: &mut impl Outputs, epoch: u64) {
+    fn note_epoch(&mut self, ctx: &mut Outbox, epoch: u64) {
         if epoch > self.epoch {
             self.epoch = epoch;
             self.update_buf.clear();
@@ -2361,7 +2375,7 @@ impl<S: SharedHandle> RtMember<S> {
     }
 
     /// Buffers a membership mutation and applies every consecutive one.
-    fn on_sequenced(&mut self, ctx: &mut impl Outputs, seq: u64, update: SeqUpdate) {
+    fn on_sequenced(&mut self, ctx: &mut Outbox, seq: u64, update: SeqUpdate) {
         if seq <= self.applied_seq {
             return;
         }
@@ -2375,7 +2389,7 @@ impl<S: SharedHandle> RtMember<S> {
     /// it through `update_buf`, so the watermark is the only detector.
     /// Give the in-flight broadcast the grace period, then fetch a
     /// snapshot (dissolves at fire time if the broadcast lands).
-    fn note_seq_watermark(&mut self, ctx: &mut impl Outputs, seq: u64) {
+    fn note_seq_watermark(&mut self, ctx: &mut Outbox, seq: u64) {
         if self.member.is_none() || seq <= self.applied_seq {
             return;
         }
@@ -2387,7 +2401,7 @@ impl<S: SharedHandle> RtMember<S> {
         );
     }
 
-    fn drain_updates(&mut self, ctx: &mut impl Outputs) {
+    fn drain_updates(&mut self, ctx: &mut Outbox) {
         while let Some(update) = self.update_buf.remove(&(self.applied_seq + 1)) {
             self.applied_seq += 1;
             self.apply_update(update);
@@ -2447,7 +2461,7 @@ impl<S: SharedHandle> RtMember<S> {
     /// Applies buffered rekey payloads strictly in interval order,
     /// starting at `agent.interval + 1`; prunes anything at or below the
     /// agent, plus any NACK retry the application satisfied.
-    fn drain_payloads(&mut self, ctx: &mut impl Outputs) {
+    fn drain_payloads(&mut self, ctx: &mut Outbox) {
         let now = ctx.now();
         let (Some(agent), Some(member)) = (self.agent.as_mut(), self.member.as_ref()) else {
             return;
@@ -2489,7 +2503,7 @@ impl<S: SharedHandle> RtMember<S> {
     /// Arms a NACK for every interval the evidence says exists but we
     /// neither hold nor have buffered. During shutdown the NACK goes out
     /// immediately (timers no longer fire), deduplicated per interval.
-    fn scan_missing(&mut self, ctx: &mut impl Outputs, grace: SimTime) {
+    fn scan_missing(&mut self, ctx: &mut Outbox, grace: SimTime) {
         let Some(agent) = &self.agent else { return };
         let start = agent.interval() + 1;
         let end = self.server_interval_seen;
@@ -2511,7 +2525,7 @@ impl<S: SharedHandle> RtMember<S> {
     /// Registers a retry entry (first fire at `due`) and makes sure a
     /// retry timer is running. During shutdown the action fires inline
     /// instead — the event queue is draining and timers are dead.
-    fn arm(&mut self, ctx: &mut impl Outputs, kind: Retrying, due: SimTime) {
+    fn arm(&mut self, ctx: &mut Outbox, kind: Retrying, due: SimTime) {
         if self.shared.is_shutdown() {
             self.fire_shutdown(ctx, kind);
             return;
@@ -2523,7 +2537,7 @@ impl<S: SharedHandle> RtMember<S> {
     }
 
     /// The shutdown form of a retry: send once, immediately, deduplicated.
-    fn fire_shutdown(&mut self, ctx: &mut impl Outputs, kind: Retrying) {
+    fn fire_shutdown(&mut self, ctx: &mut Outbox, kind: Retrying) {
         match kind {
             Retrying::Nack(i) => {
                 if self.shutdown_nacked.insert(i) {
@@ -2546,7 +2560,7 @@ impl<S: SharedHandle> RtMember<S> {
     }
 
     /// (Re)schedules the single retry timer at the earliest due time.
-    fn schedule_retry_tick(&mut self, ctx: &mut impl Outputs) {
+    fn schedule_retry_tick(&mut self, ctx: &mut Outbox) {
         if self.shared.is_shutdown() {
             return;
         }
@@ -2556,13 +2570,13 @@ impl<S: SharedHandle> RtMember<S> {
         self.retry_gen += 1;
         ctx.timer(
             min_due.saturating_sub(ctx.now()).max(1),
-            RtMsg::RetryTick {
+            RtLocal::RetryTick {
                 gen: self.retry_gen,
             },
         );
     }
 
-    fn fire_due_retries(&mut self, ctx: &mut impl Outputs) {
+    fn fire_due_retries(&mut self, ctx: &mut Outbox) {
         let now = ctx.now();
         let due: Vec<Retrying> = self
             .retries
@@ -2575,7 +2589,7 @@ impl<S: SharedHandle> RtMember<S> {
         }
     }
 
-    fn fire_retry(&mut self, ctx: &mut impl Outputs, kind: Retrying) {
+    fn fire_retry(&mut self, ctx: &mut Outbox, kind: Retrying) {
         let now = ctx.now();
         // Entries whose goal was met since arming dissolve silently.
         let satisfied = match kind {
@@ -2638,7 +2652,7 @@ impl<S: SharedHandle> RtMember<S> {
         }
     }
 
-    fn start_heartbeat(&mut self, ctx: &mut impl Outputs) {
+    fn start_heartbeat(&mut self, ctx: &mut Outbox) {
         if self.heartbeat_running || self.shared.is_shutdown() {
             return;
         }
@@ -2650,16 +2664,13 @@ impl<S: SharedHandle> RtMember<S> {
         let jitter = rng.gen_range(1..=self.shared.knobs().heartbeat_period.max(1));
         ctx.timer(
             jitter,
-            RtMsg::HeartbeatTick {
+            RtLocal::HeartbeatTick {
                 gen: self.heartbeat_gen,
             },
         );
     }
 
-    fn heartbeat(&mut self, ctx: &mut impl Outputs, gen: u64) {
-        if gen != self.heartbeat_gen {
-            return;
-        }
+    fn heartbeat(&mut self, ctx: &mut Outbox) {
         if self.table.is_none() {
             self.heartbeat_running = false;
             return;
@@ -2724,7 +2735,9 @@ impl<S: SharedHandle> RtMember<S> {
         }
         ctx.timer(
             self.shared.knobs().heartbeat_period,
-            RtMsg::HeartbeatTick { gen },
+            RtLocal::HeartbeatTick {
+                gen: self.heartbeat_gen,
+            },
         );
     }
 
@@ -2732,7 +2745,7 @@ impl<S: SharedHandle> RtMember<S> {
     /// adaptive grace. Each firing then re-anchors at the next expected
     /// boundary, so the offset tracks the observed pipeline delay instead
     /// of staying at the configured worst case.
-    fn arm_check(&mut self, ctx: &mut impl Outputs, next_interval_at: SimTime) {
+    fn arm_check(&mut self, ctx: &mut Outbox, next_interval_at: SimTime) {
         if self.shared.is_shutdown() {
             return;
         }
@@ -2746,7 +2759,7 @@ impl<S: SharedHandle> RtMember<S> {
         let deadline = next_interval_at + self.adaptive_grace();
         ctx.timer(
             deadline.saturating_sub(ctx.now()).max(1),
-            RtMsg::IntervalCheck {
+            RtLocal::IntervalCheck {
                 gen: self.check_gen,
             },
         );

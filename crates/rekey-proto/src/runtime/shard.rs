@@ -79,20 +79,18 @@ use rand::Rng;
 use rekey_keytree::TreeMetrics;
 use rekey_metrics::Registry;
 use rekey_net::{HostId, Micros, Network};
-use rekey_sim::{
-    node_rng, Ctx, FaultInjector, FaultPlan, NodeId, Outgoing, Scheduler, SimRng, SimTime,
-};
+use rekey_sim::{node_rng, FaultInjector, FaultPlan, NodeId, Scheduler, SimRng, SimTime};
 use rekey_table::{check_consistency, ConsistencyViolation, Member, NeighborTable};
 
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
 
 use super::core::{
-    acting_primary, boot_timers, merge_member_sinks, CoordHandle, Knobs, RtMember, RtServer,
-    ShardCore, SharedHandle, SERVER,
+    acting_primary, boot_timers, merge_member_sinks, Effect, Event, Knobs, Outbox, RtLocal,
+    RtMember, RtServer, ShardCore, SERVER,
 };
 use super::{
-    journal, ChurnEvent, ChurnOp, Driver, ExecutorCounters, MemberStats, MetricsSnapshot, Outputs,
-    RtMsg, RuntimeConfig, ServerStats,
+    journal, ChurnEvent, ChurnOp, Driver, ExecutorCounters, MemberStats, MetricsSnapshot, RtMsg,
+    RuntimeConfig, ServerStats,
 };
 
 /// Domain separator of the per-lane loss RNG streams (lanes are further
@@ -107,38 +105,18 @@ const CHAOS_SEED: u64 = 0x43_48_41_4F_53; // "CHAOS"
 /// Shutdown-flush rounds before we declare the drain diverged.
 const MAX_FLUSH_ROUNDS: u32 = 64;
 
-/// The simulator's output boundary: `Ctx` already *is* an outbox over
-/// `Outgoing`, so delegation is 1:1.
-impl Outputs for Ctx<'_, RtMsg> {
-    fn now(&self) -> SimTime {
-        Ctx::now(self)
-    }
-    fn self_id(&self) -> NodeId {
-        Ctx::self_id(self)
-    }
-    fn send(&mut self, to: NodeId, msg: RtMsg) {
-        Ctx::send(self, to, msg);
-    }
-    fn timer(&mut self, delay: SimTime, msg: RtMsg) {
-        let me = Ctx::self_id(self);
-        Ctx::send_after(self, me, delay, msg);
-    }
-}
-
-/// One queued delivery.
+/// One queued delivery: a network message on its way to `to`, or one of
+/// `to`'s own timers or driver commands.
 struct Envelope {
-    from: NodeId,
     to: NodeId,
-    msg: RtMsg,
+    event: Event,
 }
 
 impl Envelope {
-    /// A self-delivery: a timer, or an event injected at a node.
-    fn to_self(node: NodeId, msg: RtMsg) -> Envelope {
+    fn local(node: NodeId, local: RtLocal) -> Envelope {
         Envelope {
-            from: node,
             to: node,
-            msg,
+            event: Event::Local(local),
         }
     }
 }
@@ -159,8 +137,8 @@ struct Lane {
     rng: SimRng,
     /// This lane's compilation of the session's fault plan, if any.
     faults: Option<FaultInjector>,
-    /// Scratch for one delivery's side effects, kept for its capacity.
-    out: Vec<Outgoing<RtMsg>>,
+    /// One delivery's effects; kept for its capacity.
+    out: Outbox,
     delivered: u64,
     dropped: u64,
     dead_letters: u64,
@@ -173,7 +151,7 @@ impl Lane {
             sched: Scheduler::new(),
             rng,
             faults: None,
-            out: Vec::new(),
+            out: Outbox::new(),
             delivered: 0,
             dropped: 0,
             dead_letters: 0,
@@ -228,7 +206,7 @@ struct Shard {
     index: usize,
     lane: Lane,
     core: Arc<ShardCore>,
-    members: Vec<RtMember<Arc<ShardCore>>>,
+    members: Vec<RtMember>,
     /// Cleared by [`ChurnOp::Crash`]; parallel to `members`.
     alive: Vec<bool>,
     /// Cross-lane sends of the current window, merged by the coordinator
@@ -262,7 +240,7 @@ fn drain_shard<NET: Network + Sync>(
         server_host,
         placement,
     } = *layout;
-    let mut out = std::mem::take(&mut shard.lane.out);
+    let mut out = std::mem::replace(&mut shard.lane.out, Outbox::new());
     while shard.lane.sched.next_time().is_some_and(|t| t < t1) {
         let (now, env) = shard.lane.sched.pop().expect("peeked above");
         let me = env.to;
@@ -280,13 +258,11 @@ fn drain_shard<NET: Network + Sync>(
             continue;
         }
         shard.lane.delivered += 1;
-        {
-            let mut ctx = Ctx::external(now, me, &mut out);
-            shard.members[idx as usize].receive(&mut ctx, env.from, env.msg);
-        }
-        for outgoing in out.drain(..) {
-            match outgoing {
-                Outgoing::Send { to, msg } => {
+        (out.now, out.me) = (now, me);
+        shard.members[idx as usize].handle(&mut out, env.event);
+        for effect in out.effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => {
                     let Some(extra) = shard.lane.admit(loss, now, me, to, &msg) else {
                         continue;
                     };
@@ -297,7 +273,8 @@ fn drain_shard<NET: Network + Sync>(
                         HostId(to.0 - replicas)
                     };
                     let at = now + net.one_way(HostId(handle), to_host).max(1) + extra;
-                    let envelope = Envelope { from: me, to, msg };
+                    let event = Event::Net { from: me, msg };
+                    let envelope = Envelope { to, event };
                     if !to_replica && placement[to.0 - replicas].0 as usize == shard.index {
                         shard.lane.sched.schedule_at(at, envelope);
                     } else {
@@ -309,13 +286,10 @@ fn drain_shard<NET: Network + Sync>(
                         shard.outbox.push(Crossing { at, envelope });
                     }
                 }
-                Outgoing::After { to, delay, msg } => {
-                    debug_assert_eq!(to, me, "runtime timers are self-directed");
-                    shard
-                        .lane
-                        .sched
-                        .schedule_at(now + delay.max(1), Envelope::to_self(me, msg));
-                }
+                Effect::Timer { delay, event } => shard
+                    .lane
+                    .sched
+                    .schedule_at(now + delay.max(1), Envelope::local(me, event)),
             }
         }
     }
@@ -341,7 +315,7 @@ pub struct ShardedGroupRuntime<NET: Network + Sync> {
     net: Rc<NET>,
     /// The key-server replicas (node `r` is `servers[r]`; replica 0 is
     /// the initial primary), all on the coordinator's lane.
-    servers: Vec<RtServer<NET, CoordHandle>>,
+    servers: Vec<RtServer<NET>>,
     coord: Lane,
     coord_core: Arc<ShardCore>,
     registry: Registry,
@@ -443,7 +417,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             shard
                 .lane
                 .sched
-                .schedule_at(due, Envelope::to_self(node, check));
+                .schedule_at(due, Envelope::local(node, check));
         }
         Ok(rt)
     }
@@ -479,7 +453,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 };
                 RtServer::new(
                     Rc::clone(&net),
-                    CoordHandle::new(Arc::clone(&coord_core), registry.clone()),
+                    Arc::clone(&coord_core),
+                    registry.clone(),
                     fsm,
                     replica,
                     journal,
@@ -487,8 +462,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             })
             .collect();
         let mut coord = Lane::new(node_rng(config.seed() ^ LOSS_SEED, SERVER));
-        for (node, due, msg) in boot_timers(&knobs) {
-            coord.sched.schedule_at(due, Envelope::to_self(node, msg));
+        for (node, due, timer) in boot_timers(&knobs) {
+            coord.sched.schedule_at(due, Envelope::local(node, timer));
         }
         let shards = (0..shard_count)
             .map(|index| Shard {
@@ -533,7 +508,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             shard.lane.faults = Some(plan.injector(seed));
         }
         for outage in plan.outages() {
-            let restart = Envelope::to_self(outage.node, RtMsg::Restart);
+            let restart = Envelope::local(outage.node, RtLocal::Restart);
             if outage.node.0 < self.servers.len() {
                 // A replica that can go down needs something to come
                 // back from.
@@ -583,9 +558,9 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                     shard.members.push(RtMember::new(Arc::clone(&shard.core)));
                     shard.alive.push(true);
                     handles.push(handle);
-                    self.inject(event.at, handle, RtMsg::JoinRequest);
+                    self.inject(event.at, handle, RtLocal::Join);
                 }
-                ChurnOp::Leave(member) => self.inject(event.at, member, RtMsg::LeaveRequest),
+                ChurnOp::Leave(member) => self.inject(event.at, member, RtLocal::Leave),
                 ChurnOp::Crash(member) => {
                     let (shard_index, idx) = self.placed(member);
                     self.shards[shard_index].alive[idx] = false;
@@ -595,14 +570,14 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         handles
     }
 
-    /// Schedules member `handle`'s voluntary `LeaveRequest` at `at`
-    /// (clamped to the present).
+    /// Schedules member `handle`'s voluntary leave at `at` (clamped to the
+    /// present).
     ///
     /// # Panics
     ///
     /// Panics on a handle that never joined.
     pub fn leave_at(&mut self, at: SimTime, handle: usize) {
-        self.inject(at, handle, RtMsg::LeaveRequest);
+        self.inject(at, handle, RtLocal::Leave);
     }
 
     /// Schedules a concluded failure detection of member `handle` at
@@ -621,18 +596,19 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         let from = self.member_node(accuser);
         let to = NodeId(self.acting_primary());
         let msg = RtMsg::FailureNotice { failed };
+        let event = Event::Net { from, msg };
         self.coord
             .sched
-            .schedule_at(at.max(self.now), Envelope { from, to, msg });
+            .schedule_at(at.max(self.now), Envelope { to, event });
     }
 
-    /// Schedules `msg` as a self-delivery at member `handle`.
-    fn inject(&mut self, at: SimTime, handle: usize, msg: RtMsg) {
+    /// Schedules the driver command `local` at member `handle`.
+    fn inject(&mut self, at: SimTime, handle: usize, local: RtLocal) {
         let node = self.member_node(handle);
         let at = at.max(self.now);
         self.lane_of(node)
             .sched
-            .schedule_at(at, Envelope::to_self(node, msg));
+            .schedule_at(at, Envelope::local(node, local));
     }
 
     fn knobs(&self) -> &Knobs {
@@ -653,13 +629,13 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         (shard_index as usize, idx as usize)
     }
 
-    fn member(&self, handle: usize) -> &RtMember<Arc<ShardCore>> {
+    fn member(&self, handle: usize) -> &RtMember {
         let (shard_index, idx) = self.placed(handle);
         &self.shards[shard_index].members[idx]
     }
 
     /// Every member in handle order.
-    fn members(&self) -> impl Iterator<Item = &RtMember<Arc<ShardCore>>> {
+    fn members(&self) -> impl Iterator<Item = &RtMember> {
         self.placement
             .iter()
             .map(|&(shard_index, idx)| &self.shards[shard_index as usize].members[idx as usize])
@@ -684,7 +660,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         acting_primary(self.servers.iter().enumerate())
     }
 
-    fn primary(&self) -> &RtServer<NET, CoordHandle> {
+    fn primary(&self) -> &RtServer<NET> {
         &self.servers[self.acting_primary()]
     }
 
@@ -695,7 +671,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// puts every arrival at or beyond `t1`).
     fn drain_server(&mut self, t1: SimTime) {
         let replicas = self.servers.len();
-        let mut out = std::mem::take(&mut self.coord.out);
+        let mut out = std::mem::replace(&mut self.coord.out, Outbox::new());
         while self.coord.sched.next_time().is_some_and(|t| t < t1) {
             let (now, env) = self.coord.sched.pop().expect("peeked above");
             let me = env.to;
@@ -703,17 +679,16 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 continue;
             }
             self.coord.delivered += 1;
-            {
-                let mut ctx = Ctx::external(now, me, &mut out);
-                self.servers[me.0].receive(&mut ctx, env.from, env.msg);
-            }
-            for outgoing in out.drain(..) {
-                match outgoing {
-                    Outgoing::Send { to, msg } => {
+            (out.now, out.me) = (now, me);
+            self.servers[me.0].handle(&mut out, env.event);
+            for effect in out.effects.drain(..) {
+                match effect {
+                    Effect::Send { to, msg } => {
                         let Some(extra) = self.coord.admit(self.loss, now, me, to, &msg) else {
                             continue;
                         };
-                        let envelope = Envelope { from: me, to, msg };
+                        let event = Event::Net { from: me, msg };
+                        let envelope = Envelope { to, event };
                         if to.0 < replicas {
                             let hop = self.net.one_way(self.server_host, self.server_host);
                             self.coord
@@ -726,12 +701,10 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                         debug_assert!(at >= t1, "server send inside the window");
                         self.lane_of(to).sched.schedule_at(at, envelope);
                     }
-                    Outgoing::After { to, delay, msg } => {
-                        debug_assert_eq!(to, me, "server timers are self-directed");
-                        self.coord
-                            .sched
-                            .schedule_at(now + delay.max(1), Envelope::to_self(me, msg));
-                    }
+                    Effect::Timer { delay, event } => self
+                        .coord
+                        .sched
+                        .schedule_at(now + delay.max(1), Envelope::local(me, event)),
                 }
             }
         }
@@ -855,7 +828,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             let primary = NodeId(self.acting_primary());
             self.coord
                 .sched
-                .schedule_at(self.now, Envelope::to_self(primary, RtMsg::Flush));
+                .schedule_at(self.now, Envelope::local(primary, RtLocal::Flush));
             self.drain();
             let (joins, leaves, owed) = self.primary().flush_backlog();
             if joins == 0 && leaves == 0 && owed.is_empty() {
@@ -906,12 +879,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         self.primary().epoch
     }
 
-    /// Server-side counters (the acting primary's; `snapshot()` reports
-    /// the whole replica set's sum).
-    pub fn server_stats(&self) -> ServerStats {
-        self.primary().stats
-    }
-
     /// Member `handle`'s key agent, once welcomed (`None` after it
     /// departed).
     pub fn agent(&self, handle: usize) -> Option<&UserAgent> {
@@ -924,11 +891,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// Member `handle`'s local neighbor table, while active.
     pub fn member_table(&self, handle: usize) -> Option<&NeighborTable> {
         self.member(handle).table.as_ref()
-    }
-
-    /// Member `handle`'s record, once admitted.
-    pub fn member_record(&self, handle: usize) -> Option<&Member> {
-        self.member(handle).member.as_ref()
     }
 
     /// Member `handle`'s counters.

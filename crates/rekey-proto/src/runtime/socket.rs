@@ -1,10 +1,10 @@
 //! The real-socket driver: the sans-I/O protocol over loopback UDP.
 //!
 //! The sibling `core` module defines the protocol as pure state machines
-//! — decoded
-//! messages and timer ticks in, `(destination, payload, deadline)` out.
-//! The simulation driver binds those outputs to a virtual clock; this
-//! module binds them to the operating system instead:
+//! — one `Event` in (a decoded message, or a local timer or command), an
+//! `Outbox` of sends and timers out. The simulation driver binds those
+//! effects to a virtual clock; this module binds them to the operating
+//! system instead:
 //!
 //! * **time** is a shared [`Instant`] epoch, read as integer microseconds
 //!   (so `SimTime` arithmetic inside the core is unchanged — one unit is
@@ -14,8 +14,10 @@
 //!   [`super::wire`] codec (`Forward` frames are trimmed to the
 //!   receiver's related subset, the paper's REKEY-MESSAGE-SPLIT, so a
 //!   frame never outgrows a datagram);
-//! * **timers** land in per-thread binary heaps and fire when the wall
-//!   clock passes them.
+//! * **timers** land in a per-thread [`Scheduler`] read against the wall
+//!   clock and fire when it passes them. A datagram only ever becomes an
+//!   `Event::Net` (in `Io::recv_event`, the one place frames are
+//!   decoded), so nothing a peer sends can fire a timer or a command.
 //!
 //! # Topology
 //!
@@ -47,7 +49,7 @@
 //! driver is pinned by the `socket_equivalence` integration test, which
 //! drives the same churn through both and compares final key trees.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,16 +62,16 @@ use rekey_keytree::TreeMetrics;
 use rekey_metrics::Registry;
 use rekey_net::udp::{EndpointStats, UdpEndpoint};
 use rekey_net::{HostId, Network};
-use rekey_sim::{NodeId, SimTime};
+use rekey_sim::{NodeId, Scheduler, SimTime};
 use rekey_table::{check_consistency, ConsistencyViolation, Member, NeighborTable};
 
 use super::core::{
-    acting_primary, boot_timers, merge_member_sinks, CoordHandle, Knobs, RtMember, RtServer,
-    ShardCore,
+    acting_primary, boot_timers, merge_member_sinks, Effect, Event, Knobs, Outbox, RtLocal,
+    RtMember, RtServer, ShardCore,
 };
-use super::wire::{decode_msg, encode_forward_split, encode_msg};
+use super::wire::{decode_msg, encode_forward_split, encode_msg, WireError};
 use super::{
-    journal, Driver, ExecutorCounters, MemberStats, MetricsSnapshot, Outputs, RtMsg, RuntimeConfig,
+    journal, Driver, ExecutorCounters, MemberStats, MetricsSnapshot, RtMsg, RuntimeConfig,
     ServerStats,
 };
 
@@ -173,68 +175,6 @@ impl Routes {
     }
 }
 
-/// A pending timer: the core's `(deadline, message)` output, bound to the
-/// node it belongs to. Heap order is earliest-due first; `seq` breaks
-/// ties in arming order.
-struct TimerEntry {
-    due: SimTime,
-    seq: u64,
-    node: NodeId,
-    msg: RtMsg,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &TimerEntry) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &TimerEntry) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &TimerEntry) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest due.
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The [`Outputs`] binding of the socket driver: sends and timers are
-/// collected into scratch vectors; the caller flushes sends onto the
-/// wire and files timers into the owning thread's heap.
-struct SocketCtx<'a> {
-    now: SimTime,
-    node: NodeId,
-    sends: &'a mut Vec<(NodeId, RtMsg)>,
-    timers: &'a mut Vec<(SimTime, RtMsg)>,
-}
-
-impl Outputs for SocketCtx<'_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn self_id(&self) -> NodeId {
-        self.node
-    }
-    fn send(&mut self, to: NodeId, msg: RtMsg) {
-        self.sends.push((to, msg));
-    }
-    fn timer(&mut self, delay: SimTime, msg: RtMsg) {
-        self.timers.push((delay, msg));
-    }
-}
-
-/// Microseconds elapsed since the driver's epoch — the socket driver's
-/// `SimTime`.
-fn micros_since(epoch: Instant) -> SimTime {
-    u64::try_from(epoch.elapsed().as_micros()).expect("run shorter than 584 000 years")
-}
-
 /// Serializes one protocol message for the wire. `Forward` frames are
 /// trimmed to the receiver's related subset; everything else uses the
 /// plain codec.
@@ -250,20 +190,121 @@ fn encode_payload(msg: &RtMsg, out: &mut Vec<u8>) {
     }
 }
 
+/// What one thread needs to run state machines against sockets, the
+/// same for a worker and the coordinator: the wall clock, its nodes'
+/// timers, the routing table, and the scratch a handled event drains
+/// through.
+struct Io {
+    routes: Arc<Routes>,
+    spec: IdSpec,
+    epoch: Instant,
+    decode_errors: Arc<AtomicU64>,
+    /// The hosted nodes' pending timers, on the wall clock.
+    timers: Scheduler<(NodeId, RtLocal)>,
+    out: Outbox,
+    frame: Vec<u8>,
+}
+
+impl Io {
+    fn new(routes: Arc<Routes>, spec: IdSpec, epoch: Instant, errors: Arc<AtomicU64>) -> Io {
+        Io {
+            routes,
+            spec,
+            epoch,
+            decode_errors: errors,
+            timers: Scheduler::new(),
+            out: Outbox::new(),
+            frame: Vec::new(),
+        }
+    }
+
+    /// Microseconds elapsed since the driver's epoch — the socket
+    /// driver's `SimTime`.
+    fn now(&self) -> SimTime {
+        u64::try_from(self.epoch.elapsed().as_micros()).expect("run shorter than 584 000 years")
+    }
+
+    /// Files `local` to fire at `node` once the wall clock reaches `due`
+    /// (clamped to the queue's clock: a timer seeded for a moment already
+    /// behind it fires next).
+    fn arm(&mut self, due: SimTime, node: NodeId, local: RtLocal) {
+        let due = due.max(self.timers.now());
+        self.timers.schedule_at(due, (node, local));
+    }
+
+    /// The next timer the wall clock has passed, if any.
+    fn pop_due(&mut self) -> Option<(NodeId, RtLocal)> {
+        if self.timers.next_time()? > self.now() {
+            return None;
+        }
+        self.timers.pop().map(|(_, timer)| timer)
+    }
+
+    /// `limit`, cut short at the next timer's deadline.
+    fn wait_for(&self, limit: Duration) -> Duration {
+        match self.timers.next_time() {
+            Some(due) => limit.min(Duration::from_micros(due.saturating_sub(self.now()).max(1))),
+            None => limit,
+        }
+    }
+
+    /// Receives one datagram from `endpoint`: `None` when none arrived in
+    /// time, otherwise its destination node and what it decoded to — an
+    /// `Err` is counted in `decode_errors`. This is the only place a
+    /// datagram becomes an [`Event`], and it can only become an
+    /// [`Event::Net`]: a peer cannot raise a node's timers or its driver's
+    /// commands, whatever bytes it sends.
+    fn recv_event(&self, endpoint: &mut UdpEndpoint) -> Option<Result<(NodeId, Event), WireError>> {
+        let (header, payload) = endpoint.recv_frame().ok()??;
+        let decoded = decode_msg(payload, &self.spec).map(|msg| {
+            let from = NodeId(header.src as usize);
+            (NodeId(header.dst as usize), Event::Net { from, msg })
+        });
+        if decoded.is_err() {
+            self.decode_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(decoded)
+    }
+
+    /// Points the outbox at `node` for the event about to be handled.
+    fn begin(&mut self, node: NodeId) -> &mut Outbox {
+        (self.out.now, self.out.me) = (self.now(), node);
+        &mut self.out
+    }
+
+    /// Carries out what the handled event asked for: timers into the
+    /// queue, sends onto the wire through `endpoint`.
+    fn flush(&mut self, endpoint: &mut UdpEndpoint) {
+        let (now, me) = (self.out.now, self.out.me);
+        let mut effects = std::mem::take(&mut self.out.effects);
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Timer { delay, event } => self.arm(now + delay.max(1), me, event),
+                Effect::Send { to, msg } => {
+                    encode_payload(&msg, &mut self.frame);
+                    let peer = self.routes.addr_of(to);
+                    let _ = endpoint.send_frame(peer, me.0 as u32, to.0 as u32, &self.frame);
+                }
+            }
+        }
+        self.out.effects = effects; // keeps its capacity for the next event
+    }
+}
+
 /// A freshly created member handed to a worker thread, with any timers
 /// to arm (absolute microseconds since the epoch).
 struct Seed {
     node: NodeId,
-    member: RtMember<Arc<ShardCore>>,
-    timers: Vec<(SimTime, RtMsg)>,
+    member: RtMember,
+    timers: Vec<(SimTime, RtLocal)>,
 }
 
 /// Coordinator → worker control messages.
 enum WorkerCtl {
     /// Host a new member.
     Spawn(Box<Seed>),
-    /// Deliver `msg` to `node` as a self-event (join/leave injection).
-    Inject { node: NodeId, msg: RtMsg },
+    /// Raise the driver command `local` at `node` (join/leave).
+    Inject { node: NodeId, local: RtLocal },
     /// Reply with the hosted members that have not yet applied rekey
     /// interval `target` (departed members excluded).
     Lag {
@@ -281,7 +322,7 @@ enum WorkerCtl {
 
 /// What a stopping worker hands back: every member it hosted, keyed by
 /// node id, ready for the coordinator's final consistency audit.
-type CollectedMembers = Vec<(NodeId, RtMember<Arc<ShardCore>>)>;
+type CollectedMembers = Vec<(NodeId, RtMember)>;
 
 /// Coordinator-side handle of one worker thread.
 struct WorkerLink {
@@ -290,22 +331,13 @@ struct WorkerLink {
     handle: Option<JoinHandle<CollectedMembers>>,
 }
 
-/// One worker thread: a socket, a timer heap, and the members it hosts.
+/// One worker thread: a socket, its [`Io`], and the members it hosts.
 struct Worker {
     endpoint: UdpEndpoint,
     ctl: mpsc::Receiver<WorkerCtl>,
-    routes: Arc<Routes>,
-    spec: IdSpec,
-    epoch: Instant,
+    io: Io,
     poll: Duration,
-    decode_errors: Arc<AtomicU64>,
-    members: BTreeMap<usize, RtMember<Arc<ShardCore>>>,
-    timers: BinaryHeap<TimerEntry>,
-    timer_seq: u64,
-    /// Scratch buffers reused across events.
-    sends: Vec<(NodeId, RtMsg)>,
-    new_timers: Vec<(SimTime, RtMsg)>,
-    frame: Vec<u8>,
+    members: BTreeMap<usize, RtMember>,
     last_timeout: Option<Duration>,
 }
 
@@ -314,8 +346,13 @@ impl Worker {
         loop {
             while let Ok(ctl) = self.ctl.try_recv() {
                 match ctl {
-                    WorkerCtl::Spawn(seed) => self.spawn(*seed),
-                    WorkerCtl::Inject { node, msg } => self.deliver(node, node, msg),
+                    WorkerCtl::Spawn(seed) => {
+                        for (due, local) in seed.timers {
+                            self.io.arm(due, seed.node, local);
+                        }
+                        self.members.insert(seed.node.0, seed.member);
+                    }
+                    WorkerCtl::Inject { node, local } => self.deliver(node, Event::Local(local)),
                     WorkerCtl::Lag { target, reply } => {
                         // The receiver may already have given up; a
                         // dropped reply channel is not our problem.
@@ -334,22 +371,11 @@ impl Worker {
                     }
                 }
             }
-            self.fire_due_timers();
+            while let Some((node, local)) = self.io.pop_due() {
+                self.deliver(node, Event::Local(local));
+            }
             self.receive_one();
         }
-    }
-
-    fn spawn(&mut self, seed: Seed) {
-        for (due, msg) in seed.timers {
-            self.timer_seq += 1;
-            self.timers.push(TimerEntry {
-                due,
-                seq: self.timer_seq,
-                node: seed.node,
-                msg,
-            });
-        }
-        self.members.insert(seed.node.0, seed.member);
     }
 
     /// Members that are live but have not applied interval `target` yet.
@@ -375,74 +401,27 @@ impl Worker {
             .collect()
     }
 
-    /// Runs `node`'s state machine on one event and flushes its outputs.
-    fn deliver(&mut self, node: NodeId, from: NodeId, msg: RtMsg) {
+    /// Runs `node`'s state machine on one event and flushes its effects.
+    fn deliver(&mut self, node: NodeId, event: Event) {
         let Some(member) = self.members.get_mut(&node.0) else {
             return; // stale frame for a node this worker never hosted
         };
-        let now = micros_since(self.epoch);
-        let mut ctx = SocketCtx {
-            now,
-            node,
-            sends: &mut self.sends,
-            timers: &mut self.new_timers,
-        };
-        member.receive(&mut ctx, from, msg);
-        for (delay, msg) in self.new_timers.drain(..) {
-            self.timer_seq += 1;
-            self.timers.push(TimerEntry {
-                due: now + delay.max(1),
-                seq: self.timer_seq,
-                node,
-                msg,
-            });
-        }
-        for (to, msg) in std::mem::take(&mut self.sends) {
-            encode_payload(&msg, &mut self.frame);
-            let peer = self.routes.addr_of(to);
-            let _ = self
-                .endpoint
-                .send_frame(peer, node.0 as u32, to.0 as u32, &self.frame);
-        }
-    }
-
-    fn fire_due_timers(&mut self) {
-        loop {
-            let now = micros_since(self.epoch);
-            match self.timers.peek() {
-                Some(t) if t.due <= now => {
-                    let t = self.timers.pop().expect("peeked above");
-                    self.deliver(t.node, t.node, t.msg);
-                }
-                _ => return,
-            }
-        }
+        member.handle(self.io.begin(node), event);
+        self.io.flush(&mut self.endpoint);
     }
 
     /// Blocks for one frame, up to the earlier of the poll interval and
     /// the next timer deadline, and delivers it.
     fn receive_one(&mut self) {
-        let now = micros_since(self.epoch);
-        let mut timeout = self.poll;
-        if let Some(t) = self.timers.peek() {
-            timeout = timeout.min(Duration::from_micros(t.due.saturating_sub(now).max(1)));
-        }
+        let timeout = self.io.wait_for(self.poll);
         if self.last_timeout != Some(timeout) {
             if self.endpoint.set_read_timeout(Some(timeout)).is_err() {
                 return;
             }
             self.last_timeout = Some(timeout);
         }
-        if let Ok(Some((header, payload))) = self.endpoint.recv_frame() {
-            match decode_msg(payload, &self.spec) {
-                Ok(msg) => {
-                    let (src, dst) = (NodeId(header.src as usize), NodeId(header.dst as usize));
-                    self.deliver(dst, src, msg);
-                }
-                Err(_) => {
-                    self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        if let Some(Ok((dst, event))) = self.io.recv_event(&mut self.endpoint) {
+            self.deliver(dst, event);
         }
     }
 
@@ -458,16 +437,10 @@ impl Worker {
         }
         self.last_timeout = Some(Duration::from_micros(1));
         for _ in 0..65_536 {
-            match self.endpoint.recv_frame() {
-                Ok(Some((header, payload))) => {
-                    if let Ok(msg) = decode_msg(payload, &self.spec) {
-                        let (src, dst) = (NodeId(header.src as usize), NodeId(header.dst as usize));
-                        self.deliver(dst, src, msg);
-                    } else {
-                        self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Ok(None) | Err(_) => return,
+            match self.io.recv_event(&mut self.endpoint) {
+                Some(Ok((dst, event))) => self.deliver(dst, event),
+                Some(Err(_)) => {}
+                None => return,
             }
         }
     }
@@ -478,7 +451,7 @@ impl Worker {
 /// datagrams and timers are discarded until it is revived — the socket
 /// analogue of a crashed process whose kernel buffers drain to nowhere.
 struct ServerSlot<NET: Network> {
-    rt: RtServer<NET, CoordHandle>,
+    rt: RtServer<NET>,
     endpoint: UdpEndpoint,
     alive: bool,
     last_timeout: Option<Duration>,
@@ -502,28 +475,20 @@ pub struct UdpGroupDriver<NET: Network> {
     /// Server replicas on nodes `0..servers.len()`; slot 0 is the
     /// initial primary.
     servers: Vec<ServerSlot<NET>>,
-    routes: Arc<Routes>,
-    epoch: Instant,
+    io: Io,
     poll: Duration,
     core: Arc<ShardCore>,
     registry: Registry,
-    spec: IdSpec,
     workers: Vec<WorkerLink>,
-    timers: BinaryHeap<TimerEntry>,
-    timer_seq: u64,
     peak_timers: usize,
-    decode_errors: Arc<AtomicU64>,
     server_host: HostId,
     /// Handles dealt so far; handle `h` is node `h + replicas` on host `h`.
     handles: usize,
     /// Populated by [`UdpGroupDriver::finish`]: member state machines
     /// collected from the workers, indexed by handle.
-    collected: Vec<Option<RtMember<Arc<ShardCore>>>>,
+    collected: Vec<Option<RtMember>>,
     finished: bool,
     not_converged: Option<NotConverged>,
-    sends: Vec<(NodeId, RtMsg)>,
-    new_timers: Vec<(SimTime, RtMsg)>,
-    frame: Vec<u8>,
 }
 
 impl<NET: Network> UdpGroupDriver<NET> {
@@ -585,7 +550,8 @@ impl<NET: Network> UdpGroupDriver<NET> {
             }
             let mut rt = RtServer::new(
                 Rc::clone(&net),
-                CoordHandle::new(Arc::clone(&core), registry.clone()),
+                Arc::clone(&core),
+                registry.clone(),
                 server_fsm,
                 replica,
                 journal::Journal::disabled(),
@@ -616,6 +582,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         // count from here, exactly like the simulator's time zero.
         let epoch = Instant::now();
 
+        let io = || Io::new(Arc::clone(&routes), spec, epoch, Arc::clone(&decode_errors));
         let mut links = Vec::with_capacity(workers);
         for worker_endpoint in worker_endpoints {
             let (ctl_tx, ctl_rx) = mpsc::channel();
@@ -623,17 +590,9 @@ impl<NET: Network> UdpGroupDriver<NET> {
             let worker = Worker {
                 endpoint: worker_endpoint,
                 ctl: ctl_rx,
-                routes: Arc::clone(&routes),
-                spec,
-                epoch,
+                io: io(),
                 poll,
-                decode_errors: Arc::clone(&decode_errors),
                 members: BTreeMap::new(),
-                timers: BinaryHeap::new(),
-                timer_seq: 0,
-                sends: Vec::new(),
-                new_timers: Vec::new(),
-                frame: Vec::new(),
                 last_timeout: None,
             };
             let handle = std::thread::Builder::new()
@@ -649,25 +608,17 @@ impl<NET: Network> UdpGroupDriver<NET> {
 
         let mut driver = UdpGroupDriver {
             servers: slots,
-            routes,
-            epoch,
+            io: io(),
             poll,
             core,
             registry,
-            spec,
             workers: links,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
             peak_timers: 0,
-            decode_errors,
             server_host,
             handles: 0,
             collected: Vec::new(),
             finished: false,
             not_converged: None,
-            sends: Vec::new(),
-            new_timers: Vec::new(),
-            frame: Vec::new(),
         };
 
         // Seed the pre-welcomed members: agent current at interval 1,
@@ -694,8 +645,8 @@ impl<NET: Network> UdpGroupDriver<NET> {
                 .expect("worker thread alive at bootstrap");
         }
 
-        for (node, due, msg) in boot_timers(&knobs) {
-            driver.arm_server_timer(node, due, msg);
+        for (node, due, timer) in boot_timers(&knobs) {
+            driver.io.arm(due, node, timer);
         }
         Ok(driver)
     }
@@ -720,60 +671,20 @@ impl<NET: Network> UdpGroupDriver<NET> {
         )
     }
 
-    fn primary_rt(&self) -> &RtServer<NET, CoordHandle> {
+    fn primary_rt(&self) -> &RtServer<NET> {
         &self.servers[self.acting_primary()].rt
     }
 
-    fn now_us(&self) -> SimTime {
-        micros_since(self.epoch)
-    }
-
-    fn arm_server_timer(&mut self, node: NodeId, due: SimTime, msg: RtMsg) {
-        self.timer_seq += 1;
-        self.timers.push(TimerEntry {
-            due,
-            seq: self.timer_seq,
-            node,
-            msg,
-        });
-        self.peak_timers = self.peak_timers.max(self.timers.len());
-    }
-
     /// Feeds one event to replica `slot`'s state machine and flushes its
-    /// outputs onto the wire. Events for a killed replica are discarded.
-    fn server_receive(&mut self, slot: usize, from: NodeId, msg: RtMsg) {
-        if !self.servers[slot].alive {
+    /// effects onto the wire. Events for a killed replica are discarded.
+    fn server_handle(&mut self, slot: usize, event: Event) {
+        let server = &mut self.servers[slot];
+        if !server.alive {
             return;
         }
-        let now = self.now_us();
-        let node = NodeId(slot);
-        let mut ctx = SocketCtx {
-            now,
-            node,
-            sends: &mut self.sends,
-            timers: &mut self.new_timers,
-        };
-        self.servers[slot].rt.receive(&mut ctx, from, msg);
-        for (delay, msg) in self.new_timers.drain(..) {
-            self.timer_seq += 1;
-            self.timers.push(TimerEntry {
-                due: now + delay.max(1),
-                seq: self.timer_seq,
-                node,
-                msg,
-            });
-        }
-        self.peak_timers = self.peak_timers.max(self.timers.len());
-        for (to, msg) in std::mem::take(&mut self.sends) {
-            encode_payload(&msg, &mut self.frame);
-            let peer = self.routes.addr_of(to);
-            let _ = self.servers[slot].endpoint.send_frame(
-                peer,
-                node.0 as u32,
-                to.0 as u32,
-                &self.frame,
-            );
-        }
+        server.rt.handle(self.io.begin(NodeId(slot)), event);
+        self.io.flush(&mut server.endpoint);
+        self.peak_timers = self.peak_timers.max(self.io.timers.pending());
     }
 
     /// Pumps the server replicas — timers and sockets — for up to
@@ -783,26 +694,15 @@ impl<NET: Network> UdpGroupDriver<NET> {
     fn pump(&mut self, slice: Duration) {
         let deadline = Instant::now() + slice;
         loop {
-            loop {
-                let now = self.now_us();
-                match self.timers.peek() {
-                    Some(t) if t.due <= now => {
-                        let t = self.timers.pop().expect("peeked above");
-                        debug_assert!(t.node.0 < self.servers.len());
-                        self.server_receive(t.node.0, t.node, t.msg);
-                    }
-                    _ => break,
-                }
+            while let Some((node, local)) = self.io.pop_due() {
+                debug_assert!(node.0 < self.servers.len());
+                self.server_handle(node.0, Event::Local(local));
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return;
             }
-            let mut timeout = left.min(self.poll);
-            if let Some(t) = self.timers.peek() {
-                let gap = t.due.saturating_sub(self.now_us()).max(1);
-                timeout = timeout.min(Duration::from_micros(gap));
-            }
+            let timeout = self.io.wait_for(left.min(self.poll));
             let alive = self.servers.iter().filter(|s| s.alive).count();
             if alive == 0 {
                 std::thread::sleep(timeout);
@@ -810,30 +710,20 @@ impl<NET: Network> UdpGroupDriver<NET> {
             }
             let per_slot = (timeout / alive as u32).max(Duration::from_micros(1));
             for slot in 0..self.servers.len() {
-                if !self.servers[slot].alive {
+                let s = &mut self.servers[slot];
+                if !s.alive {
                     continue;
                 }
-                let decoded = {
-                    let s = &mut self.servers[slot];
-                    if s.last_timeout != Some(per_slot) {
-                        if s.endpoint.set_read_timeout(Some(per_slot)).is_err() {
-                            continue;
-                        }
-                        s.last_timeout = Some(per_slot);
+                if s.last_timeout != Some(per_slot) {
+                    if s.endpoint.set_read_timeout(Some(per_slot)).is_err() {
+                        continue;
                     }
-                    match s.endpoint.recv_frame() {
-                        Ok(Some((header, payload))) => match decode_msg(payload, &self.spec) {
-                            Ok(msg) => Some((NodeId(header.src as usize), msg)),
-                            Err(_) => {
-                                self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                                None
-                            }
-                        },
-                        _ => None,
-                    }
-                };
-                if let Some((src, msg)) = decoded {
-                    self.server_receive(slot, src, msg);
+                    s.last_timeout = Some(per_slot);
+                }
+                // The frame's `dst` is not consulted: a replica's socket
+                // hosts that replica alone.
+                if let Some(Ok((_, event))) = self.io.recv_event(&mut s.endpoint) {
+                    self.server_handle(slot, event);
                 }
             }
         }
@@ -897,7 +787,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         link.ctl
             .send(WorkerCtl::Inject {
                 node,
-                msg: RtMsg::JoinRequest,
+                local: RtLocal::Join,
             })
             .expect("worker thread alive");
         handle
@@ -918,7 +808,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             .ctl
             .send(WorkerCtl::Inject {
                 node,
-                msg: RtMsg::LeaveRequest,
+                local: RtLocal::Leave,
             })
             .expect("worker thread alive");
     }
@@ -949,8 +839,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             return;
         }
         self.servers[replica].alive = true;
-        let node = NodeId(replica);
-        self.server_receive(replica, node, RtMsg::Restart);
+        self.server_handle(replica, Event::Local(RtLocal::Restart));
     }
 
     /// Pumps the session until the acting primary has completed rekey
@@ -989,7 +878,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             // Flush whichever replica is acting primary — after a
             // failover that is the promoted follower.
             let primary = self.acting_primary();
-            self.server_receive(primary, NodeId(primary), RtMsg::Flush);
+            self.server_handle(primary, Event::Local(RtLocal::Flush));
             self.pump(Duration::from_millis(40));
             let primary = self.acting_primary();
             let (joins, leaves, pending_leave_acks) = self.servers[primary].rt.flush_backlog();
@@ -1112,7 +1001,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
     /// Aggregated endpoint traffic (server + all workers).
     pub fn traffic(&self) -> SocketTraffic {
         let mut total = SocketTraffic {
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
+            decode_errors: self.io.decode_errors.load(Ordering::Relaxed),
             ..SocketTraffic::default()
         };
         let mut absorb = |stats: &EndpointStats| {
@@ -1249,6 +1138,60 @@ mod tests {
         assert_eq!(open.lagging, vec![joiner]);
         assert_eq!((open.joins, open.leaves), (0, 0));
         assert!(open.pending_leave_acks.is_empty() && open.stale.is_empty());
+    }
+
+    /// Nothing a peer can put in a datagram fires a node's timers or
+    /// issues its driver's commands. A foreign socket sends the primary
+    /// the frames that once encoded `Restart`, `Flush`, `IntervalTick` and
+    /// `ElectionTick`, and a live member — as if from itself — the wire
+    /// forms of "leave now" and "join now": the first four are decode
+    /// errors, the other two are requests only a server acts on, and the
+    /// session runs on as if they had never been sent.
+    #[test]
+    fn forged_local_events_change_nothing() {
+        const TARGET: usize = 5;
+        let mut rt = driver(16, 9);
+        let roster = rt.group().members().to_vec();
+        let node = NodeId(TARGET + rt.replicas());
+        let (primary, worker) = (rt.io.routes.servers[0], rt.io.routes.addr_of(node));
+        let mut forger = UdpEndpoint::bind_loopback().expect("foreign socket binds");
+        let gen = 0u64.to_le_bytes();
+        let to_primary = [
+            vec![1, 0x03],
+            vec![1, 0x02],
+            [&[1, 0x01][..], &gen].concat(),
+            [&[1, 0x1F][..], &gen].concat(),
+        ];
+        for frame in &to_primary {
+            forger.send_frame(primary, 0, 0, frame).expect("loopback");
+        }
+        for frame in [[1, 0x08], [1, 0x04]] {
+            let me = node.0 as u32;
+            forger.send_frame(worker, me, me, &frame).expect("loopback");
+        }
+
+        assert!(rt.run_to_interval(2, Duration::from_secs(20)), "interval 2");
+        assert!(rt.run_to_interval(3, Duration::from_secs(20)), "interval 3");
+        // The kernel may drop a forged loopback datagram: at least one of
+        // the four retired tags is seen, and nothing else fails to decode.
+        for _ in 0..100 {
+            if rt.traffic().decode_errors >= 1 {
+                break;
+            }
+            rt.pump(Duration::from_millis(20));
+        }
+        let errors = rt.traffic().decode_errors;
+        assert!((1..=4).contains(&errors), "{errors} decode errors");
+        assert!(rt.finish(Duration::from_secs(20)), "flush converged");
+
+        let report = rt.snapshot();
+        assert_eq!((report.restarts, report.elections), (0, 0));
+        assert_eq!(rt.primary_rt().epoch, 0, "no restart beacon");
+        assert_eq!(rt.group().members(), roster, "nobody left, nobody joined");
+        let agent = rt.agent(TARGET).expect("the targeted member stayed in");
+        assert_eq!(agent.interval(), rt.server().interval());
+        assert_eq!(agent.group_key(), rt.server().tree().group_key());
+        rt.check_consistency().expect("tables stay K-consistent");
     }
 
     /// Bootstrap, one leave and one fresh join over real packets, three

@@ -83,9 +83,9 @@ impl From<DecodeError> for WireError {
     }
 }
 
-const TAG_INTERVAL_TICK: u8 = 0x01;
-const TAG_FLUSH: u8 = 0x02;
-const TAG_RESTART: u8 = 0x03;
+// Tags 0x01–0x03, 0x16–0x18 and 0x1D–0x1F once named a node's own timers
+// and its driver's commands. Those are not messages: the bytes decode to
+// `WireError::UnknownTag`, and the numbers are reserved — never reuse one.
 const TAG_JOIN_REQUEST: u8 = 0x04;
 const TAG_JOIN_ACCEPTED: u8 = 0x05;
 const TAG_WELCOME: u8 = 0x06;
@@ -104,16 +104,10 @@ const TAG_SERVER_PONG: u8 = 0x12;
 const TAG_NOT_MEMBER: u8 = 0x13;
 const TAG_RESYNC_REQUEST: u8 = 0x14;
 const TAG_RESYNC: u8 = 0x15;
-const TAG_HEARTBEAT_TICK: u8 = 0x16;
-const TAG_INTERVAL_CHECK: u8 = 0x17;
-const TAG_RETRY_TICK: u8 = 0x18;
 const TAG_REPL_ENTRY: u8 = 0x19;
 const TAG_REPL_ACK: u8 = 0x1A;
 const TAG_REPL_HEARTBEAT: u8 = 0x1B;
 const TAG_CANDIDACY: u8 = 0x1C;
-const TAG_REPL_TICK: u8 = 0x1D;
-const TAG_REPL_CHECK: u8 = 0x1E;
-const TAG_ELECTION_TICK: u8 = 0x1F;
 
 /// `ReplOp` body: `op:u8` (0 = Join, 1 = Leave, 2 = Interval) + fields.
 const OP_JOIN: u8 = 0;
@@ -307,19 +301,11 @@ fn get_repl_op(r: &mut Reader<'_>, spec: &IdSpec) -> Result<ReplOp, WireError> {
     }
 }
 
-/// Appends one versioned [`RtMsg`] frame to `out`.
-///
-/// Every variant encodes — including the timer ticks that never cross a
-/// real wire — so drivers and tests can treat the codec as total.
+/// Appends one versioned [`RtMsg`] frame to `out`. Every variant encodes,
+/// so drivers and tests can treat the codec as total.
 pub fn encode_msg(msg: &RtMsg, out: &mut Vec<u8>) {
     out.push(WIRE_VERSION);
     match msg {
-        RtMsg::IntervalTick { gen } => {
-            out.push(TAG_INTERVAL_TICK);
-            put_u64(out, *gen);
-        }
-        RtMsg::Flush => out.push(TAG_FLUSH),
-        RtMsg::Restart => out.push(TAG_RESTART),
         RtMsg::JoinRequest => out.push(TAG_JOIN_REQUEST),
         RtMsg::JoinAccepted {
             member,
@@ -452,18 +438,6 @@ pub fn encode_msg(msg: &RtMsg, out: &mut Vec<u8>) {
             put_u64(out, *seq);
             put_u64(out, *next_interval_at);
         }
-        RtMsg::HeartbeatTick { gen } => {
-            out.push(TAG_HEARTBEAT_TICK);
-            put_u64(out, *gen);
-        }
-        RtMsg::IntervalCheck { gen } => {
-            out.push(TAG_INTERVAL_CHECK);
-            put_u64(out, *gen);
-        }
-        RtMsg::RetryTick { gen } => {
-            out.push(TAG_RETRY_TICK);
-            put_u64(out, *gen);
-        }
         RtMsg::ReplEntry { idx, epoch, op } => {
             out.push(TAG_REPL_ENTRY);
             put_u64(out, *idx);
@@ -497,18 +471,6 @@ pub fn encode_msg(msg: &RtMsg, out: &mut Vec<u8>) {
             put_u64(out, *idx);
             put_u64(out, *replica as u64);
         }
-        RtMsg::ReplTick { gen } => {
-            out.push(TAG_REPL_TICK);
-            put_u64(out, *gen);
-        }
-        RtMsg::ReplCheck { gen } => {
-            out.push(TAG_REPL_CHECK);
-            put_u64(out, *gen);
-        }
-        RtMsg::ElectionTick { gen } => {
-            out.push(TAG_ELECTION_TICK);
-            put_u64(out, *gen);
-        }
     }
 }
 
@@ -526,9 +488,6 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
     }
     let tag = r.u8()?;
     let msg = match tag {
-        TAG_INTERVAL_TICK => RtMsg::IntervalTick { gen: r.u64()? },
-        TAG_FLUSH => RtMsg::Flush,
-        TAG_RESTART => RtMsg::Restart,
         TAG_JOIN_REQUEST => RtMsg::JoinRequest,
         TAG_JOIN_ACCEPTED => {
             let member = get_member(&mut r, spec)?;
@@ -651,9 +610,6 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
                 next_interval_at,
             }
         }
-        TAG_HEARTBEAT_TICK => RtMsg::HeartbeatTick { gen: r.u64()? },
-        TAG_INTERVAL_CHECK => RtMsg::IntervalCheck { gen: r.u64()? },
-        TAG_RETRY_TICK => RtMsg::RetryTick { gen: r.u64()? },
         TAG_REPL_ENTRY => {
             let idx = r.u64()?;
             let epoch = r.u64()?;
@@ -693,9 +649,6 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
                 replica,
             }
         }
-        TAG_REPL_TICK => RtMsg::ReplTick { gen: r.u64()? },
-        TAG_REPL_CHECK => RtMsg::ReplCheck { gen: r.u64()? },
-        TAG_ELECTION_TICK => RtMsg::ElectionTick { gen: r.u64()? },
         other => return Err(WireError::UnknownTag(other)),
     };
     r.finish()?;

@@ -36,7 +36,6 @@ use std::collections::VecDeque;
 
 use rekey_crypto::Encryption;
 use rekey_id::{IdPrefix, UserId};
-use rekey_metrics::Registry;
 use rekey_net::{HostId, LinkLoad, Network};
 use rekey_tmesh::forward::Hop;
 use rekey_tmesh::TmeshGroup;
@@ -542,21 +541,6 @@ impl BandwidthReport {
             if let Some(path) = net.path_links(from, to) {
                 load.add_path(&path, units);
             }
-        }
-    }
-
-    /// Records the per-member received/forwarded distributions into
-    /// `registry` as the `transport_received` and `transport_forwarded`
-    /// histograms, so one-shot transport sessions share the runtime's
-    /// snapshot pipeline.
-    pub fn record_into(&self, registry: &Registry) {
-        let received = registry.histogram("transport_received");
-        for &units in &self.received {
-            received.record(units);
-        }
-        let forwarded = registry.histogram("transport_forwarded");
-        for &units in &self.forwarded {
-            forwarded.record(units);
         }
     }
 }

@@ -30,11 +30,9 @@ pub struct Ctx<'a, M> {
     outbox: &'a mut Vec<Outgoing<M>>,
 }
 
-/// One queued side effect of a [`Node::receive`] call. Public so external
-/// executors (e.g. a sharded runtime driving nodes outside
-/// [`Simulation`]) can route the outbox themselves.
+/// One queued side effect of a [`Node::receive`] call.
 #[derive(Debug)]
-pub enum Outgoing<M> {
+enum Outgoing<M> {
     /// Deliver after the network delay between the two nodes.
     Send {
         /// Destination node.
@@ -53,18 +51,7 @@ pub enum Outgoing<M> {
     },
 }
 
-impl<'a, M> Ctx<'a, M> {
-    /// Creates a context for an external executor that drives [`Node`]s
-    /// outside a [`Simulation`] (a sharded event loop, a test harness).
-    /// Side effects accumulate in `outbox`; the caller routes them.
-    pub fn external(now: SimTime, self_id: NodeId, outbox: &'a mut Vec<Outgoing<M>>) -> Ctx<'a, M> {
-        Ctx {
-            now,
-            self_id,
-            outbox,
-        }
-    }
-
+impl<M> Ctx<'_, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -95,43 +82,22 @@ struct Delivery<M> {
     msg: M,
 }
 
+/// Per-sender egress serialisation hook: `(sender, msg) -> transmission
+/// time` (see [`Simulation::with_egress`]).
+type EgressFn<M> = Box<dyn FnMut(NodeId, &M) -> SimTime>;
+
 /// A deterministic message-passing simulation over a set of nodes.
 ///
 /// Network delays come from the `delay` function (typically backed by a
 /// `rekey_net::Network`). The simulation counts delivered messages, which
 /// the protocols use for communication-cost accounting (e.g. the paper's
 /// `O(P · D · N^{1/D})` join cost analysis, §3.1.4).
-/// Per-sender egress serialisation hook: `(sender, msg) -> transmission
-/// time` (see [`Simulation::set_egress`]).
-type EgressFn<M> = Box<dyn FnMut(NodeId, &M) -> SimTime>;
-
-/// Message-drop hook: `(now, sender, receiver, msg) -> drop?` (see
-/// [`Simulation::with_loss`]). The timestamp lets time-windowed fault
-/// models (partitions) decide per message.
-type DropFn<M> = Box<dyn FnMut(SimTime, NodeId, NodeId, &M) -> bool>;
-
-/// Extra-delay hook: `(now, sender, receiver, msg) -> extra delay` added
-/// on top of the network delay (see [`Simulation::with_jitter`]).
-type JitterFn<M> = Box<dyn FnMut(SimTime, NodeId, NodeId, &M) -> SimTime>;
-
-/// Downtime hook: `(now, node) -> down?` (see
-/// [`Simulation::with_downtime`]).
-type DownFn = Box<dyn FnMut(SimTime, NodeId) -> bool>;
-
 pub struct Simulation<N: Node, F> {
     nodes: Vec<N>,
-    alive: Vec<bool>,
     scheduler: Scheduler<Delivery<N::Msg>>,
     delay: F,
     outbox: Vec<Outgoing<N::Msg>>,
     delivered: u64,
-    dropped: u64,
-    dead_letters: u64,
-    suppressed: u64,
-    peak_pending: usize,
-    drop: Option<DropFn<N::Msg>>,
-    jitter: Option<JitterFn<N::Msg>>,
-    down: Option<DownFn>,
     egress: Option<EgressFn<N::Msg>>,
     busy_until: Vec<SimTime>,
 }
@@ -156,58 +122,15 @@ where
     /// function.
     pub fn new(nodes: Vec<N>, delay: F) -> Simulation<N, F> {
         let busy_until = vec![0; nodes.len()];
-        let alive = vec![true; nodes.len()];
         Simulation {
             nodes,
-            alive,
             scheduler: Scheduler::new(),
             delay,
             outbox: Vec::new(),
             delivered: 0,
-            dropped: 0,
-            dead_letters: 0,
-            suppressed: 0,
-            peak_pending: 0,
-            drop: None,
-            jitter: None,
-            down: None,
             egress: None,
             busy_until,
         }
-    }
-
-    /// Adds a node to a running simulation and returns its id. The node
-    /// receives nothing until a message is addressed to it (via
-    /// [`Simulation::inject_at`] or another node's send).
-    pub fn spawn(&mut self, node: N) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(node);
-        self.alive.push(true);
-        self.busy_until.push(0);
-        id
-    }
-
-    /// Marks `id` as crashed: every delivery addressed to it from now on —
-    /// including messages already in flight and its own pending timers —
-    /// is silently discarded (counted by [`Simulation::dead_letters`]).
-    /// The node's state is retained for post-mortem inspection. Returns
-    /// `false` if the node was already dead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn kill(&mut self, id: NodeId) -> bool {
-        std::mem::replace(&mut self.alive[id.0], false)
-    }
-
-    /// `true` while `id` has not been [`Simulation::kill`]ed.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.alive[id.0]
-    }
-
-    /// Deliveries discarded because the destination was killed.
-    pub fn dead_letters(&self) -> u64 {
-        self.dead_letters
     }
 
     /// Installs an egress-serialisation model: `cost(from, msg)` is the
@@ -221,81 +144,6 @@ where
         self
     }
 
-    /// Installs a message-loss model: network sends (not `send_after`
-    /// timers) for which `drop` returns `true` are silently discarded, as
-    /// on a lossy UDP path. The hook sees the send time and the message,
-    /// so a model can target one traffic class (e.g. bulk rekey copies)
-    /// while control traffic stays reliable, or cut by time window (a
-    /// network partition). Returns `self` for chaining.
-    pub fn with_loss(
-        mut self,
-        drop: impl FnMut(SimTime, NodeId, NodeId, &N::Msg) -> bool + 'static,
-    ) -> Self {
-        self.set_loss(drop);
-        self
-    }
-
-    /// Installs (or replaces) the message-loss model on a built
-    /// simulation; the in-place form of [`Simulation::with_loss`].
-    pub fn set_loss(
-        &mut self,
-        drop: impl FnMut(SimTime, NodeId, NodeId, &N::Msg) -> bool + 'static,
-    ) {
-        self.drop = Some(Box::new(drop));
-    }
-
-    /// Installs a delay-jitter model: every network send (not `send_after`
-    /// timers) travels for its network delay *plus* the hook's extra
-    /// delay. Jitter reorders traffic — two messages on the same link swap
-    /// whenever their spacing is smaller than the jitter difference.
-    /// Returns `self` for chaining.
-    pub fn with_jitter(
-        mut self,
-        jitter: impl FnMut(SimTime, NodeId, NodeId, &N::Msg) -> SimTime + 'static,
-    ) -> Self {
-        self.set_jitter(jitter);
-        self
-    }
-
-    /// Installs (or replaces) the jitter model on a built simulation; the
-    /// in-place form of [`Simulation::with_jitter`].
-    pub fn set_jitter(
-        &mut self,
-        jitter: impl FnMut(SimTime, NodeId, NodeId, &N::Msg) -> SimTime + 'static,
-    ) {
-        self.jitter = Some(Box::new(jitter));
-    }
-
-    /// Installs a downtime model: a delivery addressed to a node for which
-    /// the hook returns `true` at delivery time is discarded and counted
-    /// by [`Simulation::suppressed`]. Unlike [`Simulation::kill`] the
-    /// node's state is retained and deliveries resume once the hook stops
-    /// reporting it down — but note that any of the node's own pending
-    /// timers that elapse during the window are lost with everything else,
-    /// so drivers model a restart by injecting a message at or after the
-    /// window's end. Returns `self` for chaining.
-    pub fn with_downtime(mut self, down: impl FnMut(SimTime, NodeId) -> bool + 'static) -> Self {
-        self.set_downtime(down);
-        self
-    }
-
-    /// Installs (or replaces) the downtime model on a built simulation;
-    /// the in-place form of [`Simulation::with_downtime`].
-    pub fn set_downtime(&mut self, down: impl FnMut(SimTime, NodeId) -> bool + 'static) {
-        self.down = Some(Box::new(down));
-    }
-
-    /// Number of messages discarded by the loss model.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Deliveries discarded because the destination was down (downtime
-    /// model) at delivery time.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.scheduler.now()
@@ -304,13 +152,6 @@ where
     /// Total number of messages delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// The largest number of in-flight events the queue ever held — a
-    /// burstiness measure: a join wave or a partition heal shows up as a
-    /// spike here long before it shows up in any per-node counter.
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending
     }
 
     /// Immutable access to a node.
@@ -322,11 +163,6 @@ where
         &self.nodes[id.0]
     }
 
-    /// Mutable access to a node (for external setup between runs).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.0]
-    }
-
     /// All nodes.
     pub fn nodes(&self) -> &[N] {
         &self.nodes
@@ -336,7 +172,6 @@ where
     /// at absolute time `at`.
     pub fn inject_at(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: N::Msg) {
         self.scheduler.schedule_at(at, Delivery { from, to, msg });
-        self.peak_pending = self.peak_pending.max(self.scheduler.pending());
     }
 
     fn flush_outbox(&mut self, from: NodeId) {
@@ -344,16 +179,7 @@ where
         for out in self.outbox.drain(..) {
             match out {
                 Outgoing::Send { to, msg } => {
-                    if let Some(drop) = self.drop.as_mut() {
-                        if drop(now, from, to, &msg) {
-                            self.dropped += 1;
-                            continue;
-                        }
-                    }
-                    let mut d = (self.delay)(from, to);
-                    if let Some(jitter) = self.jitter.as_mut() {
-                        d += jitter(now, from, to, &msg);
-                    }
+                    let d = (self.delay)(from, to);
                     match self.egress.as_mut() {
                         None => self.scheduler.schedule_in(d, Delivery { from, to, msg }),
                         Some(cost) => {
@@ -370,7 +196,6 @@ where
                 }
             }
         }
-        self.peak_pending = self.peak_pending.max(self.scheduler.pending());
     }
 
     /// Delivers a single event, if any. Returns `false` when idle.
@@ -380,16 +205,6 @@ where
         };
         let Delivery { from, to, msg } = delivery;
         debug_assert!(to.0 < self.nodes.len(), "delivery to unknown node");
-        if !self.alive[to.0] {
-            self.dead_letters += 1;
-            return true;
-        }
-        if let Some(down) = self.down.as_mut() {
-            if down(now, to) {
-                self.suppressed += 1;
-                return true;
-            }
-        }
         self.delivered += 1;
         let mut ctx = Ctx {
             now,
@@ -494,30 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_model_drops_network_sends_but_not_timers() {
-        struct Echo {
-            got: u32,
-        }
-        impl Node for Echo {
-            type Msg = u32;
-            fn receive(&mut self, ctx: &mut Ctx<'_, u32>, _from: NodeId, msg: u32) {
-                self.got += 1;
-                if msg > 0 {
-                    ctx.send(NodeId(1), msg - 1); // dropped by the model
-                    ctx.send_after(ctx.self_id(), 5, 0); // timer: immune
-                }
-            }
-        }
-        let mut s = Simulation::new(vec![Echo { got: 0 }, Echo { got: 0 }], |_, _| 1)
-            .with_loss(|_, _, _, _| true);
-        s.inject_at(0, NodeId(0), NodeId(0), 3);
-        s.run_until_idle();
-        assert_eq!(s.dropped(), 1, "the network send was dropped");
-        assert_eq!(s.node(NodeId(1)).got, 0);
-        assert_eq!(s.node(NodeId(0)).got, 2, "stimulus + timer");
-    }
-
-    #[test]
     fn egress_model_serialises_sends_per_node() {
         struct Fan {
             arrivals: Vec<SimTime>,
@@ -555,128 +346,5 @@ mod tests {
         s.inject_at(25, NodeId(0), NodeId(1), 0);
         s.run_until_idle();
         assert!(s.delivered() > before);
-    }
-
-    #[test]
-    fn loss_hook_filters_sends_by_payload() {
-        struct Fan {
-            got: Vec<u32>,
-        }
-        impl Node for Fan {
-            type Msg = u32;
-            fn receive(&mut self, ctx: &mut Ctx<'_, u32>, _from: NodeId, msg: u32) {
-                if msg == 100 {
-                    for m in 0..6u32 {
-                        ctx.send(NodeId(1), m);
-                    }
-                } else {
-                    self.got.push(msg);
-                }
-            }
-        }
-        let nodes = vec![Fan { got: vec![] }, Fan { got: vec![] }];
-        let mut s = Simulation::new(nodes, |_, _| 1).with_loss(|_, _, _, m: &u32| m % 2 == 1);
-        s.inject_at(0, NodeId(1), NodeId(0), 100);
-        s.run_until_idle();
-        assert_eq!(s.node(NodeId(1)).got, vec![0, 2, 4]);
-        assert_eq!(s.dropped(), 3);
-    }
-
-    #[test]
-    fn jitter_adds_delay_and_reorders_but_spares_timers() {
-        struct Fan {
-            arrivals: Vec<(u32, SimTime)>,
-        }
-        impl Node for Fan {
-            type Msg = u32;
-            fn receive(&mut self, ctx: &mut Ctx<'_, u32>, _from: NodeId, msg: u32) {
-                if msg == 100 {
-                    ctx.send(NodeId(1), 1);
-                    ctx.send(NodeId(1), 2);
-                    ctx.send_after(ctx.self_id(), 30, 0); // timer: no jitter
-                } else {
-                    self.arrivals.push((msg, ctx.now()));
-                }
-            }
-        }
-        let nodes = vec![Fan { arrivals: vec![] }, Fan { arrivals: vec![] }];
-        // Deterministic "jitter": the first copy gets +50, the second +0,
-        // so the copies swap; the timer still fires at exactly +30.
-        let mut extra = 50;
-        let mut s = Simulation::new(nodes, |_, _| 10).with_jitter(move |_, _, _, _| {
-            let d = extra;
-            extra = 0;
-            d
-        });
-        s.inject_at(0, NodeId(1), NodeId(0), 100);
-        s.run_until_idle();
-        assert_eq!(s.node(NodeId(1)).arrivals, vec![(2, 10), (1, 60)]);
-        assert_eq!(s.node(NodeId(0)).arrivals, vec![(0, 30)]);
-    }
-
-    #[test]
-    fn downtime_suppresses_deliveries_then_resumes() {
-        let mut s = sim([100, 100]).with_downtime(|now, node| node == NodeId(1) && now < 35);
-        s.inject_at(0, NodeId(0), NodeId(1), 0);
-        // 0→1 at t=0 is suppressed (node 1 down): the exchange dies out.
-        s.run_until_idle();
-        assert_eq!(s.suppressed(), 1);
-        assert_eq!(s.delivered(), 0);
-        assert_eq!(s.dead_letters(), 0, "down is not dead");
-        // After the window the node participates again.
-        s.inject_at(40, NodeId(0), NodeId(1), 0);
-        s.run_until(60);
-        assert!(s.delivered() > 0);
-        assert!(!s.node(NodeId(1)).received.is_empty());
-    }
-
-    #[test]
-    fn loss_hook_sees_send_time() {
-        struct Chatter;
-        impl Node for Chatter {
-            type Msg = ();
-            fn receive(&mut self, ctx: &mut Ctx<'_, ()>, from: NodeId, _msg: ()) {
-                ctx.send(from, ());
-            }
-        }
-        // Cut the "link" during [20, 40): the bounce chain dies once a
-        // send falls in the window.
-        let mut s = Simulation::new(vec![Chatter, Chatter], |_, _| 10)
-            .with_loss(|now, _, _, _| (20..40).contains(&now));
-        s.inject_at(0, NodeId(0), NodeId(1), ());
-        s.run_until_idle();
-        assert_eq!(s.dropped(), 1);
-        assert_eq!(s.now(), 20, "last delivery at the window edge");
-    }
-
-    #[test]
-    fn spawned_nodes_participate_and_killed_nodes_absorb() {
-        let mut s = sim([5, 5]);
-        let n2 = s.spawn(PingPong {
-            received: Vec::new(),
-            replies_left: 5,
-        });
-        assert_eq!(n2, NodeId(2));
-        assert!(s.is_alive(n2));
-        // The new node bounces with node 0 like any original node.
-        s.inject_at(0, NodeId(0), n2, 7);
-        s.run_until(15);
-        assert!(!s.node(n2).received.is_empty());
-
-        // Kill it mid-flight: node 0's reply is on the wire.
-        assert!(s.kill(n2));
-        assert!(!s.kill(n2), "double-kill reports already dead");
-        let seen = s.node(n2).received.len();
-        s.run_until_idle();
-        assert_eq!(
-            s.node(n2).received.len(),
-            seen,
-            "killed node receives nothing further"
-        );
-        assert!(
-            s.dead_letters() > 0,
-            "in-flight delivery became dead letter"
-        );
-        assert!(!s.is_alive(n2));
     }
 }

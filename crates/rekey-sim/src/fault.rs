@@ -2,18 +2,19 @@
 //! and i.i.d. or burst (Gilbert–Elliott) message loss.
 //!
 //! A [`FaultPlan`] is a declarative schedule of faults, built fluently and
-//! then compiled into a [`FaultInjector`] that a simulation driver wires
-//! into the [`Simulation`](crate::Simulation) hooks:
+//! then compiled into a [`FaultInjector`] that an executor consults as it
+//! routes events (`rekey-proto`'s simulated runtime asks at send time for
+//! cuts, loss and jitter, and at delivery time for outages):
 //!
 //! * **partitions** cut every message crossing cell boundaries during the
-//!   window ([`FaultInjector::cut`] → loss hook, applied to all traffic);
+//!   window ([`FaultInjector::cut`], applied to all traffic);
 //! * **outages** take single nodes (including a server) off the network
-//!   for a window ([`FaultInjector::is_down`] → downtime hook); the plan
-//!   exposes the windows via [`FaultPlan::outages`] so the driver can
-//!   schedule restart events at each window's end;
+//!   for a window ([`FaultInjector::is_down`]); the plan exposes the
+//!   windows via [`FaultPlan::outages`] so the driver can schedule
+//!   restart events at each window's end;
 //! * **jitter** adds a uniform random extra delay per network send
-//!   ([`FaultInjector::extra_delay`] → jitter hook), which naturally
-//!   reorders messages between a pair of nodes;
+//!   ([`FaultInjector::extra_delay`]), which naturally reorders messages
+//!   between a pair of nodes;
 //! * **loss** combines an i.i.d. per-message probability with an optional
 //!   [`GilbertElliott`] two-state burst process ([`FaultInjector::lose`]);
 //!   the driver decides which traffic class the draw applies to.
@@ -252,11 +253,6 @@ impl FaultPlan {
     /// The configured jitter bound (0 when no jitter was requested).
     pub fn jitter_max(&self) -> SimTime {
         self.jitter_max
-    }
-
-    /// `true` iff the plan includes a loss process (i.i.d. or burst).
-    pub fn has_loss(&self) -> bool {
-        self.iid_loss > 0.0 || self.burst.is_some()
     }
 
     /// Compiles the plan into a deterministic injector seeded by `seed`.

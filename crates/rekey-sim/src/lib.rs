@@ -5,15 +5,21 @@
 //! reception of a message as events." This crate is that simulator:
 //!
 //! * [`Scheduler`] — a time-ordered event queue with FIFO tie-breaking, so
-//!   that every run is reproducible under a fixed seed;
-//! * [`Simulation`] / [`Node`] — an actor-style layer where protocol
+//!   that every run is reproducible under a fixed seed. `rekey-proto`'s
+//!   group runtime builds its own executor on it (and its socket driver
+//!   files wall-clock timers in one);
+//! * [`Simulation`] / [`Node`] — a small actor-style loop where protocol
 //!   participants exchange messages whose delivery latency comes from a
 //!   pluggable network delay function (one-way delays from
-//!   `rekey_net::Network` in the experiments);
+//!   `rekey_net::Network` in the experiments), with an optional per-sender
+//!   egress-serialisation model. It has no fault hooks: the one-shot
+//!   sessions that use it (join protocol, overlay multicast) run on a
+//!   healthy network;
 //! * [`seeded_rng`] — the workspace-standard deterministic RNG;
 //! * [`fault`] — composable chaos injection ([`FaultPlan`]): partitions,
 //!   node outages, delay jitter, and i.i.d. or Gilbert–Elliott burst
-//!   loss, all deterministic under a fixed seed.
+//!   loss, all deterministic under a fixed seed, compiled into a
+//!   [`FaultInjector`] that an executor consults as it routes events.
 //!
 //! Time is integer microseconds everywhere ([`SimTime`]). The sans-I/O
 //! protocol state machines in `rekey-proto` are written against this
@@ -47,7 +53,7 @@ mod engine;
 mod event;
 pub mod fault;
 
-pub use engine::{Ctx, Node, NodeId, Outgoing, Simulation};
+pub use engine::{Ctx, Node, NodeId, Simulation};
 pub use event::{Scheduler, SimTime};
 pub use fault::{FaultInjector, FaultPlan, FaultStats, GilbertElliott, Outage};
 

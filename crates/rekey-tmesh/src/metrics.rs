@@ -10,7 +10,6 @@
 //! and plots their *inverse cumulative distributions*: a point `(x, y)`
 //! means "fraction `x` of users have metric ≤ `y`".
 
-use rekey_metrics::Registry;
 use rekey_net::{Micros, Network};
 
 use crate::session::{MulticastOutcome, Source, TmeshGroup};
@@ -56,21 +55,6 @@ impl PathMetrics {
             }));
         }
         metrics
-    }
-
-    /// Records the per-user distributions into `registry` as the
-    /// `tmesh_stress` and `tmesh_delay_us` histograms (unreached users
-    /// contribute no delay sample), so overlay sessions share the same
-    /// snapshot pipeline as the rekey runtime.
-    pub fn record_into(&self, registry: &Registry) {
-        let stress = registry.histogram("tmesh_stress");
-        for &s in &self.stress {
-            stress.record(u64::from(s));
-        }
-        let delay = registry.histogram("tmesh_delay_us");
-        for &d in self.delay.iter().flatten() {
-            delay.record(d);
-        }
     }
 
     /// Fraction of reached users with RDP strictly below `bound` (the paper

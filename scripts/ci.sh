@@ -7,7 +7,7 @@
 # Runs the release build, the full test suite, the runtime, chaos,
 # failover and mega soaks, the doc tests, the formatting check, clippy and
 # rustdoc with warnings denied — the same bar every PR must clear — and
-# prints the two tracked size outcomes (scripts/loc.sh).
+# checks that neither tracked size outcome rose (scripts/loc.sh --check).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -59,7 +59,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
-echo "==> tracked size outcomes (ROADMAP aim 2)"
-scripts/loc.sh
+echo "==> tracked size outcomes (ROADMAP aim 2) against scripts/loc.baseline"
+scripts/loc.sh --check
 
 echo "==> ci.sh: all green"

@@ -8,9 +8,22 @@
 #
 #   scripts/loc.sh            # the two totals
 #   scripts/loc.sh -v         # plus one line per file
+#   scripts/loc.sh --check    # the totals, and exit 1 if either is above
+#                             # scripts/loc.baseline (two lines: lines, items);
+#                             # a PR that lowers one commits the new numbers
 set -eu
 
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = --check ]; then
+    totals=$("$0")
+    echo "$totals"
+    echo "$totals" | awk -F': *' '
+        NR == FNR { allowed[FNR] = $1; next }
+        $2 > allowed[FNR] { printf "loc.sh: %s rose above the baseline %d\n", $1, allowed[FNR]; bad = 1 }
+        END { exit bad }' scripts/loc.baseline -
+    exit
+fi
 
 find crates/*/src -name '*.rs' | sort | xargs awk -v verbose="${1:-}" '
     FNR == 1 { in_tests = 0 }
