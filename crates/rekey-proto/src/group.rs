@@ -67,6 +67,14 @@ pub struct Group {
     server_table: ServerTable,
     id_tree: IdTree,
     index: HashMap<UserId, usize>,
+    /// Joins and leaves applied so far: the version clock of the tables.
+    mutations: u64,
+    /// Per member, in join order: the mutation count at which its table
+    /// last changed.
+    versions: Vec<u64>,
+    /// Join-order indices of the existing members whose tables the latest
+    /// join or leave changed.
+    changed: Vec<usize>,
 }
 
 impl Group {
@@ -93,6 +101,9 @@ impl Group {
             server_table: ServerTable::new(spec, k),
             id_tree: IdTree::new(spec),
             index: HashMap::new(),
+            mutations: 0,
+            versions: Vec::new(),
+            changed: Vec::new(),
         }
     }
 
@@ -149,6 +160,23 @@ impl Group {
     /// Per-entry capacity `K`.
     pub fn k(&self) -> usize {
         self.k
+    }
+
+    /// Joins and leaves applied so far (a dealt group starts at 0).
+    pub(crate) fn mutations(&self) -> u64 {
+        self.mutations
+    }
+
+    /// The mutation count at which the table of the member at index `i`
+    /// last changed: the version a member holding that table is at.
+    pub(crate) fn table_version(&self, i: usize) -> u64 {
+        self.versions[i]
+    }
+
+    /// Indices of the members whose existing tables the latest join or
+    /// leave changed (a joiner's own new table is not among them).
+    pub(crate) fn changed_tables(&self) -> &[usize] {
+        &self.changed
     }
 
     /// Joins `host`: runs the ID assignment protocol of §3.1 against the
@@ -385,11 +413,14 @@ impl Group {
             policy,
             assign,
             server_host,
+            versions: vec![0; members.len()],
             members,
             tables,
             server_table,
             id_tree,
             index,
+            mutations: 0,
+            changed: Vec::new(),
         })
     }
 
@@ -403,9 +434,14 @@ impl Group {
             self.k,
             self.policy,
         );
+        self.mutations += 1;
+        self.changed.clear();
         for (i, existing) in self.members.iter().enumerate() {
             let rtt = net.rtt(existing.host, member.host);
-            self.tables[i].insert(NeighborRecord { member, rtt });
+            if self.tables[i].insert(NeighborRecord { member, rtt }) {
+                self.versions[i] = self.mutations;
+                self.changed.push(i);
+            }
         }
         self.server_table.insert(NeighborRecord {
             member,
@@ -415,6 +451,7 @@ impl Group {
         self.index.insert(member.id, self.members.len());
         self.members.push(member);
         self.tables.push(table);
+        self.versions.push(self.mutations);
     }
 
     /// Removes a member and repairs every table that referenced it, keeping
@@ -427,6 +464,9 @@ impl Group {
         let idx = self.index.remove(id).ok_or(GroupError::NotMember(*id))?;
         let departed = self.members.remove(idx);
         self.tables.remove(idx);
+        self.versions.remove(idx);
+        self.mutations += 1;
+        self.changed.clear();
         for at in self.index.values_mut() {
             if *at > idx {
                 *at -= 1;
@@ -456,10 +496,12 @@ impl Group {
             })
             .collect();
         let k = self.k;
-        for (owner, table) in self.members.iter().zip(&mut self.tables) {
+        for (i, (owner, table)) in self.members.iter().zip(&mut self.tables).enumerate() {
             if !table.remove(id) {
                 continue;
             }
+            self.versions[i] = self.mutations;
+            self.changed.push(i);
             let (row, col) = table.slot_for(id).expect("stored, so not the owner");
             // Once the entry is full again only a strictly closer
             // candidate can still enter it; the rest are not offered.

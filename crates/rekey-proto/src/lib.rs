@@ -49,7 +49,7 @@ mod facade;
 mod group;
 pub mod protocols;
 mod recovery;
-pub mod repair;
+mod repair;
 pub mod runtime;
 pub mod split;
 pub mod transport;

@@ -1,21 +1,17 @@
-//! Server-assisted neighbor-table repair (§3.2).
+//! Broadcast-candidate neighbor-table repair (§3.2), for the
+//! message-by-message join protocol ([`crate::distributed`]) alone.
 //!
-//! When a member departs (leave or detected failure), every surviving
-//! member must drop the departed record from the `(i, j)`-entry that held
-//! it and refill that entry to keep tables K-consistent. The key server
-//! knows the full membership, so it computes — once per departure — the
-//! candidate set any receiver needs: for every ID level `c` (deepest
-//! first), up to `K` surviving members whose IDs share the first `c`
-//! digits with the departed ID. A receiver at common-prefix length `c`
-//! with the departed member finds its refill candidates among the
-//! level-`c` picks; sending the union per level serves all receivers with
-//! one computation.
+//! When a member departs, every surviving member must drop the departed
+//! record from the `(i, j)`-entry that held it and refill that entry to
+//! keep tables K-consistent. This routine computes — once per departure —
+//! a candidate set any receiver can refill from: for every ID level `c`
+//! (deepest first), up to `K` surviving members whose IDs share the first
+//! `c` digits with the departed ID; `distributed.rs` broadcasts it in its
+//! `MemberLeft`.
 //!
-//! Both protocol drivers share this routine: the message-by-message join
-//! protocol ([`crate::distributed`]) broadcasts the candidates in
-//! `MemberLeft`, and the event-driven group runtime
-//! ([`crate::runtime`]) uses it for leave, crash, and stale-record
-//! repair.
+//! The event-driven runtime does not use it: there the key server's
+//! [`Group`](crate::Group) repairs the tables itself and pushes each
+//! changed one to its owner, so a member's table is exactly the server's.
 
 use rekey_id::UserId;
 
@@ -27,7 +23,7 @@ use rekey_id::UserId;
 /// be handed the failed node as its own replacement. Iteration order of
 /// `members` is preserved within a level, so a deterministic input yields
 /// a deterministic candidate list.
-pub fn replacement_candidates<'a, T, I>(
+pub(crate) fn replacement_candidates<'a, T, I>(
     depth: usize,
     k: usize,
     departed: &UserId,

@@ -6,8 +6,9 @@
 //! module drives the *same* state machines from a discrete-event schedule,
 //! which is what the paper's own evaluation does (§4): "we simulate the
 //! sending and the reception of a message as events". One implementation,
-//! two drivers — the global-knowledge [`Group`](crate::Group) inside the
-//! server stays the oracle that equivalence tests compare against.
+//! two drivers — and one table algorithm: the global-knowledge
+//! [`Group`](crate::Group) inside the server computes every neighbor table,
+//! and members hold the copies it pushes them.
 //!
 //! There is one simulated executor, [`ShardedGroupRuntime`] (module
 //! [`shard`]): it alone decides who orders simulated events. Built empty
@@ -36,9 +37,12 @@
 //!   mid-interval (its keys arrive in `Welcome` at the interval end);
 //!   `LeaveRequest` / `LeaveAck` retire one — the ack is only sent after
 //!   the departure reaches the crash journal, so an acknowledged leave can
-//!   never roll back; `NewMember` / `MemberLeft` carry the server-assisted
-//!   table updates of §3.2 under a per-mutation sequence number, so a
-//!   member can detect (and resync across) any update it missed.
+//!   never roll back; `Table` carries the server-assisted repair of §3.2:
+//!   the server's [`Group`](crate::Group) maintains every neighbor table,
+//!   and after a join or leave each member whose table changed — only
+//!   those — is sent its new table, stamped with the table's version (the
+//!   group's mutation count when it last changed), so a member holds
+//!   exactly the server's table and can tell a newer one from a stale one.
 //! * **Rekey transport** (`Forward`, subject to per-copy loss): the
 //!   `FORWARD` routine of Fig. 2 executed hop by hop, each copy carrying
 //!   the split index plus the served prefix (Fig. 5). `Nack` / `Recover`
@@ -51,15 +55,15 @@
 //!   members ping every stored neighbor each heartbeat period; an
 //!   unanswered ping evicts the record
 //!   ([`rekey_table::NeighborTable::evict_where`]),
-//!   notifies the server (`FailureNotice`, re-sent each beat until the
-//!   repair broadcast lands), and triggers the same repair as a leave.
-//!   Evicted records stay on probation: a suspect that answers a later
-//!   probe is reinstated, so a transient partition does not permanently
-//!   shrink tables. Each beat also pings the *server*, which either
-//!   vouches for the member (`ServerPong`, carrying the epoch, the
-//!   mutation sequence number, and the current interval — the member's
-//!   evidence for NACKs and resyncs) or disowns it (`NotMember`, after
-//!   which the member rejoins from scratch).
+//!   notifies the server (`FailureNotice`, re-sent each beat until a
+//!   pushed table drops the suspect), and triggers the same repair as a
+//!   leave. Evicted records stay on probation: a suspect that answers a
+//!   later probe is reinstated, so a transient partition does not
+//!   permanently shrink tables. Each beat also pings the *server*, which
+//!   either vouches for the member (`ServerPong`, carrying the epoch, the
+//!   version of the member's table, and the current interval — the
+//!   member's evidence for NACKs and resyncs) or disowns it (`NotMember`,
+//!   after which the member rejoins from scratch).
 //!
 //! # Failure model and self-healing
 //!
@@ -79,8 +83,9 @@
 //!   with exponential backoff until the network heals;
 //! * a member wrongfully evicted during a partition learns its fate from
 //!   the server's `NotMember` and rejoins from scratch;
-//! * a member that missed membership updates (sequence gap) or rekey
-//!   intervals beyond the NACK retry cap resyncs from a server snapshot;
+//! * a member that lost a `Table` push (a `Recover` or `ServerPong`
+//!   reports a newer version of its table) or rekey intervals beyond the
+//!   NACK retry cap resyncs from a server snapshot;
 //! * the server checkpoints itself into a [`journal::Journal`] after
 //!   every interval's multicast; a restart (the driver's restart command
 //!   at the outage window's end) restores the latest checkpoint, bumps

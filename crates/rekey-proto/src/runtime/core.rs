@@ -123,9 +123,9 @@ pub struct IntervalMessage {
     pub epoch: u64,
     /// When the server multicast it (recovery latency accounting).
     pub sent_at: SimTime,
-    /// The server's membership-mutation watermark at multicast time; a
-    /// receiver behind it (with nothing buffered) missed the tail of
-    /// the `NewMember`/`MemberLeft` stream and must resync.
+    /// The server's membership-mutation count at multicast time. Encoded
+    /// for the record; members do not read it — each learns its own
+    /// table's version from `Recover` and `ServerPong`.
     pub seq: u64,
     /// The batch rekey encryptions.
     pub encryptions: Vec<Encryption>,
@@ -189,7 +189,7 @@ pub enum RtMsg {
         table: Box<NeighborTable>,
         /// Server epoch of the snapshot.
         epoch: u64,
-        /// Mutation sequence number the snapshot reflects.
+        /// The table's version (see [`RtMsg::Table`]).
         seq: u64,
     },
     /// Server → joiner at interval end: the key material.
@@ -201,15 +201,15 @@ pub enum RtMsg {
         /// When the next interval ends, anchoring the NACK check timer.
         next_interval_at: SimTime,
     },
-    /// Server → members: insert a just-admitted member (mutation `seq`).
-    NewMember {
-        /// The new member.
-        record: Member,
-        /// RTT from the receiver to the new member.
-        rtt: Micros,
+    /// Server → a member whose neighbor table a join or leave just changed
+    /// (§3.2 repair, computed once by the server's `Group`): the new table.
+    Table {
+        /// The receiver's neighbor table as the server now holds it.
+        table: Box<NeighborTable>,
         /// Server epoch of the mutation.
         epoch: u64,
-        /// Mutation sequence number; applied strictly in order.
+        /// The table's version: the server's mutation count when it last
+        /// changed. A member adopts only a version above the one it holds.
         seq: u64,
     },
     /// Leaver → server: retire me; retransmitted with backoff until
@@ -217,21 +217,9 @@ pub enum RtMsg {
     LeaveRequest,
     /// Server → leaver, once the departure has reached the journal.
     LeaveAck,
-    /// Server → members: departure plus repair candidates (§3.2),
-    /// mutation `seq`.
-    MemberLeft {
-        /// Who departed.
-        departed: UserId,
-        /// Replacement candidates with receiver-personalized RTTs.
-        replacements: Vec<(Member, Micros)>,
-        /// Server epoch of the mutation.
-        epoch: u64,
-        /// Mutation sequence number; applied strictly in order.
-        seq: u64,
-    },
     /// Member → server: a neighbor stopped answering pings. Re-sent every
-    /// beat until the repair broadcast arrives, so a lost notice (server
-    /// outage, partition) only delays detection.
+    /// beat until a pushed table drops the suspect, so a lost notice
+    /// (server outage, partition) only delays detection.
     FailureNotice {
         /// The suspect.
         failed: UserId,
@@ -259,8 +247,8 @@ pub enum RtMsg {
         /// When the interval was originally multicast (latency
         /// accounting).
         sent_at: SimTime,
-        /// The server's mutation watermark (tail-drop detector; this is
-        /// the only broadcast the shutdown flush sends every member).
+        /// The recipient's table version at the server (lost-push
+        /// detector; the shutdown flush sends one to every member).
         seq: u64,
     },
     /// Member → neighbor: heartbeat probe.
@@ -283,7 +271,7 @@ pub enum RtMsg {
     ServerPong {
         /// Current server epoch.
         epoch: u64,
-        /// Latest mutation sequence number.
+        /// The prober's table version at the server.
         seq: u64,
         /// Latest completed interval.
         interval: u64,
@@ -294,8 +282,8 @@ pub enum RtMsg {
         /// The id the server disowns.
         id: UserId,
     },
-    /// Member → server: request a full state snapshot (sequence gap,
-    /// epoch change, or NACK retries exhausted).
+    /// Member → server: request a full state snapshot (table behind the
+    /// server's, epoch change, or NACK retries exhausted).
     ResyncRequest {
         /// The requester's id, for the server to verify.
         id: UserId,
@@ -311,7 +299,7 @@ pub enum RtMsg {
         welcome: WelcomePacket,
         /// Server epoch of the snapshot.
         epoch: u64,
-        /// Mutation sequence number the snapshot reflects.
+        /// The table's version (see [`RtMsg::Table`]).
         seq: u64,
         /// When the next interval ends, re-anchoring the check timer.
         next_interval_at: SimTime,
@@ -727,8 +715,6 @@ pub(crate) struct RtServer<NET> {
     pub(crate) server: GroupServer,
     /// Bumped on every restart; members resync when they observe a bump.
     pub(crate) epoch: u64,
-    /// Membership-mutation sequence number (one per join/leave/failure).
-    pub(crate) seq: u64,
     /// Stale-timer guard for `IntervalTick`; bumped on restart.
     pub(crate) tick_gen: u64,
     /// When the current interval ends (anchors member check timers).
@@ -809,7 +795,6 @@ impl<NET: Network> RtServer<NET> {
             registry,
             server,
             epoch: 0,
-            seq: 0,
             tick_gen: 0,
             next_interval_at: knobs.rekey_period,
             last_round_at: 0,
@@ -933,8 +918,9 @@ impl<NET: Network> RtServer<NET> {
                     self.stats.failures_detected += 1;
                     self.depart(ctx, failed);
                 }
-                // Already departed: the sequenced `MemberLeft` broadcast
-                // is already on its way to the accuser; nothing to do.
+                // Already departed: the accuser's repaired table is
+                // already on its way (or its `Recover`/`ServerPong`
+                // version will expose a lost push); nothing to do.
             }
             RtMsg::Nack { interval } => {
                 self.stats.nacks += 1;
@@ -958,7 +944,7 @@ impl<NET: Network> RtServer<NET> {
                         interval,
                         encryptions,
                         sent_at: message.sent_at,
-                        seq: self.seq,
+                        seq: self.table_version(&member.id),
                     },
                 );
             }
@@ -968,7 +954,7 @@ impl<NET: Network> RtServer<NET> {
                         from,
                         RtMsg::ServerPong {
                             epoch: self.epoch,
-                            seq: self.seq,
+                            seq: self.table_version(&id),
                             interval: self.server.interval(),
                         },
                     );
@@ -990,24 +976,37 @@ impl<NET: Network> RtServer<NET> {
                     return;
                 };
                 self.stats.resyncs += 1;
-                let group = self.server.group();
-                let idx = group.index_of(&id).expect("verified member has an index");
-                let member = group.members()[idx];
-                let table = group.table(idx).clone();
+                let (member, table, seq) = self.snapshot_of(&id);
                 ctx.send(
                     from,
                     RtMsg::Resync {
                         member,
-                        table: Box::new(table),
+                        table,
                         welcome,
                         epoch: self.epoch,
-                        seq: self.seq,
+                        seq,
                         next_interval_at: self.next_interval_at,
                     },
                 );
             }
             _ => {}
         }
+    }
+
+    /// The version of member `id`'s table: the group's mutation count
+    /// when it last changed.
+    fn table_version(&self, id: &UserId) -> u64 {
+        let group = self.server.group();
+        group.table_version(group.index_of(id).expect("a member has an index"))
+    }
+
+    /// Member `id`'s record, its table and that table's version — what
+    /// `JoinAccepted` and `Resync` carry.
+    fn snapshot_of(&self, id: &UserId) -> (Member, Box<NeighborTable>, u64) {
+        let group = self.server.group();
+        let idx = group.index_of(id).expect("a member has an index");
+        let table = Box::new(group.table(idx).clone());
+        (group.members()[idx], table, group.table_version(idx))
     }
 
     fn member_by_host(&self, host: HostId) -> Option<&Member> {
@@ -1077,7 +1076,7 @@ impl<NET: Network> RtServer<NET> {
             interval: outcome.interval,
             epoch: self.epoch,
             sent_at: ctx.now(),
-            seq: self.seq,
+            seq: self.server.group().mutations(),
             index: self.split_index.advance(&encryptions),
             encryptions,
         });
@@ -1117,7 +1116,6 @@ impl<NET: Network> RtServer<NET> {
         if self.journal.is_enabled() {
             self.journal.record(journal::Checkpoint {
                 server: self.server.clone(),
-                seq: self.seq,
                 log_idx: self.repl.next_idx - 1,
                 history: self.history.clone(),
             });
@@ -1138,8 +1136,8 @@ impl<NET: Network> RtServer<NET> {
             self.rekey_round(ctx);
         }
         if let Some((&interval, message)) = self.history.iter().next_back() {
-            let members: Vec<Member> = self.server.group().members().to_vec();
-            for member in members {
+            let group = self.server.group();
+            for (idx, member) in group.members().iter().enumerate() {
                 let encryptions: Vec<Encryption> = message
                     .index
                     .indices(member.id.digits())
@@ -1153,7 +1151,7 @@ impl<NET: Network> RtServer<NET> {
                         interval,
                         encryptions,
                         sent_at: message.sent_at,
-                        seq: self.seq,
+                        seq: group.table_version(idx),
                     },
                 );
             }
@@ -1181,9 +1179,9 @@ impl<NET: Network> RtServer<NET> {
         self.tick_gen += 1;
         self.pending_leave_acks.clear();
         if let Some(cp) = self.journal.restore() {
-            self.stats.lost_mutations += self.seq.saturating_sub(cp.seq);
+            self.stats.lost_mutations +=
+                self.server.group().mutations() - cp.server.group().mutations();
             self.server = cp.server;
-            self.seq = cp.seq;
             self.history = cp.history;
         }
         // The maintainer's previous-interval sequence may describe an
@@ -1211,7 +1209,6 @@ impl<NET: Network> RtServer<NET> {
         self.repl.election = None;
         if let Some(cp) = self.journal.restore() {
             self.server = cp.server;
-            self.seq = cp.seq;
             self.history = cp.history;
             self.repl.applied_idx = cp.log_idx;
             self.repl.log.retain(|e| e.idx <= cp.log_idx);
@@ -1230,56 +1227,30 @@ impl<NET: Network> RtServer<NET> {
 
     fn admit(&mut self, ctx: &mut Outbox, from: NodeId) {
         let host = self.member_host(from);
-        if let Some(member) = self.member_by_host(host).cloned() {
+        let id = match self.member_by_host(host) {
             // Retransmitted join (the original accept was lost): resend
             // the current snapshot without a new mutation.
-            let group = self.server.group();
-            let idx = group.index_of(&member.id).expect("member has an index");
-            let table = group.table(idx).clone();
-            ctx.send(
-                from,
-                RtMsg::JoinAccepted {
-                    member,
-                    table: Box::new(table),
-                    epoch: self.epoch,
-                    seq: self.seq,
-                },
-            );
-            return;
-        }
-        let at = ctx.now();
-        let id = self
-            .server
-            .request_join(host, &*self.net, at)
-            .expect("ID space sized for the churn trace");
-        self.stats.joins += 1;
-        self.seq += 1;
-        self.append_op(ctx, ReplOp::Join { host, at });
-        let group = self.server.group();
-        let idx = group.index_of(&id).expect("member was just admitted");
-        let member = group.members()[idx];
-        let table = group.table(idx).clone();
-        for existing in group.members() {
-            if existing.id == id {
-                continue;
+            Some(member) => member.id,
+            None => {
+                let at = ctx.now();
+                let id = self
+                    .server
+                    .request_join(host, &*self.net, at)
+                    .expect("ID space sized for the churn trace");
+                self.stats.joins += 1;
+                self.append_op(ctx, ReplOp::Join { host, at });
+                self.push_tables(ctx);
+                id
             }
-            ctx.send(
-                self.member_node(existing.host),
-                RtMsg::NewMember {
-                    record: member,
-                    rtt: self.net.rtt(existing.host, member.host),
-                    epoch: self.epoch,
-                    seq: self.seq,
-                },
-            );
-        }
+        };
+        let (member, table, seq) = self.snapshot_of(&id);
         ctx.send(
             from,
             RtMsg::JoinAccepted {
                 member,
-                table: Box::new(table),
+                table,
                 epoch: self.epoch,
-                seq: self.seq,
+                seq,
             },
         );
     }
@@ -1289,28 +1260,21 @@ impl<NET: Network> RtServer<NET> {
             .request_leave(&id, &*self.net)
             .expect("departing member is in the group");
         self.stats.departures += 1;
-        self.seq += 1;
         self.append_op(ctx, ReplOp::Leave { id });
+        self.push_tables(ctx);
+    }
+
+    /// Sends each member whose table the latest join or leave changed its
+    /// new table — `Group` computed the repair; nobody else is told.
+    fn push_tables(&self, ctx: &mut Outbox) {
         let group = self.server.group();
-        let candidates = crate::repair::replacement_candidates(
-            group.spec().depth(),
-            group.k(),
-            &id,
-            group.members().iter(),
-            |m| &m.id,
-        );
-        for existing in group.members() {
-            let replacements: Vec<(Member, Micros)> = candidates
-                .iter()
-                .map(|&&c| (c, self.net.rtt(existing.host, c.host)))
-                .collect();
+        for &idx in group.changed_tables() {
             ctx.send(
-                self.member_node(existing.host),
-                RtMsg::MemberLeft {
-                    departed: id,
-                    replacements,
+                self.member_node(group.members()[idx].host),
+                RtMsg::Table {
+                    table: Box::new(group.table(idx).clone()),
                     epoch: self.epoch,
-                    seq: self.seq,
+                    seq: group.table_version(idx),
                 },
             );
         }
@@ -1465,13 +1429,11 @@ impl<NET: Network> RtServer<NET> {
                 if self.server.request_join(*host, &*self.net, *at).is_err() {
                     return false;
                 }
-                self.seq += 1;
             }
             ReplOp::Leave { id } => {
                 if self.server.request_leave(id, &*self.net).is_err() {
                     return false;
                 }
-                self.seq += 1;
             }
             ReplOp::Interval { sent_at } => {
                 let mut outcome = self.server.end_interval();
@@ -1479,7 +1441,7 @@ impl<NET: Network> RtServer<NET> {
                     interval: outcome.interval,
                     epoch: entry.epoch,
                     sent_at: *sent_at,
-                    seq: self.seq,
+                    seq: self.server.group().mutations(),
                     index: self.split_index.advance(outcome.encryptions()),
                     encryptions: outcome.take_encryptions(),
                 });
@@ -1494,7 +1456,6 @@ impl<NET: Network> RtServer<NET> {
                 if self.journal.is_enabled() {
                     self.journal.record(journal::Checkpoint {
                         server: self.server.clone(),
-                        seq: self.seq,
                         log_idx: entry.idx,
                         history: self.history.clone(),
                     });
@@ -1763,18 +1724,6 @@ pub(crate) enum PendingPayload {
     },
 }
 
-/// A buffered membership mutation, applied strictly in `seq` order.
-pub(crate) enum SeqUpdate {
-    Insert {
-        record: Member,
-        rtt: Micros,
-    },
-    Remove {
-        departed: UserId,
-        replacements: Vec<(Member, Micros)>,
-    },
-}
-
 /// What a retry entry is waiting for. Each kind exists at most once per
 /// member (`Nack` once per interval), so the retry map stays tiny.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -1783,8 +1732,8 @@ pub(crate) enum Retrying {
     Join,
     /// `LeaveRequest` unacknowledged (no `LeaveAck` yet).
     Leave,
-    /// A full snapshot is needed (sequence gap, epoch bump, NACK cap
-    /// exhausted, or a `Welcome` that never arrived).
+    /// A full snapshot is needed (table behind the server's, epoch bump,
+    /// NACK cap exhausted, or a `Welcome` that never arrived).
     Resync,
     /// An interval missing past its deadline.
     Nack(u64),
@@ -1804,17 +1753,15 @@ pub(crate) struct RtMember {
     pub(crate) agent: Option<UserAgent>,
     /// Last server epoch observed; any bump forces a resync.
     pub(crate) epoch: u64,
-    /// Highest membership mutation applied in `epoch`.
-    pub(crate) applied_seq: u64,
-    /// Highest mutation watermark seen on an interval multicast; running
-    /// ahead of `applied_seq` with an empty `update_buf` means the tail
-    /// of the mutation stream was lost with nothing after it to expose
-    /// the gap — real sockets hit this when a kernel buffer overflows.
+    /// The server's version of the table held (its mutation count when
+    /// that table last changed), in `epoch`.
+    pub(crate) table_seq: u64,
+    /// Highest version of our table the server has reported (`Recover`,
+    /// `ServerPong`); running ahead of `table_seq` means a `Table` push
+    /// was lost — real sockets hit this when a kernel buffer overflows.
     pub(crate) seq_hint: u64,
-    /// Out-of-order membership mutations, keyed by `seq`.
-    pub(crate) update_buf: BTreeMap<u64, SeqUpdate>,
-    /// Set when an epoch bump invalidated `applied_seq`; only a snapshot
-    /// clears it (sequenced updates alone cannot prove freshness).
+    /// Set when an epoch bump invalidated `table_seq`; only a snapshot
+    /// clears it (a pushed table alone cannot prove freshness).
     pub(crate) sync_stale: bool,
     /// This node asked to join and was not yet accepted.
     pub(crate) join_requested: bool,
@@ -1830,18 +1777,12 @@ pub(crate) struct RtMember {
     pub(crate) server_interval_seen: u64,
     /// Highest interval whose copy this member has already forwarded.
     pub(crate) last_forwarded: u64,
-    /// Neighbors evicted locally but possibly still in stale in-flight
-    /// state; forwarding routes around them.
-    pub(crate) suspected: BTreeSet<UserId>,
-    /// Evicted records on probation: probed each beat, reinstated on a
-    /// Pong, dropped when the server's repair broadcast confirms the
-    /// departure.
-    pub(crate) suspect_records: BTreeMap<UserId, NeighborRecord>,
-    /// Ids the server has departed; a probation Pong cannot resurrect
-    /// them.
-    pub(crate) departed_seen: BTreeSet<UserId>,
+    /// Evicted neighbors on probation: kept out of every table we adopt
+    /// and routed around, probed each beat, reinstated on a Pong, and
+    /// dropped once a table from the server no longer lists them.
+    pub(crate) suspects: BTreeMap<UserId, NeighborRecord>,
     /// Outstanding heartbeat pings: token → target.
-    pub(crate) outstanding: BTreeMap<u64, UserId>,
+    pub(crate) outstanding: BTreeMap<u64, (HostId, UserId)>,
     pub(crate) next_token: u64,
     /// Stale-chain guard for `HeartbeatTick`.
     pub(crate) heartbeat_gen: u64,
@@ -1867,8 +1808,6 @@ pub(crate) struct RtMember {
     /// Intervals already NACKed during shutdown (the drain sends
     /// immediately instead of arming timers; this dedups).
     pub(crate) shutdown_nacked: BTreeSet<u64>,
-    /// Whether the one-shot shutdown resync was already sent.
-    pub(crate) shutdown_resynced: bool,
     /// The server replica this member currently talks to. Starts at the
     /// initial primary (node 0) and follows the replies: any message from
     /// a replica node re-anchors it, and server silence (an unanswered
@@ -1891,9 +1830,8 @@ impl RtMember {
             table: None,
             agent: None,
             epoch: 0,
-            applied_seq: 0,
+            table_seq: 0,
             seq_hint: 0,
-            update_buf: BTreeMap::new(),
             sync_stale: false,
             join_requested: false,
             leave_pending: false,
@@ -1901,9 +1839,7 @@ impl RtMember {
             pending: BTreeMap::new(),
             server_interval_seen: 0,
             last_forwarded: 0,
-            suspected: BTreeSet::new(),
-            suspect_records: BTreeMap::new(),
-            departed_seen: BTreeSet::new(),
+            suspects: BTreeMap::new(),
             outstanding: BTreeMap::new(),
             next_token: 0,
             heartbeat_gen: 0,
@@ -1916,7 +1852,6 @@ impl RtMember {
             next_boundary: 0,
             expected_interval: 0,
             shutdown_nacked: BTreeSet::new(),
-            shutdown_resynced: false,
             server_node: SERVER,
             server_ping_outstanding: false,
             stats: MemberStats::default(),
@@ -2065,14 +2000,12 @@ impl RtMember {
                 seq,
             } => {
                 // Duplicate or jitter-reordered stale accept: ignore.
-                if self.member.is_some() && epoch == self.epoch && seq <= self.applied_seq {
+                if self.member.is_some() && epoch == self.epoch && seq <= self.table_seq {
                     return;
                 }
                 self.epoch = self.epoch.max(epoch);
                 self.member = Some(member);
-                self.table = Some(*table);
-                self.applied_seq = seq;
-                self.update_buf.retain(|&s, _| s > seq);
+                self.adopt_table(*table, seq);
                 self.sync_stale = false;
                 self.retries.remove(&Retrying::Join);
                 // Welcome safety net: if the key material never arrives
@@ -2084,7 +2017,6 @@ impl RtMember {
                         + 2 * self.shared.knobs().rekey_period
                         + self.shared.knobs().nack_grace,
                 );
-                self.drain_updates(ctx);
                 self.start_heartbeat(ctx);
             }
             RtMsg::Welcome {
@@ -2106,33 +2038,10 @@ impl RtMember {
                 self.drain_payloads(ctx);
                 self.arm_check(ctx, next_interval_at);
             }
-            RtMsg::NewMember {
-                record,
-                rtt,
-                epoch,
-                seq,
-            } => {
+            RtMsg::Table { table, epoch, seq } => {
                 self.note_epoch(ctx, epoch);
-                if epoch == self.epoch && self.member.is_some() {
-                    self.on_sequenced(ctx, seq, SeqUpdate::Insert { record, rtt });
-                }
-            }
-            RtMsg::MemberLeft {
-                departed,
-                replacements,
-                epoch,
-                seq,
-            } => {
-                self.note_epoch(ctx, epoch);
-                if epoch == self.epoch && self.member.is_some() {
-                    self.on_sequenced(
-                        ctx,
-                        seq,
-                        SeqUpdate::Remove {
-                            departed,
-                            replacements,
-                        },
-                    );
+                if epoch == self.epoch && self.member.is_some() && seq > self.table_seq {
+                    self.adopt_table(*table, seq);
                 }
             }
             RtMsg::LeaveAck => {
@@ -2153,15 +2062,16 @@ impl RtMember {
                 self.shared.record_split_payload(split_size);
                 self.note_epoch(ctx, message.epoch);
                 self.server_interval_seen = self.server_interval_seen.max(message.interval);
-                self.note_seq_watermark(ctx, message.seq);
+                self.follow_server_clock(ctx, message.interval, message.sent_at);
                 // Forward duty: once per interval, rows `level..D` of the
                 // table (Fig. 2), routing around suspects (§2.3).
                 if message.interval > self.last_forwarded {
                     if let Some(table) = &self.table {
                         self.last_forwarded = message.interval;
-                        let suspected = &self.suspected;
+                        let suspects = &self.suspects;
                         let mut fanout = 0u64;
-                        for hop in user_next_hops_with(table, level, &|id| !suspected.contains(id))
+                        for hop in
+                            user_next_hops_with(table, level, &|id| !suspects.contains_key(id))
                         {
                             self.stats.copies_forwarded += 1;
                             fanout += 1;
@@ -2201,14 +2111,6 @@ impl RtMember {
             } => {
                 self.server_interval_seen = self.server_interval_seen.max(interval);
                 self.note_seq_watermark(ctx, seq);
-                // A member that learned of an epoch bump from a peer's
-                // forwarded copy may have aimed its resync at the dead
-                // ex-primary just before shutdown killed the retry
-                // timers. The flush's `Recover` comes from the acting
-                // primary (and re-anchored us above): ask it now.
-                if self.sync_stale && self.shared.is_shutdown() {
-                    self.fire_shutdown(ctx, Retrying::Resync);
-                }
                 let needed = self.agent.as_ref().is_some_and(|a| interval > a.interval())
                     && !self.pending.contains_key(&interval);
                 if needed {
@@ -2228,24 +2130,22 @@ impl RtMember {
             RtMsg::Ping { token } => {
                 // Answered whenever the process is up (even before our own
                 // JoinAccepted lands — an established member may learn of
-                // us via NewMember and ping first on a faster path).
+                // us from a pushed table and ping first on a faster path).
                 // Departed and crashed nodes absorb pings, which is what
                 // the detector keys on.
                 ctx.send(from, RtMsg::Pong { token });
             }
             RtMsg::Pong { token } => {
-                let Some(id) = self.outstanding.remove(&token) else {
+                let Some((_, id)) = self.outstanding.remove(&token) else {
                     return;
                 };
                 // Probation: an evicted suspect that answers is
-                // reinstated — unless the server already departed it.
-                if let Some(record) = self.suspect_records.remove(&id) {
-                    if !self.departed_seen.contains(&id) {
-                        if let Some(table) = &mut self.table {
-                            self.suspected.remove(&id);
-                            table.insert(record);
-                            self.stats.rehabilitations += 1;
-                        }
+                // reinstated (one the server departed was dropped from
+                // probation by the table that no longer lists it).
+                if let Some(table) = &mut self.table {
+                    if let Some(record) = self.suspects.remove(&id) {
+                        table.insert(record);
+                        self.stats.rehabilitations += 1;
                     }
                 }
             }
@@ -2259,8 +2159,8 @@ impl RtMember {
                     return;
                 }
                 self.server_interval_seen = self.server_interval_seen.max(interval);
-                // A watermark ahead of us means a membership broadcast
-                // never arrived (e.g. our own outage window).
+                // A version ahead of ours means a pushed table never
+                // arrived (e.g. our own outage window).
                 self.note_seq_watermark(ctx, seq);
                 let grace = self.adaptive_grace();
                 self.scan_missing(ctx, grace);
@@ -2293,8 +2193,7 @@ impl RtMember {
                 self.epoch = epoch;
                 self.member = Some(member);
                 self.table = Some(*table);
-                self.applied_seq = seq;
-                self.update_buf.retain(|&s, _| s > seq);
+                self.table_seq = seq;
                 self.sync_stale = false;
                 let interval = welcome.interval;
                 self.agent = Some(UserAgent::from_welcome(welcome));
@@ -2302,14 +2201,12 @@ impl RtMember {
                 self.pending.retain(|&i, _| i > interval);
                 // The snapshot table is authoritative; local suspicion
                 // state against it is stale.
-                self.suspected.clear();
-                self.suspect_records.clear();
+                self.suspects.clear();
                 self.outstanding.clear();
                 self.retries.remove(&Retrying::Resync);
                 self.retries.remove(&Retrying::Join);
                 self.retries
                     .retain(|k, _| !matches!(k, Retrying::Nack(i) if *i <= interval));
-                self.drain_updates(ctx);
                 self.drain_payloads(ctx);
                 self.arm_check(ctx, next_interval_at);
                 self.start_heartbeat(ctx);
@@ -2357,15 +2254,14 @@ impl RtMember {
         }
     }
 
-    /// Observes a server epoch: any bump invalidates our sequence state
+    /// Observes a server epoch: any bump invalidates our table version
     /// and forces a snapshot resync (a restarted server rolled back to
-    /// its last checkpoint, so no incremental path is trustworthy).
+    /// its last checkpoint, so no pushed table is trustworthy).
     fn note_epoch(&mut self, ctx: &mut Outbox, epoch: u64) {
         if epoch > self.epoch {
             self.epoch = epoch;
-            self.update_buf.clear();
-            // Watermarks are per-epoch: the forced snapshot below is the
-            // sole freshness proof until `applied_seq` is reseeded.
+            // Versions are per-epoch: the forced snapshot below is the
+            // sole freshness proof until `table_seq` is reseeded.
             self.seq_hint = 0;
             self.sync_stale = true;
             if self.member.is_some() {
@@ -2374,23 +2270,16 @@ impl RtMember {
         }
     }
 
-    /// Buffers a membership mutation and applies every consecutive one.
-    fn on_sequenced(&mut self, ctx: &mut Outbox, seq: u64, update: SeqUpdate) {
-        if seq <= self.applied_seq {
-            return;
-        }
-        self.update_buf.insert(seq, update);
-        self.drain_updates(ctx);
-    }
-
-    /// An interval multicast carries the server's mutation watermark; a
-    /// member behind it missed a membership broadcast. When the gap is
-    /// in the *tail* of the stream, no later mutation will ever expose
-    /// it through `update_buf`, so the watermark is the only detector.
-    /// Give the in-flight broadcast the grace period, then fetch a
-    /// snapshot (dissolves at fire time if the broadcast lands).
+    /// `Recover` and `ServerPong` carry the server's version of our
+    /// table; a member behind it lost a `Table` push. Give an in-flight
+    /// push the grace period, then fetch a snapshot (the resync dissolves
+    /// at fire time if the push lands). During shutdown the request goes
+    /// out at once, on every flush `Recover` that still finds us behind
+    /// or epoch-stale: retry timers are dead by then, the flush comes
+    /// from the acting primary (and re-anchored us), and a request or
+    /// reply lost to the network is simply asked again next round.
     fn note_seq_watermark(&mut self, ctx: &mut Outbox, seq: u64) {
-        if self.member.is_none() || seq <= self.applied_seq {
+        if self.member.is_none() || (seq <= self.table_seq && !self.sync_stale) {
             return;
         }
         self.seq_hint = self.seq_hint.max(seq);
@@ -2401,61 +2290,13 @@ impl RtMember {
         );
     }
 
-    fn drain_updates(&mut self, ctx: &mut Outbox) {
-        while let Some(update) = self.update_buf.remove(&(self.applied_seq + 1)) {
-            self.applied_seq += 1;
-            self.apply_update(update);
-        }
-        if !self.update_buf.is_empty() {
-            // A gap: give the in-flight broadcast the grace period, then
-            // fetch a snapshot. (If it lands in time, the armed resync
-            // dissolves at fire time — see `fire_retry`.)
-            self.arm(
-                ctx,
-                Retrying::Resync,
-                ctx.now() + self.shared.knobs().nack_grace,
-            );
-        }
-    }
-
-    fn apply_update(&mut self, update: SeqUpdate) {
-        match update {
-            SeqUpdate::Insert { record, rtt } => {
-                self.suspected.remove(&record.id);
-                self.suspect_records.remove(&record.id);
-                self.departed_seen.remove(&record.id);
-                let own = self.member.as_ref().map(|m| &m.id);
-                if let Some(table) = &mut self.table {
-                    if own != Some(&record.id) {
-                        table.insert(NeighborRecord {
-                            member: record,
-                            rtt,
-                        });
-                    }
-                }
-            }
-            SeqUpdate::Remove {
-                departed,
-                replacements,
-            } => {
-                self.suspected.remove(&departed);
-                self.suspect_records.remove(&departed);
-                self.departed_seen.insert(departed);
-                self.outstanding.retain(|_, id| *id != departed);
-                let own = self.member.as_ref().map(|m| m.id);
-                if let Some(table) = &mut self.table {
-                    table.remove(&departed);
-                    for (m, rtt) in replacements {
-                        if Some(&m.id) != own.as_ref()
-                            && m.id != departed
-                            && !self.suspected.contains(&m.id)
-                        {
-                            table.insert(NeighborRecord { member: m, rtt });
-                        }
-                    }
-                }
-            }
-        }
+    /// Takes `table` (version `seq`) as ours. Suspects it still lists
+    /// stay evicted, on probation; suspects it no longer lists are gone
+    /// from the group or from our neighborhood, so probation ends.
+    fn adopt_table(&mut self, mut table: NeighborTable, seq: u64) {
+        self.suspects.retain(|id, _| table.remove(id));
+        self.table = Some(table);
+        self.table_seq = seq;
     }
 
     /// Applies buffered rekey payloads strictly in interval order,
@@ -2536,7 +2377,9 @@ impl RtMember {
         self.schedule_retry_tick(ctx);
     }
 
-    /// The shutdown form of a retry: send once, immediately, deduplicated.
+    /// The shutdown form of a retry: send immediately. A NACK goes out
+    /// once per interval; a resync request on every call, so each flush
+    /// round that still finds the member behind asks again.
     fn fire_shutdown(&mut self, ctx: &mut Outbox, kind: Retrying) {
         match kind {
             Retrying::Nack(i) => {
@@ -2546,12 +2389,8 @@ impl RtMember {
                 }
             }
             Retrying::Resync => {
-                if !self.shutdown_resynced {
-                    if let Some(member) = &self.member {
-                        self.shutdown_resynced = true;
-                        let id = member.id;
-                        ctx.send(self.server_node, RtMsg::ResyncRequest { id });
-                    }
+                if let Some(member) = self.member {
+                    ctx.send(self.server_node, RtMsg::ResyncRequest { id: member.id });
                 }
             }
             Retrying::Join => ctx.send(self.server_node, RtMsg::JoinRequest),
@@ -2598,8 +2437,7 @@ impl RtMember {
             Retrying::Resync => {
                 self.member.is_none()
                     || (!self.sync_stale
-                        && self.update_buf.is_empty()
-                        && self.seq_hint <= self.applied_seq
+                        && self.seq_hint <= self.table_seq
                         && self
                             .agent
                             .as_ref()
@@ -2677,27 +2515,25 @@ impl RtMember {
         }
         // Evict neighbors whose previous ping went unanswered; they go on
         // probation and the server is notified (and re-notified every
-        // beat until its repair broadcast lands).
-        let timed_out: BTreeSet<UserId> = std::mem::take(&mut self.outstanding)
+        // beat until a table it pushes drops them). A probe is matched on
+        // host *and* id: a departed member's id may already name a joiner
+        // in a table pushed since, and that joiner was never probed.
+        let timed_out: BTreeSet<(HostId, UserId)> = std::mem::take(&mut self.outstanding)
             .into_values()
             .collect();
+        let dead = |r: &NeighborRecord| timed_out.contains(&(r.member.host, r.member.id));
         let mut evicted: Vec<NeighborRecord> = Vec::new();
         if let Some(table) = &mut self.table {
             if !timed_out.is_empty() {
-                evicted = table
-                    .iter_all()
-                    .filter(|r| timed_out.contains(&r.member.id))
-                    .cloned()
-                    .collect();
-                for _ in table.evict_where(|r| timed_out.contains(&r.member.id)) {}
+                evicted = table.iter_all().filter(|r| dead(r)).cloned().collect();
+                for _ in table.evict_where(dead) {}
             }
         }
         for record in evicted {
             self.stats.evictions += 1;
-            self.suspected.insert(record.member.id);
-            self.suspect_records.insert(record.member.id, record);
+            self.suspects.insert(record.member.id, record);
         }
-        for id in self.suspect_records.keys() {
+        for id in self.suspects.keys() {
             ctx.send(self.server_node, RtMsg::FailureNotice { failed: *id });
         }
         if self.shared.is_shutdown() {
@@ -2711,13 +2547,13 @@ impl RtMember {
                 targets.push((record.member.host, record.member.id));
             }
         }
-        for record in self.suspect_records.values() {
+        for record in self.suspects.values() {
             targets.push((record.member.host, record.member.id));
         }
         for (host, id) in targets {
             let token = self.next_token;
             self.next_token += 1;
-            self.outstanding.insert(token, id);
+            self.outstanding.insert(token, (host, id));
             self.stats.pings_sent += 1;
             ctx.send(self.member_node(host), RtMsg::Ping { token });
         }
@@ -2746,17 +2582,43 @@ impl RtMember {
     /// boundary, so the offset tracks the observed pipeline delay instead
     /// of staying at the configured worst case.
     fn arm_check(&mut self, ctx: &mut Outbox, next_interval_at: SimTime) {
-        if self.shared.is_shutdown() {
-            return;
-        }
-        self.check_gen += 1;
-        self.next_boundary = next_interval_at;
-        self.expected_interval = self
+        let expected = self
             .agent
             .as_ref()
             .map_or(self.server_interval_seen, |a| a.interval())
             + 1;
-        let deadline = next_interval_at + self.adaptive_grace();
+        self.anchor_check(ctx, next_interval_at, expected);
+    }
+
+    /// A copy of interval `interval` the server multicast at `sent_at`
+    /// dates its clock: the interval the check chain expects ends
+    /// `sent_at` plus one period per interval in between. A wall-clock
+    /// server's tick slips by its scheduling latency every interval, so a
+    /// chain anchored once runs ahead of it and NACKs intervals not yet
+    /// sent; re-anchor whenever the server is later than the chain. (This
+    /// used to ride the snapshot every member fetched each interval; the
+    /// simulated server ticks on schedule, so there it never fires.)
+    fn follow_server_clock(&mut self, ctx: &mut Outbox, interval: u64, sent_at: SimTime) {
+        if self.sync_stale || interval > self.expected_interval {
+            return;
+        }
+        let periods = self.expected_interval - interval;
+        let boundary = sent_at + periods * self.shared.knobs().rekey_period;
+        if boundary > self.next_boundary {
+            self.anchor_check(ctx, boundary, self.expected_interval);
+        }
+    }
+
+    /// Points the check chain at `interval` ending at `boundary` and arms
+    /// its timer (superseding the previous one).
+    fn anchor_check(&mut self, ctx: &mut Outbox, boundary: SimTime, interval: u64) {
+        if self.shared.is_shutdown() {
+            return;
+        }
+        self.check_gen += 1;
+        self.next_boundary = boundary;
+        self.expected_interval = interval;
+        let deadline = boundary + self.adaptive_grace();
         ctx.timer(
             deadline.saturating_sub(ctx.now()).max(1),
             RtLocal::IntervalCheck {
@@ -2771,16 +2633,13 @@ impl RtMember {
         self.member = None;
         self.table = None;
         self.agent = None;
-        self.applied_seq = 0;
-        self.update_buf.clear();
+        self.table_seq = 0;
         self.sync_stale = false;
         self.join_requested = false;
         self.pending.clear();
         self.server_interval_seen = 0;
         self.last_forwarded = 0;
-        self.suspected.clear();
-        self.suspect_records.clear();
-        self.departed_seen.clear();
+        self.suspects.clear();
         self.outstanding.clear();
         self.heartbeat_gen += 1;
         self.heartbeat_running = false;
@@ -2795,14 +2654,223 @@ impl RtMember {
         self.table = None;
         self.agent = None;
         self.pending.clear();
-        self.update_buf.clear();
-        self.suspected.clear();
-        self.suspect_records.clear();
+        self.suspects.clear();
         self.outstanding.clear();
         self.heartbeat_gen += 1;
         self.heartbeat_running = false;
         self.check_gen += 1;
         self.retries.clear();
         self.retry_gen += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::GroupConfig;
+    use rekey_id::IdSpec;
+    use rekey_net::GridNetwork;
+
+    /// A dealt group of `members` on hosts `0..members`, the server on the
+    /// last host and host `members` free for a joiner.
+    fn dealt(members: usize) -> (GridNetwork, GroupServer, Vec<WelcomePacket>) {
+        let net = GridNetwork::new(members + 2, 1_000, 100);
+        let hosts: Vec<HostId> = (0..members).map(HostId).collect();
+        let (server, welcomes) = GroupConfig::for_spec(&IdSpec::new(4, 16).unwrap())
+            .k(2)
+            .seed(5)
+            .bootstrap(HostId(members + 1), &hosts, &net)
+            .expect("fits the ID space");
+        (net, server, welcomes)
+    }
+
+    fn knobs() -> Knobs {
+        Knobs::of_config(&RuntimeConfig::default())
+    }
+
+    /// The `(recipient, message)` of every `Send` in `out`, drained.
+    fn sends(out: &mut Outbox) -> Vec<(NodeId, RtMsg)> {
+        out.effects
+            .drain(..)
+            .filter_map(|effect| match effect {
+                Effect::Send { to, msg } => Some((to, msg)),
+                Effect::Timer { .. } => None,
+            })
+            .collect()
+    }
+
+    /// Checks that `sent` is one `Table` — the group's current copy — to
+    /// each owner `Group` reports as changed, and nothing else but what
+    /// `other` accepts. Returns the number of pushes.
+    fn one_push_per_changed_table(
+        server: &RtServer<GridNetwork>,
+        sent: Vec<(NodeId, RtMsg)>,
+        other: impl Fn(NodeId, &RtMsg) -> bool,
+    ) -> usize {
+        let group = server.server.group();
+        let mut want: Vec<NodeId> = group
+            .changed_tables()
+            .iter()
+            .map(|&idx| NodeId(group.members()[idx].host.0 + 1))
+            .collect();
+        let mut got = Vec::new();
+        for (to, msg) in sent {
+            match msg {
+                RtMsg::Table { table, epoch, seq } => {
+                    let idx = group.index_of(table.owner()).expect("owner is a member");
+                    assert_eq!(to, NodeId(group.members()[idx].host.0 + 1));
+                    assert!(table.iter_all().eq(group.table(idx).iter_all()));
+                    assert_eq!((epoch, seq), (0, group.mutations()));
+                    got.push(to);
+                }
+                msg => assert!(other(to, &msg), "unexpected send to {to:?}: {msg:?}"),
+            }
+        }
+        want.sort();
+        got.sort();
+        assert_eq!(got, want, "one Table per changed owner, nobody else");
+        got.len()
+    }
+
+    /// A leave and a join on a dealt group send one `Table` to each owner
+    /// whose table changed, plus the joiner's `JoinAccepted` — not a
+    /// notice to every member. The last-dealt member's leave changes the
+    /// same number of tables at 256 and at 4 096 members.
+    #[test]
+    fn admit_and_depart_push_only_changed_tables() {
+        let mut leave_pushes = Vec::new();
+        for members in [256, 4_096] {
+            let (net, fsm, _) = dealt(members);
+            let core = ShardCore::new(knobs());
+            let mut server = RtServer::new(
+                Rc::new(net),
+                core,
+                Registry::new(),
+                fsm,
+                0,
+                journal::Journal::disabled(),
+            );
+            let mut out = Outbox::new();
+            let leaver = NodeId(members);
+            let event = Event::Net {
+                from: leaver,
+                msg: RtMsg::LeaveRequest,
+            };
+            server.handle(&mut out, event);
+            assert_eq!(server.server.group().len(), members - 1);
+            let sent = sends(&mut out);
+            leave_pushes.push(one_push_per_changed_table(&server, sent, |_, _| false));
+
+            let joiner = NodeId(members + 1);
+            let event = Event::Net {
+                from: joiner,
+                msg: RtMsg::JoinRequest,
+            };
+            server.handle(&mut out, event);
+            assert_eq!(server.server.group().len(), members);
+            let sent = sends(&mut out);
+            let accepted = sent
+                .iter()
+                .filter(|(to, msg)| *to == joiner && matches!(msg, RtMsg::JoinAccepted { .. }))
+                .count();
+            assert_eq!(accepted, 1);
+            let join_pushes = one_push_per_changed_table(&server, sent, |to, msg| {
+                to == joiner && matches!(msg, RtMsg::JoinAccepted { .. })
+            });
+            assert!(join_pushes < members, "{join_pushes} pushes for one join");
+        }
+        assert!(leave_pushes[0] > 0, "the leave changed no table");
+        assert_eq!(leave_pushes[0], leave_pushes[1], "pushes follow N");
+    }
+
+    /// A departed neighbor's id can come back on a joiner in the next
+    /// pushed table. The departed host's silence must not evict the
+    /// joiner, who was never probed: probes match on host and id.
+    #[test]
+    fn a_reused_id_is_not_evicted_for_its_predecessors_silence() {
+        let (_, fsm, mut welcomes) = dealt(16);
+        let group = fsm.group();
+        let table = group.table(3).clone();
+        let core = ShardCore::new(knobs());
+        let (mut member, _) = RtMember::welcomed(
+            core,
+            group.members()[3],
+            table.clone(),
+            welcomes.swap_remove(3),
+        );
+        let mut out = Outbox::new();
+        out.me = NodeId(4);
+        let beat = || Event::Local(RtLocal::HeartbeatTick { gen: 0 });
+        member.handle(&mut out, beat());
+        // Every neighbor is probed and none answers; meanwhile the first
+        // one departs and a joiner on another host takes over its id.
+        let old = *table.iter_all().next().expect("a neighbor");
+        let mut pushed = table.clone();
+        pushed.remove(&old.member.id);
+        let joiner = Member {
+            host: HostId(999),
+            ..old.member
+        };
+        pushed.insert(NeighborRecord {
+            member: joiner,
+            rtt: old.rtt,
+        });
+        let msg = RtMsg::Table {
+            table: Box::new(pushed),
+            epoch: 0,
+            seq: 1,
+        };
+        member.handle(&mut out, Event::Net { from: SERVER, msg });
+        member.handle(&mut out, beat());
+        assert_eq!(member.suspects.len(), table.neighbor_count() - 1);
+        assert!(!member.suspects.contains_key(&old.member.id));
+        let held = member.table.as_ref().expect("still a member");
+        assert_eq!(
+            held.iter_all().collect::<Vec<_>>(),
+            [&NeighborRecord {
+                member: joiner,
+                rtt: old.rtt
+            }]
+        );
+    }
+
+    /// Shutdown resync is retried: with timers dead, every flush `Recover`
+    /// that still finds the member's table behind the server's asks again,
+    /// so one lost request or reply does not wedge `finish`.
+    #[test]
+    fn every_behind_flush_recover_asks_for_a_resync() {
+        let (_, fsm, mut welcomes) = dealt(16);
+        let group = fsm.group();
+        let core = ShardCore::new(knobs());
+        let (mut member, _) = RtMember::welcomed(
+            Arc::clone(&core),
+            group.members()[3],
+            group.table(3).clone(),
+            welcomes.swap_remove(3),
+        );
+        core.begin_shutdown();
+        let mut out = Outbox::new();
+        out.me = NodeId(4);
+        let mut requests = 0;
+        for _ in 0..2 {
+            let recover = RtMsg::Recover {
+                interval: 1,
+                encryptions: Vec::new(),
+                sent_at: 0,
+                seq: 7,
+            };
+            member.handle(
+                &mut out,
+                Event::Net {
+                    from: SERVER,
+                    msg: recover,
+                },
+            );
+            requests += sends(&mut out)
+                .iter()
+                .filter(|(to, msg)| *to == SERVER && matches!(msg, RtMsg::ResyncRequest { .. }))
+                .count();
+        }
+        assert_eq!(requests, 2);
     }
 }

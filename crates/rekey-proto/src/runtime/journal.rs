@@ -6,12 +6,12 @@
 //! orphaning the group. This module models exactly that: at the end of
 //! every interval — *after* the rekey multicast, so no member can ever be
 //! ahead of the journal — the runtime records a [`Checkpoint`] holding the
-//! complete [`GroupServer`] (membership, key tree, RNG position), the
-//! membership-update sequence number, and the per-interval message history
-//! that answers NACKs. A restart restores the latest checkpoint, bumps the
-//! server *epoch*, and re-announces itself with an immediate interval;
-//! members that applied membership updates the rollback discarded detect
-//! the epoch change and resync.
+//! complete [`GroupServer`] (membership, key tree, RNG position, and the
+//! group's mutation count with every table's version), and the
+//! per-interval message history that answers NACKs. A restart restores the
+//! latest checkpoint, bumps the server *epoch*, and re-announces itself
+//! with an immediate interval; members that adopted tables the rollback
+//! discarded detect the epoch change and resync.
 //!
 //! Membership mutations between the last checkpoint and a crash are lost
 //! by design (as they would be with a real write-behind journal): the
@@ -55,12 +55,10 @@ pub struct Entry {
 /// One interval's durable server state.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// The complete server state machine at the interval boundary.
+    /// The complete server state machine at the interval boundary — its
+    /// `Group` carries the mutation count a restarted server resumes
+    /// from.
     pub server: GroupServer,
-    /// The membership-update sequence number at checkpoint time; a
-    /// restarted server resumes numbering from here, and members whose
-    /// applied sequence exceeds it hold rolled-back state.
-    pub seq: u64,
     /// The replication-log watermark covered by this checkpoint; a
     /// restarted replica resumes acknowledging from here.
     pub log_idx: u64,
@@ -173,7 +171,6 @@ mod tests {
         let mut journal = Journal::new();
         journal.record(Checkpoint {
             server: server.clone(),
-            seq: 5,
             log_idx: 5,
             history: BTreeMap::new(),
         });
@@ -182,7 +179,7 @@ mod tests {
         // Mutate a restored copy: the journal's checkpoint is unaffected,
         // so a second restart sees the same state again.
         let mut restored = journal.restore().unwrap();
-        assert_eq!(restored.seq, 5);
+        assert_eq!(restored.server.group().mutations(), 5);
         assert_eq!(restored.server.interval(), server.interval());
         let victim = restored.server.group().members()[0].id;
         restored.server.request_leave(&victim, &net).unwrap();
@@ -200,18 +197,16 @@ mod tests {
         let mut journal = Journal::new();
         journal.record(Checkpoint {
             server: server.clone(),
-            seq: 4,
             log_idx: 4,
             history: BTreeMap::new(),
         });
         journal.record(Checkpoint {
             server,
-            seq: 9,
             log_idx: 9,
             history: BTreeMap::new(),
         });
         assert_eq!(journal.recorded(), 2);
-        assert_eq!(journal.latest().unwrap().seq, 9);
+        assert_eq!(journal.latest().unwrap().log_idx, 9);
     }
 
     /// The restored key tree reproduces the same group key: a member that
@@ -223,7 +218,6 @@ mod tests {
         let mut journal = Journal::new();
         journal.record(Checkpoint {
             server,
-            seq: 6,
             log_idx: 6,
             history: BTreeMap::new(),
         });
@@ -254,7 +248,6 @@ mod tests {
         let mut journal = Journal::new();
         journal.record(Checkpoint {
             server,
-            seq: 1,
             log_idx: 1,
             history,
         });
@@ -279,7 +272,6 @@ mod tests {
         let mut journal = Journal::new();
         journal.record(Checkpoint {
             server,
-            seq: 6,
             log_idx: 6,
             history: BTreeMap::new(),
         });
@@ -292,7 +284,7 @@ mod tests {
         first.server.end_interval();
 
         let second = journal.restore().unwrap();
-        assert_eq!(second.seq, 6);
+        assert_eq!(second.server.group().mutations(), 6);
         assert_eq!(second.log_idx, 6);
         assert_eq!(second.server.group().len(), 6);
         assert_eq!(second.server.tree().group_key().cloned(), key);

@@ -898,6 +898,12 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         self.member(handle).stats
     }
 
+    /// How many evicted neighbors member `handle` holds on probation —
+    /// the only records by which its table may differ from the server's.
+    pub fn member_suspects(&self, handle: usize) -> usize {
+        self.member(handle).suspects.len()
+    }
+
     /// `false` once member `handle` has been crashed.
     pub fn is_member_alive(&self, handle: usize) -> bool {
         let (shard_index, idx) = self.placed(handle);
@@ -1274,6 +1280,59 @@ mod tests {
             assert_eq!(records(&one), records(&four), "local table of {}", m.id);
         }
         assert_eq!(report, four.snapshot(), "every counter, histogram and span");
+    }
+
+    /// A `Table` push lost to a partition is repaired: the cut-off owner
+    /// learns from a `Recover` that the server's version of its table is
+    /// ahead of its own, resyncs, and ends up holding exactly the
+    /// server's table — as does every other member, through a second
+    /// leave after the heal that changes the owner's table again.
+    #[test]
+    fn a_lost_table_push_is_repaired_by_a_resync() {
+        let net = GridNetwork::new(MEMBERS + 1, 1_000, 100);
+        let window = net.min_one_way();
+        let rt =
+            ShardedGroupRuntime::bootstrapped(group(), config(0.0, 8, 1), net, MEMBERS, 2, window)
+                .expect("bootstrap fits the ID space");
+        // Member 0 was dealt first, so it is in many tables; cut one of
+        // their owners off while member 0 leaves, and heal before finish.
+        let gone = rt.group().members()[0].id;
+        let owner = (1..MEMBERS)
+            .find(|&h| rt.group().table(h).iter_all().any(|r| r.member.id == gone))
+            .expect("member 0 is somebody's neighbor");
+        let owner_id = rt.group().members()[owner].id;
+        let cell = vec![member_node_with_replicas(owner, 1)];
+        let plan = FaultPlan::new().partition(vec![cell], PERIOD / 4, 2 * PERIOD);
+        let mut rt = rt.with_faults(plan);
+        rt.leave_at(PERIOD / 2, 0);
+        rt.run_until(PERIOD);
+        let held = |rt: &ShardedGroupRuntime<GridNetwork>| {
+            let table = rt.member_table(owner).expect("owner is live");
+            table.iter_all().any(|r| r.member.id == gone)
+        };
+        assert!(rt.group().member(&gone).is_none(), "the leave went through");
+        assert!(held(&rt), "the push to the cut-off owner was not lost");
+        let idx = rt.group().index_of(&owner_id).expect("owner is a member");
+        let neighbor = rt
+            .group()
+            .table(idx)
+            .iter_all()
+            .next()
+            .expect("owner has neighbors");
+        rt.leave_at(2 * PERIOD + PERIOD / 2, neighbor.member.host.0);
+
+        rt.finish(5 * PERIOD);
+        assert!(!held(&rt));
+        assert!(rt.member_stats(owner).resyncs >= 1, "repaired by a resync");
+        assert!(rt.snapshot().partition_cuts > 0);
+        for (idx, m) in rt.group().members().iter().enumerate() {
+            let table = rt.member_table(m.host.0).expect("member is live");
+            assert!(
+                table.iter_all().eq(rt.group().table(idx).iter_all()),
+                "member {} holds a table the server does not",
+                m.host.0
+            );
+        }
     }
 
     /// `run_to_interval` must not wait for a member that crashed but is

@@ -396,7 +396,7 @@ impl Worker {
         self.members
             .iter()
             .filter(|(_, m)| !m.departed && m.member.is_some())
-            .filter(|(_, m)| m.sync_stale || !m.update_buf.is_empty() || m.seq_hint > m.applied_seq)
+            .filter(|(_, m)| m.sync_stale || m.seq_hint > m.table_seq)
             .map(|(&node, _)| node)
             .collect()
     }
@@ -883,11 +883,11 @@ impl<NET: Network> UdpGroupDriver<NET> {
             let primary = self.acting_primary();
             let (joins, leaves, pending_leave_acks) = self.servers[primary].rt.flush_backlog();
             // Beyond the server's own queues, wait for every member's
-            // repairs: the flush's `Recover` broadcast carries both the
-            // latest key material and the mutation watermark, so a
-            // member that lost an interval or the tail of the
-            // `MemberLeft` stream to a kernel drop NACKs or resyncs now
-            // — those replies must land before workers are collected.
+            // repairs: the flush's `Recover` carries both the latest key
+            // material and the member's table version, so a member that
+            // lost an interval or a `Table` push to a kernel drop NACKs
+            // or resyncs now — those replies must land before workers
+            // are collected.
             let interval = self.servers[primary].rt.server.interval();
             let open = NotConverged {
                 interval,

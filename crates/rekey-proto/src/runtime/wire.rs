@@ -84,15 +84,15 @@ impl From<DecodeError> for WireError {
 }
 
 // Tags 0x01–0x03, 0x16–0x18 and 0x1D–0x1F once named a node's own timers
-// and its driver's commands. Those are not messages: the bytes decode to
-// `WireError::UnknownTag`, and the numbers are reserved — never reuse one.
+// and its driver's commands; 0x07 and 0x0A named the per-member
+// `NewMember`/`MemberLeft` broadcast that `Table` pushes replaced. All of
+// them decode to `WireError::UnknownTag`, and the numbers are reserved —
+// never reuse one.
 const TAG_JOIN_REQUEST: u8 = 0x04;
 const TAG_JOIN_ACCEPTED: u8 = 0x05;
 const TAG_WELCOME: u8 = 0x06;
-const TAG_NEW_MEMBER: u8 = 0x07;
 const TAG_LEAVE_REQUEST: u8 = 0x08;
 const TAG_LEAVE_ACK: u8 = 0x09;
-const TAG_MEMBER_LEFT: u8 = 0x0A;
 const TAG_FAILURE_NOTICE: u8 = 0x0B;
 const TAG_FORWARD: u8 = 0x0C;
 const TAG_NACK: u8 = 0x0D;
@@ -108,6 +108,7 @@ const TAG_REPL_ENTRY: u8 = 0x19;
 const TAG_REPL_ACK: u8 = 0x1A;
 const TAG_REPL_HEARTBEAT: u8 = 0x1B;
 const TAG_CANDIDACY: u8 = 0x1C;
+const TAG_TABLE: u8 = 0x20;
 
 /// `ReplOp` body: `op:u8` (0 = Join, 1 = Leave, 2 = Interval) + fields.
 const OP_JOIN: u8 = 0;
@@ -329,36 +330,14 @@ pub fn encode_msg(msg: &RtMsg, out: &mut Vec<u8>) {
             put_u64(out, *epoch);
             put_u64(out, *next_interval_at);
         }
-        RtMsg::NewMember {
-            record,
-            rtt,
-            epoch,
-            seq,
-        } => {
-            out.push(TAG_NEW_MEMBER);
-            put_member(out, record);
-            put_u64(out, *rtt);
+        RtMsg::Table { table, epoch, seq } => {
+            out.push(TAG_TABLE);
+            put_table(out, table);
             put_u64(out, *epoch);
             put_u64(out, *seq);
         }
         RtMsg::LeaveRequest => out.push(TAG_LEAVE_REQUEST),
         RtMsg::LeaveAck => out.push(TAG_LEAVE_ACK),
-        RtMsg::MemberLeft {
-            departed,
-            replacements,
-            epoch,
-            seq,
-        } => {
-            out.push(TAG_MEMBER_LEFT);
-            put_user_id(out, departed);
-            out.extend_from_slice(&(replacements.len() as u32).to_le_bytes());
-            for (m, rtt) in replacements {
-                put_member(out, m);
-                put_u64(out, *rtt);
-            }
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-        }
         RtMsg::FailureNotice { failed } => {
             out.push(TAG_FAILURE_NOTICE);
             put_user_id(out, failed);
@@ -511,38 +490,18 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
                 next_interval_at,
             }
         }
-        TAG_NEW_MEMBER => {
-            let record = get_member(&mut r, spec)?;
-            let rtt = r.u64()?;
+        TAG_TABLE => {
+            let table = get_table(&mut r, spec)?;
             let epoch = r.u64()?;
             let seq = r.u64()?;
-            RtMsg::NewMember {
-                record,
-                rtt,
+            RtMsg::Table {
+                table: Box::new(table),
                 epoch,
                 seq,
             }
         }
         TAG_LEAVE_REQUEST => RtMsg::LeaveRequest,
         TAG_LEAVE_ACK => RtMsg::LeaveAck,
-        TAG_MEMBER_LEFT => {
-            let departed = get_user_id(&mut r, spec)?;
-            let count = r.u32()? as usize;
-            let mut replacements = Vec::with_capacity(count.min(1 << 12));
-            for _ in 0..count {
-                let m = get_member(&mut r, spec)?;
-                let rtt = r.u64()?;
-                replacements.push((m, rtt));
-            }
-            let epoch = r.u64()?;
-            let seq = r.u64()?;
-            RtMsg::MemberLeft {
-                departed,
-                replacements,
-                epoch,
-                seq,
-            }
-        }
         TAG_FAILURE_NOTICE => RtMsg::FailureNotice {
             failed: get_user_id(&mut r, spec)?,
         },

@@ -190,26 +190,11 @@ fn arb_msg() -> impl Strategy<Value = RtMsg> {
                 next_interval_at,
             }
         }),
-        (arb_member(), 0u64..1 << 30, 0u64..16, 0u64..1 << 30).prop_map(
-            |(record, rtt, epoch, seq)| RtMsg::NewMember {
-                record,
-                rtt,
-                epoch,
-                seq,
-            }
-        ),
-        (
-            arb_user_id(),
-            vec((arb_member(), 0u64..1 << 30), 0..6),
-            0u64..16,
-            0u64..1 << 30
-        )
-            .prop_map(|(departed, replacements, epoch, seq)| RtMsg::MemberLeft {
-                departed,
-                replacements,
-                epoch,
-                seq,
-            }),
+        (arb_table(), 0u64..16, 0u64..1 << 30).prop_map(|(table, epoch, seq)| RtMsg::Table {
+            table,
+            epoch,
+            seq
+        }),
         (0usize..DEPTH, arb_prefix_buf(), arb_interval_message()).prop_map(
             |(level, prefix, message)| RtMsg::Forward {
                 level,
@@ -261,16 +246,22 @@ fn encode(msg: &RtMsg) -> Vec<u8> {
 /// commands (interval/flush/restart, the three member ticks, the three
 /// replication ticks). They are not messages, so no bytes may decode to
 /// one: a peer that could send `Restart` would roll the key server back.
-const RETIRED_TAGS: [u8; 9] = [0x01, 0x02, 0x03, 0x16, 0x17, 0x18, 0x1D, 0x1E, 0x1F];
+const RETIRED_LOCAL_TAGS: [u8; 9] = [0x01, 0x02, 0x03, 0x16, 0x17, 0x18, 0x1D, 0x1E, 0x1F];
+
+/// The tags of the per-member `NewMember`/`MemberLeft` broadcast that
+/// `Table` pushes replaced. Reserved like the local ones: a frame of the
+/// old format must not parse as anything.
+const RETIRED_BROADCAST_TAGS: [u8; 2] = [0x07, 0x0A];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// A retired tag is an unknown tag, alone or with a body behind it
-    /// (the seven ticks used to carry a `u64` generation).
+    /// A retired tag — local event or broadcast — is an unknown tag, alone
+    /// or with a body behind it (the seven ticks used to carry a `u64`
+    /// generation).
     #[test]
-    fn retired_local_tags_do_not_decode(body in vec(any::<u8>(), 8)) {
-        for tag in RETIRED_TAGS {
+    fn retired_local_and_broadcast_tags_do_not_decode(body in vec(any::<u8>(), 8)) {
+        for tag in RETIRED_LOCAL_TAGS.into_iter().chain(RETIRED_BROADCAST_TAGS) {
             let bare = [WIRE_VERSION, tag];
             let mut with_body = bare.to_vec();
             with_body.extend_from_slice(&body);

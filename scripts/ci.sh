@@ -33,7 +33,7 @@ cargo test --offline --release -q --test metrics_smoke -- --ignored
 echo "==> mega soaks (65k members on 8 shards: 1% loss; then 3 replicas + burst loss + 3-way partition + primary kill)"
 cargo test --offline --release -q --test mega_soak -- --ignored
 
-echo "==> executor goldens at benchmark size (16k-member bootstrapped run renders the pre-unification snapshot)"
+echo "==> executor goldens at benchmark size (16k-member bootstrapped run renders its recorded snapshot, every member holds the server's table)"
 cargo test --offline --release -q -p rekey-proto --test golden_executor -- --ignored
 
 echo "==> bench_runtime mega sweep smoke (65k point; prints, writes nothing)"
