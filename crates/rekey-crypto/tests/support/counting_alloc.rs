@@ -1,18 +1,26 @@
-//! A counting `#[global_allocator]`: every `alloc` and `realloc` bumps one
-//! process-wide counter. Included by path from the allocation-regression
-//! tests; each of those keeps a single `#[test]` so no sibling test can
-//! allocate concurrently and pollute the counter.
+//! A counting `#[global_allocator]`: every `alloc` and `realloc` bumps a
+//! counter of the calling thread. Included by path from the
+//! allocation-regression tests; the test harness runs each `#[test]` on a
+//! thread of its own, so sibling tests cannot pollute each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so counting never
+    // allocates or registers anything itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -21,7 +29,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -29,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Heap allocations (and reallocations) made by this process so far.
+/// Heap allocations (and reallocations) the calling thread made so far.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }

@@ -16,8 +16,6 @@
 //! The paper sets `P = 10`, `F = 80`-percentile and
 //! `R = (150, 30, 9, 3)` ms for `D = 5`.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use rekey_id::{IdPrefix, IdSpec, IdTree, UserId, MAX_DEPTH};
 use rekey_net::{ms, HostId, Micros, Network};
 use rekey_table::{Member, NeighborTable};
@@ -80,89 +78,127 @@ pub struct AssignStats {
 /// Read-only view of the group the assignment protocol runs against.
 pub(crate) struct GroupView<'a> {
     pub spec: &'a IdSpec,
-    pub members: &'a [Member],
-    pub tables: &'a [NeighborTable],
-    pub index_of: &'a dyn Fn(&UserId) -> usize,
+    /// The member with the given ID, and its neighbor table.
+    pub lookup: &'a dyn Fn(&UserId) -> (Member, &'a NeighborTable),
 }
 
-/// A query to user `member_idx` for neighbor records matching `target`:
-/// returns the user records the queried user knows (its own record
-/// included when it matches).
-fn query<'a>(
-    view: &'a GroupView<'_>,
-    member_idx: usize,
-    target: &'a IdPrefix,
-) -> impl Iterator<Item = Member> + 'a {
-    let own = view.members[member_idx];
-    view.tables[member_idx]
-        .iter_all()
-        .map(|r| r.member)
+/// A query to user `id`, which lies under `target`, for neighbor records
+/// matching `target`: returns the user records the queried user knows
+/// there, its own included. Row `r` of a table holds the users that share
+/// exactly `r` digits with its owner, so the matches are rows
+/// `target.len()` and up, and no other row needs reading.
+fn query<'v>(
+    view: &GroupView<'v>,
+    id: &UserId,
+    target: &IdPrefix,
+) -> impl Iterator<Item = Member> + 'v {
+    debug_assert!(target.is_prefix_of_id(id), "{id} is queried under {target}");
+    let (own, table) = (view.lookup)(id);
+    (target.len()..view.spec.depth())
+        .flat_map(move |row| table.entries_in_row(row))
+        .flat_map(|(_, entry)| entry.iter().map(|r| r.member))
         .chain(std::iter::once(own))
-        .filter(move |m| target.is_prefix_of_id(&m.id))
 }
 
-/// Runs steps 1–3 for every digit; returns the digits the joiner determined
-/// by probing plus the message statistics.
+/// A user ID as one integer in the same order: the IDs of one spec all
+/// have its depth (at most 7), and every digit fits in 16 bits. Buckets
+/// and the queried list compare these instead of digit arrays.
+fn key(id: &UserId) -> u128 {
+    id.digits()
+        .iter()
+        .fold(0, |key, &d| key << 16 | u128::from(d))
+}
+
+/// Inserts `key` into the sorted list `keys`; `false` if it was there.
+fn insert_key(keys: &mut Vec<u128>, key: u128) -> bool {
+    let at = keys.binary_search(&key);
+    if let Err(at) = at {
+        keys.insert(at, key);
+    }
+    at.is_err()
+}
+
+/// Inserts `m` into the ID-sorted `bucket` unless a record with its ID is
+/// there.
+fn insert_by_id(bucket: &mut Vec<(u128, Member)>, m: Member) {
+    let k = key(&m.id);
+    if let Err(at) = bucket.binary_search_by_key(&k, |e| e.0) {
+        bucket.insert(at, (k, m));
+    }
+}
+
+/// Runs steps 1–3 for every digit, starting from the existing member
+/// `seed`; returns the digits the joiner determined by probing plus the
+/// message statistics.
 pub(crate) fn probe_digits(
     view: &GroupView<'_>,
     params: &AssignParams,
     joiner: HostId,
-    seed: usize,
+    seed: Member,
     net: &impl Network,
 ) -> (Vec<u16>, AssignStats) {
     let depth = view.spec.depth();
-    let base = view.spec.base();
     let mut stats = AssignStats::default();
     let mut digits: Vec<u16> = Vec::new();
     // Users known to share the currently-determined prefix with the joiner.
-    let mut seeds: Vec<UserId> = vec![view.members[seed].id];
+    let mut seeds: Vec<(u128, Member)> = vec![(key(&seed.id), seed)];
     let mut rtts: Vec<Micros> = Vec::with_capacity(params.p);
+    // Per digit: the collected records of each non-empty (i, j)-ID subtree,
+    // in ascending `j`, each bucket sorted by ID; and the users queried.
+    let mut buckets: Vec<(u16, Vec<(u128, Member)>)> = Vec::new();
+    let mut queried: Vec<u128> = Vec::new();
 
     // The last digit is always assigned by the key server for uniqueness.
     for i in 0..depth.saturating_sub(1) {
         let prefix = IdPrefix::from_digits(view.spec, &digits).expect("digits are valid");
 
         // Step 1: collect user records per (i, j)-ID subtree.
-        let mut collected: BTreeMap<u16, BTreeMap<UserId, Member>> = BTreeMap::new();
-        let mut queried: BTreeSet<UserId> = BTreeSet::new();
-        let insert = |collected: &mut BTreeMap<u16, BTreeMap<UserId, Member>>, m: Member| {
-            collected.entry(m.id.digit(i)).or_default().insert(m.id, m);
+        buckets.clear();
+        queried.clear();
+        let collect = |buckets: &mut Vec<(u16, Vec<(u128, Member)>)>, m: Member| {
+            let j = m.id.digit(i);
+            let at = buckets
+                .binary_search_by_key(&j, |b| b.0)
+                .unwrap_or_else(|at| {
+                    buckets.insert(at, (j, Vec::new()));
+                    at
+                });
+            insert_by_id(&mut buckets[at].1, m);
         };
-        for s in &seeds {
-            let idx = (view.index_of)(s);
-            insert(&mut collected, view.members[idx]);
-            if queried.insert(*s) {
+        for &(k, s) in &seeds {
+            collect(&mut buckets, s);
+            if insert_key(&mut queried, k) {
                 stats.queries += 1;
-                for m in query(view, idx, &prefix) {
-                    insert(&mut collected, m);
+                for m in query(view, &s.id, &prefix) {
+                    collect(&mut buckets, m);
                 }
             }
         }
-        // Per-subtree refinement queries until P collected or exhausted.
-        for j in 0..base {
-            let target = prefix.child(j);
-            while let Some(bucket) = collected.get(&j) {
-                if bucket.len() >= params.p {
-                    break;
-                }
-                let Some(next) = bucket.keys().find(|id| !queried.contains(*id)).cloned() else {
+        // Per-subtree refinement queries until P collected or exhausted. A
+        // query for `prefix.child(j)` only returns users of bucket `j`.
+        for (j, bucket) in &mut buckets {
+            let target = prefix.child(*j);
+            while bucket.len() < params.p {
+                let Some(&(k, next)) = bucket
+                    .iter()
+                    .find(|(k, _)| queried.binary_search(k).is_err())
+                else {
                     break;
                 };
-                queried.insert(next);
+                insert_key(&mut queried, k);
                 stats.queries += 1;
-                let idx = (view.index_of)(&next);
-                for m in query(view, idx, &target) {
-                    insert(&mut collected, m);
+                for m in query(view, &next.id, &target) {
+                    insert_by_id(bucket, m);
                 }
             }
         }
 
         // Step 2: measure gateway RTTs to every collected user.
         // Step 3: smallest F-percentile per subtree vs. threshold R_{i+1}.
-        let mut best: Option<(Micros, u16)> = None;
-        for (&j, bucket) in &collected {
+        let mut best: Option<(Micros, usize)> = None;
+        for (at, (_, bucket)) in buckets.iter().enumerate() {
             rtts.clear();
-            rtts.extend(bucket.values().take(params.p).map(|m| {
+            rtts.extend(bucket.iter().take(params.p).map(|(_, m)| {
                 stats.probes += 1;
                 net.gateway_rtt(joiner, m.host)
             }));
@@ -171,20 +207,19 @@ pub(crate) fn probe_digits(
             }
             rtts.sort_unstable();
             let f = quantile(&rtts, f64::from(params.f_percentile) / 100.0);
-            if best.is_none_or(|(bf, bj)| (f, j) < (bf, bj)) {
-                best = Some((f, j));
+            // Buckets ascend in `j`, so the first smallest percentile wins
+            // ties, as the smaller `j`.
+            if best.is_none_or(|(bf, _)| f < bf) {
+                best = Some((f, at));
             }
         }
         let threshold = params.thresholds.get(i).copied().unwrap_or(0);
         match best {
-            Some((f, b)) if f <= threshold => {
-                digits.push(b);
+            Some((f, at)) if f <= threshold => {
+                let (b, bucket) = &mut buckets[at];
+                digits.push(*b);
                 stats.digits_probed += 1;
-                seeds = collected
-                    .remove(&b)
-                    .expect("chosen bucket")
-                    .into_keys()
-                    .collect();
+                seeds = std::mem::take(bucket);
             }
             _ => break, // step 4 with a partial prefix
         }

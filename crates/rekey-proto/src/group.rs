@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -48,6 +49,47 @@ pub struct JoinOutcome {
     pub stats: AssignStats,
 }
 
+/// The `position` of a free table slot.
+const FREE: u32 = u32::MAX;
+
+/// Member ID → table slot. Building the holder index hashes the ID of
+/// every stored record, which FxHash (`rustc`'s) does several times faster
+/// than the default SipHash. The keys are IDs the key server assigned (or a
+/// `join_with_id` caller chose); IDs arriving from the network are only
+/// looked up, so SipHash's resistance to crafted collisions buys nothing.
+type IdIndex = HashMap<UserId, u32, BuildHasherDefault<IdHasher>>;
+
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A secure group: the key server plus its members, with every member's
 /// neighbor table maintained under churn (the simplified-Silk model the
 /// paper's simulations use, §4).
@@ -55,6 +97,15 @@ pub struct JoinOutcome {
 /// `Group` owns membership, ID assignment and tables; key management lives
 /// in `rekey_keytree` and is driven by the caller (see the protocol
 /// harnesses and examples).
+///
+/// Each member's table sits in a slot that it keeps from join to leave; a
+/// leave frees the slot for a later join. A join offers the joiner to every
+/// table. A leave costs holders × subtree: it visits only the tables that
+/// may list the leaver — a reverse holder index finds them; for a member
+/// that more than a quarter of all tables listed, that is every table —
+/// and refills each from the leaver's subtree. Its only per-member work is
+/// closing the gap in the join-order roster, one 32-byte record and one
+/// 4-byte slot handle per later member.
 #[derive(Debug, Clone)]
 pub struct Group {
     spec: IdSpec,
@@ -62,16 +113,24 @@ pub struct Group {
     policy: PrimaryPolicy,
     assign: AssignParams,
     server_host: HostId,
+    /// Current members, in join order.
     members: Vec<Member>,
+    /// The table slot of each member, in join order.
+    slots: Vec<u32>,
+    /// Per table slot: its member's index in `members`, or [`FREE`].
+    position: Vec<u32>,
+    /// Per table slot: its member's neighbor table (empty while free).
     tables: Vec<NeighborTable>,
+    /// Per table slot: the mutation count at which the table last changed.
+    versions: Vec<u64>,
+    /// Free table slots, reused by later joins.
+    free: Vec<u32>,
+    index: IdIndex,
+    holders: Holders,
     server_table: ServerTable,
     id_tree: IdTree,
-    index: HashMap<UserId, usize>,
     /// Joins and leaves applied so far: the version clock of the tables.
     mutations: u64,
-    /// Per member, in join order: the mutation count at which its table
-    /// last changed.
-    versions: Vec<u64>,
     /// Join-order indices of the existing members whose tables the latest
     /// join or leave changed.
     changed: Vec<usize>,
@@ -97,12 +156,16 @@ impl Group {
             assign,
             server_host,
             members: Vec::new(),
+            slots: Vec::new(),
+            position: Vec::new(),
             tables: Vec::new(),
+            versions: Vec::new(),
+            free: Vec::new(),
+            index: IdIndex::default(),
+            holders: Holders::default(),
             server_table: ServerTable::new(spec, k),
             id_tree: IdTree::new(spec),
-            index: HashMap::new(),
             mutations: 0,
-            versions: Vec::new(),
             changed: Vec::new(),
         }
     }
@@ -134,7 +197,7 @@ impl Group {
 
     /// The member with the given ID, if present.
     pub fn member(&self, id: &UserId) -> Option<&Member> {
-        self.index.get(id).map(|&i| &self.members[i])
+        self.index_of(id).map(|i| &self.members[i])
     }
 
     /// The ID tree of the current membership.
@@ -144,12 +207,14 @@ impl Group {
 
     /// The neighbor table of the member at index `i`.
     pub fn table(&self, i: usize) -> &NeighborTable {
-        &self.tables[i]
+        &self.tables[self.slots[i] as usize]
     }
 
     /// The join-order index of the member with the given ID.
     pub fn index_of(&self, id: &UserId) -> Option<usize> {
-        self.index.get(id).copied()
+        self.index
+            .get(id)
+            .map(|&slot| self.position[slot as usize] as usize)
     }
 
     /// The key server's neighbor table.
@@ -170,7 +235,7 @@ impl Group {
     /// The mutation count at which the table of the member at index `i`
     /// last changed: the version a member holding that table is at.
     pub(crate) fn table_version(&self, i: usize) -> u64 {
-        self.versions[i]
+        self.versions[self.slots[i] as usize]
     }
 
     /// Indices of the members whose existing tables the latest join or
@@ -202,14 +267,16 @@ impl Group {
             // user; we use the member with the smallest RTT the server
             // knows of deterministically — any member works, the protocol
             // corrects from there. We pick by host index for determinism.
-            let seed = (host.0) % self.members.len();
-            let index = &self.index;
-            let index_of = move |id: &UserId| index[id];
+            let seed = self.members[host.0 % self.members.len()];
+            let (index, position) = (&self.index, &self.position);
+            let (members, tables) = (&self.members, &self.tables);
+            let lookup = |id: &UserId| {
+                let slot = index[id] as usize;
+                (members[position[slot] as usize], &tables[slot])
+            };
             let view = GroupView {
                 spec: &self.spec,
-                members: &self.members,
-                tables: &self.tables,
-                index_of: &index_of,
+                lookup: &lookup,
             };
             let (digits, stats) = probe_digits(&view, &self.assign, host, seed, net);
             let id = server_complete(&self.spec, &self.id_tree, &digits)
@@ -406,7 +473,12 @@ impl Group {
         }
 
         let id_tree = IdTree::from_users(spec, members.iter().map(|m| m.id));
-        let index = members.iter().enumerate().map(|(i, m)| (m.id, i)).collect();
+        let index = members
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.id, i as u32))
+            .collect();
+        let slots: Vec<u32> = (0..members.len() as u32).collect();
         Ok(Group {
             spec: *spec,
             k,
@@ -415,10 +487,14 @@ impl Group {
             server_host,
             versions: vec![0; members.len()],
             members,
+            position: slots.clone(),
+            slots,
             tables,
+            free: Vec::new(),
+            index,
+            holders: Holders::default(),
             server_table,
             id_tree,
-            index,
             mutations: 0,
             changed: Vec::new(),
         })
@@ -436,88 +512,154 @@ impl Group {
         );
         self.mutations += 1;
         self.changed.clear();
+        let slot = self.free.pop().unwrap_or(self.tables.len() as u32);
+        // Records the join adds to the tables, the joiner's own included.
+        let mut added = table.neighbor_count();
         for (i, existing) in self.members.iter().enumerate() {
+            let owner = self.slots[i];
+            let owned = &mut self.tables[owner as usize];
+            let held = owned.neighbor_count();
             let rtt = net.rtt(existing.host, member.host);
-            if self.tables[i].insert(NeighborRecord { member, rtt }) {
-                self.versions[i] = self.mutations;
+            if owned.insert(NeighborRecord { member, rtt }) {
+                self.versions[owner as usize] = self.mutations;
                 self.changed.push(i);
+                added += owned.neighbor_count() - held;
             }
+        }
+        if self.holders.is_built() {
+            self.holders.records += added;
+            let slots = &self.slots;
+            self.holders
+                .open(slot, self.changed.iter().map(|&i| slots[i]));
+            for r in table.iter_all() {
+                self.holders.push(self.index[&r.member.id], slot);
+            }
+            self.holders.discard_if_stale();
         }
         self.server_table.insert(NeighborRecord {
             member,
             rtt: net.rtt(self.server_host, member.host),
         });
         self.id_tree.insert(&member.id);
-        self.index.insert(member.id, self.members.len());
+        self.index.insert(member.id, slot);
+        let at = self.members.len() as u32;
         self.members.push(member);
-        self.tables.push(table);
-        self.versions.push(self.mutations);
+        self.slots.push(slot);
+        if slot as usize == self.tables.len() {
+            self.position.push(at);
+            self.tables.push(table);
+            self.versions.push(self.mutations);
+        } else {
+            self.position[slot as usize] = at;
+            self.tables[slot as usize] = table;
+            self.versions[slot as usize] = self.mutations;
+        }
     }
 
     /// Removes a member and repairs every table that referenced it, keeping
     /// K-consistency (Definition 3).
     ///
+    /// A leave costs holders × subtree: only the tables that may list the
+    /// departed member are visited, in join order, and each one that did
+    /// list it is refilled from the departed member's subtree. The first
+    /// leave, and the first after the holder index went stale, rebuilds the
+    /// index from all tables first (see [`Group`]).
+    ///
     /// # Errors
     ///
     /// [`GroupError::NotMember`] if `id` is not in the group.
     pub fn leave(&mut self, id: &UserId, net: &impl Network) -> Result<Member, GroupError> {
-        let idx = self.index.remove(id).ok_or(GroupError::NotMember(*id))?;
+        let slot = *self.index.get(id).ok_or(GroupError::NotMember(*id))?;
+        if !self.holders.is_built() {
+            self.holders.build(&self.tables, &self.index);
+        }
+        self.index.remove(id);
+        let idx = self.position[slot as usize] as usize;
         let departed = self.members.remove(idx);
-        self.tables.remove(idx);
-        self.versions.remove(idx);
+        self.slots.remove(idx);
+        for &later in &self.slots[idx..] {
+            self.position[later as usize] -= 1;
+        }
+        self.position[slot as usize] = FREE;
+        self.free.push(slot);
+        let emptied = NeighborTable::new(&self.spec, *id, self.k, self.policy);
+        let table = std::mem::replace(&mut self.tables[slot as usize], emptied);
+        self.holders.records -= table.neighbor_count();
         self.mutations += 1;
         self.changed.clear();
-        for at in self.index.values_mut() {
-            if *at > idx {
-                *at -= 1;
-            }
-        }
         self.id_tree.remove(id);
         self.server_table.remove(id);
-        // Remove from all tables, refilling entries from global knowledge
-        // (the role Silk's failure-recovery protocol plays in the paper).
+        // Remove from the tables that held it, refilling entries from global
+        // knowledge (the role Silk's failure-recovery protocol plays in the
+        // paper).
         //
         // An owner that stored the departed member in row `r` refills from
         // the subtree under `id.prefix(r + 1)`, whoever the owner is, and
         // those subtrees nest. So the departed member's level-1 subtree is
-        // resolved once, in ascending-ID order, and row `r`'s candidates
-        // are the contiguous run of it under `id.prefix(r + 1)`.
-        let level1: Vec<Member> = self
-            .id_tree
-            .users_in_subtree(&id.prefix(1))
-            .map(|u| self.members[self.index[&u]])
-            .collect();
+        // resolved once, in ascending-ID order, with each candidate's slot,
+        // and row `r`'s candidates are the contiguous run of it under
+        // `id.prefix(r + 1)`.
+        let subtree = id.prefix(1);
+        let size = self.id_tree.node(&subtree).map_or(0, |n| n.user_count());
+        let mut level1: Vec<(Member, u32)> = Vec::with_capacity(size);
+        level1.extend(self.id_tree.users_in_subtree(&subtree).map(|u| {
+            let s = self.index[&u];
+            (self.members[self.position[s as usize] as usize], s)
+        }));
         let runs: Vec<Range<usize>> = (1..=self.spec.depth())
             .map(|len| {
                 let root = id.prefix(len);
-                let start = level1.partition_point(|m| root.subtree_cmp(m.id.digits()).is_lt());
-                let len = level1[start..].partition_point(|m| root.is_prefix_of_id(&m.id));
+                let start =
+                    level1.partition_point(|(m, _)| root.subtree_cmp(m.id.digits()).is_lt());
+                let len = level1[start..].partition_point(|(m, _)| root.is_prefix_of_id(&m.id));
                 start..start + len
             })
             .collect();
-        let k = self.k;
-        for (i, (owner, table)) in self.members.iter().zip(&mut self.tables).enumerate() {
-            if !table.remove(id) {
-                continue;
+        // The tables that may list it, in join order; those that do not are
+        // dropped below.
+        match self.holders.list(slot) {
+            Some(owners) => {
+                let position = &self.position;
+                self.changed.extend(owners.filter_map(|owner| {
+                    let at = position[owner as usize];
+                    (at != FREE).then_some(at as usize)
+                }));
+                self.changed.sort_unstable();
+                self.changed.dedup();
             }
-            self.versions[i] = self.mutations;
-            self.changed.push(i);
+            None => self.changed.extend(0..self.members.len()),
+        }
+        let (k, mutations) = (self.k, self.mutations);
+        self.changed.retain(|&i| {
+            let owner = self.slots[i];
+            let table = &mut self.tables[owner as usize];
+            let held = table.neighbor_count();
+            if !table.remove(id) {
+                return false;
+            }
+            self.versions[owner as usize] = mutations;
             let (row, col) = table.slot_for(id).expect("stored, so not the owner");
             // Once the entry is full again only a strictly closer
             // candidate can still enter it; the rest are not offered.
+            let host = self.members[i].host;
             let mut worst = None;
-            for cand in &level1[runs[row].clone()] {
-                let rtt = net.rtt(owner.host, cand.host);
+            for &(cand, cand_slot) in &level1[runs[row].clone()] {
+                let rtt = net.rtt(host, cand.host);
                 if worst.is_some_and(|w| rtt >= w) {
                     continue;
                 }
-                table.insert(NeighborRecord { member: *cand, rtt });
+                if table.insert(NeighborRecord { member: cand, rtt }) {
+                    self.holders.push(cand_slot, owner);
+                }
                 let entry = table.entry(row, col);
                 worst = entry.iter().nth(k - 1).map(|r| r.rtt);
             }
-        }
+            self.holders.records = self.holders.records + table.neighbor_count() - held;
+            true
+        });
+        self.holders.discard_if_stale();
         // Refill the server entry for the departed user's digit.
-        for member in level1 {
+        for (member, _) in level1 {
             let rtt = net.rtt(self.server_host, member.host);
             self.server_table.insert(NeighborRecord { member, rtt });
         }
@@ -530,7 +672,7 @@ impl Group {
     ///
     /// Returns the first violation found.
     pub fn check(&self) -> Result<(), ConsistencyViolation> {
-        check_consistency(&self.spec, &self.members, &self.tables, self.k)
+        check_consistency(&self.spec, &self.members, self.join_order(), self.k)
     }
 
     /// Snapshots the group as a [`TmeshGroup`] ready to run multicast
@@ -539,10 +681,157 @@ impl Group {
         TmeshGroup::from_tables(
             &self.spec,
             self.members.clone(),
-            self.tables.iter().cloned().map(Rc::new).collect(),
+            self.join_order().cloned().map(Rc::new).collect(),
             Rc::new(self.server_table.clone()),
             self.server_host,
         )
+    }
+
+    /// The members' tables in join order.
+    fn join_order(&self) -> impl Iterator<Item = &NeighborTable> + '_ {
+        self.slots.iter().map(|&s| &self.tables[s as usize])
+    }
+}
+
+/// The end of a holder list, and an empty cell of a holder chunk.
+const NIL: u32 = u32::MAX;
+/// The length of a list given up on: its member was listed by so many
+/// tables that a leave looks in all of them.
+const SCAN: u32 = u32::MAX;
+/// Cells per holder chunk: the link to the list's previous chunk, then
+/// holder slots.
+const CHUNK: usize = 8;
+
+/// The reverse holder index of [`Group::leave`]: for each member's table
+/// slot, the slots of the tables that may list the member.
+///
+/// A list is a superset, not exact. A table that drops the member — a
+/// closer joiner evicted it, or the table's owner left and its slot was
+/// reused — leaves its cell behind; a leave skips such cells when `remove`
+/// finds nothing. Tracking evictions exactly would cost a list walk per
+/// eviction, and a join into a dealt group can evict from half of all
+/// tables. Instead the index is built from the tables the first time a
+/// leave needs it, and discarded once as many cells were stored since as
+/// the build stored — at most half of them live — to be rebuilt by the
+/// next leave.
+///
+/// A list that would hold more than a quarter of all slots is not kept:
+/// visiting that many tables in list order costs about what a scan of all
+/// of them does, and such lists — a joiner's (half the tables admit it),
+/// the first-dealt members' (every row-0 entry) — would be most of the
+/// index and most of its stale cells.
+#[derive(Debug, Default)]
+struct Holders {
+    /// Per table slot: the newest chunk of its list (or `NIL`) and the
+    /// list's length (or `SCAN`). Empty while the index is not built.
+    lists: Vec<(u32, u32)>,
+    /// Every list's chunks: the link to the previous chunk (or `NIL`), then
+    /// up to `CHUNK - 1` holder slots, `NIL`-padded.
+    chunks: Vec<[u32; CHUNK]>,
+    /// Cells stored since the index was built, stale ones included.
+    cells: usize,
+    /// Cells the build stored, every one of them live then.
+    built: usize,
+    /// Σ `neighbor_count` over the tables, kept while the index is built.
+    records: usize,
+}
+
+impl Clone for Holders {
+    /// A copy of a group — a journal checkpoint, a replica — starts without
+    /// an index and builds its own when a leave needs it.
+    fn clone(&self) -> Holders {
+        Holders::default()
+    }
+}
+
+impl Holders {
+    fn is_built(&self) -> bool {
+        !self.lists.is_empty()
+    }
+
+    /// The longest list kept.
+    fn cap(&self) -> usize {
+        self.lists.len() / 4
+    }
+
+    /// Builds the index from every table slot's table; `index` maps each
+    /// member to its slot.
+    fn build(&mut self, tables: &[NeighborTable], index: &IdIndex) {
+        self.lists.clear();
+        self.lists.resize(tables.len(), (NIL, 0));
+        self.chunks.clear();
+        self.cells = 0;
+        self.records = tables.iter().map(NeighborTable::neighbor_count).sum();
+        for (owner, table) in tables.iter().enumerate() {
+            for r in table.iter_all() {
+                self.push(index[&r.member.id], owner as u32);
+            }
+        }
+        self.built = self.cells;
+    }
+
+    /// Starts the list of a newly occupied table slot with the slots of
+    /// the tables that list its member.
+    fn open(&mut self, slot: u32, owners: impl ExactSizeIterator<Item = u32>) {
+        let list = if owners.len() > self.cap() {
+            (NIL, SCAN)
+        } else {
+            (NIL, 0)
+        };
+        match self.lists.get_mut(slot as usize) {
+            Some(old) => *old = list,
+            None => self.lists.push(list),
+        }
+        if list.1 != SCAN {
+            owners.for_each(|owner| self.push(slot, owner));
+        }
+    }
+
+    /// Records that the table in slot `owner` now lists the member in slot
+    /// `member`.
+    fn push(&mut self, member: u32, owner: u32) {
+        let cap = self.cap();
+        let (tail, len) = &mut self.lists[member as usize];
+        if *len == SCAN {
+            return;
+        }
+        if *len as usize == cap {
+            *len = SCAN;
+            return;
+        }
+        self.cells += 1;
+        let at = *len as usize % (CHUNK - 1);
+        if at == 0 {
+            let mut chunk = [NIL; CHUNK];
+            chunk[0] = *tail;
+            *tail = self.chunks.len() as u32;
+            self.chunks.push(chunk);
+        }
+        self.chunks[*tail as usize][1 + at] = owner;
+        *len += 1;
+    }
+
+    /// The slots of the tables that may list the member in slot `member`,
+    /// repeats and stale ones included; `None` if all tables may.
+    fn list(&self, member: u32) -> Option<impl Iterator<Item = u32> + '_> {
+        let (mut at, len) = self.lists[member as usize];
+        let chunks = std::iter::from_fn(move || {
+            let chunk = self.chunks.get(at as usize)?;
+            at = chunk[0];
+            Some(&chunk[1..])
+        });
+        (len != SCAN).then(|| chunks.flatten().copied().filter(|&owner| owner != NIL))
+    }
+
+    /// Drops the index once the cells stored since the build outnumber the
+    /// ones it stored, or the index holds more than twice as many cells as
+    /// the tables hold records.
+    fn discard_if_stale(&mut self) {
+        if self.cells > 2 * self.built.min(self.records) {
+            self.lists.clear();
+            self.chunks.clear();
+            self.cells = 0;
+        }
     }
 }
 
@@ -714,5 +1003,449 @@ mod tests {
         let out = group.join(HostId(12), &net, 99).unwrap();
         assert!(out.stats.queries > 0);
         assert!(out.stats.probes > 0);
+    }
+}
+
+#[cfg(test)]
+impl Group {
+    /// Holder cells stored since the index was last built (0 while unbuilt).
+    fn holder_cells(&self) -> usize {
+        self.holders.cells
+    }
+}
+
+/// `Group` against the group it replaced: tables in join order, a leave
+/// that calls `remove` on every table, and §3.1 probing over nested
+/// `BTreeMap`s. Every table, version, changed-table list and join outcome
+/// must come out the same after every operation.
+#[cfg(test)]
+mod equivalence {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rekey_id::IdPrefix;
+    use rekey_net::{GridNetwork, MatrixNetwork, PlanetLabParams};
+    use rekey_tmesh::metrics::quantile;
+
+    use super::*;
+
+    /// The full-scan reference.
+    struct Reference {
+        spec: IdSpec,
+        k: usize,
+        policy: PrimaryPolicy,
+        assign: AssignParams,
+        server_host: HostId,
+        members: Vec<Member>,
+        tables: Vec<NeighborTable>,
+        server_table: ServerTable,
+        id_tree: IdTree,
+        index: HashMap<UserId, usize>,
+        mutations: u64,
+        versions: Vec<u64>,
+        changed: Vec<usize>,
+    }
+
+    impl Reference {
+        /// The reference of `group`'s current state.
+        fn of(group: &Group) -> Reference {
+            Reference {
+                spec: group.spec,
+                k: group.k,
+                policy: group.policy,
+                assign: group.assign.clone(),
+                server_host: group.server_host,
+                members: group.members.clone(),
+                tables: group.join_order().cloned().collect(),
+                server_table: group.server_table.clone(),
+                id_tree: group.id_tree.clone(),
+                index: (group.members.iter().enumerate())
+                    .map(|(i, m)| (m.id, i))
+                    .collect(),
+                mutations: group.mutations,
+                versions: (0..group.len()).map(|i| group.table_version(i)).collect(),
+                changed: group.changed.clone(),
+            }
+        }
+
+        fn join(
+            &mut self,
+            host: HostId,
+            net: &impl Network,
+            now: Micros,
+        ) -> Result<JoinOutcome, GroupError> {
+            let (id, stats) = if self.members.is_empty() {
+                (UserId::from_index(&self.spec, 0), AssignStats::default())
+            } else {
+                let seed = host.0 % self.members.len();
+                let (digits, stats) = self.probe_digits(host, seed, net);
+                let id = server_complete(&self.spec, &self.id_tree, &digits)
+                    .ok_or(GroupError::IdSpaceFull)?;
+                (id, stats)
+            };
+            self.insert_member(
+                Member {
+                    id,
+                    host,
+                    joined_at: now,
+                },
+                net,
+            );
+            Ok(JoinOutcome { id, stats })
+        }
+
+        fn query<'a>(
+            &'a self,
+            idx: usize,
+            target: &'a IdPrefix,
+        ) -> impl Iterator<Item = Member> + 'a {
+            let own = self.members[idx];
+            self.tables[idx]
+                .iter_all()
+                .map(|r| r.member)
+                .chain(std::iter::once(own))
+                .filter(move |m| target.is_prefix_of_id(&m.id))
+        }
+
+        fn probe_digits(
+            &self,
+            joiner: HostId,
+            seed: usize,
+            net: &impl Network,
+        ) -> (Vec<u16>, AssignStats) {
+            let params = &self.assign;
+            let mut stats = AssignStats::default();
+            let mut digits: Vec<u16> = Vec::new();
+            let mut seeds: Vec<UserId> = vec![self.members[seed].id];
+            let mut rtts: Vec<Micros> = Vec::with_capacity(params.p);
+            for i in 0..self.spec.depth().saturating_sub(1) {
+                let prefix = IdPrefix::from_digits(&self.spec, &digits).unwrap();
+                let mut collected: BTreeMap<u16, BTreeMap<UserId, Member>> = BTreeMap::new();
+                let mut queried: BTreeSet<UserId> = BTreeSet::new();
+                let insert = |collected: &mut BTreeMap<u16, BTreeMap<UserId, Member>>,
+                              m: Member| {
+                    collected.entry(m.id.digit(i)).or_default().insert(m.id, m);
+                };
+                for s in &seeds {
+                    let idx = self.index[s];
+                    insert(&mut collected, self.members[idx]);
+                    if queried.insert(*s) {
+                        stats.queries += 1;
+                        for m in self.query(idx, &prefix) {
+                            insert(&mut collected, m);
+                        }
+                    }
+                }
+                for j in 0..self.spec.base() {
+                    let target = prefix.child(j);
+                    while let Some(bucket) = collected.get(&j) {
+                        if bucket.len() >= params.p {
+                            break;
+                        }
+                        let Some(next) = bucket.keys().find(|id| !queried.contains(*id)).cloned()
+                        else {
+                            break;
+                        };
+                        queried.insert(next);
+                        stats.queries += 1;
+                        for m in self.query(self.index[&next], &target) {
+                            insert(&mut collected, m);
+                        }
+                    }
+                }
+                let mut best: Option<(Micros, u16)> = None;
+                for (&j, bucket) in &collected {
+                    rtts.clear();
+                    rtts.extend(bucket.values().take(params.p).map(|m| {
+                        stats.probes += 1;
+                        net.gateway_rtt(joiner, m.host)
+                    }));
+                    if rtts.is_empty() {
+                        continue;
+                    }
+                    rtts.sort_unstable();
+                    let f = quantile(&rtts, f64::from(params.f_percentile) / 100.0);
+                    if best.is_none_or(|(bf, bj)| (f, j) < (bf, bj)) {
+                        best = Some((f, j));
+                    }
+                }
+                let threshold = params.thresholds.get(i).copied().unwrap_or(0);
+                match best {
+                    Some((f, b)) if f <= threshold => {
+                        digits.push(b);
+                        stats.digits_probed += 1;
+                        seeds = collected.remove(&b).unwrap().into_keys().collect();
+                    }
+                    _ => break,
+                }
+            }
+            (digits, stats)
+        }
+
+        fn join_with_id(&mut self, id: UserId, host: HostId, net: &impl Network, now: Micros) {
+            assert!(!self.index.contains_key(&id));
+            self.insert_member(
+                Member {
+                    id,
+                    host,
+                    joined_at: now,
+                },
+                net,
+            );
+        }
+
+        fn insert_member(&mut self, member: Member, net: &impl Network) {
+            let table = rekey_table::oracle::build_table(
+                &self.spec,
+                &member,
+                &self.members,
+                net,
+                self.k,
+                self.policy,
+            );
+            self.mutations += 1;
+            self.changed.clear();
+            for (i, existing) in self.members.iter().enumerate() {
+                let rtt = net.rtt(existing.host, member.host);
+                if self.tables[i].insert(NeighborRecord { member, rtt }) {
+                    self.versions[i] = self.mutations;
+                    self.changed.push(i);
+                }
+            }
+            self.server_table.insert(NeighborRecord {
+                member,
+                rtt: net.rtt(self.server_host, member.host),
+            });
+            self.id_tree.insert(&member.id);
+            self.index.insert(member.id, self.members.len());
+            self.members.push(member);
+            self.tables.push(table);
+            self.versions.push(self.mutations);
+        }
+
+        fn leave(&mut self, id: &UserId, net: &impl Network) -> Result<Member, GroupError> {
+            let idx = self.index.remove(id).ok_or(GroupError::NotMember(*id))?;
+            let departed = self.members.remove(idx);
+            self.tables.remove(idx);
+            self.versions.remove(idx);
+            self.mutations += 1;
+            self.changed.clear();
+            for at in self.index.values_mut() {
+                if *at > idx {
+                    *at -= 1;
+                }
+            }
+            self.id_tree.remove(id);
+            self.server_table.remove(id);
+            let level1: Vec<Member> = self
+                .id_tree
+                .users_in_subtree(&id.prefix(1))
+                .map(|u| self.members[self.index[&u]])
+                .collect();
+            let runs: Vec<Range<usize>> = (1..=self.spec.depth())
+                .map(|len| {
+                    let root = id.prefix(len);
+                    let start = level1.partition_point(|m| root.subtree_cmp(m.id.digits()).is_lt());
+                    let len = level1[start..].partition_point(|m| root.is_prefix_of_id(&m.id));
+                    start..start + len
+                })
+                .collect();
+            let k = self.k;
+            for (i, (owner, table)) in self.members.iter().zip(&mut self.tables).enumerate() {
+                if !table.remove(id) {
+                    continue;
+                }
+                self.versions[i] = self.mutations;
+                self.changed.push(i);
+                let (row, col) = table.slot_for(id).unwrap();
+                let mut worst = None;
+                for cand in &level1[runs[row].clone()] {
+                    let rtt = net.rtt(owner.host, cand.host);
+                    if worst.is_some_and(|w| rtt >= w) {
+                        continue;
+                    }
+                    table.insert(NeighborRecord { member: *cand, rtt });
+                    worst = table.entry(row, col).iter().nth(k - 1).map(|r| r.rtt);
+                }
+            }
+            for member in level1 {
+                let rtt = net.rtt(self.server_host, member.host);
+                self.server_table.insert(NeighborRecord { member, rtt });
+            }
+            Ok(departed)
+        }
+
+        fn check(&self) -> Result<(), ConsistencyViolation> {
+            check_consistency(&self.spec, &self.members, &self.tables, self.k)
+        }
+    }
+
+    /// Everything a caller or `RtServer` can read off a group, record for
+    /// record, plus the bound on the holder index's storage; with `check`,
+    /// also `check()` (equal tables make it equal; it is by far the
+    /// slowest part).
+    fn assert_same(group: &Group, reference: &Reference, at: &str, check: bool) {
+        assert_eq!(group.members(), &reference.members[..], "{at}: roster");
+        assert_eq!(group.mutations(), reference.mutations, "{at}: mutations");
+        assert_eq!(
+            group.changed_tables(),
+            &reference.changed[..],
+            "{at}: changed tables"
+        );
+        for (i, m) in reference.members.iter().enumerate() {
+            assert_eq!(group.index_of(&m.id), Some(i), "{at}: index of {}", m.id);
+            assert_eq!(
+                group.table(i).iter_all().as_slice(),
+                reference.tables[i].iter_all().as_slice(),
+                "{at}: table of member {i}"
+            );
+            assert_eq!(
+                group.table_version(i),
+                reference.versions[i],
+                "{at}: version of table {i}"
+            );
+        }
+        for j in 0..reference.spec.base() {
+            assert_eq!(
+                group.server_table().entry(j),
+                reference.server_table.entry(j),
+                "{at}: server entry {j}"
+            );
+        }
+        if check {
+            assert_eq!(group.check(), reference.check(), "{at}: check()");
+        }
+        let records: usize = group.join_order().map(NeighborTable::neighbor_count).sum();
+        assert!(
+            group.holder_cells() <= 2 * records,
+            "{at}: {} holder cells for {records} records",
+            group.holder_cells()
+        );
+    }
+
+    /// `ops` random leaves, joins and `join_with_id`s on `group` and on its
+    /// reference, compared after every one (`check()` after every
+    /// `check_every`th and the last). Operation 0 is the leave of member 0,
+    /// operation 1 that of the last member in join order (the last dealt,
+    /// in a dealt group). Halfway a clone of the group (as a journal
+    /// checkpoint takes one) starts receiving the same operations.
+    fn churn(mut group: Group, net: &impl Network, ops: usize, check_every: usize, seed: u64) {
+        let mut reference = Reference::of(&group);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let server = group.server_host().0;
+        let hosts = net.host_count();
+        let mut next_host = group.len();
+        let last = group.members().last().unwrap().id;
+        let mut twin: Option<Group> = None;
+        for op in 0..ops {
+            if op == ops / 2 {
+                twin = Some(group.clone());
+            }
+            let draw = rng.gen_range(0..20);
+            let at = format!("seed {seed} K={} op {op}", group.k());
+            if op < 2 || (draw < 9 && group.len() > 8) {
+                let victim = match op {
+                    0 => group.members()[0].id,
+                    1 => last,
+                    _ => group.members()[rng.gen_range(0..group.len())].id,
+                };
+                let gone = reference.leave(&victim, net);
+                assert_eq!(group.leave(&victim, net), gone, "{at}: leave");
+                if let Some(twin) = &mut twin {
+                    assert_eq!(twin.leave(&victim, net), gone, "{at}: twin leave");
+                }
+            } else {
+                let host = HostId(next_host % hosts);
+                next_host += if (next_host + 1) % hosts == server {
+                    2
+                } else {
+                    1
+                };
+                let now = 1_000 + op as Micros;
+                if draw < 16 {
+                    let joined = reference.join(host, net, now);
+                    assert_eq!(group.join(host, net, now), joined, "{at}: join");
+                    if let Some(twin) = &mut twin {
+                        assert_eq!(twin.join(host, net, now), joined, "{at}: twin join");
+                    }
+                } else {
+                    let spec = *group.spec();
+                    let id = loop {
+                        let id = UserId::from_index(&spec, rng.gen_range(0..spec.id_space()));
+                        if group.member(&id).is_none() {
+                            break id;
+                        }
+                    };
+                    reference.join_with_id(id, host, net, now);
+                    group.join_with_id(id, host, net, now);
+                    if let Some(twin) = &mut twin {
+                        twin.join_with_id(id, host, net, now);
+                    }
+                }
+            }
+            let check = op % check_every == 0 || op + 1 == ops;
+            assert_same(&group, &reference, &at, check);
+            if let Some(twin) = &twin {
+                assert_same(twin, &reference, &format!("{at} (clone)"), check);
+            }
+        }
+    }
+
+    fn dealt(members: usize, k: usize) -> (Group, GridNetwork) {
+        let spec = IdSpec::new(4, 16).unwrap();
+        let net = GridNetwork::new(members + 1_200, 1_000, 100);
+        let hosts: Vec<HostId> = (0..members).map(HostId).collect();
+        let group = Group::bootstrap(
+            &spec,
+            HostId(net.host_count() - 1),
+            k,
+            PrimaryPolicy::SmallestRtt,
+            AssignParams::for_depth(spec.depth()),
+            &hosts,
+            &net,
+        )
+        .unwrap();
+        (group, net)
+    }
+
+    #[test]
+    fn a_dealt_group_matches_the_full_scan_reference() {
+        for (k, seed) in [(1, 11), (2, 12), (4, 14)] {
+            let (group, net) = dealt(1_024, k);
+            churn(group, &net, 700, 100, seed);
+        }
+    }
+
+    #[test]
+    fn a_joined_group_matches_the_full_scan_reference() {
+        let params = PlanetLabParams {
+            continent_hosts: vec![120, 90, 60, 40],
+            ..PlanetLabParams::default()
+        };
+        let net = MatrixNetwork::synthetic_planetlab(&params, &mut StdRng::seed_from_u64(5));
+        let spec = IdSpec::new(4, 8).unwrap();
+        for (k, seed) in [(1, 21), (2, 22), (4, 24)] {
+            let server = HostId(net.host_count() - 1);
+            let policy = PrimaryPolicy::SmallestRtt;
+            let assign = AssignParams::for_depth(spec.depth());
+            let mut group = Group::new(&spec, server, k, policy, assign);
+            let mut reference = Reference::of(&group);
+            for h in 0..300 {
+                let at = format!("K={k} founding join {h}");
+                let joined = reference.join(HostId(h), &net, h as Micros);
+                assert_eq!(group.join(HostId(h), &net, h as Micros), joined, "{at}");
+                assert_same(&group, &reference, &at, h % 100 == 99);
+            }
+            churn(group, &net, 700, 100, seed);
+        }
+    }
+
+    /// The benchmark's `sync_churn` shape; `scripts/ci.sh` runs it.
+    #[test]
+    #[ignore = "4 096 members: run in release"]
+    fn a_4096_member_dealt_group_matches_the_full_scan_reference() {
+        let (group, net) = dealt(4_096, 2);
+        churn(group, &net, 2_000, 20, 42);
     }
 }

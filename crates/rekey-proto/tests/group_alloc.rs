@@ -1,13 +1,17 @@
 //! `Group::leave` and `Group::join` do not allocate per member touched.
 //!
-//! Both walk every member's table. With heap IDs and one `Vec` per table
-//! entry that was at least two allocations per table (a cloned `Member`,
-//! a re-hashed index key, a candidate list per owner); with inline IDs and
-//! flat tables what is left is a handful of per-operation buffers plus the
-//! occasional amortised growth of a table's record vector.
+//! A join offers the joiner to every member's table. With heap IDs and one
+//! `Vec` per table entry that was at least two allocations per table (a
+//! cloned `Member`, a re-hashed index key, a candidate list per owner);
+//! with inline IDs and flat tables what is left is a handful of
+//! per-operation buffers plus the occasional amortised growth of a table's
+//! record vector.
 //!
-//! Kept as a single `#[test]` so no sibling test can allocate concurrently
-//! and pollute the counter.
+//! A leave visits only the tables that may hold the leaver, found through
+//! `Group`'s holder index, so once that index is built a leave's
+//! allocations do not depend on the group's size at all.
+//!
+//! The counter is per thread, so the two tests cannot pollute each other.
 
 use rekey_id::IdSpec;
 use rekey_net::{GridNetwork, HostId, Network};
@@ -52,4 +56,42 @@ fn leave_and_join_allocate_far_less_than_once_per_member() {
         spent < (N / 4) as u64,
         "leave + join of a {N}-member group made {spent} heap allocations"
     );
+}
+
+/// Allocations of one leave of a late-dealt member of an `n`-member dealt
+/// group, after a warm-up leave (which builds the holder index) and join.
+fn warmed_leave_allocations(n: usize) -> u64 {
+    let spec = IdSpec::new(4, 16).unwrap();
+    let net = GridNetwork::new(n + 8, 1_000, 100);
+    let hosts: Vec<HostId> = (0..n).map(HostId).collect();
+    let mut group = Group::bootstrap(
+        &spec,
+        HostId(net.host_count() - 1),
+        2,
+        PrimaryPolicy::SmallestRtt,
+        AssignParams::for_depth(spec.depth()),
+        &hosts,
+        &net,
+    )
+    .unwrap();
+    let warm = group.members()[n / 2].id;
+    group.leave(&warm, &net).unwrap();
+    group.join(HostId(n), &net, 1).unwrap();
+
+    let late = group.members()[n - 3].id;
+    let before = allocations();
+    group.leave(&late, &net).unwrap();
+    let spent = allocations() - before;
+    group
+        .check()
+        .expect("K-consistent after the measured leave");
+    spent
+}
+
+#[test]
+fn a_warmed_leave_allocates_the_same_few_times_at_any_size() {
+    let small = warmed_leave_allocations(1_024);
+    let large = warmed_leave_allocations(4_096);
+    assert_eq!(small, large, "leave allocations grew with the group");
+    assert!(small <= 4, "a warmed leave made {small} heap allocations");
 }

@@ -91,10 +91,10 @@ impl std::error::Error for ConsistencyViolation {}
 /// # Errors
 ///
 /// Returns the first violation found.
-pub fn check_consistency(
+pub fn check_consistency<'a>(
     spec: &IdSpec,
     members: &[Member],
-    tables: &[NeighborTable],
+    tables: impl IntoIterator<Item = &'a NeighborTable>,
     k: usize,
 ) -> Result<(), ConsistencyViolation> {
     let tree = IdTree::from_users(spec, members.iter().map(|m| m.id));

@@ -36,6 +36,9 @@ cargo test --offline --release -q --test mega_soak -- --ignored
 echo "==> executor goldens at benchmark size (16k-member bootstrapped run renders its recorded snapshot, every member holds the server's table)"
 cargo test --offline --release -q -p rekey-proto --test golden_executor -- --ignored
 
+echo "==> group equivalence at benchmark size (4 096 dealt members, 2 000 joins and leaves against the full-scan reference)"
+cargo test --offline --release -q -p rekey-proto --lib a_4096_member_dealt_group_matches_the_full_scan_reference -- --ignored
+
 echo "==> bench_runtime mega sweep smoke (65k point; prints, writes nothing)"
 cargo run --offline --release -q -p rekey-bench --bin bench_runtime -- --mega-cap 65536 > /dev/null
 
