@@ -63,20 +63,28 @@ impl std::fmt::Display for HostId {
 
 /// A substrate that can answer delay questions about a fixed set of hosts.
 ///
-/// The two implementations are [`RoutedNetwork`] (hosts on a router graph;
-/// used for the GT-ITM experiments) and [`MatrixNetwork`] (pairwise RTT
-/// matrix; used for the PlanetLab experiments).
+/// The three implementations are [`RoutedNetwork`] (hosts on a router
+/// graph; used for the GT-ITM experiments), [`MatrixNetwork`] (pairwise RTT
+/// matrix; used for the PlanetLab experiments) and [`GridNetwork`] (delay
+/// affine in grid distance; used for the million-member runs).
 pub trait Network {
     /// Number of hosts.
     fn host_count(&self) -> usize;
 
     /// End-host round-trip time — the paper's `h(u, w)` (§3.1.2).
+    ///
+    /// Symmetric, because a round trip is: `rtt(a, b) == rtt(b, a)` for
+    /// every pair. Callers rely on it — a join evaluates each member pair's
+    /// RTT once and stores it in both members' tables.
     fn rtt(&self, a: HostId, b: HostId) -> Micros;
 
     /// Gateway-router round-trip time — the paper's `r(u, w)`: the RTT
     /// between the first-hop and last-hop routers on the path from `a` to
     /// `b`, used by the ID assignment protocol so that long access links do
     /// not distort proximity estimates.
+    ///
+    /// Symmetric, like [`Network::rtt`]: `gateway_rtt(a, b) ==
+    /// gateway_rtt(b, a)`.
     fn gateway_rtt(&self, a: HostId, b: HostId) -> Micros;
 
     /// One-way delay used for multicast latency; by default half of

@@ -11,7 +11,7 @@ use rekey_id::{IdSpec, IdTree, UserId, MAX_DEPTH};
 use rekey_net::{HostId, Micros, Network};
 use rekey_table::{
     check_consistency, ConsistencyViolation, Member, NeighborRecord, NeighborTable, PrimaryPolicy,
-    ServerTable,
+    ServerTable, TableEntry,
 };
 use rekey_tmesh::TmeshGroup;
 
@@ -99,13 +99,17 @@ impl Hasher for IdHasher {
 /// harnesses and examples).
 ///
 /// Each member's table sits in a slot that it keeps from join to leave; a
-/// leave frees the slot for a later join. A join offers the joiner to every
-/// table. A leave costs holders × subtree: it visits only the tables that
-/// may list the leaver — a reverse holder index finds them; for a member
-/// that more than a quarter of all tables listed, that is every table —
-/// and refills each from the leaver's subtree. Its only per-member work is
-/// closing the gap in the join-order roster, one 32-byte record and one
-/// 4-byte slot handle per later member.
+/// leave frees the slot for a later join. A join costs one RTT per member
+/// plus the tables it enters: one pass over the roster builds the joiner's
+/// table and offers the joiner to every owner, and per-slot admission
+/// bounds (the RTT a record must beat to enter a full entry) let it skip
+/// every table the joiner cannot enter without reading it. A leave costs
+/// holders × subtree: it visits only the tables that may list the leaver —
+/// a reverse holder index finds them; for a member that more than a
+/// quarter of all tables listed, that is every table — and refills each
+/// from the leaver's subtree. Its only per-member work is closing the gap
+/// in the join-order roster, one 32-byte record and one 4-byte slot handle
+/// per later member.
 #[derive(Debug, Clone)]
 pub struct Group {
     spec: IdSpec,
@@ -127,6 +131,7 @@ pub struct Group {
     free: Vec<u32>,
     index: IdIndex,
     holders: Holders,
+    bounds: Bounds,
     server_table: ServerTable,
     id_tree: IdTree,
     /// Joins and leaves applied so far: the version clock of the tables.
@@ -163,6 +168,7 @@ impl Group {
             free: Vec::new(),
             index: IdIndex::default(),
             holders: Holders::default(),
+            bounds: Bounds::default(),
             server_table: ServerTable::new(spec, k),
             id_tree: IdTree::new(spec),
             mutations: 0,
@@ -246,6 +252,13 @@ impl Group {
 
     /// Joins `host`: runs the ID assignment protocol of §3.1 against the
     /// current membership, then installs the new member into every table.
+    ///
+    /// Past the probe, a join costs one RTT evaluation per member plus the
+    /// tables the joiner enters: one pass over the roster builds the
+    /// joiner's table and offers the joiner to every owner, reading an
+    /// owner's table only where its admission bound says the joiner gets
+    /// in (see [`Group`]). The first join into a group without bounds — a
+    /// dealt group, a copy — builds them from every table.
     ///
     /// The first join receives the all-zero ID, as in §3.1: "If u is the
     /// first join in the group, the key server assigns its user ID as D
@@ -364,9 +377,10 @@ impl Group {
     /// Constructs a fully populated group in one shot — the million-member
     /// bootstrap path.
     ///
-    /// [`Group::join`] costs O(N) table inserts per join (every existing
-    /// member learns the newcomer), so building a large group by repeated
-    /// joins is O(N²). `bootstrap` instead deals IDs directly and builds
+    /// [`Group::join`] costs one RTT evaluation per existing member (every
+    /// one is a candidate for the newcomer's table, and the newcomer for
+    /// theirs), so building a large group by repeated joins is O(N²).
+    /// `bootstrap` instead deals IDs directly and builds
     /// each table from a per-prefix directory, which is
     /// O(N · D · B) overall — a 1M-member group in seconds instead of days.
     ///
@@ -493,6 +507,7 @@ impl Group {
             free: Vec::new(),
             index,
             holders: Holders::default(),
+            bounds: Bounds::default(),
             server_table,
             id_tree,
             mutations: 0,
@@ -501,33 +516,51 @@ impl Group {
     }
 
     fn insert_member(&mut self, member: Member, net: &impl Network) {
-        // Build the newcomer's table and insert it into everyone else's.
-        let table = rekey_table::oracle::build_table(
-            &self.spec,
-            &member,
-            &self.members,
-            net,
-            self.k,
-            self.policy,
-        );
+        if !self.bounds.is_built() {
+            self.bounds.build(&self.spec, &self.tables, self.k);
+        }
         self.mutations += 1;
         self.changed.clear();
         let slot = self.free.pop().unwrap_or(self.tables.len() as u32);
-        // Records the join adds to the tables, the joiner's own included.
-        let mut added = table.neighbor_count();
+        self.bounds.open(slot);
+        // One pass over the roster builds the newcomer's table and inserts
+        // the newcomer into everyone else's. Member `m` shares `c < D`
+        // digits with it (IDs are unique), so `m` belongs in the newcomer's
+        // entry `(c, m[c])` and the newcomer in `m`'s `(c, newcomer[c])`,
+        // both at the one RTT between them. A table is read only where its
+        // bound admits the record. Records reach the newcomer's table in
+        // join order, as in a build from the roster, so RTT ties break alike.
+        let mut table = NeighborTable::new(&self.spec, member.id, self.k, self.policy);
+        // Records the join adds to the existing tables.
+        let mut added = 0;
         for (i, existing) in self.members.iter().enumerate() {
-            let owner = self.slots[i];
+            let c = existing.id.common_prefix_len(&member.id);
+            let rtt = net.rtt(existing.host, member.host);
+            let col = existing.id.digit(c);
+            if self.bounds.admits(slot, c, col, rtt) {
+                table.insert(NeighborRecord {
+                    member: *existing,
+                    rtt,
+                });
+                self.bounds
+                    .refresh(slot, c, col, table.entry(c, col), self.k);
+            }
+            let (owner, col) = (self.slots[i], member.id.digit(c));
+            if !self.bounds.admits(owner, c, col, rtt) {
+                continue;
+            }
             let owned = &mut self.tables[owner as usize];
             let held = owned.neighbor_count();
-            let rtt = net.rtt(existing.host, member.host);
             if owned.insert(NeighborRecord { member, rtt }) {
                 self.versions[owner as usize] = self.mutations;
                 self.changed.push(i);
                 added += owned.neighbor_count() - held;
+                self.bounds
+                    .refresh(owner, c, col, owned.entry(c, col), self.k);
             }
         }
         if self.holders.is_built() {
-            self.holders.records += added;
+            self.holders.records += added + table.neighbor_count();
             let slots = &self.slots;
             self.holders
                 .open(slot, self.changed.iter().map(|&i| slots[i]));
@@ -655,6 +688,10 @@ impl Group {
                 worst = entry.iter().nth(k - 1).map(|r| r.rtt);
             }
             self.holders.records = self.holders.records + table.neighbor_count() - held;
+            if self.bounds.is_built() {
+                self.bounds
+                    .refresh(owner, row, col, table.entry(row, col), k);
+            }
             true
         });
         self.holders.discard_if_stale();
@@ -835,6 +872,120 @@ impl Holders {
     }
 }
 
+/// The bound of an entry that admits every record: not full, or its `K`-th
+/// RTT does not fit a bound.
+const OPEN: u32 = u32::MAX;
+
+/// The admission bounds of [`Group::join`]: per table slot and entry
+/// `(row, col)`, the RTT a record must beat, strictly, to enter the entry —
+/// the entry's `K`-th RTT once it is full — or [`OPEN`].
+///
+/// A record at or above a full entry's `K`-th RTT is one `insert` rejects,
+/// so a bound that refuses is always right, and one that admits sends the
+/// record to `insert`, which decides. Unlike the holder index the bounds are
+/// exact, since every change to an entry passes through `Group`, which
+/// refreshes that entry's bound: a join the entries it inserted into, a
+/// leave the one it refilled. They are built from the tables by the first
+/// join that needs them — `Group::bootstrap` and a group that only ever
+/// loses members never pay — and a copy of a group starts without them.
+#[derive(Debug, Default)]
+struct Bounds {
+    /// `B`.
+    base: usize,
+    /// `D · B`, and 0 while the bounds are not built.
+    width: usize,
+    /// Table slots that `cells` has room for: [`Bounds::room`] for the
+    /// slots it was built or last grown for.
+    stride: usize,
+    /// Entry by entry, every slot's bound: that of `(row, col)` in `slot`
+    /// is at `(row · B + col) · stride + slot`. A join looks up entry
+    /// `(c, joiner[c])` in every owner's table, and `c = 0` for all but
+    /// about `1/B` of them, so most of its lookups fall in one run of
+    /// `4 · stride` bytes rather than one cache line per owner. A free
+    /// slot's bounds are stale.
+    cells: Vec<u32>,
+}
+
+impl Clone for Bounds {
+    /// A copy of a group — a journal checkpoint, a replica — starts without
+    /// bounds and builds its own when a join needs them.
+    fn clone(&self) -> Bounds {
+        Bounds::default()
+    }
+}
+
+impl Bounds {
+    fn is_built(&self) -> bool {
+        self.width != 0
+    }
+
+    /// The bound of `entry`, in a table of per-entry capacity `k`.
+    fn of(entry: TableEntry<'_>, k: usize) -> u32 {
+        entry
+            .iter()
+            .nth(k - 1)
+            .map_or(OPEN, |r| u32::try_from(r.rtt).unwrap_or(OPEN))
+    }
+
+    /// The slots to make room for when `slots` are in use: a sixteenth
+    /// more, so that joins that run ahead of their interval's leaves (as
+    /// `UdpGroupDriver`'s do) find room, and growing the array, which
+    /// copies it, happens once per many joins.
+    fn room(slots: usize) -> usize {
+        slots + slots / 16 + 8
+    }
+
+    /// Builds the bounds of every table slot's table.
+    fn build(&mut self, spec: &IdSpec, tables: &[NeighborTable], k: usize) {
+        self.base = usize::from(spec.base());
+        self.width = spec.depth() * self.base;
+        self.stride = Bounds::room(tables.len());
+        self.cells = vec![OPEN; self.stride * self.width];
+        for (slot, table) in tables.iter().enumerate() {
+            for row in 0..spec.depth() {
+                for (col, entry) in table.entries_in_row(row) {
+                    self.refresh(slot as u32, row, col, entry, k);
+                }
+            }
+        }
+    }
+
+    fn cell(&self, slot: u32, row: usize, col: u16) -> usize {
+        (row * self.base + usize::from(col)) * self.stride + slot as usize
+    }
+
+    /// Gives `slot` the bounds of an empty table.
+    fn open(&mut self, slot: u32) {
+        let slot = slot as usize;
+        if slot == self.stride {
+            let stride = Bounds::room(self.stride);
+            let mut cells = vec![OPEN; stride * self.width];
+            for e in 0..self.width {
+                let from = &self.cells[e * self.stride..][..self.stride];
+                cells[e * stride..][..self.stride].copy_from_slice(from);
+            }
+            (self.cells, self.stride) = (cells, stride);
+        }
+        for e in 0..self.width {
+            self.cells[e * self.stride + slot] = OPEN;
+        }
+    }
+
+    /// `true` if a record `rtt` away from the owner of the table in `slot`
+    /// may enter its `(row, col)` entry.
+    fn admits(&self, slot: u32, row: usize, col: u16, rtt: Micros) -> bool {
+        // `OPEN − 1` is below `OPEN` and at or above every other bound.
+        rtt.min(Micros::from(OPEN - 1)) < Micros::from(self.cells[self.cell(slot, row, col)])
+    }
+
+    /// Records that the `(row, col)` entry of the table in `slot` is now
+    /// `entry`.
+    fn refresh(&mut self, slot: u32, row: usize, col: u16, entry: TableEntry<'_>, k: usize) {
+        let at = self.cell(slot, row, col);
+        self.cells[at] = Bounds::of(entry, k);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,12 +1163,39 @@ impl Group {
     fn holder_cells(&self) -> usize {
         self.holders.cells
     }
+
+    /// Panics unless every occupied slot's admission bounds, if built, are
+    /// the ones recomputed from its table.
+    fn assert_bounds_exact(&self, at: &str) {
+        if !self.bounds.is_built() {
+            return;
+        }
+        let (depth, base) = (self.spec.depth(), self.spec.base());
+        let mut cached = Vec::with_capacity(self.bounds.width);
+        let mut expected = vec![OPEN; self.bounds.width];
+        for &slot in &self.slots {
+            cached.clear();
+            cached.extend((0..depth).flat_map(|row| {
+                (0..base).map(move |col| self.bounds.cells[self.bounds.cell(slot, row, col)])
+            }));
+            expected.fill(OPEN);
+            for row in 0..depth {
+                for (col, entry) in self.tables[slot as usize].entries_in_row(row) {
+                    expected[row * usize::from(base) + usize::from(col)] =
+                        Bounds::of(entry, self.k);
+                }
+            }
+            assert_eq!(cached, expected, "{at}: admission bounds of slot {slot}");
+        }
+    }
 }
 
-/// `Group` against the group it replaced: tables in join order, a leave
-/// that calls `remove` on every table, and §3.1 probing over nested
-/// `BTreeMap`s. Every table, version, changed-table list and join outcome
-/// must come out the same after every operation.
+/// `Group` against the group it replaced: tables in join order, a join
+/// that builds the joiner's table from the whole roster and offers the
+/// joiner to every table, a leave that calls `remove` on every table, and
+/// §3.1 probing over nested `BTreeMap`s. Every table, version,
+/// changed-table list and join outcome must come out the same after every
+/// operation.
 #[cfg(test)]
 mod equivalence {
     use std::collections::{BTreeMap, BTreeSet};
@@ -1282,10 +1460,11 @@ mod equivalence {
     }
 
     /// Everything a caller or `RtServer` can read off a group, record for
-    /// record, plus the bound on the holder index's storage; with `check`,
-    /// also `check()` (equal tables make it equal; it is by far the
-    /// slowest part).
+    /// record, plus the bound on the holder index's storage and the
+    /// exactness of the admission bounds; with `check`, also `check()`
+    /// (equal tables make it equal; it is by far the slowest part).
     fn assert_same(group: &Group, reference: &Reference, at: &str, check: bool) {
+        group.assert_bounds_exact(at);
         assert_eq!(group.members(), &reference.members[..], "{at}: roster");
         assert_eq!(group.mutations(), reference.mutations, "{at}: mutations");
         assert_eq!(
@@ -1438,6 +1617,55 @@ mod equivalence {
                 assert_same(&group, &reference, &at, h % 100 == 99);
             }
             churn(group, &net, 700, 100, seed);
+        }
+    }
+
+    /// RTTs around and beyond `u32::MAX` µs, where an admission bound
+    /// saturates to "visit" and `insert` alone decides, with ties on both
+    /// sides of the saturation point.
+    #[test]
+    fn rtts_beyond_a_bound_match_the_full_scan_reference() {
+        const HOSTS: usize = 60;
+        let max = Micros::from(u32::MAX);
+        let rtts = [
+            1_000,
+            2_000,
+            2_000,
+            3_000,
+            max - 1,
+            max,
+            max,
+            max + 1,
+            1 << 33,
+        ];
+        let rtt = |a: usize, b: usize| match (a.min(b), a.max(b)) {
+            (lo, hi) if lo == hi => 0,
+            (lo, hi) => rtts[(lo * 7 + hi * 13) % rtts.len()],
+        };
+        let matrix = (0..HOSTS)
+            .map(|a| (0..HOSTS).map(|b| rtt(a, b)).collect())
+            .collect();
+        let net = MatrixNetwork::from_matrix(matrix, vec![0; HOSTS]);
+        let spec = IdSpec::new(3, 8).unwrap();
+        for (k, seed) in [(1, 31), (2, 32), (3, 33)] {
+            let server = HostId(HOSTS - 1);
+            let policy = PrimaryPolicy::SmallestRtt;
+            let assign = AssignParams::for_depth(spec.depth());
+            let mut group = Group::new(&spec, server, k, policy, assign);
+            let mut reference = Reference::of(&group);
+            for h in 0..40 {
+                let at = format!("K={k} founding join {h}");
+                let joined = reference.join(HostId(h), &net, h as Micros);
+                assert_eq!(group.join(HostId(h), &net, h as Micros), joined, "{at}");
+                assert_same(&group, &reference, &at, h % 10 == 9);
+            }
+            let saturated = (0..group.len())
+                .flat_map(|i| (0..spec.depth()).map(move |row| (i, row)))
+                .flat_map(|(i, row)| group.table(i).entries_in_row(row).map(|(_, e)| e))
+                .filter(|e| e.iter().nth(k - 1).is_some_and(|r| r.rtt >= max))
+                .count();
+            assert!(saturated > 0, "K={k}: no full entry has a saturated bound");
+            churn(group, &net, 300, 30, seed);
         }
     }
 

@@ -11,6 +11,10 @@
 //! `Group`'s holder index, so once that index is built a leave's
 //! allocations do not depend on the group's size at all.
 //!
+//! A join is one pass over the roster that builds the joiner's table and
+//! offers the joiner to every owner; the pass itself allocates nothing, so
+//! a warmed join allocates no more than the two-pass join it replaced.
+//!
 //! The counter is per thread, so the two tests cannot pollute each other.
 
 use rekey_id::IdSpec;
@@ -86,6 +90,53 @@ fn warmed_leave_allocations(n: usize) -> u64 {
         .check()
         .expect("K-consistent after the measured leave");
     spent
+}
+
+/// Allocations of one join into an `n`-member dealt group, after a
+/// warm-up leave and join (which build the holder index and the admission
+/// bounds) and one more leave, so that the measured join, like every join
+/// of a churn interval that follows its leaves, reuses a free table slot.
+fn warmed_join_allocations(n: usize) -> u64 {
+    let spec = IdSpec::new(4, 16).unwrap();
+    let net = GridNetwork::new(n + 8, 1_000, 100);
+    let hosts: Vec<HostId> = (0..n).map(HostId).collect();
+    let mut group = Group::bootstrap(
+        &spec,
+        HostId(net.host_count() - 1),
+        2,
+        PrimaryPolicy::SmallestRtt,
+        AssignParams::for_depth(spec.depth()),
+        &hosts,
+        &net,
+    )
+    .unwrap();
+    let warm = group.members()[n / 2].id;
+    group.leave(&warm, &net).unwrap();
+    group.join(HostId(n), &net, 1).unwrap();
+    let late = group.members()[n - 3].id;
+    group.leave(&late, &net).unwrap();
+
+    let before = allocations();
+    group.join(HostId(n + 1), &net, 2).unwrap();
+    let spent = allocations() - before;
+    group.check().expect("K-consistent after the measured join");
+    spent
+}
+
+/// The count `warmed_join_allocations(4_096)` gave while a join built the
+/// joiner's table from the whole roster and then offered the joiner to
+/// every table: the §3.1 probe's bookkeeping, the growth of the joiner's
+/// table, and the holder index. (A join that appends a table slot instead
+/// also grows the per-slot vectors now and then.)
+const JOIN_ALLOCATIONS_BEFORE: u64 = 166;
+
+#[test]
+fn a_warmed_join_allocates_no_more_than_the_full_scan_join() {
+    let spent = warmed_join_allocations(4_096);
+    assert!(
+        spent <= JOIN_ALLOCATIONS_BEFORE,
+        "a warmed join made {spent} heap allocations, {JOIN_ALLOCATIONS_BEFORE} before"
+    );
 }
 
 #[test]

@@ -7,7 +7,9 @@
 # Runs the release build, the full test suite, the runtime, chaos,
 # failover and mega soaks, the doc tests, the formatting check, clippy and
 # rustdoc with warnings denied — the same bar every PR must clear — and
-# checks that neither tracked size outcome rose (scripts/loc.sh --check).
+# checks that neither tracked size outcome rose (scripts/loc.sh --check) and
+# that the join_cost and fig13 outputs did not move (scripts/digests.sh
+# --check).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -64,5 +66,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
 echo "==> tracked size outcomes (ROADMAP aim 2) against scripts/loc.baseline"
 scripts/loc.sh --check
+
+echo "==> join_cost and fig13 output digests against scripts/digests.baseline (tables, IDs and keys unmoved)"
+scripts/digests.sh --check
 
 echo "==> ci.sh: all green"
