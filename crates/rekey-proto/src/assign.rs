@@ -15,11 +15,24 @@
 //!
 //! The paper sets `P = 10`, `F = 80`-percentile and
 //! `R = (150, 30, 9, 3)` ms for `D = 5`.
+//!
+//! Step 1 collects each digit once. A query's answer is one slice of the
+//! queried user's table: the records of rows `i` and up, which are a suffix
+//! of the table's (row, column, RTT) order. The seeds' answers go into one
+//! vector, each user once (one hash set per digit), and the vector is
+//! sorted by ID once; the `(i, j)`-ID subtrees' buckets are then its runs
+//! by digit `i`, in ascending `j`. A bucket shorter than `P` is refined in
+//! place: each refinement answer is added to it and only that bucket is
+//! sorted again.
+
+use std::ops::Range;
 
 use rekey_id::{IdPrefix, IdSpec, IdTree, UserId, MAX_DEPTH};
 use rekey_net::{ms, HostId, Micros, Network};
-use rekey_table::{Member, NeighborTable};
+use rekey_table::{Member, NeighborRecord, NeighborTable};
 use rekey_tmesh::metrics::{percentile, quantile};
+
+use crate::group::IdSet;
 
 /// Parameters of the ID assignment protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,58 +91,49 @@ pub struct AssignStats {
 /// Read-only view of the group the assignment protocol runs against.
 pub(crate) struct GroupView<'a> {
     pub spec: &'a IdSpec,
-    /// The member with the given ID, and its neighbor table.
-    pub lookup: &'a dyn Fn(&UserId) -> (Member, &'a NeighborTable),
+    /// The neighbor table of the member with the given ID.
+    pub lookup: &'a dyn Fn(&UserId) -> &'a NeighborTable,
 }
 
-/// A query to user `id`, which lies under `target`, for neighbor records
-/// matching `target`: returns the user records the queried user knows
-/// there, its own included. Row `r` of a table holds the users that share
-/// exactly `r` digits with its owner, so the matches are rows
-/// `target.len()` and up, and no other row needs reading.
-fn query<'v>(
-    view: &GroupView<'v>,
-    id: &UserId,
-    target: &IdPrefix,
-) -> impl Iterator<Item = Member> + 'v {
-    debug_assert!(target.is_prefix_of_id(id), "{id} is queried under {target}");
-    let (own, table) = (view.lookup)(id);
-    (target.len()..view.spec.depth())
-        .flat_map(move |row| table.entries_in_row(row))
-        .flat_map(|(_, entry)| entry.iter().map(|r| r.member))
-        .chain(std::iter::once(own))
+/// The records of `table`'s rows `r` and up. Row `r` holds the users that
+/// share exactly `r` digits with the owner, and records are stored in
+/// (row, column, RTT) order, so these rows are one suffix of the records.
+fn rows_from(table: &NeighborTable, r: usize) -> &[NeighborRecord] {
+    let records = table.iter_all().as_slice();
+    let owner = table.owner();
+    let start = records.partition_point(|rec| owner.common_prefix_len(&rec.member.id) < r);
+    &records[start..]
 }
 
 /// A user ID as one integer in the same order: the IDs of one spec all
-/// have its depth (at most 7), and every digit fits in 16 bits. Buckets
-/// and the queried list compare these instead of digit arrays.
+/// have its depth (at most 7), and every digit fits in 16 bits. The
+/// collected records and the queried list compare these instead of digit
+/// arrays.
 fn key(id: &UserId) -> u128 {
     id.digits()
         .iter()
         .fold(0, |key, &d| key << 16 | u128::from(d))
 }
 
-/// Inserts `key` into the sorted list `keys`; `false` if it was there.
-fn insert_key(keys: &mut Vec<u128>, key: u128) -> bool {
-    let at = keys.binary_search(&key);
-    if let Err(at) = at {
-        keys.insert(at, key);
-    }
-    at.is_err()
-}
-
-/// Inserts `m` into the ID-sorted `bucket` unless a record with its ID is
-/// there.
-fn insert_by_id(bucket: &mut Vec<(u128, Member)>, m: Member) {
-    let k = key(&m.id);
-    if let Err(at) = bucket.binary_search_by_key(&k, |e| e.0) {
-        bucket.insert(at, (k, m));
-    }
+/// Appends to `collected` the members of `records` that `seen` does not
+/// hold yet, and adds them to `seen`.
+fn collect(collected: &mut Vec<(u128, Member)>, seen: &mut IdSet, records: &[NeighborRecord]) {
+    collected.extend(
+        records
+            .iter()
+            .filter(|r| seen.insert(r.member.id))
+            .map(|r| (key(&r.member.id), r.member)),
+    );
 }
 
 /// Runs steps 1–3 for every digit, starting from the existing member
 /// `seed`; returns the digits the joiner determined by probing plus the
 /// message statistics.
+///
+/// A query to user `u` for the users under a prefix of length `r` that `u`
+/// lies under answers with `u`'s table records of rows `r` and up (those
+/// are exactly the records under the prefix) and `u`'s own record, which
+/// the asker already holds.
 pub(crate) fn probe_digits(
     view: &GroupView<'_>,
     params: &AssignParams,
@@ -137,68 +141,75 @@ pub(crate) fn probe_digits(
     seed: Member,
     net: &impl Network,
 ) -> (Vec<u16>, AssignStats) {
-    let depth = view.spec.depth();
+    let (depth, table) = (view.spec.depth(), view.lookup);
     let mut stats = AssignStats::default();
     let mut digits: Vec<u16> = Vec::new();
-    // Users known to share the currently-determined prefix with the joiner.
+    // Users known to share the currently-determined prefix with the joiner,
+    // sorted by ID.
     let mut seeds: Vec<(u128, Member)> = vec![(key(&seed.id), seed)];
     let mut rtts: Vec<Micros> = Vec::with_capacity(params.p);
-    // Per digit: the collected records of each non-empty (i, j)-ID subtree,
-    // in ascending `j`, each bucket sorted by ID; and the users queried.
-    let mut buckets: Vec<(u16, Vec<(u128, Member)>)> = Vec::new();
+    // Per digit: every collected record once (`seen` holds their IDs),
+    // sorted by ID, so that the (i, j)-ID subtrees' buckets are its runs
+    // by digit `i`, in ascending `j`; those runs; and the users queried,
+    // sorted.
+    let mut collected: Vec<(u128, Member)> = Vec::new();
+    let mut seen = IdSet::default();
+    let mut buckets: Vec<(u16, Range<usize>)> = Vec::new();
     let mut queried: Vec<u128> = Vec::new();
 
     // The last digit is always assigned by the key server for uniqueness.
     for i in 0..depth.saturating_sub(1) {
-        let prefix = IdPrefix::from_digits(view.spec, &digits).expect("digits are valid");
-
-        // Step 1: collect user records per (i, j)-ID subtree.
+        // Step 1: collect user records per (i, j)-ID subtree. The seeds are
+        // distinct, and each is queried once.
+        collected.clear();
+        seen.clear();
         buckets.clear();
         queried.clear();
-        let collect = |buckets: &mut Vec<(u16, Vec<(u128, Member)>)>, m: Member| {
-            let j = m.id.digit(i);
-            let at = buckets
-                .binary_search_by_key(&j, |b| b.0)
-                .unwrap_or_else(|at| {
-                    buckets.insert(at, (j, Vec::new()));
-                    at
-                });
-            insert_by_id(&mut buckets[at].1, m);
-        };
         for &(k, s) in &seeds {
-            collect(&mut buckets, s);
-            if insert_key(&mut queried, k) {
-                stats.queries += 1;
-                for m in query(view, &s.id, &prefix) {
-                    collect(&mut buckets, m);
-                }
+            queried.push(k);
+            if seen.insert(s.id) {
+                collected.push((k, s));
             }
+            collect(&mut collected, &mut seen, rows_from(table(&s.id), i));
         }
-        // Per-subtree refinement queries until P collected or exhausted. A
-        // query for `prefix.child(j)` only returns users of bucket `j`.
-        for (j, bucket) in &mut buckets {
-            let target = prefix.child(*j);
-            while bucket.len() < params.p {
-                let Some(&(k, next)) = bucket
+        stats.queries += seeds.len() as u64;
+        collected.sort_unstable_by_key(|e| e.0);
+
+        // Per-subtree refinement queries until P collected or exhausted,
+        // querying the bucket's first unqueried member in ID order. A query
+        // for the users under `digits ++ [j]` only returns users of bucket
+        // `j`, so its new records go right after the bucket's run.
+        let mut start = 0;
+        while start < collected.len() {
+            let j = collected[start].1.id.digit(i);
+            let mut end = start + collected[start..].partition_point(|e| e.1.id.digit(i) == j);
+            while end - start < params.p {
+                let Some(&(k, next)) = collected[start..end]
                     .iter()
                     .find(|(k, _)| queried.binary_search(k).is_err())
                 else {
                     break;
                 };
-                insert_key(&mut queried, k);
+                let at = queried.binary_search(&k).unwrap_err();
+                queried.insert(at, k);
                 stats.queries += 1;
-                for m in query(view, &next.id, &target) {
-                    insert_by_id(bucket, m);
-                }
+                let before = collected.len();
+                collect(&mut collected, &mut seen, rows_from(table(&next.id), i + 1));
+                let added = collected.len() - before;
+                collected[end..].rotate_right(added);
+                end += added;
+                collected[start..end].sort_unstable_by_key(|e| e.0);
             }
+            buckets.push((j, start..end));
+            start = end;
         }
 
         // Step 2: measure gateway RTTs to every collected user.
         // Step 3: smallest F-percentile per subtree vs. threshold R_{i+1}.
         let mut best: Option<(Micros, usize)> = None;
-        for (at, (_, bucket)) in buckets.iter().enumerate() {
+        for (at, (_, run)) in buckets.iter().enumerate() {
             rtts.clear();
-            rtts.extend(bucket.iter().take(params.p).map(|(_, m)| {
+            rtts.extend(collected[run.clone()].iter().take(params.p).map(|(_, m)| {
                 stats.probes += 1;
                 net.gateway_rtt(joiner, m.host)
             }));
@@ -216,10 +227,11 @@ pub(crate) fn probe_digits(
         let threshold = params.thresholds.get(i).copied().unwrap_or(0);
         match best {
             Some((f, at)) if f <= threshold => {
-                let (b, bucket) = &mut buckets[at];
-                digits.push(*b);
+                let (b, run) = buckets[at].clone();
+                digits.push(b);
                 stats.digits_probed += 1;
-                seeds = std::mem::take(bucket);
+                seeds.clear();
+                seeds.extend_from_slice(&collected[run]);
             }
             _ => break, // step 4 with a partial prefix
         }
@@ -411,6 +423,43 @@ mod tests {
         let tree = tree_of(&[[1, 0, 0]]);
         let id = server_complete(&spec(), &tree, &[]).unwrap();
         assert_ne!(id.digit(0), 1, "prefers a fresh level-1 subtree");
+    }
+
+    /// `rows_from(table, r)` is rows `r..D` read entry by entry, on random
+    /// tables of random specs and capacities.
+    #[test]
+    fn a_row_suffix_is_the_rows_from_r_up() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use rekey_table::PrimaryPolicy;
+
+        let mut rng = StdRng::seed_from_u64(28);
+        for _ in 0..200 {
+            let spec = IdSpec::new(rng.gen_range(1..=5), rng.gen_range(2..=16)).unwrap();
+            let random_id =
+                |rng: &mut StdRng| UserId::from_index(&spec, rng.gen_range(0..spec.id_space()));
+            let owner = random_id(&mut rng);
+            let k = rng.gen_range(1..=4);
+            let mut table = NeighborTable::new(&spec, owner, k, PrimaryPolicy::SmallestRtt);
+            for host in 0..rng.gen_range(0..300) {
+                let member = Member {
+                    id: random_id(&mut rng),
+                    host: HostId(host),
+                    joined_at: 0,
+                };
+                table.insert(NeighborRecord {
+                    member,
+                    rtt: rng.gen_range(0..50),
+                });
+            }
+            for r in 0..=spec.depth() {
+                let rows: Vec<NeighborRecord> = (r..spec.depth())
+                    .flat_map(|row| table.entries_in_row(row))
+                    .flat_map(|(_, entry)| entry.iter().copied())
+                    .collect();
+                assert_eq!(rows_from(&table, r), &rows[..], "{spec:?} {owner} row {r}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Group membership lifecycle: joins with topology-aware ID assignment,
 //! leaves, and incremental neighbor-table maintenance.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -59,8 +59,12 @@ const FREE: u32 = u32::MAX;
 /// looked up, so SipHash's resistance to crafted collisions buys nothing.
 type IdIndex = HashMap<UserId, u32, BuildHasherDefault<IdHasher>>;
 
+/// A set of member IDs under the same hasher: §3.1 probing tests every
+/// collected record against one, and its IDs are all table records.
+pub(crate) type IdSet = HashSet<UserId, BuildHasherDefault<IdHasher>>;
+
 #[derive(Default)]
-struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
 
 impl IdHasher {
     fn add(&mut self, word: u64) {
@@ -277,16 +281,12 @@ impl Group {
             (UserId::from_index(&self.spec, 0), AssignStats::default())
         } else {
             // The key server hands the joiner the record of an existing
-            // user; we use the member with the smallest RTT the server
-            // knows of deterministically — any member works, the protocol
-            // corrects from there. We pick by host index for determinism.
+            // user. Any member works, since the protocol corrects from
+            // there; the member at the joiner's host index modulo the
+            // group size keeps the choice deterministic.
             let seed = self.members[host.0 % self.members.len()];
-            let (index, position) = (&self.index, &self.position);
-            let (members, tables) = (&self.members, &self.tables);
-            let lookup = |id: &UserId| {
-                let slot = index[id] as usize;
-                (members[position[slot] as usize], &tables[slot])
-            };
+            let (index, tables) = (&self.index, &self.tables);
+            let lookup = |id: &UserId| &tables[index[id] as usize];
             let view = GroupView {
                 spec: &self.spec,
                 lookup: &lookup,
@@ -1596,14 +1596,19 @@ mod equivalence {
         }
     }
 
-    #[test]
-    fn a_joined_group_matches_the_full_scan_reference() {
+    /// 310 hosts on a synthetic PlanetLab matrix, for groups of (4, 8) IDs.
+    fn planetlab() -> (MatrixNetwork, IdSpec) {
         let params = PlanetLabParams {
             continent_hosts: vec![120, 90, 60, 40],
             ..PlanetLabParams::default()
         };
         let net = MatrixNetwork::synthetic_planetlab(&params, &mut StdRng::seed_from_u64(5));
-        let spec = IdSpec::new(4, 8).unwrap();
+        (net, IdSpec::new(4, 8).unwrap())
+    }
+
+    #[test]
+    fn a_joined_group_matches_the_full_scan_reference() {
+        let (net, spec) = planetlab();
         for (k, seed) in [(1, 21), (2, 22), (4, 24)] {
             let server = HostId(net.host_count() - 1);
             let policy = PrimaryPolicy::SmallestRtt;
@@ -1667,6 +1672,140 @@ mod equivalence {
             assert!(saturated > 0, "K={k}: no full entry has a saturated bound");
             churn(group, &net, 300, 30, seed);
         }
+    }
+
+    /// A network that records every gateway-RTT probe, in order.
+    struct Recording<'n, N> {
+        net: &'n N,
+        probes: std::cell::RefCell<Vec<(HostId, Micros)>>,
+    }
+
+    impl<'n, N: Network> Recording<'n, N> {
+        fn new(net: &'n N) -> Self {
+            Recording {
+                net,
+                probes: Default::default(),
+            }
+        }
+    }
+
+    impl<N: Network> Network for Recording<'_, N> {
+        fn host_count(&self) -> usize {
+            self.net.host_count()
+        }
+
+        fn rtt(&self, a: HostId, b: HostId) -> Micros {
+            self.net.rtt(a, b)
+        }
+
+        fn gateway_rtt(&self, a: HostId, b: HostId) -> Micros {
+            let rtt = self.net.gateway_rtt(a, b);
+            self.probes.borrow_mut().push((b, rtt));
+            rtt
+        }
+    }
+
+    /// How many probes took each of the probe's rare branches.
+    #[derive(Debug, Default)]
+    struct Branches {
+        /// Buckets left below `P` once refinement ran out of unqueried
+        /// members.
+        short_buckets: usize,
+        /// Digits at which two buckets tied on the smallest F-percentile.
+        ties: usize,
+        /// Probes that determined all `D − 1` digits.
+        full_depth: usize,
+    }
+
+    /// Runs `probe_digits` and the reference's probe for every host that is
+    /// neither a member of the frozen `group` nor its server, and asserts
+    /// that both return the same digits and statistics and probe the same
+    /// hosts in the same order. Adds the branches each probe took to `hit`.
+    ///
+    /// The probe sequence shows the branches: a digit's buckets are probed
+    /// in ascending `j`, each its first `P` members in ID order, so the
+    /// probed IDs ascend until the next digit starts over at or below the
+    /// chosen bucket's first member.
+    fn probe_every_outsider(group: &Group, net: &impl Network, hit: &mut Branches) {
+        let reference = Reference::of(group);
+        let ids: HashMap<HostId, UserId> = group.members.iter().map(|m| (m.host, m.id)).collect();
+        assert_eq!(ids.len(), group.len(), "one member per host");
+        let (index, tables) = (&group.index, &group.tables);
+        let lookup = |id: &UserId| &tables[index[id] as usize];
+        let view = GroupView {
+            spec: &group.spec,
+            lookup: &lookup,
+        };
+        let (p, f) = (group.assign.p, group.assign.f_percentile);
+        let depth = group.spec.depth();
+        for joiner in (0..net.host_count()).map(HostId) {
+            if ids.contains_key(&joiner) || joiner == group.server_host {
+                continue;
+            }
+            let seed = joiner.0 % group.len();
+            let (ours, theirs) = (Recording::new(net), Recording::new(net));
+            let got = probe_digits(&view, &group.assign, joiner, group.members[seed], &ours);
+            assert_eq!(
+                got,
+                reference.probe_digits(joiner, seed, &theirs),
+                "{joiner}"
+            );
+            let probes = ours.probes.into_inner();
+            assert_eq!(probes, theirs.probes.into_inner(), "{joiner}: probes");
+
+            let mut levels: Vec<Vec<(UserId, Micros)>> = Vec::new();
+            for (host, rtt) in probes {
+                let id = ids[&host];
+                match levels.last_mut() {
+                    Some(level) if level.last().is_some_and(|(last, _)| *last < id) => {
+                        level.push((id, rtt))
+                    }
+                    _ => levels.push(vec![(id, rtt)]),
+                }
+            }
+            let (digits, stats) = got;
+            assert_eq!(levels.len(), (digits.len() + 1).min(depth - 1), "{joiner}");
+            for (i, level) in levels.iter().enumerate() {
+                let buckets = level.chunk_by(|a, b| a.0.digit(i) == b.0.digit(i));
+                let mut fs: Vec<Micros> = buckets
+                    .map(|bucket| {
+                        hit.short_buckets += usize::from(bucket.len() < p);
+                        let mut rtts: Vec<Micros> = bucket.iter().map(|&(_, rtt)| rtt).collect();
+                        rtts.sort_unstable();
+                        quantile(&rtts, f64::from(f) / 100.0)
+                    })
+                    .collect();
+                fs.sort_unstable();
+                hit.ties += usize::from(fs.len() > 1 && fs[0] == fs[1]);
+            }
+            hit.full_depth += usize::from(stats.digits_probed == depth - 1);
+        }
+    }
+
+    /// §3.1 probing from every host outside a frozen group — a dealt
+    /// 1 024-member (4, 16) group on a grid, and the joined PlanetLab groups
+    /// of `a_joined_group_matches_the_full_scan_reference` — matches the
+    /// reference probe, and between them the groups take every rare branch
+    /// of the probe. (The grid, whose RTTs are affine in grid distance,
+    /// takes all three; the PlanetLab groups only leave buckets short.)
+    #[test]
+    fn every_outsider_probes_like_the_reference() {
+        let mut hit = Branches::default();
+        let (group, net) = dealt(1_024, 2);
+        probe_every_outsider(&group, &net, &mut hit);
+        let (net, spec) = planetlab();
+        for k in [1, 2, 4] {
+            let server = HostId(net.host_count() - 1);
+            let assign = AssignParams::for_depth(spec.depth());
+            let mut group = Group::new(&spec, server, k, PrimaryPolicy::SmallestRtt, assign);
+            for h in 0..300 {
+                group.join(HostId(h), &net, h as Micros).unwrap();
+            }
+            probe_every_outsider(&group, &net, &mut hit);
+        }
+        assert!(hit.short_buckets > 0, "{hit:?}");
+        assert!(hit.ties > 0, "{hit:?}");
+        assert!(hit.full_depth > 0, "{hit:?}");
     }
 
     /// The benchmark's `sync_churn` shape; `scripts/ci.sh` runs it.

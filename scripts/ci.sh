@@ -10,6 +10,12 @@
 # checks that neither tracked size outcome rose (scripts/loc.sh --check) and
 # that the join_cost and fig13 outputs did not move (scripts/digests.sh
 # --check).
+#
+# Not gated here yet: scripts/soak.sh <test-binary> <runs> counts a test
+# binary's intermittent failures over many whole-binary runs, half of them
+# under two CPU burners. `scripts/soak.sh failover_soak 60` is the gate
+# ROADMAP's first item sets for the failover fix; it joins this script
+# with that fix.
 set -eu
 
 cd "$(dirname "$0")/.."
