@@ -5,8 +5,10 @@
 #   scripts/ci.sh
 #
 # Runs the release build, the full test suite, the runtime, chaos,
-# failover and mega soaks, the doc tests, the formatting check, clippy and
-# rustdoc with warnings denied — the same bar every PR must clear — and
+# failover and mega soaks, the benchmark's thumbnail tests and one
+# full-size correctness run per workload (scripts/bench_check.sh), the doc
+# tests, the formatting check, clippy and rustdoc with warnings denied —
+# the same bar every PR must clear — and
 # checks that neither tracked size outcome rose (scripts/loc.sh --check) and
 # that the join_cost and fig13 outputs did not move (scripts/digests.sh
 # --check).
@@ -55,6 +57,9 @@ cargo bench --offline -q -p rekey-bench --bench crypto_batch -- --test > /dev/nu
 
 echo "==> benchmark package tests (thumbnail runs of all four workloads, catalogue == BENCHMARK.json)"
 cargo test --offline -q --manifest-path bench/Cargo.toml
+
+echo "==> benchmark correctness at full size (all four workloads, seed 1, fewest repetitions: \"correct\": true and \"failed\": 0)"
+scripts/bench_check.sh
 
 echo "==> cargo test --doc"
 cargo test --offline --workspace -q --doc
