@@ -10,8 +10,8 @@
 # tests, the formatting check, clippy and rustdoc with warnings denied —
 # the same bar every PR must clear — and
 # checks that neither tracked size outcome rose (scripts/loc.sh --check) and
-# that the join_cost and fig13 outputs did not move (scripts/digests.sh
-# --check).
+# that the figure outputs did not move (scripts/digests.sh --check: join_cost,
+# fig13, fig06–fig11, fig14, ablation_gnp, concurrent_transport).
 #
 # Not gated here yet: scripts/soak.sh <test-binary> <runs> counts a test
 # binary's intermittent failures over many whole-binary runs, half of them
@@ -78,7 +78,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 echo "==> tracked size outcomes (ROADMAP aim 2) against scripts/loc.baseline"
 scripts/loc.sh --check
 
-echo "==> join_cost and fig13 output digests against scripts/digests.baseline (tables, IDs and keys unmoved)"
+echo "==> figure output digests against scripts/digests.baseline (tables, IDs, keys and sessions unmoved)"
 scripts/digests.sh --check
 
 echo "==> ci.sh: all green"
