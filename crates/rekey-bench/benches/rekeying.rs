@@ -1,6 +1,6 @@
 //! Criterion benchmarks of whole rekeying operations at group scale:
 //! batch rekeying on the three key trees, end-to-end split rekey transport,
-//! and T-mesh multicast sessions on the event engine.
+//! and T-mesh multicast sessions (one event loop over the `Scheduler` each).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use rand::{Rng, SeedableRng};

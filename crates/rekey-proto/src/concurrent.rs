@@ -7,50 +7,38 @@
 //! > data losses for many downstream users. Therefore, it is desired to
 //! > reduce rekey bandwidth overhead as much as possible."
 //!
-//! This module runs *both* transports in one event simulation with the
-//! egress-serialisation model of `rekey_sim`: every byte a member sends
-//! occupies its access link, so an unsplit rekey burst queues in front of
-//! the data frames at shared forwarders. [`run_concurrent_session`]
-//! measures the data frames' delivery latency under a configurable rekey
-//! load — quantifying exactly how much the splitting scheme buys.
+//! This module runs *both* transports in one event loop with an
+//! egress-serialisation model: every byte a member sends occupies its
+//! access link, so an unsplit rekey burst queues in front of the data
+//! frames at shared forwarders. [`run_concurrent_session`] measures the
+//! data frames' delivery latency under a configurable rekey load —
+//! quantifying exactly how much the splitting scheme buys.
 
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use rekey_id::{IdPrefix, UserId};
+use rekey_id::IdPrefix;
 use rekey_net::{Micros, Network};
-use rekey_sim::{Ctx, Node, NodeId, SimTime, Simulation};
-use rekey_tmesh::forward::{server_next_hops, user_next_hops};
+use rekey_sim::{Scheduler, SimTime};
+use rekey_tmesh::forward::{server_next_hops, user_next_hops, Hop};
 use rekey_tmesh::TmeshGroup;
 
 use crate::transport::SplitIndex;
 
-/// Messages of the concurrent session.
-#[derive(Debug, Clone)]
-pub enum TrafficMsg {
-    /// External stimulus: the server starts the rekey multicast.
+/// Events of the concurrent session.
+#[derive(Debug, Clone, Copy)]
+enum TrafficMsg {
+    /// The key server starts the rekey multicast.
     StartRekey,
-    /// External stimulus: the data sender emits frame `seq`.
-    StartData {
-        /// Frame sequence number.
-        seq: u32,
-    },
-    /// A rekey copy carrying `forward_level` and the (possibly split)
-    /// encryption IDs it contains — the IDs alone determine both splitting
-    /// and wire size.
+    /// The data sender emits frame `seq`.
+    StartData { seq: u32 },
+    /// A rekey copy: its `forward_level` (Fig. 2) and how many encryptions
+    /// it carries, which sets its wire size. Under splitting the copy for
+    /// a hop holds exactly the encryptions related to the hop's prefix;
+    /// without it, every copy is the whole message.
     RekeyCopy {
-        /// The `forward_level` field of Fig. 2.
         forward_level: usize,
-        /// Encryption IDs carried (indices into the session's message).
-        encryptions: Rc<Vec<usize>>,
+        encryptions: usize,
     },
     /// A data frame copy.
-    DataCopy {
-        /// The `forward_level` field.
-        forward_level: usize,
-        /// Frame sequence number.
-        seq: u32,
-    },
+    DataCopy { forward_level: usize, seq: u32 },
 }
 
 /// Wire-size parameters of the contention model.
@@ -85,11 +73,12 @@ impl Default for TrafficParams {
 }
 
 impl TrafficParams {
+    /// Time a copy occupies its sender's access link, µs.
     fn cost(&self, msg: &TrafficMsg) -> SimTime {
         let bytes = match msg {
             TrafficMsg::StartRekey | TrafficMsg::StartData { .. } => return 0,
             TrafficMsg::RekeyCopy { encryptions, .. } => {
-                self.header_bytes + self.encryption_bytes * encryptions.len() as u64
+                self.header_bytes + self.encryption_bytes * *encryptions as u64
             }
             TrafficMsg::DataCopy { .. } => self.header_bytes + self.data_bytes,
         };
@@ -98,98 +87,26 @@ impl TrafficParams {
     }
 }
 
-struct TrafficNode {
-    table: Option<Rc<rekey_table::NeighborTable>>,
-    server_table: Option<Rc<rekey_table::ServerTable>>,
-    index: Rc<HashMap<UserId, usize>>,
-    /// Prefix-range index over the session message's encryption IDs,
-    /// shared by every node (see [`crate::SplitIndex`]).
-    message: Rc<SplitIndex>,
-    split: bool,
-    got_rekey: bool,
-    frame_arrivals: Vec<(u32, SimTime)>,
+/// The copies in flight and every node's access link (members `0..n`,
+/// the key server `n`).
+struct Links<'a, N> {
+    net: &'a N,
+    params: TrafficParams,
+    hosts: Vec<rekey_net::HostId>,
+    queue: Scheduler<(usize, TrafficMsg)>,
+    /// When each node's access link is free again.
+    busy_until: Vec<SimTime>,
 }
 
-impl TrafficNode {
-    /// The copy composed for a neighbor under `neighbor_prefix`. Under
-    /// splitting, hop prefixes refine along forwarding chains, so the
-    /// received subset filtered by the neighbor prefix equals the global
-    /// related set of that prefix — one range extraction, no scan.
-    fn split_for(&self, msg: &[usize], neighbor_prefix: &IdPrefix) -> Vec<usize> {
-        if self.split {
-            self.message.indices(neighbor_prefix.digits()).collect()
-        } else {
-            msg.to_vec()
-        }
-    }
-
-    fn forward_rekey(&mut self, ctx: &mut Ctx<'_, TrafficMsg>, level: usize, encs: &[usize]) {
-        let hops: Vec<(UserId, usize, usize, u16)> = match (&self.server_table, &self.table) {
-            (Some(st), _) => server_next_hops(st)
-                .into_iter()
-                .map(|h| (h.neighbor.member.id, h.forward_level, h.row, h.column))
-                .collect(),
-            (None, Some(t)) => user_next_hops(t, level)
-                .into_iter()
-                .map(|h| (h.neighbor.member.id, h.forward_level, h.row, h.column))
-                .collect(),
-            _ => Vec::new(),
-        };
-        for (id, forward_level, row, _col) in hops {
-            let prefix = id.prefix(row + 1);
-            let subset = self.split_for(encs, &prefix);
-            ctx.send(
-                NodeId(self.index[&id]),
-                TrafficMsg::RekeyCopy {
-                    forward_level,
-                    encryptions: Rc::new(subset),
-                },
-            );
-        }
-    }
-
-    fn forward_data(&mut self, ctx: &mut Ctx<'_, TrafficMsg>, level: usize, seq: u32) {
-        if let Some(t) = &self.table {
-            let hops: Vec<(UserId, usize)> = user_next_hops(t, level)
-                .into_iter()
-                .map(|h| (h.neighbor.member.id, h.forward_level))
-                .collect();
-            for (id, forward_level) in hops {
-                ctx.send(
-                    NodeId(self.index[&id]),
-                    TrafficMsg::DataCopy { forward_level, seq },
-                );
-            }
-        }
-    }
-}
-
-impl Node for TrafficNode {
-    type Msg = TrafficMsg;
-
-    fn receive(&mut self, ctx: &mut Ctx<'_, TrafficMsg>, _from: NodeId, msg: TrafficMsg) {
-        match msg {
-            TrafficMsg::StartRekey => {
-                let all: Vec<usize> = (0..self.message.len()).collect();
-                self.forward_rekey(ctx, 0, &all);
-            }
-            TrafficMsg::StartData { seq } => self.forward_data(ctx, 0, seq),
-            TrafficMsg::RekeyCopy {
-                forward_level,
-                encryptions,
-            } => {
-                if !self.got_rekey {
-                    self.got_rekey = true;
-                    self.forward_rekey(ctx, forward_level, &encryptions);
-                }
-            }
-            TrafficMsg::DataCopy { forward_level, seq } => {
-                if self.frame_arrivals.iter().all(|&(s, _)| s != seq) {
-                    self.frame_arrivals.push((seq, ctx.now()));
-                    self.forward_data(ctx, forward_level, seq);
-                }
-            }
-        }
+impl<N: Network> Links<'_, N> {
+    /// Sends `msg` from `from` to `to`: it departs once the sender's link
+    /// has carried everything queued before it, and arrives one one-way
+    /// delay later.
+    fn send(&mut self, from: usize, to: usize, msg: TrafficMsg) {
+        let depart = self.queue.now().max(self.busy_until[from]) + self.params.cost(&msg);
+        self.busy_until[from] = depart;
+        let one_way = self.net.one_way(self.hosts[from], self.hosts[to]);
+        self.queue.schedule_at(depart + one_way.max(1), (to, msg));
     }
 }
 
@@ -249,72 +166,88 @@ pub fn run_concurrent_session(
 ) -> ConcurrentOutcome {
     let n = group.members().len();
     assert!(data_sender < n, "data sender out of range");
-    let mut index = HashMap::with_capacity(n);
-    for (i, m) in group.members().iter().enumerate() {
-        index.insert(m.id, i);
-    }
-    let index = Rc::new(index);
-    let message = Rc::new(SplitIndex::from_ids(encryption_ids));
+    let message = SplitIndex::from_ids(encryption_ids);
+    let member_of = |hop: &Hop<'_>| {
+        group
+            .member_index(&hop.neighbor.member.id)
+            .expect("neighbor must be a session member")
+    };
+    let rekey_copy = |hop: &Hop<'_>| TrafficMsg::RekeyCopy {
+        forward_level: hop.forward_level,
+        encryptions: match load {
+            RekeyLoad::Split => message.count(hop.prefix().digits()),
+            _ => message.len(),
+        },
+    };
 
-    let mut nodes: Vec<TrafficNode> = (0..n)
-        .map(|i| TrafficNode {
-            table: Some(Rc::new(group.table(i).clone())),
-            server_table: None,
-            index: Rc::clone(&index),
-            message: Rc::clone(&message),
-            split: load == RekeyLoad::Split,
-            got_rekey: false,
-            frame_arrivals: Vec::new(),
-        })
-        .collect();
-    nodes.push(TrafficNode {
-        table: None,
-        server_table: Some(Rc::new(group.server_table().clone())),
-        index: Rc::clone(&index),
-        message: Rc::clone(&message),
-        split: load == RekeyLoad::Split,
-        got_rekey: false,
-        frame_arrivals: Vec::new(),
-    });
-
-    let hosts: Vec<rekey_net::HostId> = group
-        .members()
-        .iter()
-        .map(|m| m.host)
-        .chain(std::iter::once(group.server_host()))
-        .collect();
-    let delay = move |a: NodeId, b: NodeId| net.one_way(hosts[a.0], hosts[b.0]).max(1);
-    let p = *params;
-    let mut sim = Simulation::new(nodes, delay).with_egress(move |_, msg| p.cost(msg));
-
+    let mut links = Links {
+        net,
+        params: *params,
+        hosts: group
+            .members()
+            .iter()
+            .map(|m| m.host)
+            .chain(std::iter::once(group.server_host()))
+            .collect(),
+        queue: Scheduler::new(),
+        busy_until: vec![0; n + 1],
+    };
     if load != RekeyLoad::None {
-        sim.inject_at(0, NodeId(n), NodeId(n), TrafficMsg::StartRekey);
+        links.queue.schedule_at(0, (n, TrafficMsg::StartRekey));
     }
     let mut frame_sent_at = Vec::with_capacity(params.frames as usize);
     for seq in 0..params.frames {
         let at = u64::from(seq) * params.frame_gap;
         frame_sent_at.push(at);
-        sim.inject_at(
-            at,
-            NodeId(data_sender),
-            NodeId(data_sender),
-            TrafficMsg::StartData { seq },
-        );
+        links
+            .queue
+            .schedule_at(at, (data_sender, TrafficMsg::StartData { seq }));
     }
-    let finished_at = sim.run_until_idle();
+
+    let mut got_rekey = vec![false; n];
+    let mut frame_arrivals: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); n];
+    while let Some((now, (node, msg))) = links.queue.pop() {
+        // The FORWARD this event runs, if any, and the data frame it
+        // carries (`None` for rekey traffic).
+        let (hops, frame) = match msg {
+            TrafficMsg::StartRekey => (server_next_hops(group.server_table()), None),
+            TrafficMsg::RekeyCopy { forward_level, .. } if !got_rekey[node] => {
+                got_rekey[node] = true;
+                (user_next_hops(group.table(node), forward_level), None)
+            }
+            TrafficMsg::StartData { seq } => (user_next_hops(group.table(node), 0), Some(seq)),
+            TrafficMsg::DataCopy { forward_level, seq }
+                if frame_arrivals[node].iter().all(|&(s, _)| s != seq) =>
+            {
+                frame_arrivals[node].push((seq, now));
+                (user_next_hops(group.table(node), forward_level), Some(seq))
+            }
+            TrafficMsg::RekeyCopy { .. } | TrafficMsg::DataCopy { .. } => continue,
+        };
+        for hop in hops {
+            let copy = match frame {
+                None => rekey_copy(&hop),
+                Some(seq) => TrafficMsg::DataCopy {
+                    forward_level: hop.forward_level,
+                    seq,
+                },
+            };
+            links.send(node, member_of(&hop), copy);
+        }
+    }
 
     let mut frame_latencies = Vec::new();
-    for (i, node) in sim.nodes().iter().enumerate() {
-        if i == data_sender || i >= n {
+    for (i, arrivals) in frame_arrivals.iter().enumerate() {
+        if i == data_sender {
             continue;
         }
-        for &(seq, at) in &node.frame_arrivals {
+        for &(seq, at) in arrivals {
             frame_latencies.push(at - frame_sent_at[seq as usize]);
         }
     }
     ConcurrentOutcome {
         frame_latencies,
-        finished_at,
+        finished_at: links.queue.now(),
     }
 }
 
@@ -425,5 +358,38 @@ mod tests {
         };
         let out = run_concurrent_session(&group, &net, &encs, RekeyLoad::Split, 0, &params);
         assert!(out.frame_latencies.is_empty());
+    }
+
+    /// Copies leave one node one after another: three back-to-back sends
+    /// of wire time `c` over one-way delay `d` arrive at `d + c`,
+    /// `d + 2c` and `d + 3c`.
+    #[test]
+    fn egress_serialises_back_to_back_copies_per_node() {
+        // d = 200 µs RTT / 2; c = 10 bytes at 1 byte/µs.
+        let net = MatrixNetwork::from_matrix(vec![vec![0, 200], vec![200, 0]], vec![0, 0]);
+        let params = TrafficParams {
+            bandwidth_bps: 1_000_000,
+            header_bytes: 1,
+            data_bytes: 9,
+            ..TrafficParams::default()
+        };
+        let mut links = Links {
+            net: &net,
+            params,
+            hosts: vec![HostId(0), HostId(1)],
+            queue: Scheduler::new(),
+            busy_until: vec![0; 2],
+        };
+        for seq in 0..3 {
+            let copy = TrafficMsg::DataCopy {
+                forward_level: 1,
+                seq,
+            };
+            links.send(0, 1, copy);
+        }
+        let arrivals: Vec<SimTime> = std::iter::from_fn(|| links.queue.pop())
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(arrivals, vec![110, 120, 130]);
     }
 }

@@ -49,9 +49,8 @@ use std::collections::BTreeMap;
 
 use rand::Rng;
 
-use crate::engine::NodeId;
 use crate::event::SimTime;
-use crate::{node_rng, SimRng};
+use crate::{node_rng, NodeId, SimRng};
 
 /// Parameters of a Gilbert–Elliott two-state loss process: the channel
 /// alternates between a *good* and a *bad* state, each with its own loss

@@ -5,16 +5,14 @@
 //! reception of a message as events." This crate is that simulator:
 //!
 //! * [`Scheduler`] — a time-ordered event queue with FIFO tie-breaking, so
-//!   that every run is reproducible under a fixed seed. `rekey-proto`'s
-//!   group runtime builds its own executor on it (and its socket driver
-//!   files wall-clock timers in one);
-//! * [`Simulation`] / [`Node`] — a small actor-style loop where protocol
-//!   participants exchange messages whose delivery latency comes from a
-//!   pluggable network delay function (one-way delays from
-//!   `rekey_net::Network` in the experiments), with an optional per-sender
-//!   egress-serialisation model. It has no fault hooks: the one-shot
-//!   sessions that use it (join protocol, overlay multicast) run on a
-//!   healthy network;
+//!   that every run is reproducible under a fixed seed. It is the only
+//!   event machinery in the workspace: `rekey-proto`'s group runtime builds
+//!   its executor on it (and its socket driver files wall-clock timers in
+//!   one), and each one-shot session (a T-mesh multicast, the concurrent
+//!   rekey/data contention run, the message-level join) is a plain loop
+//!   that pops an event, handles it and schedules what it sends;
+//! * [`NodeId`] — the index of a simulated node (key server replica or
+//!   member), shared by the executors and the fault layer;
 //! * [`seeded_rng`] — the workspace-standard deterministic RNG;
 //! * [`fault`] — composable chaos injection ([`FaultPlan`]): partitions,
 //!   node outages, delay jitter, and i.i.d. or Gilbert–Elliott burst
@@ -26,38 +24,24 @@
 //! unit through their driver's clock, which is what lets the same code
 //! run under the simulator *and* against the wall clock: the real-socket
 //! driver simply reports microseconds since its epoch as [`SimTime`].
-//!
-//! # Example
-//!
-//! ```
-//! use rekey_sim::{Ctx, Node, NodeId, Simulation};
-//!
-//! struct Echo(Option<u64>);
-//! impl Node for Echo {
-//!     type Msg = u64;
-//!     fn receive(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
-//!         self.0 = Some(ctx.now());
-//!         if msg > 0 {
-//!             ctx.send(from, msg - 1);
-//!         }
-//!     }
-//! }
-//!
-//! let mut sim = Simulation::new(vec![Echo(None), Echo(None)], |_, _| 250);
-//! sim.inject_at(0, NodeId(0), NodeId(1), 3);
-//! let end = sim.run_until_idle();
-//! assert_eq!(end, 750); // three 250 µs bounces after the initial delivery
-//! ```
 
-mod engine;
 mod event;
 pub mod fault;
 
-pub use engine::{Ctx, Node, NodeId, Simulation};
 pub use event::{Scheduler, SimTime};
 pub use fault::{FaultInjector, FaultPlan, FaultStats, GilbertElliott, Outage};
 
 use rand::SeedableRng;
+
+/// Identifier of a simulated node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NodeId(pub usize);
+
+impl std::fmt::Display for NodeId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "n{}", self.0)
+    }
+}
 
 /// The deterministic RNG used across the workspace's simulations.
 pub type SimRng = rand_chacha::ChaCha12Rng;

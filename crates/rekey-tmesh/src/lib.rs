@@ -2,8 +2,9 @@
 //!
 //! Given K-consistent neighbor tables (`rekey-table`), the tables *embed*
 //! multicast trees rooted at the key server and at every user. A session
-//! runs the `FORWARD` routine of Fig. 2 on the discrete event engine
-//! (`rekey-sim`):
+//! is one event loop over `rekey-sim`'s `Scheduler`: each copy arrives
+//! after its one-way delay, and a member's first copy makes it run the
+//! `FORWARD` routine of Fig. 2:
 //!
 //! * [`forward`] — the pure next-hop computation (`forward_level` logic);
 //! * [`TmeshGroup`] / [`MulticastOutcome`] — event-driven sessions with full
