@@ -7,6 +7,9 @@
 //! receivers know which group-key generation to decrypt with — important
 //! while a rekey interval is propagating and members briefly hold different
 //! versions.
+//!
+//! The payload starts at block 1; as for a key wrap, bytes `32..48` of
+//! block 0 are the message's one-time SipHash-2-4 key.
 
 use std::fmt;
 
@@ -14,6 +17,7 @@ use rand::Rng;
 use rekey_id::IdPrefix;
 
 use crate::chacha::{self, NONCE_LEN};
+use crate::encryption::one_time_mac_key;
 use crate::key::Key;
 use crate::siphash::{siphash24, TAG_LEN};
 
@@ -92,7 +96,8 @@ impl SealedData {
         input.extend_from_slice(&self.key_version.to_le_bytes());
         input.extend_from_slice(&self.nonce);
         input.extend_from_slice(&self.ciphertext);
-        siphash24(&key.material().mac_subkey(), &input)
+        let block0 = chacha::block(key.material().as_bytes(), 0, &self.nonce);
+        siphash24(&one_time_mac_key(&block0), &input)
     }
 
     /// Decrypts with `key`.
@@ -225,6 +230,46 @@ mod tests {
         let mut sealed = SealedData::seal(&key, b"payload bytes", &mut rng);
         sealed.ciphertext[0] ^= 0x80;
         assert_eq!(sealed.open(&key), Err(OpenError::BadTag));
+    }
+
+    #[test]
+    fn tampered_nonce_is_detected() {
+        let (mut rng, key) = group_key(1);
+        let mut sealed = SealedData::seal(&key, b"payload bytes", &mut rng);
+        sealed.nonce[0] ^= 1;
+        assert_eq!(sealed.open(&key), Err(OpenError::BadTag));
+    }
+
+    #[test]
+    fn tampered_tag_is_detected() {
+        let (mut rng, key) = group_key(1);
+        let mut sealed = SealedData::seal(&key, b"payload bytes", &mut rng);
+        sealed.tag[3] ^= 4;
+        assert_eq!(sealed.open(&key), Err(OpenError::BadTag));
+    }
+
+    /// Rebuilt from `chacha` and `siphash24`: the payload is encrypted from
+    /// block counter 1, and the tag is keyed by bytes `32..48` of block 0.
+    #[test]
+    fn data_is_keyed_by_block_zero_and_encrypted_from_block_one() {
+        let (mut rng, key) = group_key(3);
+        let payload: Vec<u8> = (0..100).collect();
+        let sealed = SealedData::seal(&key, &payload, &mut rng);
+        let (_, _, nonce, ciphertext, tag) = sealed.wire_parts();
+
+        let material = key.material().as_bytes();
+        let mut expected = payload.clone();
+        chacha::xor_stream(material, 1, nonce, &mut expected);
+        let block = chacha::block(material, 0, nonce);
+        let mut mac_input = vec![0];
+        mac_input.extend_from_slice(&3u64.to_le_bytes());
+        mac_input.extend_from_slice(nonce);
+        mac_input.extend_from_slice(&expected);
+        assert_eq!(ciphertext, &expected[..]);
+        assert_eq!(
+            tag,
+            &siphash24(block[32..48].try_into().unwrap(), &mac_input)
+        );
     }
 
     #[test]

@@ -5,15 +5,30 @@
 //! of the encrypting key" (§2.4). [`Encryption::id`] returns exactly that, so
 //! Lemma 3 reads: a user needs an encryption iff
 //! `encryption.id().is_prefix_of_id(user_id)`.
+//!
+//! A wrap costs one ChaCha20 block: block 0 of the encrypting key's stream
+//! under the wrap's nonce, split as RFC 8439 §2.6 splits it for Poly1305 —
+//! bytes `0..32` encrypt the new key, bytes `32..48` are the one-time
+//! SipHash-2-4 key that tags the wrap (encrypt-then-MAC).
 
 use std::fmt;
 
 use rand::Rng;
 use rekey_id::{IdPrefix, MAX_DEPTH};
 
-use crate::chacha::{self, NONCE_LEN};
+use crate::chacha::{self, BLOCK_LEN, KEY_LEN, NONCE_LEN};
 use crate::key::{Key, KeyMaterial};
-use crate::siphash::{siphash24, TAG_LEN};
+use crate::siphash::{siphash24, MAC_KEY_LEN, TAG_LEN};
+
+/// A message's one-time MAC key: bytes `32..48` of its block 0.
+pub(crate) fn one_time_mac_key(block0: &[u8; BLOCK_LEN]) -> [u8; MAC_KEY_LEN] {
+    std::array::from_fn(|i| block0[KEY_LEN + i])
+}
+
+/// `material` XOR bytes `0..32` of `block0`: encrypts and decrypts.
+fn xor_material(material: &[u8; KEY_LEN], block0: &[u8; BLOCK_LEN]) -> [u8; KEY_LEN] {
+    std::array::from_fn(|i| material[i] ^ block0[i])
+}
 
 /// Errors produced when opening (decrypting) an [`Encryption`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,22 +117,17 @@ impl Encryption {
     /// caller-supplied nonce (see [`crate::NonceSeq`]).
     ///
     /// Every field is an inline value overwritten in place, so sealing
-    /// performs **zero heap allocations**. Safe to call concurrently on
-    /// distinct slots — it only reads the two keys.
+    /// performs **zero heap allocations**, and one ChaCha20 block. Safe to
+    /// call concurrently on distinct slots — it only reads the two keys.
     pub fn seal_into(&mut self, encrypting_key: &Key, new_key: &Key, nonce: [u8; NONCE_LEN]) {
+        let block0 = chacha::block(encrypting_key.material().as_bytes(), 0, &nonce);
         self.encrypting_id = *encrypting_key.id();
         self.encrypting_version = encrypting_key.version();
         self.encrypted_id = *new_key.id();
         self.encrypted_version = new_key.version();
         self.nonce = nonce;
-        self.ciphertext = *new_key.material().as_bytes();
-        chacha::xor_stream(
-            encrypting_key.material().as_bytes(),
-            0,
-            &nonce,
-            &mut self.ciphertext,
-        );
-        self.tag = self.compute_tag(encrypting_key.material());
+        self.ciphertext = xor_material(new_key.material().as_bytes(), &block0);
+        self.tag = self.compute_tag(&block0);
     }
 
     /// Serialises the MAC-bound identity (IDs, versions, nonce, ciphertext)
@@ -144,14 +154,14 @@ impl Encryption {
         at
     }
 
-    fn compute_tag(&self, wrap_key: &KeyMaterial) -> [u8; TAG_LEN] {
+    fn compute_tag(&self, block0: &[u8; BLOCK_LEN]) -> [u8; TAG_LEN] {
         let mut buf = [0u8; MAC_STACK_LEN];
         let written = self.write_mac_input(&mut buf);
         debug_assert_eq!(
             written,
             mac_len(self.encrypting_id.len(), self.encrypted_id.len())
         );
-        siphash24(&wrap_key.mac_subkey(), &buf[..written])
+        siphash24(&one_time_mac_key(block0), &buf[..written])
     }
 
     /// Unwraps the encryption with `key`, returning the encrypted new key.
@@ -161,7 +171,7 @@ impl Encryption {
     /// * [`UnwrapError::WrongKeyId`] — `key` is not the encrypting key for
     ///   this encryption (checkable without cryptography via [`Self::id`]).
     /// * [`UnwrapError::BadTag`] — wrong key material (e.g. a stale version)
-    ///   or corrupted ciphertext.
+    ///   or a corrupted field: IDs, versions, nonce, ciphertext or tag.
     pub fn open(&self, key: &Key) -> Result<Key, UnwrapError> {
         if key.id() != &self.encrypting_id {
             return Err(UnwrapError::WrongKeyId {
@@ -169,15 +179,14 @@ impl Encryption {
                 actual: *key.id(),
             });
         }
-        if self.compute_tag(key.material()) != self.tag {
+        let block0 = chacha::block(key.material().as_bytes(), 0, &self.nonce);
+        if self.compute_tag(&block0) != self.tag {
             return Err(UnwrapError::BadTag);
         }
-        let mut plaintext = self.ciphertext;
-        chacha::xor_stream(key.material().as_bytes(), 0, &self.nonce, &mut plaintext);
         Ok(Key::new(
             self.encrypted_id,
             self.encrypted_version,
-            KeyMaterial::from_bytes(plaintext),
+            KeyMaterial::from_bytes(xor_material(&self.ciphertext, &block0)),
         ))
     }
 
@@ -295,6 +304,62 @@ mod tests {
         let mut enc = Encryption::seal(&aux, &group.next_version(&mut rng), &mut rng);
         enc.ciphertext[0] ^= 1;
         assert_eq!(enc.open(&aux), Err(UnwrapError::BadTag));
+    }
+
+    #[test]
+    fn tampered_nonce_is_detected() {
+        let (mut rng, aux, group) = setup();
+        let mut enc = Encryption::seal(&aux, &group.next_version(&mut rng), &mut rng);
+        enc.nonce[11] ^= 1;
+        assert_eq!(enc.open(&aux), Err(UnwrapError::BadTag));
+    }
+
+    #[test]
+    fn tampered_tag_is_detected() {
+        let (mut rng, aux, group) = setup();
+        let mut enc = Encryption::seal(&aux, &group.next_version(&mut rng), &mut rng);
+        enc.tag[7] ^= 0x80;
+        assert_eq!(enc.open(&aux), Err(UnwrapError::BadTag));
+    }
+
+    /// The construction, rebuilt from `chacha::block` and `siphash24`: the
+    /// ciphertext is the material XOR bytes `0..32` of block 0, and the tag
+    /// is SipHash-2-4 keyed by bytes `32..48` of the same block.
+    #[test]
+    fn a_wrap_is_block_zero_keystream_then_its_one_time_mac_key() {
+        let spec = IdSpec::new(3, 4).unwrap();
+        let wrap_material = [0x11; chacha::KEY_LEN];
+        let inner_material: [u8; chacha::KEY_LEN] = std::array::from_fn(|i| i as u8);
+        let wrap = Key::new(
+            IdPrefix::new(&spec, vec![2]).unwrap(),
+            5,
+            KeyMaterial::from_bytes(wrap_material),
+        );
+        let inner = Key::new(
+            IdPrefix::new(&spec, vec![2, 3]).unwrap(),
+            9,
+            KeyMaterial::from_bytes(inner_material),
+        );
+        let nonce = *b"fixed nonce!";
+        let mut enc = Encryption::placeholder();
+        enc.seal_into(&wrap, &inner, nonce);
+
+        let block = chacha::block(&wrap_material, 0, &nonce);
+        let ciphertext: Vec<u8> = (0..32).map(|i| inner_material[i] ^ block[i]).collect();
+        let mut mac_input = vec![1];
+        mac_input.extend_from_slice(&2u16.to_le_bytes());
+        mac_input.extend_from_slice(&5u64.to_le_bytes());
+        mac_input.push(2);
+        mac_input.extend_from_slice(&2u16.to_le_bytes());
+        mac_input.extend_from_slice(&3u16.to_le_bytes());
+        mac_input.extend_from_slice(&9u64.to_le_bytes());
+        mac_input.extend_from_slice(&nonce);
+        mac_input.extend_from_slice(&ciphertext);
+        let tag = siphash24(block[32..48].try_into().unwrap(), &mac_input);
+
+        let (n, c, t) = enc.wire_parts();
+        assert_eq!((n, &c[..], t), (&nonce, &ciphertext[..], &tag));
+        assert_eq!(enc.open(&wrap).unwrap(), inner);
     }
 
     #[test]

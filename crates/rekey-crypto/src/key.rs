@@ -31,19 +31,6 @@ impl KeyMaterial {
     pub fn as_bytes(&self) -> &[u8; chacha::KEY_LEN] {
         &self.0
     }
-
-    /// Derives the 128-bit MAC subkey used for encrypt-then-MAC key wraps.
-    ///
-    /// Domain separation comes from a fixed derivation nonce, so the cipher
-    /// keystream used for wrapping (random per-wrap nonces) can never collide
-    /// with the MAC subkey derivation.
-    pub fn mac_subkey(&self) -> [u8; crate::siphash::MAC_KEY_LEN] {
-        const DERIVE_NONCE: [u8; chacha::NONCE_LEN] = *b"mac-subkey!!";
-        let block = chacha::block(&self.0, u32::MAX, &DERIVE_NONCE);
-        let mut out = [0u8; crate::siphash::MAC_KEY_LEN];
-        out.copy_from_slice(&block[..crate::siphash::MAC_KEY_LEN]);
-        out
-    }
 }
 
 impl fmt::Debug for KeyMaterial {
@@ -148,14 +135,6 @@ mod tests {
         let s = format!("{m:?}");
         assert!(s.contains("abab"));
         assert!(s.len() < 30, "full key must not be printed: {s}");
-    }
-
-    #[test]
-    fn mac_subkey_is_deterministic_and_key_dependent() {
-        let a = KeyMaterial::from_bytes([1; 32]);
-        let b = KeyMaterial::from_bytes([2; 32]);
-        assert_eq!(a.mac_subkey(), a.mac_subkey());
-        assert_ne!(a.mac_subkey(), b.mac_subkey());
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //!   identification scheme (key ID = ID-tree node ID).
 //! * [`Encryption`] — `{k'}_k` with [`Encryption::id`] equal to the ID of
 //!   the *encrypting* key, exactly as §2.4 defines it.
+//! * [`SealedData`] — application data under the group key.
+//! * [`NonceSeq`] — per-slot nonces for sealing on any number of threads.
+//!
+//! A wrap, an unwrap or a data tag computes one ChaCha20 block 0: bytes
+//! `0..32` are keystream and bytes `32..48` the one-time SipHash-2-4 key
+//! (RFC 8439 §2.6's split), and a `NonceSeq` block holds five nonces.
 //!
 //! # Example: one rekey hop, end to end
 //!

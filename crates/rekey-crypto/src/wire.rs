@@ -161,7 +161,10 @@ impl<'a> Reader<'a> {
 
 /// Appends an [`IdPrefix`] (`len:u8, digits:[u16; len]`, little-endian).
 pub fn encode_prefix(out: &mut Vec<u8>, p: &IdPrefix) {
-    put_prefix(out, p);
+    out.push(p.len() as u8);
+    for &d in p.digits() {
+        out.extend_from_slice(&d.to_le_bytes());
+    }
 }
 
 /// Reads an [`IdPrefix`] written by [`encode_prefix`], validating it
@@ -172,17 +175,6 @@ pub fn encode_prefix(out: &mut Vec<u8>, p: &IdPrefix) {
 /// [`DecodeError::Truncated`] on short input, [`DecodeError::BadId`] when
 /// the digits violate `spec`.
 pub fn decode_prefix(r: &mut Reader<'_>, spec: &IdSpec) -> Result<IdPrefix, DecodeError> {
-    get_prefix(r, spec)
-}
-
-fn put_prefix(out: &mut Vec<u8>, p: &IdPrefix) {
-    out.push(p.len() as u8);
-    for &d in p.digits() {
-        out.extend_from_slice(&d.to_le_bytes());
-    }
-}
-
-fn get_prefix(r: &mut Reader<'_>, spec: &IdSpec) -> Result<IdPrefix, DecodeError> {
     let len = usize::from(r.u8()?);
     let mut digits = [0u16; MAX_DEPTH];
     let slots = digits.get_mut(..len).ok_or(IdError::PrefixTooLong {
@@ -206,9 +198,9 @@ fn expect_tag(r: &mut Reader<'_>, expected: u8) -> Result<(), DecodeError> {
 /// Encodes one encryption.
 pub fn encode_encryption(e: &Encryption, out: &mut Vec<u8>) {
     out.push(TAG_ENCRYPTION);
-    put_prefix(out, e.id());
+    encode_prefix(out, e.id());
     out.extend_from_slice(&e.encrypting_version().to_le_bytes());
-    put_prefix(out, e.encrypted_id());
+    encode_prefix(out, e.encrypted_id());
     out.extend_from_slice(&e.encrypted_version().to_le_bytes());
     let (nonce, ciphertext, tag) = e.wire_parts();
     out.extend_from_slice(nonce);
@@ -218,9 +210,9 @@ pub fn encode_encryption(e: &Encryption, out: &mut Vec<u8>) {
 
 fn decode_encryption_inner(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Encryption, DecodeError> {
     expect_tag(r, TAG_ENCRYPTION)?;
-    let enc_id = get_prefix(r, spec)?;
+    let enc_id = decode_prefix(r, spec)?;
     let enc_ver = r.u64()?;
-    let tgt_id = get_prefix(r, spec)?;
+    let tgt_id = decode_prefix(r, spec)?;
     let tgt_ver = r.u64()?;
     let nonce: [u8; NONCE_LEN] = r.take(NONCE_LEN)?.try_into().expect("nonce");
     let ciphertext: [u8; KEY_LEN] = r.take(KEY_LEN)?.try_into().expect("ciphertext");
@@ -288,7 +280,7 @@ pub fn encode_sealed_data(d: &SealedData) -> Vec<u8> {
     let (key_id, key_version, nonce, ciphertext, tag) = d.wire_parts();
     let mut out = Vec::with_capacity(d.wire_size() + 1);
     out.push(TAG_SEALED_DATA);
-    put_prefix(&mut out, key_id);
+    encode_prefix(&mut out, key_id);
     out.extend_from_slice(&key_version.to_le_bytes());
     out.extend_from_slice(nonce);
     out.extend_from_slice(&(ciphertext.len() as u32).to_le_bytes());
@@ -305,7 +297,7 @@ pub fn encode_sealed_data(d: &SealedData) -> Vec<u8> {
 pub fn decode_sealed_data(buf: &[u8], spec: &IdSpec) -> Result<SealedData, DecodeError> {
     let mut r = Reader::new(buf);
     expect_tag(&mut r, TAG_SEALED_DATA)?;
-    let key_id = get_prefix(&mut r, spec)?;
+    let key_id = decode_prefix(&mut r, spec)?;
     let key_version = r.u64()?;
     let nonce: [u8; NONCE_LEN] = r.take(NONCE_LEN)?.try_into().expect("nonce");
     let len = r.u32()? as usize;
@@ -323,7 +315,7 @@ pub fn decode_sealed_data(buf: &[u8], spec: &IdSpec) -> Result<SealedData, Decod
 
 /// Encodes a key (for the join-time unicast of path keys).
 pub fn encode_key(k: &Key, out: &mut Vec<u8>) {
-    put_prefix(out, k.id());
+    encode_prefix(out, k.id());
     out.extend_from_slice(&k.version().to_le_bytes());
     out.extend_from_slice(k.material().as_bytes());
 }
@@ -335,7 +327,7 @@ pub fn encode_key(k: &Key, out: &mut Vec<u8>) {
 ///
 /// Any [`DecodeError`] on malformed input.
 pub fn decode_key_from(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Key, DecodeError> {
-    let id = get_prefix(r, spec)?;
+    let id = decode_prefix(r, spec)?;
     let version = r.u64()?;
     let material: [u8; KEY_LEN] = r.take(KEY_LEN)?.try_into().expect("material");
     Ok(Key::new(id, version, KeyMaterial::from_bytes(material)))

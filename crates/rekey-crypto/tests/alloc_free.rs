@@ -38,16 +38,16 @@ fn steady_state_seal_loop_is_allocation_free() {
         .collect();
     let mut slots: Vec<Encryption> = (0..SLOTS).map(|_| Encryption::placeholder()).collect();
     let warm_seq = NonceSeq::from_rng(&mut rng);
-    for (slot, (node, child)) in slots.iter_mut().zip(&keys) {
-        slot.seal_into(child, node, warm_seq.nonce(0));
+    for ((slot, (node, child)), nonce) in slots.iter_mut().zip(&keys).zip(warm_seq.nonces(0)) {
+        slot.seal_into(child, node, nonce);
     }
 
     // Steady state: a fresh per-batch nonce seed, then re-seal every slot
     // — the exact loop body `seal_jobs` runs per interval.
     let seq = NonceSeq::from_rng(&mut rng);
     let before = allocations();
-    for (i, (slot, (node, child))) in slots.iter_mut().zip(&keys).enumerate() {
-        slot.seal_into(child, node, seq.nonce(i as u64));
+    for ((slot, (node, child)), nonce) in slots.iter_mut().zip(&keys).zip(seq.nonces(0)) {
+        slot.seal_into(child, node, nonce);
     }
     let after = allocations();
     assert_eq!(
@@ -59,6 +59,6 @@ fn steady_state_seal_loop_is_allocation_free() {
     // The loop did real work: every slot carries the new seed's nonces.
     assert!(slots
         .iter()
-        .enumerate()
-        .all(|(i, s)| *s.wire_parts().0 == seq.nonce(i as u64)));
+        .zip(seq.nonces(0))
+        .all(|(s, nonce)| *s.wire_parts().0 == nonce));
 }

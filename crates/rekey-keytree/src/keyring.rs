@@ -106,7 +106,8 @@ impl KeyRing {
     /// point so that chains (individual → aux → … → group key) resolve even
     /// if shallow wraps appear first, but reads the message again only after
     /// a pass that installed a key and deferred a wrap whose key a later
-    /// install could supply. A wrap carrying an off-path key is skipped.
+    /// install could supply. A wrap carrying an off-path key is skipped, and
+    /// so is one whose tag does not verify.
     ///
     /// Takes any re-iterable borrowing iterator (a slice, a `Vec`, or an
     /// index-based view over a shared encryption buffer), so callers never
@@ -145,9 +146,10 @@ impl KeyRing {
                 {
                     continue;
                 }
-                let new_key = e
-                    .open(wrap_key)
-                    .expect("ID and version matched, unwrap must work");
+                // A bad tag is skipped like a lost copy (NACK recovers it).
+                let Ok(new_key) = e.open(wrap_key) else {
+                    continue;
+                };
                 self.keys[slot] = Some(new_key);
                 installed += 1;
             }
@@ -314,6 +316,53 @@ mod tests {
         assert_eq!(ring.len(), spec().depth() + 1);
         assert_eq!(ring.key(&off_path), None);
         assert!(ring.matches_path(&spec(), tree.user_path_keys(&users[0])));
+    }
+
+    /// `e` with one tag byte flipped.
+    fn with_bad_tag(e: &Encryption) -> Encryption {
+        let (nonce, ciphertext, tag) = e.wire_parts();
+        let mut tag = *tag;
+        tag[0] ^= 1;
+        Encryption::from_wire_parts(
+            *e.id(),
+            e.encrypting_version(),
+            *e.encrypted_id(),
+            e.encrypted_version(),
+            *nonce,
+            *ciphertext,
+            tag,
+        )
+    }
+
+    #[test]
+    fn a_tampered_copy_is_skipped_and_the_genuine_one_installs_once() {
+        let (mut rng, mut tree, users) = group();
+        let mut arena = RekeyArena::new();
+        let mut ring = KeyRing::new(users[2], tree.user_path_keys(&users[2]));
+        let out = tree
+            .batch_rekey(&[], &[users[4]], &mut rng, &mut arena)
+            .unwrap();
+        let needed: Vec<&Encryption> = out.encryptions().iter().filter(|e| ring.needs(e)).collect();
+        assert_eq!(needed.len(), 2, "the aux key [2], then the group key");
+        // Tampered copies alone install nothing and leave the ring intact.
+        let tampered: Vec<Encryption> = needed.iter().map(|e| with_bad_tag(e)).collect();
+        assert_eq!(ring.absorb(&tampered), 0);
+        assert_eq!(ring.len(), spec().depth() + 1);
+        // Each tampered copy followed by its genuine one: both keys install,
+        // each once, in either message order.
+        for order in [false, true] {
+            let mut ring = ring.clone();
+            let mut message: Vec<Encryption> = needed
+                .iter()
+                .flat_map(|e| [with_bad_tag(e), (*e).clone()])
+                .collect();
+            if order {
+                message.reverse();
+            }
+            assert_eq!(ring.absorb(&message), 2);
+            assert!(ring.matches_path(&spec(), tree.user_path_keys(&users[2])));
+            assert_eq!(ring.absorb(&message), 0);
+        }
     }
 
     /// A cloneable iterator over a message that counts how many times a

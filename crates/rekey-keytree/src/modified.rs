@@ -732,12 +732,9 @@ impl ModifiedKeyTree {
         let jobs = &arena.jobs[..cost];
         let slots = &mut arena.encryptions[..cost];
         let seal_chunk = |jobs: &[SealJob], slots: &mut [rekey_crypto::Encryption], base: usize| {
-            for (off, (job, slot)) in jobs.iter().zip(slots.iter_mut()).enumerate() {
-                slot.seal_into(
-                    &keys[job.child as usize],
-                    &keys[job.node as usize],
-                    seq.nonce((base + off) as u64),
-                );
+            let nonces = seq.nonces(base as u64);
+            for ((job, slot), nonce) in jobs.iter().zip(slots.iter_mut()).zip(nonces) {
+                slot.seal_into(&keys[job.child as usize], &keys[job.node as usize], nonce);
             }
         };
         if threads <= 1 {

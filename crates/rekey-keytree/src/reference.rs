@@ -229,13 +229,13 @@ impl ReferenceKeyTree {
             NonceSeq::from_rng(rng)
         };
         arena.ensure_slots(total);
-        let mut slot = 0usize;
+        let mut slots = arena.encryptions.iter_mut().zip(seq.nonces(0));
         for id in changed_sorted {
             let node = &self.nodes[id];
             for &digit in &node.children {
                 let child = &self.nodes[&id.child(digit)];
-                arena.encryptions[slot].seal_into(&child.key, &node.key, seq.nonce(slot as u64));
-                slot += 1;
+                let (slot, nonce) = slots.next().expect("ensure_slots sized the arena");
+                slot.seal_into(&child.key, &node.key, nonce);
             }
         }
         for id in &changed {

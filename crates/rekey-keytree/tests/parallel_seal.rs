@@ -73,6 +73,46 @@ fn seal_is_byte_identical_at_any_thread_count() {
     }
 }
 
+/// Five nonces share a derived block, so a thread's chunk can start in the
+/// middle of one: with a job count that is not a multiple of 5, and chunk
+/// sizes that are not either, every thread count still seals the bytes the
+/// serial path seals, and the reference oracle agrees.
+#[test]
+fn chunks_starting_inside_a_nonce_block_seal_identical_bytes() {
+    let spec = big_spec();
+    let run = |threads: usize| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EA1);
+        let mut tree = ModifiedKeyTree::new(&spec);
+        tree.set_seal_threads(threads);
+        let mut arena = RekeyArena::new();
+        let out = tree
+            .batch_rekey(&ids(&spec, 0..1497), &[], &mut rng, &mut arena)
+            .unwrap();
+        (out.encryptions().to_vec(), out.updated().to_vec())
+    };
+    let serial = run(1);
+    let cost = serial.0.len();
+    assert!(
+        cost >= 1024,
+        "must clear the parallel threshold, got {cost}"
+    );
+    assert_ne!(cost % 5, 0, "job count {cost} must not be a multiple of 5");
+    assert!(
+        [2, 4, 8].iter().any(|t| cost.div_ceil(*t) % 5 != 0),
+        "some chunk must start inside a nonce block"
+    );
+    for threads in [2, 4, 8] {
+        assert_eq!(serial, run(threads), "threads={threads}");
+    }
+    let mut oracle = ReferenceKeyTree::new(&spec);
+    let mut oracle_arena = RekeyArena::new();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EA1);
+    let o = oracle
+        .batch_rekey(&ids(&spec, 0..1497), &[], &mut rng, &mut oracle_arena)
+        .unwrap();
+    assert_eq!(serial.0, o.encryptions());
+}
+
 /// The parallel path also agrees with the `BTreeMap` reference oracle,
 /// which has no job list, no arena reuse, and no threads at all.
 #[test]

@@ -840,6 +840,44 @@ mod tests {
         assert_eq!(agent.group_key().cloned(), key_before);
     }
 
+    /// `e` with one tag byte flipped: what a corrupted datagram, or a node
+    /// tagging under another wire version, delivers.
+    fn with_bad_tag(e: &rekey_crypto::Encryption) -> rekey_crypto::Encryption {
+        let (nonce, ciphertext, tag) = e.wire_parts();
+        let mut tag = *tag;
+        tag[0] ^= 1;
+        rekey_crypto::Encryption::from_wire_parts(
+            *e.id(),
+            e.encrypting_version(),
+            *e.encrypted_id(),
+            e.encrypted_version(),
+            *nonce,
+            *ciphertext,
+            tag,
+        )
+    }
+
+    #[test]
+    fn a_tampered_copy_before_the_genuine_one_installs_once() {
+        let (net, mut server, mut agents) = setup(10);
+        let victim = server.group().members()[0].id;
+        server.request_leave(&victim, &net).unwrap();
+        agents.remove(&victim);
+        let outcome = server.end_interval();
+        let delivered = server.deliver(&net, &outcome);
+        for (i, member) in server.mesh().members().iter().enumerate() {
+            let agent = agents.get_mut(&member.id).unwrap();
+            let mut genuine_only = agent.clone();
+            let want = genuine_only.handle_rekey(outcome.interval, delivered.member(i));
+            let tampered: Vec<_> = delivered
+                .member(i)
+                .flat_map(|e| [with_bad_tag(e), e.clone()])
+                .collect();
+            assert_eq!(agent.handle_rekey(outcome.interval, &tampered), want);
+            assert_eq!(agent.group_key(), server.tree().group_key());
+        }
+    }
+
     #[test]
     fn data_plane_round_trip_and_forward_secrecy() {
         let (net, mut server, mut agents) = setup(9);

@@ -1156,16 +1156,17 @@ mod tests {
         let (primary, worker) = (rt.io.routes.servers[0], rt.io.routes.addr_of(node));
         let mut forger = UdpEndpoint::bind_loopback().expect("foreign socket binds");
         let gen = 0u64.to_le_bytes();
+        let v = crate::runtime::wire::WIRE_VERSION;
         let to_primary = [
-            vec![1, 0x03],
-            vec![1, 0x02],
-            [&[1, 0x01][..], &gen].concat(),
-            [&[1, 0x1F][..], &gen].concat(),
+            vec![v, 0x03],
+            vec![v, 0x02],
+            [&[v, 0x01][..], &gen].concat(),
+            [&[v, 0x1F][..], &gen].concat(),
         ];
         for frame in &to_primary {
             forger.send_frame(primary, 0, 0, frame).expect("loopback");
         }
-        for frame in [[1, 0x08], [1, 0x04]] {
+        for frame in [[v, 0x08], [v, 0x04]] {
             let me = node.0 as u32;
             forger.send_frame(worker, me, me, &frame).expect("loopback");
         }

@@ -47,8 +47,10 @@ use super::core::{IntervalMessage, ReplOp, RtMsg};
 
 /// The codec version stamped on every frame. Decoders reject frames from
 /// any other version outright — rolling upgrades run one version per
-/// deployment, matching the single-server protocol.
-pub const WIRE_VERSION: u8 = 1;
+/// deployment, matching the single-server protocol. Version 2 tags a key
+/// wrap under the one-time MAC key of its own keystream block; a version-1
+/// node's tags would not verify.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Errors produced while decoding an [`RtMsg`] frame.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,6 +18,11 @@
 # under two CPU burners. `scripts/soak.sh failover_soak 60` is the gate
 # ROADMAP's first item sets for the failover fix; it joins this script
 # with that fix.
+#
+# Not gated here either: scripts/pairs.sh <parent-rev> <workload> [pairs]
+# builds the benchmark at a parent revision and at the working tree, runs
+# them in alternating seeded pairs and prints the parent-vs-change table a
+# performance claim is judged by (results/issue*_parent_vs_change.md).
 set -eu
 
 cd "$(dirname "$0")/.."
