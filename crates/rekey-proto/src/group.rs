@@ -277,8 +277,8 @@ impl Group {
         net: &impl Network,
         now: Micros,
     ) -> Result<JoinOutcome, GroupError> {
-        let (id, stats) = if self.members.is_empty() {
-            (UserId::from_index(&self.spec, 0), AssignStats::default())
+        let (digits, stats) = if self.members.is_empty() {
+            (Vec::new(), AssignStats::default())
         } else {
             // The key server hands the joiner the record of an existing
             // user. Any member works, since the protocol corrects from
@@ -291,19 +291,9 @@ impl Group {
                 spec: &self.spec,
                 lookup: &lookup,
             };
-            let (digits, stats) = probe_digits(&view, &self.assign, host, seed, net);
-            let id = server_complete(&self.spec, &self.id_tree, &digits)
-                .ok_or(GroupError::IdSpaceFull)?;
-            (id, stats)
+            probe_digits(&view, &self.assign, host, seed, net)
         };
-        self.insert_member(
-            Member {
-                id,
-                host,
-                joined_at: now,
-            },
-            net,
-        );
+        let id = self.admit(host, &digits, net, now)?;
         Ok(JoinOutcome { id, stats })
     }
 
@@ -325,8 +315,8 @@ impl Group {
         coords: &rekey_net::CoordinateSystem,
         now: Micros,
     ) -> Result<JoinOutcome, GroupError> {
-        let (id, stats) = if self.members.is_empty() {
-            (UserId::from_index(&self.spec, 0), AssignStats::default())
+        let (digits, stats) = if self.members.is_empty() {
+            (Vec::new(), AssignStats::default())
         } else {
             let joiner_coord = coords.measure(host, net);
             let estimate = |h: HostId| {
@@ -336,15 +326,33 @@ impl Group {
             };
             let (digits, _) =
                 centralized_digits(&self.spec, &self.assign, &self.members, &estimate);
-            let id = server_complete(&self.spec, &self.id_tree, &digits)
-                .ok_or(GroupError::IdSpaceFull)?;
             let stats = AssignStats {
                 queries: 0,
                 probes: coords.probe_cost() as u64,
                 digits_probed: digits.len(),
             };
-            (id, stats)
+            (digits, stats)
         };
+        let id = self.admit(host, &digits, net, now)?;
+        Ok(JoinOutcome { id, stats })
+    }
+
+    /// §3.1 step 4 at the key server: completes the digits the joiner
+    /// determined to a unique ID (footnote 3) and installs the joiner into
+    /// every table. An empty group completes no digits to the all-zero ID.
+    ///
+    /// # Errors
+    ///
+    /// [`GroupError::IdSpaceFull`] when no unique ID exists.
+    pub(crate) fn admit(
+        &mut self,
+        host: HostId,
+        digits: &[u16],
+        net: &impl Network,
+        now: Micros,
+    ) -> Result<UserId, GroupError> {
+        let id =
+            server_complete(&self.spec, &self.id_tree, digits).ok_or(GroupError::IdSpaceFull)?;
         self.insert_member(
             Member {
                 id,
@@ -353,7 +361,7 @@ impl Group {
             },
             net,
         );
-        Ok(JoinOutcome { id, stats })
+        Ok(id)
     }
 
     /// Adds a member with a caller-chosen ID (for tests and ablations, e.g.
