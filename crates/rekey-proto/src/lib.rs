@@ -49,7 +49,6 @@ mod facade;
 mod group;
 pub mod protocols;
 mod recovery;
-mod repair;
 pub mod runtime;
 pub mod split;
 pub mod transport;
