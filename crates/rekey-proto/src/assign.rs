@@ -5,8 +5,8 @@
 //! 1. **collects** up to `P` user records per `(i, j)`-ID subtree by
 //!    querying users it already knows (each query returns the queried
 //!    user's table neighbors matching a target prefix);
-//! 2. **measures** the gateway-router RTT `r(u, w)` to every collected
-//!    user;
+//! 2. **measures** the gateway-router RTT `r(u, w)` to the first `P`
+//!    collected users of each subtree;
 //! 3. computes the `F`-percentile of the RTTs per subtree and joins the
 //!    subtree `b` with the smallest percentile if it is `≤ R_{i+1}`,
 //!    otherwise stops probing;
@@ -16,21 +16,33 @@
 //! The paper sets `P = 10`, `F = 80`-percentile and
 //! `R = (150, 30, 9, 3)` ms for `D = 5`.
 //!
-//! Step 1 collects each digit once. A query's answer is one slice of the
-//! queried user's table: the records of rows `i` and up, which are a suffix
-//! of the table's (row, column, RTT) order. The seeds' answers go into one
-//! vector, each user once (one hash set per digit), and the vector is
-//! sorted by ID once; the `(i, j)`-ID subtrees' buckets are then its runs
-//! by digit `i`, in ascending `j`. A bucket shorter than `P` is refined in
-//! place: each refinement answer is added to it and only that bucket is
-//! sorted again.
+//! Steps 1–3 are one state machine with no I/O, `Probe`: it names the
+//! next user to query and the target prefix, takes each answer, lists the
+//! users to measure and decides the digit from RTTs it is handed. Two
+//! drivers run it. `probe_digits`, behind `Group::join`, answers every
+//! query at once from the queried user's table and measures with
+//! `Network::gateway_rtt`; the message-level join of `distributed.rs`
+//! sends each query and ping as a message and feeds the probe the replies
+//! as they arrive.
+//!
+//! The probe collects each digit once. A query's answer is one slice of
+//! the queried user's table: the records of rows `i` and up, which are a
+//! suffix of the table's (row, column, RTT) order. The seeds' answers go
+//! into one vector, each user once (one hash set per digit), and the vector
+//! is sorted by ID once; the `(i, j)`-ID subtrees' buckets are then its
+//! runs by digit `i`, in ascending `j`. A bucket shorter than `P` is refined
+//! in place, one query in flight at a time: a refinement query for
+//! `digits ++ [j]` returns only users of bucket `j`, so its answer is added
+//! to that bucket alone and only that bucket is sorted again. Each bucket's
+//! queries, and so the digits, depend only on that bucket's own answers,
+//! not on the order in which answers to different buckets arrive.
 
 use std::ops::Range;
 
 use rekey_id::{IdPrefix, IdSpec, IdTree, UserId, MAX_DEPTH};
 use rekey_net::{ms, HostId, Micros, Network};
 use rekey_table::{Member, NeighborRecord, NeighborTable};
-use rekey_tmesh::metrics::{percentile, quantile};
+use rekey_tmesh::metrics::quantile;
 
 use crate::group::IdSet;
 
@@ -126,14 +138,242 @@ fn collect(collected: &mut Vec<(u128, Member)>, seen: &mut IdSet, records: &[Nei
     );
 }
 
+/// §3.1 step 3 for digit `i`: of `subtrees`, given in ascending `j`, the
+/// one whose gateway RTTs (`measure` appends them to the buffer it is
+/// handed) have the smallest `F`-percentile — the first, so the smaller
+/// `j`, on a tie — if that percentile is `≤ R_{i+1}`. A subtree with no RTT
+/// is passed over; `rtts` is scratch space.
+fn choose<T>(
+    params: &AssignParams,
+    i: usize,
+    rtts: &mut Vec<Micros>,
+    subtrees: impl IntoIterator<Item = T>,
+    mut measure: impl FnMut(&T, &mut Vec<Micros>),
+) -> Option<T> {
+    rtts.clear();
+    rtts.reserve(params.p);
+    let mut best: Option<(Micros, T)> = None;
+    for subtree in subtrees {
+        rtts.clear();
+        measure(&subtree, rtts);
+        if rtts.is_empty() {
+            continue;
+        }
+        rtts.sort_unstable();
+        let f = quantile(rtts, f64::from(params.f_percentile) / 100.0);
+        if best.as_ref().is_none_or(|(bf, _)| f < *bf) {
+            best = Some((f, subtree));
+        }
+    }
+    let threshold = params.thresholds.get(i).copied().unwrap_or(0);
+    best.filter(|(f, _)| *f <= threshold)
+        .map(|(_, subtree)| subtree)
+}
+
+/// A digit round's bucket: the `(i, j)`-ID subtree's digit `j`, its run of
+/// the collected records, and whether a query to it awaits its answer.
+#[derive(Debug)]
+struct Bucket {
+    j: u16,
+    run: Range<usize>,
+    asking: bool,
+}
+
+/// §3.1 steps 1–3 for one joiner, as a state machine with no I/O. Each
+/// digit's round sends the queries `next_query` names and feeds their
+/// replies, in any order, to `answer`; once nothing is awaited, `decide`
+/// reads the RTTs of the users `to_measure` names.
+#[derive(Debug)]
+pub(crate) struct Probe {
+    depth: usize,
+    /// The digits determined so far.
+    prefix: IdPrefix,
+    /// This round's records, each user once: first the round's seeds, then
+    /// the seeds' answers, and once every seed has answered, sorted by ID
+    /// so that the buckets are its runs.
+    collected: Vec<(u128, Member)>,
+    /// The IDs in `collected`.
+    seen: IdSet,
+    /// The round's seeds are `collected[..seeds]`.
+    seeds: usize,
+    /// The round's buckets in ascending `j`, once every seed has answered.
+    buckets: Vec<Bucket>,
+    /// The users queried this round, sorted: the seeds first, in order.
+    queried: Vec<u128>,
+    /// Queries whose answers have not arrived.
+    awaiting: usize,
+    rtts: Vec<Micros>,
+    stats: AssignStats,
+}
+
+impl Probe {
+    /// A probe that starts from the existing member `seed`.
+    pub(crate) fn new(spec: &IdSpec, seed: Member) -> Probe {
+        let mut probe = Probe {
+            depth: spec.depth(),
+            prefix: IdPrefix::root(),
+            collected: Vec::new(),
+            seen: IdSet::default(),
+            seeds: 0,
+            buckets: Vec::new(),
+            queried: Vec::new(),
+            awaiting: 0,
+            rtts: Vec::new(),
+            stats: AssignStats::default(),
+        };
+        // The last digit is always assigned by the key server for
+        // uniqueness, so a depth-1 ID leaves nothing to probe.
+        if probe.depth > 1 {
+            probe.collected.push((key(&seed.id), seed));
+        }
+        probe.start_round();
+        probe
+    }
+
+    /// Starts a round whose seeds are `collected`, distinct and sorted.
+    fn start_round(&mut self) {
+        self.seen.clear();
+        self.seen.extend(self.collected.iter().map(|(_, m)| m.id));
+        self.seeds = self.collected.len();
+        self.buckets.clear();
+        self.queried.clear();
+    }
+
+    /// The next query to send: the user to ask and the target prefix.
+    /// Every seed is asked first, for the determined prefix; once all have
+    /// answered, each bucket shorter than `P` is asked for its own prefix,
+    /// one query in flight at a time, by its first unqueried member in ID
+    /// order. A bucket with nobody left to ask is final. `None`: nothing to
+    /// ask until an answer arrives, or, with nothing awaited, ever.
+    pub(crate) fn next_query(&mut self, params: &AssignParams) -> Option<(Member, IdPrefix)> {
+        if let Some(&(k, seed)) = self.collected[..self.seeds].get(self.queried.len()) {
+            self.queried.push(k);
+            self.awaiting += 1;
+            self.stats.queries += 1;
+            return Some((seed, self.prefix));
+        }
+        let (collected, queried) = (&self.collected, &self.queried);
+        let unqueried = |&(k, m): &(u128, Member)| Some((queried.binary_search(&k).err()?, k, m));
+        let (bucket, (q, k, member)) = (self.buckets.iter_mut())
+            .filter(|b| !b.asking && b.run.len() < params.p)
+            .find_map(|b| {
+                let next = collected[b.run.clone()].iter().find_map(unqueried)?;
+                Some((b, next))
+            })?;
+        bucket.asking = true;
+        self.queried.insert(q, k);
+        self.awaiting += 1;
+        self.stats.queries += 1;
+        Some((member, self.prefix.child(bucket.j)))
+    }
+
+    /// Takes the answer to the query for `target`: the queried user's
+    /// table records under `target`.
+    pub(crate) fn answer(&mut self, target: &IdPrefix, records: &[NeighborRecord]) {
+        self.awaiting -= 1;
+        let before = self.collected.len();
+        collect(&mut self.collected, &mut self.seen, records);
+        let i = self.prefix.len();
+        if target.len() == i {
+            // A seed's answer. Once every seed has answered, the buckets
+            // are the runs of the sorted records.
+            if self.queried.len() == self.seeds && self.awaiting == 0 {
+                self.collected.sort_unstable_by_key(|e| e.0);
+                let mut start = 0;
+                while let Some((_, first)) = self.collected.get(start) {
+                    let j = first.id.digit(i);
+                    let len = self.collected[start..].partition_point(|e| e.1.id.digit(i) == j);
+                    let run = start..start + len;
+                    start = run.end;
+                    self.buckets.push(Bucket {
+                        j,
+                        run,
+                        asking: false,
+                    });
+                }
+            }
+            return;
+        }
+        // A refinement answer holds only users of bucket `target[i]`, so
+        // they go right after its run, and the later runs move up.
+        let at = (self.buckets).partition_point(|b| b.j < target.digits()[i]);
+        let added = self.collected.len() - before;
+        let end = self.buckets[at].run.end;
+        self.collected[end..].rotate_right(added);
+        for later in &mut self.buckets[at + 1..] {
+            later.run = later.run.start + added..later.run.end + added;
+        }
+        let bucket = &mut self.buckets[at];
+        bucket.run.end += added;
+        bucket.asking = false;
+        self.collected[bucket.run.clone()].sort_unstable_by_key(|e| e.0);
+    }
+
+    /// Queries whose answers have not been taken yet.
+    pub(crate) fn awaiting(&self) -> usize {
+        self.awaiting
+    }
+
+    /// Step 2: the users whose gateway RTTs step 3 reads, the first `P` of
+    /// each bucket in ID order.
+    pub(crate) fn to_measure<'a>(
+        &'a self,
+        params: &'a AssignParams,
+    ) -> impl Iterator<Item = &'a Member> + 'a {
+        (self.buckets.iter())
+            .flat_map(|b| self.collected[b.run.clone()].iter().take(params.p))
+            .map(|(_, m)| m)
+    }
+
+    /// Step 3 once the round's collection is done: `rtt` gives the gateway
+    /// RTT to each user of [`to_measure`](Probe::to_measure), bucket by
+    /// bucket. Returns whether another digit round follows; if so, the
+    /// chosen bucket's users seed it.
+    pub(crate) fn decide(
+        &mut self,
+        params: &AssignParams,
+        mut rtt: impl FnMut(&Member) -> Micros,
+    ) -> bool {
+        let (collected, stats) = (&self.collected, &mut self.stats);
+        let chosen = choose(
+            params,
+            self.prefix.len(),
+            &mut self.rtts,
+            &self.buckets,
+            |b, rtts| {
+                let run = &collected[b.run.clone()];
+                rtts.extend(run.iter().take(params.p).map(|(_, m)| rtt(m)));
+                stats.probes += rtts.len() as u64;
+            },
+        );
+        let Some(bucket) = chosen else {
+            return false; // step 4 with a partial prefix
+        };
+        let (j, run) = (bucket.j, bucket.run.clone());
+        self.prefix = self.prefix.child(j);
+        self.stats.digits_probed += 1;
+        if self.prefix.len() + 1 >= self.depth {
+            return false;
+        }
+        self.collected.truncate(run.end);
+        self.collected.drain(..run.start);
+        self.start_round();
+        true
+    }
+
+    /// The digits determined by probing, and the statistics.
+    pub(crate) fn finish(self) -> (Vec<u16>, AssignStats) {
+        (self.prefix.digits().to_vec(), self.stats)
+    }
+}
+
 /// Runs steps 1–3 for every digit, starting from the existing member
 /// `seed`; returns the digits the joiner determined by probing plus the
 /// message statistics.
 ///
 /// A query to user `u` for the users under a prefix of length `r` that `u`
-/// lies under answers with `u`'s table records of rows `r` and up (those
-/// are exactly the records under the prefix) and `u`'s own record, which
-/// the asker already holds.
+/// lies under answers with `u`'s table records of rows `r` and up: those
+/// are exactly the records under the prefix.
 pub(crate) fn probe_digits(
     view: &GroupView<'_>,
     params: &AssignParams,
@@ -141,102 +381,15 @@ pub(crate) fn probe_digits(
     seed: Member,
     net: &impl Network,
 ) -> (Vec<u16>, AssignStats) {
-    let (depth, table) = (view.spec.depth(), view.lookup);
-    let mut stats = AssignStats::default();
-    let mut digits: Vec<u16> = Vec::new();
-    // Users known to share the currently-determined prefix with the joiner,
-    // sorted by ID.
-    let mut seeds: Vec<(u128, Member)> = vec![(key(&seed.id), seed)];
-    let mut rtts: Vec<Micros> = Vec::with_capacity(params.p);
-    // Per digit: every collected record once (`seen` holds their IDs),
-    // sorted by ID, so that the (i, j)-ID subtrees' buckets are its runs
-    // by digit `i`, in ascending `j`; those runs; and the users queried,
-    // sorted.
-    let mut collected: Vec<(u128, Member)> = Vec::new();
-    let mut seen = IdSet::default();
-    let mut buckets: Vec<(u16, Range<usize>)> = Vec::new();
-    let mut queried: Vec<u128> = Vec::new();
-
-    // The last digit is always assigned by the key server for uniqueness.
-    for i in 0..depth.saturating_sub(1) {
-        // Step 1: collect user records per (i, j)-ID subtree. The seeds are
-        // distinct, and each is queried once.
-        collected.clear();
-        seen.clear();
-        buckets.clear();
-        queried.clear();
-        for &(k, s) in &seeds {
-            queried.push(k);
-            if seen.insert(s.id) {
-                collected.push((k, s));
-            }
-            collect(&mut collected, &mut seen, rows_from(table(&s.id), i));
+    let mut probe = Probe::new(view.spec, seed);
+    loop {
+        while let Some((user, target)) = probe.next_query(params) {
+            probe.answer(&target, rows_from((view.lookup)(&user.id), target.len()));
         }
-        stats.queries += seeds.len() as u64;
-        collected.sort_unstable_by_key(|e| e.0);
-
-        // Per-subtree refinement queries until P collected or exhausted,
-        // querying the bucket's first unqueried member in ID order. A query
-        // for the users under `digits ++ [j]` only returns users of bucket
-        // `j`, so its new records go right after the bucket's run.
-        let mut start = 0;
-        while start < collected.len() {
-            let j = collected[start].1.id.digit(i);
-            let mut end = start + collected[start..].partition_point(|e| e.1.id.digit(i) == j);
-            while end - start < params.p {
-                let Some(&(k, next)) = collected[start..end]
-                    .iter()
-                    .find(|(k, _)| queried.binary_search(k).is_err())
-                else {
-                    break;
-                };
-                let at = queried.binary_search(&k).unwrap_err();
-                queried.insert(at, k);
-                stats.queries += 1;
-                let before = collected.len();
-                collect(&mut collected, &mut seen, rows_from(table(&next.id), i + 1));
-                let added = collected.len() - before;
-                collected[end..].rotate_right(added);
-                end += added;
-                collected[start..end].sort_unstable_by_key(|e| e.0);
-            }
-            buckets.push((j, start..end));
-            start = end;
-        }
-
-        // Step 2: measure gateway RTTs to every collected user.
-        // Step 3: smallest F-percentile per subtree vs. threshold R_{i+1}.
-        let mut best: Option<(Micros, usize)> = None;
-        for (at, (_, run)) in buckets.iter().enumerate() {
-            rtts.clear();
-            rtts.extend(collected[run.clone()].iter().take(params.p).map(|(_, m)| {
-                stats.probes += 1;
-                net.gateway_rtt(joiner, m.host)
-            }));
-            if rtts.is_empty() {
-                continue;
-            }
-            rtts.sort_unstable();
-            let f = quantile(&rtts, f64::from(params.f_percentile) / 100.0);
-            // Buckets ascend in `j`, so the first smallest percentile wins
-            // ties, as the smaller `j`.
-            if best.is_none_or(|(bf, _)| f < bf) {
-                best = Some((f, at));
-            }
-        }
-        let threshold = params.thresholds.get(i).copied().unwrap_or(0);
-        match best {
-            Some((f, at)) if f <= threshold => {
-                let (b, run) = buckets[at].clone();
-                digits.push(b);
-                stats.digits_probed += 1;
-                seeds.clear();
-                seeds.extend_from_slice(&collected[run]);
-            }
-            _ => break, // step 4 with a partial prefix
+        if !probe.decide(params, |m| net.gateway_rtt(joiner, m.host)) {
+            return probe.finish();
         }
     }
-    (digits, stats)
 }
 
 /// Centralized digit determination via network coordinates (the GNP
@@ -256,6 +409,7 @@ pub(crate) fn centralized_digits(
 ) -> (Vec<u16>, u64) {
     let mut digits: Vec<u16> = Vec::new();
     let mut evaluations = 0u64;
+    let mut rtts = Vec::new();
     let mut candidates: Vec<&Member> = members.iter().collect();
     for i in 0..spec.depth().saturating_sub(1) {
         // Bucket the candidates (members sharing the determined prefix) by
@@ -268,31 +422,13 @@ pub(crate) fn centralized_digits(
                 bucket.push(m);
             }
         }
-        let mut best: Option<(Micros, u16)> = None;
-        for (&j, bucket) in &buckets {
-            let rtts: Vec<Micros> = bucket
-                .iter()
-                .map(|m| {
-                    evaluations += 1;
-                    estimate(m.host)
-                })
-                .collect();
-            if rtts.is_empty() {
-                continue;
-            }
-            let f = percentile(&rtts, params.f_percentile);
-            if best.is_none_or(|(bf, bj)| (f, j) < (bf, bj)) {
-                best = Some((f, j));
-            }
-        }
-        let threshold = params.thresholds.get(i).copied().unwrap_or(0);
-        match best {
-            Some((f, b)) if f <= threshold => {
-                digits.push(b);
-                candidates.retain(|m| m.id.digit(i) == b);
-            }
-            _ => break,
-        }
+        let chosen = choose(params, i, &mut rtts, &buckets, |(_, bucket), rtts| {
+            rtts.extend(bucket.iter().map(|m| estimate(m.host)));
+            evaluations += bucket.len() as u64;
+        });
+        let Some((&b, _)) = chosen else { break };
+        digits.push(b);
+        candidates.retain(|m| m.id.digit(i) == b);
     }
     (digits, evaluations)
 }

@@ -1215,6 +1215,7 @@ mod equivalence {
     use rekey_tmesh::metrics::quantile;
 
     use super::*;
+    use crate::assign::Probe;
 
     /// The full-scan reference.
     struct Reference {
@@ -1814,6 +1815,72 @@ mod equivalence {
         assert!(hit.short_buckets > 0, "{hit:?}");
         assert!(hit.ties > 0, "{hit:?}");
         assert!(hit.full_depth > 0, "{hit:?}");
+    }
+
+    /// The probe of every host outside the frozen `group`, driven as the
+    /// message-level join may see it: each batch of queries the probe asks
+    /// for is answered last query first, from the queried member's table.
+    /// Returns how many hosts were probed.
+    fn probe_every_outsider_last_first(group: &Group, net: &impl Network) -> usize {
+        let (index, tables) = (&group.index, &group.tables);
+        let lookup = |id: &UserId| &tables[index[id] as usize];
+        let view = GroupView {
+            spec: &group.spec,
+            lookup: &lookup,
+        };
+        let params = &group.assign;
+        let hosts = group.members.iter().map(|m| m.host);
+        let members: HashSet<HostId> = hosts.chain([group.server_host]).collect();
+        let mut batch = Vec::new();
+        let mut outsiders = 0;
+        for joiner in (0..net.host_count()).map(HostId) {
+            if members.contains(&joiner) {
+                continue;
+            }
+            let seed = group.members[joiner.0 % group.len()];
+            let mut probe = Probe::new(&group.spec, seed);
+            let got = loop {
+                loop {
+                    batch.extend(std::iter::from_fn(|| probe.next_query(params)));
+                    if batch.is_empty() {
+                        break;
+                    }
+                    while let Some((user, target)) = batch.pop() {
+                        let records: Vec<NeighborRecord> = (lookup(&user.id).iter_all())
+                            .filter(|r| target.is_prefix_of_id(&r.member.id))
+                            .copied()
+                            .collect();
+                        probe.answer(&target, &records);
+                    }
+                }
+                if !probe.decide(params, |m| net.gateway_rtt(joiner, m.host)) {
+                    break probe.finish();
+                }
+            };
+            let want = probe_digits(&view, params, joiner, seed, net);
+            assert_eq!(got, want, "{joiner}");
+            outsiders += 1;
+        }
+        outsiders
+    }
+
+    /// The order in which answers arrive does not change the probe: every
+    /// outsider of the dealt 1 024-member group and of a joined PlanetLab
+    /// group gets the digits and statistics of `probe_digits` when each
+    /// batch of queries is answered last first.
+    #[test]
+    fn reply_order_does_not_change_the_probe() {
+        let (group, net) = dealt(1_024, 2);
+        let mut outsiders = probe_every_outsider_last_first(&group, &net);
+        let (net, spec) = planetlab();
+        let server = HostId(net.host_count() - 1);
+        let assign = AssignParams::for_depth(spec.depth());
+        let mut group = Group::new(&spec, server, 2, PrimaryPolicy::SmallestRtt, assign);
+        for h in 0..300 {
+            group.join(HostId(h), &net, h as Micros).unwrap();
+        }
+        outsiders += probe_every_outsider_last_first(&group, &net);
+        assert_eq!(outsiders, 1_208);
     }
 
     /// The benchmark's `sync_churn` shape; `scripts/ci.sh` runs it.

@@ -177,7 +177,7 @@ fn distributed_join_protocol_is_deterministic() {
     let (queries, pings, probed) = run.stats.iter().fold((0, 0, 0), |(q, p, d), s| {
         (q + s.queries, p + s.pings, d + s.digits_probed)
     });
-    assert_eq!((run.messages, run.finished_at), (2_468, 290_995_091));
+    assert_eq!((run.messages, run.finished_at), (2_468, 291_019_605));
     assert_eq!((queries, pings, probed), (547, 435, 69));
     assert_eq!(
         ids,
@@ -217,8 +217,8 @@ fn distributed_join_protocol_is_deterministic() {
             e + s.elapsed,
         )
     });
-    assert_eq!((run.messages, run.finished_at), (1_803, 200_960_413));
-    assert_eq!(sums, (338, 268, 45, 13_087_770));
+    assert_eq!((run.messages, run.finished_at), (1_803, 200_960_117));
+    assert_eq!(sums, (338, 268, 45, 12_925_966));
     assert_eq!(
         ids,
         [
