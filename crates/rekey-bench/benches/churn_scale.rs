@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rekey_bench::churn_runtime_fixture;
-use rekey_proto::{GroupRuntime, RuntimeConfig};
+use rekey_proto::{RuntimeConfig, ShardedGroupRuntime};
 
 fn bench_churn_scale(c: &mut Criterion) {
     let mut g = c.benchmark_group("churn_scale");
@@ -19,7 +19,8 @@ fn bench_churn_scale(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let runtime_config = RuntimeConfig::builder().loss(0.02).seed(0xC4C4).build();
-                    let mut rt = GroupRuntime::new(config.clone(), runtime_config, net.clone());
+                    let mut rt =
+                        ShardedGroupRuntime::new(config.clone(), runtime_config, net.clone());
                     rt.run_trace(&trace);
                     rt.finish(finish);
                     rt.snapshot().intervals

@@ -1,9 +1,9 @@
 //! Criterion benchmark of the batch-rekey crypto pipeline: one churned
 //! interval on a pre-grown 4k-member tree, swept across seal-thread
 //! counts. The serial cell is the baseline the parallel cells answer to;
-//! the committed `BENCH_crypto.json` (from the `bench_crypto` binary)
-//! carries the headline 64k numbers, this bench tracks the per-interval
-//! latency shape under criterion's statistics.
+//! this bench tracks the per-interval latency shape under criterion's
+//! statistics, and the `keytree_bulk` workload of `bench/` records the
+//! end-to-end figures.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use rand::SeedableRng;

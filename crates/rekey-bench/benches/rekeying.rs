@@ -171,9 +171,7 @@ fn bench_distributed_join(c: &mut Criterion) {
     let times: Vec<u64> = (0..64).map(|i| i * 2_000_000).collect();
     g.throughput(Throughput::Elements(64));
     g.bench_function("64_sequential_joins", |b| {
-        b.iter(|| {
-            rekey_proto::distributed::run_distributed_joins(&spec, &params, 2, &net, 64, &times)
-        })
+        b.iter(|| rekey_proto::run_distributed_joins(&spec, &params, 2, &net, 64, &times))
     });
     g.finish();
 }

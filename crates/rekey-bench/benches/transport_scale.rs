@@ -1,13 +1,9 @@
-//! Criterion comparison of the indexed transport core (member index +
-//! prefix-range split index) against the reference per-hop-scan
-//! implementation, at N ∈ {512, 2048, 8192} members.
-//!
-//! The committed `BENCH_transport.json` is produced by the
-//! `bench_transport` binary, which runs the same fixture.
+//! Criterion timing of the indexed transport core (member index +
+//! prefix-range split index), split against flooded, at
+//! N ∈ {512, 2048, 8192} members.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rekey_bench::transport_fixture;
-use rekey_proto::split::reference;
 use rekey_proto::{tmesh_rekey_transport, TransportOptions};
 
 fn bench_transport_scale(c: &mut Criterion) {
@@ -19,20 +15,6 @@ fn bench_transport_scale(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("indexed_split", users), &users, |b, _| {
             b.iter(|| tmesh_rekey_transport(&mesh, &net, &encryptions, TransportOptions::split()))
         });
-        g.bench_with_input(
-            BenchmarkId::new("reference_split", users),
-            &users,
-            |b, _| {
-                b.iter(|| {
-                    reference::tmesh_rekey_transport(
-                        &mesh,
-                        &net,
-                        &encryptions,
-                        TransportOptions::split(),
-                    )
-                })
-            },
-        );
         g.bench_with_input(BenchmarkId::new("indexed_flood", users), &users, |b, _| {
             b.iter(|| tmesh_rekey_transport(&mesh, &net, &encryptions, TransportOptions::flood()))
         });

@@ -10,8 +10,7 @@
 use rekey_bench::{arg_usize, grow_group, Topology};
 use rekey_id::{IdPrefix, IdSpec};
 use rekey_keytree::{ModifiedKeyTree, RekeyArena};
-use rekey_proto::concurrent::{run_concurrent_session, RekeyLoad, TrafficParams};
-use rekey_proto::AssignParams;
+use rekey_proto::{run_concurrent_session, AssignParams, RekeyLoad, TrafficParams};
 use rekey_sim::seeded_rng;
 use rekey_table::PrimaryPolicy;
 

@@ -128,18 +128,9 @@ impl SealedData {
         Ok(plaintext)
     }
 
-    /// ID of the key this data was sealed under.
-    pub fn key_id(&self) -> &IdPrefix {
-        &self.key_id
-    }
-
-    /// Version of the key this data was sealed under.
-    pub fn key_version(&self) -> u64 {
-        self.key_version
-    }
-
     /// The raw parts for wire encoding (see [`crate::wire`]).
-    pub fn wire_parts(&self) -> (&IdPrefix, u64, &[u8; NONCE_LEN], &[u8], &[u8; TAG_LEN]) {
+    #[cfg(test)]
+    pub(crate) fn wire_parts(&self) -> (&IdPrefix, u64, &[u8; NONCE_LEN], &[u8], &[u8; TAG_LEN]) {
         (
             &self.key_id,
             self.key_version,
@@ -151,7 +142,8 @@ impl SealedData {
 
     /// Reassembles sealed data from decoded wire parts; [`SealedData::open`]
     /// still verifies authenticity.
-    pub fn from_wire_parts(
+    #[cfg(test)]
+    pub(crate) fn from_wire_parts(
         key_id: IdPrefix,
         key_version: u64,
         nonce: [u8; NONCE_LEN],
@@ -168,7 +160,8 @@ impl SealedData {
     }
 
     /// Serialised size in bytes.
-    pub fn wire_size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn wire_size(&self) -> usize {
         1 + 2 * self.key_id.len() + 8 + NONCE_LEN + 4 + self.ciphertext.len() + TAG_LEN
     }
 }
@@ -194,8 +187,8 @@ mod tests {
         let msg = b"conference frame 42";
         let sealed = SealedData::seal(&key, msg, &mut rng);
         assert_eq!(sealed.open(&key).unwrap(), msg);
-        assert_eq!(sealed.key_version(), 3);
-        assert!(sealed.key_id().is_empty());
+        assert_eq!(sealed.key_version, 3);
+        assert!(sealed.key_id.is_empty());
     }
 
     #[test]

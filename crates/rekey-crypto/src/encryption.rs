@@ -242,11 +242,12 @@ impl Encryption {
         }
     }
 
-    /// Serialised size in bytes, used for bandwidth accounting.
+    /// Serialised size in bytes.
     ///
     /// Layout: 1 length byte + 2 bytes/digit for each of the two IDs, two
     /// 8-byte versions, nonce, 32-byte wrapped key and 8-byte tag.
-    pub fn wire_size(&self) -> usize {
+    #[cfg(test)]
+    fn wire_size(&self) -> usize {
         let id_bytes = 2 + 2 * self.encrypting_id.len() + 2 * self.encrypted_id.len();
         id_bytes + 16 + NONCE_LEN + chacha::KEY_LEN + TAG_LEN
     }

@@ -56,3 +56,6 @@ pub use data::{OpenError, SealedData};
 pub use encryption::{Encryption, UnwrapError};
 pub use key::{Key, KeyMaterial};
 pub use nonce::NonceSeq;
+
+#[cfg(test)]
+mod wire_roundtrip;

@@ -6,9 +6,9 @@
 //! rely on.
 
 /// Size of a SipHash key in bytes.
-pub const MAC_KEY_LEN: usize = 16;
+pub(crate) const MAC_KEY_LEN: usize = 16;
 /// Size of the produced tag in bytes.
-pub const TAG_LEN: usize = 8;
+pub(crate) const TAG_LEN: usize = 8;
 
 #[inline(always)]
 fn sipround(v: &mut [u64; 4]) {

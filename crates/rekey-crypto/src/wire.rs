@@ -9,7 +9,7 @@
 //! Encryption  := 0x01, enc_id:IdPrefix, enc_ver:u64,
 //!                tgt_id:IdPrefix, tgt_ver:u64,
 //!                nonce:[u8;12], ciphertext:[u8;32], tag:[u8;8]
-//! SealedData  := 0x02, key_id:IdPrefix, key_ver:u64,
+//! SealedData  := 0x02, key_id:IdPrefix, key_ver:u64,     (test code only)
 //!                nonce:[u8;12], len:u32, ciphertext:[u8;len], tag:[u8;8]
 //! RekeyMessage:= 0x03, count:u32, Encryption*
 //! ```
@@ -19,13 +19,11 @@ use std::fmt;
 use rekey_id::{IdError, IdPrefix, IdSpec, MAX_DEPTH};
 
 use crate::chacha::{KEY_LEN, NONCE_LEN};
-use crate::data::SealedData;
 use crate::encryption::Encryption;
 use crate::key::{Key, KeyMaterial};
 use crate::siphash::TAG_LEN;
 
 const TAG_ENCRYPTION: u8 = 0x01;
-const TAG_SEALED_DATA: u8 = 0x02;
 const TAG_REKEY_MESSAGE: u8 = 0x03;
 
 /// Errors produced while decoding wire bytes.
@@ -89,7 +87,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`DecodeError::Truncated`] if fewer than `n` bytes remain.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.pos + n > self.buf.len() {
             return Err(DecodeError::Truncated);
         }
@@ -138,11 +136,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     /// Asserts the input was fully consumed.
@@ -223,7 +216,7 @@ fn decode_encryption_inner(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Encrypti
 }
 
 /// Decodes one encryption from a reader, leaving trailing bytes for the
-/// caller (streaming variant of [`decode_encryption`]).
+/// caller.
 ///
 /// # Errors
 ///
@@ -233,18 +226,6 @@ pub fn decode_encryption_from(
     spec: &IdSpec,
 ) -> Result<Encryption, DecodeError> {
     decode_encryption_inner(r, spec)
-}
-
-/// Decodes one encryption, requiring the whole input to be consumed.
-///
-/// # Errors
-///
-/// Any [`DecodeError`] on malformed input.
-pub fn decode_encryption(buf: &[u8], spec: &IdSpec) -> Result<Encryption, DecodeError> {
-    let mut r = Reader::new(buf);
-    let e = decode_encryption_inner(&mut r, spec)?;
-    r.finish()?;
-    Ok(e)
 }
 
 /// Encodes a whole rekey message (a sequence of encryptions).
@@ -275,8 +256,41 @@ pub fn decode_rekey_message(buf: &[u8], spec: &IdSpec) -> Result<Vec<Encryption>
     Ok(out)
 }
 
+/// Encodes a key (for the join-time unicast of path keys).
+pub fn encode_key(k: &Key, out: &mut Vec<u8>) {
+    encode_prefix(out, k.id());
+    out.extend_from_slice(&k.version().to_le_bytes());
+    out.extend_from_slice(k.material().as_bytes());
+}
+
+/// Decodes a key from a reader, leaving trailing bytes for the caller.
+///
+/// # Errors
+///
+/// Any [`DecodeError`] on malformed input.
+pub fn decode_key_from(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Key, DecodeError> {
+    let id = decode_prefix(r, spec)?;
+    let version = r.u64()?;
+    let material: [u8; KEY_LEN] = r.take(KEY_LEN)?.try_into().expect("material");
+    Ok(Key::new(id, version, KeyMaterial::from_bytes(material)))
+}
+
+/// Decodes one encryption, requiring the whole input to be consumed.
+///
+/// # Errors
+///
+/// Any [`DecodeError`] on malformed input.
+#[cfg(test)]
+pub(crate) fn decode_encryption(buf: &[u8], spec: &IdSpec) -> Result<Encryption, DecodeError> {
+    let mut r = Reader::new(buf);
+    let e = decode_encryption_inner(&mut r, spec)?;
+    r.finish()?;
+    Ok(e)
+}
+
 /// Encodes sealed data.
-pub fn encode_sealed_data(d: &SealedData) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn encode_sealed_data(d: &crate::SealedData) -> Vec<u8> {
     let (key_id, key_version, nonce, ciphertext, tag) = d.wire_parts();
     let mut out = Vec::with_capacity(d.wire_size() + 1);
     out.push(TAG_SEALED_DATA);
@@ -294,7 +308,11 @@ pub fn encode_sealed_data(d: &SealedData) -> Vec<u8> {
 /// # Errors
 ///
 /// Any [`DecodeError`] on malformed input.
-pub fn decode_sealed_data(buf: &[u8], spec: &IdSpec) -> Result<SealedData, DecodeError> {
+#[cfg(test)]
+pub(crate) fn decode_sealed_data(
+    buf: &[u8],
+    spec: &IdSpec,
+) -> Result<crate::SealedData, DecodeError> {
     let mut r = Reader::new(buf);
     expect_tag(&mut r, TAG_SEALED_DATA)?;
     let key_id = decode_prefix(&mut r, spec)?;
@@ -304,7 +322,7 @@ pub fn decode_sealed_data(buf: &[u8], spec: &IdSpec) -> Result<SealedData, Decod
     let ciphertext = r.take(len)?.to_vec();
     let tag: [u8; TAG_LEN] = r.take(TAG_LEN)?.try_into().expect("tag");
     r.finish()?;
-    Ok(SealedData::from_wire_parts(
+    Ok(crate::SealedData::from_wire_parts(
         key_id,
         key_version,
         nonce,
@@ -313,41 +331,13 @@ pub fn decode_sealed_data(buf: &[u8], spec: &IdSpec) -> Result<SealedData, Decod
     ))
 }
 
-/// Encodes a key (for the join-time unicast of path keys).
-pub fn encode_key(k: &Key, out: &mut Vec<u8>) {
-    encode_prefix(out, k.id());
-    out.extend_from_slice(&k.version().to_le_bytes());
-    out.extend_from_slice(k.material().as_bytes());
-}
-
-/// Decodes a key from a reader, leaving trailing bytes for the caller
-/// (streaming variant of [`decode_key`]).
-///
-/// # Errors
-///
-/// Any [`DecodeError`] on malformed input.
-pub fn decode_key_from(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Key, DecodeError> {
-    let id = decode_prefix(r, spec)?;
-    let version = r.u64()?;
-    let material: [u8; KEY_LEN] = r.take(KEY_LEN)?.try_into().expect("material");
-    Ok(Key::new(id, version, KeyMaterial::from_bytes(material)))
-}
-
-/// Decodes a key.
-///
-/// # Errors
-///
-/// Any [`DecodeError`] on malformed input.
-pub fn decode_key(buf: &[u8], spec: &IdSpec) -> Result<Key, DecodeError> {
-    let mut r = Reader::new(buf);
-    let key = decode_key_from(&mut r, spec)?;
-    r.finish()?;
-    Ok(key)
-}
+#[cfg(test)]
+const TAG_SEALED_DATA: u8 = 0x02;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SealedData;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -400,7 +390,9 @@ mod tests {
         let (_, spec, aux, _) = fixtures();
         let mut buf = Vec::new();
         encode_key(&aux, &mut buf);
-        assert_eq!(decode_key(&buf, &spec).unwrap(), aux);
+        let mut r = Reader::new(&buf);
+        assert_eq!(decode_key_from(&mut r, &spec).unwrap(), aux);
+        r.finish().unwrap();
     }
 
     #[test]

@@ -38,6 +38,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Heap allocations (and reallocations) the calling thread made so far.
-pub fn allocations() -> u64 {
+pub(crate) fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }

@@ -155,3 +155,6 @@ mod spec_tests {
         assert_eq!(IdSpec::new(7, 65_535).unwrap().id_space(), u64::MAX);
     }
 }
+
+#[cfg(test)]
+mod inline_repr;

@@ -20,7 +20,7 @@ use crate::{IdError, IdSpec, UserId, MAX_DEPTH};
 /// let u = UserId::new(&spec, vec![2, 0, 1])?;
 /// let p = IdPrefix::new(&spec, vec![2, 0])?;
 /// assert!(p.is_prefix_of_id(&u));
-/// assert!(IdPrefix::root().is_prefix_of(&p));
+/// assert!(IdPrefix::root().is_prefix_of_id(&u));
 /// assert_eq!(p.child(1).digits(), &[2, 0, 1]);
 /// # Ok::<(), rekey_id::IdError>(())
 /// ```
@@ -108,12 +108,12 @@ impl IdPrefix {
     }
 
     /// The last digit, if any.
-    pub fn last_digit(&self) -> Option<u16> {
+    pub(crate) fn last_digit(&self) -> Option<u16> {
         self.digits().last().copied()
     }
 
     /// The parent node's ID (one digit shorter), or `None` for the root.
-    pub fn parent(&self) -> Option<IdPrefix> {
+    pub(crate) fn parent(&self) -> Option<IdPrefix> {
         self.len().checked_sub(1).map(|len| self.truncate(len))
     }
 
@@ -134,14 +134,14 @@ impl IdPrefix {
     /// # Panics
     ///
     /// Panics if `len > self.len()`.
-    pub fn truncate(&self, len: usize) -> IdPrefix {
+    pub(crate) fn truncate(&self, len: usize) -> IdPrefix {
         assert!(len <= self.len(), "truncate length exceeds prefix length");
         // Through `root()` so the dropped tail is zeroed.
         IdPrefix::root().extended(&self.digits[..len])
     }
 
     /// `true` iff `self` is a prefix of `other` (including `self == other`).
-    pub fn is_prefix_of(&self, other: &IdPrefix) -> bool {
+    pub(crate) fn is_prefix_of(&self, other: &IdPrefix) -> bool {
         other.digits().starts_with(self.digits())
     }
 
@@ -172,7 +172,7 @@ impl IdPrefix {
     /// * `Equal` — `self` is a prefix of `digits` (a descendant);
     /// * `Greater` — `digits` sorts after every descendant of `self`.
     ///
-    /// Together with the ancestor chain from [`IdPrefix::ancestors`], this
+    /// Together with the ancestor chain (the proper prefixes of `self`), this
     /// decomposes Theorem 2's relatedness predicate
     /// ([`IdPrefix::is_related`]) into one contiguous range plus at most
     /// `D` exact matches — the basis of the transport layer's prefix-range
@@ -207,7 +207,8 @@ impl IdPrefix {
     /// assert_eq!(chain[1].digits(), &[2]);
     /// # Ok::<(), rekey_id::IdError>(())
     /// ```
-    pub fn ancestors(&self) -> impl Iterator<Item = IdPrefix> + '_ {
+    #[cfg(test)]
+    pub(crate) fn ancestors(&self) -> impl Iterator<Item = IdPrefix> + '_ {
         (0..self.len()).map(move |len| self.truncate(len))
     }
 

@@ -19,18 +19,14 @@ pub struct IdTreeNode {
 }
 
 impl IdTreeNode {
-    /// The node's ID (a prefix; its length is the node's level).
-    pub fn id(&self) -> &IdPrefix {
-        &self.id
-    }
-
     /// The digits of existing child nodes, in increasing order.
     pub fn child_digits(&self) -> impl Iterator<Item = u16> + '_ {
         self.children.iter().copied()
     }
 
     /// Number of existing children.
-    pub fn child_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn child_count(&self) -> usize {
         self.children.len()
     }
 
@@ -85,11 +81,6 @@ impl IdTree {
             spec: *spec,
             nodes: BTreeMap::new(),
         }
-    }
-
-    /// The ID-space specification this tree was built for.
-    pub fn spec(&self) -> &IdSpec {
-        &self.spec
     }
 
     /// Inserts a user, creating any missing nodes on its root path.
@@ -163,11 +154,6 @@ impl IdTree {
         self.nodes.len()
     }
 
-    /// Iterates over all nodes in lexicographic (pre-order-compatible) order.
-    pub fn iter(&self) -> impl Iterator<Item = &IdTreeNode> {
-        self.nodes.values()
-    }
-
     /// Iterates over the IDs of all users in the subtree rooted at `id`.
     pub fn users_in_subtree<'a>(&'a self, id: &'a IdPrefix) -> impl Iterator<Item = UserId> + 'a {
         let depth = self.spec.depth();
@@ -180,7 +166,8 @@ impl IdTree {
     }
 
     /// Iterates over all user IDs in the group, in lexicographic order.
-    pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
+    #[cfg(test)]
+    pub(crate) fn users(&self) -> impl Iterator<Item = UserId> + '_ {
         const ROOT: IdPrefix = IdPrefix::root();
         self.users_in_subtree(&ROOT)
     }
@@ -191,7 +178,8 @@ impl IdTree {
     /// Per Definition 2 this is only defined for `0 <= i < D`; the returned
     /// set is empty if the subtree has no members. Note that `u` itself
     /// belongs to its `(i, u.ID[i])`-ID subtree.
-    pub fn ij_subtree_users(&self, u: &UserId, i: usize, j: u16) -> Vec<UserId> {
+    #[cfg(test)]
+    pub(crate) fn ij_subtree_users(&self, u: &UserId, i: usize, j: u16) -> Vec<UserId> {
         let root = u.prefix(i).child(j);
         self.users_in_subtree(&root).collect()
     }

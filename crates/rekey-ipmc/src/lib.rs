@@ -16,30 +16,33 @@
 //! g.add_link(r[1], r[2], 20);
 //! let net = RoutedNetwork::new(g, vec![r[0], r[1], r[2]]);
 //! let tree = source_tree(&net, HostId(0), &[HostId(1), HostId(2)]);
-//! assert_eq!(tree.delay(0), Some(10));
-//! assert_eq!(tree.delay(1), Some(30));
-//! assert_eq!(tree.links().len(), 2); // shared path counted once
+//! // One copy per tree link: the shared link r0–r1 is counted once.
+//! assert_eq!(tree.link_load(2, 1).total(), 2);
 //! ```
 
 use std::collections::BTreeSet;
 
-use rekey_net::{shortest_paths, HostId, LinkId, LinkLoad, Micros, RoutedNetwork};
+use rekey_net::{shortest_paths, HostId, LinkId, LinkLoad, RoutedNetwork};
 
 /// A shortest-path multicast tree from one source host to a receiver set.
 #[derive(Debug, Clone)]
 pub struct SourceTree {
-    delays: Vec<Option<Micros>>,
+    /// One-way delay per receiver; only the tests read it.
+    #[cfg(test)]
+    delays: Vec<Option<rekey_net::Micros>>,
     links: Vec<LinkId>,
 }
 
 impl SourceTree {
     /// One-way delay from the source to the `i`-th receiver.
-    pub fn delay(&self, receiver_index: usize) -> Option<Micros> {
+    #[cfg(test)]
+    pub(crate) fn delay(&self, receiver_index: usize) -> Option<rekey_net::Micros> {
         self.delays[receiver_index]
     }
 
     /// All physical links of the tree (each carries exactly one copy).
-    pub fn links(&self) -> &[LinkId] {
+    #[cfg(test)]
+    pub(crate) fn links(&self) -> &[LinkId] {
         &self.links
     }
 
@@ -71,6 +74,7 @@ pub fn source_tree(net: &RoutedNetwork, source: HostId, receivers: &[HostId]) ->
         }
     }
     SourceTree {
+        #[cfg(test)]
         delays,
         links: links.into_iter().collect(),
     }

@@ -71,7 +71,8 @@ impl RekeyArena {
 
     /// Creates an arena with `encryptions` slots pre-grown, for drivers
     /// that know their interval size up front.
-    pub fn with_capacity(encryptions: usize) -> RekeyArena {
+    #[cfg(test)]
+    pub(crate) fn with_capacity(encryptions: usize) -> RekeyArena {
         let mut arena = RekeyArena::new();
         arena.ensure_slots(encryptions);
         arena.sealed = 0;
@@ -79,7 +80,8 @@ impl RekeyArena {
     }
 
     /// Number of encryption slots currently pooled (grown high-water).
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.encryptions.len()
     }
 
@@ -123,11 +125,6 @@ impl<'a> RekeyBatch<'a> {
         self.arena.sealed
     }
 
-    /// `true` iff the interval changed nothing.
-    pub fn is_empty(&self) -> bool {
-        self.arena.sealed == 0 && self.arena.updated.is_empty()
-    }
-
     /// The rekey message: all generated encryptions, ordered by decreasing
     /// encrypting-key ID length so receivers can unwrap in a single pass.
     pub fn encryptions(&self) -> &[Encryption] {
@@ -140,8 +137,8 @@ impl<'a> RekeyBatch<'a> {
     }
 
     /// Wall-clock nanoseconds the seal phase (key wrapping only, after key
-    /// derivation) of this batch took — the quantity `bench_crypto`
-    /// sweeps.
+    /// derivation) of this batch took — what the benchmark's
+    /// `keytree.seal_ms` layer reports.
     pub fn seal_nanos(&self) -> u64 {
         self.arena.seal_nanos
     }
@@ -155,12 +152,6 @@ impl<'a> RekeyBatch<'a> {
         pool.truncate(self.arena.sealed);
         self.arena.sealed = 0;
         pool
-    }
-
-    /// Moves the updated IDs out of the arena without copying; see
-    /// [`RekeyBatch::take_encryptions`].
-    pub fn take_updated(&mut self) -> Vec<IdPrefix> {
-        std::mem::take(&mut self.arena.updated)
     }
 }
 

@@ -55,13 +55,6 @@ impl<'a> ClusterRekeyBatch<'a> {
     pub fn rekey(&self) -> &RekeyBatch<'a> {
         &self.rekey
     }
-
-    /// Number of pairwise-encrypted group-key unicasts the leaders perform
-    /// to refresh their non-leader members after this interval (0 when the
-    /// group key did not change).
-    pub fn leader_unicasts(&self) -> u64 {
-        self.leader_unicasts
-    }
 }
 
 /// A modified key tree operated under the cluster rekeying heuristic.
@@ -109,12 +102,13 @@ impl ClusteredKeyTree {
     }
 
     /// Total number of users across all clusters.
-    pub fn user_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn user_count(&self) -> usize {
         self.clusters.values().map(|c| c.members.len()).sum()
     }
 
     /// `true` iff `user` is in the group.
-    pub fn contains_user(&self, user: &UserId) -> bool {
+    pub(crate) fn contains_user(&self, user: &UserId) -> bool {
         self.cluster_id(user)
             .map(|c| self.clusters[&c].contains(user))
             .unwrap_or(false)
@@ -128,7 +122,7 @@ impl ClusteredKeyTree {
     }
 
     /// The leader of `user`'s cluster, if the cluster exists.
-    pub fn leader_of(&self, user: &UserId) -> Option<&UserId> {
+    pub(crate) fn leader_of(&self, user: &UserId) -> Option<&UserId> {
         let id = user.prefix(self.spec.depth() - 1);
         self.clusters.get(&id).and_then(|c| c.leader())
     }
@@ -267,7 +261,7 @@ mod tests {
         // Group-oriented rekeying wraps each new path key under its single
         // child's key: D encryptions for a first join.
         assert_eq!(out.cost(), 3);
-        assert_eq!(out.leader_unicasts(), 0);
+        assert_eq!(out.leader_unicasts, 0);
     }
 
     #[test]
@@ -288,7 +282,7 @@ mod tests {
             .batch_rekey(&[], &[uid([0, 0, 2])], &mut rng, &mut arena)
             .unwrap();
         assert_eq!(out.cost(), 0, "non-leader leaves incur no group rekeying");
-        assert_eq!(out.leader_unicasts(), 0);
+        assert_eq!(out.leader_unicasts, 0);
     }
 
     #[test]
@@ -313,7 +307,7 @@ mod tests {
         assert_eq!(ct.tree().user_count(), 2);
         // One non-leader-free cluster and one singleton: 0 unicasts… both
         // clusters are singletons now.
-        assert_eq!(out.leader_unicasts(), 0);
+        assert_eq!(out.leader_unicasts, 0);
     }
 
     #[test]
@@ -339,7 +333,7 @@ mod tests {
             .batch_rekey(&[], &[uid([2, 0, 0])], &mut rng, &mut arena)
             .unwrap();
         assert!(out.cost() > 0);
-        assert_eq!(out.leader_unicasts(), 2);
+        assert_eq!(out.leader_unicasts, 2);
     }
 
     #[test]

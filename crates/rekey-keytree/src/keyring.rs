@@ -75,7 +75,7 @@ impl KeyRing {
 
     /// The held key with this ID, if any (`None` for an ID off the user's
     /// path).
-    pub fn key(&self, id: &IdPrefix) -> Option<&Key> {
+    pub(crate) fn key(&self, id: &IdPrefix) -> Option<&Key> {
         if id.is_prefix_of_id(&self.user) {
             self.keys[id.len()].as_ref()
         } else {
@@ -84,18 +84,13 @@ impl KeyRing {
     }
 
     /// Number of held keys (normally `D + 1`).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.iter().flatten().count()
-    }
-
-    /// `true` iff the ring holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.keys.iter().all(Option::is_none)
     }
 
     /// Lemma 3: this user needs encryption `e` iff `e`'s ID is a prefix of
     /// the user's ID.
-    pub fn needs(&self, e: &Encryption) -> bool {
+    pub(crate) fn needs(&self, e: &Encryption) -> bool {
         e.id().is_prefix_of_id(&self.user)
     }
 

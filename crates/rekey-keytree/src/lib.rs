@@ -46,11 +46,21 @@ mod cluster;
 mod keyring;
 mod modified;
 mod original;
-mod reference;
 
 pub use batch::{RekeyArena, RekeyBatch};
 pub use cluster::{ClusterRekeyBatch, ClusteredKeyTree};
 pub use keyring::KeyRing;
-pub use modified::{KeyTreeError, ModifiedKeyTree, NodeHandle, PathKeys, TreeMetrics};
+pub use modified::{KeyTreeError, ModifiedKeyTree, PathKeys, TreeMetrics};
 pub use original::{NodeIdx, OrigEncryption, OrigRekeyOutcome, OriginalKeyTree};
-pub use reference::ReferenceKeyTree;
+
+// Test code only: the `BTreeMap` oracle of the arena tree and the property
+// tests that churn the two in lockstep.
+#[cfg(test)]
+mod arena_oracle;
+#[cfg(test)]
+mod parallel_seal;
+#[cfg(test)]
+mod reference;
+
+#[cfg(test)]
+mod churn_properties;

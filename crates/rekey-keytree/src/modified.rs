@@ -2,14 +2,14 @@
 //! ID tree exactly, growing horizontally as users join.
 //!
 //! Storage is an arena: nodes live in struct-of-arrays slot vectors
-//! addressed by integer [`NodeHandle`]s, with parent/child links as slot
+//! addressed by integer slot indices, with parent/child links as slot
 //! indices and a free list recycling pruned slots. Looking a node up by
 //! ID walks at most `D` child tables instead of comparing full
 //! `IdPrefix` keys through a `BTreeMap`, and every per-encryption
 //! bookkeeping step is O(1) — the regime the Wong–Gouda–Lam batch cost
-//! model assumes. The old map-keyed implementation is retained as
-//! [`ReferenceKeyTree`](crate::ReferenceKeyTree) and the two are churned
-//! in lockstep by property tests.
+//! model assumes. The old map-keyed implementation is retained in test
+//! code as the `ReferenceKeyTree` oracle, and the two are churned in
+//! lockstep by property tests.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use rand::Rng;
 use rekey_crypto::{Key, KeyMaterial, NonceSeq};
-use rekey_id::{IdPrefix, IdSpec, IdTree, UserId};
+use rekey_id::{IdPrefix, IdSpec, UserId};
 use rekey_metrics::{Counter, Histogram, Registry};
 
 use crate::batch::{RekeyArena, RekeyBatch, SealJob};
@@ -49,33 +49,6 @@ impl std::error::Error for KeyTreeError {}
 /// at ~1 µs per ChaCha20+SipHash key wrap, a thousand wraps barely cover
 /// the cost of a thread spawn.
 const PAR_THRESHOLD: usize = 1024;
-
-/// A stable integer handle to a live node of a [`ModifiedKeyTree`].
-///
-/// Handles are arena slot indices: `Copy`, 4 bytes, hashable, and valid
-/// until the node they name is pruned by a [`batch_rekey`] — after which
-/// the slot may be recycled for a different node, so holding handles
-/// across batches is only sound for nodes known to still exist (resolve
-/// again via [`node_handle`] when unsure). Handle values are
-/// deterministic for a deterministic operation sequence.
-///
-/// [`batch_rekey`]: ModifiedKeyTree::batch_rekey
-/// [`node_handle`]: ModifiedKeyTree::node_handle
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeHandle(u32);
-
-impl NodeHandle {
-    /// The raw slot index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for NodeHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{}", self.0)
-    }
-}
 
 const NIL: u32 = u32::MAX;
 
@@ -131,18 +104,13 @@ impl TreeMetrics {
 ///   **u-node** holding a user's individual key, shorter IDs are
 ///   **k-nodes** holding the group key (root) or auxiliary keys.
 /// * "The key server makes the structure of the key tree match exactly that
-///   of the ID tree" — [`ModifiedKeyTree::matches_id_tree`] checks this
-///   invariant and the test suite enforces it under random churn.
+///   of the ID tree" — the test suite checks this invariant under random
+///   churn.
 ///
 /// Batch rekeying follows §2.4: per interval, joined u-nodes are added
 /// (creating missing k-nodes), departed u-nodes removed (pruning empty
 /// k-nodes), every k-node on an affected path gets a fresh key, and one
 /// encryption is generated per (changed k-node, child) pair.
-///
-/// Nodes are addressed by integer [`NodeHandle`]s; ID-prefix resolution
-/// ([`node_handle`], [`user_handle`]) is meant for the boundary where
-/// wire-format IDs enter, with handle-based accessors ([`key_at`],
-/// [`children_of`], [`parent_of`]) doing the traversal work after.
 ///
 /// ```
 /// use rand::SeedableRng;
@@ -159,19 +127,8 @@ impl TreeMetrics {
 /// // `a` holds its individual key, the aux key of subtree [0] and the
 /// // group key.
 /// assert_eq!(tree.user_path_keys(&a).count(), 3);
-/// // The same path, walked by handle.
-/// let leaf = tree.user_handle(&a).unwrap();
-/// assert_eq!(tree.key_at(leaf).id(), &a.as_prefix());
-/// let root = tree.parent_of(tree.parent_of(leaf).unwrap()).unwrap();
-/// assert_eq!(Some(tree.key_at(root)), tree.group_key());
 /// # Ok::<(), rekey_id::IdError>(())
 /// ```
-///
-/// [`node_handle`]: ModifiedKeyTree::node_handle
-/// [`user_handle`]: ModifiedKeyTree::user_handle
-/// [`key_at`]: ModifiedKeyTree::key_at
-/// [`children_of`]: ModifiedKeyTree::children_of
-/// [`parent_of`]: ModifiedKeyTree::parent_of
 #[derive(Debug, Clone)]
 pub struct ModifiedKeyTree {
     spec: IdSpec,
@@ -248,12 +205,6 @@ impl ModifiedKeyTree {
     /// [`batch_rekey`]: ModifiedKeyTree::batch_rekey
     pub fn set_seal_threads(&mut self, threads: usize) {
         self.seal_threads = threads;
-    }
-
-    /// The configured seal-thread count (see
-    /// [`ModifiedKeyTree::set_seal_threads`]).
-    pub fn seal_threads(&self) -> usize {
-        self.seal_threads
     }
 
     /// Resolves the configured thread count against the job count: auto
@@ -345,10 +296,11 @@ impl ModifiedKeyTree {
     }
 
     // ------------------------------------------------------------------
-    // Handle API.
+    // Handle API, test code only: the oracle tests walk the arena by handle.
 
     /// The handle of the root (group-key) node, if the group is non-empty.
-    pub fn root_handle(&self) -> Option<NodeHandle> {
+    #[cfg(test)]
+    pub(crate) fn root_handle(&self) -> Option<NodeHandle> {
         (self.root != NIL).then_some(NodeHandle(self.root))
     }
 
@@ -357,12 +309,14 @@ impl ModifiedKeyTree {
     /// This is the prefix↔handle boundary: call it once where an ID
     /// enters (a wire message, a user-facing API), then traverse by
     /// handle.
-    pub fn node_handle(&self, id: &IdPrefix) -> Option<NodeHandle> {
+    #[cfg(test)]
+    pub(crate) fn node_handle(&self, id: &IdPrefix) -> Option<NodeHandle> {
         self.lookup(id.digits()).map(NodeHandle)
     }
 
     /// Resolves a user ID to the handle of its u-node.
-    pub fn user_handle(&self, user: &UserId) -> Option<NodeHandle> {
+    #[cfg(test)]
+    pub(crate) fn user_handle(&self, user: &UserId) -> Option<NodeHandle> {
         self.lookup(user.digits()).map(NodeHandle)
     }
 
@@ -371,7 +325,8 @@ impl ModifiedKeyTree {
     /// # Panics
     ///
     /// Panics if the handle's node has been pruned (stale handle).
-    pub fn key_at(&self, handle: NodeHandle) -> &Key {
+    #[cfg(test)]
+    pub(crate) fn key_at(&self, handle: NodeHandle) -> &Key {
         assert!(
             self.live[handle.index()],
             "stale NodeHandle {handle}: node was pruned"
@@ -384,7 +339,8 @@ impl ModifiedKeyTree {
     /// # Panics
     ///
     /// Panics if the handle is stale.
-    pub fn parent_of(&self, handle: NodeHandle) -> Option<NodeHandle> {
+    #[cfg(test)]
+    pub(crate) fn parent_of(&self, handle: NodeHandle) -> Option<NodeHandle> {
         assert!(
             self.live[handle.index()],
             "stale NodeHandle {handle}: node was pruned"
@@ -399,7 +355,8 @@ impl ModifiedKeyTree {
     /// # Panics
     ///
     /// Panics if the handle is stale.
-    pub fn children_of(
+    #[cfg(test)]
+    pub(crate) fn children_of(
         &self,
         handle: NodeHandle,
     ) -> impl ExactSizeIterator<Item = (u16, NodeHandle)> + Clone + '_ {
@@ -414,7 +371,8 @@ impl ModifiedKeyTree {
 
     /// The keys on the path from `handle`'s node up to the root, starting
     /// at the node itself.
-    pub fn path_keys_at(&self, handle: NodeHandle) -> PathKeys<'_> {
+    #[cfg(test)]
+    pub(crate) fn path_keys_at(&self, handle: NodeHandle) -> PathKeys<'_> {
         assert!(
             self.live[handle.index()],
             "stale NodeHandle {handle}: node was pruned"
@@ -440,12 +398,14 @@ impl ModifiedKeyTree {
     }
 
     /// Number of users (u-nodes). O(1).
-    pub fn user_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn user_count(&self) -> usize {
         self.user_count
     }
 
     /// Total number of nodes (k-nodes and u-nodes). O(1).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.live_count
     }
 
@@ -470,7 +430,8 @@ impl ModifiedKeyTree {
 
     /// Checks the structural invariant: the key tree's node set equals the
     /// ID tree's node set for the current membership.
-    pub fn matches_id_tree(&self, tree: &IdTree) -> bool {
+    #[cfg(test)]
+    pub(crate) fn matches_id_tree(&self, tree: &rekey_id::IdTree) -> bool {
         if self.live_count != tree.node_count() {
             return false;
         }
@@ -754,8 +715,7 @@ impl ModifiedKeyTree {
 }
 
 /// Borrowing iterator over the keys on a node→root path, deepest first.
-/// Returned by [`ModifiedKeyTree::user_path_keys`] and
-/// [`ModifiedKeyTree::path_keys_at`].
+/// Returned by [`ModifiedKeyTree::user_path_keys`].
 #[derive(Debug, Clone)]
 pub struct PathKeys<'a> {
     tree: &'a ModifiedKeyTree,
@@ -783,11 +743,34 @@ impl<'a> Iterator for PathKeys<'a> {
 
 impl ExactSizeIterator for PathKeys<'_> {}
 
+/// An arena slot index naming a live node of a [`ModifiedKeyTree`], valid
+/// until a `batch_rekey` prunes that node. Test code walks the arena by
+/// handle to compare it with the map-keyed oracle.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) struct NodeHandle(u32);
+
+#[cfg(test)]
+impl NodeHandle {
+    /// The raw slot index.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+#[cfg(test)]
+impl fmt::Display for NodeHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "#{}", self.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rekey_id::IdTree;
 
     fn spec() -> IdSpec {
         IdSpec::new(2, 4).unwrap()

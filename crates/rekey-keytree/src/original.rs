@@ -88,7 +88,7 @@ impl OriginalKeyTree {
     /// # Panics
     ///
     /// Panics if `degree < 2`.
-    pub fn new(degree: usize) -> OriginalKeyTree {
+    pub(crate) fn new(degree: usize) -> OriginalKeyTree {
         assert!(degree >= 2, "key tree degree must be at least 2");
         OriginalKeyTree {
             degree,
@@ -176,23 +176,20 @@ impl OriginalKeyTree {
         self.free.push(idx);
     }
 
-    /// The tree degree.
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
     /// Number of users (leaves).
-    pub fn user_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn user_count(&self) -> usize {
         self.users.len()
     }
 
     /// `true` iff `user` is in the tree.
-    pub fn contains_user(&self, user: &UserId) -> bool {
+    pub(crate) fn contains_user(&self, user: &UserId) -> bool {
         self.users.contains_key(user)
     }
 
     /// Height of the tree: edges on the longest root-to-leaf path.
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn height(&self) -> usize {
         fn depth_of(nodes: &[ONode], idx: usize) -> usize {
             nodes[idx]
                 .children
@@ -220,7 +217,8 @@ impl OriginalKeyTree {
     }
 
     /// Depth (root distance) of the node holding `user`, if present.
-    pub fn user_depth(&self, user: &UserId) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn user_depth(&self, user: &UserId) -> Option<usize> {
         let path = self.user_path(user);
         if path.is_empty() {
             None
@@ -469,7 +467,8 @@ impl OriginalKeyTree {
 
     /// Checks structural invariants (parent/child symmetry, degree bound,
     /// user index accuracy). Used by tests.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         for (i, n) in self.nodes.iter().enumerate() {
             if !n.in_use {
                 continue;

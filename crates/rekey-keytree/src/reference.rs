@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The pre-arena, `BTreeMap`-backed modified key tree, retained verbatim
 //! as a **reference oracle** for the handle-based [`ModifiedKeyTree`].
 //!
@@ -6,11 +7,11 @@
 //! strings. It is algorithmically identical to the arena tree — including
 //! RNG draw order, so identically seeded batches produce *byte-identical*
 //! outcomes — but pays an O(D log n) full-key comparison per access. The
-//! equivalence property tests in `tests/arena_oracle.rs` churn both trees
+//! equivalence property tests in `arena_oracle` churn both trees
 //! in lockstep and compare everything: keys, encryptions, tombstone
 //! resumes, structure.
 //!
-//! Do not use this type outside tests; it exists so the fast path always
+//! It compiles only under `cfg(test)`: it exists so the fast path always
 //! has a slow, obviously-correct twin to answer to.
 //!
 //! [`ModifiedKeyTree`]: crate::ModifiedKeyTree
@@ -19,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rand::Rng;
 use rekey_crypto::{Key, KeyMaterial, NonceSeq};
-use rekey_id::{IdPrefix, IdSpec, IdTree, UserId};
+use rekey_id::{IdPrefix, IdSpec, UserId};
 
 use crate::batch::{RekeyArena, RekeyBatch};
 use crate::modified::KeyTreeError;
@@ -44,7 +45,7 @@ fn fresh_key<R: Rng + ?Sized>(retired: &BTreeMap<IdPrefix, u64>, id: IdPrefix, r
 /// The ID-keyed reference implementation of the modified key tree — the
 /// test oracle for [`ModifiedKeyTree`](crate::ModifiedKeyTree).
 #[derive(Debug, Clone)]
-pub struct ReferenceKeyTree {
+pub(crate) struct ReferenceKeyTree {
     spec: IdSpec,
     nodes: BTreeMap<IdPrefix, TreeNode>,
     retired: BTreeMap<IdPrefix, u64>,
@@ -52,7 +53,7 @@ pub struct ReferenceKeyTree {
 
 impl ReferenceKeyTree {
     /// Creates an empty tree.
-    pub fn new(spec: &IdSpec) -> ReferenceKeyTree {
+    pub(crate) fn new(spec: &IdSpec) -> ReferenceKeyTree {
         ReferenceKeyTree {
             spec: *spec,
             nodes: BTreeMap::new(),
@@ -60,40 +61,35 @@ impl ReferenceKeyTree {
         }
     }
 
-    /// The ID-space specification.
-    pub fn spec(&self) -> &IdSpec {
-        &self.spec
-    }
-
     /// The current group key, if the group is non-empty.
-    pub fn group_key(&self) -> Option<&Key> {
+    pub(crate) fn group_key(&self) -> Option<&Key> {
         self.key(&IdPrefix::root())
     }
 
     /// The key stored at ID-tree node `id`, if present.
-    pub fn key(&self, id: &IdPrefix) -> Option<&Key> {
+    pub(crate) fn key(&self, id: &IdPrefix) -> Option<&Key> {
         self.nodes.get(id).map(|n| &n.key)
     }
 
     /// `true` iff `user` has a u-node in the tree.
-    pub fn contains_user(&self, user: &UserId) -> bool {
+    pub(crate) fn contains_user(&self, user: &UserId) -> bool {
         self.nodes.contains_key(&user.as_prefix())
     }
 
     /// Number of users (u-nodes).
-    pub fn user_count(&self) -> usize {
+    pub(crate) fn user_count(&self) -> usize {
         let depth = self.spec.depth();
         self.nodes.keys().filter(|p| p.len() == depth).count()
     }
 
     /// Total number of nodes (k-nodes and u-nodes).
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
     /// All keys on the path from `user`'s u-node to the root, u-node
     /// first; empty if the user is not a member.
-    pub fn user_path_keys(&self, user: &UserId) -> Vec<Key> {
+    pub(crate) fn user_path_keys(&self, user: &UserId) -> Vec<Key> {
         if !self.contains_user(user) {
             return Vec::new();
         }
@@ -101,17 +97,6 @@ impl ReferenceKeyTree {
             .rev()
             .map(|l| self.nodes[&user.prefix(l)].key.clone())
             .collect()
-    }
-
-    /// Checks the structural invariant against the ID tree.
-    pub fn matches_id_tree(&self, tree: &IdTree) -> bool {
-        if self.nodes.len() != tree.node_count() {
-            return false;
-        }
-        self.nodes.iter().all(|(id, node)| {
-            tree.node(id)
-                .is_some_and(|t| node.children.iter().copied().eq(t.child_digits()))
-        })
     }
 
     fn validate_batch(&self, joins: &[UserId], leaves: &[UserId]) -> Result<(), KeyTreeError> {
@@ -148,7 +133,7 @@ impl ReferenceKeyTree {
     ///
     /// Rejects batches with duplicate users, joins of current members, or
     /// leaves of non-members; the tree is left unchanged on error.
-    pub fn batch_rekey<'a, R: Rng + ?Sized>(
+    pub(crate) fn batch_rekey<'a, R: Rng + ?Sized>(
         &mut self,
         joins: &[UserId],
         leaves: &[UserId],

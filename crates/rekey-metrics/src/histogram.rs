@@ -1,7 +1,7 @@
 //! Log₂-scaled histograms with linear sub-buckets per octave.
 //!
-//! Values below [`SUB_BUCKETS`] get exact unit buckets; above that, each
-//! power-of-two octave is divided into [`SUB_BUCKETS`] equal sub-buckets,
+//! Values below `SUB_BUCKETS` (8) get exact unit buckets; above that, each
+//! power-of-two octave is divided into `SUB_BUCKETS` equal sub-buckets,
 //! so the relative bucket width never exceeds `1 / SUB_BUCKETS` (12.5 %).
 //! Recording is O(1) (a leading-zeros count and two shifts) and the whole
 //! store is integers, so snapshots are `Eq` and identically seeded runs
@@ -13,12 +13,12 @@ use std::rc::Rc;
 use crate::json;
 
 /// Linear sub-buckets per power-of-two octave.
-pub const SUB_BUCKETS: u64 = 8;
+pub(crate) const SUB_BUCKETS: u64 = 8;
 const SUB_BITS: u32 = 3; // log2(SUB_BUCKETS)
 
 /// The bucket index a value lands in. Total order: `bucket_index` is
 /// monotone in `v`, and buckets tile `0..=u64::MAX` without gaps.
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS {
         return v as usize;
     }
@@ -28,7 +28,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive lower bound of bucket `i`.
-pub fn bucket_lower(i: usize) -> u64 {
+pub(crate) fn bucket_lower(i: usize) -> u64 {
     if i < SUB_BUCKETS as usize {
         return i as u64;
     }
@@ -38,7 +38,7 @@ pub fn bucket_lower(i: usize) -> u64 {
 }
 
 /// Width of bucket `i` (its values span `lower .. lower + width`).
-pub fn bucket_width(i: usize) -> u64 {
+pub(crate) fn bucket_width(i: usize) -> u64 {
     if i < SUB_BUCKETS as usize {
         return 1;
     }
@@ -90,7 +90,8 @@ pub struct Histogram(Rc<RefCell<Store>>);
 impl Histogram {
     /// An empty histogram (usually obtained via
     /// [`Registry::histogram`](crate::Registry::histogram)).
-    pub fn new() -> Histogram {
+    #[cfg(test)]
+    pub(crate) fn new() -> Histogram {
         Histogram::default()
     }
 
@@ -99,13 +100,8 @@ impl Histogram {
         self.0.borrow_mut().record(v);
     }
 
-    /// Values recorded so far.
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count
-    }
-
     /// A point-in-time copy of the distribution.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         self.0.borrow().snapshot()
     }
 }
@@ -127,11 +123,6 @@ impl LocalHistogram {
     /// Records one value.
     pub fn record(&mut self, v: u64) {
         self.0.record(v);
-    }
-
-    /// Values recorded so far.
-    pub fn count(&self) -> u64 {
-        self.0.count
     }
 
     /// Folds `other`'s counts into this histogram. Bucket counts and sums
@@ -159,8 +150,8 @@ impl LocalHistogram {
         self.0.sum = self.0.sum.wrapping_add(o.sum);
     }
 
-    /// A point-in-time copy of the distribution, identical in form to
-    /// [`Histogram::snapshot`].
+    /// A point-in-time copy of the distribution, identical in form to a
+    /// shared [`Histogram`]'s.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.0.snapshot()
     }
@@ -179,13 +170,14 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest recorded value (0 when empty).
     pub max: u64,
-    /// Bucket counts, indexed by [`bucket_index`].
+    /// Bucket counts, indexed by bucket (unit buckets below 8, then eight
+    /// per power-of-two octave).
     pub buckets: Vec<u64>,
 }
 
 impl HistogramSnapshot {
     /// Mean of the recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -235,7 +227,7 @@ impl HistogramSnapshot {
     }
 
     /// 99th percentile (interpolated).
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.percentile(0.99)
     }
 

@@ -117,7 +117,7 @@ impl Writer {
 
     /// Writes `"key": <v>` with fixed `decimals` digits. Fixed-point
     /// formatting of a deterministic float is itself deterministic.
-    pub fn field_f64(&mut self, key: &str, v: f64, decimals: usize) {
+    pub(crate) fn field_f64(&mut self, key: &str, v: f64, decimals: usize) {
         self.key(key);
         self.out.push_str(&format!("{v:.decimals$}"));
     }

@@ -5,7 +5,7 @@
 //! just totals. This crate is the workspace's shared measurement layer:
 //!
 //! * [`Registry`] — a zero-dependency metrics registry handing out cheap
-//!   clonable handles: [`Counter`], [`Gauge`] and [`Histogram`];
+//!   clonable handles: [`Counter`] and [`Histogram`];
 //! * [`Histogram`] — log₂-scaled buckets with linear sub-buckets per
 //!   octave (≤ 12.5 % relative bucket width), O(1) `record`, and
 //!   interpolated p50/p95/p99 in the snapshot;
@@ -13,10 +13,10 @@
 //!   (drop-oldest, with a dropped count), timestamped by the *caller* —
 //!   sim-clock microseconds in this workspace, never wall clock — so
 //!   identically seeded runs record identical spans;
-//! * [`RegistrySnapshot`] — an `Eq` point-in-time copy of everything,
-//!   with a deterministic [JSON export](RegistrySnapshot::to_json)
-//!   (sorted keys, integer-first formatting) that two identically seeded
-//!   runs emit byte for byte.
+//! * [`RegistrySnapshot`] — an `Eq` point-in-time copy of everything in
+//!   sorted maps, so two identically seeded runs snapshot equal; the
+//!   [`json`] writer renders such data byte for byte deterministically
+//!   (sorted keys, integer-first formatting).
 //!
 //! Nothing here reads `Instant::now()` or any other ambient clock: all
 //! times come in as plain `u64`s from the discrete-event schedule, which
@@ -30,7 +30,7 @@
 //! let registry = Registry::new();
 //! let delivered = registry.counter("delivered");
 //! let latency = registry.histogram("latency_us");
-//! delivered.inc();
+//! delivered.add(1);
 //! latency.record(1500);
 //! latency.record(950);
 //! registry.span("interval", 0, 1500, 1);
@@ -38,8 +38,7 @@
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counters["delivered"], 1);
 //! assert_eq!(snap.histograms["latency_us"].count, 2);
-//! let json = snap.to_json();
-//! assert_eq!(json, registry.snapshot().to_json(), "export is deterministic");
+//! assert_eq!(snap, registry.snapshot(), "snapshots are deterministic");
 //! ```
 
 use std::cell::{Cell, RefCell};
@@ -49,9 +48,7 @@ use std::rc::Rc;
 pub mod histogram;
 pub mod json;
 
-pub use histogram::{
-    bucket_index, bucket_lower, bucket_width, Histogram, HistogramSnapshot, LocalHistogram,
-};
+pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram};
 
 /// One recorded tracing span: a named interval of simulated time plus one
 /// free `detail` word (an interval number, an epoch, a batch size — the
@@ -66,13 +63,6 @@ pub struct SpanRecord {
     pub end: u64,
     /// One free word of context, keyed by the span name.
     pub detail: u64,
-}
-
-impl SpanRecord {
-    /// The span's duration on the caller's clock.
-    pub fn duration(&self) -> u64 {
-        self.end.saturating_sub(self.start)
-    }
 }
 
 /// The bounded span ring: keeps the most recent `capacity` spans
@@ -94,7 +84,7 @@ impl Default for SpanLog {
 
 impl SpanLog {
     /// An empty ring keeping at most `capacity` spans.
-    pub fn with_capacity(capacity: usize) -> SpanLog {
+    pub(crate) fn with_capacity(capacity: usize) -> SpanLog {
         SpanLog {
             capacity,
             spans: std::collections::VecDeque::new(),
@@ -135,47 +125,20 @@ struct Inner {
 pub struct Counter(Rc<Cell<u64>>);
 
 impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.set(self.0.get().wrapping_add(n));
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// A last-value (or running-max) gauge handle. Cloning shares the value.
-#[derive(Debug, Clone)]
-pub struct Gauge(Rc<Cell<u64>>);
-
-impl Gauge {
-    /// Overwrites the value.
-    pub fn set(&self, v: u64) {
-        self.0.set(v);
-    }
-
-    /// Keeps the running maximum of every observed value.
-    pub fn record_max(&self, v: u64) {
-        if v > self.0.get() {
-            self.0.set(v);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self) -> u64 {
         self.0.get()
     }
 }
 
 /// The default span ring capacity of [`Registry::new`].
-pub const DEFAULT_SPAN_CAPACITY: usize = 512;
+pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 512;
 
 /// A registry of named metrics. Cloning is cheap and shares the
 /// underlying store, so one registry can be threaded through every layer
@@ -193,14 +156,13 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry with the [default span
-    /// capacity](DEFAULT_SPAN_CAPACITY).
+    /// An empty registry keeping at most 512 spans (drop-oldest).
     pub fn new() -> Registry {
         Registry::with_span_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
     /// An empty registry keeping at most `capacity` spans (drop-oldest).
-    pub fn with_span_capacity(capacity: usize) -> Registry {
+    pub(crate) fn with_span_capacity(capacity: usize) -> Registry {
         Registry {
             inner: Rc::new(RefCell::new(Inner {
                 counters: BTreeMap::new(),
@@ -224,7 +186,8 @@ impl Registry {
     }
 
     /// The gauge named `name`, created at zero on first use.
-    pub fn gauge(&self, name: &'static str) -> Gauge {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &'static str) -> Gauge {
         Gauge(Rc::clone(
             self.inner
                 .borrow_mut()
@@ -255,7 +218,8 @@ impl Registry {
     }
 
     /// Spans dropped from the ring so far.
-    pub fn spans_dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn spans_dropped(&self) -> u64 {
         self.inner.borrow().spans.dropped
     }
 
@@ -320,7 +284,8 @@ impl RegistrySnapshot {
     /// Serializes the snapshot as pretty-printed JSON with sorted keys.
     /// The output is a pure function of the snapshot — identically seeded
     /// runs emit byte-identical documents.
-    pub fn to_json(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn to_json(&self) -> String {
         let mut w = json::Writer::new();
         w.begin_object();
         w.begin_named_object("counters");
@@ -356,6 +321,32 @@ impl RegistrySnapshot {
     }
 }
 
+/// A last-value (or running-max) gauge handle. Cloning shares the value.
+/// Only the tests set gauges; the snapshot still carries the (empty) map.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct Gauge(Rc<Cell<u64>>);
+
+#[cfg(test)]
+impl Gauge {
+    /// Overwrites the value.
+    pub(crate) fn set(&self, v: u64) {
+        self.0.set(v);
+    }
+
+    /// Keeps the running maximum of every observed value.
+    pub(crate) fn record_max(&self, v: u64) {
+        if v > self.0.get() {
+            self.0.set(v);
+        }
+    }
+
+    /// Current value.
+    pub(crate) fn get(&self) -> u64 {
+        self.0.get()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,7 +356,7 @@ mod tests {
         let registry = Registry::new();
         let a = registry.counter("hits");
         let b = registry.counter("hits");
-        a.inc();
+        a.add(1);
         b.add(4);
         assert_eq!(a.get(), 5);
         assert_eq!(registry.snapshot().counters["hits"], 5);
@@ -450,7 +441,7 @@ mod tests {
     fn registry_clones_share_the_store() {
         let registry = Registry::new();
         let clone = registry.clone();
-        clone.counter("x").inc();
+        clone.counter("x").add(1);
         assert_eq!(registry.counter("x").get(), 1);
     }
 }

@@ -31,7 +31,8 @@ pub struct Coordinate {
 
 impl Coordinate {
     /// The RTT to each landmark, in landmark order.
-    pub fn landmark_rtts(&self) -> &[Micros] {
+    #[cfg(test)]
+    pub(crate) fn landmark_rtts(&self) -> &[Micros] {
         &self.rtts
     }
 
@@ -71,7 +72,7 @@ impl CoordinateSystem {
     /// # Panics
     ///
     /// Panics if no landmarks are given.
-    pub fn new(landmarks: Vec<HostId>) -> CoordinateSystem {
+    pub(crate) fn new(landmarks: Vec<HostId>) -> CoordinateSystem {
         assert!(!landmarks.is_empty(), "need at least one landmark");
         CoordinateSystem { landmarks }
     }
@@ -83,11 +84,6 @@ impl CoordinateSystem {
         assert!(count >= 1 && count <= hosts, "landmark count out of range");
         let step = hosts / count;
         CoordinateSystem::new((0..count).map(|i| HostId(i * step)).collect())
-    }
-
-    /// The landmark hosts.
-    pub fn landmarks(&self) -> &[HostId] {
-        &self.landmarks
     }
 
     /// Number of probes a host performs to obtain its coordinate.

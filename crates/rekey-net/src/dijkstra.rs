@@ -9,7 +9,6 @@ use crate::Micros;
 /// The shortest-path tree rooted at one source router.
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
-    source: RouterId,
     dist: Vec<Micros>,
     prev: Vec<Option<(RouterId, LinkId)>>,
 }
@@ -17,11 +16,6 @@ pub struct ShortestPaths {
 const UNREACHABLE: Micros = Micros::MAX;
 
 impl ShortestPaths {
-    /// The source router this tree is rooted at.
-    pub fn source(&self) -> RouterId {
-        self.source
-    }
-
     /// One-way delay from the source to `to`, or `None` if unreachable.
     pub fn distance(&self, to: RouterId) -> Option<Micros> {
         match self.dist[to.0] {
@@ -48,7 +42,8 @@ impl ShortestPaths {
     }
 
     /// Routers on the shortest path from the source to `to`, inclusive.
-    pub fn path_routers(&self, to: RouterId) -> Option<Vec<RouterId>> {
+    #[cfg(test)]
+    pub(crate) fn path_routers(&self, to: RouterId) -> Option<Vec<RouterId>> {
         if self.dist[to.0] == UNREACHABLE {
             return None;
         }
@@ -90,7 +85,7 @@ pub fn shortest_paths(graph: &RouterGraph, source: RouterId) -> ShortestPaths {
             }
         }
     }
-    ShortestPaths { source, dist, prev }
+    ShortestPaths { dist, prev }
 }
 
 #[cfg(test)]

@@ -38,7 +38,8 @@ pub struct Link {
 impl Link {
     /// The endpoint opposite to `from`, or `None` if `from` is not an
     /// endpoint of this link.
-    pub fn opposite(&self, from: RouterId) -> Option<RouterId> {
+    #[cfg(test)]
+    pub(crate) fn opposite(&self, from: RouterId) -> Option<RouterId> {
         if from == self.a {
             Some(self.b)
         } else if from == self.b {
@@ -52,13 +53,12 @@ impl Link {
 /// An undirected router-level topology with propagation delays.
 ///
 /// ```
-/// use rekey_net::{RouterGraph, Micros};
+/// use rekey_net::RouterGraph;
 /// let mut g = RouterGraph::new();
-/// let a = g.add_router();
-/// let b = g.add_router();
-/// let l = g.add_link(a, b, 500);
+/// let r = g.add_routers(2);
+/// let l = g.add_link(r[0], r[1], 500);
 /// assert_eq!(g.link(l).one_way, 500);
-/// assert!(g.is_connected());
+/// assert_eq!(g.link_count(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RouterGraph {
@@ -73,7 +73,7 @@ impl RouterGraph {
     }
 
     /// Adds a router and returns its ID.
-    pub fn add_router(&mut self) -> RouterId {
+    pub(crate) fn add_router(&mut self) -> RouterId {
         self.adjacency.push(Vec::new());
         RouterId(self.adjacency.len() - 1)
     }
@@ -102,7 +102,7 @@ impl RouterGraph {
     }
 
     /// `true` if routers `a` and `b` already share a link.
-    pub fn has_link_between(&self, a: RouterId, b: RouterId) -> bool {
+    pub(crate) fn has_link_between(&self, a: RouterId, b: RouterId) -> bool {
         self.adjacency[a.0].iter().any(|&(peer, _)| peer == b)
     }
 
@@ -126,18 +126,19 @@ impl RouterGraph {
     }
 
     /// Iterates over `(neighbor, link)` pairs of router `r`.
-    pub fn neighbors(&self, r: RouterId) -> impl Iterator<Item = (RouterId, LinkId)> + '_ {
+    pub(crate) fn neighbors(&self, r: RouterId) -> impl Iterator<Item = (RouterId, LinkId)> + '_ {
         self.adjacency[r.0].iter().copied()
     }
 
     /// Degree of router `r`.
-    pub fn degree(&self, r: RouterId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn degree(&self, r: RouterId) -> usize {
         self.adjacency[r.0].len()
     }
 
     /// `true` iff every router is reachable from router 0 (vacuously true
     /// for empty graphs).
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         if self.adjacency.is_empty() {
             return true;
         }

@@ -83,7 +83,11 @@ impl GtItmParams {
 #[derive(Debug, Clone)]
 pub struct TransitStubTopology {
     graph: RouterGraph,
+    /// Routers of the transit domains; only the tests read them.
+    #[cfg(test)]
     transit_routers: Vec<RouterId>,
+    /// Routers of the stub domains; only the tests read them.
+    #[cfg(test)]
     stub_routers: Vec<RouterId>,
 }
 
@@ -99,12 +103,14 @@ impl TransitStubTopology {
     }
 
     /// Routers belonging to transit domains.
-    pub fn transit_routers(&self) -> &[RouterId] {
+    #[cfg(test)]
+    pub(crate) fn transit_routers(&self) -> &[RouterId] {
         &self.transit_routers
     }
 
     /// Routers belonging to stub domains.
-    pub fn stub_routers(&self) -> &[RouterId] {
+    #[cfg(test)]
+    pub(crate) fn stub_routers(&self) -> &[RouterId] {
         &self.stub_routers
     }
 }
@@ -213,7 +219,9 @@ pub fn generate<R: Rng + ?Sized>(params: &GtItmParams, rng: &mut R) -> TransitSt
     debug_assert!(graph.is_connected());
     TransitStubTopology {
         graph,
+        #[cfg(test)]
         transit_routers,
+        #[cfg(test)]
         stub_routers,
     }
 }

@@ -123,3 +123,6 @@ mod tests {
         assert_eq!(LinkId(9).to_string(), "l9");
     }
 }
+
+#[cfg(test)]
+mod rtt_symmetry;

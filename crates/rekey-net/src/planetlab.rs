@@ -106,7 +106,8 @@ pub struct MatrixNetwork {
     gateway_rtt: Vec<Micros>,
     /// Per-host access-link RTT (host ↔ its gateway router).
     access: Vec<Micros>,
-    /// Continent index per host (exposed for tests/diagnostics).
+    /// Continent index per host; only the tests read it.
+    #[cfg(test)]
     continent: Vec<usize>,
 }
 
@@ -134,6 +135,7 @@ impl MatrixNetwork {
             n,
             gateway_rtt: flat,
             access,
+            #[cfg(test)]
             continent: vec![0; n],
         }
     }
@@ -203,13 +205,15 @@ impl MatrixNetwork {
             n,
             gateway_rtt,
             access,
+            #[cfg(test)]
             continent,
         }
     }
 
     /// The continent index assigned to host `h` (0 for matrices built with
     /// [`MatrixNetwork::from_matrix`]).
-    pub fn continent(&self, h: HostId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn continent(&self, h: HostId) -> usize {
         self.continent[h.0]
     }
 }

@@ -66,7 +66,8 @@ impl RoutedNetwork {
 
     /// Attaches `hosts` hosts to routers drawn uniformly from `candidates`
     /// (e.g. only stub routers of a transit-stub topology).
-    pub fn random_attachment_among<R: Rng + ?Sized>(
+    #[cfg(test)]
+    pub(crate) fn random_attachment_among<R: Rng + ?Sized>(
         graph: RouterGraph,
         candidates: &[RouterId],
         hosts: usize,

@@ -38,13 +38,9 @@ impl LinkLoad {
     }
 
     /// The load on one link.
-    pub fn load(&self, link: LinkId) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn load(&self, link: LinkId) -> u64 {
         self.per_link[link.0]
-    }
-
-    /// Number of links tracked.
-    pub fn link_count(&self) -> usize {
-        self.per_link.len()
     }
 
     /// Maximum load over all links (0 for empty accumulators).
@@ -66,7 +62,8 @@ impl LinkLoad {
     }
 
     /// Iterates over `(link, load)` pairs with nonzero load.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (LinkId, u64)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter_nonzero(&self) -> impl Iterator<Item = (LinkId, u64)> + '_ {
         self.per_link
             .iter()
             .enumerate()

@@ -32,10 +32,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Version byte of the socket-layer frame header.
-pub const FRAME_VERSION: u8 = 1;
+pub(crate) const FRAME_VERSION: u8 = 1;
 
 /// Bytes of header before the payload.
-pub const HEADER_LEN: usize = 9;
+pub(crate) const HEADER_LEN: usize = 9;
 
 /// Largest payload a single frame may carry. 65 507 is the theoretical
 /// UDP-over-IPv4 maximum datagram payload; the header claims its share.
@@ -72,25 +72,6 @@ pub struct EndpointStats {
 impl EndpointStats {
     fn count(field: &AtomicU64, n: u64) {
         field.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds another endpoint's counters into `self` (report aggregation).
-    pub fn absorb(&self, other: &EndpointStats) {
-        for (into, from) in [
-            (&self.packets_sent, &other.packets_sent),
-            (&self.packets_received, &other.packets_received),
-            (&self.bytes_sent, &other.bytes_sent),
-            (&self.bytes_received, &other.bytes_received),
-            (&self.oversize_drops, &other.oversize_drops),
-            (&self.malformed_frames, &other.malformed_frames),
-        ] {
-            Self::count(into, from.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Reads a counter (relaxed).
-    pub fn get(field: &AtomicU64) -> u64 {
-        field.load(Ordering::Relaxed)
     }
 }
 

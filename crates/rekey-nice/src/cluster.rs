@@ -1,6 +1,6 @@
 //! NICE clusters: bounded-size member sets led by their topological center.
 
-use rekey_net::{HostId, Micros, Network};
+use rekey_net::{HostId, Network};
 
 /// One NICE cluster: a set of hosts and its leader.
 ///
@@ -17,7 +17,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// Creates a singleton cluster.
-    pub fn singleton(host: HostId) -> Cluster {
+    pub(crate) fn singleton(host: HostId) -> Cluster {
         Cluster {
             members: vec![host],
             leader: host,
@@ -25,17 +25,17 @@ impl Cluster {
     }
 
     /// Number of members.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
     }
 
     /// `true` iff the cluster has no members.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
 
     /// `true` iff `host` is a member.
-    pub fn contains(&self, host: HostId) -> bool {
+    pub(crate) fn contains(&self, host: HostId) -> bool {
         self.members.contains(&host)
     }
 
@@ -46,7 +46,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics on an empty cluster.
-    pub fn center(&self, net: &impl Network) -> HostId {
+    pub(crate) fn center(&self, net: &impl Network) -> HostId {
         assert!(!self.members.is_empty(), "center of empty cluster");
         *self
             .members
@@ -65,7 +65,7 @@ impl Cluster {
     }
 
     /// Re-elects the leader as the current center.
-    pub fn refresh_leader(&mut self, net: &impl Network) {
+    pub(crate) fn refresh_leader(&mut self, net: &impl Network) {
         self.leader = self.center(net);
     }
 
@@ -76,7 +76,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the cluster has fewer than two members.
-    pub fn split(&self, net: &impl Network) -> (Cluster, Cluster) {
+    pub(crate) fn split(&self, net: &impl Network) -> (Cluster, Cluster) {
         assert!(
             self.members.len() >= 2,
             "cannot split a cluster of {}",
@@ -132,7 +132,8 @@ impl Cluster {
     }
 
     /// Maximum RTT from the leader to any member (the cluster "radius").
-    pub fn radius(&self, net: &impl Network) -> Micros {
+    #[cfg(test)]
+    pub(crate) fn radius(&self, net: &impl Network) -> rekey_net::Micros {
         self.members
             .iter()
             .map(|&m| net.rtt(self.leader, m))

@@ -50,7 +50,8 @@ impl NiceOutcome {
 
     /// All member-to-member transmissions (excluding the server's unicast
     /// to the root).
-    pub fn transmissions(&self) -> &[(HostId, HostId)] {
+    #[cfg(test)]
+    pub(crate) fn transmissions(&self) -> &[(HostId, HostId)] {
         &self.transmissions
     }
 

@@ -21,7 +21,7 @@ impl Default for NiceParams {
 
 impl NiceParams {
     /// Maximum cluster size `3k − 1`.
-    pub fn max_size(&self) -> usize {
+    pub(crate) fn max_size(&self) -> usize {
         3 * self.k - 1
     }
 }
@@ -48,22 +48,17 @@ impl NiceHierarchy {
         }
     }
 
-    /// The protocol parameters.
-    pub fn params(&self) -> &NiceParams {
-        &self.params
-    }
-
     /// The clusters of one layer.
     ///
     /// # Panics
     ///
     /// Panics if `layer` is out of range.
-    pub fn layer(&self, layer: usize) -> &[Cluster] {
+    pub(crate) fn layer(&self, layer: usize) -> &[Cluster] {
         &self.layers[layer]
     }
 
     /// All group members (layer 0).
-    pub fn members(&self) -> Vec<HostId> {
+    pub(crate) fn members(&self) -> Vec<HostId> {
         self.layers.first().map_or_else(Vec::new, |layer| {
             layer
                 .iter()
@@ -80,7 +75,7 @@ impl NiceHierarchy {
     }
 
     /// The root: leader of the (single) top cluster.
-    pub fn root(&self) -> Option<HostId> {
+    pub(crate) fn root(&self) -> Option<HostId> {
         self.layers
             .last()
             .and_then(|layer| layer.first())
@@ -88,7 +83,7 @@ impl NiceHierarchy {
     }
 
     /// All clusters `host` belongs to, as `(layer, cluster_index)` pairs.
-    pub fn clusters_of(&self, host: HostId) -> Vec<(usize, usize)> {
+    pub(crate) fn clusters_of(&self, host: HostId) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for (li, layer) in self.layers.iter().enumerate() {
             for (ci, cluster) in layer.iter().enumerate() {
@@ -153,7 +148,7 @@ impl NiceHierarchy {
     /// merge undersized ones into the cluster with the closest leader,
     /// split oversized ones, re-elect centers as leaders, and reconcile the
     /// next layer's membership with the current layer's leader set.
-    pub fn maintain(&mut self, net: &impl Network) {
+    pub(crate) fn maintain(&mut self, net: &impl Network) {
         if self.member_count() == 0 {
             self.layers.clear();
             return;

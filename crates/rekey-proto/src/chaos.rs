@@ -5,8 +5,8 @@
 //! simulator [`NodeId`]s with a fixed scheme: the key server is node `0`
 //! ([`SERVER_NODE`]) and member *handle* `i` — the `i`-th member dealt in
 //! or spawned by a [`crate::ChurnEvent::join`] — is node `i + 1`
-//! ([`member_node`]; with `replicas` server replicas the block grows to
-//! nodes `0..replicas`, see [`member_node_with_replicas`]). Fault plans are expressed in `NodeId`s, so a
+//! (with `replicas` server replicas the block grows to nodes
+//! `0..replicas`, see [`member_node_with_replicas`]). Fault plans are expressed in `NodeId`s, so a
 //! test that wants to "partition members 3 and 7 away from the server" or
 //! "kill the server at t=24s" needs this mapping; keeping it in one place
 //! stops every chaos test from re-deriving the `+1` offset.
@@ -24,7 +24,7 @@ pub const SERVER_NODE: NodeId = NodeId(0);
 
 /// The simulator node hosting member `handle` (the index returned by
 /// [`crate::runtime::ShardedGroupRuntime::run_trace`] for its join event).
-pub fn member_node(handle: usize) -> NodeId {
+pub(crate) fn member_node(handle: usize) -> NodeId {
     NodeId(handle + 1)
 }
 
@@ -38,7 +38,7 @@ pub fn replica_node(replica: usize) -> NodeId {
 
 /// The simulator node hosting member `handle` in a runtime with
 /// `replicas` server replicas: members are offset past the whole replica
-/// block. With `replicas == 1` this is [`member_node`].
+/// block. With `replicas == 1` this is node `handle + 1`.
 pub fn member_node_with_replicas(handle: usize, replicas: usize) -> NodeId {
     NodeId(handle + replicas.max(1))
 }

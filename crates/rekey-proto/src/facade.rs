@@ -16,7 +16,7 @@
 
 use rand::Rng;
 use rekey_crypto::{Encryption, Key, SealedData};
-use rekey_id::{IdPrefix, IdSpec, UserId};
+use rekey_id::{IdSpec, UserId};
 use rekey_keytree::{KeyRing, ModifiedKeyTree, RekeyArena, TreeMetrics};
 use rekey_net::{HostId, Micros, Network};
 use rekey_sim::{seeded_rng, SimRng};
@@ -37,10 +37,9 @@ use crate::transport::TransportOptions;
 /// use rekey_proto::GroupConfig;
 /// use rekey_table::PrimaryPolicy;
 ///
-/// // The paper's parameters, with a leader-friendly primary policy:
+/// // The paper's parameters:
 /// let server = GroupConfig::paper()
 ///     .k(4)
-///     .policy(PrimaryPolicy::EarliestJoinAtBottom)
 ///     .seed(42)
 ///     .build(HostId(0));
 /// assert_eq!(server.interval(), 0);
@@ -97,18 +96,6 @@ impl GroupConfig {
     pub fn k(mut self, k: usize) -> GroupConfig {
         assert!(k > 0, "neighbor-table redundancy K must be at least 1");
         self.k = k;
-        self
-    }
-
-    /// Primary-neighbor selection policy.
-    pub fn policy(mut self, policy: PrimaryPolicy) -> GroupConfig {
-        self.policy = policy;
-        self
-    }
-
-    /// ID-assignment protocol parameters (§3.1).
-    pub fn assign(mut self, assign: AssignParams) -> GroupConfig {
-        self.assign = assign;
         self
     }
 
@@ -218,10 +205,6 @@ pub struct IntervalOutcome {
     pub interval: u64,
     /// The batch rekey message to multicast to the group.
     encryptions: Vec<Encryption>,
-    /// IDs of the k-nodes whose keys changed this interval.
-    updated: Vec<IdPrefix>,
-    /// Seal-phase wall-clock nanoseconds (see `RekeyBatch::seal_nanos`).
-    seal_nanos: u64,
     /// Welcome packets for members that joined during the interval
     /// (delivered via unicast, not multicast).
     pub welcomes: Vec<WelcomePacket>,
@@ -240,19 +223,9 @@ impl IntervalOutcome {
         &self.encryptions
     }
 
-    /// IDs of the k-nodes whose keys changed, ascending.
-    pub fn updated(&self) -> &[IdPrefix] {
-        &self.updated
-    }
-
-    /// Wall-clock nanoseconds the interval's seal phase took.
-    pub fn seal_nanos(&self) -> u64 {
-        self.seal_nanos
-    }
-
     /// Moves the rekey message out (for history buffers); the outcome's
     /// message becomes empty.
-    pub fn take_encryptions(&mut self) -> Vec<Encryption> {
+    pub(crate) fn take_encryptions(&mut self) -> Vec<Encryption> {
         std::mem::take(&mut self.encryptions)
     }
 }
@@ -293,12 +266,14 @@ impl<'a> RekeyDelivery<'a> {
     }
 
     /// Number of members covered by this delivery.
-    pub fn members(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn members(&self) -> usize {
         self.per_member.len()
     }
 
     /// The interval's shared encryption buffer.
-    pub fn encryptions(&self) -> &'a [rekey_crypto::Encryption] {
+    #[cfg(test)]
+    pub(crate) fn encryptions(&self) -> &'a [rekey_crypto::Encryption] {
         self.encryptions
     }
 
@@ -331,7 +306,7 @@ impl<'a> RekeyDelivery<'a> {
 /// ```
 /// `Clone` snapshots the server's complete state — membership, key tree,
 /// pending requests, and RNG position — which is what the event-driven
-/// runtime's crash journal ([`crate::runtime::journal`]) checkpoints each
+/// runtime's crash journal ([`crate::runtime::Journal`]) checkpoints each
 /// interval.
 #[derive(Debug, Clone)]
 pub struct GroupServer {
@@ -354,7 +329,7 @@ impl GroupServer {
     /// tombstone hits) into the given metric series. Journal checkpoints
     /// clone the server, and clones share the series, so counts survive
     /// a restore.
-    pub fn instrument_tree(&mut self, metrics: TreeMetrics) {
+    pub(crate) fn instrument_tree(&mut self, metrics: TreeMetrics) {
         self.tree.set_metrics(metrics);
     }
 
@@ -375,7 +350,7 @@ impl GroupServer {
 
     /// Number of members whose joins/leaves are pending for the current
     /// interval.
-    pub fn pending(&self) -> (usize, usize) {
+    pub(crate) fn pending(&self) -> (usize, usize) {
         let joins = self.pending.iter().filter(|(is_join, _)| *is_join).count();
         (joins, self.pending.len() - joins)
     }
@@ -443,9 +418,7 @@ impl GroupServer {
             .tree
             .batch_rekey(&joins, &leaves, &mut self.rng, &mut self.arena)
             .expect("pending lists mirror membership changes");
-        let seal_nanos = batch.seal_nanos();
         let encryptions = batch.take_encryptions();
-        let updated = batch.take_updated();
         let welcomes = joins
             .into_iter()
             .map(|id| WelcomePacket {
@@ -457,8 +430,6 @@ impl GroupServer {
         IntervalOutcome {
             interval: self.interval,
             encryptions,
-            updated,
-            seal_nanos,
             welcomes,
             departed: leaves,
         }
@@ -473,7 +444,7 @@ impl GroupServer {
     /// Returns `None` when `id` is not keyed in the tree — e.g. a member
     /// admitted during the current interval, whose first welcome packet is
     /// still pending.
-    pub fn refresh_welcome(&self, id: &UserId) -> Option<WelcomePacket> {
+    pub(crate) fn refresh_welcome(&self, id: &UserId) -> Option<WelcomePacket> {
         if !self.tree.contains_user(id) {
             return None;
         }

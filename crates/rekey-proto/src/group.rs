@@ -201,7 +201,8 @@ impl Group {
     }
 
     /// The key server's host.
-    pub fn server_host(&self) -> HostId {
+    #[cfg(test)]
+    pub(crate) fn server_host(&self) -> HostId {
         self.server_host
     }
 
@@ -233,7 +234,7 @@ impl Group {
     }
 
     /// Per-entry capacity `K`.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 

@@ -2,20 +2,28 @@
 //! lifecycle, rekey message splitting, and the seven rekey transport
 //! protocols of Table 2 (Zhang, Lam & Liu, ICDCS 2005, §2.5, §3, §4.3).
 //!
-//! * [`assign`] / [`AssignParams`] — the four-step ID assignment protocol
-//!   of §3.1 (`P = 10`, `F = 80`-percentile, thresholds
-//!   `R = (150, 30, 9, 3)` ms) including the footnote-3 uniqueness
-//!   fallback;
+//! * [`AssignParams`] — the four-step ID assignment protocol of §3.1
+//!   (`P = 10`, `F = 80`-percentile, thresholds `R = (150, 30, 9, 3)` ms)
+//!   including the footnote-3 uniqueness fallback;
 //! * [`Group`] — the key server's view: membership, ID assignment, and
 //!   K-consistent neighbor-table maintenance under churn;
-//! * [`split`] — `REKEY-MESSAGE-SPLIT` (Fig. 5) over T-mesh, plus the
-//!   cluster-heuristic delivery of Appendix B;
-//! * [`protocols`] — NICE- and IP-multicast-based baselines and the
-//!   [`RekeyProtocol`] matrix, producing the per-user / per-link
-//!   encryption counts of Fig. 13;
-//! * [`concurrent`] — rekey and data transport sharing bandwidth-limited
-//!   access links, measuring the data-latency inflation an unsplit rekey
-//!   burst causes (the §1 motivation, quantified).
+//! * [`tmesh_rekey_transport`] / [`cluster_rekey_transport`] —
+//!   `REKEY-MESSAGE-SPLIT` (Fig. 5) over T-mesh, plus the cluster-heuristic
+//!   delivery of Appendix B, on the indexed core of [`transport`];
+//! * [`RekeyProtocol`], [`nice_rekey_transport`], [`ipmc_rekey_transport`]
+//!   — NICE- and IP-multicast-based baselines and the protocol matrix,
+//!   producing the per-user / per-link encryption counts of Fig. 13;
+//! * [`run_concurrent_session`] — rekey and data transport sharing
+//!   bandwidth-limited access links, measuring the data-latency inflation
+//!   an unsplit rekey burst causes (the §1 motivation, quantified);
+//! * [`GroupServer`] / [`UserAgent`] — the synchronous facade, and
+//!   [`runtime`] — the same protocol as message-level state machines on
+//!   the simulator ([`ShardedGroupRuntime`]) or real UDP sockets
+//!   ([`UdpGroupDriver`]); [`SERVER_NODE`], [`replica_node`],
+//!   [`member_node_with_replicas`] and [`modulo_cells`] map fault plans
+//!   onto their node numbering;
+//! * [`run_distributed_joins`] / [`run_distributed_session`] — the
+//!   message-level §3.1 join on its own event loop.
 //!
 //! ```
 //! use rekey_id::IdSpec;
@@ -41,19 +49,24 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod assign;
-pub mod chaos;
-pub mod concurrent;
-pub mod distributed;
+mod assign;
+mod chaos;
+mod concurrent;
+mod distributed;
 mod facade;
 mod group;
-pub mod protocols;
+mod protocols;
 mod recovery;
 pub mod runtime;
-pub mod split;
+mod split;
 pub mod transport;
 
 pub use assign::{AssignParams, AssignStats};
+pub use chaos::{member_node_with_replicas, modulo_cells, replica_node, SERVER_NODE};
+pub use concurrent::{run_concurrent_session, ConcurrentOutcome, RekeyLoad, TrafficParams};
+pub use distributed::{
+    run_distributed_joins, run_distributed_session, DistributedJoinRun, DistributedJoinStats,
+};
 pub use facade::{
     AgentError, GroupConfig, GroupServer, IntervalOutcome, RekeyDelivery, RekeyError, RekeyStatus,
     UserAgent, WelcomePacket,
@@ -62,18 +75,14 @@ pub use group::{Group, GroupError, JoinOutcome};
 pub use protocols::{ipmc_rekey_transport, nice_rekey_transport, RekeyProtocol};
 pub use recovery::{lossy_rekey_transport, LossyReport};
 pub use runtime::{
-    ChurnEvent, ChurnOp, Driver, GroupRuntime, MetricsSnapshot, RuntimeConfig,
-    RuntimeConfigBuilder, ShardedGroupRuntime, UdpGroupDriver,
+    ChurnEvent, ChurnOp, Driver, MetricsSnapshot, RuntimeConfig, RuntimeConfigBuilder,
+    ShardedGroupRuntime, UdpGroupDriver,
 };
 pub use split::{cluster_rekey_transport, split_for_neighbor, tmesh_rekey_transport};
-pub use transport::{
-    BandwidthReport, MemberIndex, SplitIndex, SplitIndexMaintainer, SplitIndexStats,
-    TransportOptions,
-};
+pub use transport::{BandwidthReport, SplitIndex, SplitIndexMaintainer, TransportOptions};
 
 /// The types nearly every embedder needs, in one import: runtime
-/// configuration, the facade entry points, metrics snapshots, and the
-/// handle type of the arena key tree.
+/// configuration, the facade entry points and metrics snapshots.
 ///
 /// ```
 /// use rekey_proto::prelude::*;
@@ -83,8 +92,7 @@ pub use transport::{
 pub mod prelude {
     pub use crate::facade::{GroupConfig, GroupServer, UserAgent};
     pub use crate::runtime::{
-        Driver, GroupRuntime, MetricsSnapshot, RuntimeConfig, RuntimeConfigBuilder,
-        ShardedGroupRuntime, UdpGroupDriver,
+        Driver, MetricsSnapshot, RuntimeConfig, RuntimeConfigBuilder, ShardedGroupRuntime,
+        UdpGroupDriver,
     };
-    pub use rekey_keytree::NodeHandle;
 }

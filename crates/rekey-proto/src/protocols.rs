@@ -56,7 +56,8 @@ impl RekeyProtocol {
     ];
 
     /// Short label used in benchmark output.
-    pub fn label(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             RekeyProtocol::P0 => "P0(nice)",
             RekeyProtocol::P0Split => "P0'(nice+split)",

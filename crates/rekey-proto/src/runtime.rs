@@ -91,7 +91,7 @@
 //!   at the outage window's end) restores the latest checkpoint, bumps
 //!   the *epoch*, and re-announces itself with an immediate interval, and
 //!   every member that observes the new epoch resyncs;
-//! * with [`RuntimeConfig::replicas`] > 1 a follower replica replays the
+//! * with [`RuntimeConfigBuilder::replicas`] > 1 a follower replica replays the
 //!   primary's mutation log, is elected when the primary falls silent,
 //!   and takes over through the same epoch-bumped resync.
 //!
@@ -107,12 +107,14 @@ use rekey_table::ConsistencyViolation;
 use crate::{GroupServer, UserAgent};
 
 pub(crate) mod core;
-pub mod journal;
+mod journal;
 pub mod shard;
 pub mod socket;
 pub mod wire;
 
-pub use self::core::{IntervalMessage, MemberStats, ReplOp, RtMsg, ServerStats};
+pub use self::core::{IntervalMessage, ReplOp, RtMsg};
+pub(crate) use self::core::{MemberStats, ServerStats};
+pub use journal::Journal;
 pub use shard::ShardedGroupRuntime;
 pub use socket::{NotConverged, UdpGroupDriver};
 
@@ -132,7 +134,6 @@ pub use socket::{NotConverged, UdpGroupDriver};
 ///     .loss(0.02)
 ///     .seed(42)
 ///     .build();
-/// assert_eq!(config.rekey_period(), 5_000_000);
 /// assert_eq!(config.retry_cap(), RuntimeConfig::default().retry_cap());
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -153,32 +154,9 @@ impl RuntimeConfig {
         RuntimeConfigBuilder(RuntimeConfig::default())
     }
 
-    /// Rekey interval length (µs): the server batch-rekeys on this period.
-    pub fn rekey_period(&self) -> SimTime {
-        self.rekey_period
-    }
-
-    /// Heartbeat period (µs): how often each member pings its stored
-    /// neighbors. A ping unanswered by the next beat evicts the neighbor.
-    pub fn heartbeat_period(&self) -> SimTime {
-        self.heartbeat_period
-    }
-
-    /// Grace (µs) after an interval boundary before a member NACKs a
-    /// missing rekey message.
-    pub fn nack_grace(&self) -> SimTime {
-        self.nack_grace
-    }
-
     /// Independent per-copy loss probability applied to `Forward` copies.
-    pub fn loss(&self) -> f64 {
+    pub(crate) fn loss(&self) -> f64 {
         self.loss
-    }
-
-    /// First retransmit timeout (µs) of the bounded-retry machinery; each
-    /// further attempt doubles it.
-    pub fn retry_base(&self) -> SimTime {
-        self.retry_base
     }
 
     /// Retry attempt cap: the backoff exponent saturates here, and a NACK
@@ -190,14 +168,14 @@ impl RuntimeConfig {
     /// Seed for the runtime's randomness (loss draws, heartbeat stagger,
     /// fault injection). Independent of the [`GroupConfig`](crate::GroupConfig)
     /// key-generation seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
     /// Key-server replicas (≥ 1). With more than one, the primary streams
     /// its mutation log to follower replicas and a deterministic election
     /// promotes the most-caught-up follower when the primary dies.
-    pub fn replicas(&self) -> usize {
+    pub(crate) fn replicas(&self) -> usize {
         self.replicas
     }
 }
@@ -252,12 +230,6 @@ impl RuntimeConfigBuilder {
     /// First retransmit timeout (µs). Must be positive.
     pub fn retry_base(mut self, base: SimTime) -> RuntimeConfigBuilder {
         self.0.retry_base = base;
-        self
-    }
-
-    /// Retry attempt cap.
-    pub fn retry_cap(mut self, cap: u32) -> RuntimeConfigBuilder {
-        self.0.retry_cap = cap;
         self
     }
 
@@ -662,10 +634,6 @@ pub trait Driver {
     fn metrics(&self) -> MetricsSnapshot;
 }
 
-/// The simulated executor under its historical short name: there is one
-/// simulator, [`ShardedGroupRuntime`], and this is it.
-pub type GroupRuntime<NET> = ShardedGroupRuntime<NET>;
-
 #[cfg(test)]
 mod tests {
     use super::core::SERVER;
@@ -690,7 +658,7 @@ mod tests {
 
     /// Every surviving member's agent is at the server's interval with the
     /// server's group key, and can open data sealed under it.
-    fn assert_members_current(rt: &GroupRuntime<MatrixNetwork>, survivors: &[usize]) {
+    fn assert_members_current(rt: &ShardedGroupRuntime<MatrixNetwork>, survivors: &[usize]) {
         let server_interval = rt.server().interval();
         let group_key = rt
             .server()
@@ -720,7 +688,7 @@ mod tests {
 
     #[test]
     fn joins_then_steady_state_keeps_every_member_current() {
-        let mut rt = GroupRuntime::new(config(), RuntimeConfig::default(), small_net(1));
+        let mut rt = ShardedGroupRuntime::new(config(), RuntimeConfig::default(), small_net(1));
         let trace: Vec<ChurnEvent> = (0..10)
             .map(|i| ChurnEvent::join(SEC + i * 200_000))
             .collect();
@@ -748,7 +716,7 @@ mod tests {
 
     #[test]
     fn voluntary_leaves_repair_every_surviving_table() {
-        let mut rt = GroupRuntime::new(config(), RuntimeConfig::default(), small_net(2));
+        let mut rt = ShardedGroupRuntime::new(config(), RuntimeConfig::default(), small_net(2));
         let mut trace: Vec<ChurnEvent> = (0..12)
             .map(|i| ChurnEvent::join(SEC + i * 200_000))
             .collect();
@@ -770,7 +738,7 @@ mod tests {
     #[test]
     fn forward_loss_is_recovered_by_nack_unicast() {
         let runtime_config = RuntimeConfig::builder().loss(0.3).seed(0xBEEF).build();
-        let mut rt = GroupRuntime::new(config(), runtime_config, small_net(3));
+        let mut rt = ShardedGroupRuntime::new(config(), runtime_config, small_net(3));
         let trace: Vec<ChurnEvent> = (0..10)
             .map(|i| ChurnEvent::join(SEC + i * 200_000))
             .collect();
@@ -793,7 +761,7 @@ mod tests {
 
     #[test]
     fn crashes_are_detected_evicted_and_repaired() {
-        let mut rt = GroupRuntime::new(config(), RuntimeConfig::default(), small_net(4));
+        let mut rt = ShardedGroupRuntime::new(config(), RuntimeConfig::default(), small_net(4));
         let mut trace: Vec<ChurnEvent> = (0..10)
             .map(|i| ChurnEvent::join(SEC + i * 200_000))
             .collect();
@@ -818,7 +786,7 @@ mod tests {
     /// member resyncs, and the group ends the run current and consistent.
     #[test]
     fn server_restart_resumes_from_journal() {
-        let mut rt = GroupRuntime::new(config(), RuntimeConfig::default(), small_net(7))
+        let mut rt = ShardedGroupRuntime::new(config(), RuntimeConfig::default(), small_net(7))
             .with_faults(FaultPlan::new().outage(SERVER, 24 * SEC, 38 * SEC));
         let trace: Vec<ChurnEvent> = (0..10)
             .map(|i| ChurnEvent::join(SEC + i * 200_000))
@@ -845,7 +813,7 @@ mod tests {
     #[test]
     fn partition_wrongful_departs_heal_by_rejoin() {
         let mut rt =
-            GroupRuntime::new(config(), RuntimeConfig::default(), small_net(8)).with_faults(
+            ShardedGroupRuntime::new(config(), RuntimeConfig::default(), small_net(8)).with_faults(
                 FaultPlan::new().partition(vec![vec![NodeId(1), NodeId(2)]], 20 * SEC, 56 * SEC),
             );
         let trace: Vec<ChurnEvent> = (0..8)
@@ -871,7 +839,7 @@ mod tests {
     #[test]
     fn join_behind_partition_retries_until_admitted() {
         let cfg = RuntimeConfig::default();
-        let mut rt = GroupRuntime::new(config(), cfg, small_net(9))
+        let mut rt = ShardedGroupRuntime::new(config(), cfg, small_net(9))
             .with_faults(FaultPlan::new().partition(vec![vec![NodeId(1)]], 500_000, 20 * SEC));
         let mut trace = vec![ChurnEvent::join(SEC)];
         trace.extend((0..4).map(|i| ChurnEvent::join(22 * SEC + i * 200_000)));
@@ -899,7 +867,7 @@ mod tests {
                 .jitter(30_000)
                 .burst_loss(GilbertElliott::moderate());
             let mut rt =
-                GroupRuntime::new(config(), runtime_config, small_net(5)).with_faults(plan);
+                ShardedGroupRuntime::new(config(), runtime_config, small_net(5)).with_faults(plan);
             let trace: Vec<ChurnEvent> = (0..9)
                 .map(|i| ChurnEvent::join(SEC + i * 300_000))
                 .chain([
@@ -942,7 +910,7 @@ mod tests {
     fn identical_seeds_reproduce_snapshot_json() {
         let run = || {
             let runtime_config = RuntimeConfig::builder().loss(0.15).seed(0x0B5E).build();
-            let mut rt = GroupRuntime::new(config(), runtime_config, small_net(10));
+            let mut rt = ShardedGroupRuntime::new(config(), runtime_config, small_net(10));
             let trace: Vec<ChurnEvent> = (0..8)
                 .map(|i| ChurnEvent::join(SEC + i * 250_000))
                 .chain([ChurnEvent::leave(21 * SEC, 2)])
@@ -963,18 +931,12 @@ mod tests {
         );
         assert!(json.contains("\"name\": \"apply\""), "apply spans present");
     }
-}
 
-#[cfg(test)]
-mod review_repro {
-    use super::*;
-    use crate::GroupConfig;
-    use rekey_id::IdSpec;
-    use rekey_net::{MatrixNetwork, PlanetLabParams};
-    use rekey_sim::{seeded_rng, FaultPlan, NodeId};
-
-    const SEC: SimTime = 1_000_000;
-
+    /// A joiner whose node goes down mid-interval, before its welcome
+    /// exists in the tree, still ends current: member handle 4 joins at
+    /// t = 4.2 s (mid first interval, which ends at 10 s) and is down for
+    /// [5 s, 7 s), so on `Restart` it arms a resync that fires before its
+    /// welcome is sealed.
     #[test]
     fn mid_interval_joiner_outage_resync() {
         let mut rng = seeded_rng(0xBEEF);
@@ -982,15 +944,13 @@ mod review_repro {
         let group = GroupConfig::for_spec(&IdSpec::new(3, 8).unwrap())
             .k(2)
             .seed(3);
-        // Member handle 4 joins at t=4.2s (mid first interval, ends at 10s)
-        // and its node goes down for [5s, 7s): on Restart it arms a Resync
-        // that fires before its Welcome exists in the tree.
-        let mut rt = GroupRuntime::new(group, RuntimeConfig::default(), net)
+        let mut rt = ShardedGroupRuntime::new(group, RuntimeConfig::default(), net)
             .with_faults(FaultPlan::new().outage(NodeId(5), 5 * SEC, 7 * SEC));
         let trace: Vec<ChurnEvent> = (0..5)
             .map(|i| ChurnEvent::join(SEC + i * 800_000))
             .collect();
         rt.run_trace(&trace);
         rt.finish(40 * SEC);
+        assert_members_current(&rt, &[0, 1, 2, 3, 4]);
     }
 }

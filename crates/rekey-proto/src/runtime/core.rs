@@ -544,7 +544,7 @@ pub(crate) fn merge_member_sinks<'a>(
 
 /// Server-side counters of one runtime session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
+pub(crate) struct ServerStats {
     /// Completed rekey intervals.
     pub intervals: u64,
     /// Joins admitted.
@@ -1680,7 +1680,7 @@ impl<NET: Network> RtServer<NET> {
 
 /// Member-side counters of one runtime session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemberStats {
+pub(crate) struct MemberStats {
     /// `Forward` copies received.
     pub copies_received: u64,
     /// `Forward` copies sent onward.

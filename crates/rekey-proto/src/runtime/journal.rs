@@ -33,7 +33,7 @@ use super::IntervalMessage;
 /// this window has already escalated past the NACK retry cap to a full
 /// resync, so older `Arc<IntervalMessage>`s are dead weight — pruning to
 /// the window bounds checkpoint memory regardless of session length.
-pub const HISTORY_WINDOW: usize = 64;
+pub(crate) const HISTORY_WINDOW: usize = 64;
 
 /// One replicated mutation of the key server's state: the unit the
 /// primary streams to follower replicas (`RtMsg::ReplEntry`) and the
@@ -42,7 +42,7 @@ pub const HISTORY_WINDOW: usize = 64;
 /// op, they do not receive state — so an entry carries the *inputs* of
 /// the mutation, never its outputs.
 #[derive(Debug, Clone)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// Position in the primary's op log (first entry is 1). Acks and
     /// elections compare these watermarks.
     pub idx: u64,
@@ -54,7 +54,7 @@ pub struct Entry {
 
 /// One interval's durable server state.
 #[derive(Debug, Clone)]
-pub struct Checkpoint {
+pub(crate) struct Checkpoint {
     /// The complete server state machine at the interval boundary — its
     /// `Group` carries the mutation count a restarted server resumes
     /// from.
@@ -82,7 +82,7 @@ pub struct Journal {
 impl Journal {
     /// An empty journal (no checkpoint yet — a restart before the first
     /// interval keeps the live state).
-    pub fn new() -> Journal {
+    pub(crate) fn new() -> Journal {
         Journal::default()
     }
 
@@ -90,7 +90,7 @@ impl Journal {
     /// server state — membership, every neighbor table, the key tree —
     /// which is O(N) memory and time per interval; runtimes that model no
     /// server crashes (a dealt group on one unfaulted replica) opt out.
-    pub fn disabled() -> Journal {
+    pub(crate) fn disabled() -> Journal {
         Journal {
             latest: None,
             recorded: 0,
@@ -101,7 +101,7 @@ impl Journal {
     /// `false` for [`Journal::disabled`] journals. Callers check this
     /// *before* building a [`Checkpoint`], so a disabled journal also
     /// skips the state clone, not just its storage.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         !self.disabled
     }
 
@@ -109,7 +109,7 @@ impl Journal {
     /// journal drops it. The checkpoint's NACK history is pruned to the
     /// last [`HISTORY_WINDOW`] intervals so journal memory stays bounded
     /// no matter how long the session runs.
-    pub fn record(&mut self, mut checkpoint: Checkpoint) {
+    pub(crate) fn record(&mut self, mut checkpoint: Checkpoint) {
         if self.disabled {
             return;
         }
@@ -121,7 +121,8 @@ impl Journal {
     }
 
     /// The most recent checkpoint, if any was recorded.
-    pub fn latest(&self) -> Option<&Checkpoint> {
+    #[cfg(test)]
+    pub(crate) fn latest(&self) -> Option<&Checkpoint> {
         self.latest.as_ref()
     }
 
@@ -132,7 +133,7 @@ impl Journal {
 
     /// Clones the latest checkpoint for a restart; the journal itself is
     /// untouched, so repeated restarts restore the same state.
-    pub fn restore(&self) -> Option<Checkpoint> {
+    pub(crate) fn restore(&self) -> Option<Checkpoint> {
         self.latest.clone()
     }
 }

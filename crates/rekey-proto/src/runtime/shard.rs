@@ -40,7 +40,7 @@
 //! JSON even though shards run on real threads:
 //!
 //! * every lane owns its randomness: a private stream for the
-//!   [`RuntimeConfig::loss`] draws (domain-separated by lane), and its own
+//!   [`RuntimeConfigBuilder::loss`](super::RuntimeConfigBuilder::loss) draws (domain-separated by lane), and its own
 //!   [`FaultInjector`] compiled from the session's [`FaultPlan`]. The
 //!   injector's loss and jitter streams are keyed by *sender* node and a
 //!   node sends from exactly one lane, while partitions and outages are
@@ -65,8 +65,8 @@
 //! * **Heartbeats.** Dealt members are not heartbeated (they still
 //!   *answer* pings, and a member that joins later through
 //!   [`ShardedGroupRuntime::run_trace`] probes as usual): per-neighbor
-//!   probing is O(N·K·D) events per period.
-//!   [`ShardedGroupRuntime::fail_at`] stands in for a concluded detection.
+//!   probing is O(N·K·D) events per period. The tests stand in a
+//!   concluded detection with `ShardedGroupRuntime::fail_at`.
 //! * **The journal.** A checkpoint clones the complete server state, so a
 //!   single replica that no [`FaultPlan`] outage can touch journals
 //!   nothing. Replicated sessions, and sessions whose plan takes a replica
@@ -89,8 +89,8 @@ use super::core::{
     RtMember, RtServer, ShardCore, SERVER,
 };
 use super::{
-    journal, ChurnEvent, ChurnOp, Driver, ExecutorCounters, MemberStats, MetricsSnapshot, RtMsg,
-    RuntimeConfig, ServerStats,
+    journal, ChurnEvent, ChurnOp, Driver, ExecutorCounters, MetricsSnapshot, RtMsg, RuntimeConfig,
+    ServerStats,
 };
 
 /// Domain separator of the per-lane loss RNG streams (lanes are further
@@ -133,7 +133,7 @@ struct Crossing {
 /// runs: the coordinator's (the replicas) or a shard's (its members).
 struct Lane {
     sched: Scheduler<Envelope>,
-    /// [`RuntimeConfig::loss`] draws for `Forward` copies sent from here.
+    /// [`RuntimeConfigBuilder::loss`](super::RuntimeConfigBuilder::loss) draws for `Forward` copies sent from here.
     rng: SimRng,
     /// This lane's compilation of the session's fault plan, if any.
     faults: Option<FaultInjector>,
@@ -348,12 +348,11 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 .map(|h| net.one_way(server_host, h) + net.one_way(h, server_host))
                 .max()
                 .unwrap_or(0);
-            if config.nack_grace() < worst_round_trip {
+            if config.nack_grace < worst_round_trip {
                 eprintln!(
                     "warning: nack_grace ({} µs) is below the worst-case server \
                      round trip ({} µs); expect spurious NACKs",
-                    config.nack_grace(),
-                    worst_round_trip
+                    config.nack_grace, worst_round_trip
                 );
             }
         }
@@ -495,11 +494,11 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
 
     /// Wires a chaos [`FaultPlan`] into the session: partitions cut every
     /// message across cells, i.i.d./burst loss thins `Forward` copies (on
-    /// top of the [`RuntimeConfig::loss`] draw, whose stream is
+    /// top of the [`RuntimeConfigBuilder::loss`](super::RuntimeConfigBuilder::loss) draw, whose stream is
     /// unchanged), jitter delays and reorders network sends, and each
     /// outage window silences its node and ends with a `Restart` event at
     /// the window's close. Call before driving the session; the injectors
-    /// are seeded from [`RuntimeConfig::seed`], so a fixed seed and plan
+    /// are seeded from [`RuntimeConfigBuilder::seed`](super::RuntimeConfigBuilder::seed), so a fixed seed and plan
     /// reproduce the run bit for bit at any shard count.
     pub fn with_faults(mut self, plan: FaultPlan) -> ShardedGroupRuntime<NET> {
         let seed = self.knobs().seed ^ CHAOS_SEED;
@@ -582,11 +581,14 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
 
     /// Schedules a concluded failure detection of member `handle` at
     /// `at`: neighbor `accuser`'s `FailureNotice` reaches the replica that
-    /// is acting primary now, and
-    /// the member itself goes silent (departs) when the repair broadcast
-    /// arrives. For dealt groups, whose members are not heartbeated (see
-    /// the module docs); [`ChurnOp::Crash`] is the real thing.
-    pub fn fail_at(&mut self, at: SimTime, handle: usize, accuser: usize) {
+    /// is acting primary now, which departs the member at once. The next
+    /// interval rekeys it out, and only the owners whose tables listed it
+    /// receive a `Table` push. Nothing is sent to the failed member: it
+    /// keeps running, but no table lists it, so no copy reaches it. For
+    /// dealt groups, whose members are not heartbeated (see the module
+    /// docs); [`ChurnOp::Crash`] is the real thing.
+    #[cfg(test)]
+    pub(crate) fn fail_at(&mut self, at: SimTime, handle: usize, accuser: usize) {
         let failed = self
             .member(handle)
             .member
@@ -847,7 +849,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     }
 
     /// Current simulated time: every event before it has been processed.
-    pub fn now(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
@@ -894,7 +897,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     }
 
     /// Member `handle`'s counters.
-    pub fn member_stats(&self, handle: usize) -> MemberStats {
+    #[cfg(test)]
+    pub(crate) fn member_stats(&self, handle: usize) -> super::MemberStats {
         self.member(handle).stats
     }
 
@@ -905,16 +909,10 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     }
 
     /// `false` once member `handle` has been crashed.
-    pub fn is_member_alive(&self, handle: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_member_alive(&self, handle: usize) -> bool {
         let (shard_index, idx) = self.placed(handle);
         self.shards[shard_index].alive[idx]
-    }
-
-    /// The coordinator's metrics registry (the replicas' spans and the
-    /// key tree's series). Use it to attach extra series before a run;
-    /// [`ShardedGroupRuntime::snapshot`] is the aggregated view.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Checks that the *members' local tables* (not the oracle's) are

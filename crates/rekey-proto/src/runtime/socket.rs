@@ -71,8 +71,7 @@ use super::core::{
 };
 use super::wire::{decode_msg, encode_forward_split, encode_msg, WireError};
 use super::{
-    journal, Driver, ExecutorCounters, MemberStats, MetricsSnapshot, RtMsg, RuntimeConfig,
-    ServerStats,
+    journal, Driver, ExecutorCounters, MetricsSnapshot, RtMsg, RuntimeConfig, ServerStats,
 };
 
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
@@ -826,22 +825,6 @@ impl<NET: Network> UdpGroupDriver<NET> {
         self.servers[replica].alive = false;
     }
 
-    /// Revives a previously killed replica: it rejoins as a follower via
-    /// the protocol's `Restart` path and catches up from the acting
-    /// primary's replication stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range replica index.
-    pub fn revive_server(&mut self, replica: usize) {
-        assert!(replica < self.servers.len(), "no such replica");
-        if self.servers[replica].alive {
-            return;
-        }
-        self.servers[replica].alive = true;
-        self.server_handle(replica, Event::Local(RtLocal::Restart));
-    }
-
     /// Pumps the session until the acting primary has completed rekey
     /// interval `target` *and* every live member has applied it, or
     /// `timeout` elapses. Returns whether the target was reached.
@@ -957,15 +940,6 @@ impl<NET: Network> UdpGroupDriver<NET> {
     /// then); `None` for a departed or never-admitted member.
     pub fn agent(&self, handle: usize) -> Option<&UserAgent> {
         self.collected.get(handle)?.as_ref()?.agent.as_ref()
-    }
-
-    /// Member `handle`'s counters (zeros before [`UdpGroupDriver::finish`]).
-    pub fn member_stats(&self, handle: usize) -> MemberStats {
-        self.collected
-            .get(handle)
-            .and_then(|m| m.as_ref())
-            .map(|m| m.stats)
-            .unwrap_or_default()
     }
 
     /// Verifies K-consistency of every live member's local table against

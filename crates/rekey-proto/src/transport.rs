@@ -6,7 +6,7 @@
 //! drive the same BFS over T-mesh forwarding hops. This module holds the
 //! machinery they share:
 //!
-//! * [`MemberIndex`] — O(1) `UserId → member index` resolution per hop
+//! * `MemberIndex` — O(1) `UserId → member index` resolution per hop
 //!   (backed by the map `TmeshGroup` builds once per session), replacing
 //!   the former O(N) `members().position(..)` scan per edge;
 //! * [`SplitIndex`] — the `REKEY-MESSAGE-SPLIT` routine (Fig. 5) as
@@ -92,17 +92,17 @@ impl TransportOptions {
 /// session, giving transports a named handle for the lookup that used to
 /// be an O(N) scan per edge.
 #[derive(Clone, Copy)]
-pub struct MemberIndex<'a> {
+pub(crate) struct MemberIndex<'a> {
     group: &'a TmeshGroup,
 }
 
 impl<'a> MemberIndex<'a> {
-    pub fn new(group: &'a TmeshGroup) -> MemberIndex<'a> {
+    pub(crate) fn new(group: &'a TmeshGroup) -> MemberIndex<'a> {
         MemberIndex { group }
     }
 
     /// The member index of `id`, if it is a session member.
-    pub fn get(&self, id: &UserId) -> Option<usize> {
+    pub(crate) fn get(&self, id: &UserId) -> Option<usize> {
         self.group.member_index(id)
     }
 
@@ -112,7 +112,7 @@ impl<'a> MemberIndex<'a> {
     ///
     /// Panics if the neighbor is not a session member (tables and member
     /// list out of sync — a bug by construction of `TmeshGroup`).
-    pub fn of_hop(&self, hop: &Hop<'_>) -> usize {
+    pub(crate) fn of_hop(&self, hop: &Hop<'_>) -> usize {
         self.get(&hop.neighbor.member.id)
             .expect("hop neighbor is a session member")
     }
@@ -139,11 +139,11 @@ impl PrefixBuf {
 
     /// The `(row, ·)`-subtree prefix served by `hop`: the receiving
     /// neighbor's level-`row + 1` prefix (see [`Hop::prefix`]).
-    pub fn of_hop(hop: &Hop<'_>) -> PrefixBuf {
+    pub(crate) fn of_hop(hop: &Hop<'_>) -> PrefixBuf {
         PrefixBuf(hop.prefix())
     }
 
-    pub fn as_slice(&self) -> &[u16] {
+    pub(crate) fn as_slice(&self) -> &[u16] {
         self.0.digits()
     }
 }
@@ -172,11 +172,6 @@ impl RelatedRanges {
             .map(|&(lo, hi)| (hi - lo) as usize)
             .sum()
     }
-
-    /// The ranges as `(start, end)` position pairs into the sorted order.
-    pub fn as_slice(&self) -> &[(u32, u32)] {
-        &self.ranges[..self.count]
-    }
 }
 
 /// The prefix-range split index: the rekey message's encryption IDs
@@ -201,10 +196,9 @@ impl RelatedRanges {
 /// let message = vec![mk(vec![]), mk(vec![0]), mk(vec![0, 1]), mk(vec![2])];
 /// let index = SplitIndex::build(&message);
 /// // Related to [0]: the root (ancestor), [0] and [0,1] (descendants) — not [2].
-/// let mut related: Vec<usize> = index.indices(&[0]).collect();
-/// related.sort_unstable();
-/// assert_eq!(related, vec![0, 1, 2]);
-/// assert_eq!(index.count(&[0]), 3);
+/// assert_eq!(index.related_ranges(&[0]).total(), 3);
+/// // Related to [2]: the root and [2].
+/// assert_eq!(index.related_ranges(&[2]).total(), 2);
 /// ```
 pub struct SplitIndex {
     /// Digit strings of every entry, flattened; entry `i` occupies
@@ -224,13 +218,13 @@ impl SplitIndex {
 
     /// Indexes a list of encryption IDs directly (for harnesses that
     /// model messages as ID lists, e.g. the concurrent-traffic simulator).
-    pub fn from_ids(ids: &[IdPrefix]) -> SplitIndex {
+    pub(crate) fn from_ids(ids: &[IdPrefix]) -> SplitIndex {
         SplitIndex::from_digit_strings(ids.iter().map(|p| p.digits()))
     }
 
     /// Indexes arbitrary digit strings; entry `i` is the `i`-th yielded
     /// string.
-    pub fn from_digit_strings<'a>(ids: impl Iterator<Item = &'a [u16]>) -> SplitIndex {
+    pub(crate) fn from_digit_strings<'a>(ids: impl Iterator<Item = &'a [u16]>) -> SplitIndex {
         let mut digits = Vec::new();
         let mut bounds = Vec::with_capacity(ids.size_hint().0 + 1);
         bounds.push(0u32);
@@ -256,11 +250,12 @@ impl SplitIndex {
     }
 
     /// Number of indexed entries (the message size `M`).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bounds.len() - 1
     }
 
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -298,13 +293,13 @@ impl SplitIndex {
     }
 
     /// How many entries are related to `prefix`: O(D log M).
-    pub fn count(&self, prefix: &[u16]) -> usize {
+    pub(crate) fn count(&self, prefix: &[u16]) -> usize {
         self.related_ranges(prefix).total()
     }
 
     /// The entry indices related to `prefix`, in sorted-by-ID order
     /// (ancestor chain first, then the descendant block).
-    pub fn indices<'s>(&'s self, prefix: &[u16]) -> impl Iterator<Item = usize> + 's {
+    pub(crate) fn indices<'s>(&'s self, prefix: &[u16]) -> impl Iterator<Item = usize> + 's {
         let ranges = self.related_ranges(prefix);
         (0..ranges.count)
             .flat_map(move |r| ranges.ranges[r].0..ranges.ranges[r].1)
@@ -331,9 +326,9 @@ impl SplitIndex {
 ///
 /// When the delta is large (mass joins, server restart) the incremental
 /// path would do more work than a rebuild, so `advance` falls back to
-/// [`SplitIndex::build`]; both paths are deterministic. The
-/// [`SplitIndexMaintainer::stats`] counters expose which path ran, so
-/// tests can pin that steady churn actually exercises the delta path.
+/// [`SplitIndex::build`]; both paths are deterministic. Path counters
+/// record which path ran, so the tests can pin that steady churn actually
+/// exercises the delta path.
 ///
 /// ```
 /// # use rekey_proto::SplitIndexMaintainer;
@@ -352,8 +347,7 @@ impl SplitIndex {
 /// let second = vec![mk(vec![]), mk(vec![0]), mk(vec![0, 2])]; // one ID changed
 /// let _ = maintainer.advance(&first); // empty state: builds from scratch
 /// let index = maintainer.advance(&second); // delta path: 1 fresh, 2 kept
-/// assert_eq!(index.count(&[0, 2]), 3);
-/// assert_eq!(maintainer.stats().incremental, 1);
+/// assert_eq!(index.related_ranges(&[0, 2]).total(), 3);
 /// ```
 #[derive(Default)]
 pub struct SplitIndexMaintainer {
@@ -366,7 +360,7 @@ pub struct SplitIndexMaintainer {
 
 /// Which paths a [`SplitIndexMaintainer`] has taken so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SplitIndexStats {
+pub(crate) struct SplitIndexStats {
     /// Intervals indexed via delta application.
     pub incremental: u64,
     /// Intervals indexed via full rebuild (first interval, or delta too
@@ -384,7 +378,8 @@ impl SplitIndexMaintainer {
     }
 
     /// Path counters accumulated since construction.
-    pub fn stats(&self) -> SplitIndexStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> SplitIndexStats {
         self.stats
     }
 
@@ -569,7 +564,11 @@ pub(crate) struct RekeySession<'a> {
 }
 
 impl<'a> RekeySession<'a> {
-    pub fn new(group: &'a TmeshGroup, message: &[Encryption], split: bool) -> RekeySession<'a> {
+    pub(crate) fn new(
+        group: &'a TmeshGroup,
+        message: &[Encryption],
+        split: bool,
+    ) -> RekeySession<'a> {
         RekeySession {
             group,
             members: MemberIndex::new(group),
@@ -581,7 +580,7 @@ impl<'a> RekeySession<'a> {
 
     /// The payload composed for `hop`: the split extract for its subtree
     /// prefix, or the incoming payload unchanged without splitting.
-    pub fn payload_for(&self, incoming: Payload, hop: &Hop<'_>) -> Payload {
+    pub(crate) fn payload_for(&self, incoming: Payload, hop: &Hop<'_>) -> Payload {
         if self.split {
             Payload::Related(PrefixBuf::of_hop(hop))
         } else {
@@ -590,7 +589,7 @@ impl<'a> RekeySession<'a> {
     }
 
     /// Number of encryptions a payload carries.
-    pub fn payload_len(&self, payload: Payload) -> u64 {
+    pub(crate) fn payload_len(&self, payload: Payload) -> u64 {
         match payload {
             Payload::Full => self.index.len() as u64,
             Payload::Related(prefix) => self.index.count(prefix.as_slice()) as u64,
@@ -598,7 +597,7 @@ impl<'a> RekeySession<'a> {
     }
 
     /// Appends a payload's encryption indices to `out`.
-    pub fn payload_extend(&self, payload: Payload, out: &mut Vec<usize>) {
+    pub(crate) fn payload_extend(&self, payload: Payload, out: &mut Vec<usize>) {
         match payload {
             Payload::Full => out.extend(0..self.index.len()),
             Payload::Related(prefix) => out.extend(self.index.indices(prefix.as_slice())),
@@ -606,11 +605,11 @@ impl<'a> RekeySession<'a> {
     }
 
     /// The payload the server composes for an initial hop.
-    pub fn initial_payload(&self, hop: &Hop<'_>) -> Payload {
+    pub(crate) fn initial_payload(&self, hop: &Hop<'_>) -> Payload {
         self.payload_for(Payload::Full, hop)
     }
 
-    pub fn host(&self, member: usize) -> HostId {
+    pub(crate) fn host(&self, member: usize) -> HostId {
         self.group.members()[member].host
     }
 }

@@ -5,10 +5,8 @@
 use rand::{Rng, SeedableRng};
 use rekey_id::IdSpec;
 use rekey_net::{MatrixNetwork, Network, PlanetLabParams};
-use rekey_proto::distributed::{
-    run_distributed_joins, run_distributed_session, DistributedJoinRun,
-};
 use rekey_proto::AssignParams;
+use rekey_proto::{run_distributed_joins, run_distributed_session, DistributedJoinRun};
 use rekey_table::oracle::build_all_tables;
 use rekey_table::{check_consistency, NeighborTable, PrimaryPolicy};
 
@@ -156,7 +154,7 @@ fn join_latency_is_bounded() {
 /// `Group` and pushed to their owners.
 #[test]
 fn leaves_repair_survivor_tables() {
-    use rekey_proto::distributed::run_distributed_session;
+    use rekey_proto::run_distributed_session;
     let network = net(7);
     let spec = IdSpec::new(4, 16).unwrap();
     let params = AssignParams::for_depth(4);
@@ -196,7 +194,7 @@ fn leaves_repair_survivor_tables() {
 /// survives at any overlap offset.
 #[test]
 fn leave_during_inflight_join_leaves_no_ghost_records() {
-    use rekey_proto::distributed::run_distributed_session;
+    use rekey_proto::run_distributed_session;
     let network = net(11);
     let spec = IdSpec::new(4, 16).unwrap();
     let params = AssignParams::for_depth(4);

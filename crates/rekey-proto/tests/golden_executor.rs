@@ -18,10 +18,8 @@
 use rekey_crypto::Key;
 use rekey_id::{IdSpec, UserId};
 use rekey_net::{GridNetwork, MatrixNetwork, Network, PlanetLabParams};
-use rekey_proto::chaos::{member_node_with_replicas, replica_node};
-use rekey_proto::{
-    ChurnEvent, GroupConfig, GroupRuntime, MetricsSnapshot, RuntimeConfig, ShardedGroupRuntime,
-};
+use rekey_proto::{member_node_with_replicas, replica_node};
+use rekey_proto::{ChurnEvent, GroupConfig, MetricsSnapshot, RuntimeConfig, ShardedGroupRuntime};
 use rekey_sim::{seeded_rng, FaultPlan, GilbertElliott, NodeId};
 
 const SEC: u64 = 1_000_000;
@@ -83,7 +81,10 @@ enum Tables {
     NoneOnProbation,
 }
 
-fn outcome<NET: Network + Sync + 'static>(rt: &GroupRuntime<NET>, tables: Tables) -> Outcome {
+fn outcome<NET: Network + Sync + 'static>(
+    rt: &ShardedGroupRuntime<NET>,
+    tables: Tables,
+) -> Outcome {
     let server = rt.server();
     let group_key = server.tree().group_key().expect("non-empty group");
     let (mut roster, mut gk, mut paths) = (Digest::new(), Digest::new(), Digest::new());
@@ -143,14 +144,14 @@ fn matrix_net() -> MatrixNetwork {
 /// 256 joins, 40 voluntary leaves and 8 silent crashes over 12 rekey
 /// intervals (ticks at 10 s … 120 s), then a quiet tail so every crash is
 /// detected and repaired before the shutdown flush.
-fn churn_session(loss: f64) -> GroupRuntime<MatrixNetwork> {
+fn churn_session(loss: f64) -> ShardedGroupRuntime<MatrixNetwork> {
     let net = matrix_net();
     assert!(net.host_count() > 256);
     let group = GroupConfig::for_spec(&IdSpec::new(4, 8).unwrap())
         .k(3)
         .seed(0x601D5);
     let config = RuntimeConfig::builder().loss(loss).seed(0x601D).build();
-    let mut rt = GroupRuntime::new(group, config, net);
+    let mut rt = ShardedGroupRuntime::new(group, config, net);
     let mut trace: Vec<ChurnEvent> = (0..256u64)
         .map(|i| ChurnEvent::join(SEC + i * 61_003))
         .collect();
@@ -174,7 +175,7 @@ fn churn_session(loss: f64) -> GroupRuntime<MatrixNetwork> {
 /// 3 replicas on a grid: 64 joins, a member cell partitioned away and
 /// healed, burst loss on the rekey overlay throughout, the primary killed
 /// mid-interval and revived after a follower took over, three leaves.
-fn failover_session() -> GroupRuntime<GridNetwork> {
+fn failover_session() -> ShardedGroupRuntime<GridNetwork> {
     const MEMBERS: usize = 64;
     const REPLICAS: usize = 3;
     let net = GridNetwork::new(MEMBERS + 8, 1_000, 100);
@@ -199,7 +200,7 @@ fn failover_session() -> GroupRuntime<GridNetwork> {
         .burst_loss(GilbertElliott::moderate())
         .partition(vec![cell], 7 * SEC, 12 * SEC)
         .outage(replica_node(0), 19 * SEC, 31 * SEC);
-    let mut rt = GroupRuntime::new(group, config, net).with_faults(plan);
+    let mut rt = ShardedGroupRuntime::new(group, config, net).with_faults(plan);
     let mut trace: Vec<ChurnEvent> = (0..MEMBERS as u64)
         .map(|i| ChurnEvent::join(100_003 + i * 20_011))
         .collect();

@@ -1,4 +1,4 @@
-//! One implementation, two drivers: the event-driven [`GroupRuntime`] and
+//! One implementation, two drivers: the event-driven [`ShardedGroupRuntime`] and
 //! the synchronous [`GroupServer`] facade must execute the *same* protocol.
 //! On a churn-free trace (joins only, no loss, no crashes) with the same
 //! [`GroupConfig`], both drivers must end with identical membership,
@@ -8,7 +8,9 @@
 
 use rekey_id::{IdSpec, UserId};
 use rekey_net::{HostId, MatrixNetwork, Network, PlanetLabParams};
-use rekey_proto::{ChurnEvent, GroupConfig, GroupRuntime, GroupServer, RuntimeConfig, UserAgent};
+use rekey_proto::{
+    ChurnEvent, GroupConfig, GroupServer, RuntimeConfig, ShardedGroupRuntime, UserAgent,
+};
 use rekey_sim::seeded_rng;
 
 const SEC: u64 = 1_000_000;
@@ -31,7 +33,7 @@ fn config() -> GroupConfig {
 #[test]
 fn runtime_and_synchronous_driver_build_identical_key_trees() {
     // Event-driven run.
-    let mut rt = GroupRuntime::new(config(), RuntimeConfig::default(), small_net());
+    let mut rt = ShardedGroupRuntime::new(config(), RuntimeConfig::default(), small_net());
     let trace: Vec<ChurnEvent> = (0..6)
         .map(|i| ChurnEvent::join(SEC + i * 800_000))
         .chain((0..4).map(|i| ChurnEvent::join(11 * SEC + i * 800_000)))
@@ -134,7 +136,7 @@ fn runtime_and_synchronous_driver_build_identical_key_trees() {
 }
 
 /// Maps a member ID back to its runtime join handle via the oracle.
-fn agent_handle(rt: &GroupRuntime<MatrixNetwork>, id: &UserId) -> usize {
+fn agent_handle(rt: &ShardedGroupRuntime<MatrixNetwork>, id: &UserId) -> usize {
     let host = rt
         .group()
         .members()

@@ -119,7 +119,8 @@ impl<E> Scheduler<E> {
     }
 
     /// `true` iff no events are pending.
-    pub fn is_idle(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty()
     }
 }

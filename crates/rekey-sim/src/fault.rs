@@ -82,7 +82,8 @@ impl GilbertElliott {
 
     /// Stationary mean loss rate of the chain, for comparing a burst
     /// profile against an i.i.d. rate in experiments.
-    pub fn mean_loss(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_loss(&self) -> f64 {
         let denom = self.p_enter_bad + self.p_exit_bad;
         if denom == 0.0 {
             return self.loss_good;
@@ -210,7 +211,8 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1)`.
-    pub fn iid_loss(mut self, p: f64) -> FaultPlan {
+    #[cfg(test)]
+    pub(crate) fn iid_loss(mut self, p: f64) -> FaultPlan {
         assert!(
             (0.0..1.0).contains(&p),
             "loss probability must be in [0, 1)"
@@ -247,11 +249,6 @@ impl FaultPlan {
     /// restart event at `until`.
     pub fn outages(&self) -> &[Outage] {
         &self.outages
-    }
-
-    /// The configured jitter bound (0 when no jitter was requested).
-    pub fn jitter_max(&self) -> SimTime {
-        self.jitter_max
     }
 
     /// Compiles the plan into a deterministic injector seeded by `seed`.

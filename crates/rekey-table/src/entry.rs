@@ -47,14 +47,14 @@ impl<'a> TableEntry<'a> {
 
     /// The stored neighbor with the earliest joining time (used as primary
     /// at row `D − 2` under the cluster rekeying heuristic, Appendix B).
-    pub fn earliest_joined(&self) -> Option<&'a NeighborRecord> {
+    pub(crate) fn earliest_joined(&self) -> Option<&'a NeighborRecord> {
         self.neighbors
             .iter()
             .min_by_key(|n| (n.member.joined_at, n.member.id))
     }
 
     /// Number of stored neighbors.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.neighbors.len()
     }
 
@@ -69,7 +69,8 @@ impl<'a> TableEntry<'a> {
     }
 
     /// `true` iff a neighbor with this ID is stored.
-    pub fn contains(&self, id: &UserId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, id: &UserId) -> bool {
         self.neighbors.iter().any(|n| &n.member.id == id)
     }
 }

@@ -37,11 +37,6 @@ impl ServerTable {
         &self.spec
     }
 
-    /// Per-entry capacity `K`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// The `(0, j)`-entry.
     ///
     /// # Panics
@@ -66,7 +61,8 @@ impl ServerTable {
     }
 
     /// The primary `(0, j)`-neighbor (smallest RTT to the server).
-    pub fn primary(&self, j: u16) -> Option<&NeighborRecord> {
+    #[cfg(test)]
+    pub(crate) fn primary(&self, j: u16) -> Option<&NeighborRecord> {
         self.entry(j).primary()
     }
 

@@ -35,7 +35,8 @@ pub enum PrimaryPolicy {
 /// let peer = Member { id: UserId::new(&spec, vec![3, 2])?, host: HostId(9), joined_at: 0 };
 /// table.insert(NeighborRecord { member: peer.clone(), rtt: 12_000 });
 /// // The peer differs at digit 0 with value 3 ⇒ it lives in entry (0, 3).
-/// assert_eq!(table.primary(0, 3).unwrap().member.id, peer.id);
+/// assert_eq!(table.slot_for(&peer.id), Some((0, 3)));
+/// assert_eq!(table.neighbor_count(), 1);
 /// # Ok::<(), rekey_id::IdError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -135,7 +136,8 @@ impl NeighborTable {
 
     /// The primary `(i, j)`-neighbor under this table's
     /// [`PrimaryPolicy`].
-    pub fn primary(&self, i: usize, j: u16) -> Option<&NeighborRecord> {
+    #[cfg(test)]
+    pub(crate) fn primary(&self, i: usize, j: u16) -> Option<&NeighborRecord> {
         self.primary_of(i, self.entry(i, j))
     }
 

@@ -68,7 +68,7 @@ pub fn server_next_hops(table: &ServerTable) -> Vec<Hop<'_>> {
 /// §2.3 fail-over: "it can simply forward messages to another neighbor in
 /// the same table entry as the failed or congested neighbor"). An entry
 /// whose neighbors are all down produces no hop.
-pub fn server_next_hops_with<'t>(
+pub(crate) fn server_next_hops_with<'t>(
     table: &'t ServerTable,
     alive: &dyn Fn(&rekey_id::UserId) -> bool,
 ) -> Vec<Hop<'t>> {

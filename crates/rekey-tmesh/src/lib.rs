@@ -47,3 +47,6 @@ pub mod metrics;
 mod session;
 
 pub use session::{Delivery, MulticastOutcome, Source, TmeshGroup, Transmission};
+
+#[cfg(test)]
+mod theorem1;

@@ -68,13 +68,6 @@ impl PathMetrics {
     }
 }
 
-/// Sorts samples ascending — the x-axis-ready form of an inverse CDF plot.
-pub fn sorted<T: PartialOrd + Copy>(samples: &[T]) -> Vec<T> {
-    let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN-free samples"));
-    v
-}
-
 /// The `q`-quantile (0 ≤ q ≤ 1) of ascending-`sorted` samples, by the
 /// nearest-rank method.
 ///
@@ -88,38 +81,45 @@ pub fn quantile<T: Copy>(sorted_samples: &[T], q: f64) -> T {
     sorted_samples[rank.min(sorted_samples.len() - 1)]
 }
 
-/// The paper's percentile helper: `percentile(samples, 80)` is the
-/// 80-percentile used in ID assignment step 3 (§3.1.3).
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or `p` exceeds 100.
-pub fn percentile(samples: &[Micros], p: u8) -> Micros {
-    assert!(p <= 100, "percentile must be ≤ 100");
-    let s = sorted(samples);
-    quantile(&s, f64::from(p) / 100.0)
-}
-
-/// Inverse-CDF points `(fraction, value)` at `points` evenly spaced
-/// fractions, for TSV output matching the paper's figures.
-pub fn inverse_cdf<T: PartialOrd + Copy>(samples: &[T], points: usize) -> Vec<(f64, T)> {
-    assert!(points >= 2, "need at least two points");
-    let s = sorted(samples);
-    if s.is_empty() {
-        return Vec::new();
-    }
-    (0..points)
-        .map(|i| {
-            let frac = i as f64 / (points - 1) as f64;
-            let rank = ((frac * (s.len() - 1) as f64).round()) as usize;
-            (frac, s[rank])
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sorts samples ascending — the x-axis-ready form of an inverse CDF plot.
+    fn sorted<T: PartialOrd + Copy>(samples: &[T]) -> Vec<T> {
+        let mut v = samples.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN-free samples"));
+        v
+    }
+
+    /// The paper's percentile helper: `percentile(samples, 80)` is the
+    /// 80-percentile used in ID assignment step 3 (§3.1.3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty or `p` exceeds 100.
+    fn percentile(samples: &[Micros], p: u8) -> Micros {
+        assert!(p <= 100, "percentile must be ≤ 100");
+        let s = sorted(samples);
+        quantile(&s, f64::from(p) / 100.0)
+    }
+
+    /// Inverse-CDF points `(fraction, value)` at `points` evenly spaced
+    /// fractions, for TSV output matching the paper's figures.
+    fn inverse_cdf<T: PartialOrd + Copy>(samples: &[T], points: usize) -> Vec<(f64, T)> {
+        assert!(points >= 2, "need at least two points");
+        let s = sorted(samples);
+        if s.is_empty() {
+            return Vec::new();
+        }
+        (0..points)
+            .map(|i| {
+                let frac = i as f64 / (points - 1) as f64;
+                let rank = ((frac * (s.len() - 1) as f64).round()) as usize;
+                (frac, s[rank])
+            })
+            .collect()
+    }
 
     #[test]
     fn quantiles_nearest_rank() {

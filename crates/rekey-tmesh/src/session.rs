@@ -57,19 +57,19 @@ pub struct MulticastOutcome {
     source: Source,
     deliveries: Vec<Vec<Delivery>>,
     forwarded: Vec<u32>,
-    server_sent: u32,
     transmissions: Vec<Transmission>,
     finished_at: SimTime,
 }
 
 impl MulticastOutcome {
     /// The session's sender.
-    pub fn source(&self) -> Source {
+    pub(crate) fn source(&self) -> Source {
         self.source
     }
 
     /// All copies received by member `i`, in arrival order.
-    pub fn deliveries(&self, i: usize) -> &[Delivery] {
+    #[cfg(test)]
+    pub(crate) fn deliveries(&self, i: usize) -> &[Delivery] {
         &self.deliveries[i]
     }
 
@@ -80,19 +80,23 @@ impl MulticastOutcome {
 
     /// Number of members in the session (receivers, plus the sender when it
     /// is a user).
-    pub fn member_count(&self) -> usize {
+    pub(crate) fn member_count(&self) -> usize {
         self.deliveries.len()
     }
 
     /// The paper's *user stress*: "the total number of messages the user
     /// forwards in a multicast session".
-    pub fn user_stress(&self, i: usize) -> u32 {
+    pub(crate) fn user_stress(&self, i: usize) -> u32 {
         self.forwarded[i]
     }
 
     /// Copies sent by the key server (0 for data sessions).
-    pub fn server_sent(&self) -> u32 {
-        self.server_sent
+    #[cfg(test)]
+    pub(crate) fn server_sent(&self) -> u32 {
+        self.transmissions
+            .iter()
+            .filter(|t| t.from == Source::Server)
+            .count() as u32
     }
 
     /// Every overlay transmission of the session.
@@ -255,7 +259,7 @@ impl TmeshGroup {
     /// # Panics
     ///
     /// Panics if the sender itself is failed or out of range.
-    pub fn multicast_with_failures(
+    pub(crate) fn multicast_with_failures(
         &self,
         net: &impl Network,
         source: Source,
@@ -321,12 +325,11 @@ impl TmeshGroup {
         for t in &transmissions {
             forwarded[sender(t)] += 1;
         }
-        let server_sent = forwarded.pop().expect("the key server's count");
+        forwarded.truncate(n); // drop the key server's count
         MulticastOutcome {
             source,
             deliveries,
             forwarded,
-            server_sent,
             transmissions,
             finished_at,
         }

@@ -17,8 +17,8 @@
 
 use group_rekeying::id::IdSpec;
 use group_rekeying::net::{MatrixNetwork, PlanetLabParams};
-use group_rekeying::proto::chaos;
-use group_rekeying::proto::{ChurnEvent, GroupConfig, GroupRuntime, RuntimeConfig};
+use group_rekeying::proto::SERVER_NODE;
+use group_rekeying::proto::{ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime};
 use group_rekeying::sim::{seeded_rng, FaultPlan, NodeId};
 
 const SEC: u64 = 1_000_000;
@@ -39,7 +39,7 @@ fn partition_heal() {
     // contact with everyone else from t = 20 s to t = 56 s.
     let isolated = vec![NodeId(1), NodeId(2)];
     let plan = FaultPlan::new().partition(vec![isolated], 20 * SEC, 56 * SEC);
-    let mut rt = GroupRuntime::new(config, RuntimeConfig::default(), net).with_faults(plan);
+    let mut rt = ShardedGroupRuntime::new(config, RuntimeConfig::default(), net).with_faults(plan);
     let trace: Vec<ChurnEvent> = (0..8)
         .map(|i| ChurnEvent::join(SEC + i * 200_000))
         .collect();
@@ -74,8 +74,8 @@ fn server_restart() {
     let net = MatrixNetwork::synthetic_planetlab(&PlanetLabParams::small(), &mut seeded_rng(23));
     let spec = IdSpec::new(3, 8).expect("valid spec");
     let config = GroupConfig::for_spec(&spec).k(2).seed(23);
-    let plan = FaultPlan::new().outage(chaos::SERVER_NODE, 24 * SEC, 38 * SEC);
-    let mut rt = GroupRuntime::new(config, RuntimeConfig::default(), net).with_faults(plan);
+    let plan = FaultPlan::new().outage(SERVER_NODE, 24 * SEC, 38 * SEC);
+    let mut rt = ShardedGroupRuntime::new(config, RuntimeConfig::default(), net).with_faults(plan);
     let trace: Vec<ChurnEvent> = (0..10)
         .map(|i| ChurnEvent::join(SEC + i * 200_000))
         .collect();
@@ -113,7 +113,7 @@ fn crash_detection() {
     let net = MatrixNetwork::synthetic_planetlab(&params, &mut seeded_rng(404));
     let spec = IdSpec::new(4, 8).expect("valid spec");
     let config = GroupConfig::for_spec(&spec).k(4).seed(404);
-    let mut rt = GroupRuntime::new(config, RuntimeConfig::default(), net);
+    let mut rt = ShardedGroupRuntime::new(config, RuntimeConfig::default(), net);
 
     // 80 members join over the first two intervals; at t = 35 s a whole
     // "rack" of 8 members crashes at the same instant — no LeaveRequest,

@@ -10,7 +10,7 @@
 
 use group_rekeying::id::IdSpec;
 use group_rekeying::net::{MatrixNetwork, Network, PlanetLabParams};
-use group_rekeying::proto::{ChurnEvent, GroupConfig, GroupRuntime, RuntimeConfig};
+use group_rekeying::proto::{ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime};
 use group_rekeying::sim::seeded_rng;
 
 const SEC: u64 = 1_000_000;
@@ -29,7 +29,7 @@ fn main() {
     let spec = IdSpec::new(4, 8).expect("valid spec");
     let config = GroupConfig::for_spec(&spec).k(4).seed(99);
     let runtime_config = RuntimeConfig::builder().loss(0.01).seed(99).build();
-    let mut rt = GroupRuntime::new(config, runtime_config, net);
+    let mut rt = ShardedGroupRuntime::new(config, runtime_config, net);
 
     // The audience tunes in during the first interval…
     let audience = 160usize;

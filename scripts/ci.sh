@@ -76,9 +76,12 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # `-D warnings` denies clippy::clone_on_copy: IDs, prefixes and member
-# records are `Copy`, so a `.clone()` on one is a leftover to delete.
-echo "==> cargo clippy -D warnings"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+# records are `Copy`, so a `.clone()` on one is a leftover to delete. It
+# also turns `-W unreachable_pub` into an error: an item that is `pub` but
+# not reachable from its crate's root is `pub(crate)`, so `pub` means
+# "used from outside the crate".
+echo "==> cargo clippy -D warnings -W unreachable_pub"
+cargo clippy --offline --workspace --all-targets -- -D warnings -W unreachable_pub
 
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # The two tracked size outcomes of ROADMAP aim 2, reproducibly:
 #
-#   non-test lines  lines before the first `#[cfg(test)]` at column 0 of
-#                   every .rs file under crates/*/src
+#   non-test lines  lines before the first `#[cfg(test)]` (or `#![cfg(test)]`)
+#                   at column 0 of every .rs file under crates/*/src; a file
+#                   that opens with `#![cfg(test)]` is test code throughout
 #   public items    `pub fn|struct|enum|trait|type|const|static|mod|use`
 #                   declarations in those same lines
 #
@@ -27,7 +28,7 @@ fi
 
 find crates/*/src -name '*.rs' | sort | xargs awk -v verbose="${1:-}" '
     FNR == 1 { in_tests = 0 }
-    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#!?\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests { next }
     {
         lines[FILENAME]++

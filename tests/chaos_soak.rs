@@ -17,8 +17,8 @@
 
 use group_rekeying::id::IdSpec;
 use group_rekeying::net::{MatrixNetwork, Network, PlanetLabParams};
-use group_rekeying::proto::chaos;
-use group_rekeying::proto::{ChurnEvent, GroupConfig, GroupRuntime, RuntimeConfig};
+use group_rekeying::proto::{modulo_cells, SERVER_NODE};
+use group_rekeying::proto::{ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime};
 use group_rekeying::sim::{seeded_rng, FaultPlan, GilbertElliott};
 
 const SEC: u64 = 1_000_000;
@@ -51,10 +51,10 @@ fn thousand_member_group_survives_partition_burst_loss_and_server_restart() {
     let plan = FaultPlan::new()
         .burst_loss(GilbertElliott::moderate())
         .jitter(30_000)
-        .partition(chaos::modulo_cells(MEMBERS, 3), 60 * SEC, 78 * SEC)
-        .outage(chaos::SERVER_NODE, 150 * SEC, 165 * SEC);
+        .partition(modulo_cells(MEMBERS, 3), 60 * SEC, 78 * SEC)
+        .outage(SERVER_NODE, 150 * SEC, 165 * SEC);
 
-    let mut rt = GroupRuntime::new(config, runtime_config, net).with_faults(plan);
+    let mut rt = ShardedGroupRuntime::new(config, runtime_config, net).with_faults(plan);
 
     // All members join over the first two intervals; no voluntary churn —
     // every departure in this run is a wrongful, fault-induced one.

@@ -8,7 +8,7 @@ use group_rekeying::id::{IdSpec, UserId};
 use group_rekeying::keytree::{ModifiedKeyTree, RekeyArena};
 use group_rekeying::net::gtitm::{generate, GtItmParams};
 use group_rekeying::net::{HostId, MatrixNetwork, Network, PlanetLabParams};
-use group_rekeying::proto::distributed::{run_distributed_joins, run_distributed_session};
+use group_rekeying::proto::{run_distributed_joins, run_distributed_session};
 use group_rekeying::proto::{tmesh_rekey_transport, AssignParams, Group, TransportOptions};
 use group_rekeying::sim::seeded_rng;
 use group_rekeying::table::PrimaryPolicy;
@@ -293,7 +293,7 @@ fn lossy_transport_is_deterministic_in_the_loss_seed() {
 
 #[test]
 fn group_runtime_is_deterministic_under_loss_and_churn() {
-    use group_rekeying::proto::{ChurnEvent, GroupConfig, GroupRuntime, RuntimeConfig};
+    use group_rekeying::proto::{ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime};
     const SEC: u64 = 1_000_000;
     let fingerprint = |seed: u64| {
         let mut rng = seeded_rng(0x77);
@@ -301,7 +301,7 @@ fn group_runtime_is_deterministic_under_loss_and_churn() {
         let spec = IdSpec::new(3, 8).unwrap();
         let config = GroupConfig::for_spec(&spec).k(2).seed(3);
         let runtime_config = RuntimeConfig::builder().loss(0.25).seed(seed).build();
-        let mut rt = GroupRuntime::new(config, runtime_config, net);
+        let mut rt = ShardedGroupRuntime::new(config, runtime_config, net);
         let trace: Vec<ChurnEvent> = (0..10)
             .map(|i| ChurnEvent::join(SEC + i * 250_000))
             .chain([
@@ -373,12 +373,12 @@ fn seal_thread_count_never_changes_the_bytes() {
     }
 }
 
-/// The same property one layer up: a full [`GroupRuntime`] churn-and-loss
+/// The same property one layer up: a full [`ShardedGroupRuntime`] churn-and-loss
 /// run configured with different `seal_threads` values replays to a
 /// byte-identical [`MetricsSnapshot`] JSON and the same group key.
 #[test]
 fn group_runtime_snapshot_is_identical_at_any_seal_thread_count() {
-    use group_rekeying::proto::{ChurnEvent, GroupConfig, GroupRuntime, RuntimeConfig};
+    use group_rekeying::proto::{ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime};
     const SEC: u64 = 1_000_000;
     let run = |threads: usize| {
         let mut rng = seeded_rng(0x99);
@@ -389,7 +389,7 @@ fn group_runtime_snapshot_is_identical_at_any_seal_thread_count() {
             .seed(6)
             .seal_threads(threads);
         let runtime_config = RuntimeConfig::builder().loss(0.2).seed(11).build();
-        let mut rt = GroupRuntime::new(config, runtime_config, net);
+        let mut rt = ShardedGroupRuntime::new(config, runtime_config, net);
         let trace: Vec<ChurnEvent> = (0..10)
             .map(|i| ChurnEvent::join(SEC + i * 250_000))
             .chain([ChurnEvent::leave(35 * SEC, 3)])
@@ -418,8 +418,8 @@ fn group_runtime_snapshot_is_identical_at_any_seal_thread_count() {
 /// JSON, and the same final group key.
 #[test]
 fn group_runtime_is_deterministic_under_a_fault_plan() {
-    use group_rekeying::proto::chaos;
-    use group_rekeying::proto::{ChurnEvent, GroupConfig, GroupRuntime, RuntimeConfig};
+    use group_rekeying::proto::{modulo_cells, SERVER_NODE};
+    use group_rekeying::proto::{ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime};
     use group_rekeying::sim::{FaultPlan, GilbertElliott};
     const SEC: u64 = 1_000_000;
     let run = |seed: u64| {
@@ -431,9 +431,9 @@ fn group_runtime_is_deterministic_under_a_fault_plan() {
         let plan = FaultPlan::new()
             .burst_loss(GilbertElliott::moderate())
             .jitter(25_000)
-            .partition(chaos::modulo_cells(8, 2), 20 * SEC, 44 * SEC)
-            .outage(chaos::SERVER_NODE, 70 * SEC, 82 * SEC);
-        let mut rt = GroupRuntime::new(config, runtime_config, net).with_faults(plan);
+            .partition(modulo_cells(8, 2), 20 * SEC, 44 * SEC)
+            .outage(SERVER_NODE, 70 * SEC, 82 * SEC);
+        let mut rt = ShardedGroupRuntime::new(config, runtime_config, net).with_faults(plan);
         let trace: Vec<ChurnEvent> = (0..8)
             .map(|i| ChurnEvent::join(SEC + i * 250_000))
             .collect();

@@ -30,10 +30,9 @@ use std::time::Duration;
 
 use group_rekeying::id::IdSpec;
 use group_rekeying::net::{GridNetwork, MatrixNetwork, Network, PlanetLabParams};
-use group_rekeying::proto::chaos;
+use group_rekeying::proto::SERVER_NODE;
 use group_rekeying::proto::{
-    ChurnEvent, Driver, GroupConfig, GroupRuntime, RuntimeConfig, ShardedGroupRuntime,
-    UdpGroupDriver,
+    ChurnEvent, Driver, GroupConfig, RuntimeConfig, ShardedGroupRuntime, UdpGroupDriver,
 };
 use group_rekeying::sim::{seeded_rng, FaultPlan, GilbertElliott};
 
@@ -50,7 +49,7 @@ fn serial() -> MutexGuard<'static, ()> {
 
 /// Runs the fast failover scenario and returns the runtime for
 /// inspection: 48 members, primary killed mid-interval, revived later.
-fn fast_failover_run() -> GroupRuntime<GridNetwork> {
+fn fast_failover_run() -> ShardedGroupRuntime<GridNetwork> {
     const MEMBERS: usize = 48;
     let net = GridNetwork::new(MEMBERS + 8, 1_000, 100);
     let spec = IdSpec::new(3, 4).unwrap();
@@ -67,8 +66,8 @@ fn fast_failover_run() -> GroupRuntime<GridNetwork> {
     // Kill the primary at 5 s — mid-way through the third rekey interval
     // (boundaries at 2/4/6 s) — and revive it at 13 s, well after a
     // follower has been promoted.
-    let plan = FaultPlan::new().outage(chaos::SERVER_NODE, 5 * SEC, 13 * SEC);
-    let mut rt = GroupRuntime::new(group, config, net).with_faults(plan);
+    let plan = FaultPlan::new().outage(SERVER_NODE, 5 * SEC, 13 * SEC);
+    let mut rt = ShardedGroupRuntime::new(group, config, net).with_faults(plan);
 
     let mut trace: Vec<ChurnEvent> = (0..MEMBERS as u64)
         .map(|i| ChurnEvent::join(100_000 + i * 20_000))
@@ -170,8 +169,8 @@ fn thousand_member_failover_under_burst_loss_and_churn() {
     let plan = FaultPlan::new()
         .burst_loss(GilbertElliott::moderate())
         .jitter(30_000)
-        .outage(chaos::SERVER_NODE, 95 * SEC, 160 * SEC);
-    let mut rt = GroupRuntime::new(group, config, net).with_faults(plan);
+        .outage(SERVER_NODE, 95 * SEC, 160 * SEC);
+    let mut rt = ShardedGroupRuntime::new(group, config, net).with_faults(plan);
 
     let mut trace: Vec<ChurnEvent> = (0..MEMBERS as u64)
         .map(|i| ChurnEvent::join(SEC + i * 17_000))

@@ -17,7 +17,7 @@
 //! Ignored by default — `scripts/ci.sh` runs them in release mode:
 //! `cargo test --release --test mega_soak -- --ignored`.
 
-use group_rekeying::proto::chaos::{member_node_with_replicas, replica_node};
+use group_rekeying::proto::{member_node_with_replicas, replica_node};
 use group_rekeying::proto::{RuntimeConfig, ShardedGroupRuntime};
 use group_rekeying::sim::{FaultPlan, GilbertElliott, NodeId};
 use rekey_bench::mega_runtime_fixture;

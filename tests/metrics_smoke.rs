@@ -10,7 +10,7 @@
 use group_rekeying::id::IdSpec;
 use group_rekeying::metrics::json::has_key;
 use group_rekeying::net::{MatrixNetwork, Network, PlanetLabParams};
-use group_rekeying::proto::{ChurnEvent, GroupConfig, GroupRuntime, RuntimeConfig};
+use group_rekeying::proto::{ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime};
 use group_rekeying::sim::seeded_rng;
 use rekey_bench::schema::{validate_snapshot, SNAPSHOT_REQUIRED_KEYS};
 
@@ -32,7 +32,7 @@ fn soak_snapshot_satisfies_schema_and_carries_data() {
     let spec = IdSpec::new(4, 8).unwrap();
     let config = GroupConfig::for_spec(&spec).k(3).seed(0x5A0E5);
     let runtime_config = RuntimeConfig::builder().loss(0.02).seed(0x5A0E).build();
-    let mut rt = GroupRuntime::new(config, runtime_config, net);
+    let mut rt = ShardedGroupRuntime::new(config, runtime_config, net);
 
     let mut trace: Vec<ChurnEvent> = (0..MEMBERS)
         .map(|i| ChurnEvent::join(SEC + i * 40_000))

@@ -10,7 +10,7 @@
 
 use group_rekeying::id::IdSpec;
 use group_rekeying::net::{MatrixNetwork, Network, PlanetLabParams};
-use group_rekeying::proto::{ChurnEvent, GroupConfig, GroupRuntime, RuntimeConfig};
+use group_rekeying::proto::{ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime};
 use group_rekeying::sim::seeded_rng;
 
 const SEC: u64 = 1_000_000;
@@ -30,7 +30,7 @@ fn thousand_member_churn_soak_stays_consistent() {
     let spec = IdSpec::new(5, 8).unwrap();
     let config = GroupConfig::for_spec(&spec).k(4).seed(0xC0FFEE);
     let runtime_config = RuntimeConfig::builder().loss(0.02).seed(0x50AC).build();
-    let mut rt = GroupRuntime::new(config, runtime_config, net);
+    let mut rt = ShardedGroupRuntime::new(config, runtime_config, net);
 
     // 1056 joins spread over the first two intervals (~19 s), then mixed
     // churn through the middle of the run: 40 voluntary leaves, 16 silent
