@@ -7,7 +7,10 @@ use rand::{Rng, SeedableRng};
 use rekey_id::{IdSpec, UserId};
 use rekey_keytree::{ClusteredKeyTree, KeyRing, ModifiedKeyTree, OriginalKeyTree, RekeyArena};
 use rekey_net::{HostId, MatrixNetwork, PlanetLabParams};
-use rekey_proto::{tmesh_rekey_transport, TransportOptions};
+use rekey_proto::{
+    tmesh_rekey_transport, ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime,
+    TransportOptions,
+};
 use rekey_table::{Member, PrimaryPolicy};
 use rekey_tmesh::{Source, TmeshGroup};
 
@@ -161,17 +164,23 @@ fn bench_keyring_absorb(c: &mut Criterion) {
     g.finish();
 }
 
+/// The §3.1 join as `RtMsg` traffic: 64 joiners, 2 s apart, each probing
+/// the group with queries and pings on the simulated driver.
 fn bench_distributed_join(c: &mut Criterion) {
     let mut g = c.benchmark_group("distributed_join");
     g.sample_size(10);
     let mut r = rng();
     let net = MatrixNetwork::synthetic_planetlab(&PlanetLabParams::default(), &mut r);
-    let spec = IdSpec::new(4, 16).unwrap();
-    let params = rekey_proto::AssignParams::for_depth(4);
-    let times: Vec<u64> = (0..64).map(|i| i * 2_000_000).collect();
+    let group = GroupConfig::for_spec(&IdSpec::new(4, 16).unwrap()).k(2);
+    let config = RuntimeConfig::builder().heartbeat_period(1 << 40).build();
+    let trace: Vec<ChurnEvent> = (0..64).map(|i| ChurnEvent::join(i * 2_000_000)).collect();
     g.throughput(Throughput::Elements(64));
     g.bench_function("64_sequential_joins", |b| {
-        b.iter(|| rekey_proto::run_distributed_joins(&spec, &params, 2, &net, 64, &times))
+        b.iter(|| {
+            let mut rt = ShardedGroupRuntime::new(group.clone(), config, net.clone());
+            rt.run_trace(&trace);
+            rt.finish(130_000_000)
+        })
     });
     g.finish();
 }

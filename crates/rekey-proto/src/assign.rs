@@ -21,9 +21,9 @@
 //! users to measure and decides the digit from RTTs it is handed. Two
 //! drivers run it. `probe_digits`, behind `Group::join`, answers every
 //! query at once from the queried user's table and measures with
-//! `Network::gateway_rtt`; the message-level join of `distributed.rs`
-//! sends each query and ping as a message and feeds the probe the replies
-//! as they arrive.
+//! `Network::gateway_rtt`; the runtime's joining `RtMember` sends each
+//! query and ping as an `RtMsg` and feeds the probe the replies as they
+//! arrive.
 //!
 //! The probe collects each digit once. A query's answer is one slice of
 //! the queried user's table: the records of rows `i` and up, which are a
@@ -98,13 +98,6 @@ pub struct AssignStats {
     /// How many digits were determined by probing (the server assigned the
     /// rest).
     pub digits_probed: usize,
-}
-
-/// Read-only view of the group the assignment protocol runs against.
-pub(crate) struct GroupView<'a> {
-    pub spec: &'a IdSpec,
-    /// The neighbor table of the member with the given ID.
-    pub lookup: &'a dyn Fn(&UserId) -> &'a NeighborTable,
 }
 
 /// The records of `table`'s rows `r` and up. Row `r` holds the users that
@@ -207,10 +200,11 @@ pub(crate) struct Probe {
 }
 
 impl Probe {
-    /// A probe that starts from the existing member `seed`.
-    pub(crate) fn new(spec: &IdSpec, seed: Member) -> Probe {
+    /// A probe that starts from the existing member `seed`; the joiner's
+    /// ID has the depth of `seed`'s.
+    pub(crate) fn new(seed: Member) -> Probe {
         let mut probe = Probe {
-            depth: spec.depth(),
+            depth: seed.id.depth(),
             prefix: IdPrefix::root(),
             collected: Vec::new(),
             seen: IdSet::default(),
@@ -362,29 +356,29 @@ impl Probe {
     }
 
     /// The digits determined by probing, and the statistics.
-    pub(crate) fn finish(self) -> (Vec<u16>, AssignStats) {
-        (self.prefix.digits().to_vec(), self.stats)
+    pub(crate) fn finish(&self) -> (IdPrefix, AssignStats) {
+        (self.prefix, self.stats)
     }
 }
 
 /// Runs steps 1–3 for every digit, starting from the existing member
-/// `seed`; returns the digits the joiner determined by probing plus the
-/// message statistics.
+/// `seed`, in the group whose member tables `table` looks up by ID; returns
+/// the digits the joiner determined by probing plus the message statistics.
 ///
 /// A query to user `u` for the users under a prefix of length `r` that `u`
 /// lies under answers with `u`'s table records of rows `r` and up: those
 /// are exactly the records under the prefix.
-pub(crate) fn probe_digits(
-    view: &GroupView<'_>,
+pub(crate) fn probe_digits<'g>(
+    table: impl Fn(&UserId) -> &'g NeighborTable,
     params: &AssignParams,
     joiner: HostId,
     seed: Member,
     net: &impl Network,
-) -> (Vec<u16>, AssignStats) {
-    let mut probe = Probe::new(view.spec, seed);
+) -> (IdPrefix, AssignStats) {
+    let mut probe = Probe::new(seed);
     loop {
         while let Some((user, target)) = probe.next_query(params) {
-            probe.answer(&target, rows_from((view.lookup)(&user.id), target.len()));
+            probe.answer(&target, rows_from(table(&user.id), target.len()));
         }
         if !probe.decide(params, |m| net.gateway_rtt(joiner, m.host)) {
             return probe.finish();

@@ -373,6 +373,26 @@ impl GroupServer {
         Ok(outcome.id)
     }
 
+    /// Admits `host` with the digits its own §3.1 probe determined: the
+    /// group completes them to a unique ID (step 4), and the member's keys
+    /// are scheduled for the end of the interval like
+    /// [`GroupServer::request_join`]'s.
+    ///
+    /// # Errors
+    ///
+    /// [`GroupError::IdSpaceFull`] when no unique ID exists.
+    pub(crate) fn admit_join(
+        &mut self,
+        host: HostId,
+        digits: &[u16],
+        net: &impl Network,
+        now: Micros,
+    ) -> Result<UserId, GroupError> {
+        let id = self.group.admit(host, digits, net, now)?;
+        self.pending.push((true, id));
+        Ok(id)
+    }
+
     /// Processes a leave request: the member stops participating in the
     /// overlay immediately; its keys are invalidated when the interval
     /// ends.
@@ -682,6 +702,14 @@ mod tests {
     use super::*;
     use rekey_net::{MatrixNetwork, PlanetLabParams};
     use std::collections::HashMap;
+
+    impl GroupConfig {
+        /// The §3.1 probe's parameters.
+        pub(crate) fn assign(mut self, assign: AssignParams) -> GroupConfig {
+            self.assign = assign;
+            self
+        }
+    }
 
     fn setup(n: usize) -> (MatrixNetwork, GroupServer, HashMap<UserId, UserAgent>) {
         let mut rng = seeded_rng(0xFACADE);

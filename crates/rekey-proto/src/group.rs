@@ -7,7 +7,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::rc::Rc;
 
-use rekey_id::{IdSpec, IdTree, UserId, MAX_DEPTH};
+use rekey_id::{IdPrefix, IdSpec, IdTree, UserId, MAX_DEPTH};
 use rekey_net::{HostId, Micros, Network};
 use rekey_table::{
     check_consistency, ConsistencyViolation, Member, NeighborRecord, NeighborTable, PrimaryPolicy,
@@ -15,9 +15,7 @@ use rekey_table::{
 };
 use rekey_tmesh::TmeshGroup;
 
-use crate::assign::{
-    centralized_digits, probe_digits, server_complete, AssignParams, AssignStats, GroupView,
-};
+use crate::assign::{centralized_digits, probe_digits, server_complete, AssignParams, AssignStats};
 
 /// Errors produced by group lifecycle operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -255,6 +253,21 @@ impl Group {
         &self.changed
     }
 
+    /// The record the key server hands joiner `host` to start its §3.1
+    /// probe from, or `None` in an empty group. Any member works, since the
+    /// protocol corrects from there; the member at the joiner's host index
+    /// modulo the group size keeps the choice deterministic. Both the
+    /// synchronous [`Group::join`] and the runtime server's reply to a
+    /// `JoinRequest` take this one.
+    pub(crate) fn seed_for(&self, host: HostId) -> Option<Member> {
+        (!self.members.is_empty()).then(|| self.members[host.0 % self.members.len()])
+    }
+
+    /// The §3.1 protocol parameters joins probe with.
+    pub(crate) fn assign_params(&self) -> &AssignParams {
+        &self.assign
+    }
+
     /// Joins `host`: runs the ID assignment protocol of §3.1 against the
     /// current membership, then installs the new member into every table.
     ///
@@ -278,23 +291,15 @@ impl Group {
         net: &impl Network,
         now: Micros,
     ) -> Result<JoinOutcome, GroupError> {
-        let (digits, stats) = if self.members.is_empty() {
-            (Vec::new(), AssignStats::default())
-        } else {
-            // The key server hands the joiner the record of an existing
-            // user. Any member works, since the protocol corrects from
-            // there; the member at the joiner's host index modulo the
-            // group size keeps the choice deterministic.
-            let seed = self.members[host.0 % self.members.len()];
-            let (index, tables) = (&self.index, &self.tables);
-            let lookup = |id: &UserId| &tables[index[id] as usize];
-            let view = GroupView {
-                spec: &self.spec,
-                lookup: &lookup,
-            };
-            probe_digits(&view, &self.assign, host, seed, net)
+        let (digits, stats) = match self.seed_for(host) {
+            None => (IdPrefix::root(), AssignStats::default()),
+            Some(seed) => {
+                let (index, tables) = (&self.index, &self.tables);
+                let lookup = |id: &UserId| &tables[index[id] as usize];
+                probe_digits(lookup, &self.assign, host, seed, net)
+            }
         };
-        let id = self.admit(host, &digits, net, now)?;
+        let id = self.admit(host, digits.digits(), net, now)?;
         Ok(JoinOutcome { id, stats })
     }
 
@@ -1742,10 +1747,6 @@ mod equivalence {
         assert_eq!(ids.len(), group.len(), "one member per host");
         let (index, tables) = (&group.index, &group.tables);
         let lookup = |id: &UserId| &tables[index[id] as usize];
-        let view = GroupView {
-            spec: &group.spec,
-            lookup: &lookup,
-        };
         let (p, f) = (group.assign.p, group.assign.f_percentile);
         let depth = group.spec.depth();
         for joiner in (0..net.host_count()).map(HostId) {
@@ -1754,7 +1755,9 @@ mod equivalence {
             }
             let seed = joiner.0 % group.len();
             let (ours, theirs) = (Recording::new(net), Recording::new(net));
-            let got = probe_digits(&view, &group.assign, joiner, group.members[seed], &ours);
+            let (digits, stats) =
+                probe_digits(lookup, &group.assign, joiner, group.members[seed], &ours);
+            let got = (digits.digits().to_vec(), stats);
             assert_eq!(
                 got,
                 reference.probe_digits(joiner, seed, &theirs),
@@ -1825,10 +1828,6 @@ mod equivalence {
     fn probe_every_outsider_last_first(group: &Group, net: &impl Network) -> usize {
         let (index, tables) = (&group.index, &group.tables);
         let lookup = |id: &UserId| &tables[index[id] as usize];
-        let view = GroupView {
-            spec: &group.spec,
-            lookup: &lookup,
-        };
         let params = &group.assign;
         let hosts = group.members.iter().map(|m| m.host);
         let members: HashSet<HostId> = hosts.chain([group.server_host]).collect();
@@ -1839,7 +1838,7 @@ mod equivalence {
                 continue;
             }
             let seed = group.members[joiner.0 % group.len()];
-            let mut probe = Probe::new(&group.spec, seed);
+            let mut probe = Probe::new(seed);
             let got = loop {
                 loop {
                     batch.extend(std::iter::from_fn(|| probe.next_query(params)));
@@ -1858,7 +1857,7 @@ mod equivalence {
                     break probe.finish();
                 }
             };
-            let want = probe_digits(&view, params, joiner, seed, net);
+            let want = probe_digits(lookup, params, joiner, seed, net);
             assert_eq!(got, want, "{joiner}");
             outsiders += 1;
         }

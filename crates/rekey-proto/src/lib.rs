@@ -19,11 +19,10 @@
 //! * [`GroupServer`] / [`UserAgent`] — the synchronous facade, and
 //!   [`runtime`] — the same protocol as message-level state machines on
 //!   the simulator ([`ShardedGroupRuntime`]) or real UDP sockets
-//!   ([`UdpGroupDriver`]); [`SERVER_NODE`], [`replica_node`],
-//!   [`member_node_with_replicas`] and [`modulo_cells`] map fault plans
-//!   onto their node numbering;
-//! * [`run_distributed_joins`] / [`run_distributed_session`] — the
-//!   message-level §3.1 join on its own event loop.
+//!   ([`UdpGroupDriver`]); on the simulator a joiner runs the §3.1 probe
+//!   itself, with `Query` and `Ping` messages. [`SERVER_NODE`],
+//!   [`replica_node`], [`member_node_with_replicas`] and [`modulo_cells`]
+//!   map fault plans onto their node numbering.
 //!
 //! ```
 //! use rekey_id::IdSpec;
@@ -52,7 +51,6 @@
 mod assign;
 mod chaos;
 mod concurrent;
-mod distributed;
 mod facade;
 mod group;
 mod protocols;
@@ -64,9 +62,6 @@ pub mod transport;
 pub use assign::{AssignParams, AssignStats};
 pub use chaos::{member_node_with_replicas, modulo_cells, replica_node, SERVER_NODE};
 pub use concurrent::{run_concurrent_session, ConcurrentOutcome, RekeyLoad, TrafficParams};
-pub use distributed::{
-    run_distributed_joins, run_distributed_session, DistributedJoinRun, DistributedJoinStats,
-};
 pub use facade::{
     AgentError, GroupConfig, GroupServer, IntervalOutcome, RekeyDelivery, RekeyError, RekeyStatus,
     UserAgent, WelcomePacket,

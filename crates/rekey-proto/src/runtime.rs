@@ -43,6 +43,18 @@
 //!   those — is sent its new table, stamped with the table's version (the
 //!   group's mutation count when it last changed), so a member holds
 //!   exactly the server's table and can tell a newer one from a stale one.
+//! * **ID assignment** (§3.1, on the simulated driver): the server
+//!   answers a `JoinRequest` into a non-empty group with a `JoinSeed`
+//!   member record; the joiner sends that member and the users it names
+//!   `Query`s (each answered by a `QueryReply` from the table the member
+//!   holds), times `Ping`/`Pong` round trips to the users step 3 reads —
+//!   a `Pong` carries the responder's access RTT, which the gateway
+//!   estimate leaves out — and sends the digits it chose in `JoinDigits`,
+//!   which the server completes to a unique ID and answers with
+//!   `JoinAccepted`. The join retry re-sends only what is unanswered, and
+//!   a member that stays silent through the retry cap counts as having
+//!   nothing to say. The socket driver's server probes for the joiner with
+//!   `Group::join` instead: over loopback a ping times nothing.
 //! * **Rekey transport** (`Forward`, subject to per-copy loss): the
 //!   `FORWARD` routine of Fig. 2 executed hop by hop, each copy carrying
 //!   the split index plus the served prefix (Fig. 5). `Nack` / `Recover`
@@ -633,6 +645,9 @@ pub trait Driver {
     /// Aggregated session metrics.
     fn metrics(&self) -> MetricsSnapshot;
 }
+
+#[cfg(test)]
+mod join_tests;
 
 #[cfg(test)]
 mod tests {

@@ -32,13 +32,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::Rng;
 use rekey_crypto::Encryption;
-use rekey_id::UserId;
+use rekey_id::{IdPrefix, UserId};
 use rekey_metrics::{HistogramSnapshot, LocalHistogram, Registry, RegistrySnapshot, SpanLog};
 use rekey_net::{HostId, Micros, Network};
 use rekey_sim::{node_rng, NodeId, SimTime};
 use rekey_table::{Member, NeighborRecord, NeighborTable};
 use rekey_tmesh::forward::{server_next_hops, user_next_hops_with};
 
+use crate::assign::{AssignParams, Probe};
 use crate::transport::{PrefixBuf, SplitIndex, SplitIndexMaintainer};
 use crate::{GroupServer, UserAgent, WelcomePacket};
 
@@ -148,16 +149,21 @@ impl std::fmt::Debug for IntervalMessage {
 /// its follower replicas inside [`RtMsg::ReplEntry`]. Replication is
 /// deterministic state-machine replication: a follower *re-executes* the
 /// op against its own [`GroupServer`] (same seed, same op order — so the
-/// same RNG stream and the same keys), it never receives derived state.
+/// same RNG stream and the same keys). The one outcome an op carries is
+/// a join's ID: the §3.1 probe that chose it ran at the joiner (or, on the
+/// socket driver, against the primary's RTT model), not at the follower.
 #[derive(Debug, Clone)]
 pub enum ReplOp {
-    /// `request_join(host, at)` — `at` is the primary's clock at
-    /// admission, so replayed `joined_at` stamps are identical.
+    /// The admission of `host` under `id`, which the follower admits
+    /// through the same step-4 completion — `at` is the primary's clock
+    /// at admission, so replayed `joined_at` stamps are identical.
     Join {
         /// The joiner's host.
         host: HostId,
         /// The primary's admission time.
         at: Micros,
+        /// The ID the primary admitted the joiner under.
+        id: UserId,
     },
     /// `request_leave(id)` — voluntary leave or detected failure alike.
     Leave {
@@ -179,8 +185,34 @@ pub enum ReplOp {
 #[derive(Debug, Clone)]
 pub enum RtMsg {
     /// Joiner → server: admit me; retransmitted with backoff until
-    /// `JoinAccepted`.
+    /// `JoinSeed` or `JoinAccepted`.
     JoinRequest,
+    /// Server → joiner, on the simulated driver: the record of an existing
+    /// member to start the §3.1 ID probe from.
+    JoinSeed {
+        /// The bootstrap member record.
+        seed: Member,
+    },
+    /// Joiner → member: §3.1 step 1, asking for the records the member's
+    /// table holds under `target`.
+    Query {
+        /// The target ID prefix.
+        target: IdPrefix,
+    },
+    /// Member → joiner: the answer to a `Query`.
+    QueryReply {
+        /// The query's target prefix.
+        target: IdPrefix,
+        /// The member's table records under `target`.
+        records: Vec<NeighborRecord>,
+    },
+    /// Joiner → server: §3.1 step 4, the digits the joiner's probe
+    /// determined, which the server completes to a unique ID;
+    /// retransmitted with backoff until `JoinAccepted`.
+    JoinDigits {
+        /// The probed digits, as a prefix of the joiner's ID.
+        digits: IdPrefix,
+    },
     /// Server → joiner: admission into the overlay with a ready table.
     JoinAccepted {
         /// The new member's record.
@@ -251,15 +283,19 @@ pub enum RtMsg {
         /// detector; the shutdown flush sends one to every member).
         seq: u64,
     },
-    /// Member → neighbor: heartbeat probe.
+    /// Member → neighbor: heartbeat probe; also a joiner's §3.1 step-2
+    /// RTT probe.
     Ping {
         /// Correlation token.
         token: u64,
     },
-    /// Neighbor → member: heartbeat reply.
+    /// Neighbor → member: the reply to a `Ping`.
     Pong {
         /// Correlation token.
         token: u64,
+        /// The responder's access-link RTT `h(w, gw_w)` (§3.1.2), which a
+        /// joiner subtracts from the round trip it timed.
+        access_rtt: Micros,
     },
     /// Member → server: heartbeat liveness/membership probe.
     ServerPing {
@@ -458,14 +494,21 @@ struct MemberSinks {
 /// sinks. `Send`, so members can live on shard or socket worker threads.
 pub(crate) struct ShardCore {
     knobs: Knobs,
+    /// The §3.1 parameters a joiner probes with.
+    assign: AssignParams,
+    /// Each member host's access-link RTT `h(u, gw_u)` (§3.1.2), which its
+    /// `Pong`s carry; empty where the driver models no access links.
+    access: Arc<[Micros]>,
     shutdown: AtomicBool,
     sinks: Mutex<MemberSinks>,
 }
 
 impl ShardCore {
-    pub(crate) fn new(knobs: Knobs) -> Arc<ShardCore> {
+    pub(crate) fn new(knobs: Knobs, assign: AssignParams, access: Arc<[Micros]>) -> Arc<ShardCore> {
         Arc::new(ShardCore {
             knobs,
+            assign,
+            access,
             shutdown: AtomicBool::new(false),
             sinks: Mutex::new(MemberSinks::default()),
         })
@@ -485,6 +528,12 @@ impl ShardCore {
     /// The timing/retry knobs.
     pub(crate) fn knobs(&self) -> &Knobs {
         &self.knobs
+    }
+
+    /// The access-link RTT of member node `node`'s host.
+    fn access_rtt(&self, node: NodeId) -> Micros {
+        let host = node.0.checked_sub(self.knobs.replicas);
+        host.and_then(|h| self.access.get(h)).copied().unwrap_or(0)
     }
 
     /// `true` once the runtime began its shutdown drain.
@@ -734,6 +783,11 @@ pub(crate) struct RtServer<NET> {
     pub(crate) pending_leave_acks: Vec<NodeId>,
     /// Replication role, log, and election state.
     pub(crate) repl: Replication,
+    /// Whether a joiner runs its §3.1 probe itself, from the `JoinSeed`
+    /// this server sends. The driver decides: the simulator's delays model
+    /// the substrate; the socket driver's datagrams travel at loopback
+    /// speed, so its servers probe their RTT model with `Group::join`.
+    seeds_joiners: bool,
     pub(crate) stats: ServerStats,
 }
 
@@ -787,6 +841,7 @@ impl<NET: Network> RtServer<NET> {
         server: GroupServer,
         replica: usize,
         journal: journal::Journal,
+        seeds_joiners: bool,
     ) -> RtServer<NET> {
         let knobs = *shared.knobs();
         RtServer {
@@ -803,6 +858,7 @@ impl<NET: Network> RtServer<NET> {
             journal,
             pending_leave_acks: Vec::new(),
             repl: Replication::new(replica, knobs.replicas),
+            seeds_joiners,
             stats: ServerStats::default(),
         }
     }
@@ -892,7 +948,8 @@ impl<NET: Network> RtServer<NET> {
             return;
         }
         match msg {
-            RtMsg::JoinRequest => self.admit(ctx, from),
+            RtMsg::JoinRequest => self.on_join_request(ctx, from),
+            RtMsg::JoinDigits { digits } => self.admit(ctx, from, Some(digits)),
             RtMsg::LeaveRequest => {
                 let host = self.member_host(from);
                 let id = self.member_by_host(host).map(|m| m.id);
@@ -1225,7 +1282,22 @@ impl<NET: Network> RtServer<NET> {
         );
     }
 
-    fn admit(&mut self, ctx: &mut Outbox, from: NodeId) {
+    /// A `JoinRequest`: a newcomer to a non-empty group is sent the record
+    /// to start its probe from, or, unless this server seeds joiners,
+    /// admitted at once.
+    fn on_join_request(&mut self, ctx: &mut Outbox, from: NodeId) {
+        let host = self.member_host(from);
+        if self.seeds_joiners && self.member_by_host(host).is_none() {
+            if let Some(seed) = self.server.group().seed_for(host) {
+                return ctx.send(from, RtMsg::JoinSeed { seed });
+            }
+        }
+        self.admit(ctx, from, None);
+    }
+
+    /// Admits the node `from` under the `digits` its probe determined, or,
+    /// without them, probes for it with `Group::join`.
+    fn admit(&mut self, ctx: &mut Outbox, from: NodeId, digits: Option<IdPrefix>) {
         let host = self.member_host(from);
         let id = match self.member_by_host(host) {
             // Retransmitted join (the original accept was lost): resend
@@ -1233,12 +1305,14 @@ impl<NET: Network> RtServer<NET> {
             Some(member) => member.id,
             None => {
                 let at = ctx.now();
-                let id = self
-                    .server
-                    .request_join(host, &*self.net, at)
-                    .expect("ID space sized for the churn trace");
+                let net = &*self.net;
+                let id = match digits {
+                    Some(digits) => self.server.admit_join(host, digits.digits(), net, at),
+                    None => self.server.request_join(host, net, at),
+                }
+                .expect("ID space sized for the churn trace");
                 self.stats.joins += 1;
-                self.append_op(ctx, ReplOp::Join { host, at });
+                self.append_op(ctx, ReplOp::Join { host, at, id });
                 self.push_tables(ctx);
                 id
             }
@@ -1425,8 +1499,9 @@ impl<NET: Network> RtServer<NET> {
     /// primary, so summed snapshots match a single-replica run).
     fn apply_entry(&mut self, entry: &journal::Entry) -> bool {
         match &entry.op {
-            ReplOp::Join { host, at } => {
-                if self.server.request_join(*host, &*self.net, *at).is_err() {
+            ReplOp::Join { host, at, id } => {
+                let admitted = self.server.admit_join(*host, id.digits(), &*self.net, *at);
+                if admitted != Ok(*id) {
                     return false;
                 }
             }
@@ -1711,6 +1786,33 @@ pub(crate) struct MemberStats {
     /// Summed µs from each interval's multicast to its local application
     /// (recovery latency numerator; divide by `intervals_applied`).
     pub apply_delay_total: u64,
+    /// The last join's §3.1 step-1 queries (re-sends excluded).
+    pub join_queries: u32,
+    /// The last join's §3.1 step-2 pings (re-sends excluded).
+    pub join_pings: u32,
+    /// ID digits the last join's probe determined.
+    pub digits_probed: u32,
+    /// µs from the last join's `JoinSeed` to its `JoinAccepted` (0 for a
+    /// join that got no seed).
+    pub join_elapsed: SimTime,
+}
+
+/// A joining node's §3.1 state, from its `JoinSeed` to its
+/// `JoinAccepted`.
+struct Joiner {
+    /// Steps 1–3.
+    probe: Probe,
+    /// Set once the probe decided: the digits, re-sent until accepted.
+    digits: Option<IdPrefix>,
+    /// Gateway RTT estimates (§3.1.2) from ping/pong round trips, kept
+    /// across digits.
+    rtt: BTreeMap<UserId, Micros>,
+    /// Queries in flight: the queried member and the target.
+    queries: Vec<(Member, IdPrefix)>,
+    /// Pings in flight: token → the pinged member and the send time.
+    pings: BTreeMap<u64, (Member, SimTime)>,
+    /// When the `JoinSeed` arrived.
+    started_at: SimTime,
 }
 
 /// A buffered rekey payload for one interval, applied strictly in order.
@@ -1765,6 +1867,12 @@ pub(crate) struct RtMember {
     pub(crate) sync_stale: bool,
     /// This node asked to join and was not yet accepted.
     pub(crate) join_requested: bool,
+    /// The node's probe while it joins on a `JoinSeed`; boxed, since a
+    /// member holds it only while joining.
+    joiner: Option<Box<Joiner>>,
+    /// A leave was asked while the node's join was in flight: the node
+    /// leaves once `JoinAccepted` lands.
+    leave_asked: bool,
     /// This node asked to leave and was not yet acknowledged.
     pub(crate) leave_pending: bool,
     pub(crate) departed: bool,
@@ -1834,6 +1942,8 @@ impl RtMember {
             seq_hint: 0,
             sync_stale: false,
             join_requested: false,
+            joiner: None,
+            leave_asked: false,
             leave_pending: false,
             departed: false,
             pending: BTreeMap::new(),
@@ -1938,18 +2048,9 @@ impl RtMember {
                     ctx.now() + self.shared.knobs().retry_base,
                 );
             }
-            RtLocal::Leave if self.member.is_some() && !self.leave_pending => {
-                self.leave_pending = true;
-                self.departed = true;
-                self.retire();
-                ctx.send(self.server_node, RtMsg::LeaveRequest);
-                // The ack rides the next checkpoint, so the first retry
-                // only fires once a full rekey period has gone unanswered.
-                self.arm(
-                    ctx,
-                    Retrying::Leave,
-                    ctx.now() + self.shared.knobs().rekey_period + self.shared.knobs().retry_base,
-                );
+            RtLocal::Leave if self.member.is_some() && !self.leave_pending => self.leave(ctx),
+            RtLocal::Leave if self.join_requested && self.member.is_none() => {
+                self.leave_asked = true;
             }
             RtLocal::IntervalCheck { gen } if gen == self.check_gen => self.interval_check(ctx),
             RtLocal::RetryTick { gen } if gen == self.retry_gen => {
@@ -2008,6 +2109,12 @@ impl RtMember {
                 self.adopt_table(*table, seq);
                 self.sync_stale = false;
                 self.retries.remove(&Retrying::Join);
+                if let Some(joiner) = self.joiner.take() {
+                    self.stats.join_elapsed = ctx.now() - joiner.started_at;
+                }
+                if std::mem::take(&mut self.leave_asked) {
+                    return self.leave(ctx);
+                }
                 // Welcome safety net: if the key material never arrives
                 // (lost to an outage window), fetch a snapshot instead.
                 self.arm(
@@ -2018,6 +2125,48 @@ impl RtMember {
                         + self.shared.knobs().nack_grace,
                 );
                 self.start_heartbeat(ctx);
+            }
+            RtMsg::JoinSeed { seed }
+                if self.join_requested && self.member.is_none() && self.joiner.is_none() =>
+            {
+                self.joiner = Some(Box::new(Joiner {
+                    probe: Probe::new(seed),
+                    digits: None,
+                    rtt: BTreeMap::new(),
+                    queries: Vec::new(),
+                    pings: BTreeMap::new(),
+                    started_at: ctx.now(),
+                }));
+                self.join_progress(ctx);
+                self.advance_join(ctx);
+            }
+            RtMsg::Query { target } => {
+                let records = (self.table.iter())
+                    .flat_map(|t| t.iter_all())
+                    .filter(|r| target.is_prefix_of_id(&r.member.id))
+                    .copied()
+                    .collect();
+                ctx.send(from, RtMsg::QueryReply { target, records });
+            }
+            RtMsg::QueryReply {
+                target,
+                mut records,
+            } => {
+                let replicas = self.shared.knobs().replicas;
+                let Some(joiner) = self.joiner.as_deref_mut() else {
+                    return;
+                };
+                // Only the first reply to a query in flight counts.
+                let asked =
+                    |(m, t): &(Member, IdPrefix)| m.host.0 + replicas == from.0 && *t == target;
+                let Some(at) = joiner.queries.iter().position(asked) else {
+                    return;
+                };
+                joiner.queries.remove(at);
+                records.retain(|r| target.is_prefix_of_id(&r.member.id));
+                joiner.probe.answer(&target, &records);
+                self.join_progress(ctx);
+                self.advance_join(ctx);
             }
             RtMsg::Welcome {
                 welcome,
@@ -2133,9 +2282,22 @@ impl RtMember {
                 // us from a pushed table and ping first on a faster path).
                 // Departed and crashed nodes absorb pings, which is what
                 // the detector keys on.
-                ctx.send(from, RtMsg::Pong { token });
+                let access_rtt = self.shared.access_rtt(ctx.self_id());
+                ctx.send(from, RtMsg::Pong { token, access_rtt });
             }
-            RtMsg::Pong { token } => {
+            RtMsg::Pong { token, access_rtt } => {
+                if let Some(joiner) = self.joiner.as_deref_mut() {
+                    if let Some((user, sent_at)) = joiner.pings.remove(&token) {
+                        // The round trip is the end-host RTT; §3.1.2's
+                        // gateway estimate takes off both access links.
+                        let estimate = (ctx.now() - sent_at)
+                            .saturating_sub(self.shared.access_rtt(ctx.self_id()))
+                            .saturating_sub(access_rtt);
+                        joiner.rtt.insert(user.id, estimate);
+                        self.join_progress(ctx);
+                        return self.advance_join(ctx);
+                    }
+                }
                 let Some((_, id)) = self.outstanding.remove(&token) else {
                     return;
                 };
@@ -2393,7 +2555,7 @@ impl RtMember {
                     ctx.send(self.server_node, RtMsg::ResyncRequest { id: member.id });
                 }
             }
-            Retrying::Join => ctx.send(self.server_node, RtMsg::JoinRequest),
+            Retrying::Join => ctx.send(self.server_node, self.join_msg()),
             Retrying::Leave => ctx.send(self.server_node, RtMsg::LeaveRequest),
         }
     }
@@ -2462,10 +2624,14 @@ impl RtMember {
             self.arm(ctx, Retrying::Resync, now);
             return;
         }
-        let attempts = (st.attempts + 1).min(self.shared.knobs().retry_cap);
+        let cap = self.shared.knobs().retry_cap;
+        let attempts = (st.attempts + 1).min(cap);
         let due = now + self.shared.knobs().backoff(attempts);
         self.retries.insert(kind, RetryState { attempts, due });
         self.stats.max_retry_attempts = self.stats.max_retry_attempts.max(attempts);
+        // While the node probes, its join retry is aimed at members.
+        let probing =
+            kind == Retrying::Join && self.joiner.as_ref().is_some_and(|j| j.digits.is_none());
         if st.attempts > 0 || matches!(kind, Retrying::Join | Retrying::Leave) {
             // Join/leave send inline when first requested, so every fire
             // of those re-transmits; a NACK's or resync's first fire is
@@ -2474,10 +2640,13 @@ impl RtMember {
             // The server we were talking to did not answer the previous
             // attempt: aim the retransmission at the next replica. A live
             // primary re-anchors `server_node` with its reply.
-            self.rotate_server();
+            if !probing {
+                self.rotate_server();
+            }
         }
         match kind {
-            Retrying::Join => ctx.send(self.server_node, RtMsg::JoinRequest),
+            Retrying::Join if probing => self.retry_probe(ctx, st.attempts >= cap),
+            Retrying::Join => ctx.send(self.server_node, self.join_msg()),
             Retrying::Leave => ctx.send(self.server_node, RtMsg::LeaveRequest),
             Retrying::Resync => {
                 let id = self.member.as_ref().expect("checked above").id;
@@ -2627,6 +2796,95 @@ impl RtMember {
         );
     }
 
+    /// What a join retry sends the server: the decided digits, or, before
+    /// a probe decided any, the request.
+    fn join_msg(&self) -> RtMsg {
+        match self.joiner.as_ref().and_then(|j| j.digits) {
+            Some(digits) => RtMsg::JoinDigits { digits },
+            None => RtMsg::JoinRequest,
+        }
+    }
+
+    /// The join made progress: its retry next fires a full `retry_base`
+    /// from now, as if first armed.
+    fn join_progress(&mut self, ctx: &Outbox) {
+        let due = ctx.now() + self.shared.knobs().retry_base;
+        if let Some(st) = self.retries.get_mut(&Retrying::Join) {
+            *st = RetryState { attempts: 0, due };
+        }
+    }
+
+    /// Runs the probe as far as the replies in hand allow: sends the
+    /// queries it asks for; once every answer is in, pings the users step 3
+    /// reads whose RTT is not known yet; once every pong is in, decides the
+    /// digit and starts the next round, or sends the digits to the server.
+    fn advance_join(&mut self, ctx: &mut Outbox) {
+        let replicas = self.shared.knobs().replicas;
+        let params = &self.shared.assign;
+        let Some(joiner) = self.joiner.as_deref_mut().filter(|j| j.digits.is_none()) else {
+            return;
+        };
+        loop {
+            while let Some((user, target)) = joiner.probe.next_query(params) {
+                joiner.queries.push((user, target));
+                ctx.send(NodeId(user.host.0 + replicas), RtMsg::Query { target });
+            }
+            if joiner.probe.awaiting() > 0 || !joiner.pings.is_empty() {
+                return;
+            }
+            for user in joiner.probe.to_measure(params) {
+                if !joiner.rtt.contains_key(&user.id) {
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    joiner.pings.insert(token, (*user, ctx.now()));
+                    ctx.send(NodeId(user.host.0 + replicas), RtMsg::Ping { token });
+                }
+            }
+            if !joiner.pings.is_empty() {
+                return;
+            }
+            let rtt = &joiner.rtt;
+            if !joiner.probe.decide(params, |m| rtt[&m.id]) {
+                break;
+            }
+        }
+        let (digits, stats) = joiner.probe.finish();
+        joiner.digits = Some(digits);
+        let count = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
+        self.stats.join_queries = count(stats.queries);
+        // Every user pinged, once or again, holds one RTT estimate.
+        self.stats.join_pings = count(joiner.rtt.len() as u64);
+        self.stats.digits_probed = count(stats.digits_probed as u64);
+        ctx.send(self.server_node, RtMsg::JoinDigits { digits });
+        self.join_progress(ctx);
+    }
+
+    /// The join retry while the node probes (queries and pings are never
+    /// in flight together): re-sends every query still unanswered, and
+    /// re-pings every silent user under a fresh token, so that the round
+    /// trip is timed from the re-send. Once they have stayed unanswered
+    /// through the retry cap (`give_up`), a silent query counts as
+    /// answered with no records and a silent user as unreachable.
+    fn retry_probe(&mut self, ctx: &mut Outbox, give_up: bool) {
+        let replicas = self.shared.knobs().replicas;
+        let joiner = self.joiner.as_deref_mut().expect("the node probes");
+        let silent = std::mem::take(&mut joiner.pings).into_values();
+        if give_up {
+            for (_, target) in joiner.queries.drain(..) {
+                joiner.probe.answer(&target, &[]);
+            }
+            joiner
+                .rtt
+                .extend(silent.map(|(user, _)| (user.id, Micros::MAX)));
+            self.join_progress(ctx);
+        } else {
+            for &(user, target) in &joiner.queries {
+                ctx.send(NodeId(user.host.0 + replicas), RtMsg::Query { target });
+            }
+        }
+        self.advance_join(ctx);
+    }
+
     /// Clears every trace of membership so the node can rejoin from
     /// scratch (after the server disowned it).
     fn reset_to_unjoined(&mut self) {
@@ -2636,6 +2894,7 @@ impl RtMember {
         self.table_seq = 0;
         self.sync_stale = false;
         self.join_requested = false;
+        self.joiner = None;
         self.pending.clear();
         self.server_interval_seen = 0;
         self.last_forwarded = 0;
@@ -2648,10 +2907,24 @@ impl RtMember {
         self.retry_gen += 1;
     }
 
+    /// Retires the node and asks the server to remove it (§3.2).
+    fn leave(&mut self, ctx: &mut Outbox) {
+        self.leave_pending = true;
+        self.departed = true;
+        self.retire();
+        ctx.send(self.server_node, RtMsg::LeaveRequest);
+        // The ack rides the next checkpoint, so the first retry only fires
+        // once a full rekey period has gone unanswered.
+        let knobs = self.shared.knobs();
+        let due = ctx.now() + knobs.rekey_period + knobs.retry_base;
+        self.arm(ctx, Retrying::Leave, due);
+    }
+
     /// Drops the local protocol state on a voluntary leave (the leave
     /// retry entry itself is armed by the caller).
     fn retire(&mut self) {
         self.table = None;
+        self.joiner = None;
         self.agent = None;
         self.pending.clear();
         self.suspects.clear();
@@ -2684,8 +2957,13 @@ mod tests {
         (net, server, welcomes)
     }
 
-    fn knobs() -> Knobs {
-        Knobs::of_config(&RuntimeConfig::default())
+    fn core() -> Arc<ShardCore> {
+        let assign = crate::AssignParams::for_depth(4);
+        ShardCore::new(
+            Knobs::of_config(&RuntimeConfig::default()),
+            assign,
+            Arc::new([]),
+        )
     }
 
     /// The `(recipient, message)` of every `Send` in `out`, drained.
@@ -2741,14 +3019,14 @@ mod tests {
         let mut leave_pushes = Vec::new();
         for members in [256, 4_096] {
             let (net, fsm, _) = dealt(members);
-            let core = ShardCore::new(knobs());
             let mut server = RtServer::new(
                 Rc::new(net),
-                core,
+                core(),
                 Registry::new(),
                 fsm,
                 0,
                 journal::Journal::disabled(),
+                false,
             );
             let mut out = Outbox::new();
             let leaver = NodeId(members);
@@ -2791,9 +3069,8 @@ mod tests {
         let (_, fsm, mut welcomes) = dealt(16);
         let group = fsm.group();
         let table = group.table(3).clone();
-        let core = ShardCore::new(knobs());
         let (mut member, _) = RtMember::welcomed(
-            core,
+            core(),
             group.members()[3],
             table.clone(),
             welcomes.swap_remove(3),
@@ -2841,7 +3118,7 @@ mod tests {
     fn every_behind_flush_recover_asks_for_a_resync() {
         let (_, fsm, mut welcomes) = dealt(16);
         let group = fsm.group();
-        let core = ShardCore::new(knobs());
+        let core = core();
         let (mut member, _) = RtMember::welcomed(
             Arc::clone(&core),
             group.members()[3],

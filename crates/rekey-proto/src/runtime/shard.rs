@@ -296,6 +296,31 @@ fn drain_shard<NET: Network + Sync>(
     shard.lane.out = out;
 }
 
+/// Every host's access-link RTT `a(h)` — §3.1.2's `h(u, gw_u)`, which
+/// its pongs carry — solved from the substrate's two RTTs. For any two
+/// hosts `d(u, w) = rtt(u, w) − gateway_rtt(u, w) = a(u) + a(w)`, so the
+/// server's own `a(s) = (d(s, x) + d(s, y) − d(x, y)) / 2` for two other
+/// hosts `x`, `y` (taken as 0 with fewer than three hosts), and then
+/// `a(h) = d(h, s) − a(s)`.
+fn access_rtts(net: &impl Network, server: HostId) -> Vec<Micros> {
+    let d = |u: HostId, w: HostId| net.rtt(u, w).saturating_sub(net.gateway_rtt(u, w));
+    let mut others = (0..net.host_count()).map(HostId).filter(|&h| h != server);
+    let server_access = match (others.next(), others.next()) {
+        (Some(x), Some(y)) => (d(server, x) + d(server, y)).saturating_sub(d(x, y)) / 2,
+        _ => 0,
+    };
+    (0..net.host_count())
+        .map(HostId)
+        .map(|h| {
+            if h == server {
+                server_access
+            } else {
+                d(h, server).saturating_sub(server_access)
+            }
+        })
+        .collect()
+}
+
 /// The simulated group runtime: the sans-I/O protocol state machines
 /// under the windowed executor (see the module docs).
 ///
@@ -322,6 +347,8 @@ pub struct ShardedGroupRuntime<NET: Network + Sync> {
     shards: Vec<Shard>,
     /// Member handle → (shard index, index within the shard).
     placement: Vec<(u32, u32)>,
+    /// One window's messages to the replicas; kept for its capacity.
+    to_replicas: Vec<Crossing>,
     window: Micros,
     loss: f64,
     server_host: HostId,
@@ -432,10 +459,13 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         shard_count: usize,
         window: Micros,
     ) -> ShardedGroupRuntime<NET> {
+        let server_host = HostId(net.host_count() - 1);
+        let access: Arc<[Micros]> = access_rtts(&net, server_host).into();
         let net = Rc::new(net);
         let knobs = Knobs::of_config(&config);
+        let assign = fsms[0].group().assign_params().clone();
         let registry = Registry::new();
-        let coord_core = ShardCore::new(knobs);
+        let coord_core = ShardCore::new(knobs, assign.clone(), Arc::clone(&access));
         let servers = fsms
             .into_iter()
             .enumerate()
@@ -457,6 +487,9 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                     fsm,
                     replica,
                     journal,
+                    // Joiners probe with `Query`/`Ping` messages, timed
+                    // by the substrate's delays.
+                    true,
                 )
             })
             .collect();
@@ -470,14 +503,14 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 // Shard streams are separated by index + 1 so none
                 // collides with the coordinator's (node 0 = SERVER).
                 lane: Lane::new(node_rng(config.seed() ^ LOSS_SEED, NodeId(index + 1))),
-                core: ShardCore::new(knobs),
+                core: ShardCore::new(knobs, assign.clone(), Arc::clone(&access)),
                 members: Vec::new(),
                 alive: Vec::new(),
                 outbox: Vec::new(),
             })
             .collect();
         ShardedGroupRuntime {
-            server_host: HostId(net.host_count() - 1),
+            server_host,
             net,
             servers,
             coord,
@@ -485,6 +518,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             registry,
             shards,
             placement: Vec::new(),
+            to_replicas: Vec::new(),
             window,
             loss: config.loss(),
             now: 0,
@@ -776,18 +810,30 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         // Merge outboxes in shard-index order: together with the
         // scheduler's FIFO tie-break this fixes the delivery order of
         // same-instant cross-lane messages independently of thread
-        // timing.
+        // timing. Every message to a replica crosses lanes, whatever the
+        // layout, so those are put in (arrival, sender) order, which no
+        // shard count can change.
+        let mut to_replicas = std::mem::take(&mut self.to_replicas);
         for index in 0..self.shards.len() {
             let mut outbox = std::mem::take(&mut self.shards[index].outbox);
-            for Crossing { at, envelope } in outbox.drain(..) {
-                if envelope.to.0 < self.servers.len() {
-                    self.coord.sched.schedule_at(at, envelope);
+            for crossing in outbox.drain(..) {
+                if crossing.envelope.to.0 < self.servers.len() {
+                    to_replicas.push(crossing);
                 } else {
+                    let Crossing { at, envelope } = crossing;
                     self.lane_of(envelope.to).sched.schedule_at(at, envelope);
                 }
             }
             self.shards[index].outbox = outbox;
         }
+        to_replicas.sort_by_key(|c| match c.envelope.event {
+            Event::Net { from, .. } => (c.at, from.0),
+            Event::Local(_) => unreachable!("timers never cross lanes"),
+        });
+        for Crossing { at, envelope } in to_replicas.drain(..) {
+            self.coord.sched.schedule_at(at, envelope);
+        }
+        self.to_replicas = to_replicas;
 
         self.now = self.now.max(t1);
         true
@@ -1065,6 +1111,25 @@ mod tests {
             .replicas(replicas)
             .seed(seed)
             .build()
+    }
+
+    /// Hosts 0 and 1 are 31 ms apart gateway to gateway and each 20 ms
+    /// from host 2; access links are 1, 2 and 3 ms. With the server on
+    /// host 2, every host's access RTT comes back, the server's own
+    /// included; with fewer than three hosts the server's counts as 0.
+    #[test]
+    fn access_rtts_leave_the_servers_access_link_out() {
+        const MS: Micros = 1_000;
+        let g = vec![
+            vec![0, 31 * MS, 20 * MS],
+            vec![31 * MS, 0, 20 * MS],
+            vec![20 * MS, 20 * MS, 0],
+        ];
+        let net = rekey_net::MatrixNetwork::from_matrix(g, vec![MS, 2 * MS, 3 * MS]);
+        assert_eq!(access_rtts(&net, HostId(2)), vec![MS, 2 * MS, 3 * MS]);
+        let g = vec![vec![0, 5 * MS], vec![5 * MS, 0]];
+        let pair = rekey_net::MatrixNetwork::from_matrix(g, vec![MS, MS]);
+        assert_eq!(access_rtts(&pair, HostId(1)), vec![2 * MS, 0]);
     }
 
     fn build(shards: usize, loss: f64, seed: u64) -> ShardedGroupRuntime<GridNetwork> {

@@ -529,7 +529,6 @@ impl<NET: Network> UdpGroupDriver<NET> {
         let replicas = config.replicas();
         let knobs = Knobs::of_config(&config);
 
-        let core = ShardCore::new(knobs);
         let registry = Registry::new();
 
         let mut worker_endpoints = Vec::with_capacity(workers);
@@ -541,12 +540,22 @@ impl<NET: Network> UdpGroupDriver<NET> {
         // from byte-identical group state — the socket equivalent of the
         // followers having replayed the primary's bootstrap log.
         let mut welcomes = Vec::new();
+        let mut fsms = Vec::with_capacity(replicas);
         for replica in 0..replicas {
             let (mut server_fsm, dealt) = group.clone().bootstrap(server_host, &hosts, &*net)?;
             if replica == 0 {
                 server_fsm.instrument_tree(TreeMetrics::in_registry(&registry));
                 welcomes = dealt;
             }
+            fsms.push(server_fsm);
+        }
+        // Loopback models no access links: every `Pong` carries 0.
+        let assign = fsms[0].group().assign_params().clone();
+        let core = ShardCore::new(knobs, assign, Arc::new([]));
+        for (replica, server_fsm) in fsms.into_iter().enumerate() {
+            // Datagrams travel at loopback speed, so pings would time
+            // nothing: the server probes its RTT model for each joiner
+            // instead of seeding the joiner's own probe.
             let mut rt = RtServer::new(
                 Rc::clone(&net),
                 Arc::clone(&core),
@@ -554,6 +563,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
                 server_fsm,
                 replica,
                 journal::Journal::disabled(),
+                false,
             );
             if replica == 0 {
                 // The bootstrap deal is counted once, on the primary.

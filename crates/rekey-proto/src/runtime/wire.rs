@@ -9,7 +9,8 @@
 //! UserId  := IdPrefix                  (full-depth prefix)
 //! Member  := id:UserId, host:u64, joined_at:u64
 //! Record  := Member, rtt:u64
-//! Table   := owner:UserId, k:u16, policy:u8, count:u32, Record*
+//! Records := count:u32, Record*        (count ≤ the ID space)
+//! Table   := owner:UserId, k:u16, policy:u8, Records
 //! Welcome := id:UserId, interval:u64, count:u32, Key*
 //! Prefix  := len:u8, digits:[u16; len]
 //! IvalMsg := interval:u64, epoch:u64, sent_at:u64, count:u32, Encryption*
@@ -49,8 +50,11 @@ use super::core::{IntervalMessage, ReplOp, RtMsg};
 /// any other version outright — rolling upgrades run one version per
 /// deployment, matching the single-server protocol. Version 2 tags a key
 /// wrap under the one-time MAC key of its own keystream block; a version-1
-/// node's tags would not verify.
-pub const WIRE_VERSION: u8 = 2;
+/// node's tags would not verify. Version 3 carries the §3.1 join: the
+/// `JoinSeed`, `Query`, `QueryReply` and `JoinDigits` tags, the
+/// responder's access RTT in `Pong`, and the admitted ID in a replicated
+/// join.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Errors produced while decoding an [`RtMsg`] frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,6 +115,10 @@ const TAG_REPL_ACK: u8 = 0x1A;
 const TAG_REPL_HEARTBEAT: u8 = 0x1B;
 const TAG_CANDIDACY: u8 = 0x1C;
 const TAG_TABLE: u8 = 0x20;
+const TAG_JOIN_SEED: u8 = 0x21;
+const TAG_QUERY: u8 = 0x22;
+const TAG_QUERY_REPLY: u8 = 0x23;
+const TAG_JOIN_DIGITS: u8 = 0x24;
 
 /// `ReplOp` body: `op:u8` (0 = Join, 1 = Leave, 2 = Interval) + fields.
 const OP_JOIN: u8 = 0;
@@ -160,6 +168,27 @@ fn get_record(r: &mut Reader<'_>, spec: &IdSpec) -> Result<NeighborRecord, WireE
     Ok(NeighborRecord { member, rtt })
 }
 
+fn put_records(out: &mut Vec<u8>, records: &[NeighborRecord]) {
+    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    for rec in records {
+        put_record(out, rec);
+    }
+}
+
+/// A record list. It names distinct members, so a count beyond the ID
+/// space is out of range.
+fn get_records(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Vec<NeighborRecord>, WireError> {
+    let count = r.u32()?;
+    if u64::from(count) > spec.id_space() {
+        return Err(WireError::BadValue("record count"));
+    }
+    let mut records = Vec::with_capacity((count as usize).min(1 << 12));
+    for _ in 0..count {
+        records.push(get_record(r, spec)?);
+    }
+    Ok(records)
+}
+
 fn put_table(out: &mut Vec<u8>, t: &NeighborTable) {
     put_user_id(out, t.owner());
     out.extend_from_slice(&(t.k() as u16).to_le_bytes());
@@ -167,10 +196,7 @@ fn put_table(out: &mut Vec<u8>, t: &NeighborTable) {
         PrimaryPolicy::SmallestRtt => 0,
         PrimaryPolicy::EarliestJoinAtBottom => 1,
     });
-    out.extend_from_slice(&(t.neighbor_count() as u32).to_le_bytes());
-    for rec in t.iter_all() {
-        put_record(out, rec);
-    }
+    put_records(out, t.iter_all().as_slice());
 }
 
 fn get_table(r: &mut Reader<'_>, spec: &IdSpec) -> Result<NeighborTable, WireError> {
@@ -184,13 +210,12 @@ fn get_table(r: &mut Reader<'_>, spec: &IdSpec) -> Result<NeighborTable, WireErr
     if k == 0 {
         return Err(WireError::BadValue("table capacity"));
     }
-    let count = r.u32()? as usize;
     let mut table = NeighborTable::new(spec, owner, k, policy);
-    for _ in 0..count {
-        // Re-insertion reproduces the sender's table: `iter_all` yields
-        // entries in (row, digit, rtt) order and `insert` is stable on
-        // RTT ties, so order and primaries survive the round trip.
-        table.insert(get_record(r, spec)?);
+    // Re-insertion reproduces the sender's table: `iter_all` yields entries
+    // in (row, digit, rtt) order and `insert` is stable on RTT ties, so
+    // order and primaries survive the round trip.
+    for record in get_records(r, spec)? {
+        table.insert(record);
     }
     Ok(table)
 }
@@ -269,10 +294,11 @@ fn get_interval_message(r: &mut Reader<'_>, spec: &IdSpec) -> Result<IntervalMes
 
 fn put_repl_op(out: &mut Vec<u8>, op: &ReplOp) {
     match op {
-        ReplOp::Join { host, at } => {
+        ReplOp::Join { host, at, id } => {
             out.push(OP_JOIN);
             put_u64(out, host.0 as u64);
             put_u64(out, *at);
+            put_user_id(out, id);
         }
         ReplOp::Leave { id } => {
             out.push(OP_LEAVE);
@@ -291,9 +317,11 @@ fn get_repl_op(r: &mut Reader<'_>, spec: &IdSpec) -> Result<ReplOp, WireError> {
             let host = r.u64()?;
             let host = usize::try_from(host).map_err(|_| WireError::BadValue("host id"))?;
             let at = r.u64()?;
+            let id = get_user_id(r, spec)?;
             Ok(ReplOp::Join {
                 host: HostId(host),
                 at,
+                id,
             })
         }
         OP_LEAVE => Ok(ReplOp::Leave {
@@ -310,6 +338,23 @@ pub fn encode_msg(msg: &RtMsg, out: &mut Vec<u8>) {
     out.push(WIRE_VERSION);
     match msg {
         RtMsg::JoinRequest => out.push(TAG_JOIN_REQUEST),
+        RtMsg::JoinSeed { seed } => {
+            out.push(TAG_JOIN_SEED);
+            put_member(out, seed);
+        }
+        RtMsg::Query { target } => {
+            out.push(TAG_QUERY);
+            encode_prefix(out, target);
+        }
+        RtMsg::QueryReply { target, records } => {
+            out.push(TAG_QUERY_REPLY);
+            encode_prefix(out, target);
+            put_records(out, records);
+        }
+        RtMsg::JoinDigits { digits } => {
+            out.push(TAG_JOIN_DIGITS);
+            encode_prefix(out, digits);
+        }
         RtMsg::JoinAccepted {
             member,
             table,
@@ -377,9 +422,10 @@ pub fn encode_msg(msg: &RtMsg, out: &mut Vec<u8>) {
             out.push(TAG_PING);
             put_u64(out, *token);
         }
-        RtMsg::Pong { token } => {
+        RtMsg::Pong { token, access_rtt } => {
             out.push(TAG_PONG);
             put_u64(out, *token);
+            put_u64(out, *access_rtt);
         }
         RtMsg::ServerPing { id } => {
             out.push(TAG_SERVER_PING);
@@ -470,6 +516,20 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
     let tag = r.u8()?;
     let msg = match tag {
         TAG_JOIN_REQUEST => RtMsg::JoinRequest,
+        TAG_JOIN_SEED => RtMsg::JoinSeed {
+            seed: get_member(&mut r, spec)?,
+        },
+        TAG_QUERY => RtMsg::Query {
+            target: decode_prefix(&mut r, spec)?,
+        },
+        TAG_QUERY_REPLY => {
+            let target = decode_prefix(&mut r, spec)?;
+            let records = get_records(&mut r, spec)?;
+            RtMsg::QueryReply { target, records }
+        }
+        TAG_JOIN_DIGITS => RtMsg::JoinDigits {
+            digits: decode_prefix(&mut r, spec)?,
+        },
         TAG_JOIN_ACCEPTED => {
             let member = get_member(&mut r, spec)?;
             let table = get_table(&mut r, spec)?;
@@ -535,7 +595,11 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
             }
         }
         TAG_PING => RtMsg::Ping { token: r.u64()? },
-        TAG_PONG => RtMsg::Pong { token: r.u64()? },
+        TAG_PONG => {
+            let token = r.u64()?;
+            let access_rtt = r.u64()?;
+            RtMsg::Pong { token, access_rtt }
+        }
         TAG_SERVER_PING => RtMsg::ServerPing {
             id: get_user_id(&mut r, spec)?,
         },

@@ -337,18 +337,18 @@ const CHURN_OUTCOME: Outcome = Outcome {
     members: 208,
     interval: 12,
     epoch: 0,
-    roster: 0x8e07_e8c0_006c_0146,
-    group_key: 0x4931_ce03_d7de_5de9,
-    path_keys: 0x5b8b_4605_1135_e8e0,
+    roster: 0xf398_4c27_ff0c_cd23,
+    group_key: 0x0d95_b6b3_5327_ecd0,
+    path_keys: 0x75fc_1380_3094_78f5,
 };
 
 const FAILOVER_OUTCOME: Outcome = Outcome {
     members: 61,
     interval: 33,
     epoch: 1,
-    roster: 0x95e3_a91a_a2f5_9bed,
-    group_key: 0x9797_cccb_9148_9f61,
-    path_keys: 0x4264_9bd2_d16c_e9eb,
+    roster: 0xc26e_e4cb_b3f0_3ca1,
+    group_key: 0x9c61_6054_c24e_109f,
+    path_keys: 0xb6c5_81ac_7221_d6ea,
 };
 
 const LOSSLESS_COUNTERS: &str = r#"{
@@ -358,14 +358,14 @@ const LOSSLESS_COUNTERS: &str = r#"{
     "joins": 256,
     "departures": 48,
     "failures_detected": 8,
-    "forward_copies": 2615,
+    "forward_copies": 2584,
     "copies_lost": 0,
-    "dead_letters": 294,
+    "dead_letters": 444,
     "suppressed": 0,
-    "nacks": 3,
-    "recovery_encryptions": 12,
-    "pings": 87549,
-    "evictions": 8,
+    "nacks": 8,
+    "recovery_encryptions": 26,
+    "pings": 81669,
+    "evictions": 14,
     "retransmissions": 0,
     "max_retry_attempts": 1,
     "resyncs": 0,
@@ -373,10 +373,10 @@ const LOSSLESS_COUNTERS: &str = r#"{
     "rehabilitations": 0,
     "restarts": 0,
     "checkpoints": 13,
-    "delivered": 197589,
+    "delivered": 232085,
     "welcomes": 256,
     "leave_acks": 40,
-    "tree_encryptions": 958,
+    "tree_encryptions": 1011,
     "tombstone_hits": 0,
     "partition_cuts": 0,
     "fault_loss_drops": 0,
@@ -384,55 +384,55 @@ const LOSSLESS_COUNTERS: &str = r#"{
     "promotions": 0,
     "lost_mutations": 0,
     "repl_lag_peak": 0,
-    "peak_queue_depth": 1097
+    "peak_queue_depth": 1410
   },
   "histograms": {
     "apply_delay_us": {
-      "count": 2349,
-      "sum": 262639819,
+      "count": 2319,
+      "sum": 259191187,
       "min": 8441,
-      "max": 460228,
-      "mean": 111809.20,
-      "p50": 104324,
-      "p95": 173033,
-      "p99": 214366
+      "max": 399184,
+      "mean": 111768.52,
+      "p50": 100739,
+      "p95": 179239,
+      "p99": 228406
     },
     "batch_size": {
       "count": 12,
       "sum": 304,
       "min": 0,
-      "max": 145,
+      "max": 131,
       "mean": 25.33,
-      "p50": 7,
-      "p95": 145,
-      "p99": 145
+      "p50": 9,
+      "p95": 131,
+      "p99": 131
     },
     "split_payload": {
-      "count": 2602,
-      "sum": 6439,
+      "count": 2570,
+      "sum": 6110,
       "min": 0,
-      "max": 119,
-      "mean": 2.47,
+      "max": 129,
+      "mean": 2.38,
       "p50": 2,
       "p95": 5,
-      "p99": 19
+      "p99": 18
     },
     "forward_fanout": {
-      "count": 2613,
-      "sum": 2615,
+      "count": 2582,
+      "sum": 2584,
       "min": 0,
-      "max": 14,
+      "max": 21,
       "mean": 1.00,
       "p50": 1,
-      "p95": 7,
-      "p99": 11
+      "p95": 8,
+      "p99": 13
     },
     "recovery_size": {
-      "count": 211,
-      "sum": 12,
+      "count": 216,
+      "sum": 26,
       "min": 0,
       "max": 4,
-      "mean": 0.06,
+      "mean": 0.12,
       "p50": 1,
       "p95": 1,
       "p99": 4
@@ -447,44 +447,44 @@ const FAILOVER_COUNTERS: &str = r#"{
     "joins": 77,
     "departures": 16,
     "failures_detected": 13,
-    "forward_copies": 1766,
-    "copies_lost": 1079,
+    "forward_copies": 1717,
+    "copies_lost": 914,
     "dead_letters": 0,
-    "suppressed": 235,
-    "nacks": 368,
-    "recovery_encryptions": 98,
-    "pings": 29148,
-    "evictions": 266,
-    "retransmissions": 451,
+    "suppressed": 250,
+    "nacks": 402,
+    "recovery_encryptions": 116,
+    "pings": 24494,
+    "evictions": 228,
+    "retransmissions": 494,
     "max_retry_attempts": 5,
-    "resyncs": 51,
+    "resyncs": 52,
     "rejoins": 13,
-    "rehabilitations": 230,
+    "rehabilitations": 194,
     "restarts": 1,
     "checkpoints": 34,
-    "delivered": 70664,
+    "delivered": 68754,
     "welcomes": 77,
     "leave_acks": 3,
-    "tree_encryptions": 307,
-    "tombstone_hits": 8,
-    "partition_cuts": 956,
-    "fault_loss_drops": 123,
+    "tree_encryptions": 320,
+    "tombstone_hits": 11,
+    "partition_cuts": 803,
+    "fault_loss_drops": 111,
     "elections": 2,
     "promotions": 1,
     "lost_mutations": 0,
     "repl_lag_peak": 11,
-    "peak_queue_depth": 421
+    "peak_queue_depth": 370
   },
   "histograms": {
     "apply_delay_us": {
-      "count": 1790,
-      "sum": 534665769,
+      "count": 1778,
+      "sum": 428400503,
       "min": 1100,
-      "max": 18853401,
-      "mean": 298695.96,
-      "p50": 3849,
-      "p95": 519373,
-      "p99": 11027524
+      "max": 15354401,
+      "mean": 240945.16,
+      "p50": 3922,
+      "p95": 514642,
+      "p99": 8854176
     },
     "batch_size": {
       "count": 33,
@@ -497,31 +497,31 @@ const FAILOVER_COUNTERS: &str = r#"{
       "p99": 64
     },
     "split_payload": {
-      "count": 1617,
-      "sum": 1487,
+      "count": 1595,
+      "sum": 1491,
       "min": 0,
-      "max": 69,
-      "mean": 0.92,
+      "max": 51,
+      "mean": 0.93,
       "p50": 1,
       "p95": 4,
-      "p99": 10
+      "p99": 11
     },
     "forward_fanout": {
-      "count": 1650,
-      "sum": 1766,
+      "count": 1628,
+      "sum": 1717,
       "min": 0,
       "max": 13,
-      "mean": 1.07,
+      "mean": 1.05,
       "p50": 1,
       "p95": 7,
       "p99": 13
     },
     "recovery_size": {
-      "count": 318,
-      "sum": 98,
+      "count": 341,
+      "sum": 116,
       "min": 0,
       "max": 3,
-      "mean": 0.31,
+      "mean": 0.34,
       "p50": 1,
       "p95": 3,
       "p99": 3

@@ -126,15 +126,15 @@ fn warmed_join_allocations(n: usize) -> u64 {
 }
 
 /// The count `warmed_join_allocations(4_096)` gives since the §3.1 probe
-/// collects each digit into one vector and one hash set; it was 166 while
-/// the probe kept one sorted vector per bucket. Of the 41, 30 are the
-/// probe's per-join buffers (the collected records, their hash set, the
-/// seeds, the queried list, the bucket runs, the RTTs and the digits), each
-/// growing a few times; 11 are the joiner's new table growing its record
-/// vector (76 records) and its entry index (46 entries) as records arrive.
-/// (A join that appends a table slot instead also grows the per-slot
-/// vectors now and then.)
-const JOIN_ALLOCATIONS_BEFORE: u64 = 41;
+/// collects each digit into one vector and one hash set and hands back its
+/// digits as an inline prefix; it was 166 while the probe kept one sorted
+/// vector per bucket. Of the 38, 27 are the probe's per-join buffers (the
+/// collected records, their hash set, the queried list, the bucket runs and
+/// the RTTs), each growing a few times; 11 are the joiner's new table
+/// growing its record vector (76 records) and its entry index (46 entries)
+/// as records arrive. (A join that appends a table slot instead also grows
+/// the per-slot vectors now and then.)
+const JOIN_ALLOCATIONS_BEFORE: u64 = 38;
 
 #[test]
 fn a_warmed_join_allocates_no_more_than_the_full_scan_join() {

@@ -13,6 +13,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rekey_crypto::wire::DecodeError;
 use rekey_crypto::{Encryption, Key};
 use rekey_id::{IdPrefix, IdSpec, UserId};
 use rekey_net::HostId;
@@ -122,11 +123,18 @@ fn arb_prefix_buf() -> impl Strategy<Value = PrefixBuf> {
     vec(digit(), 0..=DEPTH).prop_map(|d| PrefixBuf::new(&d))
 }
 
+fn arb_prefix() -> impl Strategy<Value = IdPrefix> {
+    vec(digit(), 0..=DEPTH).prop_map(|d| IdPrefix::from_digits(&spec(), &d).unwrap())
+}
+
 fn arb_repl_op() -> impl Strategy<Value = ReplOp> {
     prop_oneof![
-        (0usize..10_000, 0u64..1 << 40).prop_map(|(host, at)| ReplOp::Join {
-            host: HostId(host),
-            at,
+        (0usize..10_000, 0u64..1 << 40, arb_user_id()).prop_map(|(host, at, id)| {
+            ReplOp::Join {
+                host: HostId(host),
+                at,
+                id,
+            }
         }),
         arb_user_id().prop_map(|id| ReplOp::Leave { id }),
         (0u64..1 << 40).prop_map(|sent_at| ReplOp::Interval { sent_at }),
@@ -161,7 +169,8 @@ fn arb_msg() -> impl Strategy<Value = RtMsg> {
         Just(RtMsg::LeaveAck),
         (0u64..1 << 40).prop_map(|interval| RtMsg::Nack { interval }),
         (0u64..1 << 40).prop_map(|token| RtMsg::Ping { token }),
-        (0u64..1 << 40).prop_map(|token| RtMsg::Pong { token }),
+        (0u64..1 << 40, 0u64..1 << 40)
+            .prop_map(|(token, access_rtt)| RtMsg::Pong { token, access_rtt }),
         arb_user_id().prop_map(|id| RtMsg::ServerPing { id }),
         (0u64..16, 0u64..1 << 30, 0u64..1 << 30).prop_map(|(epoch, seq, interval)| {
             RtMsg::ServerPong {
@@ -233,7 +242,18 @@ fn arb_msg() -> impl Strategy<Value = RtMsg> {
                 }
             }),
     ];
-    prop_oneof![small, compound, repl]
+    let join = prop_oneof![
+        arb_member().prop_map(|seed| RtMsg::JoinSeed { seed }),
+        arb_prefix().prop_map(|target| RtMsg::Query { target }),
+        (arb_prefix(), vec((arb_member(), 1u64..1 << 30), 0..12)).prop_map(|(target, records)| {
+            let records = (records.into_iter())
+                .map(|(member, rtt)| NeighborRecord { member, rtt })
+                .collect();
+            RtMsg::QueryReply { target, records }
+        }),
+        arb_prefix().prop_map(|digits| RtMsg::JoinDigits { digits }),
+    ];
+    prop_oneof![small, compound, repl, join]
 }
 
 fn encode(msg: &RtMsg) -> Vec<u8> {
@@ -252,6 +272,73 @@ const RETIRED_LOCAL_TAGS: [u8; 9] = [0x01, 0x02, 0x03, 0x16, 0x17, 0x18, 0x1D, 0
 /// `Table` pushes replaced. Reserved like the local ones: a frame of the
 /// old format must not parse as anything.
 const RETIRED_BROADCAST_TAGS: [u8; 2] = [0x07, 0x0A];
+
+/// Each message of the §3.1 join decodes only whole and in range: every
+/// strict prefix of its frame is rejected; a prefix with more digits than
+/// the depth, or a digit past the base, is a bad ID; and a `QueryReply`
+/// listing more records than the ID space holds is out of range.
+#[test]
+fn join_frames_reject_truncation_and_out_of_range_counts() {
+    let target = IdPrefix::from_digits(&spec(), &[3, 1]).unwrap();
+    let member = Member {
+        id: user_id(&[3, 1, 7]),
+        host: HostId(5),
+        joined_at: 11,
+    };
+    let records = vec![NeighborRecord { member, rtt: 9 }; 2];
+    let frames = [
+        RtMsg::JoinSeed { seed: member },
+        RtMsg::Query { target },
+        RtMsg::QueryReply { target, records },
+        RtMsg::JoinDigits { digits: target },
+        RtMsg::Pong {
+            token: 4,
+            access_rtt: 2_000,
+        },
+    ];
+    for msg in &frames {
+        let bytes = encode(msg);
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_msg(&bytes[..cut], &spec()).is_err(),
+                "{msg:?} cut at {cut}"
+            );
+        }
+    }
+    // Every frame but the pong opens with an ID or a prefix: `len:u8`,
+    // then the digits. Four digits of a depth-3 ID, and a digit equal to
+    // the base, are both bad IDs.
+    let bad_id = |frame: &[u8]| {
+        matches!(
+            decode_msg(frame, &spec()),
+            Err(WireError::Bytes(DecodeError::BadId(_)))
+        )
+    };
+    for msg in &frames[..4] {
+        let bytes = encode(msg);
+        let len = usize::from(bytes[2]);
+        let mut long = bytes[..3].to_vec();
+        long[2] = DEPTH as u8 + 1;
+        long.extend(std::iter::repeat_n(0, 2 * (DEPTH + 1)));
+        long.extend_from_slice(&bytes[3 + 2 * len..]);
+        assert!(bad_id(&long), "{msg:?} with {} digits", DEPTH + 1);
+        let mut digit = bytes.clone();
+        digit[3..5].copy_from_slice(&BASE.to_le_bytes());
+        assert!(bad_id(&digit), "{msg:?} with digit {BASE}");
+    }
+    // The record count follows the reply's two-digit target.
+    let bytes = encode(&frames[2]);
+    let count_at = 3 + 2 * 2;
+    assert_eq!(bytes[count_at..count_at + 4], 2u32.to_le_bytes());
+    for count in [spec().id_space() as u32 + 1, u32::MAX] {
+        let mut frame = bytes.clone();
+        frame[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        assert_eq!(
+            decode_msg(&frame, &spec()).unwrap_err(),
+            WireError::BadValue("record count")
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]

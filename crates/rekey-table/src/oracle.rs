@@ -8,6 +8,12 @@
 //! the `min(K, m)` members of the `(i, j)`-ID subtree closest to the owner.
 //! K-consistency of the result is guaranteed by construction and checked by
 //! [`crate::check_consistency`] in tests.
+//!
+//! The protocol-level runs meet this builder from the other side: in
+//! `rekey-proto`'s runtime, joiners run the §3.1 probe as messages, the key
+//! server's `Group` maintains every table and pushes each change, and the
+//! tables members end up holding are checked against [`build_all_tables`]
+//! record for record.
 
 use rekey_id::IdSpec;
 use rekey_net::{HostId, Network};

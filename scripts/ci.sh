@@ -60,7 +60,7 @@ cargo run --offline --release -q -p rekey-bench --bin bench_runtime -- --mega-ca
 echo "==> criterion crypto_batch smoke (churn interval x 1/2/4/8 seal threads, one pass)"
 cargo bench --offline -q -p rekey-bench --bench crypto_batch -- --test > /dev/null
 
-echo "==> criterion rekeying smoke (its distributed_join group runs 64 sequential message-level joins; the vendored criterion ignores the filter and runs every group)"
+echo "==> criterion rekeying smoke (its distributed_join group runs 64 sequential §3.1 joins as RtMsg traffic on ShardedGroupRuntime; the vendored criterion ignores the filter and runs every group)"
 cargo bench --offline -q -p rekey-bench --bench rekeying -- --test distributed_join > /dev/null
 
 echo "==> benchmark package tests (thumbnail runs of all four workloads, catalogue == BENCHMARK.json)"

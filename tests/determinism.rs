@@ -8,10 +8,12 @@ use group_rekeying::id::{IdSpec, UserId};
 use group_rekeying::keytree::{ModifiedKeyTree, RekeyArena};
 use group_rekeying::net::gtitm::{generate, GtItmParams};
 use group_rekeying::net::{HostId, MatrixNetwork, Network, PlanetLabParams};
-use group_rekeying::proto::{run_distributed_joins, run_distributed_session};
 use group_rekeying::proto::{tmesh_rekey_transport, AssignParams, Group, TransportOptions};
+use group_rekeying::proto::{
+    ChurnEvent, GroupConfig, MetricsSnapshot, RuntimeConfig, ShardedGroupRuntime,
+};
 use group_rekeying::sim::seeded_rng;
-use group_rekeying::table::PrimaryPolicy;
+use group_rekeying::table::{Member, PrimaryPolicy};
 use group_rekeying::tmesh::Source;
 
 fn grow(seed: u64) -> (MatrixNetwork, Group) {
@@ -113,49 +115,65 @@ fn rekey_messages_and_split_transport_are_deterministic() {
     assert_ne!(run(33), run(34));
 }
 
-/// One member's outcome of a message-level join, as pinned below: ID
-/// digits, host, `joined_at`, then `DistributedJoinStats`' queries, pings,
-/// probed digits and elapsed µs.
-type JoinPin = ([u16; 3], usize, u64, u64, u64, usize, u64);
+/// One member's outcome of the message-level join, as pinned below: ID
+/// digits, host, and `joined_at` (the server's clock at admission).
+type JoinPin = ([u16; 3], usize, u64);
 
+/// A §3.1 join session on the simulated driver, heartbeats off: host `i`
+/// asks to join at `times[i]` and each `(host, at)` of `leaves` asks to
+/// leave at `at`. Returns the survivors in host order and the snapshot.
+fn join_session(
+    spec: &IdSpec,
+    net: MatrixNetwork,
+    times: &[u64],
+    leaves: &[(usize, u64)],
+) -> (Vec<Member>, MetricsSnapshot) {
+    let group = GroupConfig::for_spec(spec).k(2);
+    let config = RuntimeConfig::builder().heartbeat_period(1 << 40).build();
+    let mut rt = ShardedGroupRuntime::new(group, config, net);
+    let mut trace: Vec<ChurnEvent> = times.iter().map(|&at| ChurnEvent::join(at)).collect();
+    trace.extend(leaves.iter().map(|&(host, at)| ChurnEvent::leave(at, host)));
+    let last = trace.iter().map(|e| e.at).max().unwrap_or(0);
+    rt.run_trace(&trace);
+    rt.finish(last + 300_000_000);
+    let mut members = rt.group().members().to_vec();
+    members.sort_by_key(|m| m.host);
+    (members, rt.snapshot())
+}
+
+/// An ID of the `(4, 16)` sessions as one number.
+fn id_number(m: &Member) -> u64 {
+    m.id.digits().iter().fold(0, |a, &d| a * 16 + u64::from(d))
+}
+
+/// The distributed §3.1 join — each joiner queries members and pings the
+/// users step 3 reads, as `RtMsg` traffic on `ShardedGroupRuntime` — gives
+/// the same rosters and snapshots on identical runs, and the recorded
+/// rosters. (The probes' statistics are pinned by the crate's own
+/// `join_statistics_are_deterministic`.)
 #[test]
 fn distributed_join_protocol_is_deterministic() {
     let run = |spacing: u64| {
-        let mut rng = seeded_rng(1234);
-        let net = MatrixNetwork::synthetic_planetlab(&PlanetLabParams::small(), &mut rng);
+        let net =
+            MatrixNetwork::synthetic_planetlab(&PlanetLabParams::small(), &mut seeded_rng(1234));
         let spec = IdSpec::new(3, 8).unwrap();
         let times: Vec<u64> = (0..10).map(|i| i * spacing).collect();
-        run_distributed_joins(&spec, &AssignParams::for_depth(3), 2, &net, 10, &times)
+        join_session(&spec, net, &times, &[])
     };
     // Concurrent joins (1.5 ms apart) and sequential ones (1 s apart, so
     // every joiner after the first probes the group).
-    for (spacing, messages, finished_at, pins) in [
-        (1_500, 89, 599_580, CONCURRENT_JOINS),
-        (1_000_000, 362, 9_849_062, SEQUENTIAL_JOINS),
+    for (spacing, delivered, pins) in [
+        (1_500, 890, CONCURRENT_JOINS),
+        (1_000_000, 1_043, SEQUENTIAL_JOINS),
     ] {
-        let a = run(spacing);
-        let b = run(spacing);
-        assert_eq!(a.members, b.members);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.finished_at, b.finished_at);
-        // The recorded outcome.
-        assert_eq!((a.messages, a.finished_at), (messages, finished_at));
-        let got: Vec<JoinPin> = a
-            .members
+        let (members, snapshot) = run(spacing);
+        assert_eq!((members.clone(), snapshot.clone()), run(spacing));
+        assert_eq!(snapshot.delivered, delivered, "spacing {spacing} µs");
+        let got: Vec<JoinPin> = members
             .iter()
-            .zip(&a.stats)
-            .map(|(m, s)| {
+            .map(|m| {
                 let d = m.id.digits();
-                (
-                    [d[0], d[1], d[2]],
-                    m.host.0,
-                    m.joined_at,
-                    s.queries,
-                    s.pings,
-                    s.digits_probed,
-                    s.elapsed,
-                )
+                ([d[0], d[1], d[2]], m.host.0, m.joined_at)
             })
             .collect();
         assert_eq!(got, pins, "spacing {spacing} µs");
@@ -164,23 +182,13 @@ fn distributed_join_protocol_is_deterministic() {
     // Thirty sequential joins on the 227-host PlanetLab substrate with
     // (D, B) = (4, 16), where the 9 ms threshold of the third digit is
     // close to many gateway RTT estimates.
-    let mut rng = seeded_rng(1);
-    let net = MatrixNetwork::synthetic_planetlab(&PlanetLabParams::default(), &mut rng);
+    let net = MatrixNetwork::synthetic_planetlab(&PlanetLabParams::default(), &mut seeded_rng(1));
     let spec = IdSpec::new(4, 16).unwrap();
     let times: Vec<u64> = (0..30).map(|i| i * 10_000_000).collect();
-    let run = run_distributed_joins(&spec, &AssignParams::for_depth(4), 2, &net, 30, &times);
-    let ids: Vec<u64> = run
-        .members
-        .iter()
-        .map(|m| m.id.digits().iter().fold(0, |a, &d| a * 16 + u64::from(d)))
-        .collect();
-    let (queries, pings, probed) = run.stats.iter().fold((0, 0, 0), |(q, p, d), s| {
-        (q + s.queries, p + s.pings, d + s.digits_probed)
-    });
-    assert_eq!((run.messages, run.finished_at), (2_468, 291_019_605));
-    assert_eq!((queries, pings, probed), (547, 435, 69));
+    let (members, snapshot) = join_session(&spec, net, &times, &[]);
+    assert_eq!(snapshot.delivered, 5_296);
     assert_eq!(
-        ids,
+        members.iter().map(id_number).collect::<Vec<_>>(),
         [
             0, 1, 2, 3, 256, 512, 768, 769, 770, 771, 1024, 1025, 1026, 1280, 1281, 1282, 1283,
             1536, 1537, 1538, 1539, 1792, 2048, 2049, 2050, 2051, 1808, 1809, 1040, 1041
@@ -190,37 +198,14 @@ fn distributed_join_protocol_is_deterministic() {
     // A session with leaves on the same substrate: 24 joins 5 s apart and
     // a 25th at 200 s; node 9 leaves at 150 s, and nodes 17 and 5 leave
     // 50 ms and 100 ms into the last join.
-    let mut rng = seeded_rng(11);
-    let net = MatrixNetwork::synthetic_planetlab(&PlanetLabParams::default(), &mut rng);
+    let net = MatrixNetwork::synthetic_planetlab(&PlanetLabParams::default(), &mut seeded_rng(11));
     let mut times: Vec<u64> = (0..24).map(|i| i * 5_000_000).collect();
     times.push(200_000_000);
     let leaves = [(9, 150_000_000), (17, 200_050_000), (5, 200_100_000)];
-    let run = run_distributed_session(
-        &spec,
-        &AssignParams::for_depth(4),
-        2,
-        &net,
-        25,
-        &times,
-        &leaves,
-    );
-    let ids: Vec<u64> = run
-        .members
-        .iter()
-        .map(|m| m.id.digits().iter().fold(0, |a, &d| a * 16 + u64::from(d)))
-        .collect();
-    let sums = run.stats.iter().fold((0, 0, 0, 0), |(q, p, d, e), s| {
-        (
-            q + s.queries,
-            p + s.pings,
-            d + s.digits_probed,
-            e + s.elapsed,
-        )
-    });
-    assert_eq!((run.messages, run.finished_at), (1_803, 200_960_117));
-    assert_eq!(sums, (338, 268, 45, 12_925_966));
+    let (members, snapshot) = join_session(&spec, net, &times, &leaves);
+    assert_eq!(snapshot.delivered, 3_983);
     assert_eq!(
-        ids,
+        members.iter().map(id_number).collect::<Vec<_>>(),
         [
             0, 256, 512, 513, 768, 770, 771, 1024, 1026, 1280, 1281, 1282, 1536, 1537, 1538, 272,
             16, 1792, 1793, 1794, 1795, 2048
@@ -229,29 +214,29 @@ fn distributed_join_protocol_is_deterministic() {
 }
 
 const CONCURRENT_JOINS: &[JoinPin] = &[
-    ([5, 0, 0], 0, 6, 0, 0, 0, 139_412),
-    ([4, 0, 0], 1, 5, 0, 0, 0, 136_470),
-    ([0, 0, 0], 2, 1, 0, 0, 0, 109_720),
-    ([7, 0, 0], 3, 8, 0, 0, 0, 141_288),
-    ([0, 0, 1], 4, 9, 0, 0, 0, 247_638),
-    ([1, 0, 0], 5, 2, 0, 0, 0, 114_794),
-    ([6, 0, 0], 6, 7, 0, 0, 0, 136_028),
-    ([2, 0, 0], 7, 3, 0, 0, 0, 118_962),
-    ([0, 0, 2], 8, 10, 0, 0, 0, 293_790),
-    ([3, 0, 0], 9, 4, 0, 0, 0, 122_154),
+    ([0, 0, 2], 0, 225_426),
+    ([0, 0, 1], 1, 221_277),
+    ([0, 0, 0], 2, 57_860),
+    ([0, 0, 3], 3, 236_610),
+    ([0, 1, 1], 4, 744_509),
+    ([0, 1, 0], 5, 280_815),
+    ([0, 2, 0], 6, 324_012),
+    ([0, 0, 5], 7, 289_251),
+    ([0, 3, 0], 8, 1_196_227),
+    ([0, 0, 4], 9, 274_485),
 ];
 
 const SEQUENTIAL_JOINS: &[JoinPin] = &[
-    ([0, 0, 0], 0, 1, 0, 0, 0, 139_412),
-    ([0, 0, 1], 1, 2, 2, 1, 2, 148_854),
-    ([0, 0, 2], 2, 3, 4, 2, 2, 131_052),
-    ([0, 0, 3], 3, 4, 6, 3, 2, 170_206),
-    ([0, 1, 0], 4, 5, 8, 4, 1, 551_940),
-    ([0, 1, 1], 5, 6, 10, 5, 2, 408_004),
-    ([0, 1, 2], 6, 7, 12, 6, 2, 354_290),
-    ([0, 1, 3], 7, 8, 14, 7, 2, 438_486),
-    ([0, 2, 0], 8, 9, 16, 8, 1, 932_262),
-    ([0, 3, 0], 9, 10, 18, 9, 1, 641_090),
+    ([0, 0, 0], 0, 69_706),
+    ([0, 0, 1], 1, 1_217_089),
+    ([0, 0, 2], 2, 2_185_912),
+    ([0, 0, 3], 3, 3_240_850),
+    ([0, 1, 0], 4, 4_675_759),
+    ([0, 1, 1], 5, 5_465_401),
+    ([0, 1, 2], 6, 6_422_304),
+    ([0, 1, 3], 7, 7_497_967),
+    ([0, 2, 0], 8, 9_079_157),
+    ([0, 3, 0], 9, 9_702_167),
 ];
 
 #[test]
