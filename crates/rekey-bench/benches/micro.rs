@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the performance-critical primitives:
 //! ChaCha20 key wrapping, SipHash MACs, neighbor-table operations, the
-//! FORWARD next-hop computation, the splitting filter and Dijkstra routing.
+//! FORWARD next-hop computation and Dijkstra routing.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
@@ -109,35 +109,6 @@ fn bench_tables(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_split(c: &mut Criterion) {
-    let mut g = c.benchmark_group("split");
-    let mut r = rng();
-    let spec = IdSpec::PAPER;
-    // A realistic rekey message: ~1000 encryptions with mixed-depth IDs.
-    let keys: Vec<Key> = (0..1000)
-        .map(|i| {
-            let len = i % (spec.depth() + 1);
-            let digits: Vec<u16> = (0..len).map(|_| r.gen_range(0..256)).collect();
-            Key::random(IdPrefix::new(&spec, digits).unwrap(), &mut r)
-        })
-        .collect();
-    let root = Key::random(IdPrefix::root(), &mut r);
-    let message: Vec<Encryption> = keys
-        .iter()
-        .map(|k| Encryption::seal(k, &root, &mut r))
-        .collect();
-    let indices: Vec<usize> = (0..message.len()).collect();
-    let target = UserId::from_index(&spec, 123_456).prefix(2);
-
-    g.throughput(Throughput::Elements(message.len() as u64));
-    g.bench_function("split_for_neighbor_1000", |b| {
-        b.iter(|| {
-            rekey_proto::split_for_neighbor(&indices, &message, std::hint::black_box(&target))
-        })
-    });
-    g.finish();
-}
-
 fn bench_routing(c: &mut Criterion) {
     let mut g = c.benchmark_group("routing");
     g.sample_size(20);
@@ -156,6 +127,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_crypto, bench_tables, bench_split, bench_routing
+    targets = bench_crypto, bench_tables, bench_routing
 }
 criterion_main!(benches);

@@ -62,7 +62,6 @@ fn main() {
     for loss_pct in [0u32, 1, 2, 5, 10, 20, 40] {
         let report = lossy_rekey_transport(
             &mesh,
-            &build.net,
             out.encryptions(),
             f64::from(loss_pct) / 100.0,
             &mut seeded_rng(0xAB + u64::from(loss_pct)),

@@ -6,16 +6,16 @@
 //! Fig. 13 T-mesh transport with the message grouped into fixed-size
 //! packets: a packet is forwarded to a next hop iff *any* contained
 //! encryption is needed in that hop's subtree, and the receiver is charged
-//! for the whole packet.
+//! for the whole packet. Each member receives exactly one copy
+//! (Theorem 1), so it is charged the packets that hold any encryption of
+//! the set the split transport delivers it.
 
 use rekey_bench::{arg_usize, grow_group, rekey_message_for_churn, ChurnPlan, Topology};
 use rekey_id::IdSpec;
 use rekey_keytree::{ModifiedKeyTree, RekeyArena};
-use rekey_net::Network;
-use rekey_proto::{split_for_neighbor, AssignParams};
+use rekey_proto::{tmesh_rekey_transport, AssignParams, TransportOptions};
 use rekey_sim::seeded_rng;
 use rekey_table::PrimaryPolicy;
-use rekey_tmesh::forward::{server_next_hops, user_next_hops};
 
 fn main() {
     let users = arg_usize("--users", 512);
@@ -57,12 +57,13 @@ fn main() {
         .unwrap();
     let mesh = build.group.tmesh();
     let n = mesh.members().len();
-    let index = |id: &rekey_id::UserId| {
-        mesh.members()
-            .iter()
-            .position(|m| &m.id == id)
-            .expect("member")
-    };
+    let report = tmesh_rekey_transport(
+        &mesh,
+        &build.net,
+        out.encryptions(),
+        TransportOptions::split().with_detail(),
+    );
+    let received_sets = report.received_sets.expect("detail was asked for");
 
     println!("# ablation_packet_split: total encryptions received, by splitting granularity");
     println!(
@@ -80,34 +81,16 @@ fn main() {
             .map(|p| packet_of.iter().filter(|&&q| q == p).count() as u64)
             .collect();
 
-        let mut received = vec![0u64; n];
-        let full: Vec<usize> = (0..out.cost()).collect();
-        let mut queue = std::collections::VecDeque::new();
-        for hop in server_next_hops(mesh.server_table()) {
-            let to = index(&hop.neighbor.member.id);
-            let prefix = hop.neighbor.member.id.prefix(hop.row + 1);
-            queue.push_back((
-                to,
-                hop.forward_level,
-                split_for_neighbor(&full, out.encryptions(), &prefix),
-            ));
-        }
-        while let Some((member, level, needed)) = queue.pop_front() {
-            // Charge whole packets containing any needed encryption.
-            let mut packets: Vec<usize> = needed.iter().map(|&e| packet_of[e]).collect();
-            packets.sort_unstable();
-            packets.dedup();
-            received[member] += packets.iter().map(|&p| packet_sizes[p]).sum::<u64>();
-            for hop in user_next_hops(mesh.table(member), level) {
-                let to = index(&hop.neighbor.member.id);
-                let prefix = hop.neighbor.member.id.prefix(hop.row + 1);
-                queue.push_back((
-                    to,
-                    hop.forward_level,
-                    split_for_neighbor(&needed, out.encryptions(), &prefix),
-                ));
-            }
-        }
+        // Charge whole packets containing any needed encryption.
+        let received: Vec<u64> = received_sets
+            .iter()
+            .map(|needed| {
+                let mut packets: Vec<usize> = needed.iter().map(|&e| packet_of[e]).collect();
+                packets.sort_unstable();
+                packets.dedup();
+                packets.iter().map(|&p| packet_sizes[p]).sum()
+            })
+            .collect();
         let total: u64 = received.iter().sum();
         let max = received.iter().max().copied().unwrap_or(0);
         println!(
@@ -115,7 +98,4 @@ fn main() {
             total as f64 / n as f64
         );
     }
-    let _ = build
-        .net
-        .one_way(rekey_net::HostId(0), rekey_net::HostId(1));
 }

@@ -19,8 +19,10 @@
 //! * [`GroupServer`] / [`UserAgent`] — the synchronous facade, and
 //!   [`runtime`] — the same protocol as message-level state machines on
 //!   the simulator ([`ShardedGroupRuntime`]) or real UDP sockets
-//!   ([`UdpGroupDriver`]); on the simulator a joiner runs the §3.1 probe
-//!   itself, with `Query` and `Ping` messages. [`SERVER_NODE`],
+//!   ([`UdpGroupDriver`]), two types with no trait over them: each
+//!   exposes its own clock and churn calls, and both build, poll and audit
+//!   members through the same core helpers. On the simulator a joiner
+//!   runs the §3.1 probe itself, with `Query` and `Ping` messages. [`SERVER_NODE`],
 //!   [`replica_node`], [`member_node_with_replicas`] and [`modulo_cells`]
 //!   map fault plans onto their node numbering.
 //!
@@ -70,14 +72,15 @@ pub use group::{Group, GroupError, JoinOutcome};
 pub use protocols::{ipmc_rekey_transport, nice_rekey_transport, RekeyProtocol};
 pub use recovery::{lossy_rekey_transport, LossyReport};
 pub use runtime::{
-    ChurnEvent, ChurnOp, Driver, MetricsSnapshot, RuntimeConfig, RuntimeConfigBuilder,
-    ShardedGroupRuntime, UdpGroupDriver,
+    ChurnEvent, ChurnOp, MetricsSnapshot, RuntimeConfig, RuntimeConfigBuilder, ShardedGroupRuntime,
+    UdpGroupDriver,
 };
-pub use split::{cluster_rekey_transport, split_for_neighbor, tmesh_rekey_transport};
+pub use split::{cluster_rekey_transport, tmesh_rekey_transport};
 pub use transport::{BandwidthReport, SplitIndex, SplitIndexMaintainer, TransportOptions};
 
 /// The types nearly every embedder needs, in one import: runtime
-/// configuration, the facade entry points and metrics snapshots.
+/// configuration, the facade entry points, the two runtime drivers and
+/// metrics snapshots.
 ///
 /// ```
 /// use rekey_proto::prelude::*;
@@ -87,7 +90,6 @@ pub use transport::{BandwidthReport, SplitIndex, SplitIndexMaintainer, Transport
 pub mod prelude {
     pub use crate::facade::{GroupConfig, GroupServer, UserAgent};
     pub use crate::runtime::{
-        Driver, MetricsSnapshot, RuntimeConfig, RuntimeConfigBuilder, ShardedGroupRuntime,
-        UdpGroupDriver,
+        MetricsSnapshot, RuntimeConfig, RuntimeConfigBuilder, ShardedGroupRuntime, UdpGroupDriver,
     };
 }

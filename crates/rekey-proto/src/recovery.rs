@@ -17,9 +17,7 @@
 
 use rand::Rng;
 use rekey_crypto::Encryption;
-use rekey_net::Network;
 use rekey_sim::SimRng;
-use rekey_tmesh::forward::{server_next_hops, user_next_hops};
 use rekey_tmesh::TmeshGroup;
 
 use crate::transport::RekeySession;
@@ -57,7 +55,6 @@ impl LossyReport {
 /// Panics if `loss` is not within `[0, 1)`.
 pub fn lossy_rekey_transport(
     group: &TmeshGroup,
-    _net: &impl Network,
     message: &[Encryption],
     loss: f64,
     rng: &mut SimRng,
@@ -66,35 +63,21 @@ pub fn lossy_rekey_transport(
         (0.0..1.0).contains(&loss),
         "loss probability must be in [0, 1)"
     );
-    let n = group.members().len();
-    let mut session = RekeySession::new(group, message, true);
-    let mut received: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let session = RekeySession::new(group, message, true);
+    let mut received: Vec<Vec<usize>> = vec![Vec::new(); group.members().len()];
     let mut copies_lost = 0u64;
 
-    // Which copies are delivered does not depend on payload contents, so
-    // the loss draws here consume the RNG in the exact sequence the former
-    // scan-per-hop implementation did.
-    for hop in server_next_hops(group.server_table()) {
-        let to = session.members.of_hop(&hop);
-        let payload = session.initial_payload(&hop);
-        if rng.gen_bool(loss) {
-            copies_lost += 1;
-            continue;
-        }
-        session.queue.push_back((to, hop.forward_level, payload, 0));
-    }
-    while let Some((member, level, payload, _)) = session.queue.pop_front() {
-        session.payload_extend(payload, &mut received[member]);
-        for hop in user_next_hops(group.table(member), level) {
-            let to = session.members.of_hop(&hop);
-            let next = session.payload_for(payload, &hop);
-            if rng.gen_bool(loss) {
-                copies_lost += 1;
-                continue;
-            }
-            session.queue.push_back((to, hop.forward_level, next, 0));
-        }
-    }
+    // One loss draw per copy, in walk order: which copies drop depends on
+    // the seed and the mesh alone, never on payload contents.
+    session.walk(
+        &mut received,
+        |_, _, _, _, _| {
+            let lost = rng.gen_bool(loss);
+            copies_lost += u64::from(lost);
+            (!lost).then_some(())
+        },
+        |received, member, payload, ()| session.payload_extend(payload, &mut received[member]),
+    );
 
     // Recovery: each member checks its *own* needs (Lemma 3) and fetches
     // the difference from the server via unicast. A member's needs are the
@@ -130,7 +113,7 @@ mod tests {
     use super::*;
     use rekey_id::IdSpec;
     use rekey_keytree::{KeyRing, ModifiedKeyTree, RekeyArena};
-    use rekey_net::{HostId, MatrixNetwork, PlanetLabParams};
+    use rekey_net::{HostId, MatrixNetwork, Network, PlanetLabParams};
     use rekey_sim::seeded_rng;
     use rekey_table::PrimaryPolicy;
 
@@ -174,13 +157,8 @@ mod tests {
         let out = tree
             .batch_rekey(&[], &[leaver], &mut rng, &mut arena)
             .unwrap();
-        let report = lossy_rekey_transport(
-            &group.tmesh(),
-            &net,
-            out.encryptions(),
-            0.0,
-            &mut seeded_rng(7),
-        );
+        let report =
+            lossy_rekey_transport(&group.tmesh(), out.encryptions(), 0.0, &mut seeded_rng(7));
         assert_eq!(report.copies_lost, 0);
         assert!(report.recovering_members.is_empty());
         assert_eq!(report.recovery_encryptions, 0);
@@ -199,8 +177,7 @@ mod tests {
             .batch_rekey(&[], &leavers, &mut rng, &mut arena)
             .unwrap();
         let mesh = group.tmesh();
-        let report =
-            lossy_rekey_transport(&mesh, &net, out.encryptions(), 0.25, &mut seeded_rng(9));
+        let report = lossy_rekey_transport(&mesh, out.encryptions(), 0.25, &mut seeded_rng(9));
         assert!(report.copies_lost > 0, "25% loss must drop something");
         assert!(!report.recovering_members.is_empty());
 
@@ -235,8 +212,8 @@ mod tests {
             .batch_rekey(&[], &[leaver], &mut rng, &mut arena)
             .unwrap();
         let mesh = group.tmesh();
-        let low = lossy_rekey_transport(&mesh, &net, out.encryptions(), 0.05, &mut seeded_rng(11));
-        let high = lossy_rekey_transport(&mesh, &net, out.encryptions(), 0.5, &mut seeded_rng(11));
+        let low = lossy_rekey_transport(&mesh, out.encryptions(), 0.05, &mut seeded_rng(11));
+        let high = lossy_rekey_transport(&mesh, out.encryptions(), 0.5, &mut seeded_rng(11));
         assert!(high.recovering_members.len() >= low.recovering_members.len());
         assert!(high.copies_lost > low.copies_lost);
     }
@@ -244,7 +221,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "loss probability")]
     fn rejects_invalid_loss() {
-        let (net, group, _, _, _) = fixture(5, 4);
-        let _ = lossy_rekey_transport(&group.tmesh(), &net, &[], 1.5, &mut seeded_rng(1));
+        let (_, group, _, _, _) = fixture(5, 4);
+        let _ = lossy_rekey_transport(&group.tmesh(), &[], 1.5, &mut seeded_rng(1));
     }
 }

@@ -1,17 +1,18 @@
 //! The event-driven group runtime: one long-lived simulation in which the
 //! key server and every member are nodes on a single simulated clock.
 //!
-//! The synchronous [`GroupServer`]/[`UserAgent`] facade executes the
-//! protocol one interval at a time with the caller as the clock; this
-//! module drives the *same* state machines from a discrete-event schedule,
-//! which is what the paper's own evaluation does (§4): "we simulate the
-//! sending and the reception of a message as events". One implementation,
-//! two drivers — and one table algorithm: the global-knowledge
-//! [`Group`](crate::Group) inside the server computes every neighbor table,
-//! and members hold the copies it pushes them.
+//! The synchronous [`GroupServer`](crate::GroupServer)/
+//! [`UserAgent`](crate::UserAgent) facade executes the protocol one
+//! interval at a time with the caller as the clock; this module drives the
+//! *same* state machines from a discrete-event schedule, which is what the
+//! paper's own evaluation does (§4): "we simulate the sending and the
+//! reception of a message as events". One implementation, two drivers —
+//! and one table algorithm: the global-knowledge [`Group`] inside the
+//! server computes every neighbor table, and members hold the copies it
+//! pushes them.
 //!
 //! There is one simulated executor, [`ShardedGroupRuntime`] (module
-//! [`shard`]): it alone decides who orders simulated events. Built empty
+//! `shard`): it alone decides who orders simulated events. Built empty
 //! with [`ShardedGroupRuntime::new`] it is a sequential event loop that
 //! admits joiners from a [`ChurnEvent`] trace; built populated with
 //! [`ShardedGroupRuntime::bootstrapped`] it spreads a dealt group over
@@ -19,6 +20,14 @@
 //! heartbeats and the crash journal work the same either way.
 //! [`UdpGroupDriver`] (module [`socket`]) runs the same state machines
 //! over real sockets and the wall clock.
+//!
+//! The two drivers are two types with no trait over them: each keeps
+//! its own clock, queues and churn calls, and shares with the other
+//! everything that is not about execution. A dealt member is built by
+//! one core constructor from the dealt group; "has this member applied
+//! interval `t`" and "is its membership view stale" are member methods
+//! both poll; and both audit the members' tables with one function,
+//! handing it their own way to reach a member.
 //!
 //! # Message taxonomy
 //!
@@ -38,7 +47,7 @@
 //!   `LeaveRequest` / `LeaveAck` retire one — the ack is only sent after
 //!   the departure reaches the crash journal, so an acknowledged leave can
 //!   never roll back; `Table` carries the server-assisted repair of §3.2:
-//!   the server's [`Group`](crate::Group) maintains every neighbor table,
+//!   the server's [`Group`] maintains every neighbor table,
 //!   and after a join or leave each member whose table changed — only
 //!   those — is sent its new table, stamped with the table's version (the
 //!   group's mutation count when it last changed), so a member holds
@@ -114,13 +123,13 @@
 
 use rekey_metrics::{json, HistogramSnapshot, RegistrySnapshot, SpanRecord};
 use rekey_sim::SimTime;
-use rekey_table::ConsistencyViolation;
+use rekey_table::{check_consistency, ConsistencyViolation, NeighborTable};
 
-use crate::{GroupServer, UserAgent};
+use crate::Group;
 
 pub(crate) mod core;
 mod journal;
-pub mod shard;
+mod shard;
 pub mod socket;
 pub mod wire;
 
@@ -584,66 +593,24 @@ impl MetricsSnapshot {
     }
 }
 
-/// One churn-and-advance surface over both execution engines of the
-/// sans-I/O protocol core ([`runtime::core`](self)).
+/// Checks that the members' *local* tables — not the server's — are
+/// K-consistent for `group`'s membership (Definition 3). Each driver
+/// reaches its members its own way, so it passes `table_of(handle)`:
+/// member `handle` lives on `HostId(handle)` on both.
 ///
-/// The core's state machines know nothing about clocks or wires; a
-/// *driver* binds their `(destination, payload, deadline)` outputs to an
-/// execution substrate. Two drivers exist:
+/// # Panics
 ///
-/// * [`ShardedGroupRuntime`] — the simulator: one virtual clock, windowed
-///   event queues (one for a session built empty, one per shard on worker
-///   threads for a bootstrapped one), byte-deterministic and
-///   fault-injectable;
-/// * [`socket::UdpGroupDriver`] — real loopback UDP datagrams and the
-///   wall clock (not reproducible, but *equivalent*: the
-///   `socket_equivalence` integration test pins identical final key
-///   trees for identical churn).
-///
-/// The trait deliberately speaks in *rekey intervals*, not clock units,
-/// because interval numbering is the one notion of progress both
-/// substrates share. Time-based APIs (traces at microsecond offsets,
-/// fault plans) remain on the concrete types.
-pub trait Driver {
-    /// The authoritative server state machine (and through it the
-    /// membership oracle and key tree).
-    fn server_fsm(&self) -> &GroupServer;
-
-    /// Handles dealt so far, departed members included; handles are
-    /// `0..member_count()`.
-    fn member_count(&self) -> usize;
-
-    /// Member `handle`'s key agent, where the driver can show it:
-    /// `None` before admission, after departure — and, on the socket
-    /// driver, until [`Driver::finish_run`] collects the members from
-    /// their worker threads.
-    fn agent_of(&self, handle: usize) -> Option<&UserAgent>;
-
-    /// Requests a voluntary leave of member `handle`, effective as the
-    /// driver processes it.
-    fn leave(&mut self, handle: usize);
-
-    /// Advances the session until the server has completed rekey
-    /// interval `target` and every live member has applied it. Returns
-    /// `false` if the driver gave up (timeout on the socket driver, an
-    /// idle simulation otherwise).
-    fn run_to_interval(&mut self, target: u64) -> bool;
-
-    /// Shuts the session down: timers stop, queues drain, and the
-    /// server's flush rounds fold any pending membership work into a
-    /// final interval. Returns `false` if the flush failed to converge.
-    fn finish_run(&mut self) -> bool;
-
-    /// Verifies K-consistency of every live member's local table against
-    /// the authoritative membership (call after [`Driver::finish_run`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation found.
-    fn verify_consistency(&self) -> Result<(), ConsistencyViolation>;
-
-    /// Aggregated session metrics.
-    fn metrics(&self) -> MetricsSnapshot;
+/// Panics if a member of `group` holds no table — a protocol bug (the
+/// member never received its overlay state), not a consistency violation.
+pub(crate) fn check_member_tables<'a>(
+    group: &Group,
+    table_of: impl Fn(usize) -> Option<&'a NeighborTable>,
+) -> Result<(), ConsistencyViolation> {
+    let members = group.members();
+    let tables = members
+        .iter()
+        .map(|m| table_of(m.host.0).expect("admitted member holds a table"));
+    check_consistency(group.spec(), members, tables, group.k())
 }
 
 #[cfg(test)]

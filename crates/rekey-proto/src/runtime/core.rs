@@ -41,7 +41,7 @@ use rekey_tmesh::forward::{server_next_hops, user_next_hops_with};
 
 use crate::assign::{AssignParams, Probe};
 use crate::transport::{PrefixBuf, SplitIndex, SplitIndexMaintainer};
-use crate::{GroupServer, UserAgent, WelcomePacket};
+use crate::{Group, GroupServer, UserAgent, WelcomePacket};
 
 use super::{journal, RuntimeConfig};
 
@@ -1968,23 +1968,25 @@ impl RtMember {
         }
     }
 
-    /// A member dealt in by [`crate::GroupConfig::bootstrap`]: admitted
-    /// and welcomed at interval 1 before the session starts, expecting
-    /// interval 2 to close at the first rekey boundary. Returns the member
-    /// and the timer that mirrors `arm_check` after a `Welcome`. Its
-    /// heartbeat is *not* started: per-neighbor probing is O(N·K·D)
-    /// events per period at bootstrap scale.
+    /// Member `index` of a group dealt by [`crate::GroupConfig::bootstrap`]
+    /// (whose welcomes come back in member order): admitted with the
+    /// dealt table and welcomed at interval 1 before the session starts,
+    /// expecting interval 2 to close at the first rekey boundary. Returns
+    /// the member and the timer that mirrors `arm_check` after a
+    /// `Welcome`. Its heartbeat is *not* started: per-neighbor probing is
+    /// O(N·K·D) events per period at bootstrap scale.
     pub(crate) fn welcomed(
         shared: Arc<ShardCore>,
-        record: Member,
-        table: NeighborTable,
+        group: &Group,
+        index: usize,
         welcome: WelcomePacket,
     ) -> (RtMember, (SimTime, RtLocal)) {
+        let record = group.members()[index];
         debug_assert_eq!(record.id, welcome.id);
         let knobs = *shared.knobs();
         let mut member = RtMember::new(shared);
         member.member = Some(record);
-        member.table = Some(table);
+        member.table = Some(group.table(index).clone());
         member.server_interval_seen = welcome.interval;
         member.agent = Some(UserAgent::from_welcome(welcome));
         member.check_gen = 1;
@@ -1992,6 +1994,23 @@ impl RtMember {
         member.expected_interval = 2;
         let first_check = knobs.rekey_period + knobs.nack_grace;
         (member, (first_check, RtLocal::IntervalCheck { gen: 1 }))
+    }
+
+    /// `true` once this member has applied rekey interval `target`, or
+    /// has departed and is owed nothing more. A member mid-join (no agent
+    /// yet) has not.
+    pub(crate) fn has_applied(&self, target: u64) -> bool {
+        self.departed || self.agent.as_ref().is_some_and(|a| a.interval() >= target)
+    }
+
+    /// `true` while this admitted member's membership view is provably
+    /// behind the server's: an epoch bump's snapshot is still owed, or the
+    /// server reported a newer version of its table than it holds (a lost
+    /// `Table` push). A resync clears both.
+    pub(crate) fn is_stale(&self) -> bool {
+        !self.departed
+            && self.member.is_some()
+            && (self.sync_stale || self.seq_hint > self.table_seq)
     }
 
     /// The node hosting `host`'s member, offset past the replica block.
@@ -3069,12 +3088,7 @@ mod tests {
         let (_, fsm, mut welcomes) = dealt(16);
         let group = fsm.group();
         let table = group.table(3).clone();
-        let (mut member, _) = RtMember::welcomed(
-            core(),
-            group.members()[3],
-            table.clone(),
-            welcomes.swap_remove(3),
-        );
+        let (mut member, _) = RtMember::welcomed(core(), group, 3, welcomes.swap_remove(3));
         let mut out = Outbox::new();
         out.me = NodeId(4);
         let beat = || Event::Local(RtLocal::HeartbeatTick { gen: 0 });
@@ -3119,12 +3133,8 @@ mod tests {
         let (_, fsm, mut welcomes) = dealt(16);
         let group = fsm.group();
         let core = core();
-        let (mut member, _) = RtMember::welcomed(
-            Arc::clone(&core),
-            group.members()[3],
-            group.table(3).clone(),
-            welcomes.swap_remove(3),
-        );
+        let (mut member, _) =
+            RtMember::welcomed(Arc::clone(&core), group, 3, welcomes.swap_remove(3));
         core.begin_shutdown();
         let mut out = Outbox::new();
         out.me = NodeId(4);

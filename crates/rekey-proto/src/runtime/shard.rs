@@ -80,7 +80,7 @@ use rekey_keytree::TreeMetrics;
 use rekey_metrics::Registry;
 use rekey_net::{HostId, Micros, Network};
 use rekey_sim::{node_rng, FaultInjector, FaultPlan, NodeId, Scheduler, SimRng, SimTime};
-use rekey_table::{check_consistency, ConsistencyViolation, Member, NeighborTable};
+use rekey_table::{ConsistencyViolation, NeighborTable};
 
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
 
@@ -89,8 +89,8 @@ use super::core::{
     RtMember, RtServer, ShardCore, SERVER,
 };
 use super::{
-    journal, ChurnEvent, ChurnOp, Driver, ExecutorCounters, MetricsSnapshot, RtMsg, RuntimeConfig,
-    ServerStats,
+    check_member_tables, journal, ChurnEvent, ChurnOp, ExecutorCounters, MetricsSnapshot, RtMsg,
+    RuntimeConfig, ServerStats,
 };
 
 /// Domain separator of the per-lane loss RNG streams (lanes are further
@@ -426,15 +426,12 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             ShardedGroupRuntime::assemble(config, net, fsms, replicas > 1, shard_count, window);
         rt.servers[0].stats.welcomes = members as u64;
 
-        // Welcomes come back in member order (bootstrap deals IDs in
-        // host order), so handle i pairs welcomes[i] with members()[i].
+        // Bootstrap deals IDs in host order, so handle i is member i.
         for (handle, welcome) in welcomes.into_iter().enumerate() {
             let group = rt.servers[0].server.group();
-            let record = group.members()[handle];
-            let table = group.table(handle).clone();
-            let shard = &mut rt.shards[(record.id.digit(0) as usize) % shard_count];
+            let shard = &mut rt.shards[(welcome.id.digit(0) as usize) % shard_count];
             let (member, (due, check)) =
-                RtMember::welcomed(Arc::clone(&shard.core), record, table, welcome);
+                RtMember::welcomed(Arc::clone(&shard.core), group, handle, welcome);
             rt.placement
                 .push((shard.index as u32, shard.members.len() as u32));
             shard.members.push(member);
@@ -846,6 +843,28 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         self.now = self.now.max(until);
     }
 
+    /// Advances the clock a quarter rekey period at a time until the
+    /// acting primary has completed rekey interval `target` and every
+    /// live member has applied it. A crashed member never applies
+    /// anything again, so it is not waited for, though it stays in the
+    /// roster until its neighbors detect it. Returns `false` if the
+    /// target is still out of reach after 100 000 steps.
+    pub fn run_to_interval(&mut self, target: u64) -> bool {
+        let period = self.knobs().rekey_period.max(4);
+        for _ in 0..100_000 {
+            let reached = self.server().interval() >= target
+                && self.shards.iter().all(|shard| {
+                    let mut members = shard.members.iter().zip(&shard.alive);
+                    members.all(|(member, &alive)| !alive || member.has_applied(target))
+                });
+            if reached {
+                return true;
+            }
+            self.run_until(self.now + period / 4);
+        }
+        false
+    }
+
     /// Drains every pending event, windows included, until fully idle.
     fn drain(&mut self) {
         while self.step_window(None) {}
@@ -970,17 +989,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// node has no table) — that indicates a protocol bug, not a
     /// consistency violation.
     pub fn check_consistency(&self) -> Result<(), ConsistencyViolation> {
-        let group = self.group();
-        let members: Vec<Member> = group.members().to_vec();
-        let tables: Vec<NeighborTable> = members
-            .iter()
-            .map(|m| {
-                self.member_table(m.host.0)
-                    .cloned()
-                    .expect("admitted member holds a table")
-            })
-            .collect();
-        check_consistency(group.spec(), &members, &tables, group.k())
+        check_member_tables(self.group(), |handle| self.member_table(handle))
     }
 
     /// Aggregates the session's counters, histograms, and spans.
@@ -1011,65 +1020,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             histograms,
             executor,
         )
-    }
-}
-
-impl<NET: Network + Sync> Driver for ShardedGroupRuntime<NET> {
-    fn server_fsm(&self) -> &GroupServer {
-        self.server()
-    }
-
-    fn member_count(&self) -> usize {
-        self.placement.len()
-    }
-
-    fn agent_of(&self, handle: usize) -> Option<&UserAgent> {
-        self.agent(handle)
-    }
-
-    fn leave(&mut self, handle: usize) {
-        self.leave_at(self.now, handle);
-    }
-
-    fn run_to_interval(&mut self, target: u64) -> bool {
-        let period = self.knobs().rekey_period.max(4);
-        for _ in 0..100_000 {
-            let reached = self.server().interval() >= target
-                && self.shards.iter().all(|shard| {
-                    // A crashed member never applies anything again; it
-                    // stays in the roster until its neighbors detect it.
-                    shard
-                        .members
-                        .iter()
-                        .zip(&shard.alive)
-                        .all(|(member, &alive)| {
-                            member.departed
-                                || !alive
-                                || member
-                                    .agent
-                                    .as_ref()
-                                    .is_some_and(|a| a.interval() >= target)
-                        })
-                });
-            if reached {
-                return true;
-            }
-            self.run_until(self.now + period / 4);
-        }
-        false
-    }
-
-    fn finish_run(&mut self) -> bool {
-        self.finish(self.now);
-        true
-    }
-
-    fn verify_consistency(&self) -> Result<(), ConsistencyViolation> {
-        self.check_consistency()
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.snapshot()
     }
 }
 

@@ -48,6 +48,14 @@
 //! runs are *not* byte-reproducible; equivalence with the simulated
 //! driver is pinned by the `socket_equivalence` integration test, which
 //! drives the same churn through both and compares final key trees.
+//!
+//! Everything here is about sockets and the wall clock; what is not, the
+//! driver shares with the simulator. It deals the group once and clones
+//! the dealt server for its followers, builds each dealt member with
+//! `RtMember::welcomed`, answers the coordinator's lag and staleness
+//! questions with `RtMember::has_applied` and `RtMember::is_stale`, and
+//! audits the collected members' tables with the same function the
+//! simulator's `check_consistency` calls.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -63,7 +71,7 @@ use rekey_metrics::Registry;
 use rekey_net::udp::{EndpointStats, UdpEndpoint};
 use rekey_net::{HostId, Network};
 use rekey_sim::{NodeId, Scheduler, SimTime};
-use rekey_table::{check_consistency, ConsistencyViolation, Member, NeighborTable};
+use rekey_table::ConsistencyViolation;
 
 use super::core::{
     acting_primary, boot_timers, merge_member_sinks, Effect, Event, Knobs, Outbox, RtLocal,
@@ -71,7 +79,8 @@ use super::core::{
 };
 use super::wire::{decode_msg, encode_forward_split, encode_msg, WireError};
 use super::{
-    journal, Driver, ExecutorCounters, MetricsSnapshot, RtMsg, RuntimeConfig, ServerStats,
+    check_member_tables, journal, ExecutorCounters, MetricsSnapshot, RtMsg, RuntimeConfig,
+    ServerStats,
 };
 
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
@@ -305,15 +314,14 @@ enum WorkerCtl {
     /// Raise the driver command `local` at `node` (join/leave).
     Inject { node: NodeId, local: RtLocal },
     /// Reply with the hosted members that have not yet applied rekey
-    /// interval `target` (departed members excluded).
+    /// interval `target` ([`RtMember::has_applied`]).
     Lag {
         target: u64,
         reply: mpsc::Sender<Vec<usize>>,
     },
     /// Reply with the hosted members whose membership view is provably
-    /// behind the server's (a buffered seq gap, an epoch-bump snapshot
-    /// still owed, or a watermark ahead of the applied counter — the
-    /// kernel-drop cases a resync has yet to repair).
+    /// behind the server's ([`RtMember::is_stale`]) — the kernel-drop
+    /// cases a resync has yet to repair.
     Stale { reply: mpsc::Sender<Vec<usize>> },
     /// Drain the socket once more and return all hosted members.
     Stop,
@@ -355,10 +363,10 @@ impl Worker {
                     WorkerCtl::Lag { target, reply } => {
                         // The receiver may already have given up; a
                         // dropped reply channel is not our problem.
-                        let _ = reply.send(self.lagging(target));
+                        let _ = reply.send(self.nodes_where(|m| !m.has_applied(target)));
                     }
                     WorkerCtl::Stale { reply } => {
-                        let _ = reply.send(self.stale());
+                        let _ = reply.send(self.nodes_where(RtMember::is_stale));
                     }
                     WorkerCtl::Stop => {
                         self.drain_socket();
@@ -377,25 +385,11 @@ impl Worker {
         }
     }
 
-    /// Members that are live but have not applied interval `target` yet.
-    /// A member mid-join (no agent) counts as lagging; a departed one
-    /// does not.
-    fn lagging(&self, target: u64) -> Vec<usize> {
+    /// The hosted nodes whose member matches `question`.
+    fn nodes_where(&self, question: impl Fn(&RtMember) -> bool) -> Vec<usize> {
         self.members
             .iter()
-            .filter(|(_, m)| !m.departed)
-            .filter(|(_, m)| m.agent.as_ref().is_none_or(|a| a.interval() < target))
-            .map(|(&node, _)| node)
-            .collect()
-    }
-
-    /// Members whose membership view is provably behind the server's —
-    /// their pending resync must land before shutdown collects them.
-    fn stale(&self) -> Vec<usize> {
-        self.members
-            .iter()
-            .filter(|(_, m)| !m.departed && m.member.is_some())
-            .filter(|(_, m)| m.sync_stale || m.seq_hint > m.table_seq)
+            .filter(|(_, m)| question(m))
             .map(|(&node, _)| node)
             .collect()
     }
@@ -536,19 +530,12 @@ impl<NET: Network> UdpGroupDriver<NET> {
             worker_endpoints.push(UdpEndpoint::bind_loopback()?);
         }
         let mut slots = Vec::with_capacity(replicas);
-        // Every replica runs the same seeded dealing pass, so all start
-        // from byte-identical group state — the socket equivalent of the
-        // followers having replayed the primary's bootstrap log.
-        let mut welcomes = Vec::new();
-        let mut fsms = Vec::with_capacity(replicas);
-        for replica in 0..replicas {
-            let (mut server_fsm, dealt) = group.clone().bootstrap(server_host, &hosts, &*net)?;
-            if replica == 0 {
-                server_fsm.instrument_tree(TreeMetrics::in_registry(&registry));
-                welcomes = dealt;
-            }
-            fsms.push(server_fsm);
-        }
+        let (server_fsm, welcomes) = group.bootstrap(server_host, &hosts, &*net)?;
+        // Followers start from a copy of the dealt state — what replaying
+        // the primary's bootstrap would have given them. Only the primary
+        // instruments its tree: one metrics stream per group.
+        let mut fsms = vec![server_fsm; replicas];
+        fsms[0].instrument_tree(TreeMetrics::in_registry(&registry));
         // Loopback models no access links: every `Pong` carries 0.
         let assign = fsms[0].group().assign_params().clone();
         let core = ShardCore::new(knobs, assign, Arc::new([]));
@@ -635,12 +622,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         // NACK grace.
         for (i, welcome) in welcomes.into_iter().enumerate() {
             let group = driver.servers[0].rt.server.group();
-            let (member, check) = RtMember::welcomed(
-                Arc::clone(&driver.core),
-                group.members()[i],
-                group.table(i).clone(),
-                welcome,
-            );
+            let (member, check) = RtMember::welcomed(Arc::clone(&driver.core), group, i, welcome);
             let node = NodeId(i + replicas);
             driver.handles += 1;
             driver
@@ -859,10 +841,11 @@ impl<NET: Network> UdpGroupDriver<NET> {
     /// within `timeout`; when it did not, [`UdpGroupDriver::not_converged`]
     /// says what was still open, and for which members.
     ///
-    /// Idempotent: later calls return `true` without further effect.
+    /// Idempotent: later calls have no further effect and return what
+    /// the first one did.
     pub fn finish(&mut self, timeout: Duration) -> bool {
         if self.finished {
-            return true;
+            return self.not_converged.is_none();
         }
         self.core.begin_shutdown();
         let deadline = Instant::now() + timeout;
@@ -966,20 +949,13 @@ impl<NET: Network> UdpGroupDriver<NET> {
     /// yet) or when an admitted member is missing its table.
     pub fn check_consistency(&self) -> Result<(), ConsistencyViolation> {
         assert!(self.finished, "collect members with finish() first");
-        let group = self.primary_rt().server.group();
-        let members: Vec<Member> = group.members().to_vec();
-        let tables: Vec<NeighborTable> = members
-            .iter()
-            .map(|m| {
-                self.collected[m.host.0]
-                    .as_ref()
-                    .expect("admitted member was collected")
-                    .table
-                    .clone()
-                    .expect("admitted member holds a table")
-            })
-            .collect();
-        check_consistency(group.spec(), &members, &tables, group.k())
+        check_member_tables(self.group(), |handle| {
+            let member = self.collected[handle].as_ref();
+            member
+                .expect("admitted member was collected")
+                .table
+                .as_ref()
+        })
     }
 
     /// Aggregated endpoint traffic (server + all workers).
@@ -1029,42 +1005,6 @@ impl<NET: Network> UdpGroupDriver<NET> {
                 ..ExecutorCounters::default()
             },
         )
-    }
-}
-
-/// The [`Driver`] binding uses a 60-second patience budget per advance,
-/// generous for loopback; use the inherent methods to pick timeouts.
-impl<NET: Network> Driver for UdpGroupDriver<NET> {
-    fn server_fsm(&self) -> &GroupServer {
-        self.server()
-    }
-
-    fn member_count(&self) -> usize {
-        self.handles
-    }
-
-    fn agent_of(&self, handle: usize) -> Option<&UserAgent> {
-        self.agent(handle)
-    }
-
-    fn leave(&mut self, handle: usize) {
-        UdpGroupDriver::leave(self, handle);
-    }
-
-    fn run_to_interval(&mut self, target: u64) -> bool {
-        UdpGroupDriver::run_to_interval(self, target, Duration::from_secs(60))
-    }
-
-    fn finish_run(&mut self) -> bool {
-        self.finish(Duration::from_secs(60))
-    }
-
-    fn verify_consistency(&self) -> Result<(), ConsistencyViolation> {
-        self.check_consistency()
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.snapshot()
     }
 }
 
@@ -1122,6 +1062,33 @@ mod tests {
         assert_eq!(open.lagging, vec![joiner]);
         assert_eq!((open.joins, open.leaves), (0, 0));
         assert!(open.pending_leave_acks.is_empty() && open.stale.is_empty());
+        assert!(
+            !rt.finish(Duration::from_millis(100)),
+            "a repeat call still fails"
+        );
+        assert!(rt.not_converged().is_some());
+    }
+
+    /// Replicated followers start from the primary's dealt state: every
+    /// replica holds replica 0's roster and tree group key before the
+    /// session runs.
+    #[test]
+    fn replicated_followers_start_identical_to_the_primary() {
+        let net = GridNetwork::new(16, 1_000, 100);
+        let group = GroupConfig::for_spec(&IdSpec::new(3, 4).unwrap())
+            .k(2)
+            .seed(11);
+        let config = RuntimeConfig::builder().replicas(3).build();
+        let rt = UdpGroupDriver::bootstrapped(group, config, net, 12, 1).expect("driver builds");
+        assert_eq!(rt.servers.len(), 3);
+        let primary = &rt.servers[0].rt.server;
+        assert_eq!(primary.group().len(), 12);
+        assert!(primary.tree().group_key().is_some());
+        for slot in &rt.servers[1..] {
+            let follower = &slot.rt.server;
+            assert_eq!(follower.group().members(), primary.group().members());
+            assert_eq!(follower.tree().group_key(), primary.tree().group_key());
+        }
     }
 
     /// Nothing a peer can put in a datagram fires a node's timers or

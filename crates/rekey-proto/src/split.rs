@@ -12,34 +12,51 @@
 //! [`crate::SplitIndex`] built once per session, so each hop costs
 //! O(D log M) binary searching instead of an O(M) scan, and no per-edge
 //! subset vector is allocated. The former scan-per-hop implementation is
-//! preserved verbatim in [`mod@reference`] as the correctness oracle and
-//! benchmark baseline.
+//! preserved verbatim in [`mod@reference`] as the correctness oracle,
+//! together with Fig. 5's per-copy scan `split_for_neighbor`.
 
 use rekey_crypto::Encryption;
-use rekey_id::IdPrefix;
 use rekey_net::Network;
-use rekey_tmesh::forward::{server_next_hops, user_next_hops};
 use rekey_tmesh::TmeshGroup;
 
-use crate::transport::{BandwidthReport, RekeySession, TransportOptions};
+use crate::transport::{BandwidthReport, Payload, RekeySession, TransportOptions};
 
-/// Which encryptions of `message` belong in the copy composed for the
-/// `(s, j)`-primary neighbor `w` — the loop body of `REKEY-MESSAGE-SPLIT`
-/// (Fig. 5), as the paper states it.
-///
-/// This is the naive O(M) scan; the transports resolve the same set by
-/// range extraction from a [`crate::SplitIndex`]. Kept public as the
-/// oracle the equivalence tests and benchmarks compare against.
-pub fn split_for_neighbor(
-    message: &[usize],
-    all: &[Encryption],
-    w_prefix: &IdPrefix,
-) -> Vec<usize> {
-    message
-        .iter()
-        .copied()
-        .filter(|&e| all[e].id().is_related(w_prefix))
-        .collect()
+/// Charges one copy of `payload` from `from` (the server when `None`) to
+/// `to`: the sender's forwarding count and every link on the way.
+/// Returns the copy's size in encryptions.
+fn charge_copy(
+    session: &RekeySession<'_>,
+    report: &mut BandwidthReport,
+    net: &impl Network,
+    from: Option<usize>,
+    to: usize,
+    payload: Payload,
+) -> u64 {
+    let units = session.payload_len(payload);
+    let sender = match from {
+        Some(member) => {
+            report.forwarded[member] += units;
+            session.host(member)
+        }
+        None => session.group.server_host(),
+    };
+    report.account_link(net, sender, session.host(to), units);
+    units
+}
+
+/// Credits `member` with one received copy of `units` encryptions, and
+/// records which ones with [`TransportOptions::detail`].
+fn credit_copy(
+    session: &RekeySession<'_>,
+    report: &mut BandwidthReport,
+    member: usize,
+    payload: Payload,
+    units: u64,
+) {
+    report.received[member] += units;
+    if let Some(sets) = report.received_sets.as_mut() {
+        session.payload_extend(payload, &mut sets[member]);
+    }
 }
 
 /// Runs one rekey transport session over T-mesh (protocols `P1`/`P2` of
@@ -54,36 +71,13 @@ pub fn tmesh_rekey_transport(
     message: &[Encryption],
     options: TransportOptions,
 ) -> BandwidthReport {
-    let n = group.members().len();
-    let mut report = BandwidthReport::new(n, net, options.detail);
-    let mut session = RekeySession::new(group, message, options.split);
-
-    for hop in server_next_hops(group.server_table()) {
-        let to = session.members.of_hop(&hop);
-        let payload = session.initial_payload(&hop);
-        let units = session.payload_len(payload);
-        report.account_link(net, group.server_host(), session.host(to), units);
-        session
-            .queue
-            .push_back((to, hop.forward_level, payload, units));
-    }
-
-    while let Some((member, level, payload, units)) = session.queue.pop_front() {
-        report.received[member] += units;
-        if let Some(sets) = report.received_sets.as_mut() {
-            session.payload_extend(payload, &mut sets[member]);
-        }
-        for hop in user_next_hops(group.table(member), level) {
-            let to = session.members.of_hop(&hop);
-            let next = session.payload_for(payload, &hop);
-            let next_units = session.payload_len(next);
-            report.forwarded[member] += next_units;
-            report.account_link(net, session.host(member), session.host(to), next_units);
-            session
-                .queue
-                .push_back((to, hop.forward_level, next, next_units));
-        }
-    }
+    let mut report = BandwidthReport::new(group.members().len(), net, options.detail);
+    let session = RekeySession::new(group, message, options.split);
+    session.walk(
+        &mut report,
+        |report, from, to, _, payload| Some(charge_copy(&session, report, net, from, to, payload)),
+        |report, member, payload, units| credit_copy(&session, report, member, payload, units),
+    );
     report
 }
 
@@ -112,10 +106,9 @@ pub fn cluster_rekey_transport(
     is_leader: &dyn Fn(usize) -> bool,
     cluster_of: &dyn Fn(usize) -> Vec<usize>,
 ) -> BandwidthReport {
-    let n = group.members().len();
     let depth = group.spec().depth();
-    let mut report = BandwidthReport::new(n, net, options.detail);
-    let mut session = RekeySession::new(group, message, options.split);
+    let mut report = BandwidthReport::new(group.members().len(), net, options.detail);
+    let session = RekeySession::new(group, message, options.split);
 
     // The leader (or designated receiver) fans the group key out to its
     // cluster over pairwise keys.
@@ -127,12 +120,7 @@ pub fn cluster_rekey_transport(
             if let Some(&l) = peers.iter().find(|&&m| is_leader(m)) {
                 report.forwarded[receiver] += report.received[receiver];
                 let units = report.received[receiver];
-                report.account_link(
-                    net,
-                    group.members()[receiver].host,
-                    group.members()[l].host,
-                    units,
-                );
+                report.account_link(net, session.host(receiver), session.host(l), units);
                 report.received[l] += units;
                 leader = l;
             }
@@ -145,48 +133,24 @@ pub fn cluster_rekey_transport(
             if report.received[peer] == 0 {
                 report.forwarded[leader] += 1;
                 report.received[peer] += 1;
-                report.account_link(
-                    net,
-                    group.members()[leader].host,
-                    group.members()[peer].host,
-                    1,
-                );
+                report.account_link(net, session.host(leader), session.host(peer), 1);
             }
         }
     };
 
-    for hop in server_next_hops(group.server_table()) {
-        let to = session.members.of_hop(&hop);
-        let payload = session.initial_payload(&hop);
-        let units = session.payload_len(payload);
-        report.account_link(net, group.server_host(), session.host(to), units);
-        session
-            .queue
-            .push_back((to, hop.forward_level, payload, units));
-    }
-
-    while let Some((member, level, payload, units)) = session.queue.pop_front() {
-        report.received[member] += units;
-        if let Some(sets) = report.received_sets.as_mut() {
-            session.payload_extend(payload, &mut sets[member]);
-        }
+    session.walk(
+        &mut report,
         // Forward only at levels < D − 1 (Appendix B): the bottom row is
         // replaced by the leader's pairwise unicasts.
-        for hop in user_next_hops(group.table(member), level) {
-            if hop.row + 1 >= depth {
-                continue;
-            }
-            let to = session.members.of_hop(&hop);
-            let next = session.payload_for(payload, &hop);
-            let next_units = session.payload_len(next);
-            report.forwarded[member] += next_units;
-            report.account_link(net, session.host(member), session.host(to), next_units);
-            session
-                .queue
-                .push_back((to, hop.forward_level, next, next_units));
-        }
-        deliver_to_cluster(&mut report, member);
-    }
+        |report, from, to, hop, payload| {
+            (from.is_none() || hop.row + 1 < depth)
+                .then(|| charge_copy(&session, report, net, from, to, payload))
+        },
+        |report, member, payload, units| {
+            credit_copy(&session, report, member, payload, units);
+            deliver_to_cluster(report, member);
+        },
+    );
     report
 }
 

@@ -1,19 +1,35 @@
 #![cfg(test)]
 //! The pre-index transport implementations: an O(N) member scan per hop
-//! and an O(M) relatedness scan per composed copy, allocating one subset
-//! vector per edge. Kept verbatim as the correctness oracle the
+//! and an O(M) relatedness scan per composed copy (`split_for_neighbor`),
+//! allocating one subset vector per edge. Kept verbatim as the correctness oracle the
 //! equivalence property tests (`transport_equivalence`) compare the
 //! indexed core against; test code only.
 
 use std::collections::VecDeque;
 
 use rekey_crypto::Encryption;
+use rekey_id::IdPrefix;
 use rekey_net::Network;
 use rekey_tmesh::forward::{server_next_hops, user_next_hops};
 use rekey_tmesh::TmeshGroup;
 
-use super::split_for_neighbor;
 use crate::transport::{BandwidthReport, TransportOptions};
+
+/// Which encryptions of `message` belong in the copy composed for the
+/// `(s, j)`-primary neighbor `w` — the loop body of `REKEY-MESSAGE-SPLIT`
+/// (Fig. 5), as the paper states it: an O(M) scan, where the transports
+/// resolve the same set by range extraction from a [`crate::SplitIndex`].
+pub(crate) fn split_for_neighbor(
+    message: &[usize],
+    all: &[Encryption],
+    w_prefix: &IdPrefix,
+) -> Vec<usize> {
+    message
+        .iter()
+        .copied()
+        .filter(|&e| all[e].id().is_related(w_prefix))
+        .collect()
+}
 
 /// [`crate::tmesh_rekey_transport`] as originally implemented: scan
 /// per hop, subset vector per edge.

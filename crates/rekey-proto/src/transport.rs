@@ -3,12 +3,14 @@
 //!
 //! All three rekey transports ([`crate::tmesh_rekey_transport`],
 //! [`crate::cluster_rekey_transport`], [`crate::lossy_rekey_transport`])
-//! drive the same BFS over T-mesh forwarding hops. This module holds the
-//! machinery they share:
+//! run the same breadth-first walk over T-mesh forwarding hops,
+//! `RekeySession::walk`, and differ only in what they do with each copy
+//! (count it, drop it to loss, skip the bottom row). This module holds
+//! the walk and the machinery it runs on:
 //!
-//! * `MemberIndex` — O(1) `UserId → member index` resolution per hop
-//!   (backed by the map `TmeshGroup` builds once per session), replacing
-//!   the former O(N) `members().position(..)` scan per edge;
+//! * O(1) `UserId → member index` resolution per hop, through the map
+//!   `TmeshGroup` builds once per session, in place of the former O(N)
+//!   `members().position(..)` scan per edge;
 //! * [`SplitIndex`] — the `REKEY-MESSAGE-SPLIT` routine (Fig. 5) as
 //!   contiguous-range extraction. Encryption indices are sorted once by
 //!   encryption ID; Theorem 2's relatedness predicate for a hop prefix `p`
@@ -35,9 +37,9 @@
 use std::collections::VecDeque;
 
 use rekey_crypto::Encryption;
-use rekey_id::{IdPrefix, UserId};
+use rekey_id::IdPrefix;
 use rekey_net::{HostId, LinkLoad, Network};
-use rekey_tmesh::forward::Hop;
+use rekey_tmesh::forward::{server_next_hops, user_next_hops, Hop};
 use rekey_tmesh::TmeshGroup;
 
 pub use rekey_id::MAX_DEPTH;
@@ -83,38 +85,6 @@ impl TransportOptions {
     pub fn with_detail(mut self) -> TransportOptions {
         self.detail = true;
         self
-    }
-}
-
-/// O(1) member resolution for transport hops.
-///
-/// Wraps the `UserId → index` map that [`TmeshGroup`] builds once per
-/// session, giving transports a named handle for the lookup that used to
-/// be an O(N) scan per edge.
-#[derive(Clone, Copy)]
-pub(crate) struct MemberIndex<'a> {
-    group: &'a TmeshGroup,
-}
-
-impl<'a> MemberIndex<'a> {
-    pub(crate) fn new(group: &'a TmeshGroup) -> MemberIndex<'a> {
-        MemberIndex { group }
-    }
-
-    /// The member index of `id`, if it is a session member.
-    pub(crate) fn get(&self, id: &UserId) -> Option<usize> {
-        self.group.member_index(id)
-    }
-
-    /// The member index of a hop's receiving neighbor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the neighbor is not a session member (tables and member
-    /// list out of sync — a bug by construction of `TmeshGroup`).
-    pub(crate) fn of_hop(&self, hop: &Hop<'_>) -> usize {
-        self.get(&hop.neighbor.member.id)
-            .expect("hop neighbor is a session member")
     }
 }
 
@@ -549,18 +519,12 @@ pub(crate) enum Payload {
     Related(PrefixBuf),
 }
 
-/// One queued overlay copy: receiving member, its forwarding level, the
-/// payload descriptor, and the payload size in encryptions. No heap.
-pub(crate) type QueuedCopy = (usize, usize, Payload, u64);
-
-/// The state shared by one rekey transport session: the mesh, the member
-/// index, the split index over the message, and the BFS queue.
+/// The state shared by one rekey transport session: the mesh and the
+/// split index over the message.
 pub(crate) struct RekeySession<'a> {
     pub group: &'a TmeshGroup,
-    pub members: MemberIndex<'a>,
     pub index: SplitIndex,
-    pub split: bool,
-    pub queue: VecDeque<QueuedCopy>,
+    split: bool,
 }
 
 impl<'a> RekeySession<'a> {
@@ -571,16 +535,63 @@ impl<'a> RekeySession<'a> {
     ) -> RekeySession<'a> {
         RekeySession {
             group,
-            members: MemberIndex::new(group),
             index: SplitIndex::build(message),
             split,
-            queue: VecDeque::new(),
         }
+    }
+
+    /// The multicast, breadth first: the server sends one copy per next
+    /// hop of its table, and each member that receives a copy forwards
+    /// one per next hop at the level it arrived on (`FORWARD`, Fig. 2).
+    ///
+    /// `send(state, from, to, hop, payload)` sees every copy about to be
+    /// sent, in that order (`from` is `None` for the server's); returning
+    /// `None` drops the copy and so silences the receiver's subtree.
+    /// Whatever it returns otherwise travels with the copy to
+    /// `receive(state, member, payload, carried)`, called as the copy is
+    /// dequeued and before `member` forwards. Both share `state`.
+    pub(crate) fn walk<S, T>(
+        &self,
+        state: &mut S,
+        mut send: impl FnMut(&mut S, Option<usize>, usize, &Hop<'_>, Payload) -> Option<T>,
+        mut receive: impl FnMut(&mut S, usize, Payload, T),
+    ) {
+        let mut queue = VecDeque::new();
+        for hop in server_next_hops(self.group.server_table()) {
+            let to = self.receiver(&hop);
+            let payload = self.payload_for(Payload::Full, &hop);
+            if let Some(carried) = send(state, None, to, &hop, payload) {
+                queue.push_back((to, hop.forward_level, payload, carried));
+            }
+        }
+        while let Some((member, level, payload, carried)) = queue.pop_front() {
+            receive(state, member, payload, carried);
+            for hop in user_next_hops(self.group.table(member), level) {
+                let to = self.receiver(&hop);
+                let next = self.payload_for(payload, &hop);
+                if let Some(carried) = send(state, Some(member), to, &hop, next) {
+                    queue.push_back((to, hop.forward_level, next, carried));
+                }
+            }
+        }
+    }
+
+    /// The member index of `hop`'s receiving neighbor, in O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the neighbor is not a session member (tables and member
+    /// list out of sync — a bug by construction of `TmeshGroup`).
+    fn receiver(&self, hop: &Hop<'_>) -> usize {
+        let id = &hop.neighbor.member.id;
+        self.group
+            .member_index(id)
+            .expect("hop neighbor is a session member")
     }
 
     /// The payload composed for `hop`: the split extract for its subtree
     /// prefix, or the incoming payload unchanged without splitting.
-    pub(crate) fn payload_for(&self, incoming: Payload, hop: &Hop<'_>) -> Payload {
+    fn payload_for(&self, incoming: Payload, hop: &Hop<'_>) -> Payload {
         if self.split {
             Payload::Related(PrefixBuf::of_hop(hop))
         } else {
@@ -602,11 +613,6 @@ impl<'a> RekeySession<'a> {
             Payload::Full => out.extend(0..self.index.len()),
             Payload::Related(prefix) => out.extend(self.index.indices(prefix.as_slice())),
         }
-    }
-
-    /// The payload the server composes for an initial hop.
-    pub(crate) fn initial_payload(&self, hop: &Hop<'_>) -> Payload {
-        self.payload_for(Payload::Full, hop)
     }
 
     pub(crate) fn host(&self, member: usize) -> HostId {

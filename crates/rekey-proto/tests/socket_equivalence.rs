@@ -14,9 +14,11 @@
 //! retransmits existing key material and cannot perturb the draw
 //! sequence.
 
+use std::time::Duration;
+
 use rekey_id::IdSpec;
 use rekey_net::GridNetwork;
-use rekey_proto::{Driver, GroupConfig, RuntimeConfig, ShardedGroupRuntime, UdpGroupDriver};
+use rekey_proto::{GroupConfig, RuntimeConfig, ShardedGroupRuntime, UdpGroupDriver};
 
 const MEMBERS: usize = 24;
 /// 150 ms per rekey interval: sim time for the sharded engine, real
@@ -43,17 +45,32 @@ fn config() -> RuntimeConfig {
         .build()
 }
 
-/// The shared churn trace, expressed purely through the [`Driver`]
-/// boundary: one leave per interval keeps the per-interval batch a
-/// single-element set, so batch application order — the one thing real
-/// packet arrival could perturb — cannot differ between engines.
-fn drive<D: Driver>(rt: &mut D) {
-    rt.leave(4);
+/// The shared churn trace on the simulator: one leave per interval keeps
+/// the per-interval batch a single-element set, so batch application
+/// order — the one thing real packet arrival could perturb — cannot
+/// differ between engines. A leave at time 0 is clamped to the present,
+/// and `finish(0)` shuts down from where the session stands, panicking if
+/// its flush does not converge.
+fn drive_sim(rt: &mut ShardedGroupRuntime<GridNetwork>) {
+    rt.leave_at(0, 4);
     assert!(rt.run_to_interval(2), "interval 2 stalled");
-    rt.leave(17);
+    rt.leave_at(0, 17);
     assert!(rt.run_to_interval(3), "interval 3 stalled");
-    assert!(rt.finish_run(), "flush failed to converge");
-    rt.verify_consistency()
+    rt.finish(0);
+    rt.check_consistency()
+        .expect("tables K-consistent after finish");
+}
+
+/// The same churn trace over real sockets, with a 60-second patience
+/// budget per advance — generous for loopback.
+fn drive_udp(rt: &mut UdpGroupDriver<GridNetwork>) {
+    const PATIENCE: Duration = Duration::from_secs(60);
+    rt.leave(4);
+    assert!(rt.run_to_interval(2, PATIENCE), "interval 2 stalled");
+    rt.leave(17);
+    assert!(rt.run_to_interval(3, PATIENCE), "interval 3 stalled");
+    assert!(rt.finish(PATIENCE), "flush failed to converge");
+    rt.check_consistency()
         .expect("tables K-consistent after finish");
 }
 
@@ -65,10 +82,10 @@ fn sim_and_socket_drivers_agree() {
     let mut udp =
         UdpGroupDriver::bootstrapped(group(), config(), net(), MEMBERS, 4).expect("udp bootstrap");
 
-    drive(&mut sim);
-    drive(&mut udp);
+    drive_sim(&mut sim);
+    drive_udp(&mut udp);
 
-    let (a, b) = (sim.server_fsm(), udp.server_fsm());
+    let (a, b) = (sim.server(), udp.server());
     assert_eq!(a.interval(), b.interval(), "interval counts diverge");
 
     // Identical rosters: same user IDs on the same hosts, in the same
@@ -91,7 +108,7 @@ fn sim_and_socket_drivers_agree() {
     // survivor in both engines holds the (shared) current group key.
     assert_eq!(sim.member_count(), udp.member_count());
     for h in 0..sim.member_count() {
-        match (sim.agent_of(h), udp.agent_of(h)) {
+        match (sim.agent(h), udp.agent(h)) {
             (Some(x), Some(y)) => {
                 assert_eq!(x.group_key(), Some(gk), "sim member {h} is stale");
                 assert_eq!(y.group_key(), Some(gk), "udp member {h} is stale");

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Digests of the figure outputs that every neighbor table, ID assignment,
 # key and multicast session feeds into, reproducibly (all with default
-# arguments, ~35 s on a 2-core VM):
+# arguments, ~36 s on a 2-core VM):
 #
 #   join_cost             §3.1 join cost as groups grow by joins
 #   fig13                 per-user rekey cost after a 1 024-user group's
@@ -10,6 +10,10 @@
 #                         link stress and the failure sweep
 #   ablation_gnp          multicast on the GNP-estimated substrate
 #   concurrent_transport  rekey and data traffic sharing egress links
+#   ablation_loss         the split transport under per-copy loss, and
+#                         its unicast recovery
+#   ablation_packet_split what the split transport delivers, charged at
+#                         packet granularity
 #
 #   scripts/digests.sh            # one "md5  name" line per output
 #   scripts/digests.sh --check    # the same, and exit 1 if they differ from
@@ -22,7 +26,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-bins="join_cost fig13 fig06 fig07 fig08 fig09 fig10 fig11 fig14 ablation_gnp concurrent_transport"
+bins="join_cost fig13 fig06 fig07 fig08 fig09 fig10 fig11 fig14 ablation_gnp concurrent_transport
+ablation_loss ablation_packet_split"
 # shellcheck disable=SC2046 # one --bin flag per name
 cargo build --offline --release -q -p rekey-bench $(printf -- '--bin %s ' $bins)
 out=$(mktemp)

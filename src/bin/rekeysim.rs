@@ -170,7 +170,6 @@ fn main() {
             if loss_pct > 0 {
                 let report = lossy_rekey_transport(
                     &mesh,
-                    &net,
                     out.encryptions(),
                     f64::from(loss_pct) / 100.0,
                     &mut rng,

@@ -256,7 +256,6 @@ fn lossy_transport_is_deterministic_in_the_loss_seed() {
             .unwrap();
         let report = lossy_rekey_transport(
             &group.tmesh(),
-            &net,
             out.encryptions(),
             0.3,
             &mut seeded_rng(loss_seed),

@@ -32,7 +32,7 @@ use group_rekeying::id::IdSpec;
 use group_rekeying::net::{GridNetwork, MatrixNetwork, Network, PlanetLabParams};
 use group_rekeying::proto::SERVER_NODE;
 use group_rekeying::proto::{
-    ChurnEvent, Driver, GroupConfig, RuntimeConfig, ShardedGroupRuntime, UdpGroupDriver,
+    ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime, UdpGroupDriver,
 };
 use group_rekeying::sim::{seeded_rng, FaultPlan, GilbertElliott};
 
@@ -291,13 +291,15 @@ fn socket_failover_matches_single_replica_sim() {
         UdpGroupDriver::bootstrapped(udp_group(), udp_config(3), udp_net(), UDP_MEMBERS, 4)
             .expect("udp bootstrap");
 
-    // Baseline: two leaves, three intervals, no faults.
-    sim.leave(4);
-    assert!(Driver::run_to_interval(&mut sim, 2), "sim interval 2");
-    sim.leave(17);
-    assert!(Driver::run_to_interval(&mut sim, 3), "sim interval 3");
-    assert!(sim.finish_run(), "sim flush converged");
-    sim.verify_consistency().expect("sim tables K-consistent");
+    // Baseline: two leaves, three intervals, no faults. A leave at time 0
+    // is clamped to the present, and `finish(0)` shuts down from where
+    // the session stands — panicking if its flush does not converge.
+    sim.leave_at(0, 4);
+    assert!(sim.run_to_interval(2), "sim interval 2");
+    sim.leave_at(0, 17);
+    assert!(sim.run_to_interval(3), "sim interval 3");
+    sim.finish(0);
+    sim.check_consistency().expect("sim tables K-consistent");
 
     // Same churn over UDP, but the primary dies between the leaves.
     udp.leave(4);
@@ -348,7 +350,7 @@ fn socket_failover_matches_single_replica_sim() {
     assert!(report.promotions >= 1, "promotion must be counted");
     assert!(report.elections >= 1, "election must be counted");
 
-    let (a, b) = (sim.server_fsm(), udp.server_fsm());
+    let (a, b) = (sim.server(), udp.server());
     // Identical rosters: same user IDs on the same hosts in the same
     // order (all joined_at stamps are bootstrap-time zero on both).
     assert_eq!(a.group().members(), b.group().members(), "rosters diverge");
@@ -362,7 +364,7 @@ fn socket_failover_matches_single_replica_sim() {
     }
     // Every survivor on both sides holds the shared group key.
     for h in 0..UDP_MEMBERS {
-        match (sim.agent_of(h), udp.agent_of(h)) {
+        match (sim.agent(h), udp.agent(h)) {
             (Some(x), Some(y)) => {
                 assert_eq!(x.group_key(), Some(gk), "sim member {h} is stale");
                 assert_eq!(y.group_key(), Some(gk), "udp member {h} is stale");
