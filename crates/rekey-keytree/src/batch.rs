@@ -52,6 +52,9 @@ pub struct RekeyArena {
     pub(crate) jobs: Vec<SealJob>,
     /// Wall-clock nanoseconds the seal phase of the last batch took.
     pub(crate) seal_nanos: u64,
+    /// Node (re)creations of the last batch that resumed a retired
+    /// version.
+    pub(crate) tombstone_hits: u64,
 }
 
 /// Cloning a value that embeds an arena (e.g. a server checkpoint) must
@@ -92,6 +95,7 @@ impl RekeyArena {
         self.updated.clear();
         self.jobs.clear();
         self.seal_nanos = 0;
+        self.tombstone_hits = 0;
     }
 
     /// Grows the encryption pool to at least `n` slots and marks `[..n]`
@@ -119,8 +123,7 @@ impl<'a> RekeyBatch<'a> {
     }
 
     /// The paper's *rekey cost*: "the number of encryptions contained in a
-    /// rekey message" (§4.2). This is the single source the
-    /// `tree_encryptions` counter is derived from.
+    /// rekey message" (§4.2).
     pub fn cost(&self) -> usize {
         self.arena.sealed
     }
@@ -141,6 +144,13 @@ impl<'a> RekeyBatch<'a> {
     /// `keytree.seal_ms` layer reports.
     pub fn seal_nanos(&self) -> u64 {
         self.arena.seal_nanos
+    }
+
+    /// Node (re)creations in this batch that resumed a retired version
+    /// counter instead of starting at 0 — each one an ID reuse the
+    /// tombstone map defended against.
+    pub fn tombstone_hits(&self) -> u64 {
+        self.arena.tombstone_hits
     }
 
     /// Moves the sealed encryptions out of the arena without copying, for

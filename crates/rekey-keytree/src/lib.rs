@@ -50,7 +50,7 @@ mod original;
 pub use batch::{RekeyArena, RekeyBatch};
 pub use cluster::{ClusterRekeyBatch, ClusteredKeyTree};
 pub use keyring::KeyRing;
-pub use modified::{KeyTreeError, ModifiedKeyTree, PathKeys, TreeMetrics};
+pub use modified::{KeyTreeError, ModifiedKeyTree, PathKeys};
 pub use original::{NodeIdx, OrigEncryption, OrigRekeyOutcome, OriginalKeyTree};
 
 // Test code only: the `BTreeMap` oracle of the arena tree and the property

@@ -18,7 +18,6 @@ use std::time::Instant;
 use rand::Rng;
 use rekey_crypto::{Key, KeyMaterial, NonceSeq};
 use rekey_id::{IdPrefix, IdSpec, UserId};
-use rekey_metrics::{Counter, Histogram, Registry};
 
 use crate::batch::{RekeyArena, RekeyBatch, SealJob};
 
@@ -68,33 +67,6 @@ fn fresh_key<R: Rng + ?Sized>(
             Key::new(id, v + 1, KeyMaterial::random(rng))
         }
         None => Key::random(id, rng),
-    }
-}
-
-/// Metric handles for a [`ModifiedKeyTree`], registered in a shared
-/// [`Registry`]. Cloning shares the underlying stores, so a tree cloned
-/// for a checkpoint (and the tree later restored from it) keeps reporting
-/// into the same series.
-#[derive(Debug, Clone)]
-pub struct TreeMetrics {
-    /// Distribution of batch sizes (`joins + leaves`) per rekey interval.
-    pub batch_size: Histogram,
-    /// Total encryptions generated across all rekey intervals.
-    pub encryptions: Counter,
-    /// Node (re)creations that resumed a retired version counter — each
-    /// hit is an ID-reuse event the tombstone map defended against.
-    pub tombstone_hits: Counter,
-}
-
-impl TreeMetrics {
-    /// Registers the tree's metrics (`tree_batch_size`,
-    /// `tree_encryptions`, `tree_tombstone_hits`) in `registry`.
-    pub fn in_registry(registry: &Registry) -> TreeMetrics {
-        TreeMetrics {
-            batch_size: registry.histogram("tree_batch_size"),
-            encryptions: registry.counter("tree_encryptions"),
-            tombstone_hits: registry.counter("tree_tombstone_hits"),
-        }
     }
 }
 
@@ -156,10 +128,6 @@ pub struct ModifiedKeyTree {
     /// departure) could see a same-ID same-version encryption it cannot
     /// open — or worse, silently skip a key it actually needs.
     retired: BTreeMap<IdPrefix, u64>,
-    /// Metric handles, if the owner opted in (see
-    /// [`ModifiedKeyTree::set_metrics`]). Cloned with the tree so a
-    /// checkpoint copy reports into the same series.
-    metrics: Option<TreeMetrics>,
     /// Worker threads for the seal phase; 1 = serial (the default),
     /// 0 = one per available core. Output bytes are identical at any
     /// setting.
@@ -182,17 +150,8 @@ impl ModifiedKeyTree {
             live_count: 0,
             user_count: 0,
             retired: BTreeMap::new(),
-            metrics: None,
             seal_threads: 1,
         }
-    }
-
-    /// Attaches metric handles: every subsequent [`batch_rekey`] records
-    /// its batch size, encryption count, and tombstone hits through them.
-    ///
-    /// [`batch_rekey`]: ModifiedKeyTree::batch_rekey
-    pub fn set_metrics(&mut self, metrics: TreeMetrics) {
-        self.metrics = Some(metrics);
     }
 
     /// Sets the number of worker threads the seal phase of
@@ -512,7 +471,7 @@ impl ModifiedKeyTree {
         self.validate_batch(joins, leaves)?;
         arena.reset();
         let depth = self.spec.depth();
-        let mut tombstone_hits = 0u64;
+        let tombstone_hits = &mut arena.tombstone_hits;
         // Slots touched this batch; pruned ones are filtered at the end.
         let mut touched: Vec<u32> = Vec::new();
         self.batch = self.batch.wrapping_add(1);
@@ -591,7 +550,7 @@ impl ModifiedKeyTree {
                 }
             }
             let existing = chain.len(); // levels 0..existing are present
-            let leaf_key = fresh_key(&self.retired, u.as_prefix(), rng, &mut tombstone_hits);
+            let leaf_key = fresh_key(&self.retired, u.as_prefix(), rng, tombstone_hits);
             let leaf = self.alloc(leaf_key, NIL);
             self.user_count += 1;
             // Create missing k-nodes deep→shallow (matching the reference
@@ -599,7 +558,7 @@ impl ModifiedKeyTree {
             // before it.
             let mut below = leaf;
             for level in (existing..depth).rev() {
-                let key = fresh_key(&self.retired, u.prefix(level), rng, &mut tombstone_hits);
+                let key = fresh_key(&self.retired, u.prefix(level), rng, tombstone_hits);
                 let node = self.alloc(key, NIL);
                 self.link_child(node, u.digit(level), below);
                 self.parents[below as usize] = node;
@@ -672,15 +631,7 @@ impl ModifiedKeyTree {
         self.seal_jobs(arena, seq, cost);
         arena.seal_nanos = started.elapsed().as_nanos() as u64;
 
-        let batch = RekeyBatch::new(arena);
-        if let Some(m) = &self.metrics {
-            m.batch_size.record((joins.len() + leaves.len()) as u64);
-            // Derived from the batch view itself — the counter and
-            // `RekeyBatch::cost()` share one source and cannot diverge.
-            m.encryptions.add(batch.cost() as u64);
-            m.tombstone_hits.add(tombstone_hits);
-        }
-        Ok(batch)
+        Ok(RekeyBatch::new(arena))
     }
 
     /// Runs the interval's flattened seal jobs, writing each
@@ -1039,35 +990,24 @@ mod tests {
     }
 
     #[test]
-    fn metrics_record_batches_encryptions_and_tombstones() {
+    fn batches_report_their_tombstone_hits() {
         let mut rng = StdRng::seed_from_u64(11);
         let mut arena = RekeyArena::new();
-        let registry = rekey_metrics::Registry::new();
         let mut tree = ModifiedKeyTree::new(&spec());
-        tree.set_metrics(TreeMetrics::in_registry(&registry));
 
         let joins: Vec<UserId> = [[0, 0], [0, 1]].iter().map(|d| uid(*d)).collect();
-        tree.batch_rekey(&joins, &[], &mut rng, &mut arena).unwrap();
+        let hits = |batch: RekeyBatch<'_>| batch.tombstone_hits();
+        let first = tree.batch_rekey(&joins, &[], &mut rng, &mut arena);
+        assert_eq!(hits(first.unwrap()), 0);
         // Prune the [0] subtree, then recreate one leaf: the leaf, the aux
         // node [0], and the root all resume retired versions.
-        tree.batch_rekey(&[], &joins, &mut rng, &mut arena).unwrap();
-        let out = tree
-            .batch_rekey(&[uid([0, 0])], &[], &mut rng, &mut arena)
-            .unwrap();
-
-        let snap = registry.snapshot();
-        let sizes = &snap.histograms["tree_batch_size"];
-        assert_eq!(sizes.count, 3);
-        assert_eq!(sizes.max, 2);
-        assert!(snap.counters["tree_encryptions"] >= out.cost() as u64);
-        assert_eq!(snap.counters["tree_tombstone_hits"], 3);
-
-        // A checkpoint clone shares the series rather than forking it.
-        let mut checkpoint = tree.clone();
-        checkpoint
-            .batch_rekey(&[uid([1, 1])], &[], &mut rng, &mut arena)
-            .unwrap();
-        assert_eq!(registry.snapshot().histograms["tree_batch_size"].count, 4);
+        let prune = tree.batch_rekey(&[], &joins, &mut rng, &mut arena);
+        assert_eq!(hits(prune.unwrap()), 0);
+        let recreate = tree.batch_rekey(&[uid([0, 0])], &[], &mut rng, &mut arena);
+        assert_eq!(hits(recreate.unwrap()), 3);
+        // The count is per batch: a first-time ID resumes nothing.
+        let fresh = tree.batch_rekey(&[uid([1, 1])], &[], &mut rng, &mut arena);
+        assert_eq!(hits(fresh.unwrap()), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! small one into the same arena must leave no stale slots visible.
 
 use crate::reference::ReferenceKeyTree;
-use crate::{ModifiedKeyTree, RekeyArena, TreeMetrics};
+use crate::{ModifiedKeyTree, RekeyArena};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -172,38 +172,6 @@ fn arena_reuse_exposes_no_stale_slots() {
         run(true),
         run(false),
         "a reused arena must be indistinguishable from a fresh one"
-    );
-}
-
-/// The `tree_encryptions` counter is derived from the returned batch in
-/// one place, so it equals the exact sum of `cost()` over all intervals —
-/// no double count, no drift between the metric and the API.
-#[test]
-fn metrics_counter_equals_sum_of_batch_costs() {
-    let spec = IdSpec::new(3, 4).unwrap();
-    let registry = rekey_metrics::Registry::new();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let mut tree = ModifiedKeyTree::new(&spec);
-    tree.set_metrics(TreeMetrics::in_registry(&registry));
-    let mut arena = RekeyArena::new();
-
-    let mut total = 0u64;
-    let all = ids(&spec, 0..40);
-    for (joins, leaves) in [
-        (&all[..25], &all[..0]),
-        (&all[25..40], &all[..10]),
-        (&all[..0], &all[12..20]),
-        (&all[..0], &all[..0]), // empty interval: cost 0, counted as 0
-    ] {
-        total += tree
-            .batch_rekey(joins, leaves, &mut rng, &mut arena)
-            .unwrap()
-            .cost() as u64;
-    }
-    assert_eq!(
-        registry.snapshot().counters["tree_encryptions"],
-        total,
-        "counter must equal the summed batch costs exactly"
     );
 }
 

@@ -7,9 +7,6 @@
 //! store is integers, so snapshots are `Eq` and identically seeded runs
 //! produce identical distributions.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use crate::json;
 
 /// Linear sub-buckets per power-of-two octave.
@@ -83,34 +80,10 @@ impl Store {
     }
 }
 
-/// A histogram handle. Cloning shares the store; `record` is O(1).
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Rc<RefCell<Store>>);
-
-impl Histogram {
-    /// An empty histogram (usually obtained via
-    /// [`Registry::histogram`](crate::Registry::histogram)).
-    #[cfg(test)]
-    pub(crate) fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Records one value.
-    pub fn record(&self, v: u64) {
-        self.0.borrow_mut().record(v);
-    }
-
-    /// A point-in-time copy of the distribution.
-    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-        self.0.borrow().snapshot()
-    }
-}
-
-/// A single-owner histogram with the same bucketing as [`Histogram`] but
-/// no shared handle: plain data, `Send`, made for per-shard accumulation
-/// inside multi-threaded executors. Each shard records into its own
-/// `LocalHistogram`; after the workers join, the coordinator merges them
-/// in a deterministic order and snapshots the union.
+/// A single-owner histogram: plain data, `Send`, made for per-lane
+/// accumulation inside multi-threaded executors. Each lane records into
+/// its own `LocalHistogram`; afterwards the lanes are merged and the
+/// union snapshotted.
 #[derive(Debug, Clone, Default)]
 pub struct LocalHistogram(Store);
 
@@ -150,14 +123,13 @@ impl LocalHistogram {
         self.0.sum = self.0.sum.wrapping_add(o.sum);
     }
 
-    /// A point-in-time copy of the distribution, identical in form to a
-    /// shared [`Histogram`]'s.
+    /// A point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.0.snapshot()
     }
 }
 
-/// An `Eq` point-in-time copy of a [`Histogram`]: integer counts only,
+/// An `Eq` point-in-time copy of a [`LocalHistogram`]: integer counts only,
 /// with percentiles computed on demand by linear interpolation inside the
 /// covering bucket.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -305,7 +277,7 @@ mod tests {
 
     #[test]
     fn percentiles_interpolate_within_buckets() {
-        let h = Histogram::new();
+        let mut h = LocalHistogram::new();
         for v in 0..=100u64 {
             h.record(v);
         }
@@ -327,7 +299,7 @@ mod tests {
 
     #[test]
     fn single_value_histogram_collapses_to_that_value() {
-        let h = Histogram::new();
+        let mut h = LocalHistogram::new();
         h.record(12345);
         let s = h.snapshot();
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
@@ -340,14 +312,14 @@ mod tests {
     fn interpolation_splits_a_wide_bucket() {
         // 1024 lands in bucket [1024, 1152): one sample, so q sweeps the
         // bucket linearly — but clamping to [min, max] pins it back.
-        let h = Histogram::new();
+        let mut h = LocalHistogram::new();
         h.record(1024);
         h.record(1024);
         let s = h.snapshot();
         assert_eq!(s.p50(), 1024);
         // Two distinct values in distinct buckets: p50 interpolates in
         // the first occupied bucket's range, clamped to min.
-        let h2 = Histogram::new();
+        let mut h2 = LocalHistogram::new();
         h2.record(10);
         h2.record(1000);
         let s2 = h2.snapshot();
@@ -358,7 +330,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_inert() {
-        let s = Histogram::new().snapshot();
+        let s = LocalHistogram::new().snapshot();
         assert_eq!(s.count, 0);
         assert_eq!(s.percentile(0.5), 0);
         assert_eq!(s.mean(), 0.0);
@@ -367,7 +339,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantile must be in [0, 1]")]
     fn rejects_out_of_range_quantile() {
-        let h = Histogram::new();
+        let mut h = LocalHistogram::new();
         h.record(1);
         let _ = h.snapshot().percentile(1.5);
     }

@@ -165,7 +165,7 @@ fn choose<T>(
 
 /// A digit round's bucket: the `(i, j)`-ID subtree's digit `j`, its run of
 /// the collected records, and whether a query to it awaits its answer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Bucket {
     j: u16,
     run: Range<usize>,
@@ -176,7 +176,7 @@ struct Bucket {
 /// digit's round sends the queries `next_query` names and feeds their
 /// replies, in any order, to `answer`; once nothing is awaited, `decide`
 /// reads the RTTs of the users `to_measure` names.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Probe {
     depth: usize,
     /// The digits determined so far.

@@ -17,7 +17,7 @@
 use rand::Rng;
 use rekey_crypto::{Encryption, Key, SealedData};
 use rekey_id::{IdSpec, UserId};
-use rekey_keytree::{KeyRing, ModifiedKeyTree, RekeyArena, TreeMetrics};
+use rekey_keytree::{KeyRing, ModifiedKeyTree, RekeyArena};
 use rekey_net::{HostId, Micros, Network};
 use rekey_sim::{seeded_rng, SimRng};
 use rekey_table::PrimaryPolicy;
@@ -210,6 +210,8 @@ pub struct IntervalOutcome {
     pub welcomes: Vec<WelcomePacket>,
     /// IDs that left during the interval.
     pub departed: Vec<UserId>,
+    /// Key (re)creations of the batch that resumed a retired version.
+    pub(crate) tombstone_hits: u64,
 }
 
 impl IntervalOutcome {
@@ -325,14 +327,6 @@ pub struct GroupServer {
 }
 
 impl GroupServer {
-    /// Reports the key tree's rekey activity (batch sizes, encryptions,
-    /// tombstone hits) into the given metric series. Journal checkpoints
-    /// clone the server, and clones share the series, so counts survive
-    /// a restore.
-    pub(crate) fn instrument_tree(&mut self, metrics: TreeMetrics) {
-        self.tree.set_metrics(metrics);
-    }
-
     /// The underlying membership state.
     pub fn group(&self) -> &Group {
         &self.group
@@ -438,6 +432,7 @@ impl GroupServer {
             .tree
             .batch_rekey(&joins, &leaves, &mut self.rng, &mut self.arena)
             .expect("pending lists mirror membership changes");
+        let tombstone_hits = batch.tombstone_hits();
         let encryptions = batch.take_encryptions();
         let welcomes = joins
             .into_iter()
@@ -452,6 +447,7 @@ impl GroupServer {
             encryptions,
             welcomes,
             departed: leaves,
+            tombstone_hits,
         }
     }
 

@@ -121,7 +121,7 @@
 //! member its latest related set, members NACK any gap immediately, and
 //! the server answers from its per-interval history.
 
-use rekey_metrics::{json, HistogramSnapshot, RegistrySnapshot, SpanRecord};
+use rekey_metrics::{json, merge_spans, HistogramSnapshot, LocalHistogram, SpanRecord};
 use rekey_sim::SimTime;
 use rekey_table::{check_consistency, ConsistencyViolation, NeighborTable};
 
@@ -134,7 +134,7 @@ pub mod socket;
 pub mod wire;
 
 pub use self::core::{IntervalMessage, ReplOp, RtMsg};
-pub(crate) use self::core::{MemberStats, ServerStats};
+pub(crate) use self::core::{MemberStats, ServerStats, Sinks};
 pub use journal::Journal;
 pub use shard::ShardedGroupRuntime;
 pub use socket::{NotConverged, UdpGroupDriver};
@@ -452,20 +452,25 @@ pub(crate) struct ExecutorCounters {
 
 impl MetricsSnapshot {
     /// The one place a snapshot is put together, whatever the driver:
-    /// `server` is the replica set's [`ServerStats::sum`], `registry` the
-    /// coordinator's registry with the member span rings merged in, and
-    /// `histograms` the member-side series in the order
-    /// `core::merge_member_sinks` returns them.
+    /// `server` is the replica set's [`ServerStats::sum`] and `lanes` the
+    /// sinks of every executor lane, the coordinator's first. Histograms
+    /// are summed; span rings are merged by end time, ties in lane order.
     pub(crate) fn assemble<'a>(
         members: usize,
         server: ServerStats,
         member_stats: impl IntoIterator<Item = &'a MemberStats>,
-        registry: RegistrySnapshot,
-        histograms: [HistogramSnapshot; 4],
+        lanes: impl IntoIterator<Item = &'a Sinks>,
         executor: ExecutorCounters,
     ) -> MetricsSnapshot {
-        let counter = |name: &str| registry.counters.get(name).copied().unwrap_or(0);
-        let [apply_delay_us, split_payload, forward_fanout, recovery_size] = histograms;
+        let lanes: Vec<&Sinks> = lanes.into_iter().collect();
+        let sum = |series: fn(&Sinks) -> &LocalHistogram| {
+            let mut sum = LocalHistogram::new();
+            for lane in &lanes {
+                sum.merge(series(lane));
+            }
+            sum.snapshot()
+        };
+        let (spans, spans_dropped) = merge_spans(lanes.iter().map(|lane| &lane.spans));
         let mut snapshot = MetricsSnapshot {
             intervals: server.intervals,
             members,
@@ -490,8 +495,8 @@ impl MetricsSnapshot {
             delivered: executor.delivered,
             welcomes: server.welcomes,
             leave_acks: server.leave_acks,
-            tree_encryptions: counter("tree_encryptions"),
-            tombstone_hits: counter("tree_tombstone_hits"),
+            tree_encryptions: server.tree_encryptions,
+            tombstone_hits: server.tombstone_hits,
             partition_cuts: executor.partition_cuts,
             fault_loss_drops: executor.fault_loss_drops,
             elections: server.elections,
@@ -499,17 +504,13 @@ impl MetricsSnapshot {
             lost_mutations: server.lost_mutations,
             repl_lag_peak: server.repl_lag_peak,
             peak_queue_depth: executor.peak_queue_depth,
-            apply_delay_us,
-            batch_size: registry
-                .histograms
-                .get("tree_batch_size")
-                .cloned()
-                .unwrap_or_default(),
-            split_payload,
-            forward_fanout,
-            recovery_size,
-            spans: registry.spans,
-            spans_dropped: registry.spans_dropped,
+            apply_delay_us: sum(|lane| &lane.apply_delay_us),
+            batch_size: sum(|lane| &lane.batch_size),
+            split_payload: sum(|lane| &lane.split_payload),
+            forward_fanout: sum(|lane| &lane.forward_fanout),
+            recovery_size: sum(|lane| &lane.recovery_size),
+            spans,
+            spans_dropped,
         };
         for stats in member_stats {
             snapshot.forward_copies += stats.copies_forwarded;

@@ -19,21 +19,24 @@
 //! [`RtLocal`], and the codec has no tag for one — a peer cannot fire
 //! another node's timer or issue its driver's commands.
 //!
-//! The only other seam the machines need is the [`ShardCore`] their driver
-//! hands them: the runtime-wide knobs, the shutdown flag, and metric
-//! sinks. What the drivers would otherwise each spell out — how a replica
-//! or a pre-welcomed member starts, which timers bring a replica set up,
-//! which replica is acting primary — lives here too, once.
+//! The machines hold nothing but their own protocol state, so a node is a
+//! value: it can be cloned mid-stream and fed the same events as the
+//! original, with the same effects. Everything else reaches `handle` as
+//! an argument. The [`Outbox`] is the driver's lane context: the clock,
+//! the knobs, the §3.1 parameters, the access RTTs, whether the driver is
+//! draining for shutdown, and the lane's metric [`Sinks`]. The key server
+//! also borrows the driver's network for the calls that consult it. What
+//! the drivers would otherwise each spell out — how a replica or a
+//! pre-welcomed member starts, which timers bring a replica set up, which
+//! replica is acting primary — lives here too, once.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use rand::Rng;
 use rekey_crypto::Encryption;
 use rekey_id::{IdPrefix, UserId};
-use rekey_metrics::{HistogramSnapshot, LocalHistogram, Registry, RegistrySnapshot, SpanLog};
+use rekey_metrics::{LocalHistogram, SpanLog};
 use rekey_net::{HostId, Micros, Network};
 use rekey_sim::{node_rng, NodeId, SimTime};
 use rekey_table::{Member, NeighborRecord, NeighborTable};
@@ -66,10 +69,14 @@ pub(crate) enum Effect {
     Timer { delay: SimTime, event: RtLocal },
 }
 
-/// What handling one [`Event`] produced: the sans-I/O output boundary.
-/// The driver sets `now` and `me`, passes the outbox to `handle`, and
+/// What handling one [`Event`] produced — the sans-I/O output boundary —
+/// and the context of the lane it ran in. Each executor lane (a simulator
+/// shard, the coordinator, a socket worker) owns one and hands it to
+/// every `handle` it runs. The driver sets `now` and `me` per event and
 /// drains `effects` — one vector, in emission order, because the
-/// simulator's FIFO tie-break makes that order behaviour.
+/// simulator's FIFO tie-break makes that order behaviour. Metric records
+/// are plain writes into the lane's [`Sinks`], in the order the lane
+/// handles its events.
 #[derive(Debug)]
 pub(crate) struct Outbox {
     /// The driver's clock in µs: virtual time under the simulator,
@@ -79,16 +86,50 @@ pub(crate) struct Outbox {
     pub(crate) me: NodeId,
     /// The effects of the current event.
     pub(crate) effects: Vec<Effect>,
+    /// Set by the driver once it began its shutdown drain, before the
+    /// drain's first event: machines stop re-arming timers and fire their
+    /// retries inline instead.
+    pub(crate) draining: bool,
+    /// What the lane's nodes record.
+    pub(crate) sinks: Sinks,
+    knobs: Knobs,
+    /// The §3.1 parameters a joiner probes with.
+    assign: Arc<AssignParams>,
+    /// Each member host's access-link RTT `h(u, gw_u)` (§3.1.2), which its
+    /// `Pong`s carry; empty where the driver models no access links.
+    access: Arc<[Micros]>,
 }
 
 impl Outbox {
-    /// An empty outbox; the driver sets `now` and `me` per event.
-    pub(crate) fn new() -> Outbox {
+    /// An empty outbox for a lane of the runtime `knobs` describe; the
+    /// driver sets `now` and `me` per event.
+    pub(crate) fn new(knobs: Knobs, assign: Arc<AssignParams>, access: Arc<[Micros]>) -> Outbox {
         Outbox {
             now: 0,
             me: SERVER,
             effects: Vec::new(),
+            draining: false,
+            sinks: Sinks::default(),
+            knobs,
+            assign,
+            access,
         }
+    }
+
+    /// The timing/retry knobs.
+    pub(crate) fn knobs(&self) -> &Knobs {
+        &self.knobs
+    }
+
+    /// The access-link RTT of member node `node`'s host.
+    fn access_rtt(&self, node: NodeId) -> Micros {
+        let host = node.0.checked_sub(self.knobs.replicas);
+        host.and_then(|h| self.access.get(h)).copied().unwrap_or(0)
+    }
+
+    /// Records one span ending now.
+    fn span(&mut self, name: &'static str, start: SimTime, detail: u64) {
+        self.sinks.spans.record(name, start, self.now, detail);
     }
 
     pub(crate) fn now(&self) -> SimTime {
@@ -462,6 +503,20 @@ impl Knobs {
         (self.rekey_period / 2).max(1)
     }
 
+    /// The node hosting `host`'s member, offset past the replica block.
+    fn member_node(&self, host: HostId) -> NodeId {
+        NodeId(host.0 + self.replicas)
+    }
+
+    /// The member host behind node `node`.
+    fn member_host(&self, node: NodeId) -> HostId {
+        debug_assert!(
+            node.0 >= self.replicas,
+            "server replicas have no member host"
+        );
+        HostId(node.0 - self.replicas)
+    }
+
     /// Follower liveness-check period.
     pub(crate) fn repl_check_period(&self) -> SimTime {
         self.rekey_period.max(1)
@@ -474,121 +529,25 @@ impl Knobs {
     }
 }
 
-/// The member-side sinks of one [`ShardCore`]. Histogram inserts commute,
-/// so recording under the mutex from several threads is deterministic;
-/// the span ring is ordered, so a deterministic driver gives every thread
-/// a core of its own (the simulator: one per shard) and merges them in a
-/// fixed order with [`merge_member_sinks`].
-#[derive(Default)]
-struct MemberSinks {
-    apply_delay_us: LocalHistogram,
-    split_payload: LocalHistogram,
-    forward_fanout: LocalHistogram,
-    recovery_size: LocalHistogram,
-    spans: SpanLog,
-}
-
-/// What a state machine needs from its driver, shared by the nodes of one
-/// executor lane (a simulator shard, or every worker of the socket
-/// driver): the knobs, the shutdown flag, and the mutex-guarded metric
-/// sinks. `Send`, so members can live on shard or socket worker threads.
-pub(crate) struct ShardCore {
-    knobs: Knobs,
-    /// The §3.1 parameters a joiner probes with.
-    assign: AssignParams,
-    /// Each member host's access-link RTT `h(u, gw_u)` (§3.1.2), which its
-    /// `Pong`s carry; empty where the driver models no access links.
-    access: Arc<[Micros]>,
-    shutdown: AtomicBool,
-    sinks: Mutex<MemberSinks>,
-}
-
-impl ShardCore {
-    pub(crate) fn new(knobs: Knobs, assign: AssignParams, access: Arc<[Micros]>) -> Arc<ShardCore> {
-        Arc::new(ShardCore {
-            knobs,
-            assign,
-            access,
-            shutdown: AtomicBool::new(false),
-            sinks: Mutex::new(MemberSinks::default()),
-        })
-    }
-
-    /// Raises the shutdown flag: state machines stop re-arming timers.
-    pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-
-    fn sinks(&self) -> MutexGuard<'_, MemberSinks> {
-        self.sinks
-            .lock()
-            .expect("no thread panics while recording a metric")
-    }
-
-    /// The timing/retry knobs.
-    pub(crate) fn knobs(&self) -> &Knobs {
-        &self.knobs
-    }
-
-    /// The access-link RTT of member node `node`'s host.
-    fn access_rtt(&self, node: NodeId) -> Micros {
-        let host = node.0.checked_sub(self.knobs.replicas);
-        host.and_then(|h| self.access.get(h)).copied().unwrap_or(0)
-    }
-
-    /// `true` once the runtime began its shutdown drain.
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Records the encryption count of one received split copy.
-    fn record_split_payload(&self, v: u64) {
-        self.sinks().split_payload.record(v);
-    }
-
-    /// Records the copies sent in one forwarding occasion.
-    fn record_forward_fanout(&self, v: u64) {
-        self.sinks().forward_fanout.record(v);
-    }
-
-    /// Records one interval application: the apply-delay histogram plus
-    /// an `"apply"`/`"recovery"` span.
-    fn record_apply(&self, span: &'static str, sent_at: SimTime, now: SimTime, interval: u64) {
-        let mut sinks = self.sinks();
-        sinks.apply_delay_us.record(now.saturating_sub(sent_at));
-        sinks.spans.record(span, sent_at, now, interval);
-    }
-
-    /// Records the encryption count of one unicast `Recover` reply.
-    fn record_recovery_size(&self, v: u64) {
-        self.sinks().recovery_size.record(v);
-    }
-}
-
-/// Folds the member-side sinks of `cores` into one view: the four
-/// histograms (apply delay, split payload, forward fan-out, recovery
-/// size) summed, and the span rings merged into `registry`'s by end time
-/// — ties keep the order of `cores`, so the result is a function of
-/// (seed, lane layout) and never of thread timing.
-pub(crate) fn merge_member_sinks<'a>(
-    cores: impl IntoIterator<Item = &'a ShardCore>,
-    registry: &mut RegistrySnapshot,
-) -> [HistogramSnapshot; 4] {
-    let mut sum = MemberSinks::default();
-    for core in cores {
-        let sinks = core.sinks();
-        sum.apply_delay_us.merge(&sinks.apply_delay_us);
-        sum.split_payload.merge(&sinks.split_payload);
-        sum.forward_fanout.merge(&sinks.forward_fanout);
-        sum.recovery_size.merge(&sinks.recovery_size);
-        registry.merge_spans(&sinks.spans);
-    }
-    [
-        sum.apply_delay_us.snapshot(),
-        sum.split_payload.snapshot(),
-        sum.forward_fanout.snapshot(),
-        sum.recovery_size.snapshot(),
-    ]
+/// What the nodes of one lane record: five histograms and a span ring.
+/// Histogram inserts commute, so lanes merge in any order; span rings are
+/// merged by end time, ties in lane order, so the merged tail is a
+/// function of (seed, lane layout) and never of thread timing.
+#[derive(Debug, Default)]
+pub(crate) struct Sinks {
+    /// µs from each interval's multicast to its application by a member.
+    pub(crate) apply_delay_us: LocalHistogram,
+    /// Membership mutations folded into each batch rekey.
+    pub(crate) batch_size: LocalHistogram,
+    /// Encryptions carried per split `Forward` copy received.
+    pub(crate) split_payload: LocalHistogram,
+    /// Copies sent per forwarding step (server seeds + member duty).
+    pub(crate) forward_fanout: LocalHistogram,
+    /// Encryptions per unicast `Recover` reply.
+    pub(crate) recovery_size: LocalHistogram,
+    /// The server's `interval`/`restart`/`election`/`promotion` spans and
+    /// the members' `apply`/`recovery` spans.
+    pub(crate) spans: SpanLog,
 }
 
 /// Server-side counters of one runtime session.
@@ -630,6 +589,10 @@ pub(crate) struct ServerStats {
     /// Peak replication lag (log head minus the slowest known follower
     /// watermark) observed at any replication tick.
     pub repl_lag_peak: u64,
+    /// Key-wrap encryptions of the batch rekeys this replica issued.
+    pub tree_encryptions: u64,
+    /// Retired key versions those batch rekeys resumed.
+    pub tombstone_hits: u64,
 }
 
 impl ServerStats {
@@ -657,6 +620,8 @@ impl ServerStats {
             sum.promotions += s.promotions;
             sum.lost_mutations += s.lost_mutations;
             sum.repl_lag_peak = sum.repl_lag_peak.max(s.repl_lag_peak);
+            sum.tree_encryptions += s.tree_encryptions;
+            sum.tombstone_hits += s.tombstone_hits;
         }
         sum
     }
@@ -689,7 +654,7 @@ const LOG_KEEP: usize = 4096;
 const REPL_BATCH: usize = 64;
 
 /// Per-replica replication state of one [`RtServer`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Replication {
     pub(crate) role: ReplRole,
     /// This replica's index (`0..Knobs::replicas`; also its node id).
@@ -754,13 +719,9 @@ impl Replication {
     }
 }
 
-pub(crate) struct RtServer<NET> {
-    pub(crate) net: Rc<NET>,
-    pub(crate) shared: Arc<ShardCore>,
-    /// The coordinator's registry, for this replica's spans. Replicas run
-    /// on the coordinator thread only, so the `Rc`-based registry never
-    /// crosses a thread.
-    registry: Registry,
+/// One key-server replica: the primary or a follower (see [`Replication`]).
+#[derive(Clone)]
+pub(crate) struct RtServer {
     pub(crate) server: GroupServer,
     /// Bumped on every restart; members resync when they observe a bump.
     pub(crate) epoch: u64,
@@ -796,8 +757,8 @@ pub(crate) struct RtServer<NET> {
 /// the active primary with the highest epoch, the lowest index on a tie
 /// (a just-stepped-down ex-primary is inactive, so split-brain windows
 /// resolve to the winner). Falls back to replica 0 mid-election.
-pub(crate) fn acting_primary<'a, NET: 'a>(
-    replicas: impl IntoIterator<Item = (usize, &'a RtServer<NET>)>,
+pub(crate) fn acting_primary<'a>(
+    replicas: impl IntoIterator<Item = (usize, &'a RtServer)>,
 ) -> usize {
     let mut best: Option<(u64, usize)> = None;
     for (replica, server) in replicas {
@@ -831,23 +792,17 @@ pub(crate) fn boot_timers(knobs: &Knobs) -> Vec<(NodeId, SimTime, RtLocal)> {
     timers
 }
 
-impl<NET: Network> RtServer<NET> {
-    /// Replica `replica` of the set `shared`'s knobs describe, about to
-    /// start its first interval over the group state `server`.
+impl RtServer {
+    /// Replica `replica` of the set `knobs` describe, about to start its
+    /// first interval over the group state `server`.
     pub(crate) fn new(
-        net: Rc<NET>,
-        shared: Arc<ShardCore>,
-        registry: Registry,
+        knobs: &Knobs,
         server: GroupServer,
         replica: usize,
         journal: journal::Journal,
         seeds_joiners: bool,
-    ) -> RtServer<NET> {
-        let knobs = *shared.knobs();
+    ) -> RtServer {
         RtServer {
-            net,
-            shared,
-            registry,
             server,
             epoch: 0,
             tick_gen: 0,
@@ -865,20 +820,21 @@ impl<NET: Network> RtServer<NET> {
 
     /// What a shutdown flush still has to clear: queued joins, queued
     /// leaves, and the member handles whose `LeaveAck` is still owed.
-    pub(crate) fn flush_backlog(&self) -> (usize, usize, Vec<usize>) {
+    pub(crate) fn flush_backlog(&self, knobs: &Knobs) -> (usize, usize, Vec<usize>) {
         let (joins, leaves) = self.server.pending();
         let owed = self
             .pending_leave_acks
             .iter()
-            .map(|&node| self.member_host(node).0)
+            .map(|&node| knobs.member_host(node).0)
             .collect();
         (joins, leaves, owed)
     }
 
-    /// Feeds the replica one event; its effects land in `ctx`.
-    pub(crate) fn handle(&mut self, ctx: &mut Outbox, event: Event) {
+    /// Feeds the replica one event; its effects land in `ctx`. `net` is
+    /// the substrate model a join or leave consults.
+    pub(crate) fn handle<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET, event: Event) {
         match event {
-            Event::Net { from, msg } => self.receive(ctx, from, msg),
+            Event::Net { from, msg } => self.receive(ctx, net, from, msg),
             Event::Local(local) => self.on_local(ctx, local),
         }
     }
@@ -909,13 +865,13 @@ impl<NET: Network> RtServer<NET> {
     }
 
     /// A message `from` sent over the network.
-    fn receive(&mut self, ctx: &mut Outbox, from: NodeId, msg: RtMsg) {
+    fn receive<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET, from: NodeId, msg: RtMsg) {
         if !self.repl.active {
             return;
         }
         match msg {
             RtMsg::ReplEntry { idx, epoch, op } => {
-                self.on_repl_entry(ctx, from, journal::Entry { idx, epoch, op });
+                self.on_repl_entry(ctx, net, from, journal::Entry { idx, epoch, op });
                 return;
             }
             RtMsg::ReplAck { replica, idx } => {
@@ -948,13 +904,13 @@ impl<NET: Network> RtServer<NET> {
             return;
         }
         match msg {
-            RtMsg::JoinRequest => self.on_join_request(ctx, from),
-            RtMsg::JoinDigits { digits } => self.admit(ctx, from, Some(digits)),
+            RtMsg::JoinRequest => self.on_join_request(ctx, net, from),
+            RtMsg::JoinDigits { digits } => self.admit(ctx, net, from, Some(digits)),
             RtMsg::LeaveRequest => {
-                let host = self.member_host(from);
+                let host = ctx.knobs().member_host(from);
                 let id = self.member_by_host(host).map(|m| m.id);
                 if let Some(id) = id {
-                    self.depart(ctx, id);
+                    self.depart(ctx, net, id);
                 }
                 // Ack — even for an unknown host (the member's retransmit
                 // after its departure was checkpointed but the ack lost) —
@@ -968,12 +924,12 @@ impl<NET: Network> RtServer<NET> {
                 // departed member behind a healed partition would
                 // otherwise depart half the group with its stale
                 // suspicions before its own `NotMember` lands.
-                if self.member_by_host(self.member_host(from)).is_none() {
+                if self.member_by_host(ctx.knobs().member_host(from)).is_none() {
                     return;
                 }
                 if self.server.group().member(&failed).is_some() {
                     self.stats.failures_detected += 1;
-                    self.depart(ctx, failed);
+                    self.depart(ctx, net, failed);
                 }
                 // Already departed: the accuser's repaired table is
                 // already on its way (or its `Recover`/`ServerPong`
@@ -981,7 +937,7 @@ impl<NET: Network> RtServer<NET> {
             }
             RtMsg::Nack { interval } => {
                 self.stats.nacks += 1;
-                let host = self.member_host(from);
+                let host = ctx.knobs().member_host(from);
                 let member = self.member_by_host(host).cloned();
                 let (Some(member), Some(message)) = (member, self.history.get(&interval)) else {
                     // Unknown member or rolled-back interval: the prober's
@@ -994,7 +950,7 @@ impl<NET: Network> RtServer<NET> {
                     .map(|e| message.encryptions[e].clone())
                     .collect();
                 self.stats.recovery_encryptions += encryptions.len() as u64;
-                self.shared.record_recovery_size(encryptions.len() as u64);
+                ctx.sinks.recovery_size.record(encryptions.len() as u64);
                 ctx.send(
                     from,
                     RtMsg::Recover {
@@ -1006,7 +962,7 @@ impl<NET: Network> RtServer<NET> {
                 );
             }
             RtMsg::ServerPing { id } => {
-                if self.verified(&id, from) {
+                if self.verified(ctx, &id, from) {
                     ctx.send(
                         from,
                         RtMsg::ServerPong {
@@ -1020,7 +976,7 @@ impl<NET: Network> RtServer<NET> {
                 }
             }
             RtMsg::ResyncRequest { id } => {
-                if !self.verified(&id, from) {
+                if !self.verified(ctx, &id, from) {
                     ctx.send(from, RtMsg::NotMember { id });
                     return;
                 }
@@ -1074,44 +1030,38 @@ impl<NET: Network> RtServer<NET> {
             .find(|m| m.host == host)
     }
 
-    /// The node hosting `host`'s member, offset past the replica block.
-    fn member_node(&self, host: HostId) -> NodeId {
-        NodeId(host.0 + self.shared.knobs().replicas)
-    }
-
-    /// The member host behind node `from`.
-    fn member_host(&self, from: NodeId) -> HostId {
-        let replicas = self.shared.knobs().replicas;
-        debug_assert!(from.0 >= replicas, "server replicas have no member host");
-        HostId(from.0 - replicas)
-    }
-
     /// `true` iff `id` is a member AND the claim comes from its host.
-    fn verified(&self, id: &UserId, from: NodeId) -> bool {
+    fn verified(&self, ctx: &Outbox, id: &UserId, from: NodeId) -> bool {
         self.server
             .group()
             .member(id)
-            .is_some_and(|m| m.host == self.member_host(from))
+            .is_some_and(|m| m.host == ctx.knobs().member_host(from))
     }
 
     fn end_interval(&mut self, ctx: &mut Outbox) {
-        if self.shared.is_shutdown() {
+        if ctx.draining {
             return;
         }
         self.rekey_round(ctx);
         ctx.timer(
-            self.shared.knobs().rekey_period,
+            ctx.knobs().rekey_period,
             RtLocal::IntervalTick { gen: self.tick_gen },
         );
     }
 
     /// Ends one interval: welcomes, multicast, checkpoint, leave acks.
+    /// The batch rekey is counted here, by the replica that issues it as
+    /// primary, never by a follower replaying it.
     fn rekey_round(&mut self, ctx: &mut Outbox) {
         self.append_op(ctx, ReplOp::Interval { sent_at: ctx.now() });
         let mut outcome = self.server.end_interval();
         let encryptions = outcome.take_encryptions();
         self.stats.intervals += 1;
-        self.next_interval_at = ctx.now() + self.shared.knobs().rekey_period;
+        self.stats.tree_encryptions += encryptions.len() as u64;
+        self.stats.tombstone_hits += outcome.tombstone_hits;
+        let batch = outcome.welcomes.len() + outcome.departed.len();
+        ctx.sinks.batch_size.record(batch as u64);
+        self.next_interval_at = ctx.now() + ctx.knobs().rekey_period;
         for welcome in outcome.welcomes {
             self.stats.welcomes += 1;
             let host = self
@@ -1121,7 +1071,7 @@ impl<NET: Network> RtServer<NET> {
                 .expect("welcomed member is in the group")
                 .host;
             ctx.send(
-                self.member_node(host),
+                ctx.knobs().member_node(host),
                 RtMsg::Welcome {
                     welcome,
                     epoch: self.epoch,
@@ -1148,7 +1098,7 @@ impl<NET: Network> RtServer<NET> {
             self.stats.forward_copies += 1;
             fanout += 1;
             ctx.send(
-                self.member_node(hop.neighbor.member.host),
+                ctx.knobs().member_node(hop.neighbor.member.host),
                 RtMsg::Forward {
                     level: hop.forward_level,
                     prefix: PrefixBuf::of_hop(&hop),
@@ -1156,9 +1106,8 @@ impl<NET: Network> RtServer<NET> {
                 },
             );
         }
-        self.shared.record_forward_fanout(fanout);
-        self.registry
-            .span("interval", self.last_round_at, ctx.now(), outcome.interval);
+        ctx.sinks.forward_fanout.record(fanout);
+        ctx.span("interval", self.last_round_at, outcome.interval);
         self.last_round_at = ctx.now();
         self.checkpoint(ctx);
     }
@@ -1201,9 +1150,9 @@ impl<NET: Network> RtServer<NET> {
                     .map(|e| message.encryptions[e].clone())
                     .collect();
                 self.stats.recovery_encryptions += encryptions.len() as u64;
-                self.shared.record_recovery_size(encryptions.len() as u64);
+                ctx.sinks.recovery_size.record(encryptions.len() as u64);
                 ctx.send(
-                    self.member_node(member.host),
+                    ctx.knobs().member_node(member.host),
                     RtMsg::Recover {
                         interval,
                         encryptions,
@@ -1226,13 +1175,12 @@ impl<NET: Network> RtServer<NET> {
     /// it forward from its checkpoint watermark, and if no primary is
     /// alive its own liveness check escalates to an election.
     fn restart(&mut self, ctx: &mut Outbox) {
-        if self.shared.knobs().replicas > 1 {
+        if ctx.knobs().replicas > 1 {
             return self.restart_replica(ctx);
         }
         self.stats.restarts += 1;
         self.epoch += 1;
-        self.registry
-            .span("restart", ctx.now(), ctx.now(), self.epoch);
+        ctx.span("restart", ctx.now(), self.epoch);
         self.tick_gen += 1;
         self.pending_leave_acks.clear();
         if let Some(cp) = self.journal.restore() {
@@ -1255,8 +1203,7 @@ impl<NET: Network> RtServer<NET> {
     /// to members, so a revived ex-primary cannot split-brain the group.
     fn restart_replica(&mut self, ctx: &mut Outbox) {
         self.stats.restarts += 1;
-        self.registry
-            .span("restart", ctx.now(), ctx.now(), self.epoch);
+        ctx.span("restart", ctx.now(), self.epoch);
         self.tick_gen += 1;
         self.repl.gen += 1;
         self.pending_leave_acks.clear();
@@ -1277,7 +1224,7 @@ impl<NET: Network> RtServer<NET> {
         self.repl.primary_idx_seen = self.repl.applied_idx;
         self.repl.last_primary_at = ctx.now();
         ctx.timer(
-            self.shared.knobs().repl_check_period(),
+            ctx.knobs().repl_check_period(),
             RtLocal::ReplCheck { gen: self.repl.gen },
         );
     }
@@ -1285,27 +1232,32 @@ impl<NET: Network> RtServer<NET> {
     /// A `JoinRequest`: a newcomer to a non-empty group is sent the record
     /// to start its probe from, or, unless this server seeds joiners,
     /// admitted at once.
-    fn on_join_request(&mut self, ctx: &mut Outbox, from: NodeId) {
-        let host = self.member_host(from);
+    fn on_join_request<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET, from: NodeId) {
+        let host = ctx.knobs().member_host(from);
         if self.seeds_joiners && self.member_by_host(host).is_none() {
             if let Some(seed) = self.server.group().seed_for(host) {
                 return ctx.send(from, RtMsg::JoinSeed { seed });
             }
         }
-        self.admit(ctx, from, None);
+        self.admit(ctx, net, from, None);
     }
 
     /// Admits the node `from` under the `digits` its probe determined, or,
     /// without them, probes for it with `Group::join`.
-    fn admit(&mut self, ctx: &mut Outbox, from: NodeId, digits: Option<IdPrefix>) {
-        let host = self.member_host(from);
+    fn admit<NET: Network>(
+        &mut self,
+        ctx: &mut Outbox,
+        net: &NET,
+        from: NodeId,
+        digits: Option<IdPrefix>,
+    ) {
+        let host = ctx.knobs().member_host(from);
         let id = match self.member_by_host(host) {
             // Retransmitted join (the original accept was lost): resend
             // the current snapshot without a new mutation.
             Some(member) => member.id,
             None => {
                 let at = ctx.now();
-                let net = &*self.net;
                 let id = match digits {
                     Some(digits) => self.server.admit_join(host, digits.digits(), net, at),
                     None => self.server.request_join(host, net, at),
@@ -1329,9 +1281,9 @@ impl<NET: Network> RtServer<NET> {
         );
     }
 
-    fn depart(&mut self, ctx: &mut Outbox, id: UserId) {
+    fn depart<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET, id: UserId) {
         self.server
-            .request_leave(&id, &*self.net)
+            .request_leave(&id, net)
             .expect("departing member is in the group");
         self.stats.departures += 1;
         self.append_op(ctx, ReplOp::Leave { id });
@@ -1344,7 +1296,7 @@ impl<NET: Network> RtServer<NET> {
         let group = self.server.group();
         for &idx in group.changed_tables() {
             ctx.send(
-                self.member_node(group.members()[idx].host),
+                ctx.knobs().member_node(group.members()[idx].host),
                 RtMsg::Table {
                     table: Box::new(group.table(idx).clone()),
                     epoch: self.epoch,
@@ -1360,7 +1312,7 @@ impl<NET: Network> RtServer<NET> {
     /// every other replica. A no-op with a single replica, keeping the
     /// single-server runtime byte-identical to its pre-replication behavior.
     fn append_op(&mut self, ctx: &mut Outbox, op: ReplOp) {
-        let replicas = self.shared.knobs().replicas;
+        let replicas = ctx.knobs().replicas;
         if replicas <= 1 {
             return;
         }
@@ -1399,7 +1351,7 @@ impl<NET: Network> RtServer<NET> {
     /// entries and lost acks both heal here — the stream needs no
     /// per-entry retry state, just this bounded resend loop.
     fn repl_tick(&mut self, ctx: &mut Outbox) {
-        let replicas = self.shared.knobs().replicas;
+        let replicas = ctx.knobs().replicas;
         let head = self.repl.next_idx - 1;
         let floor = self.repl.floor();
         for r in 0..replicas {
@@ -1434,9 +1386,9 @@ impl<NET: Network> RtServer<NET> {
                 );
             }
         }
-        if !self.shared.is_shutdown() {
+        if !ctx.draining {
             ctx.timer(
-                self.shared.knobs().repl_period(),
+                ctx.knobs().repl_period(),
                 RtLocal::ReplTick { gen: self.repl.gen },
             );
         }
@@ -1457,7 +1409,13 @@ impl<NET: Network> RtServer<NET> {
 
     /// A streamed log entry: buffer, drain contiguously, replay, ack the
     /// applied watermark back to the sender.
-    fn on_repl_entry(&mut self, ctx: &mut Outbox, from: NodeId, entry: journal::Entry) {
+    fn on_repl_entry<NET: Network>(
+        &mut self,
+        ctx: &mut Outbox,
+        net: &NET,
+        from: NodeId,
+        entry: journal::Entry,
+    ) {
         if self.repl.role != ReplRole::Follower {
             return;
         }
@@ -1469,7 +1427,7 @@ impl<NET: Network> RtServer<NET> {
             self.repl.entry_buf.insert(entry.idx, entry);
         }
         while let Some(entry) = self.repl.entry_buf.remove(&(self.repl.applied_idx + 1)) {
-            if !self.apply_entry(&entry) {
+            if !self.apply_entry(ctx.knobs(), net, &entry) {
                 // Replay diverged: freeze until the next `Restart` rolls
                 // this replica back to its checkpoint.
                 self.repl.active = false;
@@ -1497,16 +1455,21 @@ impl<NET: Network> RtServer<NET> {
     /// stream, and history converge on the primary's — without member
     /// traffic and without stats (each mutation is counted once, by the
     /// primary, so summed snapshots match a single-replica run).
-    fn apply_entry(&mut self, entry: &journal::Entry) -> bool {
+    fn apply_entry<NET: Network>(
+        &mut self,
+        knobs: &Knobs,
+        net: &NET,
+        entry: &journal::Entry,
+    ) -> bool {
         match &entry.op {
             ReplOp::Join { host, at, id } => {
-                let admitted = self.server.admit_join(*host, id.digits(), &*self.net, *at);
+                let admitted = self.server.admit_join(*host, id.digits(), net, *at);
                 if admitted != Ok(*id) {
                     return false;
                 }
             }
             ReplOp::Leave { id } => {
-                if self.server.request_leave(id, &*self.net).is_err() {
+                if self.server.request_leave(id, net).is_err() {
                     return false;
                 }
             }
@@ -1524,7 +1487,7 @@ impl<NET: Network> RtServer<NET> {
                 while self.history.len() > journal::HISTORY_WINDOW {
                     self.history.pop_first();
                 }
-                self.next_interval_at = *sent_at + self.shared.knobs().rekey_period;
+                self.next_interval_at = *sent_at + knobs.rekey_period;
                 // The follower checkpoints at the same boundaries the
                 // primary does, so a restarted follower resumes from an
                 // interval-aligned log watermark.
@@ -1627,7 +1590,7 @@ impl<NET: Network> RtServer<NET> {
         if self.repl.election.is_none() {
             // A fresh heartbeat vetoes the peer's suspicion from here.
             if ctx.now().saturating_sub(self.repl.last_primary_at)
-                <= self.shared.knobs().repl_check_period()
+                <= ctx.knobs().repl_check_period()
             {
                 return;
             }
@@ -1644,17 +1607,17 @@ impl<NET: Network> RtServer<NET> {
     /// Follower liveness check: a silent primary starts an election,
     /// otherwise the check re-arms itself.
     fn repl_check(&mut self, ctx: &mut Outbox) {
-        if self.shared.is_shutdown() {
+        if ctx.draining {
             return;
         }
-        let silent = ctx.now().saturating_sub(self.repl.last_primary_at)
-            > self.shared.knobs().primary_silence();
+        let silent =
+            ctx.now().saturating_sub(self.repl.last_primary_at) > ctx.knobs().primary_silence();
         if silent && self.repl.election.is_none() {
             self.start_election(ctx);
             return;
         }
         ctx.timer(
-            self.shared.knobs().repl_check_period(),
+            ctx.knobs().repl_check_period(),
             RtLocal::ReplCheck { gen: self.repl.gen },
         );
     }
@@ -1666,13 +1629,12 @@ impl<NET: Network> RtServer<NET> {
     fn start_election(&mut self, ctx: &mut Outbox) {
         self.stats.elections += 1;
         self.repl.gen += 1;
-        self.registry
-            .span("election", ctx.now(), ctx.now(), self.epoch);
+        ctx.span("election", ctx.now(), self.epoch);
         self.repl.election = Some(ElectionState {
             best_idx: self.repl.applied_idx,
             best_replica: self.repl.replica,
         });
-        for r in 0..self.shared.knobs().replicas {
+        for r in 0..ctx.knobs().replicas {
             if r == self.repl.replica {
                 continue;
             }
@@ -1686,7 +1648,7 @@ impl<NET: Network> RtServer<NET> {
             );
         }
         ctx.timer(
-            self.shared.knobs().nack_grace,
+            ctx.knobs().nack_grace,
             RtLocal::ElectionTick { gen: self.repl.gen },
         );
     }
@@ -1698,7 +1660,7 @@ impl<NET: Network> RtServer<NET> {
         let Some(election) = self.repl.election.take() else {
             // A heartbeat cancelled the election mid-grace.
             ctx.timer(
-                self.shared.knobs().repl_check_period(),
+                ctx.knobs().repl_check_period(),
                 RtLocal::ReplCheck { gen: self.repl.gen },
             );
             return;
@@ -1710,7 +1672,7 @@ impl<NET: Network> RtServer<NET> {
         // A peer won: give it a fresh silence budget to announce itself.
         self.repl.last_primary_at = ctx.now();
         ctx.timer(
-            self.shared.knobs().repl_check_period(),
+            ctx.knobs().repl_check_period(),
             RtLocal::ReplCheck { gen: self.repl.gen },
         );
     }
@@ -1728,8 +1690,7 @@ impl<NET: Network> RtServer<NET> {
             .primary_idx_seen
             .saturating_sub(self.repl.applied_idx);
         self.epoch += 1;
-        self.registry
-            .span("promotion", ctx.now(), ctx.now(), self.epoch);
+        ctx.span("promotion", ctx.now(), self.epoch);
         self.repl.role = ReplRole::Primary;
         self.repl.gen += 1;
         self.tick_gen += 1;
@@ -1740,14 +1701,14 @@ impl<NET: Network> RtServer<NET> {
         // log head is the replay watermark. Peer watermarks start unknown
         // and are re-learned from their heartbeat acks.
         self.repl.next_idx = self.repl.applied_idx + 1;
-        let replicas = self.shared.knobs().replicas;
+        let replicas = ctx.knobs().replicas;
         self.repl.acked = vec![u64::MAX; replicas.max(1)];
         self.repl.acked[self.repl.replica] = self.repl.applied_idx;
         // No split-index reset: replay was contiguous to this point —
         // unlike a restart there is no rollback to discard.
         self.end_interval(ctx);
         ctx.timer(
-            self.shared.knobs().repl_period(),
+            ctx.knobs().repl_period(),
             RtLocal::ReplTick { gen: self.repl.gen },
         );
     }
@@ -1799,6 +1760,7 @@ pub(crate) struct MemberStats {
 
 /// A joining node's §3.1 state, from its `JoinSeed` to its
 /// `JoinAccepted`.
+#[derive(Clone)]
 struct Joiner {
     /// Steps 1–3.
     probe: Probe,
@@ -1816,6 +1778,7 @@ struct Joiner {
 }
 
 /// A buffered rekey payload for one interval, applied strictly in order.
+#[derive(Clone)]
 pub(crate) enum PendingPayload {
     /// A multicast copy (the member's related set is a subset, Lemma 3).
     Mesh(Arc<IntervalMessage>),
@@ -1848,8 +1811,9 @@ pub(crate) struct RetryState {
     pub(crate) due: SimTime,
 }
 
+/// One member node: joining, admitted, or departed.
+#[derive(Clone)]
 pub(crate) struct RtMember {
-    pub(crate) shared: Arc<ShardCore>,
     pub(crate) member: Option<Member>,
     pub(crate) table: Option<NeighborTable>,
     pub(crate) agent: Option<UserAgent>,
@@ -1931,9 +1895,8 @@ pub(crate) struct RtMember {
 }
 
 impl RtMember {
-    pub(crate) fn new(shared: Arc<ShardCore>) -> RtMember {
+    pub(crate) fn new() -> RtMember {
         RtMember {
-            shared,
             member: None,
             table: None,
             agent: None,
@@ -1976,15 +1939,14 @@ impl RtMember {
     /// `Welcome`. Its heartbeat is *not* started: per-neighbor probing is
     /// O(N·K·D) events per period at bootstrap scale.
     pub(crate) fn welcomed(
-        shared: Arc<ShardCore>,
+        knobs: &Knobs,
         group: &Group,
         index: usize,
         welcome: WelcomePacket,
     ) -> (RtMember, (SimTime, RtLocal)) {
         let record = group.members()[index];
         debug_assert_eq!(record.id, welcome.id);
-        let knobs = *shared.knobs();
-        let mut member = RtMember::new(shared);
+        let mut member = RtMember::new();
         member.member = Some(record);
         member.table = Some(group.table(index).clone());
         member.server_interval_seen = welcome.interval;
@@ -2013,15 +1975,10 @@ impl RtMember {
             && (self.sync_stale || self.seq_hint > self.table_seq)
     }
 
-    /// The node hosting `host`'s member, offset past the replica block.
-    fn member_node(&self, host: HostId) -> NodeId {
-        NodeId(host.0 + self.shared.knobs().replicas)
-    }
-
     /// Rotates to the next server replica (round-robin). Called when the
     /// current one stays silent; a single-replica config never rotates.
-    fn rotate_server(&mut self) {
-        let replicas = self.shared.knobs().replicas;
+    fn rotate_server(&mut self, ctx: &Outbox) {
+        let replicas = ctx.knobs().replicas;
         if replicas > 1 {
             self.server_node = NodeId((self.server_node.0 + 1) % replicas);
         }
@@ -2033,9 +1990,9 @@ impl RtMember {
     /// small margin, clamped to `[100 ms, nack_grace]`. A member that has
     /// seen no copy yet (or none recently) falls back to the configured
     /// grace, so cold starts and outages stay conservative.
-    fn adaptive_grace(&self) -> SimTime {
+    fn adaptive_grace(&self, ctx: &Outbox) -> SimTime {
         let seen = self.delay_seen.max(self.delay_seen_prev);
-        let grace = self.shared.knobs().nack_grace;
+        let grace = ctx.knobs().nack_grace;
         if seen == 0 {
             return grace;
         }
@@ -2061,11 +2018,7 @@ impl RtMember {
             RtLocal::Join if self.member.is_none() && !self.join_requested => {
                 self.join_requested = true;
                 ctx.send(self.server_node, RtMsg::JoinRequest);
-                self.arm(
-                    ctx,
-                    Retrying::Join,
-                    ctx.now() + self.shared.knobs().retry_base,
-                );
+                self.arm(ctx, Retrying::Join, ctx.now() + ctx.knobs().retry_base);
             }
             RtLocal::Leave if self.member.is_some() && !self.leave_pending => self.leave(ctx),
             RtLocal::Leave if self.join_requested && self.member.is_none() => {
@@ -2105,7 +2058,7 @@ impl RtMember {
         // server. After a failover this re-anchors every member on the
         // promoted primary the moment its beacon interval (or any reply)
         // arrives.
-        if from.0 < self.shared.knobs().replicas {
+        if from.0 < ctx.knobs().replicas {
             self.server_node = from;
             self.server_ping_outstanding = false;
         }
@@ -2139,9 +2092,7 @@ impl RtMember {
                 self.arm(
                     ctx,
                     Retrying::Resync,
-                    ctx.now()
-                        + 2 * self.shared.knobs().rekey_period
-                        + self.shared.knobs().nack_grace,
+                    ctx.now() + 2 * ctx.knobs().rekey_period + ctx.knobs().nack_grace,
                 );
                 self.start_heartbeat(ctx);
             }
@@ -2171,7 +2122,7 @@ impl RtMember {
                 target,
                 mut records,
             } => {
-                let replicas = self.shared.knobs().replicas;
+                let replicas = ctx.knobs().replicas;
                 let Some(joiner) = self.joiner.as_deref_mut() else {
                     return;
                 };
@@ -2227,7 +2178,7 @@ impl RtMember {
                     .max(ctx.now().saturating_sub(message.sent_at));
                 let split_size = message.index.related_ranges(prefix.as_slice()).total() as u64;
                 self.stats.payload_encryptions += split_size;
-                self.shared.record_split_payload(split_size);
+                ctx.sinks.split_payload.record(split_size);
                 self.note_epoch(ctx, message.epoch);
                 self.server_interval_seen = self.server_interval_seen.max(message.interval);
                 self.follow_server_clock(ctx, message.interval, message.sent_at);
@@ -2244,7 +2195,7 @@ impl RtMember {
                             self.stats.copies_forwarded += 1;
                             fanout += 1;
                             ctx.send(
-                                NodeId(hop.neighbor.member.host.0 + self.shared.knobs().replicas),
+                                NodeId(hop.neighbor.member.host.0 + ctx.knobs().replicas),
                                 RtMsg::Forward {
                                     level: hop.forward_level,
                                     prefix: PrefixBuf::of_hop(&hop),
@@ -2252,7 +2203,7 @@ impl RtMember {
                                 },
                             );
                         }
-                        self.shared.record_forward_fanout(fanout);
+                        ctx.sinks.forward_fanout.record(fanout);
                     }
                 }
                 // Key state: any copy addressed to us carries our full
@@ -2268,7 +2219,7 @@ impl RtMember {
                         .or_insert(PendingPayload::Mesh(message));
                     self.drain_payloads(ctx);
                 }
-                let grace = self.adaptive_grace();
+                let grace = self.adaptive_grace(ctx);
                 self.scan_missing(ctx, grace);
             }
             RtMsg::Recover {
@@ -2292,7 +2243,7 @@ impl RtMember {
                     );
                     self.drain_payloads(ctx);
                 }
-                let grace = self.adaptive_grace();
+                let grace = self.adaptive_grace(ctx);
                 self.scan_missing(ctx, grace);
             }
             RtMsg::Ping { token } => {
@@ -2301,7 +2252,7 @@ impl RtMember {
                 // us from a pushed table and ping first on a faster path).
                 // Departed and crashed nodes absorb pings, which is what
                 // the detector keys on.
-                let access_rtt = self.shared.access_rtt(ctx.self_id());
+                let access_rtt = ctx.access_rtt(ctx.self_id());
                 ctx.send(from, RtMsg::Pong { token, access_rtt });
             }
             RtMsg::Pong { token, access_rtt } => {
@@ -2310,7 +2261,7 @@ impl RtMember {
                         // The round trip is the end-host RTT; §3.1.2's
                         // gateway estimate takes off both access links.
                         let estimate = (ctx.now() - sent_at)
-                            .saturating_sub(self.shared.access_rtt(ctx.self_id()))
+                            .saturating_sub(ctx.access_rtt(ctx.self_id()))
                             .saturating_sub(access_rtt);
                         joiner.rtt.insert(user.id, estimate);
                         self.join_progress(ctx);
@@ -2343,7 +2294,7 @@ impl RtMember {
                 // A version ahead of ours means a pushed table never
                 // arrived (e.g. our own outage window).
                 self.note_seq_watermark(ctx, seq);
-                let grace = self.adaptive_grace();
+                let grace = self.adaptive_grace(ctx);
                 self.scan_missing(ctx, grace);
             }
             RtMsg::NotMember { id } if self.member.as_ref().is_some_and(|m| m.id == id) => {
@@ -2353,11 +2304,7 @@ impl RtMember {
                 self.reset_to_unjoined();
                 self.join_requested = true;
                 ctx.send(self.server_node, RtMsg::JoinRequest);
-                self.arm(
-                    ctx,
-                    Retrying::Join,
-                    ctx.now() + self.shared.knobs().retry_base,
-                );
+                self.arm(ctx, Retrying::Join, ctx.now() + ctx.knobs().retry_base);
             }
             RtMsg::Resync {
                 member,
@@ -2408,7 +2355,7 @@ impl RtMember {
         // speculatively: a live server answers with the related
         // set, a dead one stays silent and the retry lineage
         // escalates into the existing resync machinery.
-        if !self.shared.is_shutdown() {
+        if !ctx.draining {
             if let (Some(agent), true) = (&self.agent, self.member.is_some()) {
                 let next = agent.interval() + 1;
                 if next > self.server_interval_seen
@@ -2422,10 +2369,10 @@ impl RtMember {
         }
         self.delay_seen_prev = self.delay_seen;
         self.delay_seen = 0;
-        if !self.shared.is_shutdown() {
-            self.next_boundary += self.shared.knobs().rekey_period;
+        if !ctx.draining {
+            self.next_boundary += ctx.knobs().rekey_period;
             self.expected_interval += 1;
-            let deadline = self.next_boundary + self.adaptive_grace();
+            let deadline = self.next_boundary + self.adaptive_grace(ctx);
             ctx.timer(
                 deadline.saturating_sub(ctx.now()).max(1),
                 RtLocal::IntervalCheck {
@@ -2464,11 +2411,7 @@ impl RtMember {
             return;
         }
         self.seq_hint = self.seq_hint.max(seq);
-        self.arm(
-            ctx,
-            Retrying::Resync,
-            ctx.now() + self.shared.knobs().nack_grace,
-        );
+        self.arm(ctx, Retrying::Resync, ctx.now() + ctx.knobs().nack_grace);
     }
 
     /// Takes `table` (version `seq`) as ours. Suspects it still lists
@@ -2515,7 +2458,8 @@ impl RtMember {
             self.stats.intervals_applied += 1;
             let delay = now.saturating_sub(sent_at);
             self.stats.apply_delay_total += delay;
-            self.shared.record_apply(span, sent_at, now, next);
+            ctx.sinks.apply_delay_us.record(delay);
+            ctx.sinks.spans.record(span, sent_at, now, next);
         }
         let applied = agent.interval();
         self.retries
@@ -2537,7 +2481,7 @@ impl RtMember {
             if self.pending.contains_key(&i) {
                 continue;
             }
-            if !self.shared.is_shutdown() && self.retries.contains_key(&Retrying::Nack(i)) {
+            if !ctx.draining && self.retries.contains_key(&Retrying::Nack(i)) {
                 continue;
             }
             self.arm(ctx, Retrying::Nack(i), due);
@@ -2548,7 +2492,7 @@ impl RtMember {
     /// retry timer is running. During shutdown the action fires inline
     /// instead — the event queue is draining and timers are dead.
     fn arm(&mut self, ctx: &mut Outbox, kind: Retrying, due: SimTime) {
-        if self.shared.is_shutdown() {
+        if ctx.draining {
             self.fire_shutdown(ctx, kind);
             return;
         }
@@ -2581,7 +2525,7 @@ impl RtMember {
 
     /// (Re)schedules the single retry timer at the earliest due time.
     fn schedule_retry_tick(&mut self, ctx: &mut Outbox) {
-        if self.shared.is_shutdown() {
+        if ctx.draining {
             return;
         }
         let Some(min_due) = self.retries.values().map(|st| st.due).min() else {
@@ -2638,14 +2582,14 @@ impl RtMember {
         };
         // A NACK that exhausted its attempts escalates to a snapshot:
         // the server-assisted resync replaces the whole retry lineage.
-        if matches!(kind, Retrying::Nack(_)) && st.attempts >= self.shared.knobs().retry_cap {
+        if matches!(kind, Retrying::Nack(_)) && st.attempts >= ctx.knobs().retry_cap {
             self.retries.remove(&kind);
             self.arm(ctx, Retrying::Resync, now);
             return;
         }
-        let cap = self.shared.knobs().retry_cap;
+        let cap = ctx.knobs().retry_cap;
         let attempts = (st.attempts + 1).min(cap);
-        let due = now + self.shared.knobs().backoff(attempts);
+        let due = now + ctx.knobs().backoff(attempts);
         self.retries.insert(kind, RetryState { attempts, due });
         self.stats.max_retry_attempts = self.stats.max_retry_attempts.max(attempts);
         // While the node probes, its join retry is aimed at members.
@@ -2660,7 +2604,7 @@ impl RtMember {
             // attempt: aim the retransmission at the next replica. A live
             // primary re-anchors `server_node` with its reply.
             if !probing {
-                self.rotate_server();
+                self.rotate_server(ctx);
             }
         }
         match kind {
@@ -2679,15 +2623,15 @@ impl RtMember {
     }
 
     fn start_heartbeat(&mut self, ctx: &mut Outbox) {
-        if self.heartbeat_running || self.shared.is_shutdown() {
+        if self.heartbeat_running || ctx.draining {
             return;
         }
         self.heartbeat_running = true;
         self.heartbeat_gen += 1;
         // Stagger first beats across the membership so a join burst does
         // not synchronize every ping burst.
-        let mut rng = node_rng(self.shared.knobs().seed, ctx.self_id());
-        let jitter = rng.gen_range(1..=self.shared.knobs().heartbeat_period.max(1));
+        let mut rng = node_rng(ctx.knobs().seed, ctx.self_id());
+        let jitter = rng.gen_range(1..=ctx.knobs().heartbeat_period.max(1));
         ctx.timer(
             jitter,
             RtLocal::HeartbeatTick {
@@ -2724,7 +2668,7 @@ impl RtMember {
         for id in self.suspects.keys() {
             ctx.send(self.server_node, RtMsg::FailureNotice { failed: *id });
         }
-        if self.shared.is_shutdown() {
+        if ctx.draining {
             self.heartbeat_running = false;
             return;
         }
@@ -2743,14 +2687,14 @@ impl RtMember {
             self.next_token += 1;
             self.outstanding.insert(token, (host, id));
             self.stats.pings_sent += 1;
-            ctx.send(self.member_node(host), RtMsg::Ping { token });
+            ctx.send(ctx.knobs().member_node(host), RtMsg::Ping { token });
         }
         // Probe the server: its pong is our NACK evidence and our
         // membership certificate; a NotMember reply triggers a rejoin.
         // An unanswered probe from the previous beat means the replica we
         // were aimed at is silent — rotate before probing again.
         if self.server_ping_outstanding {
-            self.rotate_server();
+            self.rotate_server(ctx);
         }
         if let Some(member) = &self.member {
             let id = member.id;
@@ -2758,7 +2702,7 @@ impl RtMember {
             ctx.send(self.server_node, RtMsg::ServerPing { id });
         }
         ctx.timer(
-            self.shared.knobs().heartbeat_period,
+            ctx.knobs().heartbeat_period,
             RtLocal::HeartbeatTick {
                 gen: self.heartbeat_gen,
             },
@@ -2791,7 +2735,7 @@ impl RtMember {
             return;
         }
         let periods = self.expected_interval - interval;
-        let boundary = sent_at + periods * self.shared.knobs().rekey_period;
+        let boundary = sent_at + periods * ctx.knobs().rekey_period;
         if boundary > self.next_boundary {
             self.anchor_check(ctx, boundary, self.expected_interval);
         }
@@ -2800,13 +2744,13 @@ impl RtMember {
     /// Points the check chain at `interval` ending at `boundary` and arms
     /// its timer (superseding the previous one).
     fn anchor_check(&mut self, ctx: &mut Outbox, boundary: SimTime, interval: u64) {
-        if self.shared.is_shutdown() {
+        if ctx.draining {
             return;
         }
         self.check_gen += 1;
         self.next_boundary = boundary;
         self.expected_interval = interval;
-        let deadline = boundary + self.adaptive_grace();
+        let deadline = boundary + self.adaptive_grace(ctx);
         ctx.timer(
             deadline.saturating_sub(ctx.now()).max(1),
             RtLocal::IntervalCheck {
@@ -2827,7 +2771,7 @@ impl RtMember {
     /// The join made progress: its retry next fires a full `retry_base`
     /// from now, as if first armed.
     fn join_progress(&mut self, ctx: &Outbox) {
-        let due = ctx.now() + self.shared.knobs().retry_base;
+        let due = ctx.now() + ctx.knobs().retry_base;
         if let Some(st) = self.retries.get_mut(&Retrying::Join) {
             *st = RetryState { attempts: 0, due };
         }
@@ -2838,20 +2782,21 @@ impl RtMember {
     /// reads whose RTT is not known yet; once every pong is in, decides the
     /// digit and starts the next round, or sends the digits to the server.
     fn advance_join(&mut self, ctx: &mut Outbox) {
-        let replicas = self.shared.knobs().replicas;
-        let params = &self.shared.assign;
+        let replicas = ctx.knobs().replicas;
+        // A handle of its own, so the sends below can borrow the outbox.
+        let params = Arc::clone(&ctx.assign);
         let Some(joiner) = self.joiner.as_deref_mut().filter(|j| j.digits.is_none()) else {
             return;
         };
         loop {
-            while let Some((user, target)) = joiner.probe.next_query(params) {
+            while let Some((user, target)) = joiner.probe.next_query(&params) {
                 joiner.queries.push((user, target));
                 ctx.send(NodeId(user.host.0 + replicas), RtMsg::Query { target });
             }
             if joiner.probe.awaiting() > 0 || !joiner.pings.is_empty() {
                 return;
             }
-            for user in joiner.probe.to_measure(params) {
+            for user in joiner.probe.to_measure(&params) {
                 if !joiner.rtt.contains_key(&user.id) {
                     let token = self.next_token;
                     self.next_token += 1;
@@ -2863,7 +2808,7 @@ impl RtMember {
                 return;
             }
             let rtt = &joiner.rtt;
-            if !joiner.probe.decide(params, |m| rtt[&m.id]) {
+            if !joiner.probe.decide(&params, |m| rtt[&m.id]) {
                 break;
             }
         }
@@ -2885,7 +2830,7 @@ impl RtMember {
     /// through the retry cap (`give_up`), a silent query counts as
     /// answered with no records and a silent user as unreachable.
     fn retry_probe(&mut self, ctx: &mut Outbox, give_up: bool) {
-        let replicas = self.shared.knobs().replicas;
+        let replicas = ctx.knobs().replicas;
         let joiner = self.joiner.as_deref_mut().expect("the node probes");
         let silent = std::mem::take(&mut joiner.pings).into_values();
         if give_up {
@@ -2934,7 +2879,7 @@ impl RtMember {
         ctx.send(self.server_node, RtMsg::LeaveRequest);
         // The ack rides the next checkpoint, so the first retry only fires
         // once a full rekey period has gone unanswered.
-        let knobs = self.shared.knobs();
+        let knobs = ctx.knobs();
         let due = ctx.now() + knobs.rekey_period + knobs.retry_base;
         self.arm(ctx, Retrying::Leave, due);
     }
@@ -2976,13 +2921,15 @@ mod tests {
         (net, server, welcomes)
     }
 
-    fn core() -> Arc<ShardCore> {
-        let assign = crate::AssignParams::for_depth(4);
-        ShardCore::new(
-            Knobs::of_config(&RuntimeConfig::default()),
-            assign,
-            Arc::new([]),
-        )
+    /// The default knobs of a runtime with `replicas` replicas.
+    fn knobs(replicas: usize) -> Knobs {
+        Knobs::of_config(&RuntimeConfig::builder().replicas(replicas).build())
+    }
+
+    /// A fresh lane outbox of a runtime with `replicas` replicas.
+    fn outbox(replicas: usize) -> Outbox {
+        let assign = Arc::new(crate::AssignParams::for_depth(4));
+        Outbox::new(knobs(replicas), assign, Arc::new([]))
     }
 
     /// The `(recipient, message)` of every `Send` in `out`, drained.
@@ -3000,7 +2947,7 @@ mod tests {
     /// each owner `Group` reports as changed, and nothing else but what
     /// `other` accepts. Returns the number of pushes.
     fn one_push_per_changed_table(
-        server: &RtServer<GridNetwork>,
+        server: &RtServer,
         sent: Vec<(NodeId, RtMsg)>,
         other: impl Fn(NodeId, &RtMsg) -> bool,
     ) -> usize {
@@ -3038,22 +2985,14 @@ mod tests {
         let mut leave_pushes = Vec::new();
         for members in [256, 4_096] {
             let (net, fsm, _) = dealt(members);
-            let mut server = RtServer::new(
-                Rc::new(net),
-                core(),
-                Registry::new(),
-                fsm,
-                0,
-                journal::Journal::disabled(),
-                false,
-            );
-            let mut out = Outbox::new();
+            let mut server = RtServer::new(&knobs(1), fsm, 0, journal::Journal::disabled(), false);
+            let mut out = outbox(1);
             let leaver = NodeId(members);
             let event = Event::Net {
                 from: leaver,
                 msg: RtMsg::LeaveRequest,
             };
-            server.handle(&mut out, event);
+            server.handle(&mut out, &net, event);
             assert_eq!(server.server.group().len(), members - 1);
             let sent = sends(&mut out);
             leave_pushes.push(one_push_per_changed_table(&server, sent, |_, _| false));
@@ -3063,7 +3002,7 @@ mod tests {
                 from: joiner,
                 msg: RtMsg::JoinRequest,
             };
-            server.handle(&mut out, event);
+            server.handle(&mut out, &net, event);
             assert_eq!(server.server.group().len(), members);
             let sent = sends(&mut out);
             let accepted = sent
@@ -3088,8 +3027,8 @@ mod tests {
         let (_, fsm, mut welcomes) = dealt(16);
         let group = fsm.group();
         let table = group.table(3).clone();
-        let (mut member, _) = RtMember::welcomed(core(), group, 3, welcomes.swap_remove(3));
-        let mut out = Outbox::new();
+        let (mut member, _) = RtMember::welcomed(&knobs(1), group, 3, welcomes.swap_remove(3));
+        let mut out = outbox(1);
         out.me = NodeId(4);
         let beat = || Event::Local(RtLocal::HeartbeatTick { gen: 0 });
         member.handle(&mut out, beat());
@@ -3132,11 +3071,9 @@ mod tests {
     fn every_behind_flush_recover_asks_for_a_resync() {
         let (_, fsm, mut welcomes) = dealt(16);
         let group = fsm.group();
-        let core = core();
-        let (mut member, _) =
-            RtMember::welcomed(Arc::clone(&core), group, 3, welcomes.swap_remove(3));
-        core.begin_shutdown();
-        let mut out = Outbox::new();
+        let (mut member, _) = RtMember::welcomed(&knobs(1), group, 3, welcomes.swap_remove(3));
+        let mut out = outbox(1);
+        out.draining = true;
         out.me = NodeId(4);
         let mut requests = 0;
         for _ in 0..2 {
@@ -3159,5 +3096,116 @@ mod tests {
                 .count();
         }
         assert_eq!(requests, 2);
+    }
+
+    /// A message from the primary and when it arrives.
+    type Delivery = (SimTime, RtMsg);
+
+    /// Points `out` at node `me` at the delivery's arrival time, and
+    /// returns the delivery as an event.
+    fn deliver(out: &mut Outbox, me: NodeId, (now, msg): &Delivery) -> Event {
+        (out.now, out.me) = (*now, me);
+        let msg = msg.clone();
+        Event::Net { from: SERVER, msg }
+    }
+
+    /// The effects in `out`, drained and rendered for comparison.
+    fn effects(out: &mut Outbox) -> String {
+        format!("{:?}", out.effects.drain(..).collect::<Vec<_>>())
+    }
+
+    /// Nodes are values, in the Moirai idiom: replicas are cloned and
+    /// events delivered by hand. A primary driven by hand rekeys two
+    /// leaves; a follower replica and a dealt member each take the first
+    /// round of what it sent, are cloned, and the original and the clone
+    /// take the second round through separate outboxes. Both emit the same
+    /// effects and end in the same state, and each outbox holds only its
+    /// own node's records.
+    #[test]
+    fn a_cloned_node_is_an_equal_independent_value() {
+        const REPLICAS: usize = 3;
+        let (net, fsm, mut welcomes) = dealt(16);
+        let knobs = knobs(REPLICAS);
+        let disabled = journal::Journal::disabled;
+        let mut primary = RtServer::new(&knobs, fsm.clone(), 0, disabled(), false);
+        let mut follower = RtServer::new(&knobs, fsm.clone(), 1, disabled(), false);
+        let (mut member, _) = RtMember::welcomed(&knobs, fsm.group(), 3, welcomes.swap_remove(3));
+
+        // Per round, a leave and the interval boundary that rekeys it:
+        // what the primary streams to replica 1, and one multicast copy of
+        // the interval, each arriving 1 ms after it was sent.
+        let (mut entries, mut copies) = (Vec::new(), Vec::new());
+        let mut out = outbox(REPLICAS);
+        for (round, leaver) in [(1, 5), (2, 9)] {
+            let boundary = round * knobs.rekey_period;
+            let leave = Event::Net {
+                from: NodeId(leaver + REPLICAS),
+                msg: RtMsg::LeaveRequest,
+            };
+            let tick = Event::Local(RtLocal::IntervalTick { gen: 0 });
+            for (now, event) in [(boundary - knobs.rekey_period / 2, leave), (boundary, tick)] {
+                out.now = now;
+                primary.handle(&mut out, &net, event);
+                for (to, msg) in sends(&mut out) {
+                    let delivery = (now + 1_000, msg);
+                    match delivery.1 {
+                        RtMsg::ReplEntry { .. } if to == NodeId(1) => entries.push(delivery),
+                        RtMsg::Forward { .. } if copies.len() < round as usize => {
+                            copies.push(delivery);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert_eq!((entries.len(), copies.len()), (4, 2));
+        let mut before = outbox(REPLICAS);
+        let (mut mine, mut theirs) = (outbox(REPLICAS), outbox(REPLICAS));
+
+        let me = NodeId(1);
+        for delivery in &entries[..2] {
+            let event = deliver(&mut before, me, delivery);
+            follower.handle(&mut before, &net, event);
+        }
+        let mut twin = follower.clone();
+        for delivery in &entries[2..] {
+            let event = deliver(&mut mine, me, delivery);
+            follower.handle(&mut mine, &net, event);
+            let event = deliver(&mut theirs, me, delivery);
+            twin.handle(&mut theirs, &net, event);
+            let acked = effects(&mut mine);
+            assert!(acked.contains("ReplAck"), "{acked}");
+            assert_eq!(acked, effects(&mut theirs));
+        }
+        let state = |r: &RtServer| {
+            let key = r.server.tree().group_key().cloned();
+            (r.server.interval(), r.epoch, r.repl.applied_idx, key)
+        };
+        let group_key = primary.server.tree().group_key().cloned();
+        assert_eq!(state(&follower), (3, 0, 4, group_key.clone()));
+        assert_eq!(state(&twin), state(&follower));
+
+        let me = NodeId(3 + REPLICAS);
+        let event = deliver(&mut before, me, &copies[0]);
+        member.handle(&mut before, event);
+        let mut twin = member.clone();
+        let event = deliver(&mut mine, me, &copies[1]);
+        member.handle(&mut mine, event);
+        let event = deliver(&mut theirs, me, &copies[1]);
+        twin.handle(&mut theirs, event);
+        assert_eq!(effects(&mut mine), effects(&mut theirs));
+        let state = |m: &RtMember| {
+            let agent = m.agent.as_ref().expect("welcomed");
+            (agent.interval(), m.epoch, agent.group_key().cloned())
+        };
+        assert_eq!(state(&member), (3, 0, group_key));
+        assert_eq!(state(&twin), state(&member));
+
+        // Each outbox holds one application: its own node's, not the other's.
+        for out in [&before, &mine, &theirs] {
+            assert_eq!(out.sinks.apply_delay_us.snapshot().count, 1);
+            let (spans, _) = rekey_metrics::merge_spans([&out.sinks.spans]);
+            assert_eq!(spans.len(), 1);
+        }
     }
 }

@@ -72,7 +72,7 @@ pub(crate) struct Checkpoint {
 /// The journal itself: the latest checkpoint plus a count of how many were
 /// ever recorded (each new checkpoint supersedes the previous — recovery
 /// only ever needs the most recent interval boundary).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Journal {
     latest: Option<Checkpoint>,
     recorded: u64,

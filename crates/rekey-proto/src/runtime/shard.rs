@@ -48,9 +48,9 @@
 //!   shared injector would, whatever the shard count. All fates are
 //!   decided at **send** time in the sender's lane, or at delivery from
 //!   `(plan, now)` alone — never from thread timing;
-//! * each shard's members share a `ShardCore` of their own: histogram
-//!   inserts commute, and the per-shard span rings are merged by end time
-//!   in lane order at snapshot time;
+//! * every lane records its nodes' metrics into the sinks of its own
+//!   outbox: histogram inserts commute, and the per-lane span rings are
+//!   merged by end time, ties in lane order, at snapshot time;
 //! * per window the order is fixed: the coordinator drains the replicas,
 //!   then the shards drain in parallel (disjoint `&mut`), then outboxes
 //!   merge into destination schedulers in shard-index order. No worker
@@ -72,12 +72,9 @@
 //!   nothing. Replicated sessions, and sessions whose plan takes a replica
 //!   down, journal as usual.
 
-use std::rc::Rc;
 use std::sync::Arc;
 
 use rand::Rng;
-use rekey_keytree::TreeMetrics;
-use rekey_metrics::Registry;
 use rekey_net::{HostId, Micros, Network};
 use rekey_sim::{node_rng, FaultInjector, FaultPlan, NodeId, Scheduler, SimRng, SimTime};
 use rekey_table::{ConsistencyViolation, NeighborTable};
@@ -85,8 +82,7 @@ use rekey_table::{ConsistencyViolation, NeighborTable};
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
 
 use super::core::{
-    acting_primary, boot_timers, merge_member_sinks, Effect, Event, Knobs, Outbox, RtLocal,
-    RtMember, RtServer, ShardCore, SERVER,
+    acting_primary, boot_timers, Effect, Event, Knobs, Outbox, RtLocal, RtMember, RtServer, SERVER,
 };
 use super::{
     check_member_tables, journal, ChurnEvent, ChurnOp, ExecutorCounters, MetricsSnapshot, RtMsg,
@@ -129,15 +125,17 @@ struct Crossing {
     envelope: Envelope,
 }
 
-/// One event queue with the randomness and the counters of the nodes it
-/// runs: the coordinator's (the replicas) or a shard's (its members).
+/// One event queue with the randomness, the outbox and the counters of
+/// the nodes it runs: the coordinator's (the replicas) or a shard's (its
+/// members).
 struct Lane {
     sched: Scheduler<Envelope>,
     /// [`RuntimeConfigBuilder::loss`](super::RuntimeConfigBuilder::loss) draws for `Forward` copies sent from here.
     rng: SimRng,
     /// This lane's compilation of the session's fault plan, if any.
     faults: Option<FaultInjector>,
-    /// One delivery's effects; kept for its capacity.
+    /// The lane's context and sinks; one delivery's effects pass through
+    /// it.
     out: Outbox,
     delivered: u64,
     dropped: u64,
@@ -146,12 +144,12 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(rng: SimRng) -> Lane {
+    fn new(rng: SimRng, out: Outbox) -> Lane {
         Lane {
             sched: Scheduler::new(),
             rng,
             faults: None,
-            out: Outbox::new(),
+            out,
             delivered: 0,
             dropped: 0,
             dead_letters: 0,
@@ -201,11 +199,10 @@ impl Lane {
     }
 }
 
-/// One shard: a subset of the members, their lane, and their shared core.
+/// One shard: a subset of the members and their lane.
 struct Shard {
     index: usize,
     lane: Lane,
-    core: Arc<ShardCore>,
     members: Vec<RtMember>,
     /// Cleared by [`ChurnOp::Crash`]; parallel to `members`.
     alive: Vec<bool>,
@@ -240,7 +237,6 @@ fn drain_shard<NET: Network + Sync>(
         server_host,
         placement,
     } = *layout;
-    let mut out = std::mem::replace(&mut shard.lane.out, Outbox::new());
     while shard.lane.sched.next_time().is_some_and(|t| t < t1) {
         let (now, env) = shard.lane.sched.pop().expect("peeked above");
         let me = env.to;
@@ -258,9 +254,11 @@ fn drain_shard<NET: Network + Sync>(
             continue;
         }
         shard.lane.delivered += 1;
+        let out = &mut shard.lane.out;
         (out.now, out.me) = (now, me);
-        shard.members[idx as usize].handle(&mut out, env.event);
-        for effect in out.effects.drain(..) {
+        shard.members[idx as usize].handle(out, env.event);
+        let mut effects = std::mem::take(&mut out.effects);
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     let Some(extra) = shard.lane.admit(loss, now, me, to, &msg) else {
@@ -292,8 +290,8 @@ fn drain_shard<NET: Network + Sync>(
                     .schedule_at(now + delay.max(1), Envelope::local(me, event)),
             }
         }
+        shard.lane.out.effects = effects; // keeps its capacity
     }
-    shard.lane.out = out;
 }
 
 /// Every host's access-link RTT `a(h)` — §3.1.2's `h(u, gw_u)`, which
@@ -337,13 +335,11 @@ fn access_rtts(net: &impl Network, server: HostId) -> Vec<Micros> {
 /// [`chaos::member_node_with_replicas`](crate::chaos::member_node_with_replicas)`(k, replicas)`;
 /// the replicas run on the substrate's last host.
 pub struct ShardedGroupRuntime<NET: Network + Sync> {
-    net: Rc<NET>,
+    net: NET,
     /// The key-server replicas (node `r` is `servers[r]`; replica 0 is
     /// the initial primary), all on the coordinator's lane.
-    servers: Vec<RtServer<NET>>,
+    servers: Vec<RtServer>,
     coord: Lane,
-    coord_core: Arc<ShardCore>,
-    registry: Registry,
     shards: Vec<Shard>,
     /// Member handle → (shard index, index within the shard).
     placement: Vec<(u32, u32)>,
@@ -431,7 +427,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             let group = rt.servers[0].server.group();
             let shard = &mut rt.shards[(welcome.id.digit(0) as usize) % shard_count];
             let (member, (due, check)) =
-                RtMember::welcomed(Arc::clone(&shard.core), group, handle, welcome);
+                RtMember::welcomed(shard.lane.out.knobs(), group, handle, welcome);
             rt.placement
                 .push((shard.index as u32, shard.members.len() as u32));
             shard.members.push(member);
@@ -458,39 +454,24 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     ) -> ShardedGroupRuntime<NET> {
         let server_host = HostId(net.host_count() - 1);
         let access: Arc<[Micros]> = access_rtts(&net, server_host).into();
-        let net = Rc::new(net);
         let knobs = Knobs::of_config(&config);
-        let assign = fsms[0].group().assign_params().clone();
-        let registry = Registry::new();
-        let coord_core = ShardCore::new(knobs, assign.clone(), Arc::clone(&access));
+        let assign = Arc::new(fsms[0].group().assign_params().clone());
+        let outbox = || Outbox::new(knobs, Arc::clone(&assign), Arc::clone(&access));
         let servers = fsms
             .into_iter()
             .enumerate()
-            .map(|(replica, mut fsm)| {
-                // Only the initial primary instruments the tree — one
-                // metrics stream per group.
-                if replica == 0 {
-                    fsm.instrument_tree(TreeMetrics::in_registry(&registry));
-                }
+            .map(|(replica, fsm)| {
                 let journal = if journaled {
                     journal::Journal::new()
                 } else {
                     journal::Journal::disabled()
                 };
-                RtServer::new(
-                    Rc::clone(&net),
-                    Arc::clone(&coord_core),
-                    registry.clone(),
-                    fsm,
-                    replica,
-                    journal,
-                    // Joiners probe with `Query`/`Ping` messages, timed
-                    // by the substrate's delays.
-                    true,
-                )
+                // Joiners probe with `Query`/`Ping` messages, timed by the
+                // substrate's delays.
+                RtServer::new(&knobs, fsm, replica, journal, true)
             })
             .collect();
-        let mut coord = Lane::new(node_rng(config.seed() ^ LOSS_SEED, SERVER));
+        let mut coord = Lane::new(node_rng(config.seed() ^ LOSS_SEED, SERVER), outbox());
         for (node, due, timer) in boot_timers(&knobs) {
             coord.sched.schedule_at(due, Envelope::local(node, timer));
         }
@@ -499,8 +480,10 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 index,
                 // Shard streams are separated by index + 1 so none
                 // collides with the coordinator's (node 0 = SERVER).
-                lane: Lane::new(node_rng(config.seed() ^ LOSS_SEED, NodeId(index + 1))),
-                core: ShardCore::new(knobs, assign.clone(), Arc::clone(&access)),
+                lane: Lane::new(
+                    node_rng(config.seed() ^ LOSS_SEED, NodeId(index + 1)),
+                    outbox(),
+                ),
                 members: Vec::new(),
                 alive: Vec::new(),
                 outbox: Vec::new(),
@@ -511,8 +494,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             net,
             servers,
             coord,
-            coord_core,
-            registry,
             shards,
             placement: Vec::new(),
             to_replicas: Vec::new(),
@@ -585,7 +566,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                     let shard = &mut self.shards[shard_index];
                     self.placement
                         .push((shard.index as u32, shard.members.len() as u32));
-                    shard.members.push(RtMember::new(Arc::clone(&shard.core)));
+                    shard.members.push(RtMember::new());
                     shard.alive.push(true);
                     handles.push(handle);
                     self.inject(event.at, handle, RtLocal::Join);
@@ -645,7 +626,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     }
 
     fn knobs(&self) -> &Knobs {
-        self.coord_core.knobs()
+        self.coord.out.knobs()
     }
 
     fn member_node(&self, handle: usize) -> NodeId {
@@ -693,7 +674,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         acting_primary(self.servers.iter().enumerate())
     }
 
-    fn primary(&self) -> &RtServer<NET> {
+    fn primary(&self) -> &RtServer {
         &self.servers[self.acting_primary()]
     }
 
@@ -704,7 +685,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// puts every arrival at or beyond `t1`).
     fn drain_server(&mut self, t1: SimTime) {
         let replicas = self.servers.len();
-        let mut out = std::mem::replace(&mut self.coord.out, Outbox::new());
         while self.coord.sched.next_time().is_some_and(|t| t < t1) {
             let (now, env) = self.coord.sched.pop().expect("peeked above");
             let me = env.to;
@@ -712,9 +692,11 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 continue;
             }
             self.coord.delivered += 1;
+            let out = &mut self.coord.out;
             (out.now, out.me) = (now, me);
-            self.servers[me.0].handle(&mut out, env.event);
-            for effect in out.effects.drain(..) {
+            self.servers[me.0].handle(out, &self.net, env.event);
+            let mut effects = std::mem::take(&mut out.effects);
+            for effect in effects.drain(..) {
                 match effect {
                     Effect::Send { to, msg } => {
                         let Some(extra) = self.coord.admit(self.loss, now, me, to, &msg) else {
@@ -740,8 +722,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                         .schedule_at(now + delay.max(1), Envelope::local(me, event)),
                 }
             }
+            self.coord.out.effects = effects; // keeps its capacity
         }
-        self.coord.out = out;
     }
 
     /// Runs one window: pick `t0` (earliest event anywhere), drain
@@ -886,9 +868,9 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// server unreachable forever).
     pub fn finish(&mut self, until: SimTime) -> SimTime {
         self.run_until(until);
-        self.coord_core.begin_shutdown();
-        for shard in &self.shards {
-            shard.core.begin_shutdown();
+        self.coord.out.draining = true;
+        for shard in &mut self.shards {
+            shard.lane.out.draining = true;
         }
         self.drain();
         for round in 1.. {
@@ -897,7 +879,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 .sched
                 .schedule_at(self.now, Envelope::local(primary, RtLocal::Flush));
             self.drain();
-            let (joins, leaves, owed) = self.primary().flush_backlog();
+            let (joins, leaves, owed) = self.primary().flush_backlog(self.knobs());
             if joins == 0 && leaves == 0 && owed.is_empty() {
                 break;
             }
@@ -994,9 +976,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
 
     /// Aggregates the session's counters, histograms, and spans.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut registry = self.registry.snapshot();
-        let cores = std::iter::once(&self.coord_core).chain(self.shards.iter().map(|s| &s.core));
-        let histograms = merge_member_sinks(cores.map(|core| &**core), &mut registry);
         let mut executor = ExecutorCounters {
             peak_queue_depth: self.peak_queue,
             ..ExecutorCounters::default()
@@ -1016,8 +995,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             self.group().len(),
             ServerStats::sum(self.servers.iter().map(|s| &s.stats)),
             self.members().map(|m| &m.stats),
-            registry,
-            histograms,
+            self.lanes().map(|lane| &lane.out.sinks),
             executor,
         )
     }
@@ -1030,6 +1008,16 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
 fn assert_shard_is_send() {
     fn is_send<T: Send>() {}
     is_send::<Shard>();
+}
+
+/// Nodes are values: both state machines hold only their own protocol
+/// state, so they can be cloned mid-stream and moved to any thread. Shared
+/// state smuggled into either fails here.
+#[allow(dead_code)]
+fn assert_nodes_are_values() {
+    fn is_value<T: Clone + Send>() {}
+    is_value::<RtMember>();
+    is_value::<RtServer>();
 }
 
 #[cfg(test)]
@@ -1183,6 +1171,20 @@ mod tests {
         );
         let other = run(0xD57F);
         assert_ne!(first, other, "the seed must actually steer the run");
+    }
+
+    /// Every member records its applications into its own shard's lane,
+    /// and the snapshot folds every lane: after `finish` the apply-delay
+    /// histogram counts exactly the intervals the members applied.
+    #[test]
+    fn member_histograms_fold_every_lane() {
+        let mut rt = build(4, 0.08, 0xD57E);
+        rt.leave_at(PERIOD / 2, 11);
+        rt.leave_at(2 * PERIOD + PERIOD / 4, 30);
+        rt.finish(4 * PERIOD);
+        let applied: u64 = rt.members().map(|m| m.stats.intervals_applied).sum();
+        assert!(applied > MEMBERS as u64, "members applied intervals");
+        assert_eq!(rt.snapshot().apply_delay_us.count, applied);
     }
 
     /// Shard count must not change results, only the execution layout:
@@ -1378,11 +1380,11 @@ mod tests {
         // Mid-interval: both requests reached the server, neither is
         // rekeyed away or acknowledged yet.
         rt.run_until(PERIOD / 2);
-        let (joins, leaves, owed) = rt.primary().flush_backlog();
+        let (joins, leaves, owed) = rt.primary().flush_backlog(rt.knobs());
         assert_eq!((joins, leaves), (0, 2));
         assert_eq!(owed, [13, 31]);
         rt.finish(PERIOD / 2);
-        assert_eq!(rt.primary().flush_backlog(), (0, 0, Vec::new()));
+        assert_eq!(rt.primary().flush_backlog(rt.knobs()), (0, 0, Vec::new()));
         assert_eq!(rt.snapshot().leave_acks, 2);
     }
 

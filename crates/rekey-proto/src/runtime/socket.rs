@@ -56,26 +56,29 @@
 //! questions with `RtMember::has_applied` and `RtMember::is_stale`, and
 //! audits the collected members' tables with the same function the
 //! simulator's `check_consistency` calls.
+//!
+//! Each thread is one lane: its `Io` owns the `Outbox` its nodes record
+//! their metrics into, with no lock. `finish` tells every worker that the
+//! session drains, and waits until each has seen it, before the first
+//! flush, so that a member behind the server resyncs from the flush's
+//! `Recover` at once; at `Stop` each worker hands its sinks back with its
+//! members.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rekey_id::IdSpec;
-use rekey_keytree::TreeMetrics;
-use rekey_metrics::Registry;
 use rekey_net::udp::{EndpointStats, UdpEndpoint};
 use rekey_net::{HostId, Network};
 use rekey_sim::{NodeId, Scheduler, SimTime};
 use rekey_table::ConsistencyViolation;
 
 use super::core::{
-    acting_primary, boot_timers, merge_member_sinks, Effect, Event, Knobs, Outbox, RtLocal,
-    RtMember, RtServer, ShardCore,
+    acting_primary, boot_timers, Effect, Event, Knobs, Outbox, RtLocal, RtMember, RtServer, Sinks,
 };
 use super::wire::{decode_msg, encode_forward_split, encode_msg, WireError};
 use super::{
@@ -200,8 +203,8 @@ fn encode_payload(msg: &RtMsg, out: &mut Vec<u8>) {
 
 /// What one thread needs to run state machines against sockets, the
 /// same for a worker and the coordinator: the wall clock, its nodes'
-/// timers, the routing table, and the scratch a handled event drains
-/// through.
+/// timers, the routing table, and the lane's outbox, which a handled
+/// event's effects drain through and its metrics land in.
 struct Io {
     routes: Arc<Routes>,
     spec: IdSpec,
@@ -214,14 +217,20 @@ struct Io {
 }
 
 impl Io {
-    fn new(routes: Arc<Routes>, spec: IdSpec, epoch: Instant, errors: Arc<AtomicU64>) -> Io {
+    fn new(
+        routes: Arc<Routes>,
+        spec: IdSpec,
+        epoch: Instant,
+        errors: Arc<AtomicU64>,
+        out: Outbox,
+    ) -> Io {
         Io {
             routes,
             spec,
             epoch,
             decode_errors: errors,
             timers: Scheduler::new(),
-            out: Outbox::new(),
+            out,
             frame: Vec::new(),
         }
     }
@@ -323,19 +332,23 @@ enum WorkerCtl {
     /// behind the server's ([`RtMember::is_stale`]) — the kernel-drop
     /// cases a resync has yet to repair.
     Stale { reply: mpsc::Sender<Vec<usize>> },
+    /// The session drains for shutdown: set the lane's `draining`, then
+    /// reply.
+    Drain { done: mpsc::Sender<()> },
     /// Drain the socket once more and return all hosted members.
     Stop,
 }
 
 /// What a stopping worker hands back: every member it hosted, keyed by
-/// node id, ready for the coordinator's final consistency audit.
-type CollectedMembers = Vec<(NodeId, RtMember)>;
+/// node id, ready for the coordinator's final consistency audit, and the
+/// sinks they recorded into.
+type Collected = (Vec<(NodeId, RtMember)>, Sinks);
 
 /// Coordinator-side handle of one worker thread.
 struct WorkerLink {
     ctl: mpsc::Sender<WorkerCtl>,
     stats: Arc<EndpointStats>,
-    handle: Option<JoinHandle<CollectedMembers>>,
+    handle: Option<JoinHandle<Collected>>,
 }
 
 /// One worker thread: a socket, its [`Io`], and the members it hosts.
@@ -349,7 +362,7 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(mut self) -> CollectedMembers {
+    fn run(mut self) -> Collected {
         loop {
             while let Ok(ctl) = self.ctl.try_recv() {
                 match ctl {
@@ -368,13 +381,15 @@ impl Worker {
                     WorkerCtl::Stale { reply } => {
                         let _ = reply.send(self.nodes_where(RtMember::is_stale));
                     }
+                    WorkerCtl::Drain { done } => {
+                        self.io.out.draining = true;
+                        let _ = done.send(());
+                    }
                     WorkerCtl::Stop => {
                         self.drain_socket();
-                        return self
-                            .members
-                            .into_iter()
-                            .map(|(n, m)| (NodeId(n), m))
-                            .collect();
+                        let members = self.members.into_iter();
+                        let members = members.map(|(n, m)| (NodeId(n), m)).collect();
+                        return (members, self.io.out.sinks);
                     }
                 }
             }
@@ -443,8 +458,8 @@ impl Worker {
 /// its own loopback socket, and a liveness flag. A dead replica's
 /// datagrams and timers are discarded until it is revived — the socket
 /// analogue of a crashed process whose kernel buffers drain to nowhere.
-struct ServerSlot<NET: Network> {
-    rt: RtServer<NET>,
+struct ServerSlot {
+    rt: RtServer,
     endpoint: UdpEndpoint,
     alive: bool,
     last_timeout: Option<Duration>,
@@ -465,13 +480,13 @@ struct ServerSlot<NET: Network> {
 /// [`run_to_interval`]: UdpGroupDriver::run_to_interval
 /// [`finish`]: UdpGroupDriver::finish
 pub struct UdpGroupDriver<NET: Network> {
+    /// The RTT model the replicas consult for joins and leaves.
+    net: NET,
     /// Server replicas on nodes `0..servers.len()`; slot 0 is the
     /// initial primary.
-    servers: Vec<ServerSlot<NET>>,
+    servers: Vec<ServerSlot>,
     io: Io,
     poll: Duration,
-    core: Arc<ShardCore>,
-    registry: Registry,
     workers: Vec<WorkerLink>,
     peak_timers: usize,
     server_host: HostId,
@@ -480,6 +495,9 @@ pub struct UdpGroupDriver<NET: Network> {
     /// Populated by [`UdpGroupDriver::finish`]: member state machines
     /// collected from the workers, indexed by handle.
     collected: Vec<Option<RtMember>>,
+    /// Populated by [`UdpGroupDriver::finish`]: each worker's sinks, in
+    /// worker order.
+    worker_sinks: Vec<Sinks>,
     finished: bool,
     not_converged: Option<NotConverged>,
 }
@@ -518,40 +536,27 @@ impl<NET: Network> UdpGroupDriver<NET> {
             "need a host per member plus one for the server"
         );
         let server_host = HostId(net.host_count() - 1);
-        let net = Rc::new(net);
         let hosts: Vec<HostId> = (0..members).map(HostId).collect();
         let replicas = config.replicas();
         let knobs = Knobs::of_config(&config);
-
-        let registry = Registry::new();
 
         let mut worker_endpoints = Vec::with_capacity(workers);
         for _ in 0..workers {
             worker_endpoints.push(UdpEndpoint::bind_loopback()?);
         }
         let mut slots = Vec::with_capacity(replicas);
-        let (server_fsm, welcomes) = group.bootstrap(server_host, &hosts, &*net)?;
-        // Followers start from a copy of the dealt state — what replaying
-        // the primary's bootstrap would have given them. Only the primary
-        // instruments its tree: one metrics stream per group.
-        let mut fsms = vec![server_fsm; replicas];
-        fsms[0].instrument_tree(TreeMetrics::in_registry(&registry));
+        let (server_fsm, welcomes) = group.bootstrap(server_host, &hosts, &net)?;
         // Loopback models no access links: every `Pong` carries 0.
-        let assign = fsms[0].group().assign_params().clone();
-        let core = ShardCore::new(knobs, assign, Arc::new([]));
-        for (replica, server_fsm) in fsms.into_iter().enumerate() {
+        let assign = Arc::new(server_fsm.group().assign_params().clone());
+        let outbox = || Outbox::new(knobs, Arc::clone(&assign), Arc::new([]));
+        // Followers start from a copy of the dealt state — what replaying
+        // the primary's bootstrap would have given them.
+        for (replica, server_fsm) in vec![server_fsm; replicas].into_iter().enumerate() {
             // Datagrams travel at loopback speed, so pings would time
             // nothing: the server probes its RTT model for each joiner
             // instead of seeding the joiner's own probe.
-            let mut rt = RtServer::new(
-                Rc::clone(&net),
-                Arc::clone(&core),
-                registry.clone(),
-                server_fsm,
-                replica,
-                journal::Journal::disabled(),
-                false,
-            );
+            let journal = journal::Journal::disabled();
+            let mut rt = RtServer::new(&knobs, server_fsm, replica, journal, false);
             if replica == 0 {
                 // The bootstrap deal is counted once, on the primary.
                 rt.stats.welcomes = members as u64;
@@ -578,7 +583,10 @@ impl<NET: Network> UdpGroupDriver<NET> {
         // count from here, exactly like the simulator's time zero.
         let epoch = Instant::now();
 
-        let io = || Io::new(Arc::clone(&routes), spec, epoch, Arc::clone(&decode_errors));
+        let io = || {
+            let errors = Arc::clone(&decode_errors);
+            Io::new(Arc::clone(&routes), spec, epoch, errors, outbox())
+        };
         let mut links = Vec::with_capacity(workers);
         for worker_endpoint in worker_endpoints {
             let (ctl_tx, ctl_rx) = mpsc::channel();
@@ -603,16 +611,16 @@ impl<NET: Network> UdpGroupDriver<NET> {
         }
 
         let mut driver = UdpGroupDriver {
+            net,
             servers: slots,
             io: io(),
             poll,
-            core,
-            registry,
             workers: links,
             peak_timers: 0,
             server_host,
             handles: 0,
             collected: Vec::new(),
+            worker_sinks: Vec::new(),
             finished: false,
             not_converged: None,
         };
@@ -622,7 +630,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         // NACK grace.
         for (i, welcome) in welcomes.into_iter().enumerate() {
             let group = driver.servers[0].rt.server.group();
-            let (member, check) = RtMember::welcomed(Arc::clone(&driver.core), group, i, welcome);
+            let (member, check) = RtMember::welcomed(&knobs, group, i, welcome);
             let node = NodeId(i + replicas);
             driver.handles += 1;
             driver
@@ -662,7 +670,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         )
     }
 
-    fn primary_rt(&self) -> &RtServer<NET> {
+    fn primary_rt(&self) -> &RtServer {
         &self.servers[self.acting_primary()].rt
     }
 
@@ -673,7 +681,9 @@ impl<NET: Network> UdpGroupDriver<NET> {
         if !server.alive {
             return;
         }
-        server.rt.handle(self.io.begin(NodeId(slot)), event);
+        server
+            .rt
+            .handle(self.io.begin(NodeId(slot)), &self.net, event);
         self.io.flush(&mut server.endpoint);
         self.peak_timers = self.peak_timers.max(self.io.timers.pending());
     }
@@ -766,7 +776,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         );
         self.handles += 1;
         let node = NodeId(handle + self.replicas());
-        let member = RtMember::new(Arc::clone(&self.core));
+        let member = RtMember::new();
         let link = self.worker_of(node);
         link.ctl
             .send(WorkerCtl::Spawn(Box::new(Seed {
@@ -833,8 +843,26 @@ impl<NET: Network> UdpGroupDriver<NET> {
         }
     }
 
-    /// Shuts the session down: raises the shutdown flag (timers stop
-    /// re-arming), then runs server flush rounds until no membership
+    /// Tells every lane that the session drains, and returns once each
+    /// worker has seen it. A member behind the server sends its resync
+    /// request the moment the flush's `Recover` reaches it only if it
+    /// already knows that the session drains; otherwise it arms a retry
+    /// and the flush round waits on the timer.
+    fn begin_drain(&mut self) {
+        self.io.out.draining = true;
+        let (done_tx, done_rx) = mpsc::channel();
+        for link in &self.workers {
+            let done = done_tx.clone();
+            link.ctl
+                .send(WorkerCtl::Drain { done })
+                .expect("worker thread alive");
+        }
+        drop(done_tx);
+        for () in done_rx {}
+    }
+
+    /// Shuts the session down: tells every lane that it drains (timers
+    /// stop re-arming), then runs server flush rounds until no membership
     /// work or leave ack is outstanding (mirroring the simulator's
     /// `finish`), stops the workers, and collects every member state
     /// machine for inspection. Returns `true` when the flush converged
@@ -847,7 +875,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         if self.finished {
             return self.not_converged.is_none();
         }
-        self.core.begin_shutdown();
+        self.begin_drain();
         let deadline = Instant::now() + timeout;
         let mut converged = false;
         while !converged {
@@ -857,7 +885,8 @@ impl<NET: Network> UdpGroupDriver<NET> {
             self.server_handle(primary, Event::Local(RtLocal::Flush));
             self.pump(Duration::from_millis(40));
             let primary = self.acting_primary();
-            let (joins, leaves, pending_leave_acks) = self.servers[primary].rt.flush_backlog();
+            let knobs = self.io.out.knobs();
+            let (joins, leaves, pending_leave_acks) = self.servers[primary].rt.flush_backlog(knobs);
             // Beyond the server's own queues, wait for every member's
             // repairs: the flush's `Recover` carries both the latest key
             // material and the member's table version, so a member that
@@ -887,7 +916,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         }
         let replicas = self.replicas();
         for link in &mut self.workers {
-            let members = link
+            let (members, sinks) = link
                 .handle
                 .take()
                 .expect("worker joined once")
@@ -896,6 +925,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             for (node, member) in members {
                 self.collected[node.0 - replicas] = Some(member);
             }
+            self.worker_sinks.push(sinks);
         }
         self.finished = true;
         converged
@@ -985,18 +1015,15 @@ impl<NET: Network> UdpGroupDriver<NET> {
     /// [`MetricsSnapshot`] shape the simulator produces.
     /// `delivered` counts received frames; `copies_lost` counts local
     /// oversize drops (kernel drops are invisible — they surface as NACK
-    /// recoveries instead). Member-side counters are merged only after
-    /// [`UdpGroupDriver::finish`].
+    /// recoveries instead). Member-side counters, histograms and spans
+    /// are merged only after [`UdpGroupDriver::finish`].
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut registry = self.registry.snapshot();
-        let histograms = merge_member_sinks([&*self.core], &mut registry);
         let traffic = self.traffic();
         MetricsSnapshot::assemble(
             self.group().len(),
             ServerStats::sum(self.servers.iter().map(|slot| &slot.rt.stats)),
             self.collected.iter().flatten().map(|member| &member.stats),
-            registry,
-            histograms,
+            std::iter::once(&self.io.out.sinks).chain(&self.worker_sinks),
             ExecutorCounters {
                 copies_lost: traffic.oversize_drops,
                 dead_letters: traffic.malformed_frames + traffic.decode_errors,
@@ -1177,6 +1204,11 @@ mod tests {
         assert_eq!(report.departures, 1);
         assert_eq!(report.joins, 1);
         assert!(report.intervals >= 2);
+        // Every worker handed its sinks back with its members.
+        let members = rt.collected.iter().flatten();
+        let applied: u64 = members.map(|m| m.stats.intervals_applied).sum();
+        assert!(applied > 0, "members applied intervals");
+        assert_eq!(report.apply_delay_us.count, applied);
         let traffic = rt.traffic();
         assert!(traffic.packets_received > 0, "no real packets flowed");
         assert_eq!(traffic.malformed_frames, 0);

@@ -319,7 +319,7 @@ impl SplitIndex {
 /// let index = maintainer.advance(&second); // delta path: 1 fresh, 2 kept
 /// assert_eq!(index.related_ranges(&[0, 2]).total(), 3);
 /// ```
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct SplitIndexMaintainer {
     /// Previous interval's entry IDs, flattened **in sorted order**;
     /// sorted entry `r` occupies `sorted_digits[sorted_bounds[r]..sorted_bounds[r + 1]]`.

@@ -12,7 +12,7 @@
 # checks that neither tracked size outcome rose (scripts/loc.sh --check) and
 # that the figure outputs did not move (scripts/digests.sh --check: join_cost,
 # fig13, fig06–fig11, fig14, ablation_gnp, concurrent_transport, ablation_loss,
-# ablation_packet_split).
+# ablation_packet_split, ablation_k).
 #
 # Not gated here yet: scripts/soak.sh <test-binary> <runs> counts a test
 # binary's intermittent failures over many whole-binary runs, half of them

@@ -14,6 +14,8 @@
 #                         its unicast recovery
 #   ablation_packet_split what the split transport delivers, charged at
 #                         packet granularity
+#   ablation_k            the neighbor-table capacity K (§2.2): surviving
+#                         primaries after failures against memory
 #
 #   scripts/digests.sh            # one "md5  name" line per output
 #   scripts/digests.sh --check    # the same, and exit 1 if they differ from
@@ -27,7 +29,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 bins="join_cost fig13 fig06 fig07 fig08 fig09 fig10 fig11 fig14 ablation_gnp concurrent_transport
-ablation_loss ablation_packet_split"
+ablation_loss ablation_packet_split ablation_k"
 # shellcheck disable=SC2046 # one --bin flag per name
 cargo build --offline --release -q -p rekey-bench $(printf -- '--bin %s ' $bins)
 out=$(mktemp)

@@ -140,6 +140,47 @@ fn failover_runs_are_deterministic() {
     assert_eq!(a, b, "identical seeds must replay bit for bit");
 }
 
+/// Each interval's batch rekey is counted once, by the replica that
+/// issued it as primary. A session whose primary dies for good between
+/// two leaves counts as many key-wrap encryptions as a never-faulted
+/// single replica, and ends with the same group key — the promoted
+/// primary's rekey of the second leave included.
+#[test]
+fn a_promoted_primary_counts_the_rekeys_it_issues() {
+    let _serial = serial();
+    const KILL: u64 = 307_471; // mid-way through the third interval
+    let run = |replicas: usize, plan: FaultPlan| {
+        let window = udp_net().min_one_way();
+        let mut rt = ShardedGroupRuntime::bootstrapped(
+            udp_group(),
+            udp_config(replicas),
+            udp_net(),
+            UDP_MEMBERS,
+            4,
+            window,
+        )
+        .expect("sharded bootstrap")
+        .with_faults(plan);
+        rt.leave_at(0, 4);
+        rt.run_until(KILL);
+        rt.leave_at(0, 17);
+        rt.run_until(KILL + 40 * UDP_PERIOD);
+        rt.finish(KILL + 60 * UDP_PERIOD);
+        let key = rt.server().tree().group_key().cloned();
+        (rt.snapshot(), key)
+    };
+    let (single, single_key) = run(1, FaultPlan::new());
+    let dies = FaultPlan::new().outage(SERVER_NODE, KILL, 10_000 * SEC);
+    let (replicated, replicated_key) = run(3, dies);
+    assert_eq!(replicated.promotions, 1, "a follower took over");
+    assert!(single.tree_encryptions > 0, "the leaves were rekeyed");
+    assert_eq!(
+        replicated.tree_encryptions, single.tree_encryptions,
+        "every issued rekey counted once"
+    );
+    assert_eq!(replicated_key, single_key, "same final group key");
+}
+
 /// The 1000-member chaos version: burst loss and jitter on the overlay
 /// for the whole run, join/leave churn overlapping the kill window, the
 /// primary killed mid-interval and revived a minute later. The group
@@ -366,8 +407,17 @@ fn socket_failover_matches_single_replica_sim() {
     for h in 0..UDP_MEMBERS {
         match (sim.agent(h), udp.agent(h)) {
             (Some(x), Some(y)) => {
-                assert_eq!(x.group_key(), Some(gk), "sim member {h} is stale");
-                assert_eq!(y.group_key(), Some(gk), "udp member {h} is stale");
+                let (promotions, elections) = (report.promotions, report.elections);
+                assert_eq!(
+                    x.group_key(),
+                    Some(gk),
+                    "sim member {h} is stale (udp: {promotions} promotions, {elections} elections)"
+                );
+                assert_eq!(
+                    y.group_key(),
+                    Some(gk),
+                    "udp member {h} is stale ({promotions} promotions, {elections} elections)"
+                );
             }
             (None, None) => assert!(h == 4 || h == 17, "unexpected departure {h}"),
             (x, y) => panic!(
