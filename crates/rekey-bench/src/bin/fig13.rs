@@ -11,6 +11,7 @@
 //! * (c) encryptions going through each **network link**.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use rekey_bench::harness::AnyNet;
 use rekey_bench::{
@@ -108,8 +109,8 @@ fn main() {
     let cluster_mesh = TmeshGroup::from_tables(
         &spec,
         members.clone(),
-        cluster_tables.into_iter().map(std::rc::Rc::new).collect(),
-        std::rc::Rc::new(oracle::build_server_table(
+        cluster_tables.into_iter().map(Arc::new).collect(),
+        Arc::new(oracle::build_server_table(
             &spec,
             &members,
             build.server,

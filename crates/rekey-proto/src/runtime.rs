@@ -74,8 +74,8 @@
 //!   `ResyncRequest` / `Resync` snapshot.
 //! * **Failure detection** (`Ping` / `Pong`, `ServerPing` / `ServerPong`):
 //!   members ping every stored neighbor each heartbeat period; an
-//!   unanswered ping evicts the record
-//!   ([`rekey_table::NeighborTable::evict_where`]),
+//!   unanswered ping evicts the record from the member's copy of its
+//!   table ([`rekey_table::NeighborTable::remove`]),
 //!   notifies the server (`FailureNotice`, re-sent each beat until a
 //!   pushed table drops the suspect), and triggers the same repair as a
 //!   leave. Evicted records stay on probation: a suspect that answers a

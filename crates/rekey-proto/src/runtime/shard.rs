@@ -67,10 +67,10 @@
 //!   [`ShardedGroupRuntime::run_trace`] probes as usual): per-neighbor
 //!   probing is O(N·K·D) events per period. The tests stand in a
 //!   concluded detection with `ShardedGroupRuntime::fail_at`.
-//! * **The journal.** A checkpoint clones the complete server state, so a
-//!   single replica that no [`FaultPlan`] outage can touch journals
-//!   nothing. Replicated sessions, and sessions whose plan takes a replica
-//!   down, journal as usual.
+//! * **The journal.** A checkpoint copies the roster and key tree and
+//!   bumps one count per shared table — still O(N) — so a single replica
+//!   that no [`FaultPlan`] outage can touch journals nothing. Replicated
+//!   sessions, and those whose plan takes a replica down, journal as usual.
 
 use std::sync::Arc;
 
@@ -940,7 +940,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
 
     /// Member `handle`'s local neighbor table, while active.
     pub fn member_table(&self, handle: usize) -> Option<&NeighborTable> {
-        self.member(handle).table.as_ref()
+        self.member(handle).table.as_deref()
     }
 
     /// Member `handle`'s counters.
@@ -1010,9 +1010,9 @@ fn assert_shard_is_send() {
     is_send::<Shard>();
 }
 
-/// Nodes are values: both state machines hold only their own protocol
-/// state, so they can be cloned mid-stream and moved to any thread. Shared
-/// state smuggled into either fails here.
+/// Nodes are values: each holds its own protocol state, and its table is an
+/// immutable `Arc` that a write copies, so a clone evolves on its own and
+/// moves to any thread. An `Rc` or a cell smuggled into either fails here.
 #[allow(dead_code)]
 fn assert_nodes_are_values() {
     fn is_value<T: Clone + Send>() {}
@@ -1103,6 +1103,27 @@ mod tests {
             assert_eq!(agent.group_key(), Some(&group_key), "member {handle} stale");
         }
         rt.check_consistency().expect("tables stay K-consistent");
+    }
+
+    /// Every dealt member, and every follower replica's copy of the
+    /// group, holds the primary group's table itself, not a copy.
+    #[test]
+    fn bootstrapped_members_and_replicas_share_the_groups_tables() {
+        let net = GridNetwork::new(MEMBERS + 1, 1_000, 100);
+        let window = net.min_one_way();
+        let config = config(0.0, 1, 3);
+        let rt = ShardedGroupRuntime::bootstrapped(group(), config, net, MEMBERS, 2, window)
+            .expect("bootstrap fits the ID space");
+        for handle in 0..MEMBERS {
+            let dealt = rt.group().table(handle);
+            let held = rt
+                .member_table(handle)
+                .expect("a dealt member holds a table");
+            assert!(std::ptr::eq(held, &**dealt), "member {handle}");
+            for follower in &rt.servers[1..] {
+                assert!(Arc::ptr_eq(follower.server.group().table(handle), dealt));
+            }
+        }
     }
 
     /// Every member bootstraps current, rekey intervals propagate

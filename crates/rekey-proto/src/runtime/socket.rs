@@ -984,7 +984,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             member
                 .expect("admitted member was collected")
                 .table
-                .as_ref()
+                .as_deref()
         })
     }
 
@@ -1171,6 +1171,22 @@ mod tests {
         assert_eq!(agent.interval(), rt.server().interval());
         assert_eq!(agent.group_key(), rt.server().tree().group_key());
         rt.check_consistency().expect("tables stay K-consistent");
+    }
+
+    /// Dealt members start on the group's own tables and, with no churn,
+    /// still hold them when the workers hand them back.
+    #[test]
+    fn dealt_members_share_the_groups_tables() {
+        let mut rt = driver(12, 5);
+        assert!(rt.finish(Duration::from_secs(20)), "flush converged");
+        for handle in 0..rt.member_count() {
+            let member = rt.collected[handle].as_ref().expect("collected");
+            let held = member.table.as_ref().expect("a dealt member holds a table");
+            assert!(
+                Arc::ptr_eq(held, rt.group().table(handle)),
+                "member {handle}"
+            );
+        }
     }
 
     /// Bootstrap, one leave and one fresh join over real packets, three

@@ -53,8 +53,8 @@ use super::core::{IntervalMessage, ReplOp, RtMsg};
 /// node's tags would not verify. Version 3 carries the §3.1 join: the
 /// `JoinSeed`, `Query`, `QueryReply` and `JoinDigits` tags, the
 /// responder's access RTT in `Pong`, and the admitted ID in a replicated
-/// join.
-pub const WIRE_VERSION: u8 = 3;
+/// join. Version 4 names the sender in a `Nack`.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Errors produced while decoding an [`RtMsg`] frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,7 +199,7 @@ fn put_table(out: &mut Vec<u8>, t: &NeighborTable) {
     put_records(out, t.iter_all().as_slice());
 }
 
-fn get_table(r: &mut Reader<'_>, spec: &IdSpec) -> Result<NeighborTable, WireError> {
+fn get_table(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Arc<NeighborTable>, WireError> {
     let owner = get_user_id(r, spec)?;
     let k = usize::from(r.u16()?);
     let policy = match r.u8()? {
@@ -217,7 +217,7 @@ fn get_table(r: &mut Reader<'_>, spec: &IdSpec) -> Result<NeighborTable, WireErr
     for record in get_records(r, spec)? {
         table.insert(record);
     }
-    Ok(table)
+    Ok(Arc::new(table))
 }
 
 fn put_welcome(out: &mut Vec<u8>, w: &WelcomePacket) {
@@ -399,9 +399,10 @@ pub fn encode_msg(msg: &RtMsg, out: &mut Vec<u8>) {
             put_prefix_buf(out, prefix);
             put_interval_message(out, message);
         }
-        RtMsg::Nack { interval } => {
+        RtMsg::Nack { interval, id } => {
             out.push(TAG_NACK);
             put_u64(out, *interval);
+            put_user_id(out, id);
         }
         RtMsg::Recover {
             interval,
@@ -537,7 +538,7 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
             let seq = r.u64()?;
             RtMsg::JoinAccepted {
                 member,
-                table: Box::new(table),
+                table,
                 epoch,
                 seq,
             }
@@ -556,11 +557,7 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
             let table = get_table(&mut r, spec)?;
             let epoch = r.u64()?;
             let seq = r.u64()?;
-            RtMsg::Table {
-                table: Box::new(table),
-                epoch,
-                seq,
-            }
+            RtMsg::Table { table, epoch, seq }
         }
         TAG_LEAVE_REQUEST => RtMsg::LeaveRequest,
         TAG_LEAVE_ACK => RtMsg::LeaveAck,
@@ -577,7 +574,10 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
                 message: Arc::new(message),
             }
         }
-        TAG_NACK => RtMsg::Nack { interval: r.u64()? },
+        TAG_NACK => RtMsg::Nack {
+            interval: r.u64()?,
+            id: get_user_id(&mut r, spec)?,
+        },
         TAG_RECOVER => {
             let interval = r.u64()?;
             let sent_at = r.u64()?;
@@ -628,7 +628,7 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
             let next_interval_at = r.u64()?;
             RtMsg::Resync {
                 member,
-                table: Box::new(table),
+                table,
                 welcome,
                 epoch,
                 seq,

@@ -269,7 +269,7 @@ impl SplitIndex {
 
     /// The entry indices related to `prefix`, in sorted-by-ID order
     /// (ancestor chain first, then the descendant block).
-    pub(crate) fn indices<'s>(&'s self, prefix: &[u16]) -> impl Iterator<Item = usize> + 's {
+    pub(crate) fn indices(&self, prefix: &[u16]) -> impl Iterator<Item = usize> + Clone + '_ {
         let ranges = self.related_ranges(prefix);
         (0..ranges.count)
             .flat_map(move |r| ranges.ranges[r].0..ranges.ranges[r].1)

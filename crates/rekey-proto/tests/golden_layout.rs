@@ -232,7 +232,7 @@ fn fixed_join_accepted() -> RtMsg {
     }
     RtMsg::JoinAccepted {
         member: me,
-        table: Box::new(table),
+        table: Arc::new(table),
         epoch: 2,
         seq: 78,
     }
@@ -242,12 +242,13 @@ fn fixed_join_accepted() -> RtMsg {
 /// wrap's tag moved to the one-time MAC key of its own keystream block, the
 /// leading version byte of all three frames and the FORWARD frame's three
 /// 8-byte tags changed; when it went from 2 to 3 for the §3.1 join's
-/// messages, only the leading version byte changed. Every other byte,
-/// ciphertexts included, is as recorded before.
+/// messages, and from 3 to 4 for the sender's id in a `Nack`, only the
+/// leading version byte changed. Every other byte, ciphertexts included,
+/// is as recorded before.
 #[test]
 fn wire_bytes_match_recorded_frames() {
     const FORWARD: &str = concat!(
-        "030c010105000900000000000000020000000000000040e20100000000004d00",
+        "040c010105000900000000000000020000000000000040e20100000000004d00",
         "00000000000003000000010105000800000000000000000200000000000000a1",
         "a1a1a1a1a1a1a1a1a1a1a1ecab153a8992161cffd75100ca3c790de691d45f47",
         "da631852bda853627a907689b88edb5340108201030500010006000000000000",
@@ -258,7 +259,7 @@ fn wire_bytes_match_recorded_frames() {
         "b92ee32de4d734d3023c7f7c22",
     );
     const WELCOME: &str = concat!(
-        "0306030500010006000900000000000000040000000305000100060000000000",
+        "0406030500010006000900000000000000040000000305000100060000000000",
         "0000000044444444444444444444444444444444444444444444444444444444",
         "4444444402050001000300000000000000555555555555555555555555555555",
         "5555555555555555555555555555555555010500080000000000000033333333",
@@ -267,7 +268,7 @@ fn wire_bytes_match_recorded_frames() {
         "1111111111020000000000000040420f0000000000",
     );
     const JOIN_ACCEPTED: &str = concat!(
-        "0305030500010006002800000000000000840300000000000003050001000600",
+        "0405030500010006002800000000000000840300000000000003050001000600",
         "020000060000000300000000010002000000000000001e00000000000000a00f",
         "0000000000000300000300030001000000000000001400000000000000881300",
         "0000000000030700070007000600000000000000460000000000000001000000",

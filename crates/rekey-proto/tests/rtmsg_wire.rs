@@ -50,7 +50,7 @@ fn arb_member() -> impl Strategy<Value = Member> {
     })
 }
 
-fn arb_table() -> impl Strategy<Value = Box<NeighborTable>> {
+fn arb_table() -> impl Strategy<Value = Arc<NeighborTable>> {
     (
         arb_user_id(),
         1usize..5,
@@ -67,7 +67,7 @@ fn arb_table() -> impl Strategy<Value = Box<NeighborTable>> {
             for (member, rtt) in records {
                 table.insert(NeighborRecord { member, rtt });
             }
-            Box::new(table)
+            Arc::new(table)
         })
 }
 
@@ -167,7 +167,7 @@ fn arb_msg() -> impl Strategy<Value = RtMsg> {
         Just(RtMsg::JoinRequest),
         Just(RtMsg::LeaveRequest),
         Just(RtMsg::LeaveAck),
-        (0u64..1 << 40).prop_map(|interval| RtMsg::Nack { interval }),
+        (0u64..1 << 40, arb_user_id()).prop_map(|(interval, id)| RtMsg::Nack { interval, id }),
         (0u64..1 << 40).prop_map(|token| RtMsg::Ping { token }),
         (0u64..1 << 40, 0u64..1 << 40)
             .prop_map(|(token, access_rtt)| RtMsg::Pong { token, access_rtt }),

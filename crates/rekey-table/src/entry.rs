@@ -87,8 +87,7 @@ struct Slot {
 /// The entries of one table, stored flat: a sorted index of the non-empty
 /// `(row, col)` slots plus one vector holding every entry's records back to
 /// back, in slot order and RTT order within a slot. A table therefore owns
-/// two heap allocations however large `D · B` is, and cloning it is two
-/// `memcpy`s.
+/// two heap allocations however large `D · B` is.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Entries {
     /// Row `i`'s slots are `slots[row_start[i]..row_start[i + 1]]`, in
@@ -128,6 +127,12 @@ impl Entries {
             let neighbors = &self.records[self.span(s)];
             (self.slots[s].col, TableEntry { neighbors })
         })
+    }
+
+    /// Reserves exactly `slots` more slots and `records` more records.
+    pub(crate) fn reserve(&mut self, slots: usize, records: usize) {
+        self.slots.reserve_exact(slots);
+        self.records.reserve_exact(records);
     }
 
     /// Every record, in (row, column, RTT) order.
@@ -276,6 +281,16 @@ mod tests {
         e.insert(rec(2, 50, 100), 4);
         assert_eq!(e.view().primary().unwrap().member.joined_at, 900);
         assert_eq!(e.view().earliest_joined().unwrap().member.joined_at, 100);
+    }
+
+    #[test]
+    fn a_reserved_store_fills_without_spare_capacity() {
+        let mut store = Entries::default();
+        store.reserve(2, 3);
+        for (col, record) in [(0, rec(1, 30, 0)), (0, rec(2, 10, 0)), (5, rec(3, 20, 0))] {
+            assert!(store.insert(0, col, record, 2));
+        }
+        assert_eq!((store.slots.capacity(), store.records.capacity()), (2, 3));
     }
 
     #[test]

@@ -168,19 +168,10 @@ impl NeighborTable {
         self.entries.row(i)
     }
 
-    /// Evicts every stored record for which `dead` returns `true` (e.g.
-    /// neighbors that stopped answering heartbeat pings, §3.2). Returns the
-    /// evicted user IDs in table order.
-    pub fn evict_where(&mut self, mut dead: impl FnMut(&NeighborRecord) -> bool) -> Vec<UserId> {
-        let victims: Vec<UserId> = self
-            .iter_all()
-            .filter(|r| dead(r))
-            .map(|r| r.member.id)
-            .collect();
-        for id in &victims {
-            self.remove(id);
-        }
-        victims
+    /// Makes room, exactly, for `entries` more non-empty entries holding
+    /// `records` more records in all.
+    pub fn reserve(&mut self, entries: usize, records: usize) {
+        self.entries.reserve(entries, records);
     }
 
     /// Iterates over every stored neighbor record, in (row, column, RTT)
@@ -306,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn evict_where_removes_matches_and_keeps_occupancy_index() {
+    fn removal_keeps_occupancy_index() {
         let mut t = NeighborTable::new(&spec(), uid([1, 2, 3]), 2, PrimaryPolicy::SmallestRtt);
         t.insert(rec([0, 0, 0], 10, 0));
         t.insert(rec([0, 1, 0], 20, 0));
@@ -315,21 +306,18 @@ mod tests {
         t.insert(rec([1, 2, 0], 50, 0));
         assert_occupancy_consistent(&t);
 
-        // Evict everything slower than 25: empties entry (0, 3) but only
+        // Remove everything slower than 25: empties entry (0, 3) but only
         // thins entry (0, 0).
-        let gone = t.evict_where(|r| r.rtt > 25);
-        assert_eq!(gone.len(), 3);
-        assert!(gone.contains(&uid([3, 0, 0])));
+        let gone: Vec<UserId> = (t.iter_all().filter(|r| r.rtt > 25))
+            .map(|r| r.member.id)
+            .collect();
+        assert!(gone.iter().all(|id| t.remove(id)));
         assert_eq!(t.neighbor_count(), 2);
         assert_occupancy_consistent(&t);
         let row0: Vec<u16> = t.entries_in_row(0).map(|(j, _)| j).collect();
         assert_eq!(row0, vec![0], "entry (0,3) must leave the index");
 
-        // Nothing matches: no-op, index untouched.
-        assert!(t.evict_where(|_| false).is_empty());
-        assert_occupancy_consistent(&t);
-
-        // Refill an evicted slot: the column re-enters the index in order.
+        // Refill an emptied slot: the column re-enters the index in order.
         assert!(t.insert(rec([3, 1, 0], 5, 0)));
         assert_occupancy_consistent(&t);
     }

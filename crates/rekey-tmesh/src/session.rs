@@ -8,7 +8,7 @@
 //! — makes the receiver execute `FORWARD` (Fig. 2).
 
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rekey_id::{IdSpec, UserId};
 use rekey_net::{HostId, LinkLoad, Network};
@@ -131,8 +131,8 @@ impl MulticastOutcome {
 pub struct TmeshGroup {
     spec: IdSpec,
     members: Vec<Member>,
-    tables: Vec<Rc<NeighborTable>>,
-    server_table: Rc<ServerTable>,
+    tables: Vec<Arc<NeighborTable>>,
+    server_table: Arc<ServerTable>,
     server_host: HostId,
     index: HashMap<UserId, usize>,
 }
@@ -152,39 +152,19 @@ impl TmeshGroup {
         k: usize,
         policy: PrimaryPolicy,
     ) -> TmeshGroup {
-        let tables = oracle::build_all_tables(spec, &members, net, k, policy)
-            .into_iter()
-            .map(Rc::new)
-            .collect();
-        let server_table = Rc::new(oracle::build_server_table(
-            spec,
-            &members,
-            server_host,
-            net,
-            k,
-        ));
-        let mut index = HashMap::with_capacity(members.len());
-        for (i, m) in members.iter().enumerate() {
-            let prev = index.insert(m.id, i);
-            assert!(prev.is_none(), "duplicate member ID {}", m.id);
-        }
-        TmeshGroup {
-            spec: *spec,
-            members,
-            tables,
-            server_table,
-            server_host,
-            index,
-        }
+        let tables = oracle::build_all_tables(spec, &members, net, k, policy);
+        let server_table = oracle::build_server_table(spec, &members, server_host, net, k);
+        let tables = tables.into_iter().map(Arc::new).collect();
+        TmeshGroup::from_tables(spec, members, tables, Arc::new(server_table), server_host)
     }
 
     /// Builds a group from pre-constructed tables (for protocol-level code
-    /// that maintains tables incrementally).
+    /// that maintains tables incrementally), which it shares, not copies.
     pub fn from_tables(
         spec: &IdSpec,
         members: Vec<Member>,
-        tables: Vec<Rc<NeighborTable>>,
-        server_table: Rc<ServerTable>,
+        tables: Vec<Arc<NeighborTable>>,
+        server_table: Arc<ServerTable>,
         server_host: HostId,
     ) -> TmeshGroup {
         assert_eq!(members.len(), tables.len(), "one table per member");

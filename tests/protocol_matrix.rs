@@ -2,6 +2,7 @@
 //! the orderings the paper's Fig. 13 demonstrates must hold at test scale.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use group_rekeying::id::{IdSpec, UserId};
 use group_rekeying::keytree::{ClusteredKeyTree, ModifiedKeyTree, OriginalKeyTree, RekeyArena};
@@ -92,8 +93,8 @@ fn run_matrix(seed: u64, users: usize, churn: usize) -> Matrix {
     let cluster_mesh = TmeshGroup::from_tables(
         &spec,
         members.clone(),
-        cluster_tables.into_iter().map(std::rc::Rc::new).collect(),
-        std::rc::Rc::new(oracle::build_server_table(&spec, &members, server, &net, 3)),
+        cluster_tables.into_iter().map(Arc::new).collect(),
+        Arc::new(oracle::build_server_table(&spec, &members, server, &net, 3)),
         server,
     );
     let is_leader = |i: usize| cluster_tree.is_leader(&members[i].id);
