@@ -44,7 +44,7 @@ use rekey_tmesh::forward::{server_next_hops, user_next_hops_with};
 
 use crate::assign::{AssignParams, Probe};
 use crate::group::lists;
-use crate::transport::{PrefixBuf, SplitIndex, SplitIndexMaintainer};
+use crate::transport::{PrefixBuf, SplitIndex};
 use crate::{Group, GroupServer, UserAgent, WelcomePacket};
 
 use super::{journal, RuntimeConfig};
@@ -737,9 +737,6 @@ pub(crate) struct RtServer {
     pub(crate) last_round_at: SimTime,
     /// Interval messages kept for unicast recovery.
     pub(crate) history: BTreeMap<u64, Arc<IntervalMessage>>,
-    /// Incrementally maintains the per-interval split index from the
-    /// previous interval's sorted ID sequence instead of rebuilding it.
-    pub(crate) split_index: SplitIndexMaintainer,
     /// The crash journal: one checkpoint per completed interval.
     pub(crate) journal: journal::Journal,
     /// Leavers to acknowledge once the next checkpoint covers their
@@ -812,7 +809,6 @@ impl RtServer {
             next_interval_at: knobs.rekey_period,
             last_round_at: 0,
             history: BTreeMap::new(),
-            split_index: SplitIndexMaintainer::default(),
             journal,
             pending_leave_acks: Vec::new(),
             repl: Replication::new(replica, knobs.replicas),
@@ -1072,7 +1068,7 @@ impl RtServer {
             epoch: self.epoch,
             sent_at: ctx.now(),
             seq: self.server.group().mutations(),
-            index: self.split_index.advance(&encryptions),
+            index: SplitIndex::build(&encryptions),
             encryptions,
         });
         self.history.insert(outcome.interval, Arc::clone(&message));
@@ -1164,9 +1160,6 @@ impl RtServer {
             self.server = cp.server;
             self.history = cp.history;
         }
-        // The maintainer's previous-interval sequence may describe an
-        // interval the rollback discarded; start from a clean rebuild.
-        self.split_index = SplitIndexMaintainer::default();
         // The immediate interval is the restart beacon: its `Forward`
         // copies carry the new epoch, and every member that sees it (or
         // the next `ServerPong`) resyncs.
@@ -1192,7 +1185,6 @@ impl RtServer {
             self.repl.applied_idx = cp.log_idx;
             self.repl.log.retain(|e| e.idx <= cp.log_idx);
             self.repl.next_idx = cp.log_idx + 1;
-            self.split_index = SplitIndexMaintainer::default();
         }
         // No checkpoint (first-interval crash): keep the live state, as
         // the single-replica path does.
@@ -1455,7 +1447,7 @@ impl RtServer {
                     epoch: entry.epoch,
                     sent_at: *sent_at,
                     seq: self.server.group().mutations(),
-                    index: self.split_index.advance(outcome.encryptions()),
+                    index: SplitIndex::build(outcome.encryptions()),
                     encryptions: outcome.take_encryptions(),
                 });
                 self.history.insert(outcome.interval, message);

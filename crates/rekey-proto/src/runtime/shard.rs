@@ -6,8 +6,8 @@
 //! replica on a single [`Scheduler`], and one per **shard**, which holds a
 //! subset of the members — and the lanes drain **windows** of simulated
 //! time: the coordinator on the caller's thread, then the shards — the
-//! first due one on the caller's thread too, the others on scoped worker
-//! threads that are joined before the window closes.
+//! first due one on the caller's thread too, each other one on a scoped
+//! worker that holds it from its first due window to the end of the call.
 //!
 //! # The window invariant
 //!
@@ -53,9 +53,11 @@
 //!   merged by end time, ties in lane order, at snapshot time;
 //! * per window the order is fixed: the coordinator drains the replicas,
 //!   then the shards drain in parallel (disjoint `&mut`), then outboxes
-//!   merge into destination schedulers in shard-index order. No worker
-//!   outlives its window (see `step_window`), which also keeps a run's
-//!   resident size from depending on thread timing.
+//!   merge in shard-index order. A worker's shard gets its crossings in
+//!   that order at its next window, so every scheduler sees the same
+//!   `schedule_at` sequence whichever thread holds it. Workers are joined
+//!   by handle at the end of the call, which keeps a run's resident size
+//!   from depending on thread timing (DESIGN.md §4c).
 //!
 //! # What `bootstrapped` leaves off
 //!
@@ -72,7 +74,9 @@
 //!   that no [`FaultPlan`] outage can touch journals nothing. Replicated
 //!   sessions, and those whose plan takes a replica down, journal as usual.
 
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 
 use rand::Rng;
 use rekey_net::{HostId, Micros, Network};
@@ -206,9 +210,6 @@ struct Shard {
     members: Vec<RtMember>,
     /// Cleared by [`ChurnOp::Crash`]; parallel to `members`.
     alive: Vec<bool>,
-    /// Cross-lane sends of the current window, merged by the coordinator
-    /// after the workers join.
-    outbox: Vec<Crossing>,
 }
 
 /// Who runs where: node ids are `0..replicas` for the key-server replicas
@@ -219,78 +220,220 @@ struct Layout<'a> {
     server_host: HostId,
     /// Member handle → (shard index, index within the shard).
     placement: &'a [(u32, u32)],
+    shards: usize,
 }
 
-/// Drains every event of `shard` strictly before `t1`, routing in-shard
-/// traffic and timers locally and pushing everything else onto the
-/// shard's outbox. Runs on a worker thread; touches nothing but the
-/// shard, the (read-only) network, and the layout.
-fn drain_shard<NET: Network + Sync>(
-    shard: &mut Shard,
+/// The shard member `handle` runs (or, for a handle a fault plan names
+/// before its join, will run) in.
+fn shard_of(placement: &[(u32, u32)], shards: usize, handle: usize) -> usize {
+    match placement.get(handle) {
+        Some(&(shard_index, _)) => shard_index as usize,
+        None => handle % shards,
+    }
+}
+
+impl Shard {
+    /// The next event time and the queue depth.
+    fn queue(&self) -> (Option<SimTime>, usize) {
+        (self.lane.sched.next_time(), self.lane.sched.pending())
+    }
+
+    /// Drains every event strictly before `t1`, routing in-shard traffic
+    /// and timers locally and pushing everything else onto `outbox`.
+    /// Touches nothing but the shard, the (read-only) network and the
+    /// layout, so it runs on any thread.
+    fn drain<NET: Network>(
+        &mut self,
+        net: &NET,
+        layout: &Layout<'_>,
+        loss: f64,
+        t1: SimTime,
+        outbox: &mut Vec<Crossing>,
+    ) {
+        let Layout {
+            replicas,
+            server_host,
+            placement,
+            ..
+        } = *layout;
+        while self.lane.sched.next_time().is_some_and(|t| t < t1) {
+            let (now, env) = self.lane.sched.pop().expect("peeked above");
+            let me = env.to;
+            let handle = me.0 - replicas;
+            let (owner, idx) = placement[handle];
+            debug_assert_eq!(
+                owner as usize, self.index,
+                "envelope routed to the wrong shard"
+            );
+            if !self.alive[idx as usize] {
+                self.lane.dead_letters += 1;
+                continue;
+            }
+            if self.lane.suppresses(now, me) {
+                continue;
+            }
+            self.lane.delivered += 1;
+            let out = &mut self.lane.out;
+            (out.now, out.me) = (now, me);
+            self.members[idx as usize].handle(out, env.event);
+            let mut effects = std::mem::take(&mut out.effects);
+            for effect in effects.drain(..) {
+                match effect {
+                    Effect::Send { to, msg } => {
+                        let Some(extra) = self.lane.admit(loss, now, me, to, &msg) else {
+                            continue;
+                        };
+                        let to_replica = to.0 < replicas;
+                        let to_host = if to_replica {
+                            server_host
+                        } else {
+                            HostId(to.0 - replicas)
+                        };
+                        let at = now + net.one_way(HostId(handle), to_host).max(1) + extra;
+                        let event = Event::Net { from: me, msg };
+                        let envelope = Envelope { to, event };
+                        if !to_replica && placement[to.0 - replicas].0 as usize == self.index {
+                            self.lane.sched.schedule_at(at, envelope);
+                        } else {
+                            debug_assert!(
+                                at >= t1,
+                                "cross-lane send inside the window: the window exceeds \
+                                 the minimum one-way delay"
+                            );
+                            outbox.push(Crossing { at, envelope });
+                        }
+                    }
+                    Effect::Timer { delay, event } => self
+                        .lane
+                        .sched
+                        .schedule_at(now + delay.max(1), Envelope::local(me, event)),
+                }
+            }
+            self.lane.out.effects = effects; // keeps its capacity
+        }
+    }
+}
+
+/// One window for a worker: its end, the shard's inbound crossings, and
+/// an empty buffer for the shard's sends.
+type Window = (SimTime, Vec<Crossing>, Vec<Crossing>);
+
+/// One window's sends of a shard, and its queue after the window.
+type Drained = (Vec<Crossing>, (Option<SimTime>, usize));
+
+/// A thread that holds one shard for a whole `run` call: per window it
+/// takes a [`Window`] and answers with [`Drained`].
+struct Worker<'scope> {
+    windows: SyncSender<Window>,
+    drained: Receiver<Drained>,
+    thread: ScopedJoinHandle<'scope, ()>,
+    /// Crossings bound for the shard since its last window, in scheduling
+    /// order: the last merge's, then the replicas' sends.
+    inbound: Vec<Crossing>,
+    /// The shard's queue after its last window.
+    queue: (Option<SimTime>, usize),
+}
+
+impl Worker<'_> {
+    /// Joins the thread, re-raising its panic if it had one.
+    fn join(self) {
+        drop(self.windows);
+        if let Err(panic) = self.thread.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
+/// The coordinator's side of one shard during a `run` call: the shard
+/// itself while the caller's thread holds it, else the worker that does.
+struct Port<'s, 'scope> {
+    here: Option<&'s mut Shard>,
+    worker: Option<Worker<'scope>>,
+    /// The shard's sends of the current window, until they are merged.
+    outbox: Vec<Crossing>,
+    /// The shard has events in the current window.
+    due: bool,
+}
+
+impl Port<'_, '_> {
+    /// Hands `crossing` to the shard: into its queue at once if it is
+    /// here, else to its worker's next window.
+    fn push(&mut self, crossing: Crossing) {
+        match (&mut self.here, &mut self.worker) {
+            (Some(shard), _) => shard.lane.sched.schedule_at(crossing.at, crossing.envelope),
+            (None, Some(worker)) => worker.inbound.push(crossing),
+            (None, None) => unreachable!("a shard is here or with its worker"),
+        }
+    }
+
+    /// The shard's next event time and queue depth, counting the inbound
+    /// crossings that wait for its worker.
+    fn queue(&self) -> (Option<SimTime>, usize) {
+        match (&self.here, &self.worker) {
+            (Some(shard), _) => shard.queue(),
+            (None, Some(Worker { inbound, queue, .. })) => (
+                queue
+                    .0
+                    .into_iter()
+                    .chain(inbound.iter().map(|c| c.at))
+                    .min(),
+                queue.1 + inbound.len(),
+            ),
+            (None, None) => unreachable!("a shard is here or with its worker"),
+        }
+    }
+}
+
+/// Drains the replicas' events strictly before `t1` on the coordinator
+/// thread. Replica↔replica messages are same-host and stay on this lane;
+/// sends to members join their shard's inbound crossings (the invariant
+/// puts every arrival at or beyond `t1`).
+fn drain_server<NET: Network>(
+    servers: &mut [RtServer],
+    coord: &mut Lane,
     net: &NET,
     layout: &Layout<'_>,
     loss: f64,
     t1: SimTime,
+    ports: &mut [Port<'_, '_>],
 ) {
-    let Layout {
-        replicas,
-        server_host,
-        placement,
-    } = *layout;
-    while shard.lane.sched.next_time().is_some_and(|t| t < t1) {
-        let (now, env) = shard.lane.sched.pop().expect("peeked above");
+    let (replicas, server_host) = (layout.replicas, layout.server_host);
+    while coord.sched.next_time().is_some_and(|t| t < t1) {
+        let (now, env) = coord.sched.pop().expect("peeked above");
         let me = env.to;
-        let handle = me.0 - replicas;
-        let (owner, idx) = placement[handle];
-        debug_assert_eq!(
-            owner as usize, shard.index,
-            "envelope routed to the wrong shard"
-        );
-        if !shard.alive[idx as usize] {
-            shard.lane.dead_letters += 1;
+        if coord.suppresses(now, me) {
             continue;
         }
-        if shard.lane.suppresses(now, me) {
-            continue;
-        }
-        shard.lane.delivered += 1;
-        let out = &mut shard.lane.out;
+        coord.delivered += 1;
+        let out = &mut coord.out;
         (out.now, out.me) = (now, me);
-        shard.members[idx as usize].handle(out, env.event);
+        servers[me.0].handle(out, net, env.event);
         let mut effects = std::mem::take(&mut out.effects);
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
-                    let Some(extra) = shard.lane.admit(loss, now, me, to, &msg) else {
+                    let Some(extra) = coord.admit(loss, now, me, to, &msg) else {
                         continue;
                     };
-                    let to_replica = to.0 < replicas;
-                    let to_host = if to_replica {
-                        server_host
-                    } else {
-                        HostId(to.0 - replicas)
-                    };
-                    let at = now + net.one_way(HostId(handle), to_host).max(1) + extra;
                     let event = Event::Net { from: me, msg };
                     let envelope = Envelope { to, event };
-                    if !to_replica && placement[to.0 - replicas].0 as usize == shard.index {
-                        shard.lane.sched.schedule_at(at, envelope);
-                    } else {
-                        debug_assert!(
-                            at >= t1,
-                            "cross-lane send inside the window: the window exceeds \
-                             the minimum one-way delay"
-                        );
-                        shard.outbox.push(Crossing { at, envelope });
+                    if to.0 < replicas {
+                        let hop = net.one_way(server_host, server_host);
+                        coord.sched.schedule_at(now + hop.max(1) + extra, envelope);
+                        continue;
                     }
+                    let to_host = HostId(to.0 - replicas);
+                    let at = now + net.one_way(server_host, to_host).max(1) + extra;
+                    debug_assert!(at >= t1, "server send inside the window");
+                    let shard = shard_of(layout.placement, layout.shards, to.0 - replicas);
+                    ports[shard].push(Crossing { at, envelope });
                 }
-                Effect::Timer { delay, event } => shard
-                    .lane
+                Effect::Timer { delay, event } => coord
                     .sched
                     .schedule_at(now + delay.max(1), Envelope::local(me, event)),
             }
         }
-        shard.lane.out.effects = effects; // keeps its capacity
+        coord.out.effects = effects; // keeps its capacity
     }
 }
 
@@ -486,7 +629,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 ),
                 members: Vec::new(),
                 alive: Vec::new(),
-                outbox: Vec::new(),
             })
             .collect();
         ShardedGroupRuntime {
@@ -659,10 +801,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// names before its join, will run) in.
     fn lane_of(&mut self, node: NodeId) -> &mut Lane {
         let handle = node.0 - self.servers.len();
-        let shard_index = match self.placement.get(handle) {
-            Some(&(shard_index, _)) => shard_index as usize,
-            None => handle % self.shards.len(),
-        };
+        let shard_index = shard_of(&self.placement, self.shards.len(), handle);
         &mut self.shards[shard_index].lane
     }
 
@@ -678,150 +817,170 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         &self.servers[self.acting_primary()]
     }
 
-    /// Drains the replicas' events strictly before `t1` on the
-    /// coordinator thread. Replica↔replica messages are same-host and
-    /// stay on this lane; sends to members go straight into the
-    /// destination shards (safe before the workers start; the invariant
-    /// puts every arrival at or beyond `t1`).
-    fn drain_server(&mut self, t1: SimTime) {
-        let replicas = self.servers.len();
-        while self.coord.sched.next_time().is_some_and(|t| t < t1) {
-            let (now, env) = self.coord.sched.pop().expect("peeked above");
-            let me = env.to;
-            if self.coord.suppresses(now, me) {
-                continue;
-            }
-            self.coord.delivered += 1;
-            let out = &mut self.coord.out;
-            (out.now, out.me) = (now, me);
-            self.servers[me.0].handle(out, &self.net, env.event);
-            let mut effects = std::mem::take(&mut out.effects);
-            for effect in effects.drain(..) {
-                match effect {
-                    Effect::Send { to, msg } => {
-                        let Some(extra) = self.coord.admit(self.loss, now, me, to, &msg) else {
-                            continue;
-                        };
-                        let event = Event::Net { from: me, msg };
-                        let envelope = Envelope { to, event };
-                        if to.0 < replicas {
-                            let hop = self.net.one_way(self.server_host, self.server_host);
-                            self.coord
-                                .sched
-                                .schedule_at(now + hop.max(1) + extra, envelope);
-                            continue;
-                        }
-                        let to_host = HostId(to.0 - replicas);
-                        let at = now + self.net.one_way(self.server_host, to_host).max(1) + extra;
-                        debug_assert!(at >= t1, "server send inside the window");
-                        self.lane_of(to).sched.schedule_at(at, envelope);
-                    }
-                    Effect::Timer { delay, event } => self
-                        .coord
-                        .sched
-                        .schedule_at(now + delay.max(1), Envelope::local(me, event)),
+    /// Runs windows until no event remains before `cap` (`None`: until
+    /// the queues are empty). Per window it picks `t0` (earliest event
+    /// anywhere), drains everything in `[t0, min(t0 + W, cap))` —
+    /// replicas first on the coordinator, then the due shards in parallel
+    /// — and merges the shards' outboxes in shard-index order. The first
+    /// due shard stays on the caller's thread; each other one gets a
+    /// worker the first time it is due. Returns the windows run and the
+    /// threads started.
+    fn run(&mut self, cap: Option<SimTime>) -> (usize, usize) {
+        let ShardedGroupRuntime {
+            net,
+            servers,
+            coord,
+            shards,
+            placement,
+            to_replicas,
+            window,
+            loss,
+            server_host,
+            now,
+            peak_queue,
+        } = self;
+        let (net, loss, window) = (&*net, *loss, *window);
+        let layout = &Layout {
+            replicas: servers.len(),
+            server_host: *server_host,
+            placement,
+            shards: shards.len(),
+        };
+        let (mut windows_run, mut threads) = (0, 0);
+        let leftovers: Vec<(usize, Vec<Crossing>)> = std::thread::scope(|scope| {
+            let mut ports: Vec<Port<'_, '_>> = (shards.iter_mut())
+                .map(|shard| Port {
+                    here: Some(shard),
+                    worker: None,
+                    outbox: Vec::new(),
+                    due: false,
+                })
+                .collect();
+            let mut inline = None;
+            loop {
+                let next = ports.iter().filter_map(|port| port.queue().0);
+                let Some(t0) = next.chain(coord.sched.next_time()).min() else {
+                    break;
+                };
+                if cap.is_some_and(|c| t0 >= c) {
+                    break;
                 }
-            }
-            self.coord.out.effects = effects; // keeps its capacity
-        }
-    }
-
-    /// Runs one window: pick `t0` (earliest event anywhere), drain
-    /// everything in `[t0, min(t0 + W, cap))` — replicas first on the
-    /// coordinator, then the due shards in parallel — and merge the
-    /// outboxes in shard-index order. Returns `false` when no
-    /// event remains before `cap`.
-    fn step_window(&mut self, cap: Option<SimTime>) -> bool {
-        let Some(t0) = self.lanes().filter_map(|lane| lane.sched.next_time()).min() else {
-            return false;
-        };
-        if cap.is_some_and(|c| t0 >= c) {
-            return false;
-        }
-        let mut t1 = t0.saturating_add(self.window);
-        if let Some(c) = cap {
-            t1 = t1.min(c);
-        }
-
-        let depth = self.lanes().map(|lane| lane.sched.pending()).sum();
-        self.peak_queue = self.peak_queue.max(depth);
-
-        self.drain_server(t1);
-
-        let layout = Layout {
-            replicas: self.servers.len(),
-            server_host: self.server_host,
-            placement: &self.placement,
-        };
-        let net: &NET = &self.net;
-        let loss = self.loss;
-        let due = |shard: &Shard| shard.lane.sched.next_time().is_some_and(|t| t < t1);
-        let mut busy = self.shards.iter_mut().filter(|shard| due(shard));
-        match (busy.next(), busy.next()) {
-            (None, _) => {}
-            // One busy shard: drain inline, skip the thread spawn.
-            (Some(only), None) => drain_shard(only, net, &layout, loss, t1),
-            // The caller's thread takes the first busy shard itself and
-            // spawns only for the rest. The workers are joined by handle:
-            // the scope's own wait ends when their closures return, which
-            // is before the threads have exited, and the allocator gives a
-            // new thread a fresh arena while an old thread still holds
-            // its own — the heap then grows by how often a spawn overtook
-            // an exit. Joined, a window reuses the arenas of the one
-            // before, and the footprint no longer depends on thread timing.
-            (Some(first), Some(second)) => {
-                let layout = &layout;
-                std::thread::scope(|scope| {
-                    let workers: Vec<_> = std::iter::once(second)
-                        .chain(busy)
-                        .map(|shard| scope.spawn(move || drain_shard(shard, net, layout, loss, t1)))
-                        .collect();
-                    drain_shard(first, net, layout, loss, t1);
-                    for worker in workers {
-                        if let Err(panic) = worker.join() {
-                            std::panic::resume_unwind(panic);
-                        }
-                    }
+                let t1 = cap.map_or(t0.saturating_add(window), |c| {
+                    c.min(t0.saturating_add(window))
                 });
-            }
-        }
+                windows_run += 1;
+                let depth: usize = ports.iter().map(|port| port.queue().1).sum();
+                *peak_queue = (*peak_queue).max(coord.sched.pending() + depth);
 
-        // Merge outboxes in shard-index order: together with the
-        // scheduler's FIFO tie-break this fixes the delivery order of
-        // same-instant cross-lane messages independently of thread
-        // timing. Every message to a replica crosses lanes, whatever the
-        // layout, so those are put in (arrival, sender) order, which no
-        // shard count can change.
-        let mut to_replicas = std::mem::take(&mut self.to_replicas);
-        for index in 0..self.shards.len() {
-            let mut outbox = std::mem::take(&mut self.shards[index].outbox);
-            for crossing in outbox.drain(..) {
-                if crossing.envelope.to.0 < self.servers.len() {
-                    to_replicas.push(crossing);
-                } else {
-                    let Crossing { at, envelope } = crossing;
-                    self.lane_of(envelope.to).sched.schedule_at(at, envelope);
+                drain_server(servers, coord, net, layout, loss, t1, &mut ports);
+
+                for (index, port) in ports.iter_mut().enumerate() {
+                    port.due = port.queue().0.is_some_and(|t| t < t1);
+                    if !port.due || *inline.get_or_insert(index) == index {
+                        continue;
+                    }
+                    if let Some(shard) = port.here.take() {
+                        let queue = shard.queue();
+                        let (windows, to_run) = sync_channel::<Window>(1);
+                        let (ran, drained) = sync_channel(1);
+                        let thread = scope.spawn(move || {
+                            for (t1, inbound, mut outbox) in to_run {
+                                for Crossing { at, envelope } in inbound {
+                                    shard.lane.sched.schedule_at(at, envelope);
+                                }
+                                shard.drain(net, layout, loss, t1, &mut outbox);
+                                if ran.send((outbox, shard.queue())).is_err() {
+                                    break;
+                                }
+                            }
+                        });
+                        threads += 1;
+                        let inbound = Vec::new();
+                        port.worker = Some(Worker {
+                            windows,
+                            drained,
+                            thread,
+                            inbound,
+                            queue,
+                        });
+                    }
+                    let worker = port.worker.as_mut().expect("spawned above");
+                    let inbound = std::mem::take(&mut worker.inbound);
+                    let outbox = std::mem::take(&mut port.outbox);
+                    if worker.windows.send((t1, inbound, outbox)).is_err() {
+                        // The worker panicked: re-raise its panic here.
+                        port.worker.take().expect("checked above").join();
+                    }
                 }
-            }
-            self.shards[index].outbox = outbox;
-        }
-        to_replicas.sort_by_key(|c| match c.envelope.event {
-            Event::Net { from, .. } => (c.at, from.0),
-            Event::Local(_) => unreachable!("timers never cross lanes"),
-        });
-        for Crossing { at, envelope } in to_replicas.drain(..) {
-            self.coord.sched.schedule_at(at, envelope);
-        }
-        self.to_replicas = to_replicas;
+                if let Some(port) = inline
+                    .map(|index| &mut ports[index])
+                    .filter(|port| port.due)
+                {
+                    let shard = port.here.as_mut().expect("the inline shard stays here");
+                    shard.drain(net, layout, loss, t1, &mut port.outbox);
+                }
+                for port in ports.iter_mut().filter(|port| port.due) {
+                    let Some(worker) = port.worker.as_mut() else {
+                        continue;
+                    };
+                    match worker.drained.recv() {
+                        Ok((outbox, queue)) => (port.outbox, worker.queue) = (outbox, queue),
+                        // The worker panicked: re-raise its panic here.
+                        Err(_) => port.worker.take().expect("checked above").join(),
+                    }
+                }
 
-        self.now = self.now.max(t1);
-        true
+                // Merge outboxes in shard-index order: together with the
+                // scheduler's FIFO tie-break this fixes the delivery order
+                // of same-instant cross-lane messages independently of
+                // thread timing. Every message to a replica crosses lanes,
+                // whatever the layout, so those are put in (arrival,
+                // sender) order, which no shard count can change.
+                for index in 0..ports.len() {
+                    let mut outbox = std::mem::take(&mut ports[index].outbox);
+                    for crossing in outbox.drain(..) {
+                        let to = crossing.envelope.to.0;
+                        if to < layout.replicas {
+                            to_replicas.push(crossing);
+                        } else {
+                            ports[shard_of(placement, layout.shards, to - layout.replicas)]
+                                .push(crossing);
+                        }
+                    }
+                    ports[index].outbox = outbox;
+                }
+                to_replicas.sort_by_key(|c| match c.envelope.event {
+                    Event::Net { from, .. } => (c.at, from.0),
+                    Event::Local(_) => unreachable!("timers never cross lanes"),
+                });
+                for Crossing { at, envelope } in to_replicas.drain(..) {
+                    coord.sched.schedule_at(at, envelope);
+                }
+                *now = (*now).max(t1);
+            }
+            let workers = ports.into_iter().enumerate();
+            (workers.filter_map(|(index, port)| Some((index, port.worker?))))
+                .map(|(index, mut worker)| {
+                    let inbound = std::mem::take(&mut worker.inbound);
+                    worker.join();
+                    (index, inbound)
+                })
+                .collect()
+        });
+        // What the last merge left for a worker's shard enters its queue
+        // now, as it would have at the merge.
+        for (index, inbound) in leftovers {
+            for Crossing { at, envelope } in inbound {
+                shards[index].lane.sched.schedule_at(at, envelope);
+            }
+        }
+        (windows_run, threads)
     }
 
     /// Runs the simulation until `until`: every event strictly before
     /// `until` is processed.
     pub fn run_until(&mut self, until: SimTime) {
-        while self.step_window(Some(until)) {}
+        self.run(Some(until));
         self.now = self.now.max(until);
     }
 
@@ -849,7 +1008,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
 
     /// Drains every pending event, windows included, until fully idle.
     fn drain(&mut self) {
-        while self.step_window(None) {}
+        self.run(None);
     }
 
     /// Runs the clock to `until`, then shuts timers down and drains the
@@ -1001,7 +1160,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     }
 }
 
-/// The scoped spawns require `&mut Shard: Send`; pin that down as a
+/// The scoped workers require `&mut Shard: Send`; pin that down as a
 /// compile-time fact so a future `Rc` smuggled into member state fails
 /// here with a readable error instead of inside `thread::scope`.
 #[allow(dead_code)]
@@ -1192,6 +1351,18 @@ mod tests {
         );
         let other = run(0xD57F);
         assert_ne!(first, other, "the seed must actually steer the run");
+    }
+
+    /// Workers start once per call, not once per window: a call that
+    /// keeps four shards busy through many windows starts three threads,
+    /// and one with nothing before its end starts none.
+    #[test]
+    fn workers_start_once_per_call() {
+        let mut rt = build(4, 0.0, 5);
+        let (windows, threads) = rt.run(Some(4 * PERIOD));
+        assert!(windows > 10, "only {windows} windows");
+        assert_eq!(threads, 3, "the caller's thread takes one busy shard");
+        assert_eq!(rt.run(Some(4 * PERIOD)), (0, 0));
     }
 
     /// Every member records its applications into its own shard's lane,

@@ -144,12 +144,34 @@ impl RelatedRanges {
     }
 }
 
+// A split key holds `MAX_DEPTH` 16-bit digits and a length in 128 bits.
+const _: () = assert!(MAX_DEPTH <= 7);
+
+/// The split key of a digit string: its digits left-aligned at 16 bits
+/// each, then its length in the low 16 bits. Integer order equals
+/// digit-string order: the first differing digit decides, and where one
+/// string is a prefix of the other the padding ties and the shorter
+/// length sorts first.
+fn split_key(digits: &[u16]) -> u128 {
+    assert!(
+        digits.len() <= MAX_DEPTH,
+        "ID-tree depth exceeds transport MAX_DEPTH"
+    );
+    let padded = digits
+        .iter()
+        .enumerate()
+        .fold(0u128, |key, (i, &d)| key | u128::from(d) << (112 - 16 * i));
+    padded | digits.len() as u128
+}
+
 /// The prefix-range split index: the rekey message's encryption IDs
 /// sorted once, answering "which encryptions are related to prefix `p`"
 /// (Theorem 2 / Fig. 5) in O(D log M) per query instead of O(M).
 ///
-/// The index owns a flattened copy of the digit strings (a few bytes per
-/// entry), so it can be shared and outlive the message it was built from.
+/// Each ID is held as one integer split key whose order is the
+/// digit-string order, so a query is integer binary search. The index
+/// owns its keys, so it can be shared and outlive the message it was
+/// built from.
 ///
 /// ```
 /// # use rekey_proto::SplitIndex;
@@ -171,17 +193,15 @@ impl RelatedRanges {
 /// assert_eq!(index.related_ranges(&[2]).total(), 2);
 /// ```
 pub struct SplitIndex {
-    /// Digit strings of every entry, flattened; entry `i` occupies
-    /// `digits[bounds[i]..bounds[i + 1]]`.
-    digits: Vec<u16>,
-    bounds: Vec<u32>,
-    /// Entry indices sorted lexicographically by digit string.
+    /// Every entry's split key, ascending.
+    keys: Vec<u128>,
+    /// The entry index of each key: entries with equal IDs in entry order.
     order: Vec<u32>,
 }
 
 impl SplitIndex {
     /// Indexes a rekey message by encryption ID: O(M log M), once per
-    /// session.
+    /// interval.
     pub fn build(message: &[Encryption]) -> SplitIndex {
         SplitIndex::from_digit_strings(message.iter().map(|e| e.id().digits()))
     }
@@ -194,44 +214,29 @@ impl SplitIndex {
 
     /// Indexes arbitrary digit strings; entry `i` is the `i`-th yielded
     /// string.
-    pub(crate) fn from_digit_strings<'a>(ids: impl Iterator<Item = &'a [u16]>) -> SplitIndex {
-        let mut digits = Vec::new();
-        let mut bounds = Vec::with_capacity(ids.size_hint().0 + 1);
-        bounds.push(0u32);
-        for id in ids {
-            digits.extend_from_slice(id);
-            bounds.push(digits.len() as u32);
-        }
-        let entries = bounds.len() - 1;
-        assert!(
-            entries < u32::MAX as usize,
-            "message too large for split index"
-        );
-        let at = |e: u32| -> &[u16] {
-            &digits[bounds[e as usize] as usize..bounds[e as usize + 1] as usize]
-        };
-        let mut order: Vec<u32> = (0..entries as u32).collect();
-        order.sort_unstable_by(|&a, &b| at(a).cmp(at(b)));
+    fn from_digit_strings<'a>(ids: impl Iterator<Item = &'a [u16]>) -> SplitIndex {
+        let mut sorted: Vec<(u128, u32)> = ids
+            .enumerate()
+            .map(|(e, id)| {
+                let e = u32::try_from(e).expect("message too large for split index");
+                (split_key(id), e)
+            })
+            .collect();
+        sorted.sort_unstable();
         SplitIndex {
-            digits,
-            bounds,
-            order,
+            keys: sorted.iter().map(|&(key, _)| key).collect(),
+            order: sorted.iter().map(|&(_, e)| e).collect(),
         }
     }
 
     /// Number of indexed entries (the message size `M`).
     pub(crate) fn len(&self) -> usize {
-        self.bounds.len() - 1
+        self.order.len()
     }
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The digit string of entry `e`.
-    fn id_at(&self, e: u32) -> &[u16] {
-        &self.digits[self.bounds[e as usize] as usize..self.bounds[e as usize + 1] as usize]
     }
 
     /// The positions (in sorted order) of all entries related to
@@ -241,23 +246,24 @@ impl SplitIndex {
             count: 0,
             ranges: [(0, 0); MAX_DEPTH + 1],
         };
-        // Proper ancestors of `prefix`: exact-match runs, each located by
-        // two binary searches. They sort strictly before the descendant
-        // block, and in chain order, so `out` stays sorted and disjoint.
+        let key = split_key(prefix);
+        // Proper ancestors of `prefix` (`ancestor` is the key of its first
+        // `k` digits): exact-match runs. They sort strictly before the
+        // descendant block, and in chain order, so `out` stays sorted and
+        // disjoint and each search starts where the last one ended.
+        let mut from = 0;
         for k in 0..prefix.len() {
-            let ancestor = &prefix[..k];
-            let lo = self.order.partition_point(|&e| self.id_at(e) < ancestor);
-            let hi = lo + self.order[lo..].partition_point(|&e| self.id_at(e) == ancestor);
+            let ancestor = (key & !(u128::MAX >> (16 * k))) | k as u128;
+            let lo = from + self.keys[from..].partition_point(|&x| x < ancestor);
+            let hi = lo + self.keys[lo..].partition_point(|&x| x == ancestor);
             out.push(lo, hi);
+            from = hi;
         }
-        // Descendants (prefix itself included): one contiguous block.
-        let lo = self.order.partition_point(|&e| {
-            rekey_id::subtree_cmp(prefix, self.id_at(e)) == std::cmp::Ordering::Less
-        });
-        let hi = lo
-            + self.order[lo..].partition_point(|&e| {
-                rekey_id::subtree_cmp(prefix, self.id_at(e)) == std::cmp::Ordering::Equal
-            });
+        // Descendants (prefix itself included): one contiguous block, from
+        // the prefix's own key up to its digits followed by all ones.
+        let last = key | u128::MAX >> (16 * prefix.len());
+        let lo = from + self.keys[from..].partition_point(|&x| x < key);
+        let hi = lo + self.keys[lo..].partition_point(|&x| x <= last);
         out.push(lo, hi);
         out
     }
@@ -277,28 +283,9 @@ impl SplitIndex {
     }
 }
 
-/// Incrementally maintains a [`SplitIndex`] across rekey intervals.
-///
-/// `SplitIndex::build` re-sorts the whole message every interval —
-/// O(M log M) ID comparisons even when consecutive messages overlap
-/// heavily (under steady small churn most encryption IDs repeat from one
-/// interval to the next: the upper tree levels change every batch). The
-/// maintainer keeps the previous interval's *sorted* ID sequence and
-/// turns the next message into its index by delta application:
-///
-/// 1. classify each new entry against the old sorted sequence (binary
-///    search): **kept** (ID present last interval) or **fresh**;
-/// 2. kept entries inherit their relative order from the old sequence —
-///    an integer sort by old rank, no ID comparisons;
-/// 3. only the fresh entries are comparison-sorted, then merged with the
-///    kept run; old entries left unmatched are the removals and simply
-///    drop out.
-///
-/// When the delta is large (mass joins, server restart) the incremental
-/// path would do more work than a rebuild, so `advance` falls back to
-/// [`SplitIndex::build`]; both paths are deterministic. Path counters
-/// record which path ran, so the tests can pin that steady churn actually
-/// exercises the delta path.
+/// Builds each interval's [`SplitIndex`] from scratch, which with integer
+/// keys costs less than a delta against the previous interval would. It
+/// holds no state; the benchmark package names it.
 ///
 /// ```
 /// # use rekey_proto::SplitIndexMaintainer;
@@ -313,156 +300,21 @@ impl SplitIndex {
 /// #     Encryption::seal(&encrypting, &group_key, &mut rng)
 /// # };
 /// let mut maintainer = SplitIndexMaintainer::new();
-/// let first = vec![mk(vec![]), mk(vec![0]), mk(vec![0, 1])];
-/// let second = vec![mk(vec![]), mk(vec![0]), mk(vec![0, 2])]; // one ID changed
-/// let _ = maintainer.advance(&first); // empty state: builds from scratch
-/// let index = maintainer.advance(&second); // delta path: 1 fresh, 2 kept
+/// let message = vec![mk(vec![]), mk(vec![0]), mk(vec![0, 2])];
+/// let index = maintainer.advance(&message);
 /// assert_eq!(index.related_ranges(&[0, 2]).total(), 3);
 /// ```
 #[derive(Default, Clone)]
-pub struct SplitIndexMaintainer {
-    /// Previous interval's entry IDs, flattened **in sorted order**;
-    /// sorted entry `r` occupies `sorted_digits[sorted_bounds[r]..sorted_bounds[r + 1]]`.
-    sorted_digits: Vec<u16>,
-    sorted_bounds: Vec<u32>,
-    stats: SplitIndexStats,
-}
-
-/// Which paths a [`SplitIndexMaintainer`] has taken so far.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct SplitIndexStats {
-    /// Intervals indexed via delta application.
-    pub incremental: u64,
-    /// Intervals indexed via full rebuild (first interval, or delta too
-    /// large to pay off).
-    pub rebuilds: u64,
-    /// Total entries that were carried over from the previous interval.
-    pub kept: u64,
-    /// Total entries that had to be comparison-sorted.
-    pub fresh: u64,
-}
+pub struct SplitIndexMaintainer;
 
 impl SplitIndexMaintainer {
     pub fn new() -> SplitIndexMaintainer {
-        SplitIndexMaintainer::default()
+        SplitIndexMaintainer
     }
 
-    /// Path counters accumulated since construction.
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> SplitIndexStats {
-        self.stats
-    }
-
-    /// Number of entries in the retained previous interval.
-    fn prev_len(&self) -> usize {
-        self.sorted_bounds.len().saturating_sub(1)
-    }
-
-    fn prev_id(&self, rank: usize) -> &[u16] {
-        &self.sorted_digits
-            [self.sorted_bounds[rank] as usize..self.sorted_bounds[rank + 1] as usize]
-    }
-
-    /// Indexes the next interval's message, reusing last interval's sorted
-    /// order where possible. Equivalent to `SplitIndex::build(message)` in
-    /// the sets it answers; deterministic on both paths.
+    /// Indexes the next interval's message: [`SplitIndex::build`].
     pub fn advance(&mut self, message: &[Encryption]) -> SplitIndex {
-        let index = self.advance_index(message);
-        // Retain this interval's sorted ID sequence for the next delta.
-        self.sorted_digits.clear();
-        self.sorted_bounds.clear();
-        self.sorted_bounds.push(0);
-        for &e in &index.order {
-            self.sorted_digits.extend_from_slice(index.id_at(e));
-            self.sorted_bounds.push(self.sorted_digits.len() as u32);
-        }
-        index
-    }
-
-    fn advance_index(&mut self, message: &[Encryption]) -> SplitIndex {
-        let m = message.len();
-        let n = self.prev_len();
-        // Nothing to delta against, or the message more than doubled:
-        // rebuild outright.
-        if n == 0 || m == 0 || m > n * 2 {
-            self.stats.rebuilds += 1;
-            return SplitIndex::build(message);
-        }
-        // Classify. `consumed` tracks multiplicity so duplicate IDs match
-        // one old entry each.
-        let mut consumed = vec![false; n];
-        let mut kept: Vec<(u32, u32)> = Vec::with_capacity(m); // (old rank, entry)
-        let mut fresh: Vec<u32> = Vec::new();
-        for (pos, e) in message.iter().enumerate() {
-            let id = e.id().digits();
-            // Binary search for the first old rank with ID >= id.
-            let (mut lo, mut hi) = (0usize, n);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if self.prev_id(mid) < id {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let mut r = lo;
-            while r < n && self.prev_id(r) == id && consumed[r] {
-                r += 1;
-            }
-            if r < n && self.prev_id(r) == id {
-                consumed[r] = true;
-                kept.push((r as u32, pos as u32));
-            } else {
-                fresh.push(pos as u32);
-            }
-        }
-        // Delta too large: the classification already cost a scan, but
-        // sorting everything fresh would repeat build's work — bail out.
-        if fresh.len() * 2 > m {
-            self.stats.rebuilds += 1;
-            return SplitIndex::build(message);
-        }
-        self.stats.incremental += 1;
-        self.stats.kept += kept.len() as u64;
-        self.stats.fresh += fresh.len() as u64;
-
-        // Flatten the new message's digit strings (entry order).
-        let mut digits = Vec::new();
-        let mut bounds = Vec::with_capacity(m + 1);
-        bounds.push(0u32);
-        for e in message {
-            digits.extend_from_slice(e.id().digits());
-            bounds.push(digits.len() as u32);
-        }
-        let id_of = |e: u32| -> &[u16] {
-            &digits[bounds[e as usize] as usize..bounds[e as usize + 1] as usize]
-        };
-
-        // Kept entries in old-rank order are already ID-sorted (integer
-        // sort, no string comparisons); only fresh needs comparisons.
-        kept.sort_unstable();
-        fresh.sort_unstable_by(|&a, &b| id_of(a).cmp(id_of(b)));
-
-        // Merge the two sorted runs into the new order.
-        let mut order = Vec::with_capacity(m);
-        let (mut i, mut j) = (0, 0);
-        while i < kept.len() && j < fresh.len() {
-            if id_of(kept[i].1) <= id_of(fresh[j]) {
-                order.push(kept[i].1);
-                i += 1;
-            } else {
-                order.push(fresh[j]);
-                j += 1;
-            }
-        }
-        order.extend(kept[i..].iter().map(|&(_, e)| e));
-        order.extend_from_slice(&fresh[j..]);
-
-        SplitIndex {
-            digits,
-            bounds,
-            order,
-        }
+        SplitIndex::build(message)
     }
 }
 
@@ -723,84 +575,64 @@ mod tests {
         assert_eq!(index.indices(&[]).count(), 0);
     }
 
-    /// `SplitIndexMaintainer::advance` answers exactly the same related
-    /// sets as a from-scratch `SplitIndex::build`, across interval
-    /// sequences with heavy overlap, disjoint messages, growth spurts and
-    /// empty messages — and steady churn takes the delta path.
-    #[test]
-    fn maintainer_advance_matches_build() {
-        let spec = IdSpec::new(3, 3).unwrap();
-        let intervals: Vec<Vec<Vec<u16>>> = vec![
-            // steady churn: top levels repeat, one leaf path changes
-            vec![vec![], vec![0], vec![1], vec![0, 0], vec![0, 0, 1]],
-            vec![vec![], vec![0], vec![1], vec![0, 0], vec![0, 0, 2]],
-            vec![vec![], vec![0], vec![1], vec![0, 1], vec![0, 1, 0]],
-            // mass change: disjoint subtree
-            vec![vec![], vec![2], vec![2, 0], vec![2, 0, 0], vec![2, 1]],
-            // shrink, then empty, then regrow
-            vec![vec![], vec![2]],
-            vec![],
-            vec![vec![], vec![0], vec![1], vec![2], vec![0, 0], vec![1, 1]],
-            // duplicates (the generic digit-string contract)
-            vec![vec![], vec![0], vec![0], vec![0, 0], vec![]],
-        ];
-        let mut maintainer = SplitIndexMaintainer::new();
-        let mut probes: Vec<Vec<u16>> = vec![vec![]];
-        for a in 0..3u16 {
-            probes.push(vec![a]);
-            for b in 0..3u16 {
-                probes.push(vec![a, b]);
-                probes.push(vec![a, b, 0]);
+    /// Digit strings drawn to hit the edges of the key layout: depths 1–7,
+    /// bases up to 65 535, zero and largest digits, duplicate IDs and whole
+    /// prefix chains.
+    fn edge_digit_strings(rng: &mut impl rand::Rng) -> Vec<Vec<u16>> {
+        let depth = rng.gen_range(1..=MAX_DEPTH);
+        let base: u16 = match rng.gen_range(0..4) {
+            0 => rng.gen_range(2..=4),
+            1 => u16::MAX,
+            _ => rng.gen_range(2..=u16::MAX),
+        };
+        let mut ids = Vec::new();
+        for _ in 0..rng.gen_range(0..40) {
+            let len = rng.gen_range(0..=depth);
+            let id: Vec<u16> = (0..len)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => base - 1,
+                    _ => rng.gen_range(0..base),
+                })
+                .collect();
+            match rng.gen_range(0..4) {
+                0 => ids.extend((0..=len).map(|k| id[..k].to_vec())),
+                1 => ids.extend([id.clone(), id]),
+                _ => ids.push(id),
             }
         }
-        for ids in &intervals {
-            let id_refs: Vec<&[u16]> = ids.iter().map(|v| v.as_slice()).collect();
-            let message = encryptions(&spec, &id_refs);
-            let incremental = maintainer.advance(&message);
-            let rebuilt = SplitIndex::build(&message);
-            assert_eq!(incremental.len(), rebuilt.len());
-            for probe in &probes {
-                let mut a: Vec<usize> = incremental.indices(probe).collect();
-                let mut b: Vec<usize> = rebuilt.indices(probe).collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "related sets diverge at probe {probe:?}");
-                assert_eq!(incremental.count(probe), rebuilt.count(probe));
-            }
-        }
-        let stats = maintainer.stats();
-        assert!(
-            stats.incremental >= 2,
-            "steady churn must take the delta path, got {stats:?}"
-        );
-        assert!(
-            stats.rebuilds >= 2,
-            "first interval and large deltas must rebuild, got {stats:?}"
-        );
-        assert!(stats.kept > stats.fresh, "overlap dominates: {stats:?}");
+        ids
     }
 
-    /// The delta path is deterministic: two maintainers fed the same
-    /// interval sequence produce identical sorted orders.
-    #[test]
-    fn maintainer_is_deterministic() {
-        let spec = IdSpec::new(2, 4).unwrap();
-        let seq: Vec<Vec<Vec<u16>>> = vec![
-            vec![vec![], vec![0], vec![0, 1], vec![3]],
-            vec![vec![], vec![0], vec![0, 2], vec![3]],
-            vec![vec![], vec![3], vec![3, 0], vec![0]],
-        ];
-        let mut a = SplitIndexMaintainer::new();
-        let mut b = SplitIndexMaintainer::new();
-        for ids in &seq {
-            let id_refs: Vec<&[u16]> = ids.iter().map(|v| v.as_slice()).collect();
-            let message = encryptions(&spec, &id_refs);
-            let ia = a.advance(&message);
-            let ib = b.advance(&message);
-            assert_eq!(ia.order, ib.order);
-            assert_eq!(ia.digits, ib.digits);
+    proptest::proptest! {
+        /// Split keys order exactly as digit slices do, and the index
+        /// answers every query with the brute-force Theorem 2 filter
+        /// (`e ⊑ q` or `q ⊑ e`), in (ID, entry) order.
+        #[test]
+        fn split_keys_order_like_slices_and_answer_theorem_2(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let ids = edge_digit_strings(&mut rng);
+            for a in &ids {
+                for b in &ids {
+                    proptest::prop_assert_eq!(split_key(a).cmp(&split_key(b)), a.cmp(b), "{:?} {:?}", a, b);
+                }
+            }
+            let index = SplitIndex::from_digit_strings(ids.iter().map(Vec::as_slice));
+            let mut queries: Vec<Vec<u16>> = ids
+                .iter()
+                .flat_map(|id| (0..=id.len()).map(|k| id[..k].to_vec()))
+                .collect();
+            queries.extend(edge_digit_strings(&mut rng));
+            for q in &queries {
+                let mut expected: Vec<usize> = (0..ids.len())
+                    .filter(|&e| q.starts_with(&ids[e]) || ids[e].starts_with(q))
+                    .collect();
+                expected.sort_by_key(|&e| (&ids[e], e));
+                let got: Vec<usize> = index.indices(q).collect();
+                proptest::prop_assert_eq!(&got, &expected, "query {:?}", q);
+                proptest::prop_assert_eq!(index.related_ranges(q).total(), expected.len());
+            }
         }
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

@@ -6,35 +6,15 @@ use std::collections::BinaryHeap;
 /// Simulated time in microseconds since the start of the run.
 pub type SimTime = u64;
 
-#[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// A deterministic discrete-event scheduler.
 ///
 /// Events scheduled for the same instant are delivered in scheduling order
 /// (FIFO), which makes whole simulations reproducible bit-for-bit under a
 /// fixed RNG seed.
+///
+/// The heap holds only `(at, seq, slot)` keys; the events wait in a slab
+/// of slots that a free list recycles, so a sift moves 24 bytes however
+/// large `E` is.
 ///
 /// ```
 /// use rekey_sim::Scheduler;
@@ -51,7 +31,11 @@ impl<E> Ord for Entry<E> {
 pub struct Scheduler<E> {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<Entry<E>>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// The pending events by slot; `None` is a free slot.
+    slots: Vec<Option<E>>,
+    /// Free slots, reused last freed first.
+    free: Vec<u32>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -66,7 +50,9 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: 0,
             seq: 0,
-            queue: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -87,11 +73,18 @@ impl<E> Scheduler<E> {
             at,
             self.now
         );
-        self.queue.push(Reverse(Entry {
-            at,
-            seq: self.seq,
-            event,
-        }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
+                self.slots.push(Some(event));
+                slot
+            }
+        };
+        self.heap.push(Reverse((at, self.seq, slot)));
         self.seq += 1;
     }
 
@@ -102,32 +95,37 @@ impl<E> Scheduler<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.queue.pop()?;
-        self.now = entry.at;
-        Some((entry.at, entry.event))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let event = self.slots[slot as usize]
+            .take()
+            .expect("a queued key names a full slot");
+        self.free.push(slot);
+        self.now = at;
+        Some((at, event))
     }
 
     /// Timestamp of the next pending event without popping it (the clock
     /// does not advance).
     pub fn next_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(e)| e.at)
+        self.heap.peek().map(|&Reverse((at, _, _))| at)
     }
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.heap.len()
     }
 
     /// `true` iff no events are pending.
     #[cfg(test)]
     pub(crate) fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn clock_advances_with_pops() {
@@ -161,6 +159,95 @@ mod tests {
         }
         for i in 0..100 {
             assert_eq!(s.pop(), Some((42, i)));
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// `schedule_at(now + offset)`.
+        At(u64),
+        /// `schedule_in(delay)`.
+        In(u64),
+        /// `n` events at one instant `now + offset`.
+        Burst(u64, usize),
+        Pop,
+        /// Pop until the queue is empty.
+        Drain,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Pops twice as likely as each kind of schedule.
+        prop_oneof![
+            (0u64..6).prop_map(Op::At),
+            (0u64..6).prop_map(Op::In),
+            (0u64..4, 1usize..8).prop_map(|(offset, n)| Op::Burst(offset, n)),
+            Just(Op::Pop),
+            Just(Op::Pop),
+            Just(Op::Drain),
+        ]
+    }
+
+    /// Pops `s` and the reference once, and checks they agree.
+    fn pop(
+        s: &mut Scheduler<u64>,
+        reference: &mut Vec<(SimTime, u64)>,
+        now: &mut SimTime,
+    ) -> Result<(), TestCaseError> {
+        reference.sort_unstable();
+        let expected = (!reference.is_empty()).then(|| reference.remove(0));
+        if let Some((at, _)) = expected {
+            *now = at;
+        }
+        prop_assert_eq!(s.pop(), expected);
+        Ok(())
+    }
+
+    proptest! {
+        /// Any interleaving of schedules and pops pops exactly what a sort
+        /// of the pending `(at, seq)` pairs names next, and the clock, the
+        /// next time and the pending count agree with that reference after
+        /// every step; the slab never holds more slots than the most events
+        /// ever pending at once, so freed slots are reused.
+        #[test]
+        fn pops_follow_a_reference_sort(ops in proptest::collection::vec(op(), 1..200)) {
+            let mut s: Scheduler<u64> = Scheduler::new();
+            // The reference: pending (at, seq) pairs; the event is its seq.
+            let mut reference: Vec<(SimTime, u64)> = Vec::new();
+            let (mut now, mut seq, mut peak) = (0, 0, 0);
+            for op in ops {
+                match op {
+                    Op::At(offset) => {
+                        s.schedule_at(now + offset, seq);
+                        reference.push((now + offset, seq));
+                        seq += 1;
+                    }
+                    Op::In(delay) => {
+                        s.schedule_in(delay, seq);
+                        reference.push((now + delay, seq));
+                        seq += 1;
+                    }
+                    Op::Burst(offset, n) => {
+                        for _ in 0..n {
+                            s.schedule_at(now + offset, seq);
+                            reference.push((now + offset, seq));
+                            seq += 1;
+                        }
+                    }
+                    Op::Pop => pop(&mut s, &mut reference, &mut now)?,
+                    Op::Drain => {
+                        while !reference.is_empty() {
+                            pop(&mut s, &mut reference, &mut now)?;
+                        }
+                        prop_assert!(s.is_idle());
+                        pop(&mut s, &mut reference, &mut now)?;
+                    }
+                }
+                peak = peak.max(reference.len());
+                prop_assert_eq!(s.now(), now);
+                prop_assert_eq!(s.pending(), reference.len());
+                prop_assert_eq!(s.next_time(), reference.iter().map(|&(at, _)| at).min());
+                prop_assert!(s.slots.len() <= peak, "{} slots for at most {} pending", s.slots.len(), peak);
+            }
         }
     }
 

@@ -10,7 +10,9 @@
 # parent first, even pairs the change. The runs' result lines are kept
 # under target/pairs/out/<workload>/.
 #
-# Prints markdown: the host, the q1 / median / q3 table of every end-to-end
+# Prints markdown: the two measured trees (the parent's sha, and the
+# working tree's HEAD, marked -dirty when `git status --porcelain` lists a
+# change outside target/), the host, the q1 / median / q3 table of every end-to-end
 # metric BENCHMARK.json names (with its bound and the pairs in which the
 # change is better), then one row per pair. Quartiles are inclusive
 # (`statistics.quantiles(..., method="inclusive")`). Exits non-zero if a
@@ -25,6 +27,11 @@ fi
 rev=$(git rev-parse --verify "$1^{commit}")
 workload=$2
 pairs=${3:-10}
+
+change=$(git rev-parse HEAD)
+if [ -n "$(git status --porcelain --untracked-files=all | cut -c4- | grep -v '^target/' || true)" ]; then
+    change=$change-dirty
+fi
 
 parent_dir=target/pairs/$rev
 if [ ! -f "$parent_dir/bench/Cargo.toml" ]; then
@@ -58,10 +65,11 @@ for i in $(seq "$pairs"); do
     done
 done
 
-python3 - "$out" "$workload" "$pairs" "$rev" <<'EOF'
-import json, statistics, sys
+python3 - "$out" "$workload" "$pairs" "$rev" "$change" <<'EOF'
+import json, re, statistics, sys
 
-out, workload, pairs, rev = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+out, workload, pairs, rev, change = sys.argv[1:6]
+pairs = int(pairs)
 spec = json.load(open("BENCHMARK.json"))
 runs = {side: [json.load(open("%s/%s-%d.json" % (out, side, i))) for i in range(1, pairs + 1)]
         for side in ("parent", "change")}
@@ -79,10 +87,16 @@ def g(x):
     return "%.5g" % x
 
 print("# %s: parent (%s) against change, %d alternating pairs\n" % (workload, rev[:7], pairs))
+print("Trees: parent `%s`; change `%s` (the working tree's `git rev-parse HEAD`, "
+      "`-dirty` if it had changes outside `target/`).\n" % (rev, change))
+# The binary's host line names the commit `bench/build.rs` recorded when it
+# last ran, which an incremental build does not refresh.
+host = open(out + "/host").read().strip().lstrip("# ")
+host = re.sub(r"\bcommit (\S+)", r"`bench/build.rs`'s recorded commit \1 (may be stale)", host)
 print("Host: %s. Written by `scripts/pairs.sh %s %s %d`: pair *i* uses seed *i* "
       "(`--seconds 20 --trace 0`), odd pairs run the parent first. \"better\" counts pairs "
       "where the change's figure is better.\n"
-      % (open(out + "/host").read().strip().lstrip("# "), rev[:7], workload, pairs))
+      % (host, rev[:7], workload, pairs))
 print("| workload | metric | parent q1 / median / q3 | change q1 / median / q3 | change worse by "
       "| bound | parent IQR/median | verdict |")
 print("|---|---|---|---|---|---|---|---|")
