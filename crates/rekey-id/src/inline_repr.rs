@@ -11,7 +11,8 @@ use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use crate::{subtree_cmp, IdPrefix, IdSpec, UserId, MAX_DEPTH};
+use crate::prefix::subtree_cmp;
+use crate::{IdPrefix, IdSpec, UserId, MAX_DEPTH};
 use proptest::collection::vec;
 use proptest::prelude::*;
 

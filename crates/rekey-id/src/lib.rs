@@ -44,7 +44,7 @@ mod prefix;
 mod tree;
 
 pub use id::{IdError, UserId};
-pub use prefix::{subtree_cmp, IdPrefix};
+pub use prefix::IdPrefix;
 pub use tree::{IdTree, IdTreeNode};
 
 /// The largest supported `D`. IDs and prefixes store their digits inline

@@ -220,10 +220,8 @@ impl IdPrefix {
     }
 }
 
-/// Slice-level form of [`IdPrefix::subtree_cmp`], for callers that index
-/// raw digit strings without materialising an `IdPrefix` per comparison
-/// (the transport layer's split index binary-searches with this).
-pub fn subtree_cmp(prefix: &[u16], digits: &[u16]) -> std::cmp::Ordering {
+/// Slice-level form of [`IdPrefix::subtree_cmp`].
+pub(crate) fn subtree_cmp(prefix: &[u16], digits: &[u16]) -> std::cmp::Ordering {
     let shared = prefix.len().min(digits.len());
     match digits[..shared].cmp(&prefix[..shared]) {
         std::cmp::Ordering::Equal => {

@@ -386,8 +386,8 @@ impl Port<'_, '_> {
 
 /// Drains the replicas' events strictly before `t1` on the coordinator
 /// thread. Replica↔replica messages are same-host and stay on this lane;
-/// sends to members join their shard's inbound crossings (the invariant
-/// puts every arrival at or beyond `t1`).
+/// sends to members go to their shard's [`Port`] (the invariant puts
+/// every arrival at or beyond `t1`).
 fn drain_server<NET: Network>(
     servers: &mut [RtServer],
     coord: &mut Lane,
