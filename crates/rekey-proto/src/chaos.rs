@@ -16,7 +16,10 @@
 //! so that exactly the cells' members lose contact with the server (and
 //! each other) while the plan is active.
 
+use rekey_net::HostId;
 use rekey_sim::NodeId;
+
+use crate::RuntimeConfig;
 
 /// The key server's simulator node. The runtime always spawns the server
 /// first, at node `0`.
@@ -40,7 +43,8 @@ pub fn replica_node(replica: usize) -> NodeId {
 /// `replicas` server replicas: members are offset past the whole replica
 /// block. With `replicas == 1` this is node `handle + 1`.
 pub fn member_node_with_replicas(handle: usize, replicas: usize) -> NodeId {
-    NodeId(handle + replicas.max(1))
+    let config = RuntimeConfig::builder().replicas(replicas.max(1)).build();
+    config.member_node(HostId(handle))
 }
 
 /// Splits member handles `0..members` into `cells` partition cells by

@@ -307,9 +307,8 @@ impl<'a> RekeyDelivery<'a> {
 /// # Ok::<(), rekey_proto::GroupError>(())
 /// ```
 /// `Clone` snapshots the server's complete state — membership, key tree,
-/// pending requests, and RNG position — which is what the event-driven
-/// runtime's crash journal ([`crate::runtime::Journal`]) checkpoints each
-/// interval.
+/// pending requests, and RNG position — which is what each replica of the
+/// event-driven runtime checkpoints every interval.
 #[derive(Debug, Clone)]
 pub struct GroupServer {
     group: Group,

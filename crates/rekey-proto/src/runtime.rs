@@ -17,7 +17,7 @@
 //! admits joiners from a [`ChurnEvent`] trace; built populated with
 //! [`ShardedGroupRuntime::bootstrapped`] it spreads a dealt group over
 //! worker threads. Joins, crashes, fault plans, server replicas,
-//! heartbeats and the crash journal work the same either way.
+//! heartbeats and checkpoints work the same either way.
 //! [`UdpGroupDriver`] (module [`socket`]) runs the same state machines
 //! over real sockets and the wall clock.
 //!
@@ -45,7 +45,7 @@
 //!   `JoinRequest` / `JoinAccepted` admit a member into the overlay
 //!   mid-interval (its keys arrive in `Welcome` at the interval end);
 //!   `LeaveRequest` / `LeaveAck` retire one — the ack is only sent after
-//!   the departure reaches the crash journal, so an acknowledged leave can
+//!   a checkpoint covers the departure, so an acknowledged leave can
 //!   never roll back; `Table` carries the server-assisted repair of §3.2:
 //!   the server's [`Group`] maintains every neighbor table,
 //!   and after a join or leave each member whose table changed — only
@@ -107,11 +107,11 @@
 //! * a member that lost a `Table` push (a `Recover` or `ServerPong`
 //!   reports a newer version of its table) or rekey intervals beyond the
 //!   NACK retry cap resyncs from a server snapshot;
-//! * the server checkpoints itself into a [`journal::Journal`] after
-//!   every interval's multicast; a restart (the driver's restart command
-//!   at the outage window's end) restores the latest checkpoint, bumps
-//!   the *epoch*, and re-announces itself with an immediate interval, and
-//!   every member that observes the new epoch resyncs;
+//! * the server checkpoints itself at every interval boundary, in the
+//!   step that sends the interval's multicast; a restart (the driver's
+//!   restart command at the outage window's end) restores the checkpoint,
+//!   bumps the *epoch*, and re-announces itself with an immediate
+//!   interval, and every member that observes the new epoch resyncs;
 //! * with [`RuntimeConfigBuilder::replicas`] > 1 a follower replica replays the
 //!   primary's mutation log, is elected when the primary falls silent,
 //!   and takes over through the same epoch-bumped resync.
@@ -122,7 +122,8 @@
 //! the server answers from its per-interval history.
 
 use rekey_metrics::{json, merge_spans, HistogramSnapshot, LocalHistogram, SpanRecord};
-use rekey_sim::SimTime;
+use rekey_net::HostId;
+use rekey_sim::{NodeId, SimTime};
 use rekey_table::{check_consistency, ConsistencyViolation, NeighborTable};
 
 use crate::Group;
@@ -135,7 +136,6 @@ pub mod wire;
 
 pub use self::core::{IntervalMessage, ReplOp, RtMsg};
 pub(crate) use self::core::{MemberStats, ServerStats, Sinks};
-pub use journal::Journal;
 pub use shard::ShardedGroupRuntime;
 pub use socket::{NotConverged, UdpGroupDriver};
 
@@ -198,6 +198,47 @@ impl RuntimeConfig {
     /// promotes the most-caught-up follower when the primary dies.
     pub(crate) fn replicas(&self) -> usize {
         self.replicas
+    }
+
+    /// Exponential backoff: `retry_base << attempts`, with the exponent
+    /// saturated at the retry cap.
+    pub(crate) fn backoff(&self, attempts: u32) -> SimTime {
+        self.retry_base << attempts.min(self.retry_cap)
+    }
+
+    /// Replication stream period: entries are resent and heartbeats sent
+    /// twice per rekey interval, so a follower is never more than half an
+    /// interval behind a live primary.
+    pub(crate) fn repl_period(&self) -> SimTime {
+        (self.rekey_period / 2).max(1)
+    }
+
+    /// Follower liveness-check period.
+    pub(crate) fn repl_check_period(&self) -> SimTime {
+        self.rekey_period.max(1)
+    }
+
+    /// Primary silence past this threshold starts an election: two full
+    /// rekey periods, i.e. at least four missed replication heartbeats.
+    pub(crate) fn primary_silence(&self) -> SimTime {
+        2 * self.rekey_period
+    }
+
+    /// The node of the member on `host` (member handle `h` lives on
+    /// `HostId(h)`): replicas occupy nodes `0..replicas`, members are
+    /// offset past the whole block.
+    pub(crate) fn member_node(&self, host: HostId) -> NodeId {
+        NodeId(host.0 + self.replicas)
+    }
+
+    /// The member host behind node `node`; the inverse of
+    /// [`RuntimeConfig::member_node`].
+    pub(crate) fn member_host(&self, node: NodeId) -> HostId {
+        debug_assert!(
+            node.0 >= self.replicas,
+            "server replicas have no member host"
+        );
+        HostId(node.0 - self.replicas)
     }
 }
 
@@ -391,9 +432,9 @@ pub struct MetricsSnapshot {
     pub rejoins: u64,
     /// Evicted neighbors reinstated after answering a probation probe.
     pub rehabilitations: u64,
-    /// Server restarts (journal restores).
+    /// Server restarts (respawns at the end of an outage).
     pub restarts: u64,
-    /// Checkpoints written to the crash journal.
+    /// Checkpoints the acting primaries recorded.
     pub checkpoints: u64,
     /// Total messages delivered.
     pub delivered: u64,
@@ -785,7 +826,7 @@ mod tests {
             "every member resyncs across the epoch bump (got {})",
             report.resyncs
         );
-        assert!(rt.journal().recorded() > 0);
+        assert!(report.checkpoints > 0);
         assert_eq!(rt.group().len(), 10);
         assert_members_current(&rt, &handles);
     }

@@ -23,12 +23,13 @@
 //! value: it can be cloned mid-stream and fed the same events as the
 //! original, with the same effects. Everything else reaches `handle` as
 //! an argument. The [`Outbox`] is the driver's lane context: the clock,
-//! the knobs, the §3.1 parameters, the access RTTs, whether the driver is
-//! draining for shutdown, and the lane's metric [`Sinks`]. The key server
-//! also borrows the driver's network for the calls that consult it. What
-//! the drivers would otherwise each spell out — how a replica or a
-//! pre-welcomed member starts, which timers bring a replica set up, which
-//! replica is acting primary — lives here too, once.
+//! the runtime config, the §3.1 parameters, the access RTTs, whether the
+//! driver is draining for shutdown, and the lane's metric [`Sinks`]. The
+//! key server also borrows the driver's network for the calls that
+//! consult it. What the drivers would otherwise each spell out — how a
+//! replica or a pre-welcomed member starts, which timers bring a replica
+//! set up, which replica is acting primary, how a replica applies an op
+//! — lives here too, once.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -45,9 +46,10 @@ use rekey_tmesh::forward::{server_next_hops, user_next_hops_with};
 use crate::assign::{AssignParams, Probe};
 use crate::group::lists;
 use crate::transport::{PrefixBuf, SplitIndex};
-use crate::{Group, GroupServer, UserAgent, WelcomePacket};
+use crate::{Group, GroupError, GroupServer, IntervalOutcome, UserAgent, WelcomePacket};
 
-use super::{journal, RuntimeConfig};
+use super::journal::{Checkpoint, Entry, HISTORY_WINDOW};
+use super::RuntimeConfig;
 
 /// One input to a state machine: the sans-I/O input boundary.
 #[derive(Debug)]
@@ -93,7 +95,7 @@ pub(crate) struct Outbox {
     pub(crate) draining: bool,
     /// What the lane's nodes record.
     pub(crate) sinks: Sinks,
-    knobs: Knobs,
+    config: RuntimeConfig,
     /// The §3.1 parameters a joiner probes with.
     assign: Arc<AssignParams>,
     /// Each member host's access-link RTT `h(u, gw_u)` (§3.1.2), which its
@@ -102,29 +104,33 @@ pub(crate) struct Outbox {
 }
 
 impl Outbox {
-    /// An empty outbox for a lane of the runtime `knobs` describe; the
+    /// An empty outbox for a lane of the runtime `config` describes; the
     /// driver sets `now` and `me` per event.
-    pub(crate) fn new(knobs: Knobs, assign: Arc<AssignParams>, access: Arc<[Micros]>) -> Outbox {
+    pub(crate) fn new(
+        config: RuntimeConfig,
+        assign: Arc<AssignParams>,
+        access: Arc<[Micros]>,
+    ) -> Outbox {
         Outbox {
             now: 0,
             me: SERVER,
             effects: Vec::new(),
             draining: false,
             sinks: Sinks::default(),
-            knobs,
+            config,
             assign,
             access,
         }
     }
 
-    /// The timing/retry knobs.
-    pub(crate) fn knobs(&self) -> &Knobs {
-        &self.knobs
+    /// The runtime's timing, retry and replica knobs.
+    pub(crate) fn config(&self) -> &RuntimeConfig {
+        &self.config
     }
 
     /// The access-link RTT of member node `node`'s host.
     fn access_rtt(&self, node: NodeId) -> Micros {
-        let host = node.0.checked_sub(self.knobs.replicas);
+        let host = node.0.checked_sub(self.config.replicas);
         host.and_then(|h| self.access.get(h)).copied().unwrap_or(0)
     }
 
@@ -152,7 +158,7 @@ impl Outbox {
 
 /// The key server's node id: always node 0. With `replicas > 1` this is
 /// the *initial primary*; replicas occupy nodes `0..replicas` and members
-/// are offset past the whole block (see [`Knobs::replicas`]).
+/// are offset past the whole block (see [`RuntimeConfig::member_node`]).
 pub(crate) const SERVER: NodeId = NodeId(0);
 
 /// One interval's rekey message as multicast over the overlay: the
@@ -289,7 +295,7 @@ pub enum RtMsg {
     /// Leaver → server: retire me; retransmitted with backoff until
     /// `LeaveAck`.
     LeaveRequest,
-    /// Server → leaver, once the departure has reached the journal.
+    /// Server → leaver, once a checkpoint covers the departure.
     LeaveAck,
     /// Member → server: a neighbor stopped answering pings. Re-sent every
     /// beat until a pushed table drops the suspect, so a lost notice
@@ -460,76 +466,9 @@ pub(crate) enum RtLocal {
     /// and push every member its latest related set.
     Flush,
     /// Driver → node whose outage window ended: the process comes back up
-    /// and re-arms its timers (the server additionally restores its
-    /// journal and bumps its epoch).
+    /// and re-arms its timers (a server replica additionally rolls back
+    /// to its checkpoint).
     Restart,
-}
-
-/// Copyable timing/retry knobs shared by every node of one runtime.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Knobs {
-    pub(crate) rekey_period: SimTime,
-    pub(crate) heartbeat_period: SimTime,
-    pub(crate) nack_grace: SimTime,
-    pub(crate) retry_base: SimTime,
-    pub(crate) retry_cap: u32,
-    pub(crate) seed: u64,
-    /// Server replicas: nodes `0..replicas` run [`RtServer`]s (node 0 is
-    /// the initial primary), members are offset past the block. `1`
-    /// reproduces the historical single-server runtime bit for bit.
-    pub(crate) replicas: usize,
-}
-
-impl Knobs {
-    pub(crate) fn of_config(config: &RuntimeConfig) -> Knobs {
-        Knobs {
-            rekey_period: config.rekey_period,
-            heartbeat_period: config.heartbeat_period,
-            nack_grace: config.nack_grace,
-            retry_base: config.retry_base,
-            retry_cap: config.retry_cap,
-            seed: config.seed,
-            replicas: config.replicas,
-        }
-    }
-
-    /// Exponential backoff: `retry_base << attempts`, with the exponent
-    /// saturated at the retry cap.
-    fn backoff(&self, attempts: u32) -> SimTime {
-        self.retry_base << attempts.min(self.retry_cap)
-    }
-
-    /// Replication stream period: entries are resent and heartbeats sent
-    /// twice per rekey interval, so a follower is never more than half an
-    /// interval behind a live primary.
-    pub(crate) fn repl_period(&self) -> SimTime {
-        (self.rekey_period / 2).max(1)
-    }
-
-    /// The node hosting `host`'s member, offset past the replica block.
-    fn member_node(&self, host: HostId) -> NodeId {
-        NodeId(host.0 + self.replicas)
-    }
-
-    /// The member host behind node `node`.
-    fn member_host(&self, node: NodeId) -> HostId {
-        debug_assert!(
-            node.0 >= self.replicas,
-            "server replicas have no member host"
-        );
-        HostId(node.0 - self.replicas)
-    }
-
-    /// Follower liveness-check period.
-    pub(crate) fn repl_check_period(&self) -> SimTime {
-        self.rekey_period.max(1)
-    }
-
-    /// Primary silence past this threshold starts an election: two full
-    /// rekey periods, i.e. at least four missed replication heartbeats.
-    pub(crate) fn primary_silence(&self) -> SimTime {
-        2 * self.rekey_period
-    }
 }
 
 /// What the nodes of one lane record: five histograms and a span ring.
@@ -574,9 +513,9 @@ pub(crate) struct ServerStats {
     pub welcomes: u64,
     /// Full state snapshots served (`Resync` replies).
     pub resyncs: u64,
-    /// Server restarts (journal restores + epoch bumps).
+    /// Server restarts (respawns at the end of an outage).
     pub restarts: u64,
-    /// Checkpoints written to the journal.
+    /// Checkpoints this replica recorded as primary.
     pub checkpoints: u64,
     /// Leave acknowledgements sent (each after a covering checkpoint).
     pub leave_acks: u64,
@@ -660,7 +599,7 @@ const REPL_BATCH: usize = 64;
 #[derive(Debug, Clone)]
 pub(crate) struct Replication {
     pub(crate) role: ReplRole,
-    /// This replica's index (`0..Knobs::replicas`; also its node id).
+    /// This replica's index (`0..replicas`; also its node id).
     pub(crate) replica: usize,
     /// `false` once replay diverged (an op failed to re-execute, or the
     /// primary's log floor passed our watermark): the replica stops
@@ -672,7 +611,7 @@ pub(crate) struct Replication {
     pub(crate) gen: u64,
     /// The tail of the op log (primary: appended; follower: applied),
     /// kept for resending. Contiguous, ending at `next_idx - 1`.
-    pub(crate) log: VecDeque<journal::Entry>,
+    pub(crate) log: VecDeque<Entry>,
     /// Next log index to append (first entry gets 1).
     pub(crate) next_idx: u64,
     /// Primary: per-replica acknowledged watermarks; `u64::MAX` means
@@ -682,7 +621,7 @@ pub(crate) struct Replication {
     /// Follower: highest contiguously applied log index.
     pub(crate) applied_idx: u64,
     /// Follower: out-of-order entries awaiting their predecessors.
-    pub(crate) entry_buf: BTreeMap<u64, journal::Entry>,
+    pub(crate) entry_buf: BTreeMap<u64, Entry>,
     /// Follower: highest log head the primary has advertised; the gap to
     /// `applied_idx` is what a promotion would lose.
     pub(crate) primary_idx_seen: u64,
@@ -722,6 +661,42 @@ impl Replication {
     }
 }
 
+/// A change [`RtServer::apply`] makes to a replica's state: a [`ReplOp`]
+/// in the form either role holds it when it applies it.
+#[derive(Debug)]
+enum Change<'a> {
+    /// Admit `host` at `at` under the digits given, completed to a unique
+    /// ID (§3.1 step 4) — the primary's joiner probed them, a follower
+    /// replays the whole ID the primary admitted — or, with none, under
+    /// the ID a probe of the RTT model finds (the socket driver's join).
+    Join {
+        host: HostId,
+        at: Micros,
+        digits: Option<&'a [u16]>,
+    },
+    /// Depart member `id`.
+    Leave(&'a UserId),
+    /// Close the interval: the log entry `idx`, appended under `epoch`,
+    /// whose message is multicast at `sent_at`.
+    Interval {
+        sent_at: SimTime,
+        epoch: u64,
+        idx: u64,
+    },
+}
+
+/// What [`RtServer::apply`] did: what the primary announces, and what a
+/// follower checks its replay against.
+enum Applied {
+    /// The ID the joiner was admitted under.
+    Joined(UserId),
+    /// The member departed.
+    Left,
+    /// The interval closed: its outcome (welcomes, departures; its
+    /// encryptions moved into the message) and its message.
+    Closed(IntervalOutcome, Arc<IntervalMessage>),
+}
+
 /// One key-server replica: the primary or a follower (see [`Replication`]).
 #[derive(Clone)]
 pub(crate) struct RtServer {
@@ -735,10 +710,18 @@ pub(crate) struct RtServer {
     /// When the previous rekey round ran (start anchor of the next
     /// "interval" span, so span durations show round spacing).
     pub(crate) last_round_at: SimTime,
-    /// Interval messages kept for unicast recovery.
+    /// Interval messages kept for unicast recovery, the last
+    /// [`HISTORY_WINDOW`] intervals.
     pub(crate) history: BTreeMap<u64, Arc<IntervalMessage>>,
-    /// The crash journal: one checkpoint per completed interval.
-    pub(crate) journal: journal::Journal,
+    /// The state at the latest interval boundary, which a restart rolls
+    /// back to; `None` before the first one.
+    pub(crate) checkpoint: Option<Checkpoint>,
+    /// Whether this replica checkpoints at all. A checkpoint clones the
+    /// complete server state — roster, every neighbor table's `Arc`, the
+    /// key tree — which is O(members) per interval, so a runtime that
+    /// models no server crash (a dealt group on one unfaulted replica)
+    /// takes none.
+    pub(crate) checkpointing: bool,
     /// Leavers to acknowledge once the next checkpoint covers their
     /// departure (an acknowledged leave must never roll back).
     pub(crate) pending_leave_acks: Vec<NodeId>,
@@ -777,14 +760,18 @@ pub(crate) fn acting_primary<'a>(
 /// more than one replica its replication stream tick plus each follower's
 /// liveness check — staggered by replica index so elections never fire
 /// in lockstep.
-pub(crate) fn boot_timers(knobs: &Knobs) -> Vec<(NodeId, SimTime, RtLocal)> {
-    let mut timers = vec![(SERVER, knobs.rekey_period, RtLocal::IntervalTick { gen: 0 })];
-    if knobs.replicas > 1 {
-        timers.push((SERVER, knobs.repl_period(), RtLocal::ReplTick { gen: 0 }));
-        for replica in 1..knobs.replicas {
+pub(crate) fn boot_timers(config: &RuntimeConfig) -> Vec<(NodeId, SimTime, RtLocal)> {
+    let mut timers = vec![(
+        SERVER,
+        config.rekey_period,
+        RtLocal::IntervalTick { gen: 0 },
+    )];
+    if config.replicas > 1 {
+        timers.push((SERVER, config.repl_period(), RtLocal::ReplTick { gen: 0 }));
+        for replica in 1..config.replicas {
             timers.push((
                 NodeId(replica),
-                knobs.rekey_period + replica as SimTime * knobs.retry_base,
+                config.rekey_period + replica as SimTime * config.retry_base,
                 RtLocal::ReplCheck { gen: 0 },
             ));
         }
@@ -793,25 +780,26 @@ pub(crate) fn boot_timers(knobs: &Knobs) -> Vec<(NodeId, SimTime, RtLocal)> {
 }
 
 impl RtServer {
-    /// Replica `replica` of the set `knobs` describe, about to start its
+    /// Replica `replica` of the set `config` describes, about to start its
     /// first interval over the group state `server`.
     pub(crate) fn new(
-        knobs: &Knobs,
+        config: &RuntimeConfig,
         server: GroupServer,
         replica: usize,
-        journal: journal::Journal,
+        checkpointing: bool,
         seeds_joiners: bool,
     ) -> RtServer {
         RtServer {
             server,
             epoch: 0,
             tick_gen: 0,
-            next_interval_at: knobs.rekey_period,
+            next_interval_at: config.rekey_period,
             last_round_at: 0,
             history: BTreeMap::new(),
-            journal,
+            checkpoint: None,
+            checkpointing,
             pending_leave_acks: Vec::new(),
-            repl: Replication::new(replica, knobs.replicas),
+            repl: Replication::new(replica, config.replicas),
             seeds_joiners,
             stats: ServerStats::default(),
         }
@@ -819,12 +807,12 @@ impl RtServer {
 
     /// What a shutdown flush still has to clear: queued joins, queued
     /// leaves, and the member handles whose `LeaveAck` is still owed.
-    pub(crate) fn flush_backlog(&self, knobs: &Knobs) -> (usize, usize, Vec<usize>) {
+    pub(crate) fn flush_backlog(&self, config: &RuntimeConfig) -> (usize, usize, Vec<usize>) {
         let (joins, leaves) = self.server.pending();
         let owed = self
             .pending_leave_acks
             .iter()
-            .map(|&node| knobs.member_host(node).0)
+            .map(|&node| config.member_host(node).0)
             .collect();
         (joins, leaves, owed)
     }
@@ -834,16 +822,16 @@ impl RtServer {
     pub(crate) fn handle<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET, event: Event) {
         match event {
             Event::Net { from, msg } => self.receive(ctx, net, from, msg),
-            Event::Local(local) => self.on_local(ctx, local),
+            Event::Local(local) => self.on_local(ctx, net, local),
         }
     }
 
     /// One of this replica's own timers, or a command of its driver.
-    fn on_local(&mut self, ctx: &mut Outbox, local: RtLocal) {
+    fn on_local<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET, local: RtLocal) {
         // A restart revives even a divergent replica (it rolls back to
         // its checkpoint); everything else requires an active one.
         if local == RtLocal::Restart {
-            return self.restart(ctx);
+            return self.restart(ctx, net);
         }
         if !self.repl.active {
             return;
@@ -853,12 +841,12 @@ impl RtServer {
             RtLocal::ReplTick { gen } if gen == self.repl.gen && primary => self.repl_tick(ctx),
             RtLocal::ReplCheck { gen } if gen == self.repl.gen && !primary => self.repl_check(ctx),
             RtLocal::ElectionTick { gen } if gen == self.repl.gen && !primary => {
-                self.election_tick(ctx);
+                self.election_tick(ctx, net);
             }
             RtLocal::IntervalTick { gen } if gen == self.tick_gen && primary => {
-                self.end_interval(ctx);
+                self.end_interval(ctx, net);
             }
-            RtLocal::Flush if primary => self.flush(ctx),
+            RtLocal::Flush if primary => self.flush(ctx, net),
             _ => {}
         }
     }
@@ -870,7 +858,7 @@ impl RtServer {
         }
         match msg {
             RtMsg::ReplEntry { idx, epoch, op } => {
-                self.on_repl_entry(ctx, net, from, journal::Entry { idx, epoch, op });
+                self.on_repl_entry(ctx, net, from, Entry { idx, epoch, op });
                 return;
             }
             RtMsg::ReplAck { replica, idx } => {
@@ -906,7 +894,7 @@ impl RtServer {
             RtMsg::JoinRequest => self.on_join_request(ctx, net, from),
             RtMsg::JoinDigits { digits } => self.admit(ctx, net, from, Some(digits)),
             RtMsg::LeaveRequest => {
-                let host = ctx.knobs().member_host(from);
+                let host = ctx.config().member_host(from);
                 let id = self.member_by_host(host).map(|m| m.id);
                 if let Some(id) = id {
                     self.depart(ctx, net, id);
@@ -923,7 +911,10 @@ impl RtServer {
                 // departed member behind a healed partition would
                 // otherwise depart half the group with its stale
                 // suspicions before its own `NotMember` lands.
-                if self.member_by_host(ctx.knobs().member_host(from)).is_none() {
+                if self
+                    .member_by_host(ctx.config().member_host(from))
+                    .is_none()
+                {
                     return;
                 }
                 if self.server.group().member(&failed).is_some() {
@@ -1019,33 +1010,118 @@ impl RtServer {
         self.server
             .group()
             .member(id)
-            .is_some_and(|m| m.host == ctx.knobs().member_host(from))
+            .is_some_and(|m| m.host == ctx.config().member_host(from))
     }
 
-    fn end_interval(&mut self, ctx: &mut Outbox) {
+    fn end_interval<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET) {
         if ctx.draining {
             return;
         }
-        self.rekey_round(ctx);
+        self.rekey_round(ctx, net);
         ctx.timer(
-            ctx.knobs().rekey_period,
+            ctx.config().rekey_period,
             RtLocal::IntervalTick { gen: self.tick_gen },
         );
+    }
+
+    /// The one place a replica's state changes for a [`ReplOp`]: the
+    /// primary applies each op it appends, a follower each op it replays,
+    /// so both reach the same group, key tree, RNG position, history and
+    /// checkpoint. What only the primary does — counting, welcomes, the
+    /// multicast, table pushes, acks — is its callers' part.
+    fn apply<NET: Network>(
+        &mut self,
+        ctx: &Outbox,
+        net: &NET,
+        change: Change<'_>,
+    ) -> Result<Applied, GroupError> {
+        match change {
+            Change::Join { host, at, digits } => {
+                let id = match digits {
+                    Some(digits) => self.server.admit_join(host, digits, net, at),
+                    None => self.server.request_join(host, net, at),
+                }?;
+                Ok(Applied::Joined(id))
+            }
+            Change::Leave(id) => {
+                self.server.request_leave(id, net)?;
+                Ok(Applied::Left)
+            }
+            Change::Interval {
+                sent_at,
+                epoch,
+                idx,
+            } => {
+                let mut outcome = self.server.end_interval();
+                let encryptions = outcome.take_encryptions();
+                let message = Arc::new(IntervalMessage {
+                    interval: outcome.interval,
+                    epoch,
+                    sent_at,
+                    seq: self.server.group().mutations(),
+                    index: SplitIndex::build(&encryptions),
+                    encryptions,
+                });
+                self.history.insert(outcome.interval, Arc::clone(&message));
+                while self.history.len() > HISTORY_WINDOW {
+                    self.history.pop_first();
+                }
+                self.next_interval_at = sent_at + ctx.config().rekey_period;
+                // Every replica checkpoints at the same boundaries, so a
+                // restarted one resumes from an interval-aligned watermark.
+                self.record_checkpoint(idx);
+                Ok(Applied::Closed(outcome, message))
+            }
+        }
+    }
+
+    /// Records the state at log watermark `log_idx` as this replica's
+    /// checkpoint, superseding the previous one — unless it takes none.
+    /// The state is cloned only when it does.
+    fn record_checkpoint(&mut self, log_idx: u64) {
+        if self.checkpointing {
+            self.checkpoint = Some(Checkpoint {
+                server: self.server.clone(),
+                log_idx,
+                history: self.history.clone(),
+            });
+        }
+    }
+
+    /// Rolls this replica back to its checkpoint and returns the
+    /// checkpoint's log watermark; without one (a crash before the first
+    /// interval) the live state stays. The checkpoint itself is kept, so
+    /// a second restart restores the same state.
+    fn roll_back(&mut self) -> Option<u64> {
+        let Checkpoint {
+            server,
+            log_idx,
+            history,
+        } = self.checkpoint.clone()?;
+        self.server = server;
+        self.history = history;
+        Some(log_idx)
     }
 
     /// Ends one interval: welcomes, multicast, checkpoint, leave acks.
     /// The batch rekey is counted here, by the replica that issues it as
     /// primary, never by a follower replaying it.
-    fn rekey_round(&mut self, ctx: &mut Outbox) {
-        self.append_op(ctx, ReplOp::Interval { sent_at: ctx.now() });
-        let mut outcome = self.server.end_interval();
-        let encryptions = outcome.take_encryptions();
+    fn rekey_round<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET) {
+        let sent_at = ctx.now();
+        self.append_op(ctx, ReplOp::Interval { sent_at });
+        let change = Change::Interval {
+            sent_at,
+            epoch: self.epoch,
+            idx: self.repl.next_idx - 1,
+        };
+        let Ok(Applied::Closed(outcome, message)) = self.apply(ctx, net, change) else {
+            unreachable!("an interval always closes");
+        };
         self.stats.intervals += 1;
-        self.stats.tree_encryptions += encryptions.len() as u64;
+        self.stats.tree_encryptions += message.encryptions.len() as u64;
         self.stats.tombstone_hits += outcome.tombstone_hits;
         let batch = outcome.welcomes.len() + outcome.departed.len();
         ctx.sinks.batch_size.record(batch as u64);
-        self.next_interval_at = ctx.now() + ctx.knobs().rekey_period;
         for welcome in outcome.welcomes {
             self.stats.welcomes += 1;
             let host = self
@@ -1055,25 +1131,13 @@ impl RtServer {
                 .expect("welcomed member is in the group")
                 .host;
             ctx.send(
-                ctx.knobs().member_node(host),
+                ctx.config().member_node(host),
                 RtMsg::Welcome {
                     welcome,
                     epoch: self.epoch,
                     next_interval_at: self.next_interval_at,
                 },
             );
-        }
-        let message = Arc::new(IntervalMessage {
-            interval: outcome.interval,
-            epoch: self.epoch,
-            sent_at: ctx.now(),
-            seq: self.server.group().mutations(),
-            index: SplitIndex::build(&encryptions),
-            encryptions,
-        });
-        self.history.insert(outcome.interval, Arc::clone(&message));
-        while self.history.len() > journal::HISTORY_WINDOW {
-            self.history.pop_first();
         }
         // Empty intervals still multicast: members advance their interval
         // counter from the (empty) related set, keeping NACK checks quiet.
@@ -1082,7 +1146,7 @@ impl RtServer {
             self.stats.forward_copies += 1;
             fanout += 1;
             ctx.send(
-                ctx.knobs().member_node(hop.neighbor.member.host),
+                ctx.config().member_node(hop.neighbor.member.host),
                 RtMsg::Forward {
                     level: hop.forward_level,
                     prefix: PrefixBuf::of_hop(&hop),
@@ -1093,22 +1157,14 @@ impl RtServer {
         ctx.sinks.forward_fanout.record(fanout);
         ctx.span("interval", self.last_round_at, outcome.interval);
         self.last_round_at = ctx.now();
-        self.checkpoint(ctx);
+        self.release_leave_acks(ctx);
     }
 
-    /// Records the interval-boundary checkpoint — *after* the multicast,
-    /// so no member is ever ahead of the journal — then releases the
+    /// Counts the checkpoint just recorded — in the step that multicasts
+    /// the interval, so no member is ever ahead of it — and releases the
     /// leave acks it covers.
-    fn checkpoint(&mut self, ctx: &mut Outbox) {
-        // Guard *before* building the checkpoint: cloning the server is
-        // O(members) per interval, which a disabled journal (an unfaulted
-        // mega runtime) must never pay.
-        if self.journal.is_enabled() {
-            self.journal.record(journal::Checkpoint {
-                server: self.server.clone(),
-                log_idx: self.repl.next_idx - 1,
-                history: self.history.clone(),
-            });
+    fn release_leave_acks(&mut self, ctx: &mut Outbox) {
+        if self.checkpointing {
             self.stats.checkpoints += 1;
         }
         for node in std::mem::take(&mut self.pending_leave_acks) {
@@ -1120,33 +1176,34 @@ impl RtServer {
     /// Shutdown flush: fold any pending membership work into an interval,
     /// then push every member its latest related set so the final
     /// interval is discoverable even if every multicast copy was lost.
-    fn flush(&mut self, ctx: &mut Outbox) {
+    fn flush<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET) {
         let (joins, leaves) = self.server.pending();
         if joins > 0 || leaves > 0 {
-            self.rekey_round(ctx);
+            self.rekey_round(ctx, net);
         }
         if let Some((&interval, message)) = self.history.iter().next_back() {
             let group = self.server.group();
             for (idx, &Member { id, host, .. }) in group.members().iter().enumerate() {
-                let to = ctx.knobs().member_node(host);
+                let to = ctx.config().member_node(host);
                 let seq = group.table_version(idx);
                 recover(ctx, &mut self.stats, to, (interval, message), &id, seq);
             }
         }
-        self.checkpoint(ctx);
+        self.record_checkpoint(self.repl.next_idx - 1);
+        self.release_leave_acks(ctx);
     }
 
     /// The server process respawns at the end of an outage window.
     ///
-    /// Single replica: restore the latest checkpoint (mid-interval
+    /// Single replica: roll back to the checkpoint (mid-interval
     /// mutations since then are lost by design — the affected members
     /// re-request), bump the epoch, and re-announce with an immediate
     /// interval. With replicas, the revived process instead rejoins as a
     /// *follower*: the acting primary (possibly a promoted peer) streams
     /// it forward from its checkpoint watermark, and if no primary is
     /// alive its own liveness check escalates to an election.
-    fn restart(&mut self, ctx: &mut Outbox) {
-        if ctx.knobs().replicas > 1 {
+    fn restart<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET) {
+        if ctx.config().replicas > 1 {
             return self.restart_replica(ctx);
         }
         self.stats.restarts += 1;
@@ -1154,16 +1211,13 @@ impl RtServer {
         ctx.span("restart", ctx.now(), self.epoch);
         self.tick_gen += 1;
         self.pending_leave_acks.clear();
-        if let Some(cp) = self.journal.restore() {
-            self.stats.lost_mutations +=
-                self.server.group().mutations() - cp.server.group().mutations();
-            self.server = cp.server;
-            self.history = cp.history;
-        }
+        let live = self.server.group().mutations();
+        self.roll_back();
+        self.stats.lost_mutations += live - self.server.group().mutations();
         // The immediate interval is the restart beacon: its `Forward`
         // copies carry the new epoch, and every member that sees it (or
         // the next `ServerPong`) resyncs.
-        self.end_interval(ctx);
+        self.end_interval(ctx, net);
     }
 
     /// Multi-replica restart: roll back to the checkpoint, come up as a
@@ -1179,19 +1233,15 @@ impl RtServer {
         self.repl.active = true;
         self.repl.entry_buf.clear();
         self.repl.election = None;
-        if let Some(cp) = self.journal.restore() {
-            self.server = cp.server;
-            self.history = cp.history;
-            self.repl.applied_idx = cp.log_idx;
-            self.repl.log.retain(|e| e.idx <= cp.log_idx);
-            self.repl.next_idx = cp.log_idx + 1;
+        if let Some(log_idx) = self.roll_back() {
+            self.repl.applied_idx = log_idx;
+            self.repl.log.retain(|e| e.idx <= log_idx);
+            self.repl.next_idx = log_idx + 1;
         }
-        // No checkpoint (first-interval crash): keep the live state, as
-        // the single-replica path does.
         self.repl.primary_idx_seen = self.repl.applied_idx;
         self.repl.last_primary_at = ctx.now();
         ctx.timer(
-            ctx.knobs().repl_check_period(),
+            ctx.config().repl_check_period(),
             RtLocal::ReplCheck { gen: self.repl.gen },
         );
     }
@@ -1200,7 +1250,7 @@ impl RtServer {
     /// to start its probe from, or, unless this server seeds joiners,
     /// admitted at once.
     fn on_join_request<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET, from: NodeId) {
-        let host = ctx.knobs().member_host(from);
+        let host = ctx.config().member_host(from);
         if self.seeds_joiners && self.member_by_host(host).is_none() {
             if let Some(seed) = self.server.group().seed_for(host) {
                 return ctx.send(from, RtMsg::JoinSeed { seed });
@@ -1218,18 +1268,18 @@ impl RtServer {
         from: NodeId,
         digits: Option<IdPrefix>,
     ) {
-        let host = ctx.knobs().member_host(from);
+        let host = ctx.config().member_host(from);
         let id = match self.member_by_host(host) {
             // Retransmitted join (the original accept was lost): resend
             // the current snapshot without a new mutation.
             Some(member) => member.id,
             None => {
                 let at = ctx.now();
-                let id = match digits {
-                    Some(digits) => self.server.admit_join(host, digits.digits(), net, at),
-                    None => self.server.request_join(host, net, at),
-                }
-                .expect("ID space sized for the churn trace");
+                let digits = digits.as_ref().map(IdPrefix::digits);
+                let change = Change::Join { host, at, digits };
+                let Ok(Applied::Joined(id)) = self.apply(ctx, net, change) else {
+                    panic!("ID space sized for the churn trace");
+                };
                 self.stats.joins += 1;
                 self.append_op(ctx, ReplOp::Join { host, at, id });
                 self.push_tables(ctx);
@@ -1249,8 +1299,7 @@ impl RtServer {
     }
 
     fn depart<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET, id: UserId) {
-        self.server
-            .request_leave(&id, net)
+        self.apply(ctx, net, Change::Leave(&id))
             .expect("departing member is in the group");
         self.stats.departures += 1;
         self.append_op(ctx, ReplOp::Leave { id });
@@ -1263,7 +1312,7 @@ impl RtServer {
         let group = self.server.group();
         for &idx in group.changed_tables() {
             ctx.send(
-                ctx.knobs().member_node(group.members()[idx].host),
+                ctx.config().member_node(group.members()[idx].host),
                 RtMsg::Table {
                     table: Arc::clone(group.table(idx)),
                     epoch: self.epoch,
@@ -1279,11 +1328,11 @@ impl RtServer {
     /// every other replica. A no-op with a single replica, keeping the
     /// single-server runtime byte-identical to its pre-replication behavior.
     fn append_op(&mut self, ctx: &mut Outbox, op: ReplOp) {
-        let replicas = ctx.knobs().replicas;
+        let replicas = ctx.config().replicas;
         if replicas <= 1 {
             return;
         }
-        let entry = journal::Entry {
+        let entry = Entry {
             idx: self.repl.next_idx,
             epoch: self.epoch,
             op,
@@ -1318,7 +1367,7 @@ impl RtServer {
     /// entries and lost acks both heal here — the stream needs no
     /// per-entry retry state, just this bounded resend loop.
     fn repl_tick(&mut self, ctx: &mut Outbox) {
-        let replicas = ctx.knobs().replicas;
+        let replicas = ctx.config().replicas;
         let head = self.repl.next_idx - 1;
         let floor = self.repl.floor();
         for r in 0..replicas {
@@ -1355,7 +1404,7 @@ impl RtServer {
         }
         if !ctx.draining {
             ctx.timer(
-                ctx.knobs().repl_period(),
+                ctx.config().repl_period(),
                 RtLocal::ReplTick { gen: self.repl.gen },
             );
         }
@@ -1375,13 +1424,18 @@ impl RtServer {
     // ---- replication: follower side ------------------------------------
 
     /// A streamed log entry: buffer, drain contiguously, replay, ack the
-    /// applied watermark back to the sender.
+    /// applied watermark back to the sender. Replication is deterministic:
+    /// the follower applies the same inputs to the same seeded state, so
+    /// its tree, RNG stream and history converge on the primary's —
+    /// without member traffic and without stats (each mutation is counted
+    /// once, by the primary, so summed snapshots match a single-replica
+    /// run).
     fn on_repl_entry<NET: Network>(
         &mut self,
         ctx: &mut Outbox,
         net: &NET,
         from: NodeId,
-        entry: journal::Entry,
+        entry: Entry,
     ) {
         if self.repl.role != ReplRole::Follower {
             return;
@@ -1394,7 +1448,24 @@ impl RtServer {
             self.repl.entry_buf.insert(entry.idx, entry);
         }
         while let Some(entry) = self.repl.entry_buf.remove(&(self.repl.applied_idx + 1)) {
-            if !self.apply_entry(ctx.knobs(), net, &entry) {
+            let change = match &entry.op {
+                ReplOp::Join { host, at, id } => Change::Join {
+                    host: *host,
+                    at: *at,
+                    digits: Some(id.digits()),
+                },
+                ReplOp::Leave { id } => Change::Leave(id),
+                ReplOp::Interval { sent_at } => Change::Interval {
+                    sent_at: *sent_at,
+                    epoch: entry.epoch,
+                    idx: entry.idx,
+                },
+            };
+            let replayed = match (self.apply(ctx, net, change), &entry.op) {
+                (Ok(Applied::Joined(admitted)), ReplOp::Join { id, .. }) => admitted == *id,
+                (applied, _) => applied.is_ok(),
+            };
+            if !replayed {
                 // Replay diverged: freeze until the next `Restart` rolls
                 // this replica back to its checkpoint.
                 self.repl.active = false;
@@ -1414,60 +1485,6 @@ impl RtServer {
                 idx: self.repl.applied_idx,
             },
         );
-    }
-
-    /// Replays one op against this follower's own state machine; `false`
-    /// on divergence. Deterministic replication: the follower re-executes
-    /// the same inputs against the same seeded state, so its tree, RNG
-    /// stream, and history converge on the primary's — without member
-    /// traffic and without stats (each mutation is counted once, by the
-    /// primary, so summed snapshots match a single-replica run).
-    fn apply_entry<NET: Network>(
-        &mut self,
-        knobs: &Knobs,
-        net: &NET,
-        entry: &journal::Entry,
-    ) -> bool {
-        match &entry.op {
-            ReplOp::Join { host, at, id } => {
-                let admitted = self.server.admit_join(*host, id.digits(), net, *at);
-                if admitted != Ok(*id) {
-                    return false;
-                }
-            }
-            ReplOp::Leave { id } => {
-                if self.server.request_leave(id, net).is_err() {
-                    return false;
-                }
-            }
-            ReplOp::Interval { sent_at } => {
-                let mut outcome = self.server.end_interval();
-                let message = Arc::new(IntervalMessage {
-                    interval: outcome.interval,
-                    epoch: entry.epoch,
-                    sent_at: *sent_at,
-                    seq: self.server.group().mutations(),
-                    index: SplitIndex::build(outcome.encryptions()),
-                    encryptions: outcome.take_encryptions(),
-                });
-                self.history.insert(outcome.interval, message);
-                while self.history.len() > journal::HISTORY_WINDOW {
-                    self.history.pop_first();
-                }
-                self.next_interval_at = *sent_at + knobs.rekey_period;
-                // The follower checkpoints at the same boundaries the
-                // primary does, so a restarted follower resumes from an
-                // interval-aligned log watermark.
-                if self.journal.is_enabled() {
-                    self.journal.record(journal::Checkpoint {
-                        server: self.server.clone(),
-                        log_idx: entry.idx,
-                        history: self.history.clone(),
-                    });
-                }
-            }
-        }
-        true
     }
 
     /// A primary heartbeat. Followers refresh liveness, cancel any
@@ -1557,7 +1574,7 @@ impl RtServer {
         if self.repl.election.is_none() {
             // A fresh heartbeat vetoes the peer's suspicion from here.
             if ctx.now().saturating_sub(self.repl.last_primary_at)
-                <= ctx.knobs().repl_check_period()
+                <= ctx.config().repl_check_period()
             {
                 return;
             }
@@ -1578,13 +1595,13 @@ impl RtServer {
             return;
         }
         let silent =
-            ctx.now().saturating_sub(self.repl.last_primary_at) > ctx.knobs().primary_silence();
+            ctx.now().saturating_sub(self.repl.last_primary_at) > ctx.config().primary_silence();
         if silent && self.repl.election.is_none() {
             self.start_election(ctx);
             return;
         }
         ctx.timer(
-            ctx.knobs().repl_check_period(),
+            ctx.config().repl_check_period(),
             RtLocal::ReplCheck { gen: self.repl.gen },
         );
     }
@@ -1601,7 +1618,7 @@ impl RtServer {
             best_idx: self.repl.applied_idx,
             best_replica: self.repl.replica,
         });
-        for r in 0..ctx.knobs().replicas {
+        for r in 0..ctx.config().replicas {
             if r == self.repl.replica {
                 continue;
             }
@@ -1615,7 +1632,7 @@ impl RtServer {
             );
         }
         ctx.timer(
-            ctx.knobs().nack_grace,
+            ctx.config().nack_grace,
             RtLocal::ElectionTick { gen: self.repl.gen },
         );
     }
@@ -1623,23 +1640,23 @@ impl RtServer {
     /// Election grace expired: the best watermark seen wins, lowest
     /// replica index breaking ties — every voter that saw the same
     /// candidacies computes the same winner.
-    fn election_tick(&mut self, ctx: &mut Outbox) {
+    fn election_tick<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET) {
         let Some(election) = self.repl.election.take() else {
             // A heartbeat cancelled the election mid-grace.
             ctx.timer(
-                ctx.knobs().repl_check_period(),
+                ctx.config().repl_check_period(),
                 RtLocal::ReplCheck { gen: self.repl.gen },
             );
             return;
         };
         if election.best_replica == self.repl.replica {
-            self.promote(ctx);
+            self.promote(ctx, net);
             return;
         }
         // A peer won: give it a fresh silence budget to announce itself.
         self.repl.last_primary_at = ctx.now();
         ctx.timer(
-            ctx.knobs().repl_check_period(),
+            ctx.config().repl_check_period(),
             RtLocal::ReplCheck { gen: self.repl.gen },
         );
     }
@@ -1650,7 +1667,7 @@ impl RtServer {
     /// The gap between the dead primary's advertised head and our replay
     /// watermark is recorded as lost mutations; the affected members
     /// re-request via `NotMember` rejoins and leave retransmissions.
-    fn promote(&mut self, ctx: &mut Outbox) {
+    fn promote<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET) {
         self.stats.promotions += 1;
         self.stats.lost_mutations += self
             .repl
@@ -1668,14 +1685,12 @@ impl RtServer {
         // log head is the replay watermark. Peer watermarks start unknown
         // and are re-learned from their heartbeat acks.
         self.repl.next_idx = self.repl.applied_idx + 1;
-        let replicas = ctx.knobs().replicas;
+        let replicas = ctx.config().replicas;
         self.repl.acked = vec![u64::MAX; replicas.max(1)];
         self.repl.acked[self.repl.replica] = self.repl.applied_idx;
-        // No split-index reset: replay was contiguous to this point —
-        // unlike a restart there is no rollback to discard.
-        self.end_interval(ctx);
+        self.end_interval(ctx, net);
         ctx.timer(
-            ctx.knobs().repl_period(),
+            ctx.config().repl_period(),
             RtLocal::ReplTick { gen: self.repl.gen },
         );
     }
@@ -1931,7 +1946,7 @@ impl RtMember {
     /// `Welcome`. Its heartbeat is *not* started: per-neighbor probing is
     /// O(N·K·D) events per period at bootstrap scale.
     pub(crate) fn welcomed(
-        knobs: &Knobs,
+        config: &RuntimeConfig,
         group: &Group,
         index: usize,
         welcome: WelcomePacket,
@@ -1944,9 +1959,9 @@ impl RtMember {
         member.server_interval_seen = welcome.interval;
         member.agent = Some(UserAgent::from_welcome(welcome));
         member.check_gen = 1;
-        member.next_boundary = knobs.rekey_period;
+        member.next_boundary = config.rekey_period;
         member.expected_interval = 2;
-        let first_check = knobs.rekey_period + knobs.nack_grace;
+        let first_check = config.rekey_period + config.nack_grace;
         (member, (first_check, RtLocal::IntervalCheck { gen: 1 }))
     }
 
@@ -1970,7 +1985,7 @@ impl RtMember {
     /// Rotates to the next server replica (round-robin). Called when the
     /// current one stays silent; a single-replica config never rotates.
     fn rotate_server(&mut self, ctx: &Outbox) {
-        let replicas = ctx.knobs().replicas;
+        let replicas = ctx.config().replicas;
         if replicas > 1 {
             self.server_node = NodeId((self.server_node.0 + 1) % replicas);
         }
@@ -1984,7 +1999,7 @@ impl RtMember {
     /// grace, so cold starts and outages stay conservative.
     fn adaptive_grace(&self, ctx: &Outbox) -> SimTime {
         let seen = self.delay_seen.max(self.delay_seen_prev);
-        let grace = ctx.knobs().nack_grace;
+        let grace = ctx.config().nack_grace;
         if seen == 0 {
             return grace;
         }
@@ -2010,7 +2025,7 @@ impl RtMember {
             RtLocal::Join if self.member.is_none() && !self.join_requested => {
                 self.join_requested = true;
                 ctx.send(self.server_node, RtMsg::JoinRequest);
-                self.arm(ctx, Retrying::Join, ctx.now() + ctx.knobs().retry_base);
+                self.arm(ctx, Retrying::Join, ctx.now() + ctx.config().retry_base);
             }
             RtLocal::Leave if self.member.is_some() && !self.leave_pending => self.leave(ctx),
             RtLocal::Leave if self.join_requested && self.member.is_none() => {
@@ -2050,7 +2065,7 @@ impl RtMember {
         // server. After a failover this re-anchors every member on the
         // promoted primary the moment its beacon interval (or any reply)
         // arrives.
-        if from.0 < ctx.knobs().replicas {
+        if from.0 < ctx.config().replicas {
             self.server_node = from;
             self.server_ping_outstanding = false;
         }
@@ -2084,7 +2099,7 @@ impl RtMember {
                 self.arm(
                     ctx,
                     Retrying::Resync,
-                    ctx.now() + 2 * ctx.knobs().rekey_period + ctx.knobs().nack_grace,
+                    ctx.now() + 2 * ctx.config().rekey_period + ctx.config().nack_grace,
                 );
                 self.start_heartbeat(ctx);
             }
@@ -2114,13 +2129,14 @@ impl RtMember {
                 target,
                 mut records,
             } => {
-                let replicas = ctx.knobs().replicas;
+                let config = *ctx.config();
                 let Some(joiner) = self.joiner.as_deref_mut() else {
                     return;
                 };
                 // Only the first reply to a query in flight counts.
-                let asked =
-                    |(m, t): &(Member, IdPrefix)| m.host.0 + replicas == from.0 && *t == target;
+                let asked = |(m, t): &(Member, IdPrefix)| {
+                    config.member_node(m.host) == from && *t == target
+                };
                 let Some(at) = joiner.queries.iter().position(asked) else {
                     return;
                 };
@@ -2187,7 +2203,7 @@ impl RtMember {
                             self.stats.copies_forwarded += 1;
                             fanout += 1;
                             ctx.send(
-                                NodeId(hop.neighbor.member.host.0 + ctx.knobs().replicas),
+                                ctx.config().member_node(hop.neighbor.member.host),
                                 RtMsg::Forward {
                                     level: hop.forward_level,
                                     prefix: PrefixBuf::of_hop(&hop),
@@ -2296,7 +2312,7 @@ impl RtMember {
                 self.reset_to_unjoined();
                 self.join_requested = true;
                 ctx.send(self.server_node, RtMsg::JoinRequest);
-                self.arm(ctx, Retrying::Join, ctx.now() + ctx.knobs().retry_base);
+                self.arm(ctx, Retrying::Join, ctx.now() + ctx.config().retry_base);
             }
             RtMsg::Resync {
                 member,
@@ -2362,7 +2378,7 @@ impl RtMember {
         self.delay_seen_prev = self.delay_seen;
         self.delay_seen = 0;
         if !ctx.draining {
-            self.next_boundary += ctx.knobs().rekey_period;
+            self.next_boundary += ctx.config().rekey_period;
             self.expected_interval += 1;
             let deadline = self.next_boundary + self.adaptive_grace(ctx);
             ctx.timer(
@@ -2403,7 +2419,7 @@ impl RtMember {
             return;
         }
         self.seq_hint = self.seq_hint.max(seq);
-        self.arm(ctx, Retrying::Resync, ctx.now() + ctx.knobs().nack_grace);
+        self.arm(ctx, Retrying::Resync, ctx.now() + ctx.config().nack_grace);
     }
 
     /// Takes `table` (version `seq`) as ours. Suspects it still lists
@@ -2576,14 +2592,14 @@ impl RtMember {
         };
         // A NACK that exhausted its attempts escalates to a snapshot:
         // the server-assisted resync replaces the whole retry lineage.
-        if matches!(kind, Retrying::Nack(_)) && st.attempts >= ctx.knobs().retry_cap {
+        if matches!(kind, Retrying::Nack(_)) && st.attempts >= ctx.config().retry_cap {
             self.retries.remove(&kind);
             self.arm(ctx, Retrying::Resync, now);
             return;
         }
-        let cap = ctx.knobs().retry_cap;
+        let cap = ctx.config().retry_cap;
         let attempts = (st.attempts + 1).min(cap);
-        let due = now + ctx.knobs().backoff(attempts);
+        let due = now + ctx.config().backoff(attempts);
         self.retries.insert(kind, RetryState { attempts, due });
         self.stats.max_retry_attempts = self.stats.max_retry_attempts.max(attempts);
         // While the node probes, its join retry is aimed at members.
@@ -2625,8 +2641,8 @@ impl RtMember {
         self.heartbeat_gen += 1;
         // Stagger first beats across the membership so a join burst does
         // not synchronize every ping burst.
-        let mut rng = node_rng(ctx.knobs().seed, ctx.self_id());
-        let jitter = rng.gen_range(1..=ctx.knobs().heartbeat_period.max(1));
+        let mut rng = node_rng(ctx.config().seed, ctx.self_id());
+        let jitter = rng.gen_range(1..=ctx.config().heartbeat_period.max(1));
         ctx.timer(
             jitter,
             RtLocal::HeartbeatTick {
@@ -2686,7 +2702,7 @@ impl RtMember {
             self.next_token += 1;
             self.outstanding.insert(token, (host, id));
             self.stats.pings_sent += 1;
-            ctx.send(ctx.knobs().member_node(host), RtMsg::Ping { token });
+            ctx.send(ctx.config().member_node(host), RtMsg::Ping { token });
         }
         // Probe the server: its pong is our NACK evidence and our
         // membership certificate; a NotMember reply triggers a rejoin.
@@ -2701,7 +2717,7 @@ impl RtMember {
             ctx.send(self.server_node, RtMsg::ServerPing { id });
         }
         ctx.timer(
-            ctx.knobs().heartbeat_period,
+            ctx.config().heartbeat_period,
             RtLocal::HeartbeatTick {
                 gen: self.heartbeat_gen,
             },
@@ -2734,7 +2750,7 @@ impl RtMember {
             return;
         }
         let periods = self.expected_interval - interval;
-        let boundary = sent_at + periods * ctx.knobs().rekey_period;
+        let boundary = sent_at + periods * ctx.config().rekey_period;
         if boundary > self.next_boundary {
             self.anchor_check(ctx, boundary, self.expected_interval);
         }
@@ -2770,7 +2786,7 @@ impl RtMember {
     /// The join made progress: its retry next fires a full `retry_base`
     /// from now, as if first armed.
     fn join_progress(&mut self, ctx: &Outbox) {
-        let due = ctx.now() + ctx.knobs().retry_base;
+        let due = ctx.now() + ctx.config().retry_base;
         if let Some(st) = self.retries.get_mut(&Retrying::Join) {
             *st = RetryState { attempts: 0, due };
         }
@@ -2781,7 +2797,6 @@ impl RtMember {
     /// reads whose RTT is not known yet; once every pong is in, decides the
     /// digit and starts the next round, or sends the digits to the server.
     fn advance_join(&mut self, ctx: &mut Outbox) {
-        let replicas = ctx.knobs().replicas;
         // A handle of its own, so the sends below can borrow the outbox.
         let params = Arc::clone(&ctx.assign);
         let Some(joiner) = self.joiner.as_deref_mut().filter(|j| j.digits.is_none()) else {
@@ -2790,7 +2805,7 @@ impl RtMember {
         loop {
             while let Some((user, target)) = joiner.probe.next_query(&params) {
                 joiner.queries.push((user, target));
-                ctx.send(NodeId(user.host.0 + replicas), RtMsg::Query { target });
+                ctx.send(ctx.config().member_node(user.host), RtMsg::Query { target });
             }
             if joiner.probe.awaiting() > 0 || !joiner.pings.is_empty() {
                 return;
@@ -2800,7 +2815,7 @@ impl RtMember {
                     let token = self.next_token;
                     self.next_token += 1;
                     joiner.pings.insert(token, (*user, ctx.now()));
-                    ctx.send(NodeId(user.host.0 + replicas), RtMsg::Ping { token });
+                    ctx.send(ctx.config().member_node(user.host), RtMsg::Ping { token });
                 }
             }
             if !joiner.pings.is_empty() {
@@ -2829,7 +2844,6 @@ impl RtMember {
     /// through the retry cap (`give_up`), a silent query counts as
     /// answered with no records and a silent user as unreachable.
     fn retry_probe(&mut self, ctx: &mut Outbox, give_up: bool) {
-        let replicas = ctx.knobs().replicas;
         let joiner = self.joiner.as_deref_mut().expect("the node probes");
         let silent = std::mem::take(&mut joiner.pings).into_values();
         if give_up {
@@ -2842,7 +2856,7 @@ impl RtMember {
             self.join_progress(ctx);
         } else {
             for &(user, target) in &joiner.queries {
-                ctx.send(NodeId(user.host.0 + replicas), RtMsg::Query { target });
+                ctx.send(ctx.config().member_node(user.host), RtMsg::Query { target });
             }
         }
         self.advance_join(ctx);
@@ -2878,8 +2892,8 @@ impl RtMember {
         ctx.send(self.server_node, RtMsg::LeaveRequest);
         // The ack rides the next checkpoint, so the first retry only fires
         // once a full rekey period has gone unanswered.
-        let knobs = ctx.knobs();
-        let due = ctx.now() + knobs.rekey_period + knobs.retry_base;
+        let config = ctx.config();
+        let due = ctx.now() + config.rekey_period + config.retry_base;
         self.arm(ctx, Retrying::Leave, due);
     }
 
@@ -2920,15 +2934,15 @@ mod tests {
         (net, server, welcomes)
     }
 
-    /// The default knobs of a runtime with `replicas` replicas.
-    fn knobs(replicas: usize) -> Knobs {
-        Knobs::of_config(&RuntimeConfig::builder().replicas(replicas).build())
+    /// The default config of a runtime with `replicas` replicas.
+    fn config(replicas: usize) -> RuntimeConfig {
+        RuntimeConfig::builder().replicas(replicas).build()
     }
 
     /// A fresh lane outbox of a runtime with `replicas` replicas.
     fn outbox(replicas: usize) -> Outbox {
         let assign = Arc::new(crate::AssignParams::for_depth(4));
-        Outbox::new(knobs(replicas), assign, Arc::new([]))
+        Outbox::new(config(replicas), assign, Arc::new([]))
     }
 
     /// The `(recipient, message)` of every `Send` in `out`, drained.
@@ -2984,7 +2998,7 @@ mod tests {
         let mut leave_pushes = Vec::new();
         for members in [256, 4_096] {
             let (net, fsm, _) = dealt(members);
-            let mut server = RtServer::new(&knobs(1), fsm, 0, journal::Journal::disabled(), false);
+            let mut server = RtServer::new(&config(1), fsm, 0, false, false);
             let mut out = outbox(1);
             let leaver = NodeId(members);
             let event = Event::Net {
@@ -3026,7 +3040,7 @@ mod tests {
         let (_, fsm, mut welcomes) = dealt(16);
         let group = fsm.group();
         let table = group.table(3).clone();
-        let (mut member, _) = RtMember::welcomed(&knobs(1), group, 3, welcomes.swap_remove(3));
+        let (mut member, _) = RtMember::welcomed(&config(1), group, 3, welcomes.swap_remove(3));
         let mut out = outbox(1);
         out.me = NodeId(4);
         let beat = || Event::Local(RtLocal::HeartbeatTick { gen: 0 });
@@ -3070,7 +3084,7 @@ mod tests {
     fn every_behind_flush_recover_asks_for_a_resync() {
         let (_, fsm, mut welcomes) = dealt(16);
         let group = fsm.group();
-        let (mut member, _) = RtMember::welcomed(&knobs(1), group, 3, welcomes.swap_remove(3));
+        let (mut member, _) = RtMember::welcomed(&config(1), group, 3, welcomes.swap_remove(3));
         let mut out = outbox(1);
         out.draining = true;
         out.me = NodeId(4);
@@ -3124,11 +3138,10 @@ mod tests {
     fn a_cloned_node_is_an_equal_independent_value() {
         const REPLICAS: usize = 3;
         let (net, fsm, mut welcomes) = dealt(16);
-        let knobs = knobs(REPLICAS);
-        let disabled = journal::Journal::disabled;
-        let mut primary = RtServer::new(&knobs, fsm.clone(), 0, disabled(), false);
-        let mut follower = RtServer::new(&knobs, fsm.clone(), 1, disabled(), false);
-        let (mut member, _) = RtMember::welcomed(&knobs, fsm.group(), 3, welcomes.swap_remove(3));
+        let config = config(REPLICAS);
+        let mut primary = RtServer::new(&config, fsm.clone(), 0, false, false);
+        let mut follower = RtServer::new(&config, fsm.clone(), 1, false, false);
+        let (mut member, _) = RtMember::welcomed(&config, fsm.group(), 3, welcomes.swap_remove(3));
 
         // Per round, a leave and the interval boundary that rekeys it:
         // what the primary streams to replica 1, and one multicast copy of
@@ -3136,13 +3149,16 @@ mod tests {
         let (mut entries, mut copies) = (Vec::new(), Vec::new());
         let mut out = outbox(REPLICAS);
         for (round, leaver) in [(1, 5), (2, 9)] {
-            let boundary = round * knobs.rekey_period;
+            let boundary = round * config.rekey_period;
             let leave = Event::Net {
                 from: NodeId(leaver + REPLICAS),
                 msg: RtMsg::LeaveRequest,
             };
             let tick = Event::Local(RtLocal::IntervalTick { gen: 0 });
-            for (now, event) in [(boundary - knobs.rekey_period / 2, leave), (boundary, tick)] {
+            for (now, event) in [
+                (boundary - config.rekey_period / 2, leave),
+                (boundary, tick),
+            ] {
                 out.now = now;
                 primary.handle(&mut out, &net, event);
                 for (to, msg) in sends(&mut out) {
@@ -3231,5 +3247,74 @@ mod tests {
             assert!(Arc::ptr_eq(&table, &dealt));
         }
         assert!(dealt.iter_all().eq(&records));
+    }
+
+    /// A restart before the replica took any checkpoint keeps the live
+    /// state: nothing is rolled back or counted lost, and the restart's
+    /// beacon interval rekeys the leave and takes the first checkpoint.
+    #[test]
+    fn a_restart_before_any_checkpoint_keeps_the_live_state() {
+        let (net, fsm, _) = dealt(16);
+        let mut server = RtServer::new(&config(1), fsm, 0, true, false);
+        let mut out = outbox(1);
+        let leave = Event::Net {
+            from: config(1).member_node(HostId(5)),
+            msg: RtMsg::LeaveRequest,
+        };
+        server.handle(&mut out, &net, leave);
+        let live = server.server.group().mutations();
+        assert!(server.checkpoint.is_none());
+        server.handle(&mut out, &net, Event::Local(RtLocal::Restart));
+        assert_eq!(server.server.group().len(), 15);
+        assert_eq!(server.server.group().mutations(), live);
+        assert_eq!(server.stats.lost_mutations, 0);
+        assert_eq!((server.epoch, server.server.interval()), (1, 2));
+        let checkpoint = server.checkpoint.as_ref().expect("the beacon checkpoints");
+        assert_eq!(checkpoint.server.interval(), 2);
+    }
+
+    /// A checkpoint is an independent value that each interval boundary
+    /// supersedes, and restarts restore it: two crashes in a row, each
+    /// after mutations the checkpoint does not cover, come back to the
+    /// same roster, interval, group key and log watermark.
+    #[test]
+    fn restarts_from_one_checkpoint_restore_the_same_state() {
+        const REPLICAS: usize = 3;
+        let (net, fsm, _) = dealt(16);
+        let config = config(REPLICAS);
+        let mut replica = RtServer::new(&config, fsm, 0, true, false);
+        let mut out = outbox(REPLICAS);
+        let tick = || Event::Local(RtLocal::IntervalTick { gen: 0 });
+        replica.handle(&mut out, &net, tick());
+        let leave = Event::Net {
+            from: config.member_node(HostId(5)),
+            msg: RtMsg::LeaveRequest,
+        };
+        out.now = config.rekey_period / 2;
+        replica.handle(&mut out, &net, leave);
+        out.now = config.rekey_period;
+        replica.handle(&mut out, &net, tick());
+        let state = |r: &RtServer| {
+            let group = r.server.group();
+            let key = r.server.tree().group_key().cloned();
+            (group.members().to_vec(), r.server.interval(), key)
+        };
+        let want = state(&replica);
+        let checkpoint = replica
+            .checkpoint
+            .as_ref()
+            .expect("an interval checkpoints");
+        assert_eq!((checkpoint.server.interval(), checkpoint.log_idx), (3, 3));
+        assert_eq!(state(&replica).0.len(), 15);
+        for _ in 0..2 {
+            // Mutations past the checkpoint, which the crash loses.
+            let victim = replica.server.group().members()[0].id;
+            replica.server.request_leave(&victim, &net).unwrap();
+            replica.server.end_interval();
+            assert_ne!(state(&replica), want);
+            replica.handle(&mut out, &net, Event::Local(RtLocal::Restart));
+            assert_eq!(state(&replica), want);
+            assert_eq!((replica.repl.applied_idx, replica.repl.next_idx), (3, 4));
+        }
     }
 }

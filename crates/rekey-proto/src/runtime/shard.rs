@@ -69,10 +69,11 @@
 //!   [`ShardedGroupRuntime::run_trace`] probes as usual): per-neighbor
 //!   probing is O(N·K·D) events per period. The tests stand in a
 //!   concluded detection with `ShardedGroupRuntime::fail_at`.
-//! * **The journal.** A checkpoint copies the roster and key tree and
+//! * **Checkpoints.** A checkpoint copies the roster and key tree and
 //!   bumps one count per shared table — still O(N) — so a single replica
-//!   that no [`FaultPlan`] outage can touch journals nothing. Replicated
-//!   sessions, and those whose plan takes a replica down, journal as usual.
+//!   that no [`FaultPlan`] outage can touch takes none. Replicated
+//!   sessions, and those whose plan takes a replica down, checkpoint every
+//!   interval as usual.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -86,10 +87,10 @@ use rekey_table::{ConsistencyViolation, NeighborTable};
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
 
 use super::core::{
-    acting_primary, boot_timers, Effect, Event, Knobs, Outbox, RtLocal, RtMember, RtServer, SERVER,
+    acting_primary, boot_timers, Effect, Event, Outbox, RtLocal, RtMember, RtServer, SERVER,
 };
 use super::{
-    check_member_tables, journal, ChurnEvent, ChurnOp, ExecutorCounters, MetricsSnapshot, RtMsg,
+    check_member_tables, ChurnEvent, ChurnOp, ExecutorCounters, MetricsSnapshot, RtMsg,
     RuntimeConfig, ServerStats,
 };
 
@@ -165,14 +166,8 @@ impl Lane {
     /// (counted), otherwise the extra delay jitter adds to its trip.
     /// Partitions cut every message; the loss processes thin `Forward`
     /// copies only (the bulk payload on a UDP-like path).
-    fn admit(
-        &mut self,
-        loss: f64,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        msg: &RtMsg,
-    ) -> Option<SimTime> {
+    fn admit(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: &RtMsg) -> Option<SimTime> {
+        let loss = self.out.config().loss();
         let forward = matches!(msg, RtMsg::Forward { .. });
         let Some(faults) = self.faults.as_mut() else {
             if loss > 0.0 && forward && self.rng.gen_bool(loss) {
@@ -213,10 +208,9 @@ struct Shard {
 }
 
 /// Who runs where: node ids are `0..replicas` for the key-server replicas
-/// and `replicas + handle` for member `handle`, which lives on
+/// and [`RuntimeConfig::member_node`] for member `handle`, which lives on
 /// `HostId(handle)`; the replicas share the network's last host.
 struct Layout<'a> {
-    replicas: usize,
     server_host: HostId,
     /// Member handle → (shard index, index within the shard).
     placement: &'a [(u32, u32)],
@@ -246,20 +240,19 @@ impl Shard {
         &mut self,
         net: &NET,
         layout: &Layout<'_>,
-        loss: f64,
         t1: SimTime,
         outbox: &mut Vec<Crossing>,
     ) {
         let Layout {
-            replicas,
             server_host,
             placement,
             ..
         } = *layout;
+        let config = *self.lane.out.config();
         while self.lane.sched.next_time().is_some_and(|t| t < t1) {
             let (now, env) = self.lane.sched.pop().expect("peeked above");
             let me = env.to;
-            let handle = me.0 - replicas;
+            let handle = config.member_host(me).0;
             let (owner, idx) = placement[handle];
             debug_assert_eq!(
                 owner as usize, self.index,
@@ -280,19 +273,19 @@ impl Shard {
             for effect in effects.drain(..) {
                 match effect {
                     Effect::Send { to, msg } => {
-                        let Some(extra) = self.lane.admit(loss, now, me, to, &msg) else {
+                        let Some(extra) = self.lane.admit(now, me, to, &msg) else {
                             continue;
                         };
-                        let to_replica = to.0 < replicas;
+                        let to_replica = to.0 < config.replicas();
                         let to_host = if to_replica {
                             server_host
                         } else {
-                            HostId(to.0 - replicas)
+                            config.member_host(to)
                         };
                         let at = now + net.one_way(HostId(handle), to_host).max(1) + extra;
                         let event = Event::Net { from: me, msg };
                         let envelope = Envelope { to, event };
-                        if !to_replica && placement[to.0 - replicas].0 as usize == self.index {
+                        if !to_replica && placement[to_host.0].0 as usize == self.index {
                             self.lane.sched.schedule_at(at, envelope);
                         } else {
                             debug_assert!(
@@ -393,11 +386,10 @@ fn drain_server<NET: Network>(
     coord: &mut Lane,
     net: &NET,
     layout: &Layout<'_>,
-    loss: f64,
     t1: SimTime,
     ports: &mut [Port<'_, '_>],
 ) {
-    let (replicas, server_host) = (layout.replicas, layout.server_host);
+    let (config, server_host) = (*coord.out.config(), layout.server_host);
     while coord.sched.next_time().is_some_and(|t| t < t1) {
         let (now, env) = coord.sched.pop().expect("peeked above");
         let me = env.to;
@@ -412,20 +404,20 @@ fn drain_server<NET: Network>(
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
-                    let Some(extra) = coord.admit(loss, now, me, to, &msg) else {
+                    let Some(extra) = coord.admit(now, me, to, &msg) else {
                         continue;
                     };
                     let event = Event::Net { from: me, msg };
                     let envelope = Envelope { to, event };
-                    if to.0 < replicas {
+                    if to.0 < config.replicas() {
                         let hop = net.one_way(server_host, server_host);
                         coord.sched.schedule_at(now + hop.max(1) + extra, envelope);
                         continue;
                     }
-                    let to_host = HostId(to.0 - replicas);
+                    let to_host = config.member_host(to);
                     let at = now + net.one_way(server_host, to_host).max(1) + extra;
                     debug_assert!(at >= t1, "server send inside the window");
-                    let shard = shard_of(layout.placement, layout.shards, to.0 - replicas);
+                    let shard = shard_of(layout.placement, layout.shards, to_host.0);
                     ports[shard].push(Crossing { at, envelope });
                 }
                 Effect::Timer { delay, event } => coord
@@ -489,7 +481,6 @@ pub struct ShardedGroupRuntime<NET: Network + Sync> {
     /// One window's messages to the replicas; kept for its capacity.
     to_replicas: Vec<Crossing>,
     window: Micros,
-    loss: f64,
     server_host: HostId,
     /// Every event strictly before `now` has been processed.
     now: SimTime,
@@ -570,12 +561,12 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             let group = rt.servers[0].server.group();
             let shard = &mut rt.shards[(welcome.id.digit(0) as usize) % shard_count];
             let (member, (due, check)) =
-                RtMember::welcomed(shard.lane.out.knobs(), group, handle, welcome);
+                RtMember::welcomed(shard.lane.out.config(), group, handle, welcome);
             rt.placement
                 .push((shard.index as u32, shard.members.len() as u32));
             shard.members.push(member);
             shard.alive.push(true);
-            let node = NodeId(handle + replicas);
+            let node = shard.lane.out.config().member_node(HostId(handle));
             shard
                 .lane
                 .sched
@@ -591,31 +582,23 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         config: RuntimeConfig,
         net: NET,
         fsms: Vec<GroupServer>,
-        journaled: bool,
+        checkpointing: bool,
         shard_count: usize,
         window: Micros,
     ) -> ShardedGroupRuntime<NET> {
         let server_host = HostId(net.host_count() - 1);
         let access: Arc<[Micros]> = access_rtts(&net, server_host).into();
-        let knobs = Knobs::of_config(&config);
         let assign = Arc::new(fsms[0].group().assign_params().clone());
-        let outbox = || Outbox::new(knobs, Arc::clone(&assign), Arc::clone(&access));
+        let outbox = || Outbox::new(config, Arc::clone(&assign), Arc::clone(&access));
         let servers = fsms
             .into_iter()
             .enumerate()
-            .map(|(replica, fsm)| {
-                let journal = if journaled {
-                    journal::Journal::new()
-                } else {
-                    journal::Journal::disabled()
-                };
-                // Joiners probe with `Query`/`Ping` messages, timed by the
-                // substrate's delays.
-                RtServer::new(&knobs, fsm, replica, journal, true)
-            })
+            // Joiners probe with `Query`/`Ping` messages, timed by the
+            // substrate's delays.
+            .map(|(replica, fsm)| RtServer::new(&config, fsm, replica, checkpointing, true))
             .collect();
         let mut coord = Lane::new(node_rng(config.seed() ^ LOSS_SEED, SERVER), outbox());
-        for (node, due, timer) in boot_timers(&knobs) {
+        for (node, due, timer) in boot_timers(&config) {
             coord.sched.schedule_at(due, Envelope::local(node, timer));
         }
         let shards = (0..shard_count)
@@ -640,7 +623,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             placement: Vec::new(),
             to_replicas: Vec::new(),
             window,
-            loss: config.loss(),
             now: 0,
             peak_queue: 0,
         }
@@ -655,7 +637,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// are seeded from [`RuntimeConfigBuilder::seed`](super::RuntimeConfigBuilder::seed), so a fixed seed and plan
     /// reproduce the run bit for bit at any shard count.
     pub fn with_faults(mut self, plan: FaultPlan) -> ShardedGroupRuntime<NET> {
-        let seed = self.knobs().seed ^ CHAOS_SEED;
+        let seed = self.config().seed ^ CHAOS_SEED;
         self.coord.faults = Some(plan.injector(seed));
         for shard in &mut self.shards {
             shard.lane.faults = Some(plan.injector(seed));
@@ -666,9 +648,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 // A replica that can go down needs something to come
                 // back from.
                 for server in &mut self.servers {
-                    if !server.journal.is_enabled() {
-                        server.journal = journal::Journal::new();
-                    }
+                    server.checkpointing = true;
                 }
                 self.coord.sched.schedule_at(outage.until, restart);
             } else {
@@ -767,13 +747,13 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             .schedule_at(at, Envelope::local(node, local));
     }
 
-    fn knobs(&self) -> &Knobs {
-        self.coord.out.knobs()
+    fn config(&self) -> &RuntimeConfig {
+        self.coord.out.config()
     }
 
     fn member_node(&self, handle: usize) -> NodeId {
         self.placed(handle);
-        NodeId(handle + self.servers.len())
+        self.config().member_node(HostId(handle))
     }
 
     fn placed(&self, handle: usize) -> (usize, usize) {
@@ -800,7 +780,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// The lane member node `node` runs (or, for a handle a fault plan
     /// names before its join, will run) in.
     fn lane_of(&mut self, node: NodeId) -> &mut Lane {
-        let handle = node.0 - self.servers.len();
+        let handle = self.config().member_host(node).0;
         let shard_index = shard_of(&self.placement, self.shards.len(), handle);
         &mut self.shards[shard_index].lane
     }
@@ -834,14 +814,13 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             placement,
             to_replicas,
             window,
-            loss,
             server_host,
             now,
             peak_queue,
         } = self;
-        let (net, loss, window) = (&*net, *loss, *window);
+        let (net, window) = (&*net, *window);
+        let config = *coord.out.config();
         let layout = &Layout {
-            replicas: servers.len(),
             server_host: *server_host,
             placement,
             shards: shards.len(),
@@ -872,7 +851,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 let depth: usize = ports.iter().map(|port| port.queue().1).sum();
                 *peak_queue = (*peak_queue).max(coord.sched.pending() + depth);
 
-                drain_server(servers, coord, net, layout, loss, t1, &mut ports);
+                drain_server(servers, coord, net, layout, t1, &mut ports);
 
                 for (index, port) in ports.iter_mut().enumerate() {
                     port.due = port.queue().0.is_some_and(|t| t < t1);
@@ -888,7 +867,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                                 for Crossing { at, envelope } in inbound {
                                     shard.lane.sched.schedule_at(at, envelope);
                                 }
-                                shard.drain(net, layout, loss, t1, &mut outbox);
+                                shard.drain(net, layout, t1, &mut outbox);
                                 if ran.send((outbox, shard.queue())).is_err() {
                                     break;
                                 }
@@ -917,7 +896,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                     .filter(|port| port.due)
                 {
                     let shard = port.here.as_mut().expect("the inline shard stays here");
-                    shard.drain(net, layout, loss, t1, &mut port.outbox);
+                    shard.drain(net, layout, t1, &mut port.outbox);
                 }
                 for port in ports.iter_mut().filter(|port| port.due) {
                     let Some(worker) = port.worker.as_mut() else {
@@ -939,12 +918,12 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 for index in 0..ports.len() {
                     let mut outbox = std::mem::take(&mut ports[index].outbox);
                     for crossing in outbox.drain(..) {
-                        let to = crossing.envelope.to.0;
-                        if to < layout.replicas {
+                        let to = crossing.envelope.to;
+                        if to.0 < config.replicas() {
                             to_replicas.push(crossing);
                         } else {
-                            ports[shard_of(placement, layout.shards, to - layout.replicas)]
-                                .push(crossing);
+                            let handle = config.member_host(to).0;
+                            ports[shard_of(placement, layout.shards, handle)].push(crossing);
                         }
                     }
                     ports[index].outbox = outbox;
@@ -991,7 +970,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// roster until its neighbors detect it. Returns `false` if the
     /// target is still out of reach after 100 000 steps.
     pub fn run_to_interval(&mut self, target: u64) -> bool {
-        let period = self.knobs().rekey_period.max(4);
+        let period = self.config().rekey_period.max(4);
         for _ in 0..100_000 {
             let reached = self.server().interval() >= target
                 && self.shards.iter().all(|shard| {
@@ -1038,7 +1017,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 .sched
                 .schedule_at(self.now, Envelope::local(primary, RtLocal::Flush));
             self.drain();
-            let (joins, leaves, owed) = self.primary().flush_backlog(self.knobs());
+            let (joins, leaves, owed) = self.primary().flush_backlog(self.config());
             if joins == 0 && leaves == 0 && owed.is_empty() {
                 break;
             }
@@ -1075,11 +1054,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// The authoritative membership view.
     pub fn group(&self) -> &Group {
         self.server().group()
-    }
-
-    /// The acting primary's crash journal.
-    pub fn journal(&self) -> &journal::Journal {
-        &self.primary().journal
     }
 
     /// The acting primary's epoch (0 until the first restart or
@@ -1183,6 +1157,7 @@ fn assert_nodes_are_values() {
 mod tests {
     use super::*;
     use crate::chaos::{member_node_with_replicas, replica_node};
+    use crate::runtime::journal::HISTORY_WINDOW;
     use rekey_id::IdSpec;
     use rekey_net::GridNetwork;
     use rekey_sim::GilbertElliott;
@@ -1572,11 +1547,11 @@ mod tests {
         // Mid-interval: both requests reached the server, neither is
         // rekeyed away or acknowledged yet.
         rt.run_until(PERIOD / 2);
-        let (joins, leaves, owed) = rt.primary().flush_backlog(rt.knobs());
+        let (joins, leaves, owed) = rt.primary().flush_backlog(rt.config());
         assert_eq!((joins, leaves), (0, 2));
         assert_eq!(owed, [13, 31]);
         rt.finish(PERIOD / 2);
-        assert_eq!(rt.primary().flush_backlog(rt.knobs()), (0, 0, Vec::new()));
+        assert_eq!(rt.primary().flush_backlog(rt.config()), (0, 0, Vec::new()));
         assert_eq!(rt.snapshot().leave_acks, 2);
     }
 
@@ -1610,5 +1585,81 @@ mod tests {
         assert_eq!(dealt.snapshot().joins, 2);
         assert_eq!(dealt.group().len(), MEMBERS + 2);
         assert_current(&dealt, &[]);
+    }
+
+    /// Followers replay to the primary's state: a three-replica session
+    /// built empty, whose members join as `RtMsg` traffic and leave over
+    /// 70 intervals, stepped half a period at a time. Whenever a
+    /// follower's applied watermark is the primary's log head, it holds
+    /// the primary's interval, group key, roster, mutation count, table
+    /// versions and history; every replica's history, and the history of
+    /// every checkpoint, stays within [`HISTORY_WINDOW`].
+    #[test]
+    fn followers_replay_to_the_primarys_state() {
+        const INTERVALS: u64 = 70;
+        let net = GridNetwork::new(MEMBERS + 1, 1_000, 100);
+        let mut rt = ShardedGroupRuntime::new(group(), config(0.0, 3, 3), net);
+        let mut trace: Vec<ChurnEvent> = (0..16)
+            .map(|i| ChurnEvent::join(PERIOD / 5 + i * PERIOD / 10))
+            .collect();
+        for k in 0..30 {
+            trace.push(ChurnEvent::join((3 + 2 * k) * PERIOD + PERIOD / 3));
+            trace.push(ChurnEvent::leave(
+                (4 + 2 * k) * PERIOD + PERIOD / 4,
+                k as usize,
+            ));
+        }
+        let view = |r: &RtServer| {
+            let group = r.server.group();
+            let versions: Vec<u64> = (0..group.len()).map(|i| group.table_version(i)).collect();
+            let history: Vec<(u64, u64, u64, SimTime, usize)> = (r.history.iter())
+                .map(|(&i, m)| (i, m.epoch, m.seq, m.sent_at, m.encryptions.len()))
+                .collect();
+            (
+                (r.server.interval(), r.next_interval_at),
+                r.server.tree().group_key().cloned(),
+                (group.members().to_vec(), group.mutations(), versions),
+                history,
+            )
+        };
+        let (mut steps, mut caught_up, mut from) = (0, 0, 0);
+        while rt.servers[0].server.interval() < INTERVALS {
+            let until = from + PERIOD / 2;
+            let due: Vec<ChurnEvent> = (trace.iter())
+                .filter(|e| (from..until).contains(&e.at))
+                .copied()
+                .collect();
+            rt.run_trace(&due);
+            rt.run_until(until);
+            from = until;
+            steps += 1;
+            assert_eq!(rt.acting_primary(), 0, "no replica fails");
+            let primary = &rt.servers[0];
+            let head = primary.repl.next_idx - 1;
+            for replica in &rt.servers {
+                assert!(replica.history.len() <= HISTORY_WINDOW);
+                let checkpoint = replica.checkpoint.as_ref();
+                assert!(checkpoint.is_none_or(|c| c.history.len() <= HISTORY_WINDOW));
+            }
+            for follower in &rt.servers[1..] {
+                if follower.repl.applied_idx == head {
+                    caught_up += 1;
+                    assert_eq!(view(follower), view(primary), "step {steps}");
+                }
+            }
+        }
+        assert!(caught_up > steps, "{caught_up} matches in {steps} steps");
+        let primary = &rt.servers[0];
+        assert_eq!(primary.history.len(), HISTORY_WINDOW, "the window pruned");
+        for replica in &rt.servers {
+            let checkpoint = replica
+                .checkpoint
+                .as_ref()
+                .expect("every replica checkpoints");
+            assert_eq!(checkpoint.history.len(), HISTORY_WINDOW);
+        }
+        let report = rt.snapshot();
+        assert_eq!((report.joins, report.departures), (46, 30));
+        assert_eq!(report.promotions, 0);
     }
 }

@@ -78,12 +78,11 @@ use rekey_sim::{NodeId, Scheduler, SimTime};
 use rekey_table::ConsistencyViolation;
 
 use super::core::{
-    acting_primary, boot_timers, Effect, Event, Knobs, Outbox, RtLocal, RtMember, RtServer, Sinks,
+    acting_primary, boot_timers, Effect, Event, Outbox, RtLocal, RtMember, RtServer, Sinks,
 };
 use super::wire::{decode_msg, encode_forward_split, encode_msg, WireError};
 use super::{
-    check_member_tables, journal, ExecutorCounters, MetricsSnapshot, RtMsg, RuntimeConfig,
-    ServerStats,
+    check_member_tables, ExecutorCounters, MetricsSnapshot, RtMsg, RuntimeConfig, ServerStats,
 };
 
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
@@ -538,7 +537,6 @@ impl<NET: Network> UdpGroupDriver<NET> {
         let server_host = HostId(net.host_count() - 1);
         let hosts: Vec<HostId> = (0..members).map(HostId).collect();
         let replicas = config.replicas();
-        let knobs = Knobs::of_config(&config);
 
         let mut worker_endpoints = Vec::with_capacity(workers);
         for _ in 0..workers {
@@ -548,15 +546,15 @@ impl<NET: Network> UdpGroupDriver<NET> {
         let (server_fsm, welcomes) = group.bootstrap(server_host, &hosts, &net)?;
         // Loopback models no access links: every `Pong` carries 0.
         let assign = Arc::new(server_fsm.group().assign_params().clone());
-        let outbox = || Outbox::new(knobs, Arc::clone(&assign), Arc::new([]));
+        let outbox = || Outbox::new(config, Arc::clone(&assign), Arc::new([]));
         // Followers start from a copy of the dealt state — what replaying
         // the primary's bootstrap would have given them.
         for (replica, server_fsm) in vec![server_fsm; replicas].into_iter().enumerate() {
             // Datagrams travel at loopback speed, so pings would time
             // nothing: the server probes its RTT model for each joiner
-            // instead of seeding the joiner's own probe.
-            let journal = journal::Journal::disabled();
-            let mut rt = RtServer::new(&knobs, server_fsm, replica, journal, false);
+            // instead of seeding the joiner's own probe. A killed socket
+            // replica never restarts, so none takes a checkpoint.
+            let mut rt = RtServer::new(&config, server_fsm, replica, false, false);
             if replica == 0 {
                 // The bootstrap deal is counted once, on the primary.
                 rt.stats.welcomes = members as u64;
@@ -630,8 +628,8 @@ impl<NET: Network> UdpGroupDriver<NET> {
         // NACK grace.
         for (i, welcome) in welcomes.into_iter().enumerate() {
             let group = driver.servers[0].rt.server.group();
-            let (member, check) = RtMember::welcomed(&knobs, group, i, welcome);
-            let node = NodeId(i + replicas);
+            let (member, check) = RtMember::welcomed(&config, group, i, welcome);
+            let node = config.member_node(HostId(i));
             driver.handles += 1;
             driver
                 .worker_of(node)
@@ -644,7 +642,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
                 .expect("worker thread alive at bootstrap");
         }
 
-        for (node, due, timer) in boot_timers(&knobs) {
+        for (node, due, timer) in boot_timers(&config) {
             driver.io.arm(due, node, timer);
         }
         Ok(driver)
@@ -654,9 +652,9 @@ impl<NET: Network> UdpGroupDriver<NET> {
         &self.workers[(node.0 - self.servers.len()) % self.workers.len()]
     }
 
-    /// The configured replica count (`servers.len()`).
-    fn replicas(&self) -> usize {
-        self.servers.len()
+    /// The node of member `handle`.
+    fn member_node(&self, handle: usize) -> NodeId {
+        self.io.out.config().member_node(HostId(handle))
     }
 
     /// The replica currently acting as primary, among the alive ones.
@@ -743,8 +741,9 @@ impl<NET: Network> UdpGroupDriver<NET> {
                 .expect("worker thread alive");
         }
         drop(reply_tx);
-        let replicas = self.replicas();
-        let mut handles: Vec<usize> = reply_rx.iter().flatten().map(|n| n - replicas).collect();
+        let config = self.io.out.config();
+        let host = |n| config.member_host(NodeId(n)).0;
+        let mut handles: Vec<usize> = reply_rx.iter().flatten().map(host).collect();
         handles.sort_unstable();
         handles
     }
@@ -775,7 +774,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             "substrate has no free host for another join"
         );
         self.handles += 1;
-        let node = NodeId(handle + self.replicas());
+        let node = self.member_node(handle);
         let member = RtMember::new();
         let link = self.worker_of(node);
         link.ctl
@@ -804,7 +803,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
     pub fn leave(&mut self, handle: usize) {
         assert!(!self.finished, "driver already finished");
         assert!(handle < self.handles, "member handle {handle} never joined");
-        let node = NodeId(handle + self.replicas());
+        let node = self.member_node(handle);
         self.worker_of(node)
             .ctl
             .send(WorkerCtl::Inject {
@@ -885,8 +884,9 @@ impl<NET: Network> UdpGroupDriver<NET> {
             self.server_handle(primary, Event::Local(RtLocal::Flush));
             self.pump(Duration::from_millis(40));
             let primary = self.acting_primary();
-            let knobs = self.io.out.knobs();
-            let (joins, leaves, pending_leave_acks) = self.servers[primary].rt.flush_backlog(knobs);
+            let config = self.io.out.config();
+            let (joins, leaves, pending_leave_acks) =
+                self.servers[primary].rt.flush_backlog(config);
             // Beyond the server's own queues, wait for every member's
             // repairs: the flush's `Recover` carries both the latest key
             // material and the member's table version, so a member that
@@ -914,7 +914,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         for link in &mut self.workers {
             link.ctl.send(WorkerCtl::Stop).expect("worker thread alive");
         }
-        let replicas = self.replicas();
+        let config = *self.io.out.config();
         for link in &mut self.workers {
             let (members, sinks) = link
                 .handle
@@ -923,7 +923,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
                 .join()
                 .expect("worker thread did not panic");
             for (node, member) in members {
-                self.collected[node.0 - replicas] = Some(member);
+                self.collected[config.member_host(node).0] = Some(member);
             }
             self.worker_sinks.push(sinks);
         }
@@ -1130,7 +1130,7 @@ mod tests {
         const TARGET: usize = 5;
         let mut rt = driver(16, 9);
         let roster = rt.group().members().to_vec();
-        let node = NodeId(TARGET + rt.replicas());
+        let node = rt.member_node(TARGET);
         let (primary, worker) = (rt.io.routes.servers[0], rt.io.routes.addr_of(node));
         let mut forger = UdpEndpoint::bind_loopback().expect("foreign socket binds");
         let gen = 0u64.to_le_bytes();
