@@ -130,8 +130,8 @@ impl Outbox {
 
     /// The access-link RTT of member node `node`'s host.
     fn access_rtt(&self, node: NodeId) -> Micros {
-        let host = node.0.checked_sub(self.config.replicas);
-        host.and_then(|h| self.access.get(h)).copied().unwrap_or(0)
+        let host = self.config.member_host(node);
+        self.access.get(host.0).copied().unwrap_or(0)
     }
 
     /// Records one span ending now.
@@ -633,7 +633,7 @@ pub(crate) struct Replication {
 
 impl Replication {
     pub(crate) fn new(replica: usize, replicas: usize) -> Replication {
-        let mut acked = vec![u64::MAX; replicas.max(1)];
+        let mut acked = vec![u64::MAX; replicas];
         acked[replica] = 0;
         Replication {
             role: if replica == 0 {
@@ -1189,8 +1189,15 @@ impl RtServer {
                 recover(ctx, &mut self.stats, to, (interval, message), &id, seq);
             }
         }
-        self.record_checkpoint(self.repl.next_idx - 1);
-        self.release_leave_acks(ctx);
+        // An ack is safe only once a checkpoint covers the departure. The
+        // rekey round above took one and released every ack it covered;
+        // an ack still owed (a retransmitted leave of a departed member)
+        // needs one of its own. No restart follows the flush, so there is
+        // nothing else to checkpoint for.
+        if !self.pending_leave_acks.is_empty() {
+            self.record_checkpoint(self.repl.next_idx - 1);
+            self.release_leave_acks(ctx);
+        }
     }
 
     /// The server process respawns at the end of an outage window.
@@ -1685,8 +1692,7 @@ impl RtServer {
         // log head is the replay watermark. Peer watermarks start unknown
         // and are re-learned from their heartbeat acks.
         self.repl.next_idx = self.repl.applied_idx + 1;
-        let replicas = ctx.config().replicas;
-        self.repl.acked = vec![u64::MAX; replicas.max(1)];
+        self.repl.acked = vec![u64::MAX; ctx.config().replicas];
         self.repl.acked[self.repl.replica] = self.repl.applied_idx;
         self.end_interval(ctx, net);
         ctx.timer(
@@ -1699,16 +1705,8 @@ impl RtServer {
 /// Member-side counters of one runtime session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct MemberStats {
-    /// `Forward` copies received.
-    pub copies_received: u64,
     /// `Forward` copies sent onward.
     pub copies_forwarded: u64,
-    /// Sum of copy payload sizes received (encryptions per split copy).
-    pub payload_encryptions: u64,
-    /// NACKs sent.
-    pub nacks_sent: u64,
-    /// Encryptions obtained via unicast recovery.
-    pub recovered_encryptions: u64,
     /// Heartbeat pings sent.
     pub pings_sent: u64,
     /// Neighbors evicted after unanswered pings.
@@ -1726,9 +1724,6 @@ pub(crate) struct MemberStats {
     pub rehabilitations: u64,
     /// Rekey intervals applied to the key agent.
     pub intervals_applied: u64,
-    /// Summed µs from each interval's multicast to its local application
-    /// (recovery latency numerator; divide by `intervals_applied`).
-    pub apply_delay_total: u64,
     /// The last join's §3.1 step-1 queries (re-sends excluded).
     pub join_queries: u32,
     /// The last join's §3.1 step-2 pings (re-sends excluded).
@@ -1983,12 +1978,9 @@ impl RtMember {
     }
 
     /// Rotates to the next server replica (round-robin). Called when the
-    /// current one stays silent; a single-replica config never rotates.
+    /// current one stays silent; with a single replica it stays put.
     fn rotate_server(&mut self, ctx: &Outbox) {
-        let replicas = ctx.config().replicas;
-        if replicas > 1 {
-            self.server_node = NodeId((self.server_node.0 + 1) % replicas);
-        }
+        self.server_node = NodeId((self.server_node.0 + 1) % ctx.config().replicas);
     }
 
     /// Grace before NACKing a missing interval, adapted to the overlay
@@ -2180,12 +2172,10 @@ impl RtMember {
                 prefix,
                 message,
             } => {
-                self.stats.copies_received += 1;
                 self.delay_seen = self
                     .delay_seen
                     .max(ctx.now().saturating_sub(message.sent_at));
                 let split_size = message.index.related_ranges(prefix.as_slice()).total() as u64;
-                self.stats.payload_encryptions += split_size;
                 ctx.sinks.split_payload.record(split_size);
                 self.note_epoch(ctx, message.epoch);
                 self.server_interval_seen = self.server_interval_seen.max(message.interval);
@@ -2241,7 +2231,6 @@ impl RtMember {
                 let needed = self.agent.as_ref().is_some_and(|a| interval > a.interval())
                     && !self.pending.contains_key(&interval);
                 if needed {
-                    self.stats.recovered_encryptions += encryptions.len() as u64;
                     self.pending.insert(
                         interval,
                         PendingPayload::Unicast {
@@ -2465,9 +2454,7 @@ impl RtMember {
                 }
             };
             self.stats.intervals_applied += 1;
-            let delay = now.saturating_sub(sent_at);
-            self.stats.apply_delay_total += delay;
-            ctx.sinks.apply_delay_us.record(delay);
+            ctx.sinks.apply_delay_us.record(now.saturating_sub(sent_at));
             ctx.sinks.spans.record(span, sent_at, now, next);
         }
         let applied = agent.interval();
@@ -2498,12 +2485,18 @@ impl RtMember {
     }
 
     /// Registers a retry entry (first fire at `due`) and makes sure a
-    /// retry timer is running. During shutdown the action fires inline
-    /// instead — the event queue is draining and timers are dead.
+    /// retry timer is running. During shutdown the request goes out
+    /// inline instead — the event queue is draining and timers are dead:
+    /// a NACK once per interval, anything else on every call, so each
+    /// flush round that still finds the member behind asks again.
     fn arm(&mut self, ctx: &mut Outbox, kind: Retrying, due: SimTime) {
         if ctx.draining {
-            self.fire_shutdown(ctx, kind);
-            return;
+            if let Retrying::Nack(interval) = kind {
+                if !self.shutdown_nacked.insert(interval) {
+                    return;
+                }
+            }
+            return self.send_request(ctx, kind);
         }
         self.retries
             .entry(kind)
@@ -2511,26 +2504,23 @@ impl RtMember {
         self.schedule_retry_tick(ctx);
     }
 
-    /// The shutdown form of a retry: send immediately. A NACK goes out
-    /// once per interval; a resync request on every call, so each flush
-    /// round that still finds the member behind asks again.
-    fn fire_shutdown(&mut self, ctx: &mut Outbox, kind: Retrying) {
-        match kind {
-            Retrying::Nack(i) => {
-                if self.shutdown_nacked.insert(i) {
-                    self.stats.nacks_sent += 1;
-                    let id = self.member.as_ref().expect("a keyed member NACKs").id;
-                    ctx.send(self.server_node, RtMsg::Nack { interval: i, id });
-                }
-            }
+    /// Sends the server this member talks to the request a retry of
+    /// `kind` stands for. A resync needs the member's record; without one
+    /// there is nothing to ask.
+    fn send_request(&mut self, ctx: &mut Outbox, kind: Retrying) {
+        let msg = match kind {
+            Retrying::Join => self.join_msg(),
+            Retrying::Leave => RtMsg::LeaveRequest,
             Retrying::Resync => {
-                if let Some(member) = self.member {
-                    ctx.send(self.server_node, RtMsg::ResyncRequest { id: member.id });
-                }
+                let Some(member) = self.member else { return };
+                RtMsg::ResyncRequest { id: member.id }
             }
-            Retrying::Join => ctx.send(self.server_node, self.join_msg()),
-            Retrying::Leave => ctx.send(self.server_node, RtMsg::LeaveRequest),
-        }
+            Retrying::Nack(interval) => {
+                let id = self.member.as_ref().expect("a keyed member NACKs").id;
+                RtMsg::Nack { interval, id }
+            }
+        };
+        ctx.send(self.server_node, msg);
     }
 
     /// (Re)schedules the single retry timer at the earliest due time.
@@ -2617,19 +2607,10 @@ impl RtMember {
                 self.rotate_server(ctx);
             }
         }
-        match kind {
-            Retrying::Join if probing => self.retry_probe(ctx, st.attempts >= cap),
-            Retrying::Join => ctx.send(self.server_node, self.join_msg()),
-            Retrying::Leave => ctx.send(self.server_node, RtMsg::LeaveRequest),
-            Retrying::Resync => {
-                let id = self.member.as_ref().expect("checked above").id;
-                ctx.send(self.server_node, RtMsg::ResyncRequest { id });
-            }
-            Retrying::Nack(i) => {
-                self.stats.nacks_sent += 1;
-                let id = self.member.as_ref().expect("a keyed member NACKs").id;
-                ctx.send(self.server_node, RtMsg::Nack { interval: i, id });
-            }
+        if probing {
+            self.retry_probe(ctx, st.attempts >= cap);
+        } else {
+            self.send_request(ctx, kind);
         }
     }
 
@@ -2968,14 +2949,14 @@ mod tests {
         let mut want: Vec<NodeId> = group
             .changed_tables()
             .iter()
-            .map(|&idx| NodeId(group.members()[idx].host.0 + 1))
+            .map(|&idx| config(1).member_node(group.members()[idx].host))
             .collect();
         let mut got = Vec::new();
         for (to, msg) in sent {
             match msg {
                 RtMsg::Table { table, epoch, seq } => {
                     let idx = group.index_of(table.owner()).expect("owner is a member");
-                    assert_eq!(to, NodeId(group.members()[idx].host.0 + 1));
+                    assert_eq!(to, config(1).member_node(group.members()[idx].host));
                     assert!(table.iter_all().eq(group.table(idx).iter_all()));
                     assert_eq!((epoch, seq), (0, group.mutations()));
                     got.push(to);
@@ -3271,6 +3252,37 @@ mod tests {
         assert_eq!((server.epoch, server.server.interval()), (1, 2));
         let checkpoint = server.checkpoint.as_ref().expect("the beacon checkpoints");
         assert_eq!(checkpoint.server.interval(), 2);
+    }
+
+    /// The shutdown flush takes a checkpoint of its own only to ack a
+    /// leave no interval covered: the leave of a host that is no member
+    /// (a retransmit after the departure was checkpointed) is acked behind
+    /// one, and a flush that owes nothing takes none.
+    #[test]
+    fn a_flush_checkpoints_only_to_ack_a_leave() {
+        let (net, fsm, _) = dealt(16);
+        let mut server = RtServer::new(&config(1), fsm, 0, true, false);
+        let mut out = outbox(1);
+        let leaver = config(1).member_node(HostId(16));
+        let leave = Event::Net {
+            from: leaver,
+            msg: RtMsg::LeaveRequest,
+        };
+        server.handle(&mut out, &net, leave);
+        assert_eq!(server.server.group().len(), 16, "nobody departed");
+        let flush = || Event::Local(RtLocal::Flush);
+        let acks = |out: &mut Outbox| -> Vec<NodeId> {
+            let sent = sends(out).into_iter();
+            let acks = sent.filter(|(_, msg)| matches!(msg, RtMsg::LeaveAck));
+            acks.map(|(to, _)| to).collect()
+        };
+        server.handle(&mut out, &net, flush());
+        assert_eq!(acks(&mut out), vec![leaver]);
+        assert_eq!((server.stats.checkpoints, server.stats.leave_acks), (1, 1));
+        assert!(server.checkpoint.is_some());
+        server.handle(&mut out, &net, flush());
+        assert!(acks(&mut out).is_empty());
+        assert_eq!(server.stats.checkpoints, 1, "nothing owed, no checkpoint");
     }
 
     /// A checkpoint is an independent value that each interval boundary

@@ -8,6 +8,10 @@
 //! time: the coordinator on the caller's thread, then the shards — the
 //! first due one on the caller's thread too, each other one on a scoped
 //! worker that holds it from its first due window to the end of the call.
+//! Every lane drains through one function, `Lane::drain`: it counts each
+//! event (dead letter, outage suppression or delivery), hands a delivered
+//! one to its node, and routes the node's effects — into the lane's own
+//! queue when the receiver runs in it, else across to the receiver's lane.
 //!
 //! # The window invariant
 //!
@@ -198,23 +202,90 @@ impl Lane {
     }
 }
 
+/// The nodes one lane runs: the coordinator's replicas, or a shard's
+/// members. [`Lane::drain`] hands each of the lane's events to one of them.
+trait Nodes {
+    /// Where `node` sits among these nodes, or `None` when it has crashed:
+    /// what reaches a crashed node is a dead letter.
+    fn slot(&self, layout: &Layout<'_>, node: NodeId) -> Option<usize>;
+
+    /// Hands `event` to the node at `slot`; its effects land in `out`.
+    fn handle<NET: Network>(&mut self, slot: usize, out: &mut Outbox, net: &NET, event: Event);
+}
+
+/// The replicas: node `r` is `self[r]`, and a replica never crashes (an
+/// outage silences it instead).
+impl Nodes for [RtServer] {
+    fn slot(&self, _: &Layout<'_>, node: NodeId) -> Option<usize> {
+        Some(node.0)
+    }
+
+    fn handle<NET: Network>(&mut self, slot: usize, out: &mut Outbox, net: &NET, event: Event) {
+        self[slot].handle(out, net, event);
+    }
+}
+
+/// A shard's members, in the order the shard took them on.
+struct Members {
+    /// The index of the shard they run in.
+    shard: usize,
+    list: Vec<RtMember>,
+    /// Cleared by [`ChurnOp::Crash`]; parallel to `list`.
+    alive: Vec<bool>,
+}
+
+impl Members {
+    /// Takes `member` on, alive, and returns its placement.
+    fn push(&mut self, member: RtMember) -> (u32, u32) {
+        self.list.push(member);
+        self.alive.push(true);
+        (self.shard as u32, (self.list.len() - 1) as u32)
+    }
+}
+
+impl Nodes for Members {
+    fn slot(&self, layout: &Layout<'_>, node: NodeId) -> Option<usize> {
+        let (shard, idx) = layout.placement[layout.config.member_host(node).0];
+        debug_assert_eq!(
+            shard as usize, self.shard,
+            "envelope routed to the wrong shard"
+        );
+        let idx = idx as usize;
+        self.alive[idx].then_some(idx)
+    }
+
+    fn handle<NET: Network>(&mut self, slot: usize, out: &mut Outbox, _: &NET, event: Event) {
+        self.list[slot].handle(out, event);
+    }
+}
+
 /// One shard: a subset of the members and their lane.
 struct Shard {
-    index: usize,
     lane: Lane,
-    members: Vec<RtMember>,
-    /// Cleared by [`ChurnOp::Crash`]; parallel to `members`.
-    alive: Vec<bool>,
+    members: Members,
 }
 
 /// Who runs where: node ids are `0..replicas` for the key-server replicas
 /// and [`RuntimeConfig::member_node`] for member `handle`, which lives on
 /// `HostId(handle)`; the replicas share the network's last host.
 struct Layout<'a> {
+    config: RuntimeConfig,
     server_host: HostId,
     /// Member handle → (shard index, index within the shard).
     placement: &'a [(u32, u32)],
     shards: usize,
+}
+
+impl Layout<'_> {
+    /// The host `node` runs on, and the lane that runs it: `None` for the
+    /// coordinator's, which runs every replica, else a member's shard.
+    fn place(&self, node: NodeId) -> (HostId, Option<usize>) {
+        if node.0 < self.config.replicas() {
+            return (self.server_host, None);
+        }
+        let host = self.config.member_host(node);
+        (host, Some(shard_of(self.placement, self.shards, host.0)))
+    }
 }
 
 /// The shard member `handle` runs (or, for a handle a fault plan names
@@ -226,84 +297,75 @@ fn shard_of(placement: &[(u32, u32)], shards: usize, handle: usize) -> usize {
     }
 }
 
-impl Shard {
-    /// The next event time and the queue depth.
-    fn queue(&self) -> (Option<SimTime>, usize) {
-        (self.lane.sched.next_time(), self.lane.sched.pending())
-    }
-
-    /// Drains every event strictly before `t1`, routing in-shard traffic
-    /// and timers locally and pushing everything else onto `outbox`.
-    /// Touches nothing but the shard, the (read-only) network and the
-    /// layout, so it runs on any thread.
+impl Lane {
+    /// The lane drain, which every lane runs: the coordinator over the
+    /// replicas, each shard over its members. Pops every event strictly
+    /// before `t1` and counts it — a dead letter for a crashed member, else
+    /// an outage suppression, else a delivery — then hands a delivered one
+    /// to its node and routes the node's effects. A timer stays in the
+    /// lane, and so does a message whose receiver the lane runs; every
+    /// other message is a crossing, handed to `cross` as it is sent, which
+    /// the invariant puts at or beyond `t1`. Touches nothing but the lane,
+    /// its nodes, the (read-only) network, the layout and `cross`, so it
+    /// runs on any thread.
     fn drain<NET: Network>(
         &mut self,
+        nodes: &mut (impl Nodes + ?Sized),
         net: &NET,
         layout: &Layout<'_>,
         t1: SimTime,
-        outbox: &mut Vec<Crossing>,
+        mut cross: impl FnMut(Crossing),
     ) {
-        let Layout {
-            server_host,
-            placement,
-            ..
-        } = *layout;
-        let config = *self.lane.out.config();
-        while self.lane.sched.next_time().is_some_and(|t| t < t1) {
-            let (now, env) = self.lane.sched.pop().expect("peeked above");
-            let me = env.to;
-            let handle = config.member_host(me).0;
-            let (owner, idx) = placement[handle];
-            debug_assert_eq!(
-                owner as usize, self.index,
-                "envelope routed to the wrong shard"
-            );
-            if !self.alive[idx as usize] {
-                self.lane.dead_letters += 1;
+        while self.sched.next_time().is_some_and(|t| t < t1) {
+            let (now, Envelope { to: me, event }) = self.sched.pop().expect("peeked above");
+            let Some(slot) = nodes.slot(layout, me) else {
+                self.dead_letters += 1;
+                continue;
+            };
+            if self.suppresses(now, me) {
                 continue;
             }
-            if self.lane.suppresses(now, me) {
-                continue;
-            }
-            self.lane.delivered += 1;
-            let out = &mut self.lane.out;
+            self.delivered += 1;
+            let out = &mut self.out;
             (out.now, out.me) = (now, me);
-            self.members[idx as usize].handle(out, env.event);
+            nodes.handle(slot, out, net, event);
             let mut effects = std::mem::take(&mut out.effects);
+            let (my_host, my_lane) = layout.place(me);
             for effect in effects.drain(..) {
                 match effect {
                     Effect::Send { to, msg } => {
-                        let Some(extra) = self.lane.admit(now, me, to, &msg) else {
+                        let Some(extra) = self.admit(now, me, to, &msg) else {
                             continue;
                         };
-                        let to_replica = to.0 < config.replicas();
-                        let to_host = if to_replica {
-                            server_host
-                        } else {
-                            config.member_host(to)
-                        };
-                        let at = now + net.one_way(HostId(handle), to_host).max(1) + extra;
+                        let (to_host, to_lane) = layout.place(to);
+                        let at = now + net.one_way(my_host, to_host).max(1) + extra;
                         let event = Event::Net { from: me, msg };
                         let envelope = Envelope { to, event };
-                        if !to_replica && placement[to_host.0].0 as usize == self.index {
-                            self.lane.sched.schedule_at(at, envelope);
+                        if to_lane == my_lane {
+                            self.sched.schedule_at(at, envelope);
                         } else {
                             debug_assert!(
                                 at >= t1,
                                 "cross-lane send inside the window: the window exceeds \
                                  the minimum one-way delay"
                             );
-                            outbox.push(Crossing { at, envelope });
+                            cross(Crossing { at, envelope });
                         }
                     }
                     Effect::Timer { delay, event } => self
-                        .lane
                         .sched
                         .schedule_at(now + delay.max(1), Envelope::local(me, event)),
                 }
             }
-            self.lane.out.effects = effects; // keeps its capacity
+            self.out.effects = effects; // keeps its capacity
         }
+    }
+}
+
+impl Shard {
+    /// The next event time and the queue depth.
+    fn queue(&self) -> (Option<SimTime>, usize) {
+        (self.lane.sched.next_time(), self.lane.sched.pending())
     }
 }
 
@@ -374,58 +436,6 @@ impl Port<'_, '_> {
             ),
             (None, None) => unreachable!("a shard is here or with its worker"),
         }
-    }
-}
-
-/// Drains the replicas' events strictly before `t1` on the coordinator
-/// thread. Replica↔replica messages are same-host and stay on this lane;
-/// sends to members go to their shard's [`Port`] (the invariant puts
-/// every arrival at or beyond `t1`).
-fn drain_server<NET: Network>(
-    servers: &mut [RtServer],
-    coord: &mut Lane,
-    net: &NET,
-    layout: &Layout<'_>,
-    t1: SimTime,
-    ports: &mut [Port<'_, '_>],
-) {
-    let (config, server_host) = (*coord.out.config(), layout.server_host);
-    while coord.sched.next_time().is_some_and(|t| t < t1) {
-        let (now, env) = coord.sched.pop().expect("peeked above");
-        let me = env.to;
-        if coord.suppresses(now, me) {
-            continue;
-        }
-        coord.delivered += 1;
-        let out = &mut coord.out;
-        (out.now, out.me) = (now, me);
-        servers[me.0].handle(out, net, env.event);
-        let mut effects = std::mem::take(&mut out.effects);
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let Some(extra) = coord.admit(now, me, to, &msg) else {
-                        continue;
-                    };
-                    let event = Event::Net { from: me, msg };
-                    let envelope = Envelope { to, event };
-                    if to.0 < config.replicas() {
-                        let hop = net.one_way(server_host, server_host);
-                        coord.sched.schedule_at(now + hop.max(1) + extra, envelope);
-                        continue;
-                    }
-                    let to_host = config.member_host(to);
-                    let at = now + net.one_way(server_host, to_host).max(1) + extra;
-                    debug_assert!(at >= t1, "server send inside the window");
-                    let shard = shard_of(layout.placement, layout.shards, to_host.0);
-                    ports[shard].push(Crossing { at, envelope });
-                }
-                Effect::Timer { delay, event } => coord
-                    .sched
-                    .schedule_at(now + delay.max(1), Envelope::local(me, event)),
-            }
-        }
-        coord.out.effects = effects; // keeps its capacity
     }
 }
 
@@ -562,10 +572,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             let shard = &mut rt.shards[(welcome.id.digit(0) as usize) % shard_count];
             let (member, (due, check)) =
                 RtMember::welcomed(shard.lane.out.config(), group, handle, welcome);
-            rt.placement
-                .push((shard.index as u32, shard.members.len() as u32));
-            shard.members.push(member);
-            shard.alive.push(true);
+            rt.placement.push(shard.members.push(member));
             let node = shard.lane.out.config().member_node(HostId(handle));
             shard
                 .lane
@@ -603,15 +610,17 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         }
         let shards = (0..shard_count)
             .map(|index| Shard {
-                index,
                 // Shard streams are separated by index + 1 so none
                 // collides with the coordinator's (node 0 = SERVER).
                 lane: Lane::new(
                     node_rng(config.seed() ^ LOSS_SEED, NodeId(index + 1)),
                     outbox(),
                 ),
-                members: Vec::new(),
-                alive: Vec::new(),
+                members: Members {
+                    shard: index,
+                    list: Vec::new(),
+                    alive: Vec::new(),
+                },
             })
             .collect();
         ShardedGroupRuntime {
@@ -686,17 +695,14 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                     // joiner needs no ID yet to be placed.
                     let shard_index = handle % self.shards.len();
                     let shard = &mut self.shards[shard_index];
-                    self.placement
-                        .push((shard.index as u32, shard.members.len() as u32));
-                    shard.members.push(RtMember::new());
-                    shard.alive.push(true);
+                    self.placement.push(shard.members.push(RtMember::new()));
                     handles.push(handle);
                     self.inject(event.at, handle, RtLocal::Join);
                 }
                 ChurnOp::Leave(member) => self.inject(event.at, member, RtLocal::Leave),
                 ChurnOp::Crash(member) => {
                     let (shard_index, idx) = self.placed(member);
-                    self.shards[shard_index].alive[idx] = false;
+                    self.shards[shard_index].members.alive[idx] = false;
                 }
             }
         }
@@ -767,14 +773,14 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
 
     fn member(&self, handle: usize) -> &RtMember {
         let (shard_index, idx) = self.placed(handle);
-        &self.shards[shard_index].members[idx]
+        &self.shards[shard_index].members.list[idx]
     }
 
     /// Every member in handle order.
     fn members(&self) -> impl Iterator<Item = &RtMember> {
-        self.placement
-            .iter()
-            .map(|&(shard_index, idx)| &self.shards[shard_index as usize].members[idx as usize])
+        self.placement.iter().map(|&(shard_index, idx)| {
+            &self.shards[shard_index as usize].members.list[idx as usize]
+        })
     }
 
     /// The lane member node `node` runs (or, for a handle a fault plan
@@ -819,8 +825,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             peak_queue,
         } = self;
         let (net, window) = (&*net, *window);
-        let config = *coord.out.config();
         let layout = &Layout {
+            config: *coord.out.config(),
             server_host: *server_host,
             placement,
             shards: shards.len(),
@@ -851,7 +857,12 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 let depth: usize = ports.iter().map(|port| port.queue().1).sum();
                 *peak_queue = (*peak_queue).max(coord.sched.pending() + depth);
 
-                drain_server(servers, coord, net, layout, t1, &mut ports);
+                // The replicas' crossings go straight to their shards'
+                // ports, in emission order: no shard drains before them.
+                coord.drain(servers.as_mut_slice(), net, layout, t1, |crossing| {
+                    let (_, shard) = layout.place(crossing.envelope.to);
+                    ports[shard.expect("replica to replica stays in the lane")].push(crossing);
+                });
 
                 for (index, port) in ports.iter_mut().enumerate() {
                     port.due = port.queue().0.is_some_and(|t| t < t1);
@@ -867,7 +878,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                                 for Crossing { at, envelope } in inbound {
                                     shard.lane.sched.schedule_at(at, envelope);
                                 }
-                                shard.drain(net, layout, t1, &mut outbox);
+                                let Shard { lane, members } = shard;
+                                lane.drain(members, net, layout, t1, |c| outbox.push(c));
                                 if ran.send((outbox, shard.queue())).is_err() {
                                     break;
                                 }
@@ -896,7 +908,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                     .filter(|port| port.due)
                 {
                     let shard = port.here.as_mut().expect("the inline shard stays here");
-                    shard.drain(net, layout, t1, &mut port.outbox);
+                    let Shard { lane, members } = shard;
+                    lane.drain(members, net, layout, t1, |c| port.outbox.push(c));
                 }
                 for port in ports.iter_mut().filter(|port| port.due) {
                     let Some(worker) = port.worker.as_mut() else {
@@ -918,12 +931,9 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 for index in 0..ports.len() {
                     let mut outbox = std::mem::take(&mut ports[index].outbox);
                     for crossing in outbox.drain(..) {
-                        let to = crossing.envelope.to;
-                        if to.0 < config.replicas() {
-                            to_replicas.push(crossing);
-                        } else {
-                            let handle = config.member_host(to).0;
-                            ports[shard_of(placement, layout.shards, handle)].push(crossing);
+                        match layout.place(crossing.envelope.to).1 {
+                            Some(shard) => ports[shard].push(crossing),
+                            None => to_replicas.push(crossing),
                         }
                     }
                     ports[index].outbox = outbox;
@@ -974,7 +984,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         for _ in 0..100_000 {
             let reached = self.server().interval() >= target
                 && self.shards.iter().all(|shard| {
-                    let mut members = shard.members.iter().zip(&shard.alive);
+                    let mut members = shard.members.list.iter().zip(&shard.members.alive);
                     members.all(|(member, &alive)| !alive || member.has_applied(target))
                 });
             if reached {
@@ -983,11 +993,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             self.run_until(self.now + period / 4);
         }
         false
-    }
-
-    /// Drains every pending event, windows included, until fully idle.
-    fn drain(&mut self) {
-        self.run(None);
     }
 
     /// Runs the clock to `until`, then shuts timers down and drains the
@@ -1010,13 +1015,13 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         for shard in &mut self.shards {
             shard.lane.out.draining = true;
         }
-        self.drain();
+        self.run(None);
         for round in 1.. {
             let primary = NodeId(self.acting_primary());
             self.coord
                 .sched
                 .schedule_at(self.now, Envelope::local(primary, RtLocal::Flush));
-            self.drain();
+            self.run(None);
             let (joins, leaves, owed) = self.primary().flush_backlog(self.config());
             if joins == 0 && leaves == 0 && owed.is_empty() {
                 break;
@@ -1066,7 +1071,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// departed).
     pub fn agent(&self, handle: usize) -> Option<&UserAgent> {
         let &(shard_index, idx) = self.placement.get(handle)?;
-        self.shards[shard_index as usize].members[idx as usize]
+        self.shards[shard_index as usize].members.list[idx as usize]
             .agent
             .as_ref()
     }
@@ -1092,7 +1097,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     #[cfg(test)]
     pub(crate) fn is_member_alive(&self, handle: usize) -> bool {
         let (shard_index, idx) = self.placed(handle);
-        self.shards[shard_index].alive[idx]
+        self.shards[shard_index].members.alive[idx]
     }
 
     /// Checks that the *members' local tables* (not the oracle's) are

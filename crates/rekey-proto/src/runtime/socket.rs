@@ -16,22 +16,23 @@
 //!   frame never outgrows a datagram);
 //! * **timers** land in a per-thread [`Scheduler`] read against the wall
 //!   clock and fire when it passes them. A datagram only ever becomes an
-//!   `Event::Net` (in `Io::recv_event`, the one place frames are
-//!   decoded), so nothing a peer sends can fire a timer or a command.
+//!   `Event::Net` (in `Io::receive`, the one place frames are received
+//!   and decoded), so nothing a peer sends can fire a timer or a command.
 //!
 //! # Topology
 //!
-//! One coordinator (the caller's thread) owns the server replica state
-//! machines — one per configured replica, each behind its own socket on
-//! nodes `0..replicas` — and `workers` threads each own one socket
-//! *hosting many members*: member node `n` lives on worker
-//! `(n − replicas) mod workers`, so a peer can route a frame from the
-//! node number alone. The socket-layer header carries logical
-//! source/destination nodes for demultiplexing. Replication traffic
-//! between replicas travels over the same loopback sockets as member
-//! traffic; [`UdpGroupDriver::kill_server`] silences a replica (its
-//! datagrams and timers are discarded, like a crashed process) so tests
-//! can exercise follower election and promotion on real packets.
+//! Every thread is one lane with one socket. The coordinator (the caller's
+//! thread) owns the server replica state machines — one per configured
+//! replica, on nodes `0..replicas`, all behind the coordinator's socket —
+//! and `workers` threads each own one socket *hosting many members*:
+//! member node `n` lives on worker `(n − replicas) mod workers`, so a peer
+//! can route a frame from the node number alone. The socket-layer header
+//! carries logical source/destination nodes, and each lane hands a frame
+//! to the node its `dst` names; a frame for a node the lane does not host
+//! is dropped. Replication traffic between replicas travels over loopback
+//! like member traffic; [`UdpGroupDriver::kill_server`] silences a replica
+//! (its datagrams and timers are discarded, like a crashed process) so
+//! tests can exercise follower election and promotion on real packets.
 //!
 //! The coordinator only makes progress while a driver method runs
 //! ([`UdpGroupDriver::run_to_interval`], [`UdpGroupDriver::finish`]):
@@ -57,12 +58,12 @@
 //! audits the collected members' tables with the same function the
 //! simulator's `check_consistency` calls.
 //!
-//! Each thread is one lane: its `Io` owns the `Outbox` its nodes record
-//! their metrics into, with no lock. `finish` tells every worker that the
-//! session drains, and waits until each has seen it, before the first
-//! flush, so that a member behind the server resyncs from the flush's
-//! `Recover` at once; at `Stop` each worker hands its sinks back with its
-//! members.
+//! A lane's `Io` is the whole of it: the socket, the timers, and the
+//! `Outbox` its nodes record their metrics into, with no lock. `finish`
+//! tells every worker that the session drains, and waits until each has
+//! seen it, before the first flush, so that a member behind the server
+//! resyncs from the flush's `Recover` at once; at `Stop` each worker hands
+//! its sinks back with its members.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -86,6 +87,10 @@ use super::{
 };
 
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
+
+/// The longest a lane blocks on its socket before it looks at its timers
+/// and its commands again.
+const POLL: Duration = Duration::from_millis(1);
 
 /// Construction/runtime failures of the socket driver.
 #[derive(Debug)]
@@ -148,8 +153,10 @@ impl NotConverged {
     }
 }
 
-/// Traffic totals over every endpoint (server + workers), plus protocol
-/// decode failures. All counters are cumulative since construction.
+/// Traffic totals over every endpoint (the coordinator's and the
+/// workers'), plus protocol decode failures. All counters are cumulative
+/// since construction. The coordinator reads the frames addressed to a
+/// killed replica and drops them, so they count as received.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SocketTraffic {
     /// Frames handed to the kernel.
@@ -168,21 +175,27 @@ pub struct SocketTraffic {
     pub decode_errors: u64,
 }
 
-/// Where each logical node's datagrams go: server replicas occupy nodes
-/// `0..servers.len()`, members hash onto the worker sockets past them.
+/// Where each logical node's datagrams go: the server replicas, nodes
+/// `0..replicas`, share the coordinator's socket, and members hash onto
+/// the worker sockets by host.
 struct Routes {
-    servers: Vec<SocketAddr>,
+    coordinator: SocketAddr,
     workers: Vec<SocketAddr>,
 }
 
 impl Routes {
-    fn addr_of(&self, node: NodeId) -> SocketAddr {
-        if node.0 < self.servers.len() {
-            self.servers[node.0]
+    fn addr_of(&self, config: &RuntimeConfig, node: NodeId) -> SocketAddr {
+        if node.0 < config.replicas() {
+            self.coordinator
         } else {
-            self.workers[(node.0 - self.servers.len()) % self.workers.len()]
+            self.workers[worker_of(config, node, self.workers.len())]
         }
     }
+}
+
+/// The worker, of `workers`, that hosts member node `node`.
+fn worker_of(config: &RuntimeConfig, node: NodeId, workers: usize) -> usize {
+    config.member_host(node).0 % workers
 }
 
 /// Serializes one protocol message for the wire. `Forward` frames are
@@ -200,11 +213,14 @@ fn encode_payload(msg: &RtMsg, out: &mut Vec<u8>) {
     }
 }
 
-/// What one thread needs to run state machines against sockets, the
-/// same for a worker and the coordinator: the wall clock, its nodes'
-/// timers, the routing table, and the lane's outbox, which a handled
-/// event's effects drain through and its metrics land in.
+/// One thread's lane, the same for a worker and the coordinator: its
+/// socket, the wall clock, its nodes' timers, the routing table, and the
+/// lane's outbox, which a handled event's effects drain through and its
+/// metrics land in.
 struct Io {
+    endpoint: UdpEndpoint,
+    /// The read timeout `endpoint` was last given.
+    read_timeout: Option<Duration>,
     routes: Arc<Routes>,
     spec: IdSpec,
     epoch: Instant,
@@ -216,24 +232,6 @@ struct Io {
 }
 
 impl Io {
-    fn new(
-        routes: Arc<Routes>,
-        spec: IdSpec,
-        epoch: Instant,
-        errors: Arc<AtomicU64>,
-        out: Outbox,
-    ) -> Io {
-        Io {
-            routes,
-            spec,
-            epoch,
-            decode_errors: errors,
-            timers: Scheduler::new(),
-            out,
-            frame: Vec::new(),
-        }
-    }
-
     /// Microseconds elapsed since the driver's epoch — the socket
     /// driver's `SimTime`.
     fn now(&self) -> SimTime {
@@ -256,22 +254,23 @@ impl Io {
         self.timers.pop().map(|(_, timer)| timer)
     }
 
-    /// `limit`, cut short at the next timer's deadline.
-    fn wait_for(&self, limit: Duration) -> Duration {
-        match self.timers.next_time() {
-            Some(due) => limit.min(Duration::from_micros(due.saturating_sub(self.now()).max(1))),
-            None => limit,
-        }
-    }
-
-    /// Receives one datagram from `endpoint`: `None` when none arrived in
-    /// time, otherwise its destination node and what it decoded to — an
-    /// `Err` is counted in `decode_errors`. This is the only place a
-    /// datagram becomes an [`Event`], and it can only become an
+    /// Waits up to `limit`, cut short at the next timer's deadline, for
+    /// one datagram: `None` when none arrived in time (or the socket
+    /// refused the wait), otherwise its destination node and what it
+    /// decoded to — an `Err` is counted in `decode_errors`. This is the
+    /// only path from the socket to an [`Event`], and it can only yield an
     /// [`Event::Net`]: a peer cannot raise a node's timers or its driver's
     /// commands, whatever bytes it sends.
-    fn recv_event(&self, endpoint: &mut UdpEndpoint) -> Option<Result<(NodeId, Event), WireError>> {
-        let (header, payload) = endpoint.recv_frame().ok()??;
+    fn receive(&mut self, limit: Duration) -> Option<Result<(NodeId, Event), WireError>> {
+        let timeout = match self.timers.next_time() {
+            Some(due) => limit.min(Duration::from_micros(due.saturating_sub(self.now()).max(1))),
+            None => limit,
+        };
+        if self.read_timeout != Some(timeout) {
+            self.endpoint.set_read_timeout(Some(timeout)).ok()?;
+            self.read_timeout = Some(timeout);
+        }
+        let (header, payload) = self.endpoint.recv_frame().ok()??;
         let decoded = decode_msg(payload, &self.spec).map(|msg| {
             let from = NodeId(header.src as usize);
             (NodeId(header.dst as usize), Event::Net { from, msg })
@@ -282,24 +281,24 @@ impl Io {
         Some(decoded)
     }
 
-    /// Points the outbox at `node` for the event about to be handled.
-    fn begin(&mut self, node: NodeId) -> &mut Outbox {
-        (self.out.now, self.out.me) = (self.now(), node);
-        &mut self.out
-    }
-
-    /// Carries out what the handled event asked for: timers into the
-    /// queue, sends onto the wire through `endpoint`.
-    fn flush(&mut self, endpoint: &mut UdpEndpoint) {
-        let (now, me) = (self.out.now, self.out.me);
+    /// Hands `event` to `node` through `handle`, the node's state
+    /// machine, and carries out what it asked for: timers into the queue,
+    /// sends onto the wire. The one place on this driver where an event
+    /// reaches a node.
+    fn deliver(&mut self, node: NodeId, event: Event, handle: impl FnOnce(&mut Outbox, Event)) {
+        let now = self.now();
+        (self.out.now, self.out.me) = (now, node);
+        handle(&mut self.out, event);
         let mut effects = std::mem::take(&mut self.out.effects);
         for effect in effects.drain(..) {
             match effect {
-                Effect::Timer { delay, event } => self.arm(now + delay.max(1), me, event),
+                Effect::Timer { delay, event } => self.arm(now + delay.max(1), node, event),
                 Effect::Send { to, msg } => {
                     encode_payload(&msg, &mut self.frame);
-                    let peer = self.routes.addr_of(to);
-                    let _ = endpoint.send_frame(peer, me.0 as u32, to.0 as u32, &self.frame);
+                    let peer = self.routes.addr_of(self.out.config(), to);
+                    let _ = self
+                        .endpoint
+                        .send_frame(peer, node.0 as u32, to.0 as u32, &self.frame);
                 }
             }
         }
@@ -350,14 +349,11 @@ struct WorkerLink {
     handle: Option<JoinHandle<Collected>>,
 }
 
-/// One worker thread: a socket, its [`Io`], and the members it hosts.
+/// One worker thread: its [`Io`] and the members it hosts.
 struct Worker {
-    endpoint: UdpEndpoint,
     ctl: mpsc::Receiver<WorkerCtl>,
     io: Io,
-    poll: Duration,
     members: BTreeMap<usize, RtMember>,
-    last_timeout: Option<Duration>,
 }
 
 impl Worker {
@@ -395,7 +391,11 @@ impl Worker {
             while let Some((node, local)) = self.io.pop_due() {
                 self.deliver(node, Event::Local(local));
             }
-            self.receive_one();
+            // Block for one frame, up to the earlier of the poll interval
+            // and the next timer deadline.
+            if let Some(Ok((dst, event))) = self.io.receive(POLL) {
+                self.deliver(dst, event);
+            }
         }
     }
 
@@ -408,43 +408,20 @@ impl Worker {
             .collect()
     }
 
-    /// Runs `node`'s state machine on one event and flushes its effects.
+    /// Runs `node`'s state machine on one event.
     fn deliver(&mut self, node: NodeId, event: Event) {
         let Some(member) = self.members.get_mut(&node.0) else {
             return; // stale frame for a node this worker never hosted
         };
-        member.handle(self.io.begin(node), event);
-        self.io.flush(&mut self.endpoint);
-    }
-
-    /// Blocks for one frame, up to the earlier of the poll interval and
-    /// the next timer deadline, and delivers it.
-    fn receive_one(&mut self) {
-        let timeout = self.io.wait_for(self.poll);
-        if self.last_timeout != Some(timeout) {
-            if self.endpoint.set_read_timeout(Some(timeout)).is_err() {
-                return;
-            }
-            self.last_timeout = Some(timeout);
-        }
-        if let Some(Ok((dst, event))) = self.io.recv_event(&mut self.endpoint) {
-            self.deliver(dst, event);
-        }
+        self.io
+            .deliver(node, event, |out, event| member.handle(out, event));
     }
 
     /// Final non-blocking drain so frames already in the kernel buffer
     /// are applied before the members are collected.
     fn drain_socket(&mut self) {
-        if self
-            .endpoint
-            .set_read_timeout(Some(Duration::from_micros(1)))
-            .is_err()
-        {
-            return;
-        }
-        self.last_timeout = Some(Duration::from_micros(1));
         for _ in 0..65_536 {
-            match self.io.recv_event(&mut self.endpoint) {
+            match self.io.receive(Duration::from_micros(1)) {
                 Some(Ok((dst, event))) => self.deliver(dst, event),
                 Some(Err(_)) => {}
                 None => return,
@@ -453,15 +430,13 @@ impl Worker {
     }
 }
 
-/// One key-server replica on the coordinator thread: its state machine,
-/// its own loopback socket, and a liveness flag. A dead replica's
-/// datagrams and timers are discarded until it is revived — the socket
-/// analogue of a crashed process whose kernel buffers drain to nowhere.
+/// One key-server replica on the coordinator thread: its state machine
+/// and a liveness flag. The coordinator reads a dead replica's datagrams
+/// off its socket and discards them, and its timers too — the socket
+/// analogue of a crashed process whose packets go nowhere.
 struct ServerSlot {
     rt: RtServer,
-    endpoint: UdpEndpoint,
     alive: bool,
-    last_timeout: Option<Duration>,
 }
 
 /// The real-socket group driver: the same protocol core as the
@@ -485,7 +460,6 @@ pub struct UdpGroupDriver<NET: Network> {
     /// initial primary.
     servers: Vec<ServerSlot>,
     io: Io,
-    poll: Duration,
     workers: Vec<WorkerLink>,
     peak_timers: usize,
     server_host: HostId,
@@ -542,6 +516,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         for _ in 0..workers {
             worker_endpoints.push(UdpEndpoint::bind_loopback()?);
         }
+        let endpoint = UdpEndpoint::bind_loopback()?;
         let mut slots = Vec::with_capacity(replicas);
         let (server_fsm, welcomes) = group.bootstrap(server_host, &hosts, &net)?;
         // Loopback models no access links: every `Pong` carries 0.
@@ -559,16 +534,11 @@ impl<NET: Network> UdpGroupDriver<NET> {
                 // The bootstrap deal is counted once, on the primary.
                 rt.stats.welcomes = members as u64;
             }
-            slots.push(ServerSlot {
-                rt,
-                endpoint: UdpEndpoint::bind_loopback()?,
-                alive: true,
-                last_timeout: None,
-            });
+            slots.push(ServerSlot { rt, alive: true });
         }
         let spec = *slots[0].rt.server.group().spec();
         let routes = Arc::new(Routes {
-            servers: slots.iter().map(|s| s.endpoint.local_addr()).collect(),
+            coordinator: endpoint.local_addr(),
             workers: worker_endpoints
                 .iter()
                 .map(UdpEndpoint::local_addr)
@@ -576,26 +546,29 @@ impl<NET: Network> UdpGroupDriver<NET> {
         });
 
         let decode_errors = Arc::new(AtomicU64::new(0));
-        let poll = Duration::from_millis(1);
         // The epoch starts *after* the dealing pass: interval deadlines
         // count from here, exactly like the simulator's time zero.
         let epoch = Instant::now();
 
-        let io = || {
-            let errors = Arc::clone(&decode_errors);
-            Io::new(Arc::clone(&routes), spec, epoch, errors, outbox())
+        let io = |endpoint| Io {
+            endpoint,
+            read_timeout: None,
+            routes: Arc::clone(&routes),
+            spec,
+            epoch,
+            decode_errors: Arc::clone(&decode_errors),
+            timers: Scheduler::new(),
+            out: outbox(),
+            frame: Vec::new(),
         };
         let mut links = Vec::with_capacity(workers);
         for worker_endpoint in worker_endpoints {
             let (ctl_tx, ctl_rx) = mpsc::channel();
             let stats = worker_endpoint.stats();
             let worker = Worker {
-                endpoint: worker_endpoint,
                 ctl: ctl_rx,
-                io: io(),
-                poll,
+                io: io(worker_endpoint),
                 members: BTreeMap::new(),
-                last_timeout: None,
             };
             let handle = std::thread::Builder::new()
                 .name("rekey-udp-worker".into())
@@ -611,8 +584,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         let mut driver = UdpGroupDriver {
             net,
             servers: slots,
-            io: io(),
-            poll,
+            io: io(endpoint),
             workers: links,
             peak_timers: 0,
             server_host,
@@ -649,7 +621,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
     }
 
     fn worker_of(&self, node: NodeId) -> &WorkerLink {
-        &self.workers[(node.0 - self.servers.len()) % self.workers.len()]
+        &self.workers[worker_of(self.io.out.config(), node, self.workers.len())]
     }
 
     /// The node of member `handle`.
@@ -672,58 +644,35 @@ impl<NET: Network> UdpGroupDriver<NET> {
         &self.servers[self.acting_primary()].rt
     }
 
-    /// Feeds one event to replica `slot`'s state machine and flushes its
-    /// effects onto the wire. Events for a killed replica are discarded.
-    fn server_handle(&mut self, slot: usize, event: Event) {
-        let server = &mut self.servers[slot];
-        if !server.alive {
+    /// Feeds one event to node `node`'s state machine and flushes its
+    /// effects onto the wire. Events for a killed replica, or for a node
+    /// that is no replica, are discarded.
+    fn server_handle(&mut self, node: NodeId, event: Event) {
+        let Some(server) = self.servers.get_mut(node.0).filter(|s| s.alive) else {
             return;
-        }
-        server
-            .rt
-            .handle(self.io.begin(NodeId(slot)), &self.net, event);
-        self.io.flush(&mut server.endpoint);
+        };
+        let net = &self.net;
+        self.io
+            .deliver(node, event, |out, event| server.rt.handle(out, net, event));
         self.peak_timers = self.peak_timers.max(self.io.timers.pending());
     }
 
-    /// Pumps the server replicas — timers and sockets — for up to
-    /// `slice`. The wait budget of each beat is split across the alive
-    /// replica sockets (with one replica this is the plain
-    /// single-socket poll).
+    /// Pumps the server replicas — timers and the coordinator's socket,
+    /// whose frames go to the replica their `dst` names — for up to
+    /// `slice`.
     fn pump(&mut self, slice: Duration) {
         let deadline = Instant::now() + slice;
         loop {
             while let Some((node, local)) = self.io.pop_due() {
                 debug_assert!(node.0 < self.servers.len());
-                self.server_handle(node.0, Event::Local(local));
+                self.server_handle(node, Event::Local(local));
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return;
             }
-            let timeout = self.io.wait_for(left.min(self.poll));
-            let alive = self.servers.iter().filter(|s| s.alive).count();
-            if alive == 0 {
-                std::thread::sleep(timeout);
-                continue;
-            }
-            let per_slot = (timeout / alive as u32).max(Duration::from_micros(1));
-            for slot in 0..self.servers.len() {
-                let s = &mut self.servers[slot];
-                if !s.alive {
-                    continue;
-                }
-                if s.last_timeout != Some(per_slot) {
-                    if s.endpoint.set_read_timeout(Some(per_slot)).is_err() {
-                        continue;
-                    }
-                    s.last_timeout = Some(per_slot);
-                }
-                // The frame's `dst` is not consulted: a replica's socket
-                // hosts that replica alone.
-                if let Some(Ok((_, event))) = self.io.recv_event(&mut s.endpoint) {
-                    self.server_handle(slot, event);
-                }
+            if let Some(Ok((dst, event))) = self.io.receive(left.min(POLL)) {
+                self.server_handle(dst, event);
             }
         }
     }
@@ -881,7 +830,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             // Flush whichever replica is acting primary — after a
             // failover that is the promoted follower.
             let primary = self.acting_primary();
-            self.server_handle(primary, Event::Local(RtLocal::Flush));
+            self.server_handle(NodeId(primary), Event::Local(RtLocal::Flush));
             self.pump(Duration::from_millis(40));
             let primary = self.acting_primary();
             let config = self.io.out.config();
@@ -988,7 +937,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
         })
     }
 
-    /// Aggregated endpoint traffic (server + all workers).
+    /// Aggregated endpoint traffic (the coordinator and all workers).
     pub fn traffic(&self) -> SocketTraffic {
         let mut total = SocketTraffic {
             decode_errors: self.io.decode_errors.load(Ordering::Relaxed),
@@ -1002,9 +951,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             total.oversize_drops += stats.oversize_drops.load(Ordering::Relaxed);
             total.malformed_frames += stats.malformed_frames.load(Ordering::Relaxed);
         };
-        for slot in &self.servers {
-            absorb(&slot.endpoint.stats());
-        }
+        absorb(&self.io.endpoint.stats());
         for link in &self.workers {
             absorb(&link.stats);
         }
@@ -1060,7 +1007,7 @@ mod tests {
 
     const PERIOD: SimTime = 120_000; // 120 ms real time per interval
 
-    fn driver(members: usize, seed: u64) -> UdpGroupDriver<GridNetwork> {
+    fn driver(members: usize, seed: u64, replicas: usize) -> UdpGroupDriver<GridNetwork> {
         let net = GridNetwork::new(members + 8, 1_000, 100);
         let group = GroupConfig::for_spec(&IdSpec::new(3, 4).unwrap())
             .k(2)
@@ -1070,6 +1017,7 @@ mod tests {
             .nack_grace(PERIOD / 4)
             .heartbeat_period(1 << 40)
             .retry_base(PERIOD / 8)
+            .replicas(replicas)
             .seed(seed)
             .build();
         UdpGroupDriver::bootstrapped(group, config, net, members, 2).expect("driver builds")
@@ -1080,7 +1028,7 @@ mod tests {
     /// joiner it was waiting for.
     #[test]
     fn finish_that_gives_up_names_what_was_still_open() {
-        let mut rt = driver(8, 5);
+        let mut rt = driver(8, 5, 1);
         assert!(rt.not_converged().is_none());
         rt.kill_server(0);
         let joiner = rt.join();
@@ -1128,10 +1076,11 @@ mod tests {
     #[test]
     fn forged_local_events_change_nothing() {
         const TARGET: usize = 5;
-        let mut rt = driver(16, 9);
+        let mut rt = driver(16, 9, 1);
         let roster = rt.group().members().to_vec();
         let node = rt.member_node(TARGET);
-        let (primary, worker) = (rt.io.routes.servers[0], rt.io.routes.addr_of(node));
+        let routes = &rt.io.routes;
+        let (primary, worker) = (routes.coordinator, routes.addr_of(rt.io.out.config(), node));
         let mut forger = UdpEndpoint::bind_loopback().expect("foreign socket binds");
         let gen = 0u64.to_le_bytes();
         let v = crate::runtime::wire::WIRE_VERSION;
@@ -1173,11 +1122,71 @@ mod tests {
         rt.check_consistency().expect("tables stay K-consistent");
     }
 
+    /// The coordinator's one socket serves every replica by the frame's
+    /// `dst`. A forged frame addressed past the replica block, and one
+    /// addressed to a killed replica, are read and dropped: the first, a
+    /// leave from a live member, would depart it if it reached the
+    /// primary; the second, a replication entry of a later epoch departing
+    /// the same member, would move the killed follower's epoch and roster
+    /// if it reached it. Neither changes the roster, an epoch, the restart
+    /// or election counts, and the session still converges K-consistent.
+    #[test]
+    fn forged_frames_past_the_replicas_or_to_a_killed_one_change_nothing() {
+        const TARGET: usize = 5;
+        const REPLICAS: usize = 3;
+        let mut rt = driver(16, 9, REPLICAS);
+        rt.kill_server(2);
+        let roster = rt.group().members().to_vec();
+        let member = rt.member_node(TARGET).0 as u32;
+        let id = roster[TARGET].id;
+        let mut forger = UdpEndpoint::bind_loopback().expect("foreign socket binds");
+        let mut frame = Vec::new();
+        encode_msg(&RtMsg::LeaveRequest, &mut frame);
+        let coordinator = rt.io.routes.coordinator;
+        let past_the_replicas = REPLICAS as u32;
+        let dst = past_the_replicas;
+        forger
+            .send_frame(coordinator, member, dst, &frame)
+            .expect("loopback");
+        let entry = RtMsg::ReplEntry {
+            idx: 1,
+            epoch: 7,
+            op: crate::runtime::ReplOp::Leave { id },
+        };
+        frame.clear();
+        encode_msg(&entry, &mut frame);
+        forger
+            .send_frame(coordinator, 0, 2, &frame)
+            .expect("loopback");
+
+        assert!(rt.run_to_interval(2, Duration::from_secs(20)), "interval 2");
+        assert!(rt.run_to_interval(3, Duration::from_secs(20)), "interval 3");
+        assert!(rt.finish(Duration::from_secs(20)), "flush converged");
+        assert_eq!(rt.traffic().decode_errors, 0, "both forged frames decode");
+
+        let report = rt.snapshot();
+        assert_eq!((report.restarts, report.elections), (0, 0));
+        assert_eq!(rt.primary_replica(), 0);
+        for slot in &rt.servers {
+            assert_eq!(slot.rt.epoch, 0, "no replica moved its epoch");
+        }
+        assert_eq!(rt.group().members(), roster, "nobody left, nobody joined");
+        let killed = rt.servers[2].rt.server.group();
+        assert_eq!(
+            killed.members(),
+            roster,
+            "the killed replica replayed nothing"
+        );
+        let agent = rt.agent(TARGET).expect("the targeted member stayed in");
+        assert_eq!(agent.group_key(), rt.server().tree().group_key());
+        rt.check_consistency().expect("tables stay K-consistent");
+    }
+
     /// Dealt members start on the group's own tables and, with no churn,
     /// still hold them when the workers hand them back.
     #[test]
     fn dealt_members_share_the_groups_tables() {
-        let mut rt = driver(12, 5);
+        let mut rt = driver(12, 5, 1);
         assert!(rt.finish(Duration::from_secs(20)), "flush converged");
         for handle in 0..rt.member_count() {
             let member = rt.collected[handle].as_ref().expect("collected");
@@ -1194,7 +1203,7 @@ mod tests {
     /// current.
     #[test]
     fn loopback_session_reaches_consistency() {
-        let mut rt = driver(12, 3);
+        let mut rt = driver(12, 3, 1);
         assert_eq!(rt.server().interval(), 1);
 
         rt.leave(5);

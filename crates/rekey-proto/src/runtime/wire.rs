@@ -13,7 +13,7 @@
 //! Table   := owner:UserId, k:u16, policy:u8, Records
 //! Welcome := id:UserId, interval:u64, count:u32, Key*
 //! Prefix  := len:u8, digits:[u16; len]
-//! IvalMsg := interval:u64, epoch:u64, sent_at:u64, count:u32, Encryption*
+//! IvalMsg := interval:u64, epoch:u64, sent_at:u64, seq:u64, count:u32, Encryption*
 //! ```
 //!
 //! Two deliberate asymmetries keep frames small and the codec total:
@@ -37,6 +37,7 @@ use rekey_crypto::wire::{
     decode_encryption_from, decode_key_from, decode_prefix, encode_encryption, encode_key,
     encode_prefix, DecodeError, Reader,
 };
+use rekey_crypto::Encryption;
 use rekey_id::{IdSpec, UserId};
 use rekey_net::HostId;
 use rekey_table::{Member, NeighborRecord, NeighborTable, PrimaryPolicy};
@@ -260,13 +261,26 @@ fn get_prefix_buf(r: &mut Reader<'_>) -> Result<PrefixBuf, WireError> {
     Ok(PrefixBuf::new(&digits[..len]))
 }
 
-fn put_interval_message(out: &mut Vec<u8>, m: &IntervalMessage) {
+/// A `Forward` frame's tag and body: the level, the prefix, the header of
+/// `m`, then `count` encryptions — all of `m`'s, or the subset a split
+/// copy carries.
+fn put_forward<'a>(
+    out: &mut Vec<u8>,
+    level: usize,
+    prefix: &PrefixBuf,
+    m: &IntervalMessage,
+    count: usize,
+    encryptions: impl Iterator<Item = &'a Encryption>,
+) {
+    out.push(TAG_FORWARD);
+    out.push(level as u8);
+    put_prefix_buf(out, prefix);
     put_u64(out, m.interval);
     put_u64(out, m.epoch);
     put_u64(out, m.sent_at);
     put_u64(out, m.seq);
-    out.extend_from_slice(&(m.encryptions.len() as u32).to_le_bytes());
-    for e in &m.encryptions {
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    for e in encryptions {
         encode_encryption(e, out);
     }
 }
@@ -394,10 +408,8 @@ pub fn encode_msg(msg: &RtMsg, out: &mut Vec<u8>) {
             prefix,
             message,
         } => {
-            out.push(TAG_FORWARD);
-            out.push(*level as u8);
-            put_prefix_buf(out, prefix);
-            put_interval_message(out, message);
+            let all = &message.encryptions;
+            put_forward(out, *level, prefix, message, all.len(), all.iter());
         }
         RtMsg::Nack { interval, id } => {
             out.push(TAG_NACK);
@@ -683,7 +695,8 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
 /// Encodes a `Forward` frame trimmed to the receiver's duty: only the
 /// encryptions related to `prefix` ride the wire (the paper's
 /// REKEY-MESSAGE-SPLIT), since every deeper forwarding duty addresses a
-/// subset of them.
+/// subset of them. They are written straight from `message`: no copy of
+/// them, and no split index over the copy, which the frame does not carry.
 ///
 /// The simulator shares the full message by `Arc` — free — but a real
 /// datagram pays per byte, and a full batch can exceed the 64 KiB UDP
@@ -695,22 +708,9 @@ pub fn encode_forward_split(
     message: &IntervalMessage,
     out: &mut Vec<u8>,
 ) {
-    let related: Vec<_> = message
-        .index
-        .indices(prefix.as_slice())
-        .map(|i| message.encryptions[i].clone())
-        .collect();
-    let trimmed = IntervalMessage {
-        interval: message.interval,
-        epoch: message.epoch,
-        sent_at: message.sent_at,
-        seq: message.seq,
-        index: SplitIndex::build(&related),
-        encryptions: related,
-    };
+    let digits = prefix.as_slice();
+    let count = message.index.count(digits);
+    let related = (message.index.indices(digits)).map(|i| &message.encryptions[i]);
     out.push(WIRE_VERSION);
-    out.push(TAG_FORWARD);
-    out.push(level as u8);
-    put_prefix_buf(out, prefix);
-    put_interval_message(out, &trimmed);
+    put_forward(out, level, prefix, message, count, related);
 }

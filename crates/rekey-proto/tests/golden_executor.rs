@@ -372,7 +372,7 @@ const LOSSLESS_COUNTERS: &str = r#"{
     "rejoins": 0,
     "rehabilitations": 0,
     "restarts": 0,
-    "checkpoints": 13,
+    "checkpoints": 12,
     "delivered": 232085,
     "welcomes": 256,
     "leave_acks": 40,
@@ -461,7 +461,7 @@ const FAILOVER_COUNTERS: &str = r#"{
     "rejoins": 13,
     "rehabilitations": 194,
     "restarts": 1,
-    "checkpoints": 34,
+    "checkpoints": 33,
     "delivered": 68754,
     "welcomes": 77,
     "leave_acks": 3,
