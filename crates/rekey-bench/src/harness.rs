@@ -3,18 +3,16 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rekey_crypto::Encryption;
-use rekey_id::{IdSpec, UserId};
-use rekey_keytree::ModifiedKeyTree;
+use rekey_id::IdSpec;
 use rekey_net::gtitm::{generate, GtItmParams};
 use rekey_net::{
     GridNetwork, HostId, LinkId, MatrixNetwork, Micros, Network, PlanetLabParams, RoutedNetwork,
 };
 use rekey_nice::{NiceHierarchy, NiceParams};
-use rekey_proto::{AssignParams, ChurnEvent, Group, GroupConfig};
+use rekey_proto::{AssignParams, Group, GroupConfig};
 use rekey_sim::{seeded_rng, SimRng};
-use rekey_table::{Member, PrimaryPolicy};
-use rekey_tmesh::{metrics::PathMetrics, Source, TmeshGroup};
+use rekey_table::PrimaryPolicy;
+use rekey_tmesh::{metrics::PathMetrics, Source};
 
 use crate::output::{ranked_mean, ranked_quantile};
 
@@ -383,89 +381,6 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Fixture for the transport-scaling benchmarks: a T-mesh over `users`
-/// members plus the rekey message of an interval in which `leaves` of
-/// them depart.
-///
-/// Built by the oracle constructor rather than the join protocol so the
-/// mesh scales to thousands of members quickly. The substrate is capped
-/// at 1024 hosts (the flattened all-pairs RTT matrix grows quadratically)
-/// and members beyond that share hosts round-robin, which leaves the
-/// transport's work — hop enumeration and payload composition — exactly
-/// as it would be with distinct hosts.
-pub fn transport_fixture(
-    users: usize,
-    leaves: usize,
-    seed: u64,
-) -> (MatrixNetwork, TmeshGroup, Vec<Encryption>) {
-    assert!(leaves <= users);
-    let spec = IdSpec::PAPER;
-    let mut rng = seeded_rng(seed);
-    let member_hosts = users.min(1024);
-    let net = MatrixNetwork::synthetic_planetlab(&planetlab_params(member_hosts + 1), &mut rng);
-    let mut seen = std::collections::HashSet::new();
-    let mut ids: Vec<UserId> = Vec::with_capacity(users);
-    while ids.len() < users {
-        let id = UserId::from_index(&spec, rng.gen_range(0..spec.id_space()));
-        if seen.insert(id) {
-            ids.push(id);
-        }
-    }
-    let members: Vec<Member> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, id)| Member {
-            id: *id,
-            host: HostId(i % member_hosts),
-            joined_at: i as u64,
-        })
-        .collect();
-    let server = HostId(member_hosts);
-    let mesh = TmeshGroup::build(&spec, members, server, &net, 4, PrimaryPolicy::SmallestRtt);
-    let mut tree = ModifiedKeyTree::new(&spec);
-    let mut arena = rekey_keytree::RekeyArena::new();
-    tree.batch_rekey(&ids, &[], &mut rng, &mut arena).unwrap();
-    // NOTE: the message rekeys members who stay in the mesh snapshot —
-    // fine for throughput measurement purposes.
-    let mut out = tree
-        .batch_rekey(&[], &ids[..leaves], &mut rng, &mut arena)
-        .unwrap();
-    (net, mesh, out.take_encryptions())
-}
-
-/// Substrate, group config, churn trace and finish time for a
-/// [`rekey_proto::ShardedGroupRuntime::new`] scaling run: `members` joins spread over
-/// the opening intervals, then `churn_intervals` rekey intervals in which
-/// one member leaves and a fresh one joins (audience size stays constant).
-///
-/// The trace leaves a quiet tail after the last churn event so every
-/// welcome and repair completes before the returned finish time.
-pub fn churn_runtime_fixture(
-    members: usize,
-    churn_intervals: u64,
-    seed: u64,
-) -> (MatrixNetwork, GroupConfig, Vec<ChurnEvent>, u64) {
-    const SEC: u64 = 1_000_000;
-    let mut rng = seeded_rng(seed);
-    let hosts = members + churn_intervals as usize + 1;
-    let net = MatrixNetwork::synthetic_planetlab(&planetlab_params(hosts), &mut rng);
-    let spec = IdSpec::new(4, 8).expect("valid spec");
-    let config = GroupConfig::for_spec(&spec).k(4).seed(seed);
-    let mut trace: Vec<ChurnEvent> = (0..members as u64)
-        .map(|i| ChurnEvent::join(SEC + i * 10_000))
-        .collect();
-    // Churn starts after the slowest opening-join wave has been admitted
-    // (members × 10 ms, plus one full interval of slack).
-    let churn_start = (SEC + members as u64 * 10_000).div_ceil(10 * SEC) * 10 * SEC + 10 * SEC;
-    for i in 0..churn_intervals {
-        let t = churn_start + i * 10 * SEC;
-        trace.push(ChurnEvent::leave(t, (i as usize * 13) % members));
-        trace.push(ChurnEvent::join(t + 2 * SEC));
-    }
-    let finish = churn_start + churn_intervals * 10 * SEC + 11 * SEC;
-    (net, config, trace, finish)
 }
 
 /// Fixture for the sharded million-member runtime sweep: a [`GridNetwork`]

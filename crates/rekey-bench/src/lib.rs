@@ -12,8 +12,8 @@ pub mod output;
 pub mod schema;
 
 pub use harness::{
-    arg_usize, churn_runtime_fixture, grow_group, grow_nice, latency_figure, mega_runtime_fixture,
-    rekey_message_for_churn, transport_fixture, ChurnPlan, GroupBuild, LatencyConfig,
-    LatencyFigure, SchemeSeries, Topology,
+    arg_usize, grow_group, grow_nice, latency_figure, mega_runtime_fixture,
+    rekey_message_for_churn, ChurnPlan, GroupBuild, LatencyConfig, LatencyFigure, SchemeSeries,
+    Topology,
 };
 pub use output::{fraction_axis, latency_figure_main, print_series_table, ranked_mean};

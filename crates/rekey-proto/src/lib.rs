@@ -10,9 +10,9 @@
 //! * [`tmesh_rekey_transport`] / [`cluster_rekey_transport`] —
 //!   `REKEY-MESSAGE-SPLIT` (Fig. 5) over T-mesh, plus the cluster-heuristic
 //!   delivery of Appendix B, on the indexed core of [`transport`];
-//! * [`RekeyProtocol`], [`nice_rekey_transport`], [`ipmc_rekey_transport`]
-//!   — NICE- and IP-multicast-based baselines and the protocol matrix,
-//!   producing the per-user / per-link encryption counts of Fig. 13;
+//! * [`nice_rekey_transport`], [`ipmc_rekey_transport`] — the NICE- and
+//!   IP-multicast-based baselines of the protocol matrix, producing the
+//!   per-user / per-link encryption counts of Fig. 13;
 //! * [`run_concurrent_session`] — rekey and data transport sharing
 //!   bandwidth-limited access links, measuring the data-latency inflation
 //!   an unsplit rekey burst causes (the §1 motivation, quantified);
@@ -69,7 +69,7 @@ pub use facade::{
     UserAgent, WelcomePacket,
 };
 pub use group::{Group, GroupError, JoinOutcome};
-pub use protocols::{ipmc_rekey_transport, nice_rekey_transport, RekeyProtocol};
+pub use protocols::{ipmc_rekey_transport, nice_rekey_transport};
 pub use recovery::{lossy_rekey_transport, LossyReport};
 pub use runtime::{
     ChurnEvent, ChurnOp, MetricsSnapshot, RuntimeConfig, RuntimeConfigBuilder, ShardedGroupRuntime,

@@ -1,16 +1,17 @@
-//! The seven rekey transport protocols of Table 2.
+//! The NICE and IP-multicast rekey transports, the baselines among the
+//! seven protocols of Table 2 (the T-mesh ones are in `transport`).
 //!
-//! | Variant | Key tree | Multicast | Cluster heuristic | Splitting |
+//! | Paper name | Key tree | Multicast | Cluster heuristic | Splitting |
 //! |---|---|---|---|---|
-//! | [`RekeyProtocol::P0`] | original | NICE | – | no |
-//! | [`RekeyProtocol::P0Split`] | original | NICE | – | yes |
-//! | [`RekeyProtocol::P1`] | modified | T-mesh | no | no |
-//! | [`RekeyProtocol::P1Split`] | modified | T-mesh | no | yes |
-//! | [`RekeyProtocol::P1Cluster`] | modified | T-mesh | yes | no |
-//! | [`RekeyProtocol::P1ClusterSplit`] | modified | T-mesh | yes | yes |
-//! | [`RekeyProtocol::IpMulticast`] | original | IP multicast (DVMRP) | – | no |
+//! | `P0` | original | NICE | – | no |
+//! | `P0′` | original | NICE | – | yes |
+//! | `P1` | modified | T-mesh | no | no |
+//! | `P2` | modified | T-mesh | no | yes |
+//! | `P3` | modified | T-mesh | yes | no |
+//! | `P4` | modified | T-mesh | yes | yes |
+//! | `P_m` | original | IP multicast (DVMRP) | – | no |
 //!
-//! To split in NICE (`P0Split`), "users need to maintain states for O(N)
+//! To split in NICE (`P0′`), "users need to maintain states for O(N)
 //! downstream users" (§4.3) — the harness plays that role by deriving
 //! downstream need-sets from the NICE delivery tree, and (as in the paper)
 //! this maintenance cost is not charged to the protocol.
@@ -21,54 +22,6 @@ use rekey_net::{HostId, LinkLoad, Network, RoutedNetwork};
 use rekey_nice::NiceHierarchy;
 
 use crate::transport::BandwidthReport;
-
-/// The seven rekey transport protocols compared in Fig. 13.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RekeyProtocol {
-    /// Original key tree over NICE, no splitting (paper `P0`).
-    P0,
-    /// Original key tree over NICE with splitting (paper `P0′`).
-    P0Split,
-    /// Modified key tree over T-mesh, no splitting (paper `P1`).
-    P1,
-    /// Modified key tree over T-mesh with splitting (paper `P2`).
-    P1Split,
-    /// Modified tree + cluster heuristic over T-mesh, no splitting
-    /// (paper `P3`).
-    P1Cluster,
-    /// Modified tree + cluster heuristic over T-mesh with splitting
-    /// (paper `P4`).
-    P1ClusterSplit,
-    /// Original key tree over DVMRP-style IP multicast (paper `P_m`).
-    IpMulticast,
-}
-
-impl RekeyProtocol {
-    /// All seven protocols, in Table 2 order.
-    pub const ALL: [RekeyProtocol; 7] = [
-        RekeyProtocol::P0,
-        RekeyProtocol::P0Split,
-        RekeyProtocol::P1,
-        RekeyProtocol::P1Split,
-        RekeyProtocol::P1Cluster,
-        RekeyProtocol::P1ClusterSplit,
-        RekeyProtocol::IpMulticast,
-    ];
-
-    /// Short label used in benchmark output.
-    #[cfg(test)]
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            RekeyProtocol::P0 => "P0(nice)",
-            RekeyProtocol::P0Split => "P0'(nice+split)",
-            RekeyProtocol::P1 => "P1(tmesh)",
-            RekeyProtocol::P1Split => "P2(tmesh+split)",
-            RekeyProtocol::P1Cluster => "P3(tmesh+cluster)",
-            RekeyProtocol::P1ClusterSplit => "P4(tmesh+cluster+split)",
-            RekeyProtocol::IpMulticast => "Pm(ipmc)",
-        }
-    }
-}
 
 /// Runs one rekey transport session over NICE (protocols `P0`/`P0′`).
 ///
@@ -234,11 +187,5 @@ mod tests {
         assert!(report.forwarded.iter().all(|&f| f == 0));
         let load = report.link_load.unwrap();
         assert_eq!(load.max(), 250, "tree links carry the message exactly once");
-    }
-
-    #[test]
-    fn protocol_labels_cover_all() {
-        let labels: HashSet<&str> = RekeyProtocol::ALL.iter().map(|p| p.label()).collect();
-        assert_eq!(labels.len(), 7);
     }
 }

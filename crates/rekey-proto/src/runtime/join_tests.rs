@@ -247,14 +247,17 @@ fn a_probed_gateway_rtt_subtracts_the_probed_hosts_access_link() {
 }
 
 /// Sequential joins (well separated in time): everyone completes, IDs are
-/// unique, and the constructed neighbor tables are K-consistent.
+/// unique, and the constructed neighbor tables are K-consistent. Thirty
+/// joins 10 s apart, and 64 joins 2 s apart.
 #[test]
 fn sequential_joins_build_consistent_tables() {
-    let (_, out) = run(1, 30, 10 * SEC, 0);
-    assert_eq!(out.members.len(), 30, "every join completes");
-    assert_unique(&out.members);
     let spec = IdSpec::new(4, 16).unwrap();
-    check_consistency(&spec, &out.members, &out.tables, 1).expect("tables are 1-consistent");
+    for (joins, spacing) in [(30, 10 * SEC), (64, 2 * SEC)] {
+        let (_, out) = run(1, joins, spacing, 0);
+        assert_eq!(out.members.len(), joins, "every join completes");
+        assert_unique(&out.members);
+        check_consistency(&spec, &out.members, &out.tables, 1).expect("tables are 1-consistent");
+    }
 }
 
 /// Concurrent joins (overlapping in time): completion and uniqueness still

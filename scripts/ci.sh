@@ -10,9 +10,10 @@
 # tests, the formatting check, clippy and rustdoc with warnings denied —
 # the same bar every PR must clear — and
 # checks that neither tracked size outcome rose (scripts/loc.sh --check) and
-# that the figure outputs did not move (scripts/digests.sh --check: join_cost,
-# fig13, fig06–fig11, fig14, ablation_gnp, concurrent_transport, ablation_loss,
-# ablation_packet_split, ablation_k).
+# that the figure outputs did not move: scripts/digests.sh --check
+# regenerates join_cost, fig13, fig06–fig11, fig14, ablation_gnp,
+# concurrent_transport, ablation_loss, ablation_packet_split, ablation_k and
+# fig12 --runs 5 (stdout and stderr) and diffs them against results/.
 #
 # Not gated here yet: scripts/soak.sh <test-binary> <runs> counts a test
 # binary's intermittent failures over many whole-binary runs, half of them
@@ -58,12 +59,6 @@ cargo test --offline --release -q -p rekey-proto --lib a_4096_member_dealt_group
 echo "==> bench_runtime mega sweep smoke (65k point; prints, writes nothing)"
 cargo run --offline --release -q -p rekey-bench --bin bench_runtime -- --mega-cap 65536 > /dev/null
 
-echo "==> criterion crypto_batch smoke (churn interval x 1/2/4/8 seal threads, one pass)"
-cargo bench --offline -q -p rekey-bench --bench crypto_batch -- --test > /dev/null
-
-echo "==> criterion rekeying smoke (its distributed_join group runs 64 sequential §3.1 joins as RtMsg traffic on ShardedGroupRuntime; the vendored criterion ignores the filter and runs every group)"
-cargo bench --offline -q -p rekey-bench --bench rekeying -- --test distributed_join > /dev/null
-
 echo "==> benchmark package tests (thumbnail runs of all four workloads, catalogue == BENCHMARK.json)"
 cargo test --offline -q --manifest-path bench/Cargo.toml
 
@@ -90,7 +85,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 echo "==> tracked size outcomes (ROADMAP aim 2) against scripts/loc.baseline"
 scripts/loc.sh --check
 
-echo "==> figure output digests against scripts/digests.baseline (tables, IDs, keys and sessions unmoved)"
+echo "==> figure outputs against results/ (15 regenerated .tsv/.log pairs, fig12 at --runs 5: tables, IDs, keys and sessions unmoved)"
 scripts/digests.sh --check
 
 echo "==> ci.sh: all green"

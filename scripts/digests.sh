@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Digests of the figure outputs that every neighbor table, ID assignment,
-# key and multicast session feeds into, reproducibly (all with default
-# arguments, ~36 s on a 2-core VM):
+# The figure outputs that every neighbor table, ID assignment, key and
+# multicast session feeds into, regenerated with EXPERIMENTS.md's commands
+# (default arguments; fig12 at --runs 5), ~105 s on a 2-core VM:
 #
 #   join_cost             §3.1 join cost as groups grow by joins
 #   fig13                 per-user rekey cost after a 1 024-user group's
@@ -16,35 +16,52 @@
 #                         packet granularity
 #   ablation_k            the neighbor-table capacity K (§2.2): surviving
 #                         primaries after failures against memory
+#   fig12 --runs 5        rekey cost against (J, L) on the three key trees
 #
-#   scripts/digests.sh            # one "md5  name" line per output
-#   scripts/digests.sh --check    # the same, and exit 1 if they differ from
-#                                 # scripts/digests.baseline
+#   scripts/digests.sh            # rewrite results/<bin>.tsv (stdout) and
+#                                 # results/<bin>.log (stderr)
+#   scripts/digests.sh --check    # regenerate into a temporary directory,
+#                                 # diff -u against results/, and exit 1
+#                                 # naming every file that differs
 #
-# A change that is meant to leave every table, ID, key and session as it
-# was must pass --check. A change that moves them on purpose re-records the
-# baseline (scripts/digests.sh > scripts/digests.baseline) and says so.
+# results/ is the one record of these outputs; no log carries wall-clock
+# time, so both files of every output are compared. A change that is meant
+# to leave every table, ID, key and session as it was must pass --check. A
+# change that moves them on purpose re-records results/ (scripts/digests.sh),
+# says so, and rewrites the EXPERIMENTS.md numbers that moved.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 bins="join_cost fig13 fig06 fig07 fig08 fig09 fig10 fig11 fig14 ablation_gnp concurrent_transport
-ablation_loss ablation_packet_split ablation_k"
+ablation_loss ablation_packet_split ablation_k fig12"
 # shellcheck disable=SC2046 # one --bin flag per name
 cargo build --offline --release -q -p rekey-bench $(printf -- '--bin %s ' $bins)
-out=$(mktemp)
-trap 'rm -f "$out"' EXIT
-digests=$(
-    for bin in $bins; do
-        "target/release/$bin" > "$out" 2> /dev/null
-        printf '%s  %s\n' "$(md5sum < "$out" | cut -d' ' -f1)" "$bin"
-    done
-)
-echo "$digests"
 
 if [ "${1:-}" = --check ]; then
-    if ! echo "$digests" | diff -u scripts/digests.baseline -; then
-        echo "digests.sh: outputs differ from scripts/digests.baseline"
-        exit 1
-    fi
+    out=$(mktemp -d)
+    trap 'rm -rf "$out"' EXIT
+else
+    out=results
 fi
+for bin in $bins; do
+    case $bin in
+        fig12) args="--runs 5" ;;
+        *) args= ;;
+    esac
+    # shellcheck disable=SC2086 # $args is zero or more words
+    "target/release/$bin" $args > "$out/$bin.tsv" 2> "$out/$bin.log"
+done
+[ "$out" = results ] && exit
+
+status=0
+for bin in $bins; do
+    for file in "$bin.tsv" "$bin.log"; do
+        if ! diff -u "results/$file" "$out/$file" > "$out/diff"; then
+            head -n 40 "$out/diff"
+            echo "digests.sh: results/$file differs from a fresh run"
+            status=1
+        fi
+    done
+done
+exit $status

@@ -11,11 +11,45 @@ use group_rekeying::net::{HostId, RoutedNetwork};
 use group_rekeying::nice::{NiceHierarchy, NiceParams};
 use group_rekeying::proto::{
     cluster_rekey_transport, ipmc_rekey_transport, nice_rekey_transport, tmesh_rekey_transport,
-    AssignParams, BandwidthReport, Group, RekeyProtocol, TransportOptions,
+    AssignParams, BandwidthReport, Group, TransportOptions,
 };
 use group_rekeying::table::{oracle, PrimaryPolicy};
 use group_rekeying::tmesh::TmeshGroup;
 use rand::{Rng, SeedableRng};
+
+/// The seven rekey transport protocols compared in Fig. 13.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum RekeyProtocol {
+    /// Original key tree over NICE, no splitting (paper `P0`).
+    P0,
+    /// Original key tree over NICE with splitting (paper `P0′`).
+    P0Split,
+    /// Modified key tree over T-mesh, no splitting (paper `P1`).
+    P1,
+    /// Modified key tree over T-mesh with splitting (paper `P2`).
+    P1Split,
+    /// Modified tree + cluster heuristic over T-mesh, no splitting
+    /// (paper `P3`).
+    P1Cluster,
+    /// Modified tree + cluster heuristic over T-mesh with splitting
+    /// (paper `P4`).
+    P1ClusterSplit,
+    /// Original key tree over DVMRP-style IP multicast (paper `P_m`).
+    IpMulticast,
+}
+
+impl RekeyProtocol {
+    /// All seven protocols, in Table 2 order.
+    const ALL: [RekeyProtocol; 7] = [
+        RekeyProtocol::P0,
+        RekeyProtocol::P0Split,
+        RekeyProtocol::P1,
+        RekeyProtocol::P1Split,
+        RekeyProtocol::P1Cluster,
+        RekeyProtocol::P1ClusterSplit,
+        RekeyProtocol::IpMulticast,
+    ];
+}
 
 struct Matrix {
     reports: HashMap<RekeyProtocol, BandwidthReport>,
