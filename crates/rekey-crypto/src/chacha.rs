@@ -7,11 +7,11 @@
 //! stream cipher rather than a placeholder.
 
 /// Size of a ChaCha20 key in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Size of a ChaCha20 nonce in bytes (the RFC 8439 96-bit nonce).
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 /// Size of one ChaCha20 block in bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
@@ -41,7 +41,7 @@ fn initial_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> 
 }
 
 /// Computes one 64-byte ChaCha20 keystream block (RFC 8439 §2.3).
-pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
+pub(crate) fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
     let initial = initial_state(key, counter, nonce);
     let mut state = initial;
     for _ in 0..10 {
@@ -70,7 +70,12 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
 ///
 /// Panics if the message would overflow the 32-bit block counter (over
 /// 256 GiB with a single nonce), which cannot happen for key wraps.
-pub fn xor_stream(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
+pub(crate) fn xor_stream(
+    key: &[u8; KEY_LEN],
+    counter: u32,
+    nonce: &[u8; NONCE_LEN],
+    data: &mut [u8],
+) {
     let blocks_needed = data.len().div_ceil(BLOCK_LEN) as u64;
     assert!(
         u64::from(counter) + blocks_needed <= u64::from(u32::MAX) + 1,

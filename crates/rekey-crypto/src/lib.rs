@@ -5,9 +5,10 @@
 //! under keys that (some) users already hold. This crate makes those objects
 //! concrete and verifiable:
 //!
-//! * [`chacha`] — ChaCha20 (RFC 8439), implemented from the specification
-//!   with the RFC test vectors.
-//! * [`siphash`] — SipHash-2-4, the MAC for encrypt-then-MAC key wraps.
+//! * ChaCha20 (RFC 8439), implemented from the specification with the
+//!   RFC test vectors, and SipHash-2-4, the MAC for encrypt-then-MAC key
+//!   wraps — both crate-private: callers reach them through the types
+//!   below.
 //! * [`KeyMaterial`] / [`Key`] — 256-bit keys carrying the paper's
 //!   identification scheme (key ID = ID-tree node ID).
 //! * [`Encryption`] — `{k'}_k` with [`Encryption::id`] equal to the ID of
@@ -43,14 +44,14 @@
 //! # Ok::<(), rekey_id::IdError>(())
 //! ```
 
-pub mod chacha;
-pub mod siphash;
 pub mod wire;
 
+mod chacha;
 mod data;
 mod encryption;
 mod key;
 mod nonce;
+mod siphash;
 
 pub use data::{OpenError, SealedData};
 pub use encryption::{Encryption, UnwrapError};

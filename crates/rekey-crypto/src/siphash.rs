@@ -29,7 +29,7 @@ fn sipround(v: &mut [u64; 4]) {
 }
 
 /// Computes the SipHash-2-4 tag of `data` under `key`.
-pub fn siphash24(key: &[u8; MAC_KEY_LEN], data: &[u8]) -> [u8; TAG_LEN] {
+pub(crate) fn siphash24(key: &[u8; MAC_KEY_LEN], data: &[u8]) -> [u8; TAG_LEN] {
     let k0 = u64::from_le_bytes(key[0..8].try_into().expect("8 bytes"));
     let k1 = u64::from_le_bytes(key[8..16].try_into().expect("8 bytes"));
     let mut v = [

@@ -111,17 +111,17 @@ pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 512;
 
 /// Folds the span rings of several lanes into one tail, as if every span
 /// had been recorded into one ring of the last ring's capacity. The rings
-/// are folded in the order given: each fold orders the spans by end time
-/// (ties keep the spans folded earlier first, so the result depends only
-/// on the order of `rings`), keeps the newest `capacity`, and counts
-/// everything either side evicted as dropped. Returns the tail, oldest
-/// first, and the dropped count.
+/// are folded in the order given: each fold orders the spans by end time,
+/// then start time, name and detail (so spans that end together come out
+/// in one order whichever ring held them), keeps the newest `capacity`,
+/// and counts everything either side evicted as dropped. Returns the tail,
+/// oldest first, and the dropped count.
 pub fn merge_spans<'a>(rings: impl IntoIterator<Item = &'a SpanLog>) -> (Vec<SpanRecord>, u64) {
     let (mut spans, mut dropped) = (Vec::new(), 0);
     for ring in rings {
         spans.extend(ring.spans.iter().copied());
         dropped += ring.dropped;
-        spans.sort_by_key(|span: &SpanRecord| span.end);
+        spans.sort_by_key(|s: &SpanRecord| (s.end, s.start, s.name, s.detail));
         let excess = spans.len().saturating_sub(ring.capacity);
         spans.drain(..excess);
         dropped += excess as u64;
@@ -156,8 +156,8 @@ mod tests {
         }
         let (spans, dropped) = merge_spans([&server, &member]);
         // The member ring kept ends 10/15/25 (1 dropped); the union by end
-        // is interval@10, apply@10, apply@15, interval@20, apply@25 — the
-        // ring folded first wins the tie — of which the newest three stay.
+        // is apply@10, interval@10, apply@15, interval@20, apply@25 — a
+        // tie goes by start, then name — of which the newest three stay.
         let kept: Vec<_> = spans.iter().map(|s| (s.name, s.end)).collect();
         assert_eq!(kept, [("apply", 15), ("interval", 20), ("apply", 25)]);
         assert_eq!(dropped, 1 + 2);

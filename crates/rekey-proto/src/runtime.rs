@@ -116,10 +116,18 @@
 //!   primary's mutation log, is elected when the primary falls silent,
 //!   and takes over through the same epoch-bumped resync.
 //!
-//! Every surviving member holds the current group key once
-//! [`ShardedGroupRuntime::finish`] drains: the final flush rounds push each
-//! member its latest related set, members NACK any gap immediately, and
-//! the server answers from its per-interval history.
+//! Both drivers' `finish` is this protocol run to one convergence
+//! condition, [`NotConverged`]: the acting primary has no membership work
+//! queued and owes no leave ack, and every live member has applied its
+//! interval and holds a current membership view. There is no shutdown
+//! mode. Each `finish` round hands the acting primary a flush, which
+//! pushes every member its latest related set and table version, and
+//! then runs the session — timers, NACK backoff, the escalation to a
+//! resync, heartbeats and replication included — for one NACK grace; a
+//! member that is behind asks for what it lacks as it would at any other
+//! time, and the server answers from its per-interval history.
+
+use std::sync::Arc;
 
 use rekey_metrics::{json, merge_spans, HistogramSnapshot, LocalHistogram, SpanRecord};
 use rekey_net::HostId;
@@ -136,8 +144,9 @@ pub mod wire;
 
 pub use self::core::{IntervalMessage, ReplOp, RtMsg};
 pub(crate) use self::core::{MemberStats, ServerStats, Sinks};
+use self::core::{RtMember, RtServer};
 pub use shard::ShardedGroupRuntime;
-pub use socket::{NotConverged, UdpGroupDriver};
+pub use socket::UdpGroupDriver;
 
 /// Timing, loss, retry, and seeding knobs of a runtime session.
 ///
@@ -222,6 +231,14 @@ impl RuntimeConfig {
     /// rekey periods, i.e. at least four missed replication heartbeats.
     pub(crate) fn primary_silence(&self) -> SimTime {
         2 * self.rekey_period
+    }
+
+    /// How long one `finish` round runs the protocol after its flush: one
+    /// NACK grace, the longest a member the flush's `Recover` finds behind
+    /// waits before it asks for what it lacks (the answer may land in the
+    /// next round).
+    pub(crate) fn flush_slice(&self) -> SimTime {
+        self.nack_grace
     }
 
     /// The node of the member on `host` (member handle `h` lives on
@@ -330,6 +347,65 @@ impl RuntimeConfigBuilder {
         assert!(config.retry_base > 0, "retry base must be positive");
         assert!(config.replicas >= 1, "at least one key-server replica");
         config
+    }
+}
+
+/// Why a driver's `finish` has not converged: each conjunct of its
+/// convergence condition as it stood after the last round, with the member
+/// handles holding it open. [`UdpGroupDriver::not_converged`] returns it;
+/// [`ShardedGroupRuntime::finish`] panics with it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NotConverged {
+    /// The acting primary's rekey interval the members were measured against.
+    pub interval: u64,
+    /// Join requests the acting primary still has queued.
+    pub joins: usize,
+    /// Leave requests the acting primary still has queued.
+    pub leaves: usize,
+    /// Handles whose `LeaveAck` the acting primary still owes.
+    pub pending_leave_acks: Vec<usize>,
+    /// Handles that have not applied `interval`.
+    pub lagging: Vec<usize>,
+    /// Handles whose membership view is provably behind the server's.
+    pub stale: Vec<usize>,
+}
+
+/// A question a driver answers about each of its live members; it lists
+/// the handles for which the answer is `true`, in ascending order. It
+/// crosses to the socket driver's worker threads, hence `Send + Sync`.
+pub(crate) type MemberQuestion = Arc<dyn Fn(&RtMember) -> bool + Send + Sync>;
+
+impl NotConverged {
+    /// The convergence condition of both drivers' `finish`, computed in
+    /// this one place: the acting primary `primary` has no join or leave
+    /// queued and owes no leave ack, and every live member has applied the
+    /// primary's interval and holds a current membership view. `live_where`
+    /// asks the driver's live members a question.
+    pub(crate) fn check(
+        primary: &RtServer,
+        config: &RuntimeConfig,
+        mut live_where: impl FnMut(MemberQuestion) -> Vec<usize>,
+    ) -> Result<(), NotConverged> {
+        let (joins, leaves, pending_leave_acks) = primary.flush_backlog(config);
+        let interval = primary.server.interval();
+        let open = NotConverged {
+            interval,
+            joins,
+            leaves,
+            pending_leave_acks,
+            lagging: live_where(Arc::new(move |m| !m.has_applied(interval))),
+            stale: live_where(Arc::new(RtMember::is_stale)),
+        };
+        let clear = open.joins == 0
+            && open.leaves == 0
+            && open.pending_leave_acks.is_empty()
+            && open.lagging.is_empty()
+            && open.stale.is_empty();
+        if clear {
+            Ok(())
+        } else {
+            Err(open)
+        }
     }
 }
 
@@ -495,7 +571,8 @@ impl MetricsSnapshot {
     /// The one place a snapshot is put together, whatever the driver:
     /// `server` is the replica set's [`ServerStats::sum`] and `lanes` the
     /// sinks of every executor lane, the coordinator's first. Histograms
-    /// are summed; span rings are merged by end time, ties in lane order.
+    /// are summed; span rings are merged by end time, ties by start, name and
+    /// detail.
     pub(crate) fn assemble<'a>(
         members: usize,
         server: ServerStats,
@@ -806,10 +883,11 @@ mod tests {
     }
 
     /// The server dies mid-run (its rekey tick is swallowed by the outage
-    /// window) and respawns from its crash journal: the epoch bumps, every
-    /// member resyncs, and the group ends the run current and consistent.
+    /// window) and respawns from its last checkpoint: the epoch bumps,
+    /// every member resyncs, and the group ends the run current and
+    /// consistent.
     #[test]
-    fn server_restart_resumes_from_journal() {
+    fn server_restart_resumes_from_its_checkpoint() {
         let mut rt = ShardedGroupRuntime::new(config(), RuntimeConfig::default(), small_net(7))
             .with_faults(FaultPlan::new().outage(SERVER, 24 * SEC, 38 * SEC));
         let trace: Vec<ChurnEvent> = (0..10)

@@ -23,8 +23,8 @@
 //! value: it can be cloned mid-stream and fed the same events as the
 //! original, with the same effects. Everything else reaches `handle` as
 //! an argument. The [`Outbox`] is the driver's lane context: the clock,
-//! the runtime config, the §3.1 parameters, the access RTTs, whether the
-//! driver is draining for shutdown, and the lane's metric [`Sinks`]. The
+//! the runtime config, the §3.1 parameters, the access RTTs, and the
+//! lane's metric [`Sinks`]. The
 //! key server also borrows the driver's network for the calls that
 //! consult it. What the drivers would otherwise each spell out — how a
 //! replica or a pre-welcomed member starts, which timers bring a replica
@@ -89,10 +89,6 @@ pub(crate) struct Outbox {
     pub(crate) me: NodeId,
     /// The effects of the current event.
     pub(crate) effects: Vec<Effect>,
-    /// Set by the driver once it began its shutdown drain, before the
-    /// drain's first event: machines stop re-arming timers and fire their
-    /// retries inline instead.
-    pub(crate) draining: bool,
     /// What the lane's nodes record.
     pub(crate) sinks: Sinks,
     config: RuntimeConfig,
@@ -115,7 +111,6 @@ impl Outbox {
             now: 0,
             me: SERVER,
             effects: Vec::new(),
-            draining: false,
             sinks: Sinks::default(),
             config,
             assign,
@@ -330,7 +325,7 @@ pub enum RtMsg {
         /// accounting).
         sent_at: SimTime,
         /// The recipient's table version at the server (lost-push
-        /// detector; the shutdown flush sends one to every member).
+        /// detector; a `finish` round's flush sends one to every member).
         seq: u64,
     },
     /// Member → neighbor: heartbeat probe; also a joiner's §3.1 step-2
@@ -473,8 +468,8 @@ pub(crate) enum RtLocal {
 
 /// What the nodes of one lane record: five histograms and a span ring.
 /// Histogram inserts commute, so lanes merge in any order; span rings are
-/// merged by end time, ties in lane order, so the merged tail is a
-/// function of (seed, lane layout) and never of thread timing.
+/// merged by end time, ties by start, name and detail, so the merged tail
+/// is a function of (seed, lane layout) and never of thread timing.
 #[derive(Debug, Default)]
 pub(crate) struct Sinks {
     /// µs from each interval's multicast to its application by a member.
@@ -805,8 +800,9 @@ impl RtServer {
         }
     }
 
-    /// What a shutdown flush still has to clear: queued joins, queued
-    /// leaves, and the member handles whose `LeaveAck` is still owed.
+    /// What a `finish` round still has to clear at this replica: queued
+    /// joins, queued leaves, and the member handles whose `LeaveAck` is
+    /// still owed.
     pub(crate) fn flush_backlog(&self, config: &RuntimeConfig) -> (usize, usize, Vec<usize>) {
         let (joins, leaves) = self.server.pending();
         let owed = self
@@ -1014,9 +1010,6 @@ impl RtServer {
     }
 
     fn end_interval<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET) {
-        if ctx.draining {
-            return;
-        }
         self.rekey_round(ctx, net);
         ctx.timer(
             ctx.config().rekey_period,
@@ -1173,9 +1166,11 @@ impl RtServer {
         }
     }
 
-    /// Shutdown flush: fold any pending membership work into an interval,
-    /// then push every member its latest related set so the final
-    /// interval is discoverable even if every multicast copy was lost.
+    /// A `finish` round's flush: fold any pending membership work into an
+    /// interval, then push every member its latest related set and table
+    /// version, so the last interval and a lost `Table` push are
+    /// discoverable even by a member whose every copy was lost and that
+    /// sends no heartbeat.
     fn flush<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET) {
         let (joins, leaves) = self.server.pending();
         if joins > 0 || leaves > 0 {
@@ -1192,8 +1187,8 @@ impl RtServer {
         // An ack is safe only once a checkpoint covers the departure. The
         // rekey round above took one and released every ack it covered;
         // an ack still owed (a retransmitted leave of a departed member)
-        // needs one of its own. No restart follows the flush, so there is
-        // nothing else to checkpoint for.
+        // needs one of its own. The flush changes no replica state but
+        // through that round, so there is nothing else to checkpoint for.
         if !self.pending_leave_acks.is_empty() {
             self.record_checkpoint(self.repl.next_idx - 1);
             self.release_leave_acks(ctx);
@@ -1409,12 +1404,10 @@ impl RtServer {
                 );
             }
         }
-        if !ctx.draining {
-            ctx.timer(
-                ctx.config().repl_period(),
-                RtLocal::ReplTick { gen: self.repl.gen },
-            );
-        }
+        ctx.timer(
+            ctx.config().repl_period(),
+            RtLocal::ReplTick { gen: self.repl.gen },
+        );
     }
 
     /// An ack from follower `replica`: advance its known watermark.
@@ -1598,9 +1591,6 @@ impl RtServer {
     /// Follower liveness check: a silent primary starts an election,
     /// otherwise the check re-arms itself.
     fn repl_check(&mut self, ctx: &mut Outbox) {
-        if ctx.draining {
-            return;
-        }
         let silent =
             ctx.now().saturating_sub(self.repl.last_primary_at) > ctx.config().primary_silence();
         if silent && self.repl.election.is_none() {
@@ -1879,20 +1869,18 @@ pub(crate) struct RtMember {
     /// The interval that ends at `next_boundary`: once the boundary
     /// passes, this interval exists even if no evidence of it arrived.
     pub(crate) expected_interval: u64,
-    /// Intervals already NACKed during shutdown (the drain sends
-    /// immediately instead of arming timers; this dedups).
-    pub(crate) shutdown_nacked: BTreeSet<u64>,
     /// The server replica this member currently talks to. Starts at the
     /// initial primary (node 0) and follows the replies: any message from
-    /// a replica node re-anchors it, and server silence (an unanswered
-    /// `ServerPing`, or a control retry with no progress) rotates it
+    /// a replica node re-anchors it, and server silence (a request that
+    /// no replica answered before the member asks again) rotates it
     /// round-robin through the replica block until a live primary
     /// answers.
     pub(crate) server_node: NodeId,
-    /// Set when a `ServerPing` goes out, cleared by any server reply; if
-    /// still set at the next heartbeat, the server is silent and the
-    /// member rotates `server_node` before pinging again.
-    pub(crate) server_ping_outstanding: bool,
+    /// Set when a request goes to `server_node` (a `ServerPing`, a join,
+    /// a leave, a NACK or a resync), cleared by any server reply; if still
+    /// set when the member asks again, the replica is silent and the
+    /// member rotates `server_node` first.
+    pub(crate) awaiting_server: bool,
     pub(crate) stats: MemberStats,
 }
 
@@ -1926,9 +1914,8 @@ impl RtMember {
             delay_seen_prev: 0,
             next_boundary: 0,
             expected_interval: 0,
-            shutdown_nacked: BTreeSet::new(),
             server_node: SERVER,
-            server_ping_outstanding: false,
+            awaiting_server: false,
             stats: MemberStats::default(),
         }
     }
@@ -1977,10 +1964,21 @@ impl RtMember {
             && (self.sync_stale || self.seq_hint > self.table_seq)
     }
 
-    /// Rotates to the next server replica (round-robin). Called when the
-    /// current one stays silent; with a single replica it stays put.
-    fn rotate_server(&mut self, ctx: &Outbox) {
-        self.server_node = NodeId((self.server_node.0 + 1) % ctx.config().replicas);
+    /// Rotates to the next server replica (round-robin) when the current
+    /// one left the last request unanswered; with a single replica it
+    /// stays put. A replica that answered since is kept, so a reply of
+    /// the primary between two attempts re-anchors the member for good.
+    fn rotate_if_silent(&mut self, ctx: &Outbox) {
+        if self.awaiting_server {
+            self.server_node = NodeId((self.server_node.0 + 1) % ctx.config().replicas);
+        }
+    }
+
+    /// Sends the replica this member talks to a request it owes a reply
+    /// to.
+    fn ask_server(&mut self, ctx: &mut Outbox, msg: RtMsg) {
+        self.awaiting_server = true;
+        ctx.send(self.server_node, msg);
     }
 
     /// Grace before NACKing a missing interval, adapted to the overlay
@@ -2016,7 +2014,7 @@ impl RtMember {
         match local {
             RtLocal::Join if self.member.is_none() && !self.join_requested => {
                 self.join_requested = true;
-                ctx.send(self.server_node, RtMsg::JoinRequest);
+                self.ask_server(ctx, RtMsg::JoinRequest);
                 self.arm(ctx, Retrying::Join, ctx.now() + ctx.config().retry_base);
             }
             RtLocal::Leave if self.member.is_some() && !self.leave_pending => self.leave(ctx),
@@ -2059,7 +2057,7 @@ impl RtMember {
         // arrives.
         if from.0 < ctx.config().replicas {
             self.server_node = from;
-            self.server_ping_outstanding = false;
+            self.awaiting_server = false;
         }
         if self.departed && !matches!(msg, RtMsg::LeaveAck) {
             return;
@@ -2300,7 +2298,7 @@ impl RtMember {
                 self.stats.rejoins += 1;
                 self.reset_to_unjoined();
                 self.join_requested = true;
-                ctx.send(self.server_node, RtMsg::JoinRequest);
+                self.ask_server(ctx, RtMsg::JoinRequest);
                 self.arm(ctx, Retrying::Join, ctx.now() + ctx.config().retry_base);
             }
             RtMsg::Resync {
@@ -2352,31 +2350,27 @@ impl RtMember {
         // speculatively: a live server answers with the related
         // set, a dead one stays silent and the retry lineage
         // escalates into the existing resync machinery.
-        if !ctx.draining {
-            if let (Some(agent), true) = (&self.agent, self.member.is_some()) {
-                let next = agent.interval() + 1;
-                if next > self.server_interval_seen
-                    && next <= self.expected_interval
-                    && !self.pending.contains_key(&next)
-                    && !self.retries.contains_key(&Retrying::Nack(next))
-                {
-                    self.arm(ctx, Retrying::Nack(next), ctx.now());
-                }
+        if let (Some(agent), true) = (&self.agent, self.member.is_some()) {
+            let next = agent.interval() + 1;
+            if next > self.server_interval_seen
+                && next <= self.expected_interval
+                && !self.pending.contains_key(&next)
+                && !self.retries.contains_key(&Retrying::Nack(next))
+            {
+                self.arm(ctx, Retrying::Nack(next), ctx.now());
             }
         }
         self.delay_seen_prev = self.delay_seen;
         self.delay_seen = 0;
-        if !ctx.draining {
-            self.next_boundary += ctx.config().rekey_period;
-            self.expected_interval += 1;
-            let deadline = self.next_boundary + self.adaptive_grace(ctx);
-            ctx.timer(
-                deadline.saturating_sub(ctx.now()).max(1),
-                RtLocal::IntervalCheck {
-                    gen: self.check_gen,
-                },
-            );
-        }
+        self.next_boundary += ctx.config().rekey_period;
+        self.expected_interval += 1;
+        let deadline = self.next_boundary + self.adaptive_grace(ctx);
+        ctx.timer(
+            deadline.saturating_sub(ctx.now()).max(1),
+            RtLocal::IntervalCheck {
+                gen: self.check_gen,
+            },
+        );
     }
 
     /// Observes a server epoch: any bump invalidates our table version
@@ -2398,11 +2392,8 @@ impl RtMember {
     /// `Recover` and `ServerPong` carry the server's version of our
     /// table; a member behind it lost a `Table` push. Give an in-flight
     /// push the grace period, then fetch a snapshot (the resync dissolves
-    /// at fire time if the push lands). During shutdown the request goes
-    /// out at once, on every flush `Recover` that still finds us behind
-    /// or epoch-stale: retry timers are dead by then, the flush comes
-    /// from the acting primary (and re-anchored us), and a request or
-    /// reply lost to the network is simply asked again next round.
+    /// at fire time if the push lands); a request or reply lost to the
+    /// network is asked again by the retry timer.
     fn note_seq_watermark(&mut self, ctx: &mut Outbox, seq: u64) {
         if self.member.is_none() || (seq <= self.table_seq && !self.sync_stale) {
             return;
@@ -2463,8 +2454,7 @@ impl RtMember {
     }
 
     /// Arms a NACK for every interval the evidence says exists but we
-    /// neither hold nor have buffered. During shutdown the NACK goes out
-    /// immediately (timers no longer fire), deduplicated per interval.
+    /// neither hold nor have buffered.
     fn scan_missing(&mut self, ctx: &mut Outbox, grace: SimTime) {
         let Some(agent) = &self.agent else { return };
         let start = agent.interval() + 1;
@@ -2474,10 +2464,7 @@ impl RtMember {
         }
         let due = ctx.now() + grace;
         for i in start..=end {
-            if self.pending.contains_key(&i) {
-                continue;
-            }
-            if !ctx.draining && self.retries.contains_key(&Retrying::Nack(i)) {
+            if self.pending.contains_key(&i) || self.retries.contains_key(&Retrying::Nack(i)) {
                 continue;
             }
             self.arm(ctx, Retrying::Nack(i), due);
@@ -2485,19 +2472,8 @@ impl RtMember {
     }
 
     /// Registers a retry entry (first fire at `due`) and makes sure a
-    /// retry timer is running. During shutdown the request goes out
-    /// inline instead — the event queue is draining and timers are dead:
-    /// a NACK once per interval, anything else on every call, so each
-    /// flush round that still finds the member behind asks again.
+    /// retry timer is running.
     fn arm(&mut self, ctx: &mut Outbox, kind: Retrying, due: SimTime) {
-        if ctx.draining {
-            if let Retrying::Nack(interval) = kind {
-                if !self.shutdown_nacked.insert(interval) {
-                    return;
-                }
-            }
-            return self.send_request(ctx, kind);
-        }
         self.retries
             .entry(kind)
             .or_insert(RetryState { attempts: 0, due });
@@ -2520,14 +2496,11 @@ impl RtMember {
                 RtMsg::Nack { interval, id }
             }
         };
-        ctx.send(self.server_node, msg);
+        self.ask_server(ctx, msg);
     }
 
     /// (Re)schedules the single retry timer at the earliest due time.
     fn schedule_retry_tick(&mut self, ctx: &mut Outbox) {
-        if ctx.draining {
-            return;
-        }
         let Some(min_due) = self.retries.values().map(|st| st.due).min() else {
             return;
         };
@@ -2600,11 +2573,12 @@ impl RtMember {
             // of those re-transmits; a NACK's or resync's first fire is
             // its scheduled first send, not a retransmission.
             self.stats.retransmissions += 1;
-            // The server we were talking to did not answer the previous
-            // attempt: aim the retransmission at the next replica. A live
-            // primary re-anchors `server_node` with its reply.
+            // If the server we were talking to has not answered since
+            // the previous attempt, aim the retransmission at the next
+            // replica. A live primary re-anchors `server_node` with its
+            // reply.
             if !probing {
-                self.rotate_server(ctx);
+                self.rotate_if_silent(ctx);
             }
         }
         if probing {
@@ -2615,7 +2589,7 @@ impl RtMember {
     }
 
     fn start_heartbeat(&mut self, ctx: &mut Outbox) {
-        if self.heartbeat_running || ctx.draining {
+        if self.heartbeat_running {
             return;
         }
         self.heartbeat_running = true;
@@ -2664,10 +2638,6 @@ impl RtMember {
         for id in self.suspects.keys() {
             ctx.send(self.server_node, RtMsg::FailureNotice { failed: *id });
         }
-        if ctx.draining {
-            self.heartbeat_running = false;
-            return;
-        }
         // Ping every stored neighbor plus every probation suspect.
         let mut targets: Vec<(HostId, UserId)> = Vec::new();
         if let Some(table) = &self.table {
@@ -2687,15 +2657,12 @@ impl RtMember {
         }
         // Probe the server: its pong is our NACK evidence and our
         // membership certificate; a NotMember reply triggers a rejoin.
-        // An unanswered probe from the previous beat means the replica we
-        // were aimed at is silent — rotate before probing again.
-        if self.server_ping_outstanding {
-            self.rotate_server(ctx);
-        }
+        // A request still unanswered since the previous beat means the
+        // replica we were aimed at is silent — rotate before probing again.
+        self.rotate_if_silent(ctx);
         if let Some(member) = &self.member {
             let id = member.id;
-            self.server_ping_outstanding = true;
-            ctx.send(self.server_node, RtMsg::ServerPing { id });
+            self.ask_server(ctx, RtMsg::ServerPing { id });
         }
         ctx.timer(
             ctx.config().heartbeat_period,
@@ -2740,9 +2707,6 @@ impl RtMember {
     /// Points the check chain at `interval` ending at `boundary` and arms
     /// its timer (superseding the previous one).
     fn anchor_check(&mut self, ctx: &mut Outbox, boundary: SimTime, interval: u64) {
-        if ctx.draining {
-            return;
-        }
         self.check_gen += 1;
         self.next_boundary = boundary;
         self.expected_interval = interval;
@@ -2814,7 +2778,7 @@ impl RtMember {
         // Every user pinged, once or again, holds one RTT estimate.
         self.stats.join_pings = count(joiner.rtt.len() as u64);
         self.stats.digits_probed = count(stats.digits_probed as u64);
-        ctx.send(self.server_node, RtMsg::JoinDigits { digits });
+        self.ask_server(ctx, RtMsg::JoinDigits { digits });
         self.join_progress(ctx);
     }
 
@@ -2870,7 +2834,7 @@ impl RtMember {
         self.leave_pending = true;
         self.departed = true;
         self.retire();
-        ctx.send(self.server_node, RtMsg::LeaveRequest);
+        self.ask_server(ctx, RtMsg::LeaveRequest);
         // The ack rides the next checkpoint, so the first retry only fires
         // once a full rekey period has gone unanswered.
         let config = ctx.config();
@@ -3058,16 +3022,17 @@ mod tests {
         );
     }
 
-    /// Shutdown resync is retried: with timers dead, every flush `Recover`
-    /// that still finds the member's table behind the server's asks again,
-    /// so one lost request or reply does not wedge `finish`.
+    /// A member that a flush `Recover` finds behind the server's table
+    /// asks for a resync on its retry timer, and asks again when the reply
+    /// is lost: a later flush `Recover` that still finds it behind keeps
+    /// the lineage running, so one lost request or reply does not wedge
+    /// `finish`.
     #[test]
     fn every_behind_flush_recover_asks_for_a_resync() {
         let (_, fsm, mut welcomes) = dealt(16);
         let group = fsm.group();
         let (mut member, _) = RtMember::welcomed(&config(1), group, 3, welcomes.swap_remove(3));
         let mut out = outbox(1);
-        out.draining = true;
         out.me = NodeId(4);
         let mut requests = 0;
         for _ in 0..2 {
@@ -3084,6 +3049,19 @@ mod tests {
                     msg: recover,
                 },
             );
+            // Nothing goes out inline: the retry timer sends the request.
+            let timers: Vec<_> = (out.effects.drain(..))
+                .map(|effect| match effect {
+                    Effect::Timer { delay, event } => (delay, event),
+                    Effect::Send { msg, .. } => panic!("sent {msg:?} inline"),
+                })
+                .collect();
+            let [(delay, tick)] = timers[..] else {
+                panic!("one retry timer, not {timers:?}");
+            };
+            out.now += delay;
+            member.handle(&mut out, Event::Local(tick));
+            // The reply to each request is lost.
             requests += sends(&mut out)
                 .iter()
                 .filter(|(to, msg)| *to == SERVER && matches!(msg, RtMsg::ResyncRequest { .. }))
@@ -3254,7 +3232,7 @@ mod tests {
         assert_eq!(checkpoint.server.interval(), 2);
     }
 
-    /// The shutdown flush takes a checkpoint of its own only to ack a
+    /// A `finish` round's flush takes a checkpoint of its own only to ack a
     /// leave no interval covered: the leave of a host that is no member
     /// (a retransmit after the departure was checkpointed) is acked behind
     /// one, and a flush that owes nothing takes none.

@@ -1,5 +1,5 @@
-//! The key server's journal: the replication log's entries and the
-//! checkpoint a replica rolls back to.
+//! What a key-server replica keeps to recover: the replication log's
+//! entries and the checkpoint it rolls back to.
 //!
 //! The paper's key server is a single point of failure; a deployment would
 //! journal its state so a respawned process resumes rekeying instead of

@@ -54,7 +54,8 @@
 //!   `(plan, now)` alone — never from thread timing;
 //! * every lane records its nodes' metrics into the sinks of its own
 //!   outbox: histogram inserts commute, and the per-lane span rings are
-//!   merged by end time, ties in lane order, at snapshot time;
+//!   merged by end time, ties by start, name and detail, at snapshot
+//!   time;
 //! * per window the order is fixed: the coordinator drains the replicas,
 //!   then the shards drain in parallel (disjoint `&mut`), then outboxes
 //!   merge in shard-index order. A worker's shard gets its crossings in
@@ -94,8 +95,8 @@ use super::core::{
     acting_primary, boot_timers, Effect, Event, Outbox, RtLocal, RtMember, RtServer, SERVER,
 };
 use super::{
-    check_member_tables, ChurnEvent, ChurnOp, ExecutorCounters, MetricsSnapshot, RtMsg,
-    RuntimeConfig, ServerStats,
+    check_member_tables, ChurnEvent, ChurnOp, ExecutorCounters, MemberQuestion, MetricsSnapshot,
+    NotConverged, RtMsg, RuntimeConfig, ServerStats,
 };
 
 /// Domain separator of the per-lane loss RNG streams (lanes are further
@@ -107,7 +108,7 @@ const LOSS_SEED: u64 = 0x4C4F_5353; // "LOSS"
 /// decoupled from the loss stream and the heartbeat stagger.
 const CHAOS_SEED: u64 = 0x43_48_41_4F_53; // "CHAOS"
 
-/// Shutdown-flush rounds before we declare the drain diverged.
+/// `finish` rounds before it declares the session diverged.
 const MAX_FLUSH_ROUNDS: u32 = 64;
 
 /// One queued delivery: a network message on its way to `to`, or one of
@@ -719,14 +720,13 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         self.inject(at, handle, RtLocal::Leave);
     }
 
-    /// Schedules a concluded failure detection of member `handle` at
-    /// `at`: neighbor `accuser`'s `FailureNotice` reaches the replica that
-    /// is acting primary now, which departs the member at once. The next
-    /// interval rekeys it out, and only the owners whose tables listed it
-    /// receive a `Table` push. Nothing is sent to the failed member: it
-    /// keeps running, but no table lists it, so no copy reaches it. For
-    /// dealt groups, whose members are not heartbeated (see the module
-    /// docs); [`ChurnOp::Crash`] is the real thing.
+    /// Crashes member `handle` now, like [`ChurnOp::Crash`], and
+    /// schedules the concluded detection at `at`: neighbor `accuser`'s
+    /// `FailureNotice` reaches the replica that is acting primary now,
+    /// which departs the member at once. The next interval rekeys it out,
+    /// and only the owners whose tables listed it receive a `Table` push.
+    /// For dealt groups, whose members are not heartbeated (see the module
+    /// docs).
     #[cfg(test)]
     pub(crate) fn fail_at(&mut self, at: SimTime, handle: usize, accuser: usize) {
         let failed = self
@@ -735,6 +735,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
             .as_ref()
             .expect("only an admitted member can fail")
             .id;
+        let (shard_index, idx) = self.placed(handle);
+        self.shards[shard_index].members.alive[idx] = false;
         let from = self.member_node(accuser);
         let to = NodeId(self.acting_primary());
         let msg = RtMsg::FailureNotice { failed };
@@ -803,15 +805,15 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         &self.servers[self.acting_primary()]
     }
 
-    /// Runs windows until no event remains before `cap` (`None`: until
-    /// the queues are empty). Per window it picks `t0` (earliest event
-    /// anywhere), drains everything in `[t0, min(t0 + W, cap))` —
+    /// Runs windows until no event remains before `cap`. Per window it
+    /// picks `t0` (earliest event anywhere), drains everything in
+    /// `[t0, min(t0 + W, cap))` —
     /// replicas first on the coordinator, then the due shards in parallel
     /// — and merges the shards' outboxes in shard-index order. The first
     /// due shard stays on the caller's thread; each other one gets a
     /// worker the first time it is due. Returns the windows run and the
     /// threads started.
-    fn run(&mut self, cap: Option<SimTime>) -> (usize, usize) {
+    fn run(&mut self, cap: SimTime) -> (usize, usize) {
         let ShardedGroupRuntime {
             net,
             servers,
@@ -847,12 +849,10 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
                 let Some(t0) = next.chain(coord.sched.next_time()).min() else {
                     break;
                 };
-                if cap.is_some_and(|c| t0 >= c) {
+                if t0 >= cap {
                     break;
                 }
-                let t1 = cap.map_or(t0.saturating_add(window), |c| {
-                    c.min(t0.saturating_add(window))
-                });
+                let t1 = cap.min(t0.saturating_add(window));
                 windows_run += 1;
                 let depth: usize = ports.iter().map(|port| port.queue().1).sum();
                 *peak_queue = (*peak_queue).max(coord.sched.pending() + depth);
@@ -969,7 +969,7 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     /// Runs the simulation until `until`: every event strictly before
     /// `until` is processed.
     pub fn run_until(&mut self, until: SimTime) {
-        self.run(Some(until));
+        self.run(until);
         self.now = self.now.max(until);
     }
 
@@ -982,12 +982,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     pub fn run_to_interval(&mut self, target: u64) -> bool {
         let period = self.config().rekey_period.max(4);
         for _ in 0..100_000 {
-            let reached = self.server().interval() >= target
-                && self.shards.iter().all(|shard| {
-                    let mut members = shard.members.list.iter().zip(&shard.members.alive);
-                    members.all(|(member, &alive)| !alive || member.has_applied(target))
-                });
-            if reached {
+            let lagging = Arc::new(move |m: &RtMember| !m.has_applied(target));
+            if self.server().interval() >= target && self.live_where(lagging).is_empty() {
                 return true;
             }
             self.run_until(self.now + period / 4);
@@ -995,45 +991,51 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         false
     }
 
-    /// Runs the clock to `until`, then shuts timers down and drains the
-    /// event queues — in-flight repairs, recoveries, and detections all
-    /// complete. After the drain the acting primary runs *flush rounds*:
-    /// each folds any pending membership work into a final interval and
-    /// pushes every member its latest related set, so the last interval
-    /// is discoverable even when every multicast copy of it was lost;
-    /// rounds repeat until no membership work or leave ack is
-    /// outstanding. Returns the final simulated time.
+    /// The handles of the live (not crashed) members that answer
+    /// `question`, in ascending order.
+    fn live_where(&self, question: MemberQuestion) -> Vec<usize> {
+        (self.placement.iter().enumerate())
+            .filter(|&(_, &(shard_index, idx))| {
+                let members = &self.shards[shard_index as usize].members;
+                members.alive[idx as usize] && question(&members.list[idx as usize])
+            })
+            .map(|(handle, _)| handle)
+            .collect()
+    }
+
+    /// Runs the clock to `until`, then runs the live protocol in rounds
+    /// until the convergence condition of [`NotConverged`] holds: each
+    /// round hands the acting primary a flush — it folds pending
+    /// membership work into an interval and pushes every member its
+    /// latest related set and table version, so the last interval and a
+    /// lost `Table` push are discoverable even when every copy was lost —
+    /// and runs the session for [`RuntimeConfig`]'s flush slice. Timers,
+    /// retries, their escalation to a resync, heartbeats and replication
+    /// keep running as in any other stretch of the session. Returns the
+    /// final simulated time.
     ///
     /// # Panics
     ///
-    /// Panics, naming what was still open, if the flush rounds fail to
-    /// converge (e.g. a fault window extends past `until`, leaving the
-    /// server unreachable forever).
+    /// Panics with the [`NotConverged`] of the last round if the
+    /// condition still fails after 64 rounds (e.g. a fault window extends
+    /// past them, leaving the server unreachable).
     pub fn finish(&mut self, until: SimTime) -> SimTime {
         self.run_until(until);
-        self.coord.out.draining = true;
-        for shard in &mut self.shards {
-            shard.lane.out.draining = true;
-        }
-        self.run(None);
+        let slice = self.config().flush_slice();
         for round in 1.. {
             let primary = NodeId(self.acting_primary());
             self.coord
                 .sched
                 .schedule_at(self.now, Envelope::local(primary, RtLocal::Flush));
-            self.run(None);
-            let (joins, leaves, owed) = self.primary().flush_backlog(self.config());
-            if joins == 0 && leaves == 0 && owed.is_empty() {
-                break;
+            self.run_until(self.now + slice);
+            let check = NotConverged::check(self.primary(), self.config(), |q| self.live_where(q));
+            match check {
+                Ok(()) => break,
+                Err(open) => assert!(
+                    round < MAX_FLUSH_ROUNDS,
+                    "finish did not converge in {MAX_FLUSH_ROUNDS} rounds of {slice} µs: {open:?}"
+                ),
             }
-            assert!(
-                round < MAX_FLUSH_ROUNDS,
-                "shutdown flush did not converge in {MAX_FLUSH_ROUNDS} rounds: replica {} at \
-                 interval {} still holds {joins} pending joins and {leaves} pending leaves, \
-                 and owes leave acks to handles {owed:?}",
-                self.acting_primary(),
-                self.server().interval(),
-            );
         }
         self.now
     }
@@ -1333,16 +1335,42 @@ mod tests {
         assert_ne!(first, other, "the seed must actually steer the run");
     }
 
+    /// `finish` runs the live protocol until every live member is
+    /// current. Member 5 is cut off from halfway through interval 3 until
+    /// well after `until`, so it misses the ticks of intervals 4 and 5 and
+    /// the first flushes of `finish`, and its NACKs go nowhere. The rounds
+    /// after the cut heals reach it: its retry lineage is still running,
+    /// a later flush's `Recover` gives it the latest interval, and it
+    /// catches up.
+    #[test]
+    fn finish_waits_for_a_member_cut_off_through_its_first_flushes() {
+        const CUT: usize = 5;
+        let until = 4 * PERIOD + PERIOD / 2;
+        let cell = vec![member_node_with_replicas(CUT, 1)];
+        let plan =
+            FaultPlan::new().partition(vec![cell], 2 * PERIOD + PERIOD / 2, until + 5 * PERIOD);
+        let mut rt = build(1, 0.0, 7).with_faults(plan);
+        rt.finish(until);
+        let interval = rt.server().interval();
+        assert!(interval >= 5, "the server ran intervals 4 and 5");
+        let held = rt.agent(CUT).map(UserAgent::interval);
+        assert!(
+            rt.member(CUT).has_applied(interval),
+            "member {CUT} holds interval {held:?} of the server's {interval}"
+        );
+        assert_current(&rt, &[]);
+    }
+
     /// Workers start once per call, not once per window: a call that
     /// keeps four shards busy through many windows starts three threads,
     /// and one with nothing before its end starts none.
     #[test]
     fn workers_start_once_per_call() {
         let mut rt = build(4, 0.0, 5);
-        let (windows, threads) = rt.run(Some(4 * PERIOD));
+        let (windows, threads) = rt.run(4 * PERIOD);
         assert!(windows > 10, "only {windows} windows");
         assert_eq!(threads, 3, "the caller's thread takes one busy shard");
-        assert_eq!(rt.run(Some(4 * PERIOD)), (0, 0));
+        assert_eq!(rt.run(4 * PERIOD), (0, 0));
     }
 
     /// Every member records its applications into its own shard's lane,
@@ -1542,8 +1570,8 @@ mod tests {
         );
     }
 
-    /// What a wedged shutdown flush would report: the backlog by name and
-    /// by member handle, not just "did not converge".
+    /// What a wedged `finish` would report: the backlog by name and by
+    /// member handle, not just "did not converge".
     #[test]
     fn flush_backlog_names_what_is_still_open() {
         let mut rt = build(2, 0.0, 6);

@@ -60,9 +60,10 @@
 //!
 //! A lane's `Io` is the whole of it: the socket, the timers, and the
 //! `Outbox` its nodes record their metrics into, with no lock. `finish`
-//! tells every worker that the session drains, and waits until each has
-//! seen it, before the first flush, so that a member behind the server
-//! resyncs from the flush's `Recover` at once; at `Stop` each worker hands
+//! has no mode of its own: its rounds flush the acting primary and pump
+//! the live session, timers and retries included, until the convergence
+//! condition the simulator's `finish` checks holds too — the workers
+//! answer its questions about their members; at `Stop` each worker hands
 //! its sinks back with its members.
 
 use std::collections::BTreeMap;
@@ -83,7 +84,8 @@ use super::core::{
 };
 use super::wire::{decode_msg, encode_forward_split, encode_msg, WireError};
 use super::{
-    check_member_tables, ExecutorCounters, MetricsSnapshot, RtMsg, RuntimeConfig, ServerStats,
+    check_member_tables, ExecutorCounters, MemberQuestion, MetricsSnapshot, NotConverged, RtMsg,
+    RuntimeConfig, ServerStats,
 };
 
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
@@ -121,35 +123,6 @@ impl From<GroupError> for SocketError {
 impl From<std::io::Error> for SocketError {
     fn from(e: std::io::Error) -> SocketError {
         SocketError::Io(e)
-    }
-}
-
-/// Why [`UdpGroupDriver::finish`] gave up: each conjunct of its convergence
-/// condition as it stood at the deadline, with the member handles holding
-/// it open. Read it with [`UdpGroupDriver::not_converged`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NotConverged {
-    /// The acting primary's rekey interval the members were measured against.
-    pub interval: u64,
-    /// Join requests the acting primary still has queued.
-    pub joins: usize,
-    /// Leave requests the acting primary still has queued.
-    pub leaves: usize,
-    /// Handles whose `LeaveAck` the acting primary still owes.
-    pub pending_leave_acks: Vec<usize>,
-    /// Handles that have not applied `interval`.
-    pub lagging: Vec<usize>,
-    /// Handles whose membership view is provably behind the server's.
-    pub stale: Vec<usize>,
-}
-
-impl NotConverged {
-    fn is_clear(&self) -> bool {
-        self.joins == 0
-            && self.leaves == 0
-            && self.pending_leave_acks.is_empty()
-            && self.lagging.is_empty()
-            && self.stale.is_empty()
     }
 }
 
@@ -320,19 +293,11 @@ enum WorkerCtl {
     Spawn(Box<Seed>),
     /// Raise the driver command `local` at `node` (join/leave).
     Inject { node: NodeId, local: RtLocal },
-    /// Reply with the hosted members that have not yet applied rekey
-    /// interval `target` ([`RtMember::has_applied`]).
-    Lag {
-        target: u64,
+    /// Reply with the hosted nodes whose member answers `question`.
+    Ask {
+        question: MemberQuestion,
         reply: mpsc::Sender<Vec<usize>>,
     },
-    /// Reply with the hosted members whose membership view is provably
-    /// behind the server's ([`RtMember::is_stale`]) — the kernel-drop
-    /// cases a resync has yet to repair.
-    Stale { reply: mpsc::Sender<Vec<usize>> },
-    /// The session drains for shutdown: set the lane's `draining`, then
-    /// reply.
-    Drain { done: mpsc::Sender<()> },
     /// Drain the socket once more and return all hosted members.
     Stop,
 }
@@ -368,17 +333,10 @@ impl Worker {
                         self.members.insert(seed.node.0, seed.member);
                     }
                     WorkerCtl::Inject { node, local } => self.deliver(node, Event::Local(local)),
-                    WorkerCtl::Lag { target, reply } => {
+                    WorkerCtl::Ask { question, reply } => {
                         // The receiver may already have given up; a
                         // dropped reply channel is not our problem.
-                        let _ = reply.send(self.nodes_where(|m| !m.has_applied(target)));
-                    }
-                    WorkerCtl::Stale { reply } => {
-                        let _ = reply.send(self.nodes_where(RtMember::is_stale));
-                    }
-                    WorkerCtl::Drain { done } => {
-                        self.io.out.draining = true;
-                        let _ = done.send(());
+                        let _ = reply.send(self.nodes_where(&*question));
                     }
                     WorkerCtl::Stop => {
                         self.drain_socket();
@@ -400,7 +358,7 @@ impl Worker {
     }
 
     /// The hosted nodes whose member matches `question`.
-    fn nodes_where(&self, question: impl Fn(&RtMember) -> bool) -> Vec<usize> {
+    fn nodes_where(&self, question: &dyn Fn(&RtMember) -> bool) -> Vec<usize> {
         self.members
             .iter()
             .filter(|(_, m)| question(m))
@@ -679,14 +637,12 @@ impl<NET: Network> UdpGroupDriver<NET> {
 
     /// Asks every worker which of its members match `question`; returns
     /// their handles in ascending order.
-    fn ask_workers(
-        &mut self,
-        question: impl Fn(mpsc::Sender<Vec<usize>>) -> WorkerCtl,
-    ) -> Vec<usize> {
+    fn members_where(&self, question: MemberQuestion) -> Vec<usize> {
         let (reply_tx, reply_rx) = mpsc::channel();
         for link in &self.workers {
+            let (question, reply) = (Arc::clone(&question), reply_tx.clone());
             link.ctl
-                .send(question(reply_tx.clone()))
+                .send(WorkerCtl::Ask { question, reply })
                 .expect("worker thread alive");
         }
         drop(reply_tx);
@@ -695,16 +651,6 @@ impl<NET: Network> UdpGroupDriver<NET> {
         let mut handles: Vec<usize> = reply_rx.iter().flatten().map(host).collect();
         handles.sort_unstable();
         handles
-    }
-
-    /// Handles of the members that have not applied interval `target` yet.
-    fn lag(&mut self, target: u64) -> Vec<usize> {
-        self.ask_workers(|reply| WorkerCtl::Lag { target, reply })
-    }
-
-    /// Handles of the members still owed a membership repair.
-    fn stale_members(&mut self) -> Vec<usize> {
-        self.ask_workers(|reply| WorkerCtl::Stale { reply })
     }
 
     /// Spawns a brand-new member that joins through the server over real
@@ -782,7 +728,10 @@ impl<NET: Network> UdpGroupDriver<NET> {
         let deadline = Instant::now() + timeout;
         loop {
             self.pump(Duration::from_millis(20));
-            if self.primary_rt().server.interval() >= target && self.lag(target).is_empty() {
+            let lagging = Arc::new(move |m: &RtMember| !m.has_applied(target));
+            if self.primary_rt().server.interval() >= target
+                && self.members_where(lagging).is_empty()
+            {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -791,31 +740,17 @@ impl<NET: Network> UdpGroupDriver<NET> {
         }
     }
 
-    /// Tells every lane that the session drains, and returns once each
-    /// worker has seen it. A member behind the server sends its resync
-    /// request the moment the flush's `Recover` reaches it only if it
-    /// already knows that the session drains; otherwise it arms a retry
-    /// and the flush round waits on the timer.
-    fn begin_drain(&mut self) {
-        self.io.out.draining = true;
-        let (done_tx, done_rx) = mpsc::channel();
-        for link in &self.workers {
-            let done = done_tx.clone();
-            link.ctl
-                .send(WorkerCtl::Drain { done })
-                .expect("worker thread alive");
-        }
-        drop(done_tx);
-        for () in done_rx {}
-    }
-
-    /// Shuts the session down: tells every lane that it drains (timers
-    /// stop re-arming), then runs server flush rounds until no membership
-    /// work or leave ack is outstanding (mirroring the simulator's
-    /// `finish`), stops the workers, and collects every member state
-    /// machine for inspection. Returns `true` when the flush converged
-    /// within `timeout`; when it did not, [`UdpGroupDriver::not_converged`]
-    /// says what was still open, and for which members.
+    /// Shuts the session down: runs the live protocol in rounds until
+    /// the convergence condition of [`NotConverged`] holds or `timeout`
+    /// passes, then stops the workers and collects every member state
+    /// machine for inspection. Each round hands the acting primary a
+    /// flush — it folds pending membership work into an interval and
+    /// pushes every member its latest related set and table version — and
+    /// pumps the session for [`RuntimeConfig`]'s flush slice; timers,
+    /// retries and their escalation keep running as in any other round
+    /// of the session. Returns whether the condition held; when it did
+    /// not, [`UdpGroupDriver::not_converged`] says what was still open,
+    /// and for which members.
     ///
     /// Idempotent: later calls have no further effect and return what
     /// the first one did.
@@ -823,42 +758,25 @@ impl<NET: Network> UdpGroupDriver<NET> {
         if self.finished {
             return self.not_converged.is_none();
         }
-        self.begin_drain();
         let deadline = Instant::now() + timeout;
-        let mut converged = false;
-        while !converged {
+        let slice = Duration::from_micros(self.io.out.config().flush_slice());
+        let converged = loop {
             // Flush whichever replica is acting primary — after a
             // failover that is the promoted follower.
             let primary = self.acting_primary();
             self.server_handle(NodeId(primary), Event::Local(RtLocal::Flush));
-            self.pump(Duration::from_millis(40));
-            let primary = self.acting_primary();
+            self.pump(slice);
+            let primary = self.primary_rt();
             let config = self.io.out.config();
-            let (joins, leaves, pending_leave_acks) =
-                self.servers[primary].rt.flush_backlog(config);
-            // Beyond the server's own queues, wait for every member's
-            // repairs: the flush's `Recover` carries both the latest key
-            // material and the member's table version, so a member that
-            // lost an interval or a `Table` push to a kernel drop NACKs
-            // or resyncs now — those replies must land before workers
-            // are collected.
-            let interval = self.servers[primary].rt.server.interval();
-            let open = NotConverged {
-                interval,
-                joins,
-                leaves,
-                pending_leave_acks,
-                lagging: self.lag(interval),
-                stale: self.stale_members(),
-            };
-            converged = open.is_clear();
-            if !converged && Instant::now() >= deadline {
-                self.not_converged = Some(open);
-                break;
+            match NotConverged::check(primary, config, |q| self.members_where(q)) {
+                Ok(()) => break true,
+                Err(open) if Instant::now() >= deadline => {
+                    self.not_converged = Some(open);
+                    break false;
+                }
+                Err(_) => {}
             }
-        }
-        // Give in-flight repair broadcasts one more beat, then collect.
-        self.pump(Duration::from_millis(40));
+        };
         self.collected = (0..self.handles).map(|_| None).collect();
         for link in &mut self.workers {
             link.ctl.send(WorkerCtl::Stop).expect("worker thread alive");

@@ -12,8 +12,12 @@
 //! for it, record for record — there is one table algorithm, and members
 //! receive its result (ISSUE 25). Counters, histograms and snapshot
 //! digests were re-recorded when that replaced the per-member
-//! `NewMember`/`MemberLeft` broadcast; CHANGES.md lists each value that
-//! moved and why. A failing assertion prints the current value.
+//! `NewMember`/`MemberLeft` broadcast, and again when `finish` became the
+//! live protocol run to convergence instead of a shutdown mode and a
+//! member stopped rotating its retransmissions away from a replica that
+//! had answered since its last request (the failover session's outcome
+//! moved with that); CHANGES.md lists each value that moved and why. A
+//! failing assertion prints the current value.
 
 use rekey_crypto::Key;
 use rekey_id::{IdSpec, UserId};
@@ -310,7 +314,7 @@ fn bootstrapped_run_renders_the_parents_snapshot() {
     assert!(snapshot.copies_lost > 0 && snapshot.nacks > 0);
     assert_eq!(
         digest,
-        0x2313_425f_896b_b896,
+        0x1187_d8f2_6ce9_d055,
         "snapshot JSON moved ({digest:#018x}):\n{}",
         counters_and_histograms(&snapshot)
     );
@@ -325,7 +329,7 @@ fn sim_mega_shaped_run_renders_the_parents_snapshot() {
     assert_eq!(snapshot.departures, 24);
     assert_eq!(
         digest,
-        0x9ef7_faa1_15b2_bfef,
+        0x561d_8ecc_a9a3_7c8a,
         "snapshot JSON moved ({digest:#018x}):\n{}",
         counters_and_histograms(&snapshot)
     );
@@ -346,9 +350,9 @@ const FAILOVER_OUTCOME: Outcome = Outcome {
     members: 61,
     interval: 33,
     epoch: 1,
-    roster: 0xc26e_e4cb_b3f0_3ca1,
-    group_key: 0x9c61_6054_c24e_109f,
-    path_keys: 0xb6c5_81ac_7221_d6ea,
+    roster: 0x935d_a213_8a40_cafe,
+    group_key: 0xf3c2_e1cc_0b08_ba5c,
+    path_keys: 0x6a91_6179_6f15_0b9d,
 };
 
 const LOSSLESS_COUNTERS: &str = r#"{
@@ -364,7 +368,7 @@ const LOSSLESS_COUNTERS: &str = r#"{
     "suppressed": 0,
     "nacks": 8,
     "recovery_encryptions": 26,
-    "pings": 81669,
+    "pings": 82896,
     "evictions": 14,
     "retransmissions": 0,
     "max_retry_attempts": 1,
@@ -373,7 +377,7 @@ const LOSSLESS_COUNTERS: &str = r#"{
     "rehabilitations": 0,
     "restarts": 0,
     "checkpoints": 12,
-    "delivered": 232085,
+    "delivered": 234142,
     "welcomes": 256,
     "leave_acks": 40,
     "tree_encryptions": 1011,
@@ -446,45 +450,45 @@ const FAILOVER_COUNTERS: &str = r#"{
     "members": 61,
     "joins": 77,
     "departures": 16,
-    "failures_detected": 13,
-    "forward_copies": 1717,
+    "failures_detected": 14,
+    "forward_copies": 1755,
     "copies_lost": 914,
     "dead_letters": 0,
-    "suppressed": 250,
-    "nacks": 402,
-    "recovery_encryptions": 116,
-    "pings": 24494,
-    "evictions": 228,
-    "retransmissions": 494,
+    "suppressed": 214,
+    "nacks": 316,
+    "recovery_encryptions": 76,
+    "pings": 25697,
+    "evictions": 222,
+    "retransmissions": 235,
     "max_retry_attempts": 5,
-    "resyncs": 52,
+    "resyncs": 56,
     "rejoins": 13,
     "rehabilitations": 194,
     "restarts": 1,
     "checkpoints": 33,
-    "delivered": 68754,
+    "delivered": 70342,
     "welcomes": 77,
     "leave_acks": 3,
-    "tree_encryptions": 320,
-    "tombstone_hits": 11,
+    "tree_encryptions": 280,
+    "tombstone_hits": 10,
     "partition_cuts": 803,
     "fault_loss_drops": 111,
     "elections": 2,
     "promotions": 1,
     "lost_mutations": 0,
-    "repl_lag_peak": 11,
+    "repl_lag_peak": 9,
     "peak_queue_depth": 370
   },
   "histograms": {
     "apply_delay_us": {
-      "count": 1778,
-      "sum": 428400503,
+      "count": 1856,
+      "sum": 76655147,
       "min": 1100,
-      "max": 15354401,
-      "mean": 240945.16,
-      "p50": 3922,
-      "p95": 514642,
-      "p99": 8854176
+      "max": 944564,
+      "mean": 41301.26,
+      "p50": 3897,
+      "p95": 176947,
+      "p99": 522733
     },
     "batch_size": {
       "count": 33,
@@ -497,18 +501,18 @@ const FAILOVER_COUNTERS: &str = r#"{
       "p99": 64
     },
     "split_payload": {
-      "count": 1595,
-      "sum": 1491,
+      "count": 1634,
+      "sum": 1325,
       "min": 0,
       "max": 51,
-      "mean": 0.93,
+      "mean": 0.81,
       "p50": 1,
       "p95": 4,
-      "p99": 11
+      "p99": 10
     },
     "forward_fanout": {
-      "count": 1628,
-      "sum": 1717,
+      "count": 1667,
+      "sum": 1755,
       "min": 0,
       "max": 13,
       "mean": 1.05,
@@ -517,11 +521,11 @@ const FAILOVER_COUNTERS: &str = r#"{
       "p99": 13
     },
     "recovery_size": {
-      "count": 341,
-      "sum": 116,
+      "count": 357,
+      "sum": 76,
       "min": 0,
       "max": 3,
-      "mean": 0.34,
+      "mean": 0.21,
       "p50": 1,
       "p95": 3,
       "p99": 3

@@ -7,13 +7,70 @@
 //!
 //! Ignored by default — `scripts/ci.sh` runs it in release mode:
 //! `cargo test --release --test runtime_soak -- --ignored`.
+//!
+//! Beside it runs a small socket session that calls `finish` right after
+//! its last churn, with no quiet intervals in between.
+
+use std::time::Duration;
 
 use group_rekeying::id::IdSpec;
-use group_rekeying::net::{MatrixNetwork, Network, PlanetLabParams};
-use group_rekeying::proto::{ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime};
+use group_rekeying::net::{GridNetwork, MatrixNetwork, Network, PlanetLabParams};
+use group_rekeying::proto::{
+    ChurnEvent, GroupConfig, RuntimeConfig, ShardedGroupRuntime, UdpGroupDriver,
+};
 use group_rekeying::sim::seeded_rng;
 
 const SEC: u64 = 1_000_000;
+
+/// 64 members over loopback UDP churn four members out and four in per
+/// interval for four intervals, and four more each way just before
+/// `finish`, which is called with the last joins and leaves still in
+/// flight. It must converge, and every live member must hold the
+/// server's group key.
+#[test]
+fn socket_finish_right_after_churn_converges() {
+    const MEMBERS: usize = 64;
+    const PERIOD: u64 = 150_000; // 150 ms real time per interval
+    let group = GroupConfig::for_spec(&IdSpec::new(3, 8).unwrap())
+        .k(2)
+        .seed(11);
+    let config = RuntimeConfig::builder()
+        .rekey_period(PERIOD)
+        .nack_grace(PERIOD / 4)
+        .heartbeat_period(1 << 40)
+        .retry_base(PERIOD / 8)
+        .seed(5)
+        .build();
+    let net = GridNetwork::new(MEMBERS + 32, 1_000, 100);
+    let mut rt =
+        UdpGroupDriver::bootstrapped(group, config, net, MEMBERS, 2).expect("udp bootstrap");
+    let mut leavers = (0..MEMBERS).step_by(3);
+    for target in 2..=6 {
+        for leaver in leavers.by_ref().take(4) {
+            rt.leave(leaver);
+            rt.join();
+        }
+        if target < 6 {
+            assert!(
+                rt.run_to_interval(target, Duration::from_secs(30)),
+                "interval {target}"
+            );
+        }
+    }
+    let converged = rt.finish(Duration::from_secs(30));
+    assert!(converged, "finish gave up: {:?}", rt.not_converged());
+    rt.check_consistency().expect("tables K-consistent");
+    let group_key = rt.server().tree().group_key().expect("non-empty group");
+    let mut live = 0;
+    for handle in 0..rt.member_count() {
+        if let Some(agent) = rt.agent(handle) {
+            live += 1;
+            assert_eq!(agent.group_key(), Some(group_key), "member {handle} stale");
+        }
+    }
+    assert_eq!(live, rt.group().len(), "agents match the roster");
+    assert_eq!(live, MEMBERS, "20 leaves and 20 joins");
+}
 
 #[test]
 #[ignore = "large: ~1k nodes × 50+ intervals; ci.sh runs it in release"]
