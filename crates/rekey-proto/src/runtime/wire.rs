@@ -1,34 +1,42 @@
 //! Versioned wire codec for [`RtMsg`]: what the socket driver puts in
-//! UDP datagrams.
+//! UDP datagrams, built on the primitives of [`rekey_crypto::wire`]
+//! (little-endian, length-prefixed, bounds-checked [`Reader`]).
 //!
-//! Built on the primitives of [`rekey_crypto::wire`] (little-endian,
-//! length-prefixed, bounds-checked [`Reader`]). Every frame is
+//! Each layout is stated once. Every type a frame carries has one `Field`
+//! impl, which both writes and reads it, and the message table (the
+//! `tagged!` invocation for [`RtMsg`] below) lists each message's tag and
+//! fields in wire order; `encode_msg` and `decode_msg` are generated from
+//! it. The table is authoritative; this grammar restates it:
 //!
 //! ```text
-//! Frame   := version:u8 (= WIRE_VERSION), tag:u8, body
-//! UserId  := IdPrefix                  (full-depth prefix)
+//! Frame   := version:u8 (= WIRE_VERSION), tag:u8, the fields of the tag's row
+//! Prefix  := len:u8, digits:[u16; len]   (len ≤ depth, digits < base)
+//! UserId  := Prefix                      (full depth)
+//! Vec<T>  := count:u32, T*               (of records: count ≤ the ID space)
 //! Member  := id:UserId, host:u64, joined_at:u64
 //! Record  := Member, rtt:u64
-//! Records := count:u32, Record*        (count ≤ the ID space)
-//! Table   := owner:UserId, k:u16, policy:u8, Records
-//! Welcome := id:UserId, interval:u64, count:u32, Key*
-//! Prefix  := len:u8, digits:[u16; len]
-//! IvalMsg := interval:u64, epoch:u64, sent_at:u64, seq:u64, count:u32, Encryption*
+//! Table   := owner:UserId, k:u16 (> 0), policy:u8, Vec<Record>
+//! Welcome := id:UserId, interval:u64, Vec<Key>
+//! ReplOp  := op:u8 (0 Join, 1 Leave, 2 Interval), the fields of the op's row
+//! Forward := level:u8, prefix:Prefix, interval:u64, epoch:u64, sent_at:u64,
+//!            seq:u64, Vec<Encryption>   (written by hand, see below)
 //! ```
 //!
-//! Two deliberate asymmetries keep frames small and the codec total:
+//! A `usize` or a `HostId` travels as a `u64`. Two deliberate asymmetries
+//! keep frames small and the codec total:
 //!
 //! * an [`IntervalMessage`]'s split index is **not** serialized — the
 //!   decoder rebuilds it with [`SplitIndex::build`] over the decoded
 //!   encryptions, which addresses the same related sets (the index is a
 //!   pure function of the encryption IDs);
 //! * a [`NeighborTable`] is serialized as its record list and rebuilt by
-//!   re-insertion, which reproduces the RTT-sorted entries exactly.
+//!   re-insertion: `iter_all` yields entries in (row, digit, RTT) order and
+//!   `insert` is stable on RTT ties, so order and primaries survive.
 //!
 //! Decoding is a total function over arbitrary bytes: truncated, corrupt,
 //! or version-skewed frames return a [`WireError`] — never a panic. The
-//! round-trip property (`decode(encode(m)) == m` up to `Arc` identity)
-//! is pinned by a proptest in `tests/rtmsg_wire.rs`.
+//! round trip is pinned by a proptest in `tests/rtmsg_wire.rs`, the bytes
+//! of every tag by `tests/golden_layout.rs`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -37,12 +45,13 @@ use rekey_crypto::wire::{
     decode_encryption_from, decode_key_from, decode_prefix, encode_encryption, encode_key,
     encode_prefix, DecodeError, Reader,
 };
-use rekey_crypto::Encryption;
-use rekey_id::{IdSpec, UserId};
+use rekey_crypto::{Encryption, Key};
+use rekey_id::{IdPrefix, IdSpec, UserId};
 use rekey_net::HostId;
-use rekey_table::{Member, NeighborRecord, NeighborTable, PrimaryPolicy};
+use rekey_table::PrimaryPolicy::{self, EarliestJoinAtBottom, SmallestRtt};
+use rekey_table::{Member, NeighborRecord, NeighborTable};
 
-use crate::transport::{PrefixBuf, SplitIndex, MAX_DEPTH};
+use crate::transport::{PrefixBuf, SplitIndex};
 use crate::WelcomePacket;
 
 use super::core::{IntervalMessage, ReplOp, RtMsg};
@@ -90,428 +99,344 @@ impl From<DecodeError> for WireError {
     }
 }
 
-// Tags 0x01–0x03, 0x16–0x18 and 0x1D–0x1F once named a node's own timers
-// and its driver's commands; 0x07 and 0x0A named the per-member
-// `NewMember`/`MemberLeft` broadcast that `Table` pushes replaced. All of
-// them decode to `WireError::UnknownTag`, and the numbers are reserved —
-// never reuse one.
-const TAG_JOIN_REQUEST: u8 = 0x04;
-const TAG_JOIN_ACCEPTED: u8 = 0x05;
-const TAG_WELCOME: u8 = 0x06;
-const TAG_LEAVE_REQUEST: u8 = 0x08;
-const TAG_LEAVE_ACK: u8 = 0x09;
-const TAG_FAILURE_NOTICE: u8 = 0x0B;
-const TAG_FORWARD: u8 = 0x0C;
-const TAG_NACK: u8 = 0x0D;
-const TAG_RECOVER: u8 = 0x0E;
-const TAG_PING: u8 = 0x0F;
-const TAG_PONG: u8 = 0x10;
-const TAG_SERVER_PING: u8 = 0x11;
-const TAG_SERVER_PONG: u8 = 0x12;
-const TAG_NOT_MEMBER: u8 = 0x13;
-const TAG_RESYNC_REQUEST: u8 = 0x14;
-const TAG_RESYNC: u8 = 0x15;
-const TAG_REPL_ENTRY: u8 = 0x19;
-const TAG_REPL_ACK: u8 = 0x1A;
-const TAG_REPL_HEARTBEAT: u8 = 0x1B;
-const TAG_CANDIDACY: u8 = 0x1C;
-const TAG_TABLE: u8 = 0x20;
-const TAG_JOIN_SEED: u8 = 0x21;
-const TAG_QUERY: u8 = 0x22;
-const TAG_QUERY_REPLY: u8 = 0x23;
-const TAG_JOIN_DIGITS: u8 = 0x24;
+/// A type a frame carries: its one layout, read back by `get` exactly as
+/// `put` writes it.
+trait Field: Sized {
+    /// The most elements a `Vec<Self>` reserves before reading them, so a
+    /// forged count cannot make the decoder allocate.
+    const PREALLOC: usize = 1 << 12;
 
-/// `ReplOp` body: `op:u8` (0 = Join, 1 = Leave, 2 = Interval) + fields.
-const OP_JOIN: u8 = 0;
-const OP_LEAVE: u8 = 1;
-const OP_INTERVAL: u8 = 2;
+    fn put(&self, out: &mut Vec<u8>);
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+    fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Self, WireError>;
 
-fn put_user_id(out: &mut Vec<u8>, id: &UserId) {
-    encode_prefix(out, &id.as_prefix());
-}
-
-fn get_user_id(r: &mut Reader<'_>, spec: &IdSpec) -> Result<UserId, WireError> {
-    decode_prefix(r, spec)?
-        .to_user_id(spec)
-        .ok_or(WireError::BadValue("user id depth"))
-}
-
-fn put_member(out: &mut Vec<u8>, m: &Member) {
-    put_user_id(out, &m.id);
-    put_u64(out, m.host.0 as u64);
-    put_u64(out, m.joined_at);
-}
-
-fn get_member(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Member, WireError> {
-    let id = get_user_id(r, spec)?;
-    let host = r.u64()?;
-    let joined_at = r.u64()?;
-    let host = usize::try_from(host).map_err(|_| WireError::BadValue("host id"))?;
-    Ok(Member {
-        id,
-        host: HostId(host),
-        joined_at,
-    })
-}
-
-fn put_record(out: &mut Vec<u8>, rec: &NeighborRecord) {
-    put_member(out, &rec.member);
-    put_u64(out, rec.rtt);
-}
-
-fn get_record(r: &mut Reader<'_>, spec: &IdSpec) -> Result<NeighborRecord, WireError> {
-    let member = get_member(r, spec)?;
-    let rtt = r.u64()?;
-    Ok(NeighborRecord { member, rtt })
-}
-
-fn put_records(out: &mut Vec<u8>, records: &[NeighborRecord]) {
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for rec in records {
-        put_record(out, rec);
+    /// Rejects a `Vec<Self>` count the protocol cannot produce.
+    fn check_count(_count: u32, _spec: &IdSpec) -> Result<(), WireError> {
+        Ok(())
     }
 }
 
-/// A record list. It names distinct members, so a count beyond the ID
-/// space is out of range.
-fn get_records(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Vec<NeighborRecord>, WireError> {
-    let count = r.u32()?;
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>, _: &IdSpec) -> Result<u64, WireError> {
+        Ok(r.u64()?)
+    }
+}
+
+impl Field for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>, _: &IdSpec) -> Result<usize, WireError> {
+        usize::try_from(r.u64()?).map_err(|_| WireError::BadValue("index"))
+    }
+}
+
+impl Field for HostId {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>, _: &IdSpec) -> Result<HostId, WireError> {
+        let host = usize::try_from(r.u64()?).map_err(|_| WireError::BadValue("host id"))?;
+        Ok(HostId(host))
+    }
+}
+
+impl Field for IdPrefix {
+    fn put(&self, out: &mut Vec<u8>) {
+        encode_prefix(out, self);
+    }
+
+    fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<IdPrefix, WireError> {
+        Ok(decode_prefix(r, spec)?)
+    }
+}
+
+impl Field for UserId {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_prefix().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<UserId, WireError> {
+        IdPrefix::get(r, spec)?
+            .to_user_id(spec)
+            .ok_or(WireError::BadValue("user id depth"))
+    }
+}
+
+/// A split key travels as the prefix it is, checked against the ID spec.
+impl Field for PrefixBuf {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<PrefixBuf, WireError> {
+        IdPrefix::get(r, spec).map(PrefixBuf)
+    }
+}
+
+impl Field for Encryption {
+    const PREALLOC: usize = 1 << 16;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        encode_encryption(self, out);
+    }
+
+    fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Encryption, WireError> {
+        Ok(decode_encryption_from(r, spec)?)
+    }
+}
+
+impl Field for Key {
+    fn put(&self, out: &mut Vec<u8>) {
+        encode_key(self, out);
+    }
+
+    fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Key, WireError> {
+        Ok(decode_key_from(r, spec)?)
+    }
+}
+
+/// Writes a list as a `Vec<T>`: its count, then the items. The list is a
+/// whole `Vec`, or the part of one a split copy carries.
+fn put_seq<'a, T: Field + 'a>(out: &mut Vec<u8>, items: impl IntoIterator<Item = &'a T>) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut count = 0u32;
+    for item in items {
+        item.put(out);
+        count += 1;
+    }
+    out[at..at + 4].copy_from_slice(&count.to_le_bytes());
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self);
+    }
+
+    fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Vec<T>, WireError> {
+        let count = r.u32()?;
+        T::check_count(count, spec)?;
+        let mut items = Vec::with_capacity((count as usize).min(T::PREALLOC));
+        for _ in 0..count {
+            items.push(T::get(r, spec)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Derives [`Field`] for a struct: its fields, in the order listed.
+/// `#[count(check)]` rejects the counts a list of the struct cannot have.
+macro_rules! structs {
+    ($($(#[count($check:ident)])? $name:ident { $($field:ident: $ty:ty),* $(,)? })*) => {$(
+        impl Field for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(<$ty as Field>::put(&self.$field, out);)*
+            }
+
+            fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<$name, WireError> {
+                Ok($name {
+                    $($field: <$ty as Field>::get(r, spec)?,)*
+                })
+            }
+
+            $(fn check_count(count: u32, spec: &IdSpec) -> Result<(), WireError> {
+                $check(count, spec)
+            })?
+        }
+    )*};
+}
+
+structs! {
+    Member { id: UserId, host: HostId, joined_at: u64 }
+    #[count(distinct_members)]
+    NeighborRecord { member: Member, rtt: u64 }
+    WelcomePacket { id: UserId, interval: u64, keys: Vec<Key> }
+}
+
+/// A record list names distinct members, so a count beyond the ID space
+/// is out of range.
+fn distinct_members(count: u32, spec: &IdSpec) -> Result<(), WireError> {
     if u64::from(count) > spec.id_space() {
         return Err(WireError::BadValue("record count"));
     }
-    let mut records = Vec::with_capacity((count as usize).min(1 << 12));
-    for _ in 0..count {
-        records.push(get_record(r, spec)?);
+    Ok(())
+}
+
+/// The primary policies by their wire byte.
+const POLICIES: [PrimaryPolicy; 2] = [SmallestRtt, EarliestJoinAtBottom];
+
+impl Field for Arc<NeighborTable> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.owner().put(out);
+        out.extend_from_slice(&(self.k() as u16).to_le_bytes());
+        let policy = POLICIES.iter().position(|&p| p == self.policy());
+        out.push(policy.expect("every policy has a byte") as u8);
+        put_seq(out, self.iter_all());
     }
-    Ok(records)
+
+    fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Arc<NeighborTable>, WireError> {
+        let owner = UserId::get(r, spec)?;
+        let k = usize::from(r.u16()?);
+        let policy =
+            *(POLICIES.get(usize::from(r.u8()?))).ok_or(WireError::BadValue("primary policy"))?;
+        if k == 0 {
+            return Err(WireError::BadValue("table capacity"));
+        }
+        let mut table = NeighborTable::new(spec, owner, k, policy);
+        for record in Vec::<NeighborRecord>::get(r, spec)? {
+            table.insert(record);
+        }
+        Ok(Arc::new(table))
+    }
 }
 
-fn put_table(out: &mut Vec<u8>, t: &NeighborTable) {
-    put_user_id(out, t.owner());
-    out.extend_from_slice(&(t.k() as u16).to_le_bytes());
-    out.push(match t.policy() {
-        PrimaryPolicy::SmallestRtt => 0,
-        PrimaryPolicy::EarliestJoinAtBottom => 1,
-    });
-    put_records(out, t.iter_all().as_slice());
-}
+/// Derives [`Field`] for a tagged enum from one table: a tag byte, then
+/// the variant's fields in the order listed. A last row marked
+/// `#[by_hand(put, get)]` has its body written by `put(out, fields…)` and
+/// read by `get(r, spec)`; `$unknown` turns any other tag into the error.
+macro_rules! tagged {
+    (
+        $enum:ident, $unknown:expr;
+        $($tag:ident = $value:literal => $variant:ident { $($field:ident: $ty:ty),* $(,)? },)*
+        $(#[by_hand($put:ident, $get:ident)]
+            $htag:ident = $hvalue:literal => $hvariant:ident { $($hfield:ident),* },)?
+    ) => {
+        $(const $tag: u8 = $value;)*
+        $(const $htag: u8 = $hvalue;)?
 
-fn get_table(r: &mut Reader<'_>, spec: &IdSpec) -> Result<Arc<NeighborTable>, WireError> {
-    let owner = get_user_id(r, spec)?;
-    let k = usize::from(r.u16()?);
-    let policy = match r.u8()? {
-        0 => PrimaryPolicy::SmallestRtt,
-        1 => PrimaryPolicy::EarliestJoinAtBottom,
-        _ => return Err(WireError::BadValue("primary policy")),
+        impl Field for $enum {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($enum::$variant { $($field),* } => {
+                        out.push($tag);
+                        $(<$ty as Field>::put($field, out);)*
+                    })*
+                    $($enum::$hvariant { $($hfield),* } => {
+                        out.push($htag);
+                        $put(out, $($hfield),*);
+                    })?
+                }
+            }
+
+            fn get(r: &mut Reader<'_>, spec: &IdSpec) -> Result<$enum, WireError> {
+                Ok(match r.u8()? {
+                    $($tag => $enum::$variant {
+                        $($field: <$ty as Field>::get(r, spec)?,)*
+                    },)*
+                    $($htag => $get(r, spec)?,)?
+                    other => return Err($unknown(other)),
+                })
+            }
+        }
     };
-    if k == 0 {
-        return Err(WireError::BadValue("table capacity"));
-    }
-    let mut table = NeighborTable::new(spec, owner, k, policy);
-    // Re-insertion reproduces the sender's table: `iter_all` yields entries
-    // in (row, digit, rtt) order and `insert` is stable on RTT ties, so
-    // order and primaries survive the round trip.
-    for record in get_records(r, spec)? {
-        table.insert(record);
-    }
-    Ok(Arc::new(table))
 }
 
-fn put_welcome(out: &mut Vec<u8>, w: &WelcomePacket) {
-    put_user_id(out, &w.id);
-    put_u64(out, w.interval);
-    out.extend_from_slice(&(w.keys.len() as u32).to_le_bytes());
-    for k in &w.keys {
-        encode_key(k, out);
-    }
+tagged! {
+    ReplOp, |_| WireError::BadValue("replication op");
+    OP_JOIN = 0 => Join { host: HostId, at: u64, id: UserId },
+    OP_LEAVE = 1 => Leave { id: UserId },
+    OP_INTERVAL = 2 => Interval { sent_at: u64 },
 }
 
-fn get_welcome(r: &mut Reader<'_>, spec: &IdSpec) -> Result<WelcomePacket, WireError> {
-    let id = get_user_id(r, spec)?;
-    let interval = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut keys = Vec::with_capacity(count.min(1 << 12));
-    for _ in 0..count {
-        keys.push(decode_key_from(r, spec)?);
-    }
-    Ok(WelcomePacket { id, keys, interval })
+// The message table. Tags 0x01–0x03, 0x16–0x18 and 0x1D–0x1F once named a
+// node's own timers and its driver's commands; 0x07 and 0x0A named the
+// per-member `NewMember`/`MemberLeft` broadcast that `Table` pushes
+// replaced. All of them decode to `WireError::UnknownTag`, and the numbers
+// are reserved — never reuse one.
+tagged! {
+    RtMsg, WireError::UnknownTag;
+    TAG_JOIN_REQUEST = 0x04 => JoinRequest {},
+    TAG_JOIN_ACCEPTED = 0x05 => JoinAccepted {
+        member: Member, table: Arc<NeighborTable>, epoch: u64, seq: u64,
+    },
+    TAG_WELCOME = 0x06 => Welcome { welcome: WelcomePacket, epoch: u64, next_interval_at: u64 },
+    TAG_LEAVE_REQUEST = 0x08 => LeaveRequest {},
+    TAG_LEAVE_ACK = 0x09 => LeaveAck {},
+    TAG_FAILURE_NOTICE = 0x0B => FailureNotice { failed: UserId },
+    TAG_NACK = 0x0D => Nack { interval: u64, id: UserId },
+    TAG_RECOVER = 0x0E => Recover {
+        interval: u64, sent_at: u64, seq: u64, encryptions: Vec<Encryption>,
+    },
+    TAG_PING = 0x0F => Ping { token: u64 },
+    TAG_PONG = 0x10 => Pong { token: u64, access_rtt: u64 },
+    TAG_SERVER_PING = 0x11 => ServerPing { id: UserId },
+    TAG_SERVER_PONG = 0x12 => ServerPong { epoch: u64, seq: u64, interval: u64 },
+    TAG_NOT_MEMBER = 0x13 => NotMember { id: UserId },
+    TAG_RESYNC_REQUEST = 0x14 => ResyncRequest { id: UserId },
+    TAG_RESYNC = 0x15 => Resync {
+        member: Member, table: Arc<NeighborTable>, welcome: WelcomePacket,
+        epoch: u64, seq: u64, next_interval_at: u64,
+    },
+    TAG_REPL_ENTRY = 0x19 => ReplEntry { idx: u64, epoch: u64, op: ReplOp },
+    TAG_REPL_ACK = 0x1A => ReplAck { replica: usize, idx: u64 },
+    TAG_REPL_HEARTBEAT = 0x1B => ReplHeartbeat {
+        epoch: u64, idx: u64, replica: usize, floor: u64,
+    },
+    TAG_CANDIDACY = 0x1C => Candidacy { epoch: u64, idx: u64, replica: usize },
+    TAG_TABLE = 0x20 => Table { table: Arc<NeighborTable>, epoch: u64, seq: u64 },
+    TAG_JOIN_SEED = 0x21 => JoinSeed { seed: Member },
+    TAG_QUERY = 0x22 => Query { target: IdPrefix },
+    TAG_QUERY_REPLY = 0x23 => QueryReply { target: IdPrefix, records: Vec<NeighborRecord> },
+    TAG_JOIN_DIGITS = 0x24 => JoinDigits { digits: IdPrefix },
+    // A split copy carries only part of its message; see `encode_forward_split`.
+    #[by_hand(put_forward, get_forward)]
+    TAG_FORWARD = 0x0C => Forward { level, prefix, message },
 }
 
-fn put_prefix_buf(out: &mut Vec<u8>, p: &PrefixBuf) {
-    let digits = p.as_slice();
-    out.push(digits.len() as u8);
-    for &d in digits {
-        out.extend_from_slice(&d.to_le_bytes());
-    }
+/// A whole `Forward`: every encryption of its message.
+fn put_forward(out: &mut Vec<u8>, level: &usize, prefix: &PrefixBuf, m: &Arc<IntervalMessage>) {
+    put_forward_body(out, *level, prefix, m, &m.encryptions);
 }
 
-fn get_prefix_buf(r: &mut Reader<'_>) -> Result<PrefixBuf, WireError> {
-    let len = usize::from(r.u8()?);
-    if len > MAX_DEPTH {
-        return Err(WireError::BadValue("prefix depth"));
-    }
-    let mut digits = [0u16; MAX_DEPTH];
-    for d in digits.iter_mut().take(len) {
-        *d = r.u16()?;
-    }
-    Ok(PrefixBuf::new(&digits[..len]))
-}
-
-/// A `Forward` frame's tag and body: the level, the prefix, the header of
-/// `m`, then `count` encryptions — all of `m`'s, or the subset a split
-/// copy carries.
-fn put_forward<'a>(
+/// A `Forward` frame's body: the level, the prefix, the header of `m`,
+/// then encryptions — all of `m`'s, or the subset a split copy carries.
+fn put_forward_body<'a>(
     out: &mut Vec<u8>,
     level: usize,
     prefix: &PrefixBuf,
     m: &IntervalMessage,
-    count: usize,
-    encryptions: impl Iterator<Item = &'a Encryption>,
+    encryptions: impl IntoIterator<Item = &'a Encryption>,
 ) {
-    out.push(TAG_FORWARD);
     out.push(level as u8);
-    put_prefix_buf(out, prefix);
-    put_u64(out, m.interval);
-    put_u64(out, m.epoch);
-    put_u64(out, m.sent_at);
-    put_u64(out, m.seq);
-    out.extend_from_slice(&(count as u32).to_le_bytes());
-    for e in encryptions {
-        encode_encryption(e, out);
+    prefix.put(out);
+    for word in [m.interval, m.epoch, m.sent_at, m.seq] {
+        word.put(out);
     }
+    put_seq(out, encryptions);
 }
 
-fn get_interval_message(r: &mut Reader<'_>, spec: &IdSpec) -> Result<IntervalMessage, WireError> {
-    let interval = r.u64()?;
-    let epoch = r.u64()?;
-    let sent_at = r.u64()?;
-    let seq = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut encryptions = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        encryptions.push(decode_encryption_from(r, spec)?);
-    }
-    let index = SplitIndex::build(&encryptions);
-    Ok(IntervalMessage {
+fn get_forward(r: &mut Reader<'_>, spec: &IdSpec) -> Result<RtMsg, WireError> {
+    let level = usize::from(r.u8()?);
+    let prefix = PrefixBuf::get(r, spec)?;
+    let [interval, epoch, sent_at, seq] = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    let encryptions = Vec::<Encryption>::get(r, spec)?;
+    let message = Arc::new(IntervalMessage {
+        index: SplitIndex::build(&encryptions),
         interval,
         epoch,
         sent_at,
         seq,
         encryptions,
-        index,
+    });
+    Ok(RtMsg::Forward {
+        level,
+        prefix,
+        message,
     })
-}
-
-fn put_repl_op(out: &mut Vec<u8>, op: &ReplOp) {
-    match op {
-        ReplOp::Join { host, at, id } => {
-            out.push(OP_JOIN);
-            put_u64(out, host.0 as u64);
-            put_u64(out, *at);
-            put_user_id(out, id);
-        }
-        ReplOp::Leave { id } => {
-            out.push(OP_LEAVE);
-            put_user_id(out, id);
-        }
-        ReplOp::Interval { sent_at } => {
-            out.push(OP_INTERVAL);
-            put_u64(out, *sent_at);
-        }
-    }
-}
-
-fn get_repl_op(r: &mut Reader<'_>, spec: &IdSpec) -> Result<ReplOp, WireError> {
-    match r.u8()? {
-        OP_JOIN => {
-            let host = r.u64()?;
-            let host = usize::try_from(host).map_err(|_| WireError::BadValue("host id"))?;
-            let at = r.u64()?;
-            let id = get_user_id(r, spec)?;
-            Ok(ReplOp::Join {
-                host: HostId(host),
-                at,
-                id,
-            })
-        }
-        OP_LEAVE => Ok(ReplOp::Leave {
-            id: get_user_id(r, spec)?,
-        }),
-        OP_INTERVAL => Ok(ReplOp::Interval { sent_at: r.u64()? }),
-        _ => Err(WireError::BadValue("replication op")),
-    }
 }
 
 /// Appends one versioned [`RtMsg`] frame to `out`. Every variant encodes,
 /// so drivers and tests can treat the codec as total.
 pub fn encode_msg(msg: &RtMsg, out: &mut Vec<u8>) {
     out.push(WIRE_VERSION);
-    match msg {
-        RtMsg::JoinRequest => out.push(TAG_JOIN_REQUEST),
-        RtMsg::JoinSeed { seed } => {
-            out.push(TAG_JOIN_SEED);
-            put_member(out, seed);
-        }
-        RtMsg::Query { target } => {
-            out.push(TAG_QUERY);
-            encode_prefix(out, target);
-        }
-        RtMsg::QueryReply { target, records } => {
-            out.push(TAG_QUERY_REPLY);
-            encode_prefix(out, target);
-            put_records(out, records);
-        }
-        RtMsg::JoinDigits { digits } => {
-            out.push(TAG_JOIN_DIGITS);
-            encode_prefix(out, digits);
-        }
-        RtMsg::JoinAccepted {
-            member,
-            table,
-            epoch,
-            seq,
-        } => {
-            out.push(TAG_JOIN_ACCEPTED);
-            put_member(out, member);
-            put_table(out, table);
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-        }
-        RtMsg::Welcome {
-            welcome,
-            epoch,
-            next_interval_at,
-        } => {
-            out.push(TAG_WELCOME);
-            put_welcome(out, welcome);
-            put_u64(out, *epoch);
-            put_u64(out, *next_interval_at);
-        }
-        RtMsg::Table { table, epoch, seq } => {
-            out.push(TAG_TABLE);
-            put_table(out, table);
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-        }
-        RtMsg::LeaveRequest => out.push(TAG_LEAVE_REQUEST),
-        RtMsg::LeaveAck => out.push(TAG_LEAVE_ACK),
-        RtMsg::FailureNotice { failed } => {
-            out.push(TAG_FAILURE_NOTICE);
-            put_user_id(out, failed);
-        }
-        RtMsg::Forward {
-            level,
-            prefix,
-            message,
-        } => {
-            let all = &message.encryptions;
-            put_forward(out, *level, prefix, message, all.len(), all.iter());
-        }
-        RtMsg::Nack { interval, id } => {
-            out.push(TAG_NACK);
-            put_u64(out, *interval);
-            put_user_id(out, id);
-        }
-        RtMsg::Recover {
-            interval,
-            encryptions,
-            sent_at,
-            seq,
-        } => {
-            out.push(TAG_RECOVER);
-            put_u64(out, *interval);
-            put_u64(out, *sent_at);
-            put_u64(out, *seq);
-            out.extend_from_slice(&(encryptions.len() as u32).to_le_bytes());
-            for e in encryptions {
-                encode_encryption(e, out);
-            }
-        }
-        RtMsg::Ping { token } => {
-            out.push(TAG_PING);
-            put_u64(out, *token);
-        }
-        RtMsg::Pong { token, access_rtt } => {
-            out.push(TAG_PONG);
-            put_u64(out, *token);
-            put_u64(out, *access_rtt);
-        }
-        RtMsg::ServerPing { id } => {
-            out.push(TAG_SERVER_PING);
-            put_user_id(out, id);
-        }
-        RtMsg::ServerPong {
-            epoch,
-            seq,
-            interval,
-        } => {
-            out.push(TAG_SERVER_PONG);
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-            put_u64(out, *interval);
-        }
-        RtMsg::NotMember { id } => {
-            out.push(TAG_NOT_MEMBER);
-            put_user_id(out, id);
-        }
-        RtMsg::ResyncRequest { id } => {
-            out.push(TAG_RESYNC_REQUEST);
-            put_user_id(out, id);
-        }
-        RtMsg::Resync {
-            member,
-            table,
-            welcome,
-            epoch,
-            seq,
-            next_interval_at,
-        } => {
-            out.push(TAG_RESYNC);
-            put_member(out, member);
-            put_table(out, table);
-            put_welcome(out, welcome);
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-            put_u64(out, *next_interval_at);
-        }
-        RtMsg::ReplEntry { idx, epoch, op } => {
-            out.push(TAG_REPL_ENTRY);
-            put_u64(out, *idx);
-            put_u64(out, *epoch);
-            put_repl_op(out, op);
-        }
-        RtMsg::ReplAck { replica, idx } => {
-            out.push(TAG_REPL_ACK);
-            put_u64(out, *replica as u64);
-            put_u64(out, *idx);
-        }
-        RtMsg::ReplHeartbeat {
-            epoch,
-            idx,
-            replica,
-            floor,
-        } => {
-            out.push(TAG_REPL_HEARTBEAT);
-            put_u64(out, *epoch);
-            put_u64(out, *idx);
-            put_u64(out, *replica as u64);
-            put_u64(out, *floor);
-        }
-        RtMsg::Candidacy {
-            epoch,
-            idx,
-            replica,
-        } => {
-            out.push(TAG_CANDIDACY);
-            put_u64(out, *epoch);
-            put_u64(out, *idx);
-            put_u64(out, *replica as u64);
-        }
-    }
+    msg.put(out);
 }
 
 /// Decodes one [`RtMsg`] frame, requiring the whole input to be consumed.
@@ -526,168 +451,7 @@ pub fn decode_msg(buf: &[u8], spec: &IdSpec) -> Result<RtMsg, WireError> {
     if version != WIRE_VERSION {
         return Err(WireError::Version(version));
     }
-    let tag = r.u8()?;
-    let msg = match tag {
-        TAG_JOIN_REQUEST => RtMsg::JoinRequest,
-        TAG_JOIN_SEED => RtMsg::JoinSeed {
-            seed: get_member(&mut r, spec)?,
-        },
-        TAG_QUERY => RtMsg::Query {
-            target: decode_prefix(&mut r, spec)?,
-        },
-        TAG_QUERY_REPLY => {
-            let target = decode_prefix(&mut r, spec)?;
-            let records = get_records(&mut r, spec)?;
-            RtMsg::QueryReply { target, records }
-        }
-        TAG_JOIN_DIGITS => RtMsg::JoinDigits {
-            digits: decode_prefix(&mut r, spec)?,
-        },
-        TAG_JOIN_ACCEPTED => {
-            let member = get_member(&mut r, spec)?;
-            let table = get_table(&mut r, spec)?;
-            let epoch = r.u64()?;
-            let seq = r.u64()?;
-            RtMsg::JoinAccepted {
-                member,
-                table,
-                epoch,
-                seq,
-            }
-        }
-        TAG_WELCOME => {
-            let welcome = get_welcome(&mut r, spec)?;
-            let epoch = r.u64()?;
-            let next_interval_at = r.u64()?;
-            RtMsg::Welcome {
-                welcome,
-                epoch,
-                next_interval_at,
-            }
-        }
-        TAG_TABLE => {
-            let table = get_table(&mut r, spec)?;
-            let epoch = r.u64()?;
-            let seq = r.u64()?;
-            RtMsg::Table { table, epoch, seq }
-        }
-        TAG_LEAVE_REQUEST => RtMsg::LeaveRequest,
-        TAG_LEAVE_ACK => RtMsg::LeaveAck,
-        TAG_FAILURE_NOTICE => RtMsg::FailureNotice {
-            failed: get_user_id(&mut r, spec)?,
-        },
-        TAG_FORWARD => {
-            let level = usize::from(r.u8()?);
-            let prefix = get_prefix_buf(&mut r)?;
-            let message = get_interval_message(&mut r, spec)?;
-            RtMsg::Forward {
-                level,
-                prefix,
-                message: Arc::new(message),
-            }
-        }
-        TAG_NACK => RtMsg::Nack {
-            interval: r.u64()?,
-            id: get_user_id(&mut r, spec)?,
-        },
-        TAG_RECOVER => {
-            let interval = r.u64()?;
-            let sent_at = r.u64()?;
-            let seq = r.u64()?;
-            let count = r.u32()? as usize;
-            let mut encryptions = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                encryptions.push(decode_encryption_from(&mut r, spec)?);
-            }
-            RtMsg::Recover {
-                interval,
-                encryptions,
-                sent_at,
-                seq,
-            }
-        }
-        TAG_PING => RtMsg::Ping { token: r.u64()? },
-        TAG_PONG => {
-            let token = r.u64()?;
-            let access_rtt = r.u64()?;
-            RtMsg::Pong { token, access_rtt }
-        }
-        TAG_SERVER_PING => RtMsg::ServerPing {
-            id: get_user_id(&mut r, spec)?,
-        },
-        TAG_SERVER_PONG => {
-            let epoch = r.u64()?;
-            let seq = r.u64()?;
-            let interval = r.u64()?;
-            RtMsg::ServerPong {
-                epoch,
-                seq,
-                interval,
-            }
-        }
-        TAG_NOT_MEMBER => RtMsg::NotMember {
-            id: get_user_id(&mut r, spec)?,
-        },
-        TAG_RESYNC_REQUEST => RtMsg::ResyncRequest {
-            id: get_user_id(&mut r, spec)?,
-        },
-        TAG_RESYNC => {
-            let member = get_member(&mut r, spec)?;
-            let table = get_table(&mut r, spec)?;
-            let welcome = get_welcome(&mut r, spec)?;
-            let epoch = r.u64()?;
-            let seq = r.u64()?;
-            let next_interval_at = r.u64()?;
-            RtMsg::Resync {
-                member,
-                table,
-                welcome,
-                epoch,
-                seq,
-                next_interval_at,
-            }
-        }
-        TAG_REPL_ENTRY => {
-            let idx = r.u64()?;
-            let epoch = r.u64()?;
-            let op = get_repl_op(&mut r, spec)?;
-            RtMsg::ReplEntry { idx, epoch, op }
-        }
-        TAG_REPL_ACK => {
-            let replica = r.u64()?;
-            let replica =
-                usize::try_from(replica).map_err(|_| WireError::BadValue("replica index"))?;
-            let idx = r.u64()?;
-            RtMsg::ReplAck { replica, idx }
-        }
-        TAG_REPL_HEARTBEAT => {
-            let epoch = r.u64()?;
-            let idx = r.u64()?;
-            let replica = r.u64()?;
-            let replica =
-                usize::try_from(replica).map_err(|_| WireError::BadValue("replica index"))?;
-            let floor = r.u64()?;
-            RtMsg::ReplHeartbeat {
-                epoch,
-                idx,
-                replica,
-                floor,
-            }
-        }
-        TAG_CANDIDACY => {
-            let epoch = r.u64()?;
-            let idx = r.u64()?;
-            let replica = r.u64()?;
-            let replica =
-                usize::try_from(replica).map_err(|_| WireError::BadValue("replica index"))?;
-            RtMsg::Candidacy {
-                epoch,
-                idx,
-                replica,
-            }
-        }
-        other => return Err(WireError::UnknownTag(other)),
-    };
+    let msg = RtMsg::get(&mut r, spec)?;
     r.finish()?;
     Ok(msg)
 }
@@ -708,9 +472,8 @@ pub fn encode_forward_split(
     message: &IntervalMessage,
     out: &mut Vec<u8>,
 ) {
-    let digits = prefix.as_slice();
-    let count = message.index.count(digits);
-    let related = (message.index.indices(digits)).map(|i| &message.encryptions[i]);
+    let related = (message.index.indices(prefix.as_slice())).map(|i| &message.encryptions[i]);
     out.push(WIRE_VERSION);
-    put_forward(out, level, prefix, message, count, related);
+    out.push(TAG_FORWARD);
+    put_forward_body(out, level, prefix, message, related);
 }
