@@ -923,10 +923,15 @@ impl RtServer {
             }
             RtMsg::Nack { interval, id } => {
                 self.stats.nacks += 1;
-                let message = self.history.get(&interval);
-                let Some(message) = message.filter(|_| self.verified(ctx, &id, from)) else {
-                    // Unknown member or rolled-back interval: the prober's
-                    // heartbeat will sort it out (`NotMember` / epoch).
+                // A departed member NACKs the interval that rekeyed it out;
+                // a dealt one sends no heartbeat, so this is its only cue.
+                if !self.verified(ctx, &id, from) {
+                    ctx.send(from, RtMsg::NotMember { id });
+                    return;
+                }
+                // A rolled-back interval: the NACK's escalation to a
+                // resync, or the new epoch, sorts it out.
+                let Some(message) = self.history.get(&interval) else {
                     return;
                 };
                 let seq = self.table_version(&id);

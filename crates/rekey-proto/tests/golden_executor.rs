@@ -16,8 +16,12 @@
 //! live protocol run to convergence instead of a shutdown mode and a
 //! member stopped rotating its retransmissions away from a replica that
 //! had answered since its last request (the failover session's outcome
-//! moved with that); CHANGES.md lists each value that moved and why. A
-//! failing assertion prints the current value.
+//! moved with that), and again when the server began to answer a
+//! non-member's NACK with `NotMember` (the failover session's outcome and
+//! counters moved: six members cut off by its partition learn of their
+//! eviction from their NACKs instead of their next heartbeat);
+//! CHANGES.md lists each value that moved and why. A failing assertion
+//! prints the current value.
 
 use rekey_crypto::Key;
 use rekey_id::{IdSpec, UserId};
@@ -350,9 +354,9 @@ const FAILOVER_OUTCOME: Outcome = Outcome {
     members: 61,
     interval: 33,
     epoch: 1,
-    roster: 0x935d_a213_8a40_cafe,
-    group_key: 0xf3c2_e1cc_0b08_ba5c,
-    path_keys: 0x6a91_6179_6f15_0b9d,
+    roster: 0x7058_60f2_c556_50db,
+    group_key: 0xebe8_468d_0359_42fb,
+    path_keys: 0x6a0d_eff0_2cf8_999b,
 };
 
 const LOSSLESS_COUNTERS: &str = r#"{
@@ -451,44 +455,44 @@ const FAILOVER_COUNTERS: &str = r#"{
     "joins": 77,
     "departures": 16,
     "failures_detected": 14,
-    "forward_copies": 1755,
-    "copies_lost": 914,
+    "forward_copies": 1888,
+    "copies_lost": 910,
     "dead_letters": 0,
-    "suppressed": 214,
-    "nacks": 316,
-    "recovery_encryptions": 76,
-    "pings": 25697,
-    "evictions": 222,
-    "retransmissions": 235,
+    "suppressed": 216,
+    "nacks": 223,
+    "recovery_encryptions": 32,
+    "pings": 25772,
+    "evictions": 216,
+    "retransmissions": 232,
     "max_retry_attempts": 5,
-    "resyncs": 56,
+    "resyncs": 62,
     "rejoins": 13,
     "rehabilitations": 194,
     "restarts": 1,
     "checkpoints": 33,
-    "delivered": 70342,
+    "delivered": 70304,
     "welcomes": 77,
     "leave_acks": 3,
-    "tree_encryptions": 280,
+    "tree_encryptions": 237,
     "tombstone_hits": 10,
     "partition_cuts": 803,
-    "fault_loss_drops": 111,
+    "fault_loss_drops": 107,
     "elections": 2,
     "promotions": 1,
     "lost_mutations": 0,
-    "repl_lag_peak": 9,
+    "repl_lag_peak": 7,
     "peak_queue_depth": 370
   },
   "histograms": {
     "apply_delay_us": {
-      "count": 1856,
-      "sum": 76655147,
+      "count": 1913,
+      "sum": 62925240,
       "min": 1100,
-      "max": 944564,
-      "mean": 41301.26,
-      "p50": 3897,
-      "p95": 176947,
-      "p99": 522733
+      "max": 924720,
+      "mean": 32893.49,
+      "p50": 3863,
+      "p95": 105668,
+      "p99": 521577
     },
     "batch_size": {
       "count": 33,
@@ -497,37 +501,37 @@ const FAILOVER_COUNTERS: &str = r#"{
       "max": 64,
       "mean": 2.82,
       "p50": 1,
-      "p95": 13,
+      "p95": 14,
       "p99": 64
     },
     "split_payload": {
-      "count": 1634,
-      "sum": 1325,
+      "count": 1771,
+      "sum": 1057,
       "min": 0,
       "max": 51,
-      "mean": 0.81,
+      "mean": 0.60,
       "p50": 1,
       "p95": 4,
-      "p99": 10
+      "p99": 9
     },
     "forward_fanout": {
-      "count": 1667,
-      "sum": 1755,
+      "count": 1804,
+      "sum": 1888,
       "min": 0,
-      "max": 13,
+      "max": 12,
       "mean": 1.05,
       "p50": 1,
       "p95": 7,
-      "p99": 13
+      "p99": 12
     },
     "recovery_size": {
-      "count": 357,
-      "sum": 76,
+      "count": 278,
+      "sum": 32,
       "min": 0,
       "max": 3,
-      "mean": 0.21,
+      "mean": 0.12,
       "p50": 1,
-      "p95": 3,
+      "p95": 2,
       "p99": 3
     }
   },
