@@ -1752,8 +1752,13 @@ struct Joiner {
 /// A buffered rekey payload for one interval, applied strictly in order.
 #[derive(Clone)]
 pub(crate) enum PendingPayload {
-    /// A multicast copy (the member's related set is a subset, Lemma 3).
-    Mesh(Arc<IntervalMessage>),
+    /// A multicast copy and the prefix it serves: the member absorbs what
+    /// the copy carries, the encryptions related to that prefix, as a
+    /// socket frame carries them (its related set is a subset, Lemma 3).
+    Mesh {
+        message: Arc<IntervalMessage>,
+        prefix: PrefixBuf,
+    },
     /// A unicast recovery reply (already exactly the related set).
     Unicast {
         encryptions: Vec<Encryption>,
@@ -2217,7 +2222,7 @@ impl RtMember {
                 if needed {
                     self.pending
                         .entry(message.interval)
-                        .or_insert(PendingPayload::Mesh(message));
+                        .or_insert(PendingPayload::Mesh { message, prefix });
                     self.drain_payloads(ctx);
                 }
                 let grace = self.adaptive_grace(ctx);
@@ -2422,7 +2427,7 @@ impl RtMember {
     /// agent, plus any NACK retry the application satisfied.
     fn drain_payloads(&mut self, ctx: &mut Outbox) {
         let now = ctx.now();
-        let (Some(agent), Some(member)) = (self.agent.as_mut(), self.member.as_ref()) else {
+        let Some(agent) = self.agent.as_mut() else {
             return;
         };
         loop {
@@ -2436,8 +2441,8 @@ impl RtMember {
             let next = agent.interval() + 1;
             let (sent_at, span) = match self.pending.remove(&next) {
                 None => break,
-                Some(PendingPayload::Mesh(message)) => {
-                    let related = message.index.indices(member.id.digits());
+                Some(PendingPayload::Mesh { message, prefix }) => {
+                    let related = message.index.indices(prefix.as_slice());
                     agent.handle_rekey(next, related.map(|e| &message.encryptions[e]));
                     (message.sent_at, "apply")
                 }
@@ -3108,8 +3113,10 @@ mod tests {
         let (mut member, _) = RtMember::welcomed(&config, fsm.group(), 3, welcomes.swap_remove(3));
 
         // Per round, a leave and the interval boundary that rekeys it:
-        // what the primary streams to replica 1, and one multicast copy of
-        // the interval, each arriving 1 ms after it was sent.
+        // what the primary streams to replica 1, and the multicast copy of
+        // the interval whose prefix covers member 3, each arriving 1 ms
+        // after it was sent.
+        let id = fsm.group().members()[3].id;
         let (mut entries, mut copies) = (Vec::new(), Vec::new());
         let mut out = outbox(REPLICAS);
         for (round, leaver) in [(1, 5), (2, 9)] {
@@ -3129,7 +3136,9 @@ mod tests {
                     let delivery = (now + 1_000, msg);
                     match delivery.1 {
                         RtMsg::ReplEntry { .. } if to == NodeId(1) => entries.push(delivery),
-                        RtMsg::Forward { .. } if copies.len() < round as usize => {
+                        RtMsg::Forward { ref prefix, .. }
+                            if copies.len() < round as usize && prefix.0.is_prefix_of_id(&id) =>
+                        {
                             copies.push(delivery);
                         }
                         _ => {}
