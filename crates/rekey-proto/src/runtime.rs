@@ -129,7 +129,7 @@
 
 use std::sync::Arc;
 
-use rekey_metrics::{json, merge_spans, HistogramSnapshot, LocalHistogram, SpanRecord};
+use rekey_metrics::{json, merge_spans, HistogramSnapshot, LocalHistogram, SpanLog, SpanRecord};
 use rekey_net::HostId;
 use rekey_sim::{NodeId, SimTime};
 use rekey_table::{check_consistency, ConsistencyViolation, NeighborTable};
@@ -143,7 +143,6 @@ pub mod socket;
 pub mod wire;
 
 pub use self::core::{IntervalMessage, ReplOp, RtMsg};
-pub(crate) use self::core::{MemberStats, ServerStats, Sinks};
 use self::core::{RtMember, RtServer};
 pub use shard::ShardedGroupRuntime;
 pub use socket::UdpGroupDriver;
@@ -456,192 +455,190 @@ impl ChurnEvent {
     }
 }
 
-/// Aggregated outcome of a runtime session: counters, histogram
-/// summaries, and the tracing-span tail, for reports and benches.
-///
-/// The counter fields are integers and the histogram/span types are
-/// `Eq`, so two snapshots from identically seeded runs can be compared
-/// wholesale in determinism tests; [`MetricsSnapshot::to_json`] renders
-/// the same data as a byte-stable JSON document for bench artifacts.
-///
-/// The struct is `#[non_exhaustive]`: obtain one via
-/// [`ShardedGroupRuntime::snapshot`] or [`UdpGroupDriver::snapshot`] and
-/// read the fields you need — new series may appear in later versions
-/// without breaking callers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct MetricsSnapshot {
-    /// Completed rekey intervals.
-    pub intervals: u64,
-    /// Members in the group at the end.
-    pub members: usize,
-    /// Joins admitted by the server.
-    pub joins: u64,
-    /// Departures processed by the server.
-    pub departures: u64,
-    /// Departures that were detected by heartbeats (crashes).
-    pub failures_detected: u64,
-    /// `Forward` copies sent (server seeds + member forwards).
-    pub forward_copies: u64,
-    /// Copies dropped by the loss model (legacy i.i.d., fault-plan loss,
-    /// and partition cuts).
-    pub copies_lost: u64,
-    /// Deliveries absorbed by crashed nodes.
-    pub dead_letters: u64,
-    /// Deliveries suppressed by outage windows (node temporarily down).
-    pub suppressed: u64,
-    /// NACKs received by the server.
-    pub nacks: u64,
-    /// Encryptions re-sent via unicast recovery.
-    pub recovery_encryptions: u64,
-    /// Heartbeat pings sent by members.
-    pub pings: u64,
-    /// Neighbor evictions after unanswered pings.
-    pub evictions: u64,
-    /// Control retransmissions by members (join/leave/NACK/resync).
-    pub retransmissions: u64,
-    /// Highest retry attempt count any member reached (≤ the cap).
-    pub max_retry_attempts: u32,
-    /// Full state snapshots the server served.
-    pub resyncs: u64,
-    /// Members that rejoined after being disowned.
-    pub rejoins: u64,
-    /// Evicted neighbors reinstated after answering a probation probe.
-    pub rehabilitations: u64,
-    /// Server restarts (respawns at the end of an outage).
-    pub restarts: u64,
-    /// Checkpoints the acting primaries recorded.
-    pub checkpoints: u64,
-    /// Total messages delivered.
-    pub delivered: u64,
-    /// Welcome packets issued by the server.
-    pub welcomes: u64,
-    /// Leave acknowledgements sent (each after a covering checkpoint).
-    pub leave_acks: u64,
-    /// Key-wrap encryptions produced by the key tree's batch rekeys.
-    pub tree_encryptions: u64,
-    /// Retired key versions resumed past a tombstone during rekeying.
-    pub tombstone_hits: u64,
-    /// Messages cut by fault-plan partitions (0 without a plan).
-    pub partition_cuts: u64,
-    /// `Forward` copies dropped by fault-plan loss (0 without a plan;
-    /// excludes the legacy i.i.d. `loss` stream).
-    pub fault_loss_drops: u64,
-    /// Elections started by follower replicas (0 with one replica).
-    pub elections: u64,
-    /// Followers promoted to primary (0 with one replica).
-    pub promotions: u64,
-    /// Mutations lost to restarts/promotions (ops past the recovered
-    /// watermark; the affected members re-request).
-    pub lost_mutations: u64,
-    /// Peak replication lag (entries) any primary observed at a tick.
-    pub repl_lag_peak: u64,
-    /// Peak in-flight event count inside the simulator.
-    pub peak_queue_depth: usize,
-    /// µs from each interval's multicast to its local application.
-    pub apply_delay_us: HistogramSnapshot,
-    /// Membership mutations folded into each batch rekey.
-    pub batch_size: HistogramSnapshot,
-    /// Encryptions carried per split `Forward` copy received.
-    pub split_payload: HistogramSnapshot,
-    /// Copies sent per forwarding step (server seeds + member duty).
-    pub forward_fanout: HistogramSnapshot,
-    /// Encryptions per unicast recovery reply.
-    pub recovery_size: HistogramSnapshot,
-    /// Tail of the tracing-span ring (oldest spans drop first).
-    pub spans: Vec<SpanRecord>,
-    /// Spans evicted from the ring before this snapshot was taken.
-    pub spans_dropped: u64,
+/// How lanes combine one counter: `sum` adds them, `max` keeps the larger,
+/// and `set` leaves it to the driver, which sets it at snapshot time.
+macro_rules! fold {
+    (sum, $into:expr, $from:expr) => {
+        $into += $from
+    };
+    (max, $into:expr, $from:expr) => {
+        $into = $into.max($from)
+    };
+    (set, $into:expr, $from:expr) => {};
 }
 
-/// What an executor itself counts — deliveries, drops and queue depth —
-/// as opposed to what the state machines count.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ExecutorCounters {
-    pub(crate) copies_lost: u64,
-    pub(crate) dead_letters: u64,
-    pub(crate) suppressed: u64,
-    pub(crate) delivered: u64,
-    pub(crate) partition_cuts: u64,
-    pub(crate) fault_loss_drops: u64,
-    pub(crate) peak_queue_depth: usize,
+/// Generates every statement of the snapshot's series from one table: the
+/// pub fields of [`MetricsSnapshot`], the lane's [`Sinks`] that nodes
+/// count into and their merge, and the counters and histograms blocks of
+/// [`MetricsSnapshot::to_json`], each in table order.
+macro_rules! series {
+    (
+        counters { $( $(#[doc = $cdoc:literal])* $c:ident: $cty:ty = $fold:ident, )* }
+        histograms { $( $(#[doc = $hdoc:literal])* $h:ident, )* }
+    ) => {
+        /// Aggregated outcome of a runtime session: counters, histogram
+        /// summaries, and the tracing-span tail, for reports and benches.
+        ///
+        /// The counter fields are integers and the histogram/span types are
+        /// `Eq`, so two snapshots from identically seeded runs can be compared
+        /// wholesale in determinism tests; [`MetricsSnapshot::to_json`] renders
+        /// the same data as a byte-stable JSON document for bench artifacts.
+        ///
+        /// The struct is `#[non_exhaustive]`: obtain one via
+        /// [`ShardedGroupRuntime::snapshot`] or [`UdpGroupDriver::snapshot`] and
+        /// read the fields you need — new series may appear in later versions
+        /// without breaking callers.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        #[non_exhaustive]
+        pub struct MetricsSnapshot {
+            $( $(#[doc = $cdoc])* pub $c: $cty, )*
+            $( $(#[doc = $hdoc])* pub $h: HistogramSnapshot, )*
+            /// Tail of the tracing-span ring: the newest spans of each name
+            /// (older ones drop first).
+            pub spans: Vec<SpanRecord>,
+            /// Spans evicted from the ring before this snapshot was taken.
+            pub spans_dropped: u64,
+        }
+
+        /// What the nodes of one lane record: every counter and histogram
+        /// of the snapshot, and a span ring. Nodes only ever write here; no
+        /// protocol decision reads it. Counters fold by their table row and
+        /// histogram inserts commute, so lanes merge in any order; span
+        /// rings are merged by end time, ties by start, name and detail, so
+        /// the merged tail is a function of (seed, lane layout) and never
+        /// of thread timing.
+        #[derive(Debug, Default)]
+        pub(crate) struct Sinks {
+            $( $(#[doc = $cdoc])* pub(crate) $c: $cty, )*
+            $( $(#[doc = $hdoc])* pub(crate) $h: LocalHistogram, )*
+            /// The server's `interval`/`restart`/`election`/`promotion`
+            /// spans and the members' `apply`/`recovery` spans.
+            pub(crate) spans: SpanLog,
+        }
+
+        impl MetricsSnapshot {
+            /// The one place a snapshot is put together, whatever the
+            /// driver: the sinks of every executor lane, the coordinator's
+            /// first, merged. The driver then sets what only it knows.
+            pub(crate) fn assemble<'a>(lanes: impl IntoIterator<Item = &'a Sinks>) -> MetricsSnapshot {
+                let mut sum = Sinks::default();
+                let mut rings = Vec::new();
+                for lane in lanes {
+                    $( fold!($fold, sum.$c, lane.$c); )*
+                    $( sum.$h.merge(&lane.$h); )*
+                    rings.push(&lane.spans);
+                }
+                let (spans, spans_dropped) = merge_spans(rings);
+                MetricsSnapshot {
+                    $( $c: sum.$c, )*
+                    $( $h: sum.$h.snapshot(), )*
+                    spans,
+                    spans_dropped,
+                }
+            }
+
+            /// Writes the counters and histograms blocks of the document.
+            fn write_series(&self, w: &mut json::Writer) {
+                w.begin_named_object("counters");
+                $( w.field_u64(stringify!($c), u64::try_from(self.$c).unwrap_or(u64::MAX)); )*
+                w.end_object();
+                w.begin_named_object("histograms");
+                $(
+                    w.begin_named_object(stringify!($h));
+                    self.$h.write_fields(w);
+                    w.end_object();
+                )*
+                w.end_object();
+            }
+        }
+    };
+}
+
+series! {
+    counters {
+        /// Completed rekey intervals.
+        intervals: u64 = sum,
+        /// Members in the group at the end.
+        members: usize = set,
+        /// Joins admitted by the server.
+        joins: u64 = sum,
+        /// Departures processed by the server.
+        departures: u64 = sum,
+        /// Departures that were detected by heartbeats (crashes).
+        failures_detected: u64 = sum,
+        /// `Forward` copies sent (server seeds + member forwards).
+        forward_copies: u64 = sum,
+        /// Copies dropped by the loss model (legacy i.i.d., fault-plan loss,
+        /// and partition cuts).
+        copies_lost: u64 = sum,
+        /// Deliveries absorbed by crashed nodes.
+        dead_letters: u64 = sum,
+        /// Deliveries suppressed by outage windows (node temporarily down).
+        suppressed: u64 = sum,
+        /// NACKs received by the server.
+        nacks: u64 = sum,
+        /// Encryptions re-sent via unicast recovery.
+        recovery_encryptions: u64 = sum,
+        /// Heartbeat pings sent by members.
+        pings: u64 = sum,
+        /// Neighbor evictions after unanswered pings.
+        evictions: u64 = sum,
+        /// Control retransmissions by members (join/leave/NACK/resync).
+        retransmissions: u64 = sum,
+        /// Highest retry attempt count any member reached (≤ the cap).
+        max_retry_attempts: u32 = max,
+        /// Full state snapshots the server served.
+        resyncs: u64 = sum,
+        /// Members that rejoined after being disowned.
+        rejoins: u64 = sum,
+        /// Evicted neighbors reinstated after answering a probation probe.
+        rehabilitations: u64 = sum,
+        /// Server restarts (respawns at the end of an outage).
+        restarts: u64 = sum,
+        /// Checkpoints the acting primaries recorded.
+        checkpoints: u64 = sum,
+        /// Total messages delivered.
+        delivered: u64 = sum,
+        /// Welcome packets issued by the server.
+        welcomes: u64 = sum,
+        /// Leave acknowledgements sent (each after a covering checkpoint).
+        leave_acks: u64 = sum,
+        /// Key-wrap encryptions produced by the key tree's batch rekeys.
+        tree_encryptions: u64 = sum,
+        /// Retired key versions resumed past a tombstone during rekeying.
+        tombstone_hits: u64 = sum,
+        /// Messages cut by fault-plan partitions (0 without a plan).
+        partition_cuts: u64 = sum,
+        /// `Forward` copies dropped by fault-plan loss (0 without a plan;
+        /// excludes the legacy i.i.d. `loss` stream).
+        fault_loss_drops: u64 = sum,
+        /// Elections started by follower replicas (0 with one replica).
+        elections: u64 = sum,
+        /// Followers promoted to primary (0 with one replica).
+        promotions: u64 = sum,
+        /// Mutations lost to restarts/promotions (ops past the recovered
+        /// watermark; the affected members re-request).
+        lost_mutations: u64 = sum,
+        /// Peak replication lag (entries) any primary observed at a tick.
+        repl_lag_peak: u64 = max,
+        /// Peak in-flight event count inside the simulator.
+        peak_queue_depth: usize = max,
+    }
+    histograms {
+        /// µs from each interval's multicast to its local application.
+        apply_delay_us,
+        /// Membership mutations folded into each batch rekey.
+        batch_size,
+        /// Encryptions carried per split `Forward` copy received.
+        split_payload,
+        /// Copies sent per forwarding step (server seeds + member duty).
+        forward_fanout,
+        /// Encryptions per unicast recovery reply.
+        recovery_size,
+    }
 }
 
 impl MetricsSnapshot {
-    /// The one place a snapshot is put together, whatever the driver:
-    /// `server` is the replica set's [`ServerStats::sum`] and `lanes` the
-    /// sinks of every executor lane, the coordinator's first. Histograms
-    /// are summed; span rings are merged by end time, ties by start, name and
-    /// detail.
-    pub(crate) fn assemble<'a>(
-        members: usize,
-        server: ServerStats,
-        member_stats: impl IntoIterator<Item = &'a MemberStats>,
-        lanes: impl IntoIterator<Item = &'a Sinks>,
-        executor: ExecutorCounters,
-    ) -> MetricsSnapshot {
-        let lanes: Vec<&Sinks> = lanes.into_iter().collect();
-        let sum = |series: fn(&Sinks) -> &LocalHistogram| {
-            let mut sum = LocalHistogram::new();
-            for lane in &lanes {
-                sum.merge(series(lane));
-            }
-            sum.snapshot()
-        };
-        let (spans, spans_dropped) = merge_spans(lanes.iter().map(|lane| &lane.spans));
-        let mut snapshot = MetricsSnapshot {
-            intervals: server.intervals,
-            members,
-            joins: server.joins,
-            departures: server.departures,
-            failures_detected: server.failures_detected,
-            forward_copies: server.forward_copies,
-            copies_lost: executor.copies_lost,
-            dead_letters: executor.dead_letters,
-            suppressed: executor.suppressed,
-            nacks: server.nacks,
-            recovery_encryptions: server.recovery_encryptions,
-            pings: 0,
-            evictions: 0,
-            retransmissions: 0,
-            max_retry_attempts: 0,
-            resyncs: server.resyncs,
-            rejoins: 0,
-            rehabilitations: 0,
-            restarts: server.restarts,
-            checkpoints: server.checkpoints,
-            delivered: executor.delivered,
-            welcomes: server.welcomes,
-            leave_acks: server.leave_acks,
-            tree_encryptions: server.tree_encryptions,
-            tombstone_hits: server.tombstone_hits,
-            partition_cuts: executor.partition_cuts,
-            fault_loss_drops: executor.fault_loss_drops,
-            elections: server.elections,
-            promotions: server.promotions,
-            lost_mutations: server.lost_mutations,
-            repl_lag_peak: server.repl_lag_peak,
-            peak_queue_depth: executor.peak_queue_depth,
-            apply_delay_us: sum(|lane| &lane.apply_delay_us),
-            batch_size: sum(|lane| &lane.batch_size),
-            split_payload: sum(|lane| &lane.split_payload),
-            forward_fanout: sum(|lane| &lane.forward_fanout),
-            recovery_size: sum(|lane| &lane.recovery_size),
-            spans,
-            spans_dropped,
-        };
-        for stats in member_stats {
-            snapshot.forward_copies += stats.copies_forwarded;
-            snapshot.pings += stats.pings_sent;
-            snapshot.evictions += stats.evictions;
-            snapshot.retransmissions += stats.retransmissions;
-            snapshot.max_retry_attempts = snapshot.max_retry_attempts.max(stats.max_retry_attempts);
-            snapshot.rejoins += stats.rejoins;
-            snapshot.rehabilitations += stats.rehabilitations;
-        }
-        snapshot
-    }
-
     /// Renders the snapshot as a deterministic JSON document:
     /// `{"counters": {...}, "histograms": {name: {count, sum, min, max,
     /// mean, p50, p95, p99}}, "spans_dropped": n, "spans": [...]}`.
@@ -649,53 +646,7 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut w = json::Writer::new();
         w.begin_object();
-        w.begin_named_object("counters");
-        w.field_u64("intervals", self.intervals);
-        w.field_usize("members", self.members);
-        w.field_u64("joins", self.joins);
-        w.field_u64("departures", self.departures);
-        w.field_u64("failures_detected", self.failures_detected);
-        w.field_u64("forward_copies", self.forward_copies);
-        w.field_u64("copies_lost", self.copies_lost);
-        w.field_u64("dead_letters", self.dead_letters);
-        w.field_u64("suppressed", self.suppressed);
-        w.field_u64("nacks", self.nacks);
-        w.field_u64("recovery_encryptions", self.recovery_encryptions);
-        w.field_u64("pings", self.pings);
-        w.field_u64("evictions", self.evictions);
-        w.field_u64("retransmissions", self.retransmissions);
-        w.field_u64("max_retry_attempts", u64::from(self.max_retry_attempts));
-        w.field_u64("resyncs", self.resyncs);
-        w.field_u64("rejoins", self.rejoins);
-        w.field_u64("rehabilitations", self.rehabilitations);
-        w.field_u64("restarts", self.restarts);
-        w.field_u64("checkpoints", self.checkpoints);
-        w.field_u64("delivered", self.delivered);
-        w.field_u64("welcomes", self.welcomes);
-        w.field_u64("leave_acks", self.leave_acks);
-        w.field_u64("tree_encryptions", self.tree_encryptions);
-        w.field_u64("tombstone_hits", self.tombstone_hits);
-        w.field_u64("partition_cuts", self.partition_cuts);
-        w.field_u64("fault_loss_drops", self.fault_loss_drops);
-        w.field_u64("elections", self.elections);
-        w.field_u64("promotions", self.promotions);
-        w.field_u64("lost_mutations", self.lost_mutations);
-        w.field_u64("repl_lag_peak", self.repl_lag_peak);
-        w.field_usize("peak_queue_depth", self.peak_queue_depth);
-        w.end_object();
-        w.begin_named_object("histograms");
-        for (name, histogram) in [
-            ("apply_delay_us", &self.apply_delay_us),
-            ("batch_size", &self.batch_size),
-            ("split_payload", &self.split_payload),
-            ("forward_fanout", &self.forward_fanout),
-            ("recovery_size", &self.recovery_size),
-        ] {
-            w.begin_named_object(name);
-            histogram.write_fields(&mut w);
-            w.end_object();
-        }
-        w.end_object();
+        self.write_series(&mut w);
         w.field_u64("spans_dropped", self.spans_dropped);
         w.begin_named_array("spans");
         for span in &self.spans {
@@ -955,8 +906,7 @@ mod tests {
             report.retransmissions
         );
         assert!(report.max_retry_attempts <= cfg.retry_cap());
-        let stats = rt.member_stats(0);
-        assert!(stats.retransmissions >= 4);
+        assert!(rt.last_join(0).retransmissions >= 4);
         assert_eq!(rt.group().len(), 5);
         assert_members_current(&rt, &handles);
     }

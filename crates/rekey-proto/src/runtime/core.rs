@@ -37,7 +37,6 @@ use std::sync::Arc;
 use rand::Rng;
 use rekey_crypto::Encryption;
 use rekey_id::{IdPrefix, UserId};
-use rekey_metrics::{LocalHistogram, SpanLog};
 use rekey_net::{HostId, Micros, Network};
 use rekey_sim::{node_rng, NodeId, SimTime};
 use rekey_table::{Member, NeighborRecord, NeighborTable};
@@ -49,7 +48,7 @@ use crate::transport::{PrefixBuf, SplitIndex};
 use crate::{Group, GroupError, GroupServer, IntervalOutcome, UserAgent, WelcomePacket};
 
 use super::journal::{Checkpoint, Entry, HISTORY_WINDOW};
-use super::RuntimeConfig;
+use super::{RuntimeConfig, Sinks};
 
 /// One input to a state machine: the sans-I/O input boundary.
 #[derive(Debug)]
@@ -466,104 +465,6 @@ pub(crate) enum RtLocal {
     Restart,
 }
 
-/// What the nodes of one lane record: five histograms and a span ring.
-/// Histogram inserts commute, so lanes merge in any order; span rings are
-/// merged by end time, ties by start, name and detail, so the merged tail
-/// is a function of (seed, lane layout) and never of thread timing.
-#[derive(Debug, Default)]
-pub(crate) struct Sinks {
-    /// µs from each interval's multicast to its application by a member.
-    pub(crate) apply_delay_us: LocalHistogram,
-    /// Membership mutations folded into each batch rekey.
-    pub(crate) batch_size: LocalHistogram,
-    /// Encryptions carried per split `Forward` copy received.
-    pub(crate) split_payload: LocalHistogram,
-    /// Copies sent per forwarding step (server seeds + member duty).
-    pub(crate) forward_fanout: LocalHistogram,
-    /// Encryptions per unicast `Recover` reply.
-    pub(crate) recovery_size: LocalHistogram,
-    /// The server's `interval`/`restart`/`election`/`promotion` spans and
-    /// the members' `apply`/`recovery` spans.
-    pub(crate) spans: SpanLog,
-}
-
-/// Server-side counters of one runtime session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ServerStats {
-    /// Completed rekey intervals.
-    pub intervals: u64,
-    /// Joins admitted.
-    pub joins: u64,
-    /// Departures processed (leaves + detected failures).
-    pub departures: u64,
-    /// Departures that arrived as failure notices.
-    pub failures_detected: u64,
-    /// `Forward` copies seeded by the server.
-    pub forward_copies: u64,
-    /// NACKs received.
-    pub nacks: u64,
-    /// Encryptions re-sent via unicast recovery.
-    pub recovery_encryptions: u64,
-    /// Welcome packets issued.
-    pub welcomes: u64,
-    /// Full state snapshots served (`Resync` replies).
-    pub resyncs: u64,
-    /// Server restarts (respawns at the end of an outage).
-    pub restarts: u64,
-    /// Checkpoints this replica recorded as primary.
-    pub checkpoints: u64,
-    /// Leave acknowledgements sent (each after a covering checkpoint).
-    pub leave_acks: u64,
-    /// Elections this replica started after primary silence.
-    pub elections: u64,
-    /// Times this replica promoted itself to primary.
-    pub promotions: u64,
-    /// Mutations known lost across restarts and promotions: ops past the
-    /// restored checkpoint (single-replica restart) or past the promoted
-    /// follower's replay watermark (failover). The affected members
-    /// re-request through the normal `NotMember`/leave-retry paths.
-    pub lost_mutations: u64,
-    /// Peak replication lag (log head minus the slowest known follower
-    /// watermark) observed at any replication tick.
-    pub repl_lag_peak: u64,
-    /// Key-wrap encryptions of the batch rekeys this replica issued.
-    pub tree_encryptions: u64,
-    /// Retired key versions those batch rekeys resumed.
-    pub tombstone_hits: u64,
-}
-
-impl ServerStats {
-    /// The replica set's counters as one logical server's. Each mutation
-    /// is counted once, by whichever replica was primary when it was
-    /// applied (followers replay without stats), so the sum stitches the
-    /// tallies of the old and new primaries across a failover; with one
-    /// replica it is that replica's stats.
-    pub(crate) fn sum<'a>(replicas: impl IntoIterator<Item = &'a ServerStats>) -> ServerStats {
-        let mut sum = ServerStats::default();
-        for s in replicas {
-            sum.intervals += s.intervals;
-            sum.joins += s.joins;
-            sum.departures += s.departures;
-            sum.failures_detected += s.failures_detected;
-            sum.forward_copies += s.forward_copies;
-            sum.nacks += s.nacks;
-            sum.recovery_encryptions += s.recovery_encryptions;
-            sum.welcomes += s.welcomes;
-            sum.resyncs += s.resyncs;
-            sum.restarts += s.restarts;
-            sum.checkpoints += s.checkpoints;
-            sum.leave_acks += s.leave_acks;
-            sum.elections += s.elections;
-            sum.promotions += s.promotions;
-            sum.lost_mutations += s.lost_mutations;
-            sum.repl_lag_peak = sum.repl_lag_peak.max(s.repl_lag_peak);
-            sum.tree_encryptions += s.tree_encryptions;
-            sum.tombstone_hits += s.tombstone_hits;
-        }
-        sum
-    }
-}
-
 /// A server replica's role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReplRole {
@@ -727,7 +628,6 @@ pub(crate) struct RtServer {
     /// the substrate; the socket driver's datagrams travel at loopback
     /// speed, so its servers probe their RTT model with `Group::join`.
     seeds_joiners: bool,
-    pub(crate) stats: ServerStats,
 }
 
 /// The replica currently acting as primary among `replicas` (index,
@@ -796,7 +696,6 @@ impl RtServer {
             pending_leave_acks: Vec::new(),
             repl: Replication::new(replica, config.replicas),
             seeds_joiners,
-            stats: ServerStats::default(),
         }
     }
 
@@ -914,7 +813,7 @@ impl RtServer {
                     return;
                 }
                 if self.server.group().member(&failed).is_some() {
-                    self.stats.failures_detected += 1;
+                    ctx.sinks.failures_detected += 1;
                     self.depart(ctx, net, failed);
                 }
                 // Already departed: the accuser's repaired table is
@@ -922,7 +821,7 @@ impl RtServer {
                 // version will expose a lost push); nothing to do.
             }
             RtMsg::Nack { interval, id } => {
-                self.stats.nacks += 1;
+                ctx.sinks.nacks += 1;
                 // A departed member NACKs the interval that rekeyed it out;
                 // a dealt one sends no heartbeat, so this is its only cue.
                 if !self.verified(ctx, &id, from) {
@@ -935,7 +834,7 @@ impl RtServer {
                     return;
                 };
                 let seq = self.table_version(&id);
-                recover(ctx, &mut self.stats, from, (interval, message), &id, seq);
+                recover(ctx, from, (interval, message), &id, seq);
             }
             RtMsg::ServerPing { id } => {
                 if self.verified(ctx, &id, from) {
@@ -964,7 +863,7 @@ impl RtServer {
                 let Some(welcome) = self.server.refresh_welcome(&id) else {
                     return;
                 };
-                self.stats.resyncs += 1;
+                ctx.sinks.resyncs += 1;
                 let (member, table, seq) = self.snapshot_of(&id);
                 ctx.send(
                     from,
@@ -1115,13 +1014,13 @@ impl RtServer {
         let Ok(Applied::Closed(outcome, message)) = self.apply(ctx, net, change) else {
             unreachable!("an interval always closes");
         };
-        self.stats.intervals += 1;
-        self.stats.tree_encryptions += message.encryptions.len() as u64;
-        self.stats.tombstone_hits += outcome.tombstone_hits;
+        ctx.sinks.intervals += 1;
+        ctx.sinks.tree_encryptions += message.encryptions.len() as u64;
+        ctx.sinks.tombstone_hits += outcome.tombstone_hits;
         let batch = outcome.welcomes.len() + outcome.departed.len();
         ctx.sinks.batch_size.record(batch as u64);
         for welcome in outcome.welcomes {
-            self.stats.welcomes += 1;
+            ctx.sinks.welcomes += 1;
             let host = self
                 .server
                 .group()
@@ -1141,7 +1040,7 @@ impl RtServer {
         // counter from the (empty) related set, keeping NACK checks quiet.
         let mut fanout = 0u64;
         for hop in server_next_hops(self.server.group().server_table()) {
-            self.stats.forward_copies += 1;
+            ctx.sinks.forward_copies += 1;
             fanout += 1;
             ctx.send(
                 ctx.config().member_node(hop.neighbor.member.host),
@@ -1163,10 +1062,10 @@ impl RtServer {
     /// leave acks it covers.
     fn release_leave_acks(&mut self, ctx: &mut Outbox) {
         if self.checkpointing {
-            self.stats.checkpoints += 1;
+            ctx.sinks.checkpoints += 1;
         }
         for node in std::mem::take(&mut self.pending_leave_acks) {
-            self.stats.leave_acks += 1;
+            ctx.sinks.leave_acks += 1;
             ctx.send(node, RtMsg::LeaveAck);
         }
     }
@@ -1186,7 +1085,7 @@ impl RtServer {
             for (idx, &Member { id, host, .. }) in group.members().iter().enumerate() {
                 let to = ctx.config().member_node(host);
                 let seq = group.table_version(idx);
-                recover(ctx, &mut self.stats, to, (interval, message), &id, seq);
+                recover(ctx, to, (interval, message), &id, seq);
             }
         }
         // An ack is safe only once a checkpoint covers the departure. The
@@ -1213,14 +1112,14 @@ impl RtServer {
         if ctx.config().replicas > 1 {
             return self.restart_replica(ctx);
         }
-        self.stats.restarts += 1;
+        ctx.sinks.restarts += 1;
         self.epoch += 1;
         ctx.span("restart", ctx.now(), self.epoch);
         self.tick_gen += 1;
         self.pending_leave_acks.clear();
         let live = self.server.group().mutations();
         self.roll_back();
-        self.stats.lost_mutations += live - self.server.group().mutations();
+        ctx.sinks.lost_mutations += live - self.server.group().mutations();
         // The immediate interval is the restart beacon: its `Forward`
         // copies carry the new epoch, and every member that sees it (or
         // the next `ServerPong`) resyncs.
@@ -1231,7 +1130,7 @@ impl RtServer {
     /// follower. No epoch bump and no beacon — only a *promotion* speaks
     /// to members, so a revived ex-primary cannot split-brain the group.
     fn restart_replica(&mut self, ctx: &mut Outbox) {
-        self.stats.restarts += 1;
+        ctx.sinks.restarts += 1;
         ctx.span("restart", ctx.now(), self.epoch);
         self.tick_gen += 1;
         self.repl.gen += 1;
@@ -1287,7 +1186,7 @@ impl RtServer {
                 let Ok(Applied::Joined(id)) = self.apply(ctx, net, change) else {
                     panic!("ID space sized for the churn trace");
                 };
-                self.stats.joins += 1;
+                ctx.sinks.joins += 1;
                 self.append_op(ctx, ReplOp::Join { host, at, id });
                 self.push_tables(ctx);
                 id
@@ -1308,7 +1207,7 @@ impl RtServer {
     fn depart<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET, id: UserId) {
         self.apply(ctx, net, Change::Leave(&id))
             .expect("departing member is in the group");
-        self.stats.departures += 1;
+        ctx.sinks.departures += 1;
         self.append_op(ctx, ReplOp::Leave { id });
         self.push_tables(ctx);
     }
@@ -1394,7 +1293,7 @@ impl RtServer {
             if acked == u64::MAX || acked >= head {
                 continue;
             }
-            self.stats.repl_lag_peak = self.stats.repl_lag_peak.max(head - acked);
+            ctx.sinks.repl_lag_peak = ctx.sinks.repl_lag_peak.max(head - acked);
             let from_idx = (acked + 1).max(floor);
             let to_idx = head.min(acked + REPL_BATCH as u64);
             for idx in from_idx..=to_idx {
@@ -1432,9 +1331,9 @@ impl RtServer {
     /// applied watermark back to the sender. Replication is deterministic:
     /// the follower applies the same inputs to the same seeded state, so
     /// its tree, RNG stream and history converge on the primary's —
-    /// without member traffic and without stats (each mutation is counted
-    /// once, by the primary, so summed snapshots match a single-replica
-    /// run).
+    /// without member traffic and without counting (each mutation is
+    /// counted once, by the primary, so a replicated snapshot matches a
+    /// single-replica run).
     fn on_repl_entry<NET: Network>(
         &mut self,
         ctx: &mut Outbox,
@@ -1613,7 +1512,7 @@ impl RtServer {
     /// `gen` here kills the pending liveness-check chain; resolution
     /// re-arms it under the new gen.
     fn start_election(&mut self, ctx: &mut Outbox) {
-        self.stats.elections += 1;
+        ctx.sinks.elections += 1;
         self.repl.gen += 1;
         ctx.span("election", ctx.now(), self.epoch);
         self.repl.election = Some(ElectionState {
@@ -1670,8 +1569,8 @@ impl RtServer {
     /// watermark is recorded as lost mutations; the affected members
     /// re-request via `NotMember` rejoins and leave retransmissions.
     fn promote<NET: Network>(&mut self, ctx: &mut Outbox, net: &NET) {
-        self.stats.promotions += 1;
-        self.stats.lost_mutations += self
+        ctx.sinks.promotions += 1;
+        ctx.sinks.lost_mutations += self
             .repl
             .primary_idx_seen
             .saturating_sub(self.repl.applied_idx);
@@ -1697,37 +1596,23 @@ impl RtServer {
     }
 }
 
-/// Member-side counters of one runtime session.
+/// A member's record of its own last join (§3.1): what its probe cost
+/// and how long it took. The session's counters are the lane's; this is
+/// the one figure kept per member, for the tests that read each joiner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct MemberStats {
-    /// `Forward` copies sent onward.
-    pub copies_forwarded: u64,
-    /// Heartbeat pings sent.
-    pub pings_sent: u64,
-    /// Neighbors evicted after unanswered pings.
-    pub evictions: u64,
-    /// Control retransmissions (join/leave/NACK/resync retries).
-    pub retransmissions: u64,
-    /// Highest attempt count any retry entry reached (≤ the configured
-    /// cap by construction).
-    pub max_retry_attempts: u32,
-    /// Full snapshots applied (`Resync` messages accepted).
-    pub resyncs: u64,
-    /// Times this node rejoined after the server disowned it.
-    pub rejoins: u64,
-    /// Evicted neighbors reinstated after answering a probation probe.
-    pub rehabilitations: u64,
-    /// Rekey intervals applied to the key agent.
-    pub intervals_applied: u64,
-    /// The last join's §3.1 step-1 queries (re-sends excluded).
-    pub join_queries: u32,
-    /// The last join's §3.1 step-2 pings (re-sends excluded).
-    pub join_pings: u32,
-    /// ID digits the last join's probe determined.
+pub(crate) struct JoinRecord {
+    /// Step-1 queries (re-sends excluded).
+    pub queries: u32,
+    /// Step-2 pings (re-sends excluded).
+    pub pings: u32,
+    /// ID digits the probe determined.
     pub digits_probed: u32,
-    /// µs from the last join's `JoinSeed` to its `JoinAccepted` (0 for a
-    /// join that got no seed).
-    pub join_elapsed: SimTime,
+    /// µs from the `JoinSeed` to the `JoinAccepted` (0 for a join that got
+    /// no seed).
+    pub elapsed: SimTime,
+    /// Retransmissions of the join: its request, its digits, or its
+    /// probe's queries and pings.
+    pub retransmissions: u64,
 }
 
 /// A joining node's §3.1 state, from its `JoinSeed` to its
@@ -1792,7 +1677,6 @@ pub(crate) struct RetryState {
 /// `message` related to member `id` (Lemma 3), and `id`'s table version.
 fn recover(
     ctx: &mut Outbox,
-    stats: &mut ServerStats,
     to: NodeId,
     (interval, message): (u64, &IntervalMessage),
     id: &UserId,
@@ -1801,7 +1685,7 @@ fn recover(
     let encryptions: Vec<Encryption> = (message.index.indices(id.digits()))
         .map(|e| message.encryptions[e].clone())
         .collect();
-    stats.recovery_encryptions += encryptions.len() as u64;
+    ctx.sinks.recovery_encryptions += encryptions.len() as u64;
     ctx.sinks.recovery_size.record(encryptions.len() as u64);
     let msg = RtMsg::Recover {
         interval,
@@ -1891,7 +1775,7 @@ pub(crate) struct RtMember {
     /// set when the member asks again, the replica is silent and the
     /// member rotates `server_node` first.
     pub(crate) awaiting_server: bool,
-    pub(crate) stats: MemberStats,
+    pub(crate) last_join: JoinRecord,
 }
 
 impl RtMember {
@@ -1926,7 +1810,7 @@ impl RtMember {
             expected_interval: 0,
             server_node: SERVER,
             awaiting_server: false,
-            stats: MemberStats::default(),
+            last_join: JoinRecord::default(),
         }
     }
 
@@ -2089,7 +1973,7 @@ impl RtMember {
                 self.sync_stale = false;
                 self.retries.remove(&Retrying::Join);
                 if let Some(joiner) = self.joiner.take() {
-                    self.stats.join_elapsed = ctx.now() - joiner.started_at;
+                    self.last_join.elapsed = ctx.now() - joiner.started_at;
                 }
                 if std::mem::take(&mut self.leave_asked) {
                     return self.leave(ctx);
@@ -2198,7 +2082,7 @@ impl RtMember {
                         for hop in
                             user_next_hops_with(table, level, &|id| !suspects.contains_key(id))
                         {
-                            self.stats.copies_forwarded += 1;
+                            ctx.sinks.forward_copies += 1;
                             fanout += 1;
                             ctx.send(
                                 ctx.config().member_node(hop.neighbor.member.host),
@@ -2282,7 +2166,7 @@ impl RtMember {
                 if let Some(table) = &mut self.table {
                     if let Some(record) = self.suspects.remove(&id) {
                         Arc::make_mut(table).insert(record);
-                        self.stats.rehabilitations += 1;
+                        ctx.sinks.rehabilitations += 1;
                     }
                 }
             }
@@ -2305,7 +2189,7 @@ impl RtMember {
             RtMsg::NotMember { id } if self.member.as_ref().is_some_and(|m| m.id == id) => {
                 // Wrongfully departed (e.g. behind a healed partition):
                 // start over from scratch.
-                self.stats.rejoins += 1;
+                ctx.sinks.rejoins += 1;
                 self.reset_to_unjoined();
                 self.join_requested = true;
                 self.ask_server(ctx, RtMsg::JoinRequest);
@@ -2322,7 +2206,6 @@ impl RtMember {
                 if epoch < self.epoch || self.departed {
                     return;
                 }
-                self.stats.resyncs += 1;
                 self.epoch = epoch;
                 self.member = Some(member);
                 self.table = Some(table);
@@ -2454,7 +2337,6 @@ impl RtMember {
                     (sent_at, "recovery")
                 }
             };
-            self.stats.intervals_applied += 1;
             ctx.sinks.apply_delay_us.record(now.saturating_sub(sent_at));
             ctx.sinks.spans.record(span, sent_at, now, next);
         }
@@ -2574,7 +2456,7 @@ impl RtMember {
         let attempts = (st.attempts + 1).min(cap);
         let due = now + ctx.config().backoff(attempts);
         self.retries.insert(kind, RetryState { attempts, due });
-        self.stats.max_retry_attempts = self.stats.max_retry_attempts.max(attempts);
+        ctx.sinks.max_retry_attempts = ctx.sinks.max_retry_attempts.max(attempts);
         // While the node probes, its join retry is aimed at members.
         let probing =
             kind == Retrying::Join && self.joiner.as_ref().is_some_and(|j| j.digits.is_none());
@@ -2582,7 +2464,10 @@ impl RtMember {
             // Join/leave send inline when first requested, so every fire
             // of those re-transmits; a NACK's or resync's first fire is
             // its scheduled first send, not a retransmission.
-            self.stats.retransmissions += 1;
+            ctx.sinks.retransmissions += 1;
+            if kind == Retrying::Join {
+                self.last_join.retransmissions += 1;
+            }
             // If the server we were talking to has not answered since
             // the previous attempt, aim the retransmission at the next
             // replica. A live primary re-anchors `server_node` with its
@@ -2642,7 +2527,7 @@ impl RtMember {
             }
         }
         for record in evicted {
-            self.stats.evictions += 1;
+            ctx.sinks.evictions += 1;
             self.suspects.insert(record.member.id, record);
         }
         for id in self.suspects.keys() {
@@ -2662,7 +2547,7 @@ impl RtMember {
             let token = self.next_token;
             self.next_token += 1;
             self.outstanding.insert(token, (host, id));
-            self.stats.pings_sent += 1;
+            ctx.sinks.pings += 1;
             ctx.send(ctx.config().member_node(host), RtMsg::Ping { token });
         }
         // Probe the server: its pong is our NACK evidence and our
@@ -2784,10 +2669,10 @@ impl RtMember {
         let (digits, stats) = joiner.probe.finish();
         joiner.digits = Some(digits);
         let count = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
-        self.stats.join_queries = count(stats.queries);
+        self.last_join.queries = count(stats.queries);
         // Every user pinged, once or again, holds one RTT estimate.
-        self.stats.join_pings = count(joiner.rtt.len() as u64);
-        self.stats.digits_probed = count(stats.digits_probed as u64);
+        self.last_join.pings = count(joiner.rtt.len() as u64);
+        self.last_join.digits_probed = count(stats.digits_probed as u64);
         self.ask_server(ctx, RtMsg::JoinDigits { digits });
         self.join_progress(ctx);
     }
@@ -2820,6 +2705,7 @@ impl RtMember {
     /// Clears every trace of membership so the node can rejoin from
     /// scratch (after the server disowned it).
     fn reset_to_unjoined(&mut self) {
+        self.last_join = JoinRecord::default();
         self.member = None;
         self.table = None;
         self.agent = None;
@@ -3240,7 +3126,7 @@ mod tests {
         server.handle(&mut out, &net, Event::Local(RtLocal::Restart));
         assert_eq!(server.server.group().len(), 15);
         assert_eq!(server.server.group().mutations(), live);
-        assert_eq!(server.stats.lost_mutations, 0);
+        assert_eq!(out.sinks.lost_mutations, 0);
         assert_eq!((server.epoch, server.server.interval()), (1, 2));
         let checkpoint = server.checkpoint.as_ref().expect("the beacon checkpoints");
         assert_eq!(checkpoint.server.interval(), 2);
@@ -3270,11 +3156,11 @@ mod tests {
         };
         server.handle(&mut out, &net, flush());
         assert_eq!(acks(&mut out), vec![leaver]);
-        assert_eq!((server.stats.checkpoints, server.stats.leave_acks), (1, 1));
+        assert_eq!((out.sinks.checkpoints, out.sinks.leave_acks), (1, 1));
         assert!(server.checkpoint.is_some());
         server.handle(&mut out, &net, flush());
         assert!(acks(&mut out).is_empty());
-        assert_eq!(server.stats.checkpoints, 1, "nothing owed, no checkpoint");
+        assert_eq!(out.sinks.checkpoints, 1, "nothing owed, no checkpoint");
     }
 
     /// A checkpoint is an independent value that each interval boundary

@@ -12,7 +12,8 @@ use rekey_sim::{FaultPlan, NodeId, SimTime};
 use rekey_table::oracle::build_all_tables;
 use rekey_table::{check_consistency, Member, NeighborTable, PrimaryPolicy};
 
-use super::{ChurnEvent, MemberStats, RuntimeConfig, ShardedGroupRuntime};
+use super::core::JoinRecord;
+use super::{ChurnEvent, RuntimeConfig, ShardedGroupRuntime};
 use crate::{AssignParams, GroupConfig};
 
 const MS: Micros = 1_000;
@@ -23,8 +24,8 @@ struct JoinRun {
     members: Vec<Member>,
     /// Each survivor's table: the last one the key server pushed it.
     tables: Vec<NeighborTable>,
-    /// Each survivor's join statistics.
-    stats: Vec<MemberStats>,
+    /// Each survivor's record of its join.
+    joins: Vec<JoinRecord>,
 }
 
 /// Rekeying every 10 s and no heartbeats, so what moves is the joins.
@@ -49,7 +50,7 @@ fn drive(
     let mut run = JoinRun {
         members: Vec::new(),
         tables: Vec::new(),
-        stats: Vec::new(),
+        joins: Vec::new(),
     };
     for handle in 0..rt.member_count() {
         let Some(table) = rt.member_table(handle) else {
@@ -59,7 +60,7 @@ fn drive(
         run.members
             .push(*record.expect("a table holder is a member"));
         run.tables.push(table.clone());
-        run.stats.push(rt.member_stats(handle));
+        run.joins.push(rt.last_join(handle));
     }
     run
 }
@@ -183,7 +184,7 @@ fn step_two_measures_at_most_p_users_per_subtree() {
     let run = session(&spec, params, six_uniform_hosts(), &times, &[]);
     let ids: Vec<Vec<u16>> = run.members.iter().map(|m| m.id.digits().to_vec()).collect();
     assert_eq!(ids, [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0]]);
-    let pings: Vec<u32> = run.stats.iter().map(|s| s.join_pings).collect();
+    let pings: Vec<u32> = run.joins.iter().map(|s| s.pings).collect();
     assert_eq!(pings, [0, 1, 1, 1, 1]);
 }
 
@@ -215,7 +216,7 @@ fn a_joiner_just_over_a_threshold_stops_probing() {
     let params = AssignParams::for_depth(3);
     let run = session(&spec, params, three_hosts(), &[0, SEC], &[]);
     assert_eq!(run.members.len(), 2);
-    assert_eq!(run.stats[1].digits_probed, 1);
+    assert_eq!(run.joins[1].digits_probed, 1);
     assert_eq!(run.members[1].id.common_prefix_len(&run.members[0].id), 1);
 }
 
@@ -317,9 +318,9 @@ fn nearby_hosts_share_longer_prefixes() {
 fn join_cost_scales_sublinearly() {
     let cost = |n: usize| -> f64 {
         let (_, out) = run(100 + n as u64, n, 2 * SEC, 0);
-        let tail = &out.stats[n - n / 4..];
+        let tail = &out.joins[n - n / 4..];
         tail.iter()
-            .map(|s| (s.join_queries + s.join_pings) as f64)
+            .map(|s| (s.queries + s.pings) as f64)
             .sum::<f64>()
             / tail.len() as f64
     };
@@ -336,7 +337,7 @@ fn join_cost_scales_sublinearly() {
 fn first_join_gets_zero_id() {
     let (_, out) = run(4, 1, 1, 0);
     assert_eq!(out.members[0].id.digits(), &[0, 0, 0, 0]);
-    assert_eq!(out.stats[0].join_queries, 0, "first join probes nobody");
+    assert_eq!(out.joins[0].queries, 0, "first join probes nobody");
 }
 
 /// Elapsed join time is dominated by probing round trips and stays within
@@ -350,14 +351,14 @@ fn join_latency_is_bounded() {
             max_rtt = max_rtt.max(network.rtt(HostId(a), HostId(b)));
         }
     }
-    for s in &out.stats[1..] {
-        assert!(s.join_elapsed > 0);
+    for s in &out.joins[1..] {
+        assert!(s.elapsed > 0);
         // Each join is a handful of sequential RTT-bounded phases; 40
         // diameters is a generous envelope that still catches pathologies.
         assert!(
-            s.join_elapsed < 40 * max_rtt,
+            s.elapsed < 40 * max_rtt,
             "join took {} µs with diameter {} µs",
-            s.join_elapsed,
+            s.elapsed,
             max_rtt
         );
     }
@@ -459,9 +460,9 @@ fn a_join_finishes_past_a_crashed_seed_and_a_partition() {
     rt.run_trace(&trace);
     rt.finish(100 * SEC);
     assert!(rt.group().members().iter().any(|m| m.host == HostId(12)));
-    let stats = rt.member_stats(12);
+    let stats = rt.last_join(12);
     assert!(stats.retransmissions > 0, "the silent seed was asked again");
-    assert!(stats.join_elapsed >= 63 * 100 * MS, "{stats:?}");
+    assert!(stats.elapsed >= 63 * 100 * MS, "{stats:?}");
     let members = rt.group().members();
     let live = members.iter().filter(|m| m.host != HostId(0));
     let tables = live.map(|m| rt.member_table(m.host.0).unwrap());
@@ -476,7 +477,7 @@ fn a_join_finishes_past_a_crashed_seed_and_a_partition() {
     trace.push(ChurnEvent::join(16 * SEC));
     rt.run_trace(&trace);
     rt.finish(100 * SEC);
-    let stats = rt.member_stats(12);
+    let stats = rt.last_join(12);
     assert!(rt.group().members().iter().any(|m| m.host == HostId(12)));
     assert!(
         stats.retransmissions > 0,
@@ -484,7 +485,7 @@ fn a_join_finishes_past_a_crashed_seed_and_a_partition() {
     );
     // The seed arrives just after 16 s; the partition heals at 40 s.
     assert!(
-        stats.join_elapsed < 24 * SEC,
+        stats.elapsed < 24 * SEC,
         "admitted before the partition heals: {stats:?}"
     );
     rt.check_consistency()
@@ -494,7 +495,7 @@ fn a_join_finishes_past_a_crashed_seed_and_a_partition() {
         tables: (rt.group().members().iter())
             .map(|m| rt.member_table(m.host.0).unwrap().clone())
             .collect(),
-        stats: Vec::new(),
+        joins: Vec::new(),
     };
     assert_global_knowledge_tables(&spec, &planetlab(21), &out, "partition");
 }
@@ -504,15 +505,8 @@ fn a_join_finishes_past_a_crashed_seed_and_a_partition() {
 type StatsPin = (u32, u32, u32, SimTime);
 
 fn pins(run: &JoinRun) -> Vec<StatsPin> {
-    (run.stats.iter())
-        .map(|s| {
-            (
-                s.join_queries,
-                s.join_pings,
-                s.digits_probed,
-                s.join_elapsed,
-            )
-        })
+    (run.joins.iter())
+        .map(|s| (s.queries, s.pings, s.digits_probed, s.elapsed))
         .collect()
 }
 

@@ -97,8 +97,8 @@ use super::core::{
     acting_primary, boot_timers, Effect, Event, Outbox, RtLocal, RtMember, RtServer, SERVER,
 };
 use super::{
-    check_member_tables, ChurnEvent, ChurnOp, ExecutorCounters, MemberQuestion, MetricsSnapshot,
-    NotConverged, RtMsg, RuntimeConfig, ServerStats,
+    check_member_tables, ChurnEvent, ChurnOp, MemberQuestion, MetricsSnapshot, NotConverged, RtMsg,
+    RuntimeConfig,
 };
 
 /// Domain separator of the per-lane loss RNG streams (lanes are further
@@ -137,9 +137,8 @@ struct Crossing {
     envelope: Envelope,
 }
 
-/// One event queue with the randomness, the outbox and the counters of
-/// the nodes it runs: the coordinator's (the replicas) or a shard's (its
-/// members).
+/// One event queue with the randomness and the outbox of the nodes it
+/// runs: the coordinator's (the replicas) or a shard's (its members).
 struct Lane {
     sched: Scheduler<Envelope>,
     /// [`RuntimeConfigBuilder::loss`](super::RuntimeConfigBuilder::loss) draws for `Forward` copies sent from here.
@@ -147,12 +146,8 @@ struct Lane {
     /// This lane's compilation of the session's fault plan, if any.
     faults: Option<FaultInjector>,
     /// The lane's context and sinks; one delivery's effects pass through
-    /// it.
+    /// it, and the lane counts its deliveries and drops into its sinks.
     out: Outbox,
-    delivered: u64,
-    dropped: u64,
-    dead_letters: u64,
-    suppressed: u64,
 }
 
 impl Lane {
@@ -162,10 +157,6 @@ impl Lane {
             rng,
             faults: None,
             out,
-            delivered: 0,
-            dropped: 0,
-            dead_letters: 0,
-            suppressed: 0,
         }
     }
 
@@ -178,7 +169,7 @@ impl Lane {
         let forward = matches!(msg, RtMsg::Forward { .. });
         let Some(faults) = self.faults.as_mut() else {
             if loss > 0.0 && forward && self.rng.gen_bool(loss) {
-                self.dropped += 1;
+                self.out.sinks.copies_lost += 1;
                 return None;
             }
             return Some(0);
@@ -188,7 +179,7 @@ impl Lane {
         if faults.cut(now, from, to)
             || (forward && ((loss > 0.0 && self.rng.gen_bool(loss)) | faults.lose(from)))
         {
-            self.dropped += 1;
+            self.out.sinks.copies_lost += 1;
             return None;
         }
         Some(faults.extra_delay(from, to))
@@ -200,7 +191,7 @@ impl Lane {
             .faults
             .as_ref()
             .is_some_and(|faults| faults.is_down(now, to));
-        self.suppressed += u64::from(down);
+        self.out.sinks.suppressed += u64::from(down);
         down
     }
 }
@@ -322,13 +313,13 @@ impl Lane {
         while self.sched.next_time().is_some_and(|t| t < t1) {
             let (now, Envelope { to: me, event }) = self.sched.pop().expect("peeked above");
             let Some(slot) = nodes.slot(layout, me) else {
-                self.dead_letters += 1;
+                self.out.sinks.dead_letters += 1;
                 continue;
             };
             if self.suppresses(now, me) {
                 continue;
             }
-            self.delivered += 1;
+            self.out.sinks.delivered += 1;
             let out = &mut self.out;
             (out.now, out.me) = (now, me);
             nodes.handle(slot, out, net, event);
@@ -567,7 +558,8 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         let fsms = vec![server_fsm; replicas];
         let mut rt =
             ShardedGroupRuntime::assemble(config, net, fsms, replicas > 1, shard_count, window);
-        rt.servers[0].stats.welcomes = members as u64;
+        // The bootstrap deal is counted once, on the coordinator's lane.
+        rt.coord.out.sinks.welcomes = members as u64;
 
         // Bootstrap deals IDs in host order, so handle i is member i.
         for (handle, welcome) in welcomes.into_iter().enumerate() {
@@ -784,13 +776,6 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
     fn member(&self, handle: usize) -> &RtMember {
         let (shard_index, idx) = self.placed(handle);
         &self.shards[shard_index].members.list[idx]
-    }
-
-    /// Every member in handle order.
-    fn members(&self) -> impl Iterator<Item = &RtMember> {
-        self.placement.iter().map(|&(shard_index, idx)| {
-            &self.shards[shard_index as usize].members.list[idx as usize]
-        })
     }
 
     /// The lane member node `node` runs (or, for a handle a fault plan
@@ -1091,10 +1076,10 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
         self.member(handle).table.as_deref()
     }
 
-    /// Member `handle`'s counters.
+    /// Member `handle`'s record of its last join.
     #[cfg(test)]
-    pub(crate) fn member_stats(&self, handle: usize) -> super::MemberStats {
-        self.member(handle).stats
+    pub(crate) fn last_join(&self, handle: usize) -> super::core::JoinRecord {
+        self.member(handle).last_join
     }
 
     /// How many evicted neighbors member `handle` holds on probation —
@@ -1124,28 +1109,15 @@ impl<NET: Network + Sync> ShardedGroupRuntime<NET> {
 
     /// Aggregates the session's counters, histograms, and spans.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut executor = ExecutorCounters {
-            peak_queue_depth: self.peak_queue,
-            ..ExecutorCounters::default()
-        };
-        for lane in self.lanes() {
-            executor.copies_lost += lane.dropped;
-            executor.dead_letters += lane.dead_letters;
-            executor.suppressed += lane.suppressed;
-            executor.delivered += lane.delivered;
-            if let Some(faults) = &lane.faults {
-                let fired = faults.stats();
-                executor.partition_cuts += fired.partition_cuts;
-                executor.fault_loss_drops += fired.loss_drops;
-            }
+        let mut snapshot = MetricsSnapshot::assemble(self.lanes().map(|lane| &lane.out.sinks));
+        snapshot.members = self.group().len();
+        snapshot.peak_queue_depth = self.peak_queue;
+        for faults in self.lanes().filter_map(|lane| lane.faults.as_ref()) {
+            let fired = faults.stats();
+            snapshot.partition_cuts += fired.partition_cuts;
+            snapshot.fault_loss_drops += fired.loss_drops;
         }
-        MetricsSnapshot::assemble(
-            self.group().len(),
-            ServerStats::sum(self.servers.iter().map(|s| &s.stats)),
-            self.members().map(|m| &m.stats),
-            self.lanes().map(|lane| &lane.out.sinks),
-            executor,
-        )
+        snapshot
     }
 }
 
@@ -1404,15 +1376,19 @@ mod tests {
     }
 
     /// Every member records its applications into its own shard's lane,
-    /// and the snapshot folds every lane: after `finish` the apply-delay
-    /// histogram counts exactly the intervals the members applied.
+    /// and the snapshot folds every lane: after `finish` every shard has
+    /// recorded applications, and the apply-delay histogram counts exactly
+    /// the intervals all of them applied.
     #[test]
     fn member_histograms_fold_every_lane() {
         let mut rt = build(4, 0.08, 0xD57E);
         rt.leave_at(PERIOD / 2, 11);
         rt.leave_at(2 * PERIOD + PERIOD / 4, 30);
         rt.finish(4 * PERIOD);
-        let applied: u64 = rt.members().map(|m| m.stats.intervals_applied).sum();
+        let shards = rt.shards.iter().map(|s| &s.lane.out.sinks.apply_delay_us);
+        let per_shard: Vec<u64> = shards.map(|h| h.snapshot().count).collect();
+        assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
+        let applied: u64 = per_shard.iter().sum();
         assert!(applied > MEMBERS as u64, "members applied intervals");
         assert_eq!(rt.snapshot().apply_delay_us.count, applied);
     }
@@ -1568,7 +1544,11 @@ mod tests {
 
         rt.finish(5 * PERIOD);
         assert!(!held(&rt));
-        assert!(rt.member_stats(owner).resyncs >= 1, "repaired by a resync");
+        // Only the owner can ask for a snapshot here: one replica that
+        // never restarts bumps no epoch, the run is lossless, no member
+        // joins, and the partition cut off the owner alone, so the one
+        // lost `Table` push is the owner's.
+        assert!(rt.snapshot().resyncs >= 1, "repaired by a resync");
         assert!(rt.snapshot().partition_cuts > 0);
         for (idx, m) in rt.group().members().iter().enumerate() {
             let table = rt.member_table(m.host.0).expect("member is live");

@@ -80,12 +80,11 @@ use rekey_sim::{NodeId, Scheduler, SimTime};
 use rekey_table::ConsistencyViolation;
 
 use super::core::{
-    acting_primary, boot_timers, Effect, Event, Outbox, RtLocal, RtMember, RtServer, Sinks,
+    acting_primary, boot_timers, Effect, Event, Outbox, RtLocal, RtMember, RtServer,
 };
 use super::wire::{decode_msg, encode_forward_split, encode_msg, WireError};
 use super::{
-    check_member_tables, ExecutorCounters, MemberQuestion, MetricsSnapshot, NotConverged, RtMsg,
-    RuntimeConfig, ServerStats,
+    check_member_tables, MemberQuestion, MetricsSnapshot, NotConverged, RtMsg, RuntimeConfig, Sinks,
 };
 
 use crate::{Group, GroupConfig, GroupError, GroupServer, UserAgent};
@@ -487,11 +486,7 @@ impl<NET: Network> UdpGroupDriver<NET> {
             // nothing: the server probes its RTT model for each joiner
             // instead of seeding the joiner's own probe. A killed socket
             // replica never restarts, so none takes a checkpoint.
-            let mut rt = RtServer::new(&config, server_fsm, replica, false, false);
-            if replica == 0 {
-                // The bootstrap deal is counted once, on the primary.
-                rt.stats.welcomes = members as u64;
-            }
+            let rt = RtServer::new(&config, server_fsm, replica, false, false);
             slots.push(ServerSlot { rt, alive: true });
         }
         let spec = *slots[0].rt.server.group().spec();
@@ -552,6 +547,8 @@ impl<NET: Network> UdpGroupDriver<NET> {
             finished: false,
             not_converged: None,
         };
+        // The bootstrap deal is counted once, on the coordinator's lane.
+        driver.io.out.sinks.welcomes = members as u64;
 
         // Seed the pre-welcomed members: agent current at interval 1,
         // interval-2 check armed at the first rekey boundary plus the
@@ -883,20 +880,15 @@ impl<NET: Network> UdpGroupDriver<NET> {
     /// recoveries instead). Member-side counters, histograms and spans
     /// are merged only after [`UdpGroupDriver::finish`].
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let lanes = std::iter::once(&self.io.out.sinks).chain(&self.worker_sinks);
+        let mut snapshot = MetricsSnapshot::assemble(lanes);
         let traffic = self.traffic();
-        MetricsSnapshot::assemble(
-            self.group().len(),
-            ServerStats::sum(self.servers.iter().map(|slot| &slot.rt.stats)),
-            self.collected.iter().flatten().map(|member| &member.stats),
-            std::iter::once(&self.io.out.sinks).chain(&self.worker_sinks),
-            ExecutorCounters {
-                copies_lost: traffic.oversize_drops,
-                dead_letters: traffic.malformed_frames + traffic.decode_errors,
-                delivered: traffic.packets_received,
-                peak_queue_depth: self.peak_timers,
-                ..ExecutorCounters::default()
-            },
-        )
+        snapshot.members = self.group().len();
+        snapshot.copies_lost = traffic.oversize_drops;
+        snapshot.dead_letters = traffic.malformed_frames + traffic.decode_errors;
+        snapshot.delivered = traffic.packets_received;
+        snapshot.peak_queue_depth = self.peak_timers;
+        snapshot
     }
 }
 
@@ -1148,8 +1140,10 @@ mod tests {
         assert_eq!(report.joins, 1);
         assert!(report.intervals >= 2);
         // Every worker handed its sinks back with its members.
-        let members = rt.collected.iter().flatten();
-        let applied: u64 = members.map(|m| m.stats.intervals_applied).sum();
+        let workers = rt.worker_sinks.iter();
+        let per_worker: Vec<u64> = workers.map(|s| s.apply_delay_us.snapshot().count).collect();
+        assert!(per_worker.iter().all(|&n| n > 0), "{per_worker:?}");
+        let applied: u64 = per_worker.iter().sum();
         assert!(applied > 0, "members applied intervals");
         assert_eq!(report.apply_delay_us.count, applied);
         let traffic = rt.traffic();
