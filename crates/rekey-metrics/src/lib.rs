@@ -10,7 +10,8 @@
 //!   data: each executor lane records into its own and the lanes are
 //!   merged afterwards, in any order, with the same result;
 //! * [`SpanLog`] — lightweight tracing spans ([`SpanRecord`]) in a bounded
-//!   ring buffer (drop-oldest, with a dropped count), timestamped by the
+//!   ring buffer per span name (drop-oldest, with a dropped count), so
+//!   frequent spans never evict rare ones, timestamped by the
 //!   *caller* — sim-clock microseconds in this workspace, never wall
 //!   clock — so identically seeded runs record identical spans;
 //!   [`merge_spans`] folds the rings of several lanes into one tail;
@@ -39,6 +40,7 @@
 //! assert_eq!((names, dropped), (vec!["apply", "interval"], 0));
 //! ```
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 pub mod histogram;
@@ -61,13 +63,16 @@ pub struct SpanRecord {
     pub detail: u64,
 }
 
-/// The bounded span ring: keeps the most recent `capacity` spans
-/// (drop-oldest, with a dropped count). Each executor lane keeps one;
-/// [`merge_spans`] folds them into one tail at snapshot time.
+/// The bounded span rings: keep the most recent `capacity` spans of each
+/// name (drop-oldest, with a dropped count), so a name recorded once per
+/// failover survives one recorded once per member and interval. Each
+/// executor lane keeps one log; [`merge_spans`] folds them into one tail
+/// at snapshot time.
 #[derive(Debug)]
 pub struct SpanLog {
     capacity: usize,
-    spans: VecDeque<SpanRecord>,
+    /// One ring per name, in the order the names first appeared.
+    rings: Vec<(&'static str, VecDeque<SpanRecord>)>,
     dropped: u64,
 }
 
@@ -82,22 +87,31 @@ impl SpanLog {
     pub(crate) fn with_capacity(capacity: usize) -> SpanLog {
         SpanLog {
             capacity,
-            spans: VecDeque::new(),
+            rings: Vec::new(),
             dropped: 0,
         }
     }
 
-    /// Records one span, evicting the oldest when the ring is full.
+    /// Records one span, evicting the oldest of its name when that name's
+    /// ring is full.
     pub fn record(&mut self, name: &'static str, start: u64, end: u64, detail: u64) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
         }
-        if self.spans.len() == self.capacity {
-            self.spans.pop_front();
+        let at = match self.rings.iter().position(|(n, _)| *n == name) {
+            Some(at) => at,
+            None => {
+                self.rings.push((name, VecDeque::new()));
+                self.rings.len() - 1
+            }
+        };
+        let ring = &mut self.rings[at].1;
+        if ring.len() == self.capacity {
+            ring.pop_front();
             self.dropped += 1;
         }
-        self.spans.push_back(SpanRecord {
+        ring.push_back(SpanRecord {
             name,
             start,
             end,
@@ -106,26 +120,36 @@ impl SpanLog {
     }
 }
 
-/// The default span ring capacity.
+/// The default span ring capacity, per name.
 pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 512;
 
-/// Folds the span rings of several lanes into one tail, as if every span
-/// had been recorded into one ring of the last ring's capacity. The rings
-/// are folded in the order given: each fold orders the spans by end time,
-/// then start time, name and detail (so spans that end together come out
-/// in one order whichever ring held them), keeps the newest `capacity`,
-/// and counts everything either side evicted as dropped. Returns the tail,
-/// oldest first, and the dropped count.
-pub fn merge_spans<'a>(rings: impl IntoIterator<Item = &'a SpanLog>) -> (Vec<SpanRecord>, u64) {
+/// Folds the span logs of several lanes into one tail, as if every span
+/// had been recorded into one log of the last log's capacity. The logs
+/// are folded in the order given: each fold keeps the newest `capacity`
+/// spans of each name, newest by end time, then start time and detail,
+/// and counts everything either side evicted as dropped. Returns the
+/// tail ordered by end time, then start time, name and detail (so spans
+/// that end together come out in one order whichever log held them),
+/// and the dropped count.
+pub fn merge_spans<'a>(logs: impl IntoIterator<Item = &'a SpanLog>) -> (Vec<SpanRecord>, u64) {
     let (mut spans, mut dropped) = (Vec::new(), 0);
-    for ring in rings {
-        spans.extend(ring.spans.iter().copied());
-        dropped += ring.dropped;
-        spans.sort_by_key(|s: &SpanRecord| (s.end, s.start, s.name, s.detail));
-        let excess = spans.len().saturating_sub(ring.capacity);
-        spans.drain(..excess);
-        dropped += excess as u64;
+    for log in logs {
+        spans.extend(log.rings.iter().flat_map(|(_, ring)| ring.iter().copied()));
+        dropped += log.dropped;
+        // Each name's spans newest first, so its excess is its tail.
+        spans.sort_by_key(|s: &SpanRecord| (s.name, Reverse((s.end, s.start, s.detail))));
+        let before = spans.len();
+        let (mut name, mut kept) = ("", 0);
+        spans.retain(|s| {
+            if s.name != name {
+                (name, kept) = (s.name, 0);
+            }
+            kept += 1;
+            kept <= log.capacity
+        });
+        dropped += (before - spans.len()) as u64;
     }
+    spans.sort_by_key(|s| (s.end, s.start, s.name, s.detail));
     (spans, dropped)
 }
 
@@ -134,14 +158,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn span_ring_drops_oldest_and_counts() {
+    fn span_ring_drops_oldest_of_its_name_and_counts() {
         let mut ring = SpanLog::with_capacity(2);
-        ring.record("a", 0, 1, 0);
-        ring.record("b", 1, 2, 0);
-        ring.record("c", 2, 3, 0);
+        ring.record("b", 0, 1, 0);
+        ring.record("a", 1, 2, 1);
+        ring.record("a", 2, 3, 2);
+        ring.record("a", 3, 4, 3);
         let (spans, dropped) = merge_spans([&ring]);
-        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
-        assert_eq!(names, ["b", "c"]);
+        let kept: Vec<_> = spans.iter().map(|s| (s.name, s.detail)).collect();
+        assert_eq!(kept, [("b", 0), ("a", 2), ("a", 3)]);
         assert_eq!(dropped, 1);
     }
 
@@ -150,17 +175,29 @@ mod tests {
         let mut server = SpanLog::with_capacity(3);
         server.record("interval", 0, 10, 1);
         server.record("interval", 10, 20, 2);
-        let mut member = SpanLog::with_capacity(3);
+        let (mut member, mut other) = (SpanLog::with_capacity(3), SpanLog::with_capacity(3));
         for (end, detail) in [(5, 1), (10, 1), (15, 2), (25, 2)] {
             member.record("apply", 0, end, detail);
         }
-        let (spans, dropped) = merge_spans([&server, &member]);
-        // The member ring kept ends 10/15/25 (1 dropped); the union by end
-        // is apply@10, interval@10, apply@15, interval@20, apply@25 — a
-        // tie goes by start, then name — of which the newest three stay.
+        other.record("apply", 0, 12, 1);
+        let (spans, dropped) = merge_spans([&server, &member, &other]);
+        // The member ring kept ends 10/15/25 (1 dropped); of the applies
+        // at 10, 12, 15 and 25 the newest three stay, and no apply evicts
+        // an interval. The union by end is interval@10, apply@12,
+        // apply@15, interval@20, apply@25 — a tie would go by start, then
+        // name.
         let kept: Vec<_> = spans.iter().map(|s| (s.name, s.end)).collect();
-        assert_eq!(kept, [("apply", 15), ("interval", 20), ("apply", 25)]);
-        assert_eq!(dropped, 1 + 2);
+        assert_eq!(
+            kept,
+            [
+                ("interval", 10),
+                ("apply", 12),
+                ("apply", 15),
+                ("interval", 20),
+                ("apply", 25)
+            ]
+        );
+        assert_eq!(dropped, 1 + 1);
     }
 
     #[test]

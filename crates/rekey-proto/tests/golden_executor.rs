@@ -249,6 +249,9 @@ fn replicated_fault_plan_session_matches_the_classic_executor() {
     assert_eq!(got, want, "session outcome diverged: {got:#x?}");
     let snapshot = rt.snapshot();
     assert_eq!(snapshot.promotions, 1);
+    // The failover stays in the span tail, whatever the members record.
+    let promotion_spans = snapshot.spans.iter().filter(|s| s.name == "promotion");
+    assert_eq!(promotion_spans.count() as u64, snapshot.promotions);
     assert!(snapshot.partition_cuts > 0 && snapshot.fault_loss_drops > 0);
     assert_eq!(snapshot.restarts, 1);
     let got = counters_and_histograms(&snapshot);

@@ -57,11 +57,17 @@ fn one_primary_per_epoch(seed: u64, kill: u64) {
                 .is_some_and(|agent| agent.group_key() != key.as_ref())
         })
         .collect();
-    let (promotions, epoch) = (rt.snapshot().promotions, rt.server_epoch());
+    let snapshot = rt.snapshot();
+    let (promotions, epoch) = (snapshot.promotions, rt.server_epoch());
+    // Each promotion as (epoch, µs), from its span.
+    let promoted: Vec<(u64, u64)> = (snapshot.spans.iter())
+        .filter(|span| span.name == "promotion")
+        .map(|span| (span.detail, span.end))
+        .collect();
     assert!(
         stale.is_empty() && promotions <= epoch,
-        "{promotions} promotions into epoch {epoch}; server interval {}; \
-         members holding another group key: {stale:?}",
+        "{promotions} promotions into epoch {epoch} (epoch, µs: {promoted:?}); \
+         server interval {}; members holding another group key: {stale:?}",
         rt.server().interval()
     );
 }
