@@ -77,9 +77,44 @@ pub fn validate_snapshot(json: &str) {
 mod tests {
     use super::*;
 
+    /// The keys inside the `counters` and `histograms` objects of a
+    /// snapshot document (two levels deep: the series names, not a
+    /// histogram's fields) that [`SNAPSHOT_REQUIRED_KEYS`] does not promise.
+    fn unpromised_series(json: &str) -> Vec<&str> {
+        let (mut depth, mut at, mut unpromised) = (0, 0, Vec::new());
+        while let Some(c) = json[at..].chars().next() {
+            at += c.len_utf8();
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                '"' => {
+                    let end = at + json[at..].find('"').expect("closed string");
+                    let key = &json[at..end];
+                    at = end + 1;
+                    let is_key = json[at..].starts_with(':');
+                    if is_key && depth == 2 && !SNAPSHOT_REQUIRED_KEYS.contains(&key) {
+                        unpromised.push(key);
+                    }
+                }
+                _ => {}
+            }
+        }
+        unpromised
+    }
+
+    /// The contract holds both ways: the document has every promised key,
+    /// and every series in its counters and histograms objects is
+    /// promised, so a series added to the snapshot without a reviewed
+    /// change to [`SNAPSHOT_REQUIRED_KEYS`] fails here.
     #[test]
     fn default_snapshot_satisfies_the_promised_schema() {
-        validate_snapshot(&rekey_proto::MetricsSnapshot::default().to_json());
+        let json = rekey_proto::MetricsSnapshot::default().to_json();
+        validate_snapshot(&json);
+        assert_eq!(unpromised_series(&json), Vec::<&str>::new());
+        let added = json.replacen("\"nacks\"", "\"nack_kinds\": 0,\n    \"nacks\"", 1);
+        assert_eq!(unpromised_series(&added), ["nack_kinds"]);
+        let added = json.replacen("\"batch_size\"", "\"hops\": {},\n    \"batch_size\"", 1);
+        assert_eq!(unpromised_series(&added), ["hops"]);
     }
 
     #[test]

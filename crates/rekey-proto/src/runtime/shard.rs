@@ -1409,8 +1409,21 @@ mod tests {
         let lossless = |shards: usize| {
             let mut rt = build(shards, 0.0, 21);
             rt.leave_at(PERIOD / 2, 11);
+            rt.leave_at(PERIOD + PERIOD / 2, 30);
             rt.finish(3 * PERIOD);
-            rt.snapshot().to_json()
+            // Theorem 1 on the runtime: without loss every member of the
+            // group at an interval's multicast receives exactly one copy of
+            // it and applies that copy, and nobody NACKs. The group holds
+            // 47 members at the first multicast and 46 at every later one.
+            let report = rt.snapshot();
+            assert!(report.intervals >= 2, "{} intervals", report.intervals);
+            let members = MEMBERS as u64;
+            let copies = (members - 1) + (report.intervals - 1) * (members - 2);
+            assert_eq!(report.forward_copies, copies);
+            assert_eq!(report.split_payload.count, copies);
+            assert_eq!(report.apply_delay_us.count, copies);
+            assert_eq!(report.nacks, 0);
+            report.to_json()
         };
         assert_eq!(lossless(1), lossless(4));
         // And with loss, each layout is at least self-consistent.
