@@ -110,11 +110,6 @@ impl Writer {
         self.out.push_str(&v.to_string());
     }
 
-    /// Writes `"key": <v>` for a usize.
-    pub fn field_usize(&mut self, key: &str, v: usize) {
-        self.field_u64(key, v as u64);
-    }
-
     /// Writes `"key": <v>` with fixed `decimals` digits. Fixed-point
     /// formatting of a deterministic float is itself deterministic.
     pub(crate) fn field_f64(&mut self, key: &str, v: f64, decimals: usize) {

@@ -460,9 +460,9 @@ fn a_join_finishes_past_a_crashed_seed_and_a_partition() {
     rt.run_trace(&trace);
     rt.finish(100 * SEC);
     assert!(rt.group().members().iter().any(|m| m.host == HostId(12)));
-    let stats = rt.last_join(12);
-    assert!(stats.retransmissions > 0, "the silent seed was asked again");
-    assert!(stats.elapsed >= 63 * 100 * MS, "{stats:?}");
+    let join = rt.last_join(12);
+    assert!(join.retransmissions > 0, "the silent seed was asked again");
+    assert!(join.elapsed >= 63 * 100 * MS, "{join:?}");
     let members = rt.group().members();
     let live = members.iter().filter(|m| m.host != HostId(0));
     let tables = live.map(|m| rt.member_table(m.host.0).unwrap());
@@ -477,16 +477,16 @@ fn a_join_finishes_past_a_crashed_seed_and_a_partition() {
     trace.push(ChurnEvent::join(16 * SEC));
     rt.run_trace(&trace);
     rt.finish(100 * SEC);
-    let stats = rt.last_join(12);
+    let join = rt.last_join(12);
     assert!(rt.group().members().iter().any(|m| m.host == HostId(12)));
     assert!(
-        stats.retransmissions > 0,
+        join.retransmissions > 0,
         "the silent members were asked again"
     );
     // The seed arrives just after 16 s; the partition heals at 40 s.
     assert!(
-        stats.elapsed < 24 * SEC,
-        "admitted before the partition heals: {stats:?}"
+        join.elapsed < 24 * SEC,
+        "admitted before the partition heals: {join:?}"
     );
     rt.check_consistency()
         .expect("K-consistent past a partition");
