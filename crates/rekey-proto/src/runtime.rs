@@ -493,20 +493,20 @@ macro_rules! series {
         pub struct MetricsSnapshot {
             $( $(#[doc = $cdoc])* pub $c: $cty, )*
             $( $(#[doc = $hdoc])* pub $h: HistogramSnapshot, )*
-            /// Tail of the tracing-span ring: the newest spans of each name
-            /// (older ones drop first).
+            /// Tail of the tracing spans: the newest of each name (older
+            /// ones drop first).
             pub spans: Vec<SpanRecord>,
             /// Spans evicted from the ring before this snapshot was taken.
             pub spans_dropped: u64,
         }
 
         /// What the nodes of one lane record: every counter and histogram
-        /// of the snapshot, and a span ring. Nodes only ever write here; no
+        /// of the snapshot, and a span log. Nodes only ever write here; no
         /// protocol decision reads it. Counters fold by their table row and
         /// histogram inserts commute, so lanes merge in any order; span
-        /// rings are merged by end time, ties by start, name and detail, so
-        /// the merged tail is a function of (seed, lane layout) and never
-        /// of thread timing.
+        /// logs are merged keeping the newest spans of each name, ordered
+        /// by end time, ties by start, name and detail, so the merged tail
+        /// is a function of (seed, lane layout) and never of thread timing.
         #[derive(Debug, Default)]
         pub(crate) struct Sinks {
             $( $(#[doc = $cdoc])* pub(crate) $c: $cty, )*

@@ -24,9 +24,10 @@
 //! original, with the same effects. Everything else reaches `handle` as
 //! an argument. The [`Outbox`] is the driver's lane context: the clock,
 //! the runtime config, the §3.1 parameters, the access RTTs, and the
-//! lane's metric [`Sinks`]. The
-//! key server also borrows the driver's network for the calls that
-//! consult it. What the drivers would otherwise each spell out — how a
+//! lane's metric [`Sinks`], which every count, histogram sample and span
+//! of a node goes into; a member keeps only the record of its own last
+//! join. The key server also borrows the driver's network for the calls
+//! that consult it. What the drivers would otherwise each spell out — how a
 //! replica or a pre-welcomed member starts, which timers bring a replica
 //! set up, which replica is acting primary, how a replica applies an op
 //! — lives here too, once.

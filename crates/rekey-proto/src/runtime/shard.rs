@@ -52,10 +52,11 @@
 //!   shared injector would, whatever the shard count. All fates are
 //!   decided at **send** time in the sender's lane, or at delivery from
 //!   `(plan, now)` alone — never from thread timing;
-//! * every lane records its nodes' metrics into the sinks of its own
-//!   outbox: histogram inserts commute, and the per-lane span rings are
-//!   merged by end time, ties by start, name and detail, at snapshot
-//!   time;
+//! * every lane counts and records its nodes' metrics, and its own
+//!   deliveries and drops, into the sinks of its own outbox: counter
+//!   folds and histogram inserts commute, and the per-lane span logs are
+//!   merged at snapshot time, the newest spans of each name kept and
+//!   ordered by end time, ties by start, name and detail;
 //! * per window the order is fixed: the coordinator drains the replicas,
 //!   then the shards drain in parallel (disjoint `&mut`), then outboxes
 //!   merge in shard-index order. A worker's shard gets its crossings in
